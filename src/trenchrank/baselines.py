@@ -11,9 +11,12 @@ strength ``m``:
 
     smoothed = (n * observed + m * global) / (n + m)
 
-None of the baselines reads the double-team flag.  Degenerate rates
-(exactly 0 or 1) are preserved; clipping for log loss belongs to the
-evaluator.
+A player with no training rows (n = 0) gets the global value exactly.
+Fits count rows through ``np.bincount`` over a coded table, optionally
+with row weights (``fit_win_baseline_coded``); the table fits are the
+all-ones case.  None of the baselines reads the double-team flag.
+Degenerate rates (exactly 0 or 1) are preserved; clipping for log loss
+belongs to the evaluator.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .interactions import CLASSES, InteractionTable, OutcomeClass
+from .interactions import CLASSES, CodedTable, InteractionTable, OutcomeClass
 
 DEFAULT_WIN_PRIOR = 25.0
 DEFAULT_SEVERITY_PRIOR = 50.0
@@ -70,44 +73,71 @@ def inv_logit(x: float) -> float:
 
 
 def smooth_rate(n: int, rate: float, m: float, global_rate: float) -> float:
-    """Shrink an observed rate toward the global rate with prior strength m."""
-    if n + m == 0:
+    """Shrink an observed rate toward the global rate with prior strength m.
+
+    With no observations (n = 0) the result is ``global_rate`` exactly.
+    """
+    if n == 0:
         return global_rate
     return (n * rate + m * global_rate) / (n + m)
 
 
-def _smooth_profile(n: int, profile: np.ndarray, m: float, global_profile: np.ndarray) -> np.ndarray:
-    if n + m == 0:
-        return global_profile.copy()
-    return (n * profile + m * global_profile) / (n + m)
+def _smoothed(n: np.ndarray, sums: np.ndarray, m: float, global_value) -> np.ndarray:
+    """``smooth_rate`` over players with n > 0, for rates or class profiles.
+
+    Players with n = 0 get no entry in a fitted baseline, so predictions
+    use the global value for them exactly.
+    """
+    return (n * (sums / n) + m * global_value) / (n + m)
 
 
-def fit_win_baseline(train: InteractionTable, m: float = DEFAULT_WIN_PRIOR) -> WinBaseline:
-    if len(train) == 0:
-        raise DataError("cannot fit a win baseline on an empty table")
+def _first_seen_codes(codes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Codes of positive weight, in order of their first such row.
+
+    Baseline dicts follow this order, so their JSON lists players in
+    table order.
+    """
+    active = codes[weights > 0]
+    uniq, first = np.unique(active, return_index=True)
+    return uniq[np.argsort(first, kind="stable")]
+
+
+def _check_fit_input(n_rows: int, weights: np.ndarray, m: float, what: str) -> None:
+    if n_rows == 0 or not weights.sum() > 0:
+        raise DataError(f"cannot fit a {what} baseline on an empty table")
     if m < 0:
         raise ValueError(f"prior strength must be >= 0, got {m}")
-    wins = np.array([r.win_target for r in train], dtype=float)
-    p_global = float(wins.mean())
 
-    def side_rates(key_fn) -> dict[str, tuple[int, float]]:
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for row, w in zip(train, wins):
-            pid = key_fn(row)
-            sums[pid] = sums.get(pid, 0.0) + w
-            counts[pid] = counts.get(pid, 0) + 1
-        return {
-            pid: (counts[pid], smooth_rate(counts[pid], sums[pid] / counts[pid], m, p_global))
-            for pid in counts
-        }
+
+def fit_win_baseline_coded(
+    coded: CodedTable, weights: np.ndarray, m: float = DEFAULT_WIN_PRIOR
+) -> WinBaseline:
+    """Win baseline with row i counted ``weights[i]`` times.
+
+    Players whose rows all have zero weight get no entry, so predictions
+    fall back to the global rate for them.
+    """
+    weights = np.asarray(weights, dtype=float)
+    _check_fit_input(len(coded), weights, m, "win")
+    p_global = float(np.sum(weights * coded.win) / np.sum(weights))
+
+    def side_rates(codes, vocab) -> dict[str, tuple[int, float]]:
+        seen = _first_seen_codes(codes, weights)
+        n = np.bincount(codes, weights=weights, minlength=len(vocab))[seen]
+        sums = np.bincount(codes, weights=weights * coded.win, minlength=len(vocab))[seen]
+        rates = _smoothed(n, sums, m, p_global)
+        return {vocab[i]: (int(n_i), float(r)) for i, n_i, r in zip(seen, n, rates)}
 
     return WinBaseline(
         p_global=p_global,
         m=float(m),
-        rusher_rates=side_rates(lambda r: r.rusher_id),
-        blocker_rates=side_rates(lambda r: r.blocker_id),
+        rusher_rates=side_rates(coded.rusher, coded.rushers),
+        blocker_rates=side_rates(coded.blocker, coded.blockers),
     )
+
+
+def fit_win_baseline(train: InteractionTable, m: float = DEFAULT_WIN_PRIOR) -> WinBaseline:
+    return fit_win_baseline_coded(train.coded, np.ones(len(train)), m)
 
 
 def predict_win_global(bl: WinBaseline) -> float:
@@ -124,39 +154,43 @@ def predict_win_matchup(bl: WinBaseline, rusher_id: str, blocker_id: str) -> flo
     return inv_logit(0.5 * (logit(p_r) + logit(p_b)))
 
 
-def fit_severity_baseline(
-    train: InteractionTable, m: float = DEFAULT_SEVERITY_PRIOR
+def fit_severity_baseline_coded(
+    coded: CodedTable, weights: np.ndarray, m: float = DEFAULT_SEVERITY_PRIOR
 ) -> SeverityBaseline:
-    if len(train) == 0:
-        raise DataError("cannot fit a severity baseline on an empty table")
-    if m < 0:
-        raise ValueError(f"prior strength must be >= 0, got {m}")
-    n = len(train)
-    global_counts = np.zeros(len(CLASSES))
-    for row in train:
-        global_counts[int(row.severity)] += 1
-    pi_global = global_counts / n
+    """Severity baseline with row i counted ``weights[i]`` times.
 
-    def side_profiles(key_fn) -> dict[str, tuple[int, tuple[float, float, float, float]]]:
-        counts: dict[str, np.ndarray] = {}
-        for row in train:
-            pid = key_fn(row)
-            if pid not in counts:
-                counts[pid] = np.zeros(len(CLASSES))
-            counts[pid][int(row.severity)] += 1
-        out = {}
-        for pid, vec in counts.items():
-            n_p = int(vec.sum())
-            smoothed = _smooth_profile(n_p, vec / n_p, m, pi_global)
-            out[pid] = (n_p, tuple(float(v) for v in smoothed))
-        return out
+    Players whose rows all have zero weight get no entry, so predictions
+    fall back to the global profile for them.
+    """
+    weights = np.asarray(weights, dtype=float)
+    _check_fit_input(len(coded), weights, m, "severity")
+    k = len(CLASSES)
+    pi_global = np.bincount(coded.severity, weights=weights, minlength=k) / np.sum(weights)
+
+    def side_profiles(codes, vocab) -> dict[str, tuple[int, tuple[float, float, float, float]]]:
+        seen = _first_seen_codes(codes, weights)
+        counts = np.bincount(
+            codes * k + coded.severity, weights=weights, minlength=len(vocab) * k
+        ).reshape(len(vocab), k)[seen]
+        n = counts.sum(axis=1)
+        profiles = _smoothed(n[:, None], counts, m, pi_global)
+        return {
+            vocab[i]: (int(n_i), tuple(float(v) for v in prof))
+            for i, n_i, prof in zip(seen, n, profiles)
+        }
 
     return SeverityBaseline(
         pi_global=tuple(float(v) for v in pi_global),
         m=float(m),
-        rusher_profiles=side_profiles(lambda r: r.rusher_id),
-        blocker_profiles=side_profiles(lambda r: r.blocker_id),
+        rusher_profiles=side_profiles(coded.rusher, coded.rushers),
+        blocker_profiles=side_profiles(coded.blocker, coded.blockers),
     )
+
+
+def fit_severity_baseline(
+    train: InteractionTable, m: float = DEFAULT_SEVERITY_PRIOR
+) -> SeverityBaseline:
+    return fit_severity_baseline_coded(train.coded, np.ones(len(train)), m)
 
 
 def predict_severity_global(bl: SeverityBaseline) -> np.ndarray:
@@ -186,6 +220,47 @@ def predict_severity_matchup(bl: SeverityBaseline, rusher_id: str, blocker_id: s
     eta -= eta.max()
     weights = np.exp(eta)
     return weights / weights.sum()
+
+
+def _inv_logit_array(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.exp(x)
+        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), z / (1.0 + z))
+
+
+def predict_win_matchups(bl: WinBaseline, coded: CodedTable) -> np.ndarray:
+    """``predict_win_matchup`` for every row of a coded table."""
+    p_r = np.array([bl.rusher_rates.get(p, (0, bl.p_global))[1] for p in coded.rushers])
+    p_b = np.array([bl.blocker_rates.get(p, (0, bl.p_global))[1] for p in coded.blockers])
+    with np.errstate(divide="ignore"):
+        logit_r = np.log(p_r) - np.log1p(-p_r)
+        logit_b = np.log(p_b) - np.log1p(-p_b)
+    return _inv_logit_array(0.5 * (logit_r[coded.rusher] + logit_b[coded.blocker]))
+
+
+def predict_severity_matchups(bl: SeverityBaseline, coded: CodedTable) -> np.ndarray:
+    """``predict_severity_matchup`` for every row: an (n, 4) matrix."""
+    loss_i = int(OutcomeClass.LOSS)
+
+    def log_odds(profiles, vocab, codes):
+        prof = np.array([profiles.get(p, (0, bl.pi_global))[1] for p in vocab])
+        prof = prof.reshape(-1, len(CLASSES))
+        if np.any(prof[np.unique(codes), loss_i] == 0.0):
+            raise DataError(
+                "severity matchup log-odds undefined: a smoothed profile has a zero "
+                "loss component (possible only at m=0 or a degenerate global profile)"
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(prof / prof[:, loss_i : loss_i + 1])
+
+    eta = 0.5 * (
+        log_odds(bl.rusher_profiles, coded.rushers, coded.rusher)[coded.rusher]
+        + log_odds(bl.blocker_profiles, coded.blockers, coded.blocker)[coded.blocker]
+    )
+    eta[:, loss_i] = 0.0
+    eta -= eta.max(axis=1, keepdims=True)
+    weights = np.exp(eta)
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

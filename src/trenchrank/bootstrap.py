@@ -2,35 +2,53 @@
 
 Replicates resample whole games with replacement and rerun the pipeline
 with the penalty weights held fixed (cross-validation is never invoked
-here).  Two modes:
+here).  A replicate draws G game indices, ``rng.integers(0, G, size=G)``,
+and is fully described by the multiplicities ``m = bincount(draws,
+minlength=G)``.  Its likelihood is the original table's with each row
+weighted by its game's multiplicity (the weighted-likelihood view of the
+bootstrap), so every replicate refits one coded copy of the table under
+row weights; no resampled table is ever built.
 
-- ``end_to_end``: each replicate re-sorts and re-splits the resampled
-  table, refits models and baselines, and records the four holdout
-  improvements (95% percentile intervals) and per-player ratings from a
-  full-table refit (25th-75th percentile bands).
-- ``weekly_path``: for each cumulative week checkpoint, games from
-  weeks <= w are resampled and refit, producing per-week rating bands
-  of mean +/- 1.96 SD.
+Two modes:
 
-Each replicate derives its own RNG stream from (seed, replicate index)
-or (seed, week, replicate index), so results do not depend on execution
-order.  Percentiles use linearly interpolated order statistics.
+- ``end_to_end``: each replicate re-splits and refits models and
+  baselines, records the four holdout improvements (95% percentile
+  intervals), and records per-player ratings from a refit on all of the
+  replicate's rows (25th-75th percentile bands).
+- ``weekly_path``: for each cumulative week checkpoint, games with rows
+  in weeks <= w are resampled and refit on those rows, producing
+  per-week rating bands of mean +/- 1.96 SD.
+
+The replicate's row order, which fixes its 80/20 split, is: games in
+sorted id order, a game's m_g copies contiguous, and the rows inside
+each copy in canonical order.  The cut falls after the first
+floor(0.8 * sum_g m_g n_g) rows of that order, so a row's train weight
+is the number of its game's copies wholly before the cut, plus one if
+the row lies before the cut inside the copy the cut falls in; its test
+weight is the rest of m_g.
+
+A player whose rows all have zero weight is absent from that fit: the
+rating is NaN, and validation falls back for the player as it does for
+any player unseen in training.  Each replicate derives its own RNG
+stream from (seed, replicate index) or (seed, week, replicate index), so
+results do not depend on execution order.  Percentiles use linearly
+interpolated order statistics.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, FitError
-from .evaluate import run_validation
+from .evaluate import split_point, validate_weighted
 from .external import model_scores
-from .fit import fit_severity_model, fit_win_model
-from .interactions import Interaction, InteractionTable, canonical_sort
+from .fit import fit_coded
+from .interactions import CodedTable, InteractionTable, canonical_sort
 
 MODES = ("end_to_end", "weekly_path")
 MODEL_NAMES = ("win", "severity")
@@ -126,28 +144,31 @@ def resample_games(game_ids: Sequence[str], rng: np.random.Generator) -> list[st
     return [game_ids[i] for i in draws]
 
 
-def resampled_table(table: InteractionTable, drawn: Sequence[str]) -> InteractionTable:
-    """Concatenate the drawn games' rows and canonically sort.
+def _multiplicities(n_games: int, rng: np.random.Generator, identity: bool) -> np.ndarray:
+    """Copies of each game in one replicate; the identity replicate keeps one each."""
+    if identity:
+        return np.ones(n_games, dtype=np.intp)
+    return np.bincount(resample_games(range(n_games), rng), minlength=n_games)
 
-    Repeated draws are kept as distinct blocks: the second and later
-    copies of a game get a copy ordinal appended to game_id so the sort
-    stays deterministic.
+
+def split_weights(
+    coded: CodedTable, m: np.ndarray, ratio: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row train and test weights of a replicate's ordered split.
+
+    ``coded`` must be in canonical order and ``m`` holds the copies of
+    each game (by game code).  See the module docstring for the cut rule.
     """
-    by_game = table.rows_by_game
-    rows: list[Interaction] = []
-    seen: dict[str, int] = {}
-    for gid in drawn:
-        if gid not in by_game:
-            raise DataError(f"drawn game {gid!r} not present in table")
-        copy = seen.get(gid, 0)
-        seen[gid] = copy + 1
-        block = by_game[gid]
-        if copy == 0:
-            rows.extend(block)
-        else:
-            tagged = f"{gid}#{copy + 1}"
-            rows.extend(replace(r, game_id=tagged) for r in block)
-    return canonical_sort(InteractionTable(rows))
+    n_g = np.bincount(coded.game, minlength=len(coded.games))
+    game_start = np.cumsum(n_g) - n_g
+    copy_start = np.cumsum(m * n_g) - m * n_g
+    n_train = split_point(int(np.sum(m * n_g)), ratio)
+    # rows of this game copy lying before the cut, counted from the row's
+    # own position in the copy
+    g = coded.game
+    ahead = n_train - copy_start[g] - (np.arange(len(coded)) - game_start[g])
+    train = np.clip(-(-ahead // n_g[g]), 0, m[g])
+    return train.astype(float), (m[g] - train).astype(float)
 
 
 def _series(values: list[float], kind: str) -> TrackedSeries:
@@ -177,13 +198,13 @@ def _tracked_role_players(
     return [p for p in players if p in keep]
 
 
-def _fit_ratings(tbl: InteractionTable, config: BootstrapConfig) -> dict[tuple[str, str], dict[str, float]]:
+def _fit_ratings(
+    coded: CodedTable, weights: np.ndarray, config: BootstrapConfig
+) -> dict[tuple[str, str], dict[str, float]]:
     out: dict[tuple[str, str], dict[str, float]] = {}
     for model in config.models:
-        if model == "win":
-            fit = fit_win_model(tbl, config.lambda_win, tol=config.tol, max_iter=config.max_iter)
-        else:
-            fit = fit_severity_model(tbl, config.lambda_sev, tol=config.tol, max_iter=config.max_iter)
+        lam = config.lambda_win if model == "win" else config.lambda_sev
+        fit = fit_coded(coded, weights, model, lam, tol=config.tol, max_iter=config.max_iter)
         for role in ("rusher", "blocker"):
             out[(model, role)] = model_scores(fit, role)
     return out
@@ -201,15 +222,17 @@ def end_to_end_bootstrap(table: InteractionTable, config: BootstrapConfig) -> Bo
     """Resample games B times, rerunning the split/fit/validate pipeline.
 
     Improvements come from each replicate's re-split holdout; ratings
-    come from a refit on the replicate's full table, since season
+    come from a refit on all of the replicate's rows, since season
     ratings are full-data quantities.  Failed replicates are dropped
     and counted; more than ``max_failure_rate`` of them aborts.
     """
     if config.mode != "end_to_end":
         raise ValueError(f"config mode is {config.mode!r}, expected 'end_to_end'")
-    games = list(table.games)
-    if not games:
+    if not table.games:
         raise DataError("bootstrap requires at least one game")
+    if not table.is_canonically_sorted():
+        table = canonical_sort(table)
+    coded = table.coded
 
     imp_values: dict[tuple[str, str], list[float]] = {}
     rating_players = {
@@ -227,22 +250,27 @@ def end_to_end_bootstrap(table: InteractionTable, config: BootstrapConfig) -> Bo
     n_failed = 0
     for rep in range(config.b):
         rng = np.random.default_rng([config.seed, rep])
-        drawn = list(games) if config.identity_resample else resample_games(games, rng)
-        tbl = resampled_table(table, drawn)
+        m = _multiplicities(len(coded.games), rng, config.identity_resample)
         try:
             report = None
             if config.track_improvements:
-                report = run_validation(
-                    tbl,
+                train_w, test_w = split_weights(coded, m, config.ratio)
+                report = validate_weighted(
+                    coded,
+                    train_w,
+                    test_w,
                     lambda_win=config.lambda_win,
                     lambda_sev=config.lambda_sev,
                     m_win=config.m_win,
                     m_sev=config.m_sev,
-                    ratio=config.ratio,
                     tol=config.tol,
                     max_iter=config.max_iter,
                 )
-            scores = _fit_ratings(tbl, config) if config.track_ratings else None
+            scores = (
+                _fit_ratings(coded, m[coded.game].astype(float), config)
+                if config.track_ratings
+                else None
+            )
         except FitError:
             n_failed += 1
             _check_failures(n_failed, config.b, config.max_failure_rate)
@@ -268,16 +296,18 @@ def end_to_end_bootstrap(table: InteractionTable, config: BootstrapConfig) -> Bo
 def weekly_path_bootstrap(table: InteractionTable, config: BootstrapConfig) -> BootstrapSummary:
     """Per-cumulative-week resampled refits giving rating uncertainty bands.
 
-    For checkpoint w, games from weeks <= w are resampled B times and
-    both models refit at the fixed penalties; the band per player and
-    week is mean +/- 1.96 SD over the replicates where the player
-    appears.  Checkpoints with no games yet are skipped with a warning.
+    For checkpoint w, the games with rows in weeks <= w are resampled B
+    times and both models refit on those rows at the fixed penalties;
+    the band per player and week is mean +/- 1.96 SD over the replicates
+    where the player appears.  Checkpoints with no games yet are skipped
+    with a warning.
     """
     if config.mode != "weekly_path":
         raise ValueError(f"config mode is {config.mode!r}, expected 'weekly_path'")
     if len(table) == 0:
         raise DataError("weekly path bootstrap requires a nonempty table")
-    max_week = max(r.week for r in table)
+    coded = table.coded
+    max_week = int(coded.week.max())
 
     weekly_values: dict[tuple[str, str, str, int], list[float]] = {}
     rating_players = {
@@ -287,7 +317,7 @@ def weekly_path_bootstrap(table: InteractionTable, config: BootstrapConfig) -> B
     }
     checkpoints: list[int] = []
     for week in range(1, max_week + 1):
-        if any(r.week <= week for r in table):
+        if np.any(coded.week <= week):
             checkpoints.append(week)
         else:
             warnings.warn(
@@ -299,14 +329,14 @@ def weekly_path_bootstrap(table: InteractionTable, config: BootstrapConfig) -> B
 
     n_failed = 0
     for week in checkpoints:
-        sub = InteractionTable([r for r in table if r.week <= week])
-        games = list(sub.games)
+        in_week = coded.week <= week
+        games = np.unique(coded.game[in_week])
         for rep in range(config.b):
             rng = np.random.default_rng([config.seed, week, rep])
-            drawn = list(games) if config.identity_resample else resample_games(games, rng)
-            tbl = resampled_table(sub, drawn)
+            m = np.zeros(len(coded.games), dtype=np.intp)
+            m[games] = _multiplicities(games.size, rng, config.identity_resample)
             try:
-                scores = _fit_ratings(tbl, config)
+                scores = _fit_ratings(coded, (m[coded.game] * in_week).astype(float), config)
             except FitError:
                 n_failed += 1
                 _check_failures(n_failed, planned_fits, config.max_failure_rate)

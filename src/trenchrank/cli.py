@@ -281,7 +281,8 @@ def _bootstrap_config(args, mode: str) -> boot.BootstrapConfig:
         m_win=getattr(args, "m_win", 25.0),
         m_sev=getattr(args, "m_sev", 50.0),
         models=models,
-        track_improvements=getattr(args, "improvements", False),
+        # holdout improvements compare both models, so a single model skips them
+        track_improvements=getattr(args, "improvements", False) and models == boot.MODEL_NAMES,
         track_ratings=not getattr(args, "no_ratings", False),
         track_players=players,
         identity_resample=args.identity_resample,
@@ -732,9 +733,9 @@ def build_parser() -> _Parser:
     p.add_argument("--m-win", type=float, default=25.0)
     p.add_argument("--m-sev", type=float, default=50.0)
     p.add_argument("--models", choices=("both", "win", "severity"), default="both")
-    p.add_argument("--improvements", action="store_true", default=True)
     p.add_argument("--no-improvements", dest="improvements", action="store_false",
-                   help="skip the per-replicate holdout refits")
+                   help="skip the per-replicate holdout refits; they run only when "
+                        "--models is both (the default)")
     p.add_argument("--no-ratings", action="store_true", help="skip rating tracking")
     p.add_argument("--players", default=None, help="comma-separated players to track")
     p.add_argument("--identity-resample", action="store_true",

@@ -6,6 +6,13 @@ Rusher and blocker columns are separate blocks even when the same
 player appears in both roles.
 
 Column layout: ``[intercept | double_team | rushers... | blockers...]``.
+
+The solvers take the design as a CSR matrix built in one vectorized
+pass from integer column codes (``csr_from_codes``).  A weighted fit
+first merges rows that encode alike into cells (``aggregate_cells``):
+rows with equal (rusher, blocker, double_team, outcome) contribute
+identical likelihood terms, so one cell row carrying their summed
+weight replaces them.
 """
 
 from __future__ import annotations
@@ -71,8 +78,11 @@ def build_index(table: InteractionTable) -> PlayerIndex:
     """Index every distinct rusher and blocker id in the table."""
     if len(table) == 0:
         raise DataError("cannot build a player index from an empty table")
-    rushers = table.rushers
-    blockers = table.blockers
+    return index_from_ids(table.rushers, table.blockers)
+
+
+def index_from_ids(rushers: Sequence[str], blockers: Sequence[str]) -> PlayerIndex:
+    """Index the given sorted rusher and blocker ids, in that order."""
     rusher_cols = {pid: 2 + i for i, pid in enumerate(rushers)}
     blocker_cols = {pid: 2 + len(rushers) + j for j, pid in enumerate(blockers)}
     return PlayerIndex(rusher_cols=rusher_cols, blocker_cols=blocker_cols)
@@ -96,10 +106,6 @@ def encode_row(x: Interaction, idx: PlayerIndex) -> SparseRow:
     return row
 
 
-def encode_table(table: InteractionTable, idx: PlayerIndex) -> list[SparseRow]:
-    return [encode_row(x, idx) for x in table]
-
-
 def rows_to_csr(rows: Iterable[SparseRow], n_columns: int) -> sp.csr_matrix:
     """Assemble encoded rows into a CSR matrix for the solvers."""
     data: list[float] = []
@@ -116,8 +122,62 @@ def rows_to_csr(rows: Iterable[SparseRow], n_columns: int) -> sp.csr_matrix:
     )
 
 
+def csr_from_codes(
+    rusher_cols: np.ndarray,
+    blocker_cols: np.ndarray,
+    double_team: np.ndarray,
+    n_columns: int,
+) -> sp.csr_matrix:
+    """Design rows from per-row column numbers, built without a row loop.
+
+    A negative rusher or blocker column means the player is not in the
+    index and contributes no entry, as in ``encode_row``; entries come in
+    ``encode_row``'s order.
+    """
+    rusher_cols = np.asarray(rusher_cols, dtype=np.intp)
+    blocker_cols = np.asarray(blocker_cols, dtype=np.intp)
+    parts = (
+        (np.ones(rusher_cols.shape[0], dtype=bool), INTERCEPT_COL, 1.0),
+        (np.asarray(double_team, dtype=bool), DOUBLE_TEAM_COL, 1.0),
+        (rusher_cols >= 0, rusher_cols, 1.0),
+        (blocker_cols >= 0, blocker_cols, -1.0),
+    )
+    indptr = np.zeros(rusher_cols.shape[0] + 1, dtype=np.intp)
+    np.cumsum(sum(present.astype(np.intp) for present, _, _ in parts), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    data = np.empty(indptr[-1])
+    slot = indptr[:-1].copy()
+    for present, cols, value in parts:
+        at = slot[present]
+        indices[at] = cols if np.isscalar(cols) else cols[present]
+        data[at] = value
+        slot += present
+    return sp.csr_matrix((data, indices, indptr), shape=(rusher_cols.shape[0], n_columns))
+
+
 def build_matrix(table: InteractionTable, idx: PlayerIndex) -> sp.csr_matrix:
-    return rows_to_csr(encode_table(table, idx), idx.n_columns)
+    coded = table.coded
+    # column of each vocabulary entry in idx, -1 for players it lacks
+    rcols = np.array([idx.rusher_cols.get(p, -1) for p in coded.rushers], dtype=np.intp)
+    bcols = np.array([idx.blocker_cols.get(p, -1) for p in coded.blockers], dtype=np.intp)
+    return csr_from_codes(
+        rcols[coded.rusher], bcols[coded.blocker], coded.double_team, idx.n_columns
+    )
+
+
+def aggregate_cells(weights: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge rows with equal key tuples; drop cells of zero total weight.
+
+    ``keys`` are nonnegative integer columns.  Returns one representative
+    row per cell and the cell's summed weight, cells in key order.
+    """
+    combined = np.zeros(weights.shape[0], dtype=np.int64)
+    for key in keys:
+        combined = combined * (int(key.max(initial=0)) + 1) + key
+    _, first, inverse = np.unique(combined, return_index=True, return_inverse=True)
+    totals = np.bincount(inverse, weights=weights, minlength=first.shape[0])
+    keep = totals > 0
+    return first[keep], totals[keep]
 
 
 def penalty_mask(idx: PlayerIndex) -> np.ndarray:

@@ -5,6 +5,11 @@ The holdout is an ordered 80/20 split of the canonically sorted table
 with penalty weights selected by grouped cross-validation on the train
 portion only; the four baselines are fit on the same train portion, and
 everything is scored by log loss (nats) on the held-out rows.
+
+``validate_weighted`` is the one implementation: it takes a coded table
+and per-row train and test weights.  ``run_validation`` calls it with the
+ordered split's 0/1 weights; the bootstrap calls it with the weights a
+resample of games puts on each row.
 """
 
 from __future__ import annotations
@@ -22,9 +27,11 @@ from .baselines import (
     SeverityBaseline,
     WinBaseline,
     fit_severity_baseline,
+    fit_severity_baseline_coded,
     fit_win_baseline,
-    predict_severity_matchup,
-    predict_win_matchup,
+    fit_win_baseline_coded,
+    predict_severity_matchups,
+    predict_win_matchups,
 )
 from .errors import DataError
 from .fit import (
@@ -33,12 +40,13 @@ from .fit import (
     BinaryFit,
     MultinomialFit,
     cv_select_lambda,
+    fit_coded,
     fit_severity_model,
     fit_win_model,
     predict_class_prob_matrix,
     predict_win_probs,
 )
-from .interactions import CLASSES, InteractionTable, OutcomeClass
+from .interactions import CLASSES, CodedTable, InteractionTable, OutcomeClass
 
 PROB_CLIP = 1e-15
 DEFAULT_SPLIT_RATIO = 0.8
@@ -94,20 +102,30 @@ class ValidationReport:
     severity_baseline: SeverityBaseline
 
 
+def split_point(n: int, ratio: float = DEFAULT_SPLIT_RATIO) -> int:
+    """Train size floor(ratio*n) of an ordered split of n rows.
+
+    Warns when the split leaves either side empty.
+    """
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
+    n_train = math.floor(ratio * n)
+    if n_train == 0 or n_train == n:
+        warnings.warn(
+            f"degenerate split: {n_train} train / {n - n_train} test rows",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return n_train
+
+
 def ordered_split(table: InteractionTable, ratio: float = DEFAULT_SPLIT_RATIO) -> SplitResult:
     """First floor(ratio*n) rows to train, the rest to test, order kept."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
     if not table.is_canonically_sorted():
         raise DataError("ordered_split requires a canonically sorted table")
-    n = len(table)
-    n_train = math.floor(ratio * n)
-    if n_train == 0 or n_train == n:
-        warnings.warn(
-            f"degenerate split: {n_train} train / {n - n_train} test rows",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    n_train = split_point(len(table), ratio)
     rows = list(table)
     return SplitResult(
         train=InteractionTable(rows[:n_train]),
@@ -116,8 +134,22 @@ def ordered_split(table: InteractionTable, ratio: float = DEFAULT_SPLIT_RATIO) -
     )
 
 
-def binary_log_loss(probs: Sequence[float], outcomes: Sequence[bool]) -> float:
-    """Mean Bernoulli cross-entropy in nats, probabilities clipped."""
+def _mean(values: np.ndarray, weights: np.ndarray | None) -> float:
+    if weights is None:
+        return float(np.mean(values))
+    w = np.asarray(weights, dtype=float)
+    if w.shape != values.shape:
+        raise DataError(f"length mismatch: {values.shape} rows vs {w.shape} weights")
+    return float(np.sum(w * values) / np.sum(w))
+
+
+def binary_log_loss(
+    probs: Sequence[float], outcomes: Sequence[bool], weights: Sequence[float] | None = None
+) -> float:
+    """Mean Bernoulli cross-entropy in nats, probabilities clipped.
+
+    With ``weights`` the mean is weighted: row i counts weights[i] times.
+    """
     p = np.asarray(probs, dtype=float)
     y = np.asarray(outcomes, dtype=float)
     if p.shape != y.shape:
@@ -125,11 +157,18 @@ def binary_log_loss(probs: Sequence[float], outcomes: Sequence[bool]) -> float:
     if p.size == 0:
         raise DataError("binary_log_loss requires at least one row")
     p = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+    return -_mean(y * np.log(p) + (1.0 - y) * np.log1p(-p), weights)
 
 
-def multiclass_log_loss(prob_matrix: np.ndarray, classes: Sequence[OutcomeClass]) -> float:
-    """Mean multiclass cross-entropy in nats over the four outcome classes."""
+def multiclass_log_loss(
+    prob_matrix: np.ndarray,
+    classes: Sequence[OutcomeClass],
+    weights: Sequence[float] | None = None,
+) -> float:
+    """Mean multiclass cross-entropy in nats over the four outcome classes.
+
+    With ``weights`` the mean is weighted: row i counts weights[i] times.
+    """
     P = np.asarray(prob_matrix, dtype=float)
     if P.ndim != 2 or P.shape[1] != len(CLASSES):
         raise DataError(f"expected an (n, {len(CLASSES)}) probability matrix, got {P.shape}")
@@ -144,19 +183,69 @@ def multiclass_log_loss(prob_matrix: np.ndarray, classes: Sequence[OutcomeClass]
             f"{int(bad.sum())} probability vectors do not sum to 1 "
             f"(max deviation {np.abs(sums - 1.0).max():.2e})"
         )
-    idx = np.array([int(c) for c in classes], dtype=np.intp)
+    idx = np.asarray(classes, dtype=np.intp)
     p_obs = np.clip(P[np.arange(P.shape[0]), idx], PROB_CLIP, 1.0 - PROB_CLIP)
-    return float(-np.mean(np.log(p_obs)))
+    return -_mean(np.log(p_obs), weights)
 
 
-def _severity_matrix_from_baseline(
-    bl: SeverityBaseline, table: InteractionTable, matchup: bool
-) -> np.ndarray:
-    if matchup:
-        return np.vstack(
-            [predict_severity_matchup(bl, r.rusher_id, r.blocker_id) for r in table]
-        )
-    return np.tile(np.asarray(bl.pi_global, dtype=float), (len(table), 1))
+def validate_weighted(
+    coded: CodedTable,
+    train_weights: np.ndarray,
+    test_weights: np.ndarray,
+    *,
+    lambda_win: float,
+    lambda_sev: float,
+    m_win: float = DEFAULT_WIN_PRIOR,
+    m_sev: float = DEFAULT_SEVERITY_PRIOR,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> ValidationReport:
+    """Fit models and baselines on train weights, score on test weights.
+
+    Row i counts ``train_weights[i]`` times in every fit and
+    ``test_weights[i]`` times in every holdout log loss.  Players without
+    train weight are left out of the fits: their model effects are zero
+    and their baseline rates the global ones.
+    """
+    train_weights = np.asarray(train_weights, dtype=float)
+    test_weights = np.asarray(test_weights, dtype=float)
+    if not (train_weights.sum() > 0 and test_weights.sum() > 0):
+        raise DataError("validation needs nonempty train and test portions")
+
+    win_fit = fit_coded(coded, train_weights, "win", lambda_win, tol=tol, max_iter=max_iter)
+    sev_fit = fit_coded(coded, train_weights, "severity", lambda_sev, tol=tol, max_iter=max_iter)
+    win_bl = fit_win_baseline_coded(coded, train_weights, m_win)
+    sev_bl = fit_severity_baseline_coded(coded, train_weights, m_sev)
+
+    held = np.flatnonzero(test_weights > 0)
+    test, w = coded.take(held), test_weights[held]
+
+    model_win = binary_log_loss(predict_win_probs(win_fit, test), test.win, w)
+    model_sev = multiclass_log_loss(predict_class_prob_matrix(sev_fit, test), test.severity, w)
+    global_win = binary_log_loss(np.full(len(test), win_bl.p_global), test.win, w)
+    matchup_win = binary_log_loss(predict_win_matchups(win_bl, test), test.win, w)
+    global_sev = multiclass_log_loss(
+        np.tile(np.asarray(sev_bl.pi_global, dtype=float), (len(test), 1)), test.severity, w
+    )
+    matchup_sev = multiclass_log_loss(predict_severity_matchups(sev_bl, test), test.severity, w)
+
+    rows = (
+        ValidationRow("win", "global", model_win, global_win, global_win - model_win),
+        ValidationRow("win", "matchup", model_win, matchup_win, matchup_win - model_win),
+        ValidationRow("severity", "global", model_sev, global_sev, global_sev - model_sev),
+        ValidationRow("severity", "matchup", model_sev, matchup_sev, matchup_sev - model_sev),
+    )
+    return ValidationReport(
+        rows=rows,
+        lambda_win=float(lambda_win),
+        lambda_sev=float(lambda_sev),
+        n_train=int(train_weights.sum()),
+        n_test=int(test_weights.sum()),
+        win_fit=win_fit,
+        severity_fit=sev_fit,
+        win_baseline=win_bl,
+        severity_baseline=sev_bl,
+    )
 
 
 def run_validation(
@@ -192,44 +281,17 @@ def run_validation(
             train, "severity", grid, n_folds, tol=tol, max_iter=max_iter
         ).lambda_min
 
-    win_fit = fit_win_model(train, lambda_win, tol=tol, max_iter=max_iter)
-    sev_fit = fit_severity_model(train, lambda_sev, tol=tol, max_iter=max_iter)
-    win_bl = fit_win_baseline(train, m_win)
-    sev_bl = fit_severity_baseline(train, m_sev)
-
-    y_test = [r.win_target for r in test]
-    c_test = [r.severity for r in test]
-
-    model_win = binary_log_loss(predict_win_probs(win_fit, test), y_test)
-    model_sev = multiclass_log_loss(predict_class_prob_matrix(sev_fit, test), c_test)
-
-    global_win = binary_log_loss(np.full(len(test), win_bl.p_global), y_test)
-    matchup_win = binary_log_loss(
-        [predict_win_matchup(win_bl, r.rusher_id, r.blocker_id) for r in test], y_test
-    )
-    global_sev = multiclass_log_loss(
-        _severity_matrix_from_baseline(sev_bl, test, matchup=False), c_test
-    )
-    matchup_sev = multiclass_log_loss(
-        _severity_matrix_from_baseline(sev_bl, test, matchup=True), c_test
-    )
-
-    rows = (
-        ValidationRow("win", "global", model_win, global_win, global_win - model_win),
-        ValidationRow("win", "matchup", model_win, matchup_win, matchup_win - model_win),
-        ValidationRow("severity", "global", model_sev, global_sev, global_sev - model_sev),
-        ValidationRow("severity", "matchup", model_sev, matchup_sev, matchup_sev - model_sev),
-    )
-    return ValidationReport(
-        rows=rows,
-        lambda_win=float(lambda_win),
-        lambda_sev=float(lambda_sev),
-        n_train=len(train),
-        n_test=len(test),
-        win_fit=win_fit,
-        severity_fit=sev_fit,
-        win_baseline=win_bl,
-        severity_baseline=sev_bl,
+    train_weights = (np.arange(len(table)) < len(train)).astype(float)
+    return validate_weighted(
+        table.coded,
+        train_weights,
+        1.0 - train_weights,
+        lambda_win=lambda_win,
+        lambda_sev=lambda_sev,
+        m_win=m_win,
+        m_sev=m_sev,
+        tol=tol,
+        max_iter=max_iter,
     )
 
 
@@ -268,22 +330,17 @@ def prior_sensitivity(
 
     win_fit = fit_win_model(train, lambda_win, tol=tol, max_iter=max_iter)
     sev_fit = fit_severity_model(train, lambda_sev, tol=tol, max_iter=max_iter)
-    y_test = [r.win_target for r in test]
-    c_test = [r.severity for r in test]
-    model_win = binary_log_loss(predict_win_probs(win_fit, test), y_test)
-    model_sev = multiclass_log_loss(predict_class_prob_matrix(sev_fit, test), c_test)
+    held = test.coded
+    model_win = binary_log_loss(predict_win_probs(win_fit, held), held.win)
+    model_sev = multiclass_log_loss(predict_class_prob_matrix(sev_fit, held), held.severity)
 
     out: list[SensitivityRow] = []
     for m in m_grid:
         bl = fit_win_baseline(train, m)
-        loss = binary_log_loss(
-            [predict_win_matchup(bl, r.rusher_id, r.blocker_id) for r in test], y_test
-        )
+        loss = binary_log_loss(predict_win_matchups(bl, held), held.win)
         out.append(SensitivityRow("win", float(m), model_win, loss, loss - model_win))
     for m in m_grid:
         bl = fit_severity_baseline(train, m)
-        loss = multiclass_log_loss(
-            _severity_matrix_from_baseline(bl, test, matchup=True), c_test
-        )
+        loss = multiclass_log_loss(predict_severity_matchups(bl, held), held.severity)
         out.append(SensitivityRow("severity", float(m), model_sev, loss, loss - model_sev))
     return out

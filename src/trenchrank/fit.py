@@ -11,9 +11,17 @@ intercepts are not.  The penalty uses the raw sum-of-squares (no 1/2
 factor) and the likelihood is the sum over rows, so ``lam`` is
 interpreted in those units.
 
-Solvers are deterministic: damped Newton for the binary model, L-BFGS
-with a Newton polishing phase for the multinomial model.  Convergence
-means gradient sup-norm <= ``tol`` (default 1e-8).
+Every objective, solver and fit takes optional row ``weights``
+(nonnegative, default all ones): row i then contributes ``weights[i]``
+times its log-likelihood term.  An integer weight k fits exactly like k
+copies of the row and a zero weight like its removal, which is how the
+bootstrap refits a resample of games without building it
+(``fit_coded``).
+
+Both models are solved by the same deterministic damped Newton
+iteration (dense Cholesky of the penalized Hessian, Armijo
+backtracking).  Convergence means gradient sup-norm <= ``tol`` (default
+1e-8).
 """
 
 from __future__ import annotations
@@ -30,14 +38,18 @@ from scipy.special import expit
 from .design import (
     PlayerIndex,
     SparseRow,
+    aggregate_cells,
     build_index,
     build_matrix,
+    csr_from_codes,
+    index_from_ids,
     penalty_mask,
     rows_to_csr,
 )
 from .errors import DataError, FitError
 from .interactions import (
     CLASSES,
+    CodedTable,
     Interaction,
     InteractionTable,
     OutcomeClass,
@@ -106,12 +118,14 @@ def binary_objective_grad(
     y: np.ndarray,
     lam: float,
     pen_mask: np.ndarray,
+    weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Penalized binary negative log-likelihood and its gradient."""
+    w = np.ones(X.shape[0]) if weights is None else weights
     eta = X @ theta
-    nll = float(np.sum(np.logaddexp(0.0, eta)) - y @ eta)
+    nll = float(np.sum(w * np.logaddexp(0.0, eta)) - (w * y) @ eta)
     p = expit(eta)
-    grad = X.T @ (p - y) + 2.0 * lam * (pen_mask * theta)
+    grad = X.T @ (w * (p - y)) + 2.0 * lam * (pen_mask * theta)
     obj = nll + lam * float(pen_mask @ (theta * theta))
     return obj, grad
 
@@ -123,6 +137,7 @@ def multinomial_objective_grad(
     n_model_classes: int,
     lam: float,
     pen_mask: np.ndarray,
+    weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Penalized multinomial negative log-likelihood and gradient.
 
@@ -130,6 +145,7 @@ def multinomial_objective_grad(
     modeled classes; parameters are the K rows of ``theta`` (flattened).
     """
     n, d = X.shape
+    w = np.ones(n) if weights is None else weights
     k = n_model_classes - 1
     theta = theta_flat.reshape(k, d)
     eta = np.empty((n, n_model_classes))
@@ -139,9 +155,10 @@ def multinomial_objective_grad(
     exp_eta = np.exp(eta - shift[:, None])
     denom = exp_eta.sum(axis=1)
     logp_obs = eta[np.arange(n), class_idx] - shift - np.log(denom)
-    nll = -float(logp_obs.sum())
+    nll = -float((w * logp_obs).sum())
     probs = exp_eta / denom[:, None]
     resid = probs[:, 1:] - np.equal.outer(class_idx, np.arange(1, n_model_classes))
+    resid *= w[:, None]
     grad = np.asarray((X.T @ resid).T) + 2.0 * lam * (pen_mask[None, :] * theta)
     obj = nll + lam * float(np.sum(pen_mask[None, :] * theta * theta))
     return obj, grad.ravel()
@@ -181,18 +198,19 @@ def _take_step(value_grad_fn, theta, obj, grad, direction):
     return theta, obj, grad, False
 
 
-def _solve_binary(X, y, lam, pen_mask, theta0, tol, max_iter):
+def _solve_binary(X, y, lam, pen_mask, theta0, tol, max_iter, weights=None):
     theta = np.zeros(X.shape[1]) if theta0 is None else np.asarray(theta0, float).copy()
+    row_w = np.ones(X.shape[0]) if weights is None else weights
 
     def value_grad(th):
-        return binary_objective_grad(th, X, y, lam, pen_mask)
+        return binary_objective_grad(th, X, y, lam, pen_mask, row_w)
 
     obj, grad = value_grad(theta)
     iterations = 0
     while np.abs(grad).max() > tol and iterations < max_iter:
         iterations += 1
         p = expit(X @ theta)
-        w = p * (1.0 - p)
+        w = p * (1.0 - p) * row_w
         H = (X.multiply(w[:, None]).T @ X).toarray()
         H[np.diag_indices_from(H)] += 2.0 * lam * pen_mask
         try:
@@ -207,7 +225,7 @@ def _solve_binary(X, y, lam, pen_mask, theta0, tol, max_iter):
     return theta, grad_sup, iterations
 
 
-def _multinomial_hessian(X, theta, n_model_classes, lam, pen_mask):
+def _multinomial_hessian(X, theta, n_model_classes, lam, pen_mask, weights):
     n, d = X.shape
     k = n_model_classes - 1
     eta = np.empty((n, n_model_classes))
@@ -220,7 +238,7 @@ def _multinomial_hessian(X, theta, n_model_classes, lam, pen_mask):
     for a in range(k):
         pa = probs[:, a + 1]
         for b in range(a, k):
-            w = pa * ((1.0 if a == b else 0.0) - probs[:, b + 1])
+            w = pa * ((1.0 if a == b else 0.0) - probs[:, b + 1]) * weights
             block = (X.multiply(w[:, None]).T @ X).toarray()
             H[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
             if b != a:
@@ -230,19 +248,26 @@ def _multinomial_hessian(X, theta, n_model_classes, lam, pen_mask):
     return H
 
 
-def _solve_multinomial(X, class_idx, n_model_classes, lam, pen_mask, theta0, tol, max_iter):
+def _solve_multinomial(
+    X, class_idx, n_model_classes, lam, pen_mask, theta0, tol, max_iter, weights=None
+):
     n, d = X.shape
     k = n_model_classes - 1
     theta_flat = np.zeros(k * d) if theta0 is None else np.asarray(theta0, float).ravel().copy()
+    row_w = np.ones(n) if weights is None else weights
 
     def value_grad(th):
-        return multinomial_objective_grad(th, X, class_idx, n_model_classes, lam, pen_mask)
+        return multinomial_objective_grad(
+            th, X, class_idx, n_model_classes, lam, pen_mask, row_w
+        )
 
     obj, grad = value_grad(theta_flat)
     iterations = 0
     while np.abs(grad).max() > tol and iterations < max_iter:
         iterations += 1
-        H = _multinomial_hessian(X, theta_flat.reshape(k, d), n_model_classes, lam, pen_mask)
+        H = _multinomial_hessian(
+            X, theta_flat.reshape(k, d), n_model_classes, lam, pen_mask, row_w
+        )
         try:
             factor = scipy.linalg.cho_factor(H, check_finite=False)
             direction = scipy.linalg.cho_solve(factor, -grad, check_finite=False)
@@ -262,6 +287,19 @@ def _as_matrix(rows, n_columns) -> sp.csr_matrix:
     return rows_to_csr(rows, n_columns)
 
 
+def _row_weights(weights, n_rows: int) -> np.ndarray:
+    if weights is None:
+        return np.ones(n_rows)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n_rows,):
+        raise DataError(f"row/weight length mismatch: {n_rows} vs {w.shape}")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise DataError("row weights must be finite and nonnegative")
+    if not w.sum() > 0:
+        raise DataError("row weights must not all be zero")
+    return w
+
+
 def _effect_dicts(theta: np.ndarray, idx: PlayerIndex) -> tuple[dict[str, float], dict[str, float]]:
     rushers = {pid: float(theta[col]) for pid, col in idx.rusher_cols.items()}
     blockers = {pid: float(theta[col]) for pid, col in idx.blocker_cols.items()}
@@ -277,8 +315,12 @@ def fit_binary_ridge(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     theta0: np.ndarray | None = None,
+    weights: Sequence[float] | np.ndarray | None = None,
 ) -> BinaryFit:
-    """Fit the binary win/loss model at a fixed penalty weight."""
+    """Fit the binary win/loss model at a fixed penalty weight.
+
+    ``weights`` multiplies each row's likelihood term (default 1).
+    """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     X = _as_matrix(rows, index.n_columns)
@@ -287,9 +329,10 @@ def fit_binary_ridge(
     yv = np.asarray(y, dtype=float)
     if yv.shape[0] != X.shape[0]:
         raise DataError(f"row/target length mismatch: {X.shape[0]} vs {yv.shape[0]}")
+    w = _row_weights(weights, X.shape[0])
     mask = penalty_mask(index)
 
-    theta, grad_sup, iterations = _solve_binary(X, yv, lam, mask, theta0, tol, max_iter)
+    theta, grad_sup, iterations = _solve_binary(X, yv, lam, mask, theta0, tol, max_iter, w)
     converged = grad_sup <= tol
     eta = X @ theta
     # a separated cell only reaches the gradient tolerance once its linear
@@ -305,7 +348,7 @@ def fit_binary_ridge(
             f"binary fit did not converge: gradient sup-norm {grad_sup:.3e} "
             f"after {iterations} iterations (tol {tol:.1e})"
         )
-    nll = float(np.sum(np.logaddexp(0.0, eta)) - yv @ eta)
+    nll = float(np.sum(w * np.logaddexp(0.0, eta)) - (w * yv) @ eta)
     rushers, blockers = _effect_dicts(theta, index)
     return BinaryFit(
         alpha=float(theta[0]),
@@ -326,6 +369,14 @@ def _modeled_classes(observed: Iterable[OutcomeClass]) -> tuple[list[OutcomeClas
     return modeled, dropped
 
 
+def _class_positions(modeled: Sequence[OutcomeClass]) -> np.ndarray:
+    """Lookup from outcome class to softmax position (0 = loss or dropped)."""
+    position = np.zeros(len(CLASSES), dtype=np.intp)
+    for i, c in enumerate(modeled):
+        position[int(c)] = i + 1
+    return position
+
+
 def fit_multinomial_ridge(
     rows: Sequence[SparseRow] | sp.spmatrix,
     classes: Sequence[OutcomeClass],
@@ -335,12 +386,15 @@ def fit_multinomial_ridge(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     theta0: np.ndarray | None = None,
+    weights: Sequence[float] | np.ndarray | None = None,
 ) -> MultinomialFit:
     """Fit the severity model with loss as the reference class.
 
-    Classes never observed in training are dropped from the softmax and
-    reported on the result rather than being given fabricated
-    parameters; the loss reference is always retained.
+    Classes never observed in training (no row of positive weight) are
+    dropped from the softmax and reported on the result rather than
+    being given fabricated parameters; the loss reference is always
+    retained.  ``weights`` multiplies each row's likelihood term
+    (default 1).
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
@@ -349,8 +403,10 @@ def fit_multinomial_ridge(
         raise DataError("fit_multinomial_ridge requires at least one row")
     if len(classes) != X.shape[0]:
         raise DataError(f"row/target length mismatch: {X.shape[0]} vs {len(classes)}")
+    w = _row_weights(weights, X.shape[0])
+    cls = np.asarray(classes, dtype=np.intp)
 
-    modeled, dropped = _modeled_classes(classes)
+    modeled, dropped = _modeled_classes(OutcomeClass(c) for c in np.unique(cls[w > 0]))
     if dropped:
         warnings.warn(
             "classes never observed in training were dropped from the softmax: "
@@ -361,20 +417,19 @@ def fit_multinomial_ridge(
     if not modeled:
         raise DataError("severity fit needs at least one non-loss class in training")
 
-    position = {c: i + 1 for i, c in enumerate(modeled)}
-    class_idx = np.array([position.get(c, 0) for c in classes], dtype=np.intp)
+    class_idx = _class_positions(modeled)[cls]
     n_model = len(modeled) + 1
     mask = penalty_mask(index)
 
     theta, grad_sup, iterations = _solve_multinomial(
-        X, class_idx, n_model, lam, mask, theta0, tol, max_iter
+        X, class_idx, n_model, lam, mask, theta0, tol, max_iter, w
     )
     if grad_sup > tol:
         raise FitError(
             f"multinomial fit did not converge: gradient sup-norm {grad_sup:.3e} "
             f"after {iterations} iterations (tol {tol:.1e})"
         )
-    obj, _ = multinomial_objective_grad(theta.ravel(), X, class_idx, n_model, lam, mask)
+    obj, _ = multinomial_objective_grad(theta.ravel(), X, class_idx, n_model, lam, mask, w)
     nll = obj - lam * float(np.sum(mask[None, :] * theta * theta))
 
     alpha: dict[OutcomeClass, float] = {}
@@ -421,6 +476,38 @@ def fit_severity_model(
     return fit_multinomial_ridge(X, classes, lam, idx, **kwargs)
 
 
+def fit_coded(
+    coded: CodedTable, weights: np.ndarray, model: str, lam: float, **kwargs
+) -> BinaryFit | MultinomialFit:
+    """Fit ``model`` ("win" or "severity") with row i counted weights[i] times.
+
+    Rows are first merged into (rusher, blocker, double_team, outcome)
+    cells, so the solver sees one design row per distinct cell.  Players
+    whose rows all have zero weight are left out of the index, so they
+    get no effect (rather than the prior mean) in the result.
+    """
+    if model not in ("win", "severity"):
+        raise ValueError(f"model must be 'win' or 'severity', got {model!r}")
+    outcome = coded.win.astype(np.intp) if model == "win" else coded.severity
+    rows, cell_w = aggregate_cells(
+        np.asarray(weights, dtype=float), coded.rusher, coded.blocker,
+        coded.double_team.astype(np.intp), outcome,
+    )
+    if rows.size == 0:
+        raise DataError(f"{model} fit requires at least one row of positive weight")
+    rushers, rusher_col = np.unique(coded.rusher[rows], return_inverse=True)
+    blockers, blocker_col = np.unique(coded.blocker[rows], return_inverse=True)
+    idx = index_from_ids(
+        [coded.rushers[i] for i in rushers], [coded.blockers[i] for i in blockers]
+    )
+    X = csr_from_codes(
+        2 + rusher_col, 2 + rushers.size + blocker_col, coded.double_team[rows], idx.n_columns
+    )
+    if model == "win":
+        return fit_binary_ridge(X, coded.win[rows], lam, idx, weights=cell_w, **kwargs)
+    return fit_multinomial_ridge(X, coded.severity[rows], lam, idx, weights=cell_w, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Prediction
 
@@ -436,8 +523,24 @@ def predict_win_prob(fit: BinaryFit, x: Interaction) -> float:
     return float(expit(eta))
 
 
-def predict_win_probs(fit: BinaryFit, table: InteractionTable) -> np.ndarray:
-    return np.array([predict_win_prob(fit, x) for x in table])
+def _coded(table: InteractionTable | CodedTable) -> CodedTable:
+    return table.coded if isinstance(table, InteractionTable) else table
+
+
+def _effects_by_code(effects: Mapping[str, float], vocab: Sequence[str]) -> np.ndarray:
+    return np.array([effects.get(pid, 0.0) for pid in vocab])
+
+
+def predict_win_probs(fit: BinaryFit, table: InteractionTable | CodedTable) -> np.ndarray:
+    """``predict_win_prob`` for every row of a table or coded table."""
+    c = _coded(table)
+    eta = (
+        fit.alpha
+        + _effects_by_code(fit.rusher_effects, c.rushers)[c.rusher]
+        - _effects_by_code(fit.blocker_effects, c.blockers)[c.blocker]
+        + fit.delta * c.double_team.astype(float)
+    )
+    return expit(eta)
 
 
 def predict_class_probs(fit: MultinomialFit, x: Interaction) -> dict[OutcomeClass, float]:
@@ -461,13 +564,30 @@ def predict_class_probs(fit: MultinomialFit, x: Interaction) -> dict[OutcomeClas
     return out
 
 
-def predict_class_prob_matrix(fit: MultinomialFit, table: InteractionTable) -> np.ndarray:
-    """(n, 4) probability matrix with columns in severity order."""
-    out = np.zeros((len(table), len(CLASSES)))
-    for i, x in enumerate(table):
-        probs = predict_class_probs(fit, x)
-        for c in CLASSES:
-            out[i, int(c)] = probs[c]
+def predict_class_prob_matrix(
+    fit: MultinomialFit, table: InteractionTable | CodedTable
+) -> np.ndarray:
+    """(n, 4) probability matrix with columns in severity order.
+
+    Row i equals ``predict_class_probs`` for row i of the table.
+    """
+    c = _coded(table)
+    dt = c.double_team.astype(float)
+    eta = np.zeros((len(c), len(fit.classes) + 1))
+    for k, cls in enumerate(fit.classes, start=1):
+        eta[:, k] = (
+            fit.alpha[cls]
+            + _effects_by_code(fit.rusher_effects[cls], c.rushers)[c.rusher]
+            - _effects_by_code(fit.blocker_effects[cls], c.blockers)[c.blocker]
+            + fit.delta[cls] * dt
+        )
+    eta -= eta.max(axis=1, keepdims=True)
+    weights = np.exp(eta)
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    out = np.zeros((len(c), len(CLASSES)))
+    out[:, int(OutcomeClass.LOSS)] = probs[:, 0]
+    for k, cls in enumerate(fit.classes, start=1):
+        out[:, int(cls)] = probs[:, k]
     return out
 
 

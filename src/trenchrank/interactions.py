@@ -10,10 +10,13 @@ scalar weight calibrated from expected-points benchmarks.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -110,12 +113,58 @@ class Interaction:
         return (self.game_id, self.play_id, self.event_game_index)
 
 
+@dataclass(frozen=True)
+class CodedTable:
+    """Integer-coded columns of an interaction table, in row order.
+
+    ``rusher``, ``blocker`` and ``game`` index the sorted id
+    vocabularies ``rushers``, ``blockers`` and ``games``; ``win`` is the
+    win target as 0.0/1.0 and ``severity`` the outcome class as an
+    integer.  The arrays are read-only, since one view is shared by
+    every reader of its table.
+    """
+
+    rushers: tuple[str, ...]
+    blockers: tuple[str, ...]
+    games: tuple[str, ...]
+    rusher: np.ndarray
+    blocker: np.ndarray
+    game: np.ndarray
+    week: np.ndarray
+    double_team: np.ndarray
+    win: np.ndarray
+    severity: np.ndarray
+
+    def __len__(self) -> int:
+        return self.rusher.shape[0]
+
+    def take(self, rows: np.ndarray) -> "CodedTable":
+        """The selected rows (an index or boolean array), same vocabularies."""
+        return CodedTable(
+            self.rushers, self.blockers, self.games,
+            *(_frozen(getattr(self, name)[rows]) for name in _CODED_COLUMNS),
+        )
+
+
+_CODED_COLUMNS = ("rusher", "blocker", "game", "week", "double_team", "win", "severity")
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _codes(ids: Iterable[str], vocab: tuple[str, ...], n: int) -> np.ndarray:
+    lookup = {v: i for i, v in enumerate(vocab)}
+    return np.fromiter((lookup[v] for v in ids), dtype=np.intp, count=n)
+
+
 class InteractionTable:
     """Ordered, immutable collection of interactions.
 
-    Derived id sets (rushers, blockers, games, plays) are computed
-    lazily and cached; the table itself is safe to share across
-    concurrent readers.
+    Derived id sets (rushers, blockers, games, plays) and the coded
+    column view are computed lazily and cached; the table itself is
+    safe to share across concurrent readers.
     """
 
     def __init__(self, rows: Iterable[Interaction]):
@@ -162,6 +211,22 @@ class InteractionTable:
         for r in self._rows:
             grouped.setdefault(r.game_id, []).append(r)
         return {g: tuple(rs) for g, rs in grouped.items()}
+
+    @cached_property
+    def coded(self) -> CodedTable:
+        rows, n = self._rows, len(self._rows)
+        return CodedTable(
+            rushers=self.rushers,
+            blockers=self.blockers,
+            games=self.games,
+            rusher=_frozen(_codes((r.rusher_id for r in rows), self.rushers, n)),
+            blocker=_frozen(_codes((r.blocker_id for r in rows), self.blockers, n)),
+            game=_frozen(_codes((r.game_id for r in rows), self.games, n)),
+            week=_frozen(np.fromiter((r.week for r in rows), dtype=np.intp, count=n)),
+            double_team=_frozen(np.fromiter((r.double_team for r in rows), dtype=bool, count=n)),
+            win=_frozen(np.fromiter((r.win_target for r in rows), dtype=float, count=n)),
+            severity=_frozen(np.fromiter((r.severity for r in rows), dtype=np.intp, count=n)),
+        )
 
     def is_canonically_sorted(self) -> bool:
         rows = self._rows
@@ -270,8 +335,13 @@ def _parse_bool01(value: str, field: str) -> bool:
 
 
 def read_interactions_csv(path) -> InteractionTable:
-    """Load an interaction table from its CSV schema (header required)."""
+    """Load an interaction table from its CSV schema (header required).
+
+    Keys ``(game_id, play_id, event_game_index)`` must be unique: the
+    ordered split and the bootstrap's copy order rely on it.
+    """
     rows: list[Interaction] = []
+    linenos = array("l")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -300,6 +370,17 @@ def read_interactions_csv(path) -> InteractionTable:
                 )
             except (ValueError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            linenos.append(lineno)
+    # checked after the read, so the key tuples are allocated and freed
+    # together rather than interleaved with the rows that stay alive
+    first_row: dict[tuple[str, str, int], int] = {}
+    for i, row in enumerate(rows):
+        j = first_row.setdefault(row.sort_key(), i)
+        if j != i:
+            raise DataError(
+                f"{path}:{linenos[i]}: duplicate key (game_id, play_id, event_game_index) "
+                f"= {row.sort_key()}, first seen on line {linenos[j]}"
+            )
     return InteractionTable(rows)
 
 

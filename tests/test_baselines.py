@@ -3,20 +3,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trenchrank.baselines import (
     DEFAULT_SEVERITY_PRIOR,
     DEFAULT_WIN_PRIOR,
     fit_severity_baseline,
+    fit_severity_baseline_coded,
     fit_win_baseline,
+    fit_win_baseline_coded,
     inv_logit,
     logit,
     predict_severity_global,
     predict_severity_matchup,
+    predict_severity_matchups,
     predict_win_global,
     predict_win_matchup,
+    predict_win_matchups,
     severity_baseline_from_json_dict,
     severity_baseline_to_json_dict,
     smooth_rate,
@@ -57,6 +61,8 @@ class TestSmoothing:
         st.floats(0, 1000),
         st.floats(0, 1),
     )
+    @example(0, 0.0, 3.0, 0.1)
+    @example(0, 0.0, 2e-237, 2e-237)
     def test_interpolates_between_rate_and_global(self, n, rate, m, g):
         s = smooth_rate(n, rate, m, g)
         lo, hi = min(rate, g), max(rate, g)
@@ -84,7 +90,26 @@ class TestLogitHelpers:
         assert inv_logit(math.inf) == 1.0
 
 
+def weighted_and_repeated(rng):
+    """A table, integer row weights (some zero) and the rows repeated that often."""
+    t = random_table(rng, n_rows=80)
+    w = rng.integers(0, 4, size=len(t))
+    return t, w, InteractionTable([r for r, k in zip(t, w) for _ in range(k)])
+
+
 class TestWinBaseline:
+    def test_integer_weights_equal_repeated_rows(self, rng):
+        t, w, repeated = weighted_and_repeated(rng)
+        assert fit_win_baseline_coded(t.coded, w, 25.0) == fit_win_baseline(repeated, 25.0)
+
+    def test_vectorized_matchups_equal_scalar(self, rng):
+        t = random_table(rng, n_rows=80, n_rushers=7, n_blockers=6)
+        # fit on the first half so some players fall back to the global rate
+        bl = fit_win_baseline(InteractionTable(t.rows[:40]), 25.0)
+        got = predict_win_matchups(bl, t.coded)
+        want = [predict_win_matchup(bl, r.rusher_id, r.blocker_id) for r in t]
+        assert got.tolist() == want
+
     def test_global_rate(self):
         t = table_of(
             ("R1", "B1", True, OutcomeClass.WIN),
@@ -181,6 +206,18 @@ class TestWinBaseline:
 
 
 class TestSeverityBaseline:
+    def test_integer_weights_equal_repeated_rows(self, rng):
+        t, w, repeated = weighted_and_repeated(rng)
+        got = fit_severity_baseline_coded(t.coded, w, 50.0)
+        assert got == fit_severity_baseline(repeated, 50.0)
+
+    def test_vectorized_matchups_equal_scalar(self, rng):
+        t = random_table(rng, n_rows=80, n_rushers=7, n_blockers=6)
+        bl = fit_severity_baseline(InteractionTable(t.rows[:40]), 50.0)
+        got = predict_severity_matchups(bl, t.coded)
+        want = np.vstack([predict_severity_matchup(bl, r.rusher_id, r.blocker_id) for r in t])
+        assert np.array_equal(got, want)
+
     def test_global_profile_is_class_frequencies(self, small_table):
         bl = fit_severity_baseline(small_table, 50.0)
         probs = predict_severity_global(bl)
@@ -242,6 +279,8 @@ class TestSeverityBaseline:
         bl = fit_severity_baseline(t, 0.0)
         with pytest.raises(DataError):
             predict_severity_matchup(bl, "R1", "B1")
+        with pytest.raises(DataError):
+            predict_severity_matchups(bl, t.coded)
 
     def test_matchup_converges_to_global_as_m_grows(self, small_table):
         bl = fit_severity_baseline(small_table, 1e9)

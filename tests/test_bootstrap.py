@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,15 +13,83 @@ from trenchrank.bootstrap import (
     end_to_end_bootstrap,
     percentile_interval,
     resample_games,
-    resampled_table,
+    split_weights,
     weekly_path_bootstrap,
 )
 from trenchrank.errors import DataError, FitError
-from trenchrank.evaluate import run_validation
-from trenchrank.fit import fit_win_model
-from trenchrank.interactions import InteractionTable, OutcomeClass
+from trenchrank.evaluate import run_validation, validate_weighted
+from trenchrank.external import model_scores
+from trenchrank.fit import fit_severity_model, fit_win_model
+from trenchrank.interactions import Interaction, InteractionTable, OutcomeClass, canonical_sort
+from trenchrank.report import summary_to_json_dict
 
 from conftest import make_row, random_table
+
+# ---------------------------------------------------------------------------
+# Reference: each replicate materialized as a resampled table (repeated
+# games tagged "#k" and canonically sorted), then split and refit row by
+# row.  The multiplicity-weighted bootstrap must reproduce it.
+
+
+def resampled_table(table: InteractionTable, drawn) -> InteractionTable:
+    """Concatenate the drawn games' rows and canonically sort.
+
+    Repeated draws are kept as distinct blocks: the second and later
+    copies of a game get a copy ordinal appended to game_id so the sort
+    stays deterministic.
+    """
+    by_game = table.rows_by_game
+    rows: list[Interaction] = []
+    seen: dict[str, int] = {}
+    for gid in drawn:
+        if gid not in by_game:
+            raise DataError(f"drawn game {gid!r} not present in table")
+        copy = seen.get(gid, 0)
+        seen[gid] = copy + 1
+        block = by_game[gid]
+        if copy == 0:
+            rows.extend(block)
+        else:
+            tagged = f"{gid}#{copy + 1}"
+            rows.extend(replace(r, game_id=tagged) for r in block)
+    return canonical_sort(InteractionTable(rows))
+
+
+def reference_ratings(tbl, cfg):
+    out = {}
+    for model in cfg.models:
+        if model == "win":
+            fit = fit_win_model(tbl, cfg.lambda_win, tol=cfg.tol, max_iter=cfg.max_iter)
+        else:
+            fit = fit_severity_model(tbl, cfg.lambda_sev, tol=cfg.tol, max_iter=cfg.max_iter)
+        for role in ("rusher", "blocker"):
+            out[(model, role)] = model_scores(fit, role)
+    return out
+
+
+def reference_end_to_end(table, cfg):
+    """Per replicate: (improvements by (task, baseline), ratings by (model, role))."""
+    games = list(table.games)
+    out = []
+    for rep in range(cfg.b):
+        drawn = resample_games(games, np.random.default_rng([cfg.seed, rep]))
+        tbl = resampled_table(table, drawn)
+        report = run_validation(
+            tbl, lambda_win=cfg.lambda_win, lambda_sev=cfg.lambda_sev,
+            m_win=cfg.m_win, m_sev=cfg.m_sev, ratio=cfg.ratio,
+        )
+        out.append((
+            {(r.task, r.baseline): r.improvement for r in report.rows},
+            reference_ratings(tbl, cfg),
+        ))
+    return out
+
+
+def assert_same_value(got, want, tol=1e-10):
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == pytest.approx(want, abs=tol)
 
 
 def config(**kw):
@@ -111,6 +180,116 @@ class TestResampledTable:
         t = random_table(rng, n_games=2)
         with pytest.raises(DataError):
             resampled_table(t, ["g0", "gX"])
+
+
+class TestMultiplicityWeights:
+    """Row weights over one coded table against materialized resamples."""
+
+    def test_split_weights_follow_the_copy_order(self, rng):
+        t = random_table(rng, n_rows=40, n_games=4)
+        games = list(t.games)
+        # game 2 drawn three times; the cut (floor(0.8 * 40) = 32) falls
+        # inside its third copy
+        m = np.array([0, 1, 3, 0])
+        train_w, test_w = split_weights(t.coded, m, 0.8)
+        drawn = [g for g, k in zip(games, m) for _ in range(k)]
+        tbl = resampled_table(t, drawn)
+        n_train = math.floor(0.8 * len(tbl))
+        assert n_train == 32
+        key = lambda r: (r.game_id.split("#")[0], r.play_id, r.event_game_index)
+        want_train = {}
+        want_test = {}
+        for pos, r in enumerate(tbl):
+            side = want_train if pos < n_train else want_test
+            side[key(r)] = side.get(key(r), 0) + 1
+        for r, a, b in zip(t, train_w, test_w):
+            assert (a, b) == (want_train.get(key(r), 0), want_test.get(key(r), 0))
+        assert train_w.sum() == n_train and test_w.sum() == len(tbl) - n_train
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = validate_weighted(t.coded, train_w, test_w, lambda_win=0.5, lambda_sev=0.5)
+            want = run_validation(tbl, lambda_win=0.5, lambda_sev=0.5)
+        for g, w in zip(got.rows, want.rows):
+            assert (g.task, g.baseline) == (w.task, w.baseline)
+            assert g.improvement == pytest.approx(w.improvement, abs=1e-10)
+        assert (got.n_train, got.n_test) == (want.n_train, want.n_test)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_end_to_end_matches_materialized_replicates(self, rng, seed):
+        base = random_table(rng, n_rows=120, n_games=5)
+        # a rusher seen only at the end of the last game: absent from some
+        # replicates (NaN rating) and mostly held out (baseline fallback)
+        t = InteractionTable(
+            replace(r, rusher_id="RZ") if i >= len(base) - 6 else r for i, r in enumerate(base)
+        )
+        cfg = config(b=4, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            summary = end_to_end_bootstrap(t, cfg)
+            reference = reference_end_to_end(t, cfg)
+        assert summary.n_failed == 0
+        for rep, (imps, ratings) in enumerate(reference):
+            for key, value in imps.items():
+                assert_same_value(summary.improvements[key].values[rep], value)
+            for (model, role, pid), series in summary.ratings.items():
+                assert_same_value(series.values[rep], ratings[(model, role)].get(pid, math.nan))
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_weekly_path_matches_materialized_replicates(self, rng, seed):
+        t = TestWeeklyPath().weekly_table(rng, n_weeks=3)
+        cfg = config(mode="weekly_path", b=3, seed=seed, track_improvements=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            summary = weekly_path_bootstrap(t, cfg)
+            for week in summary.checkpoints:
+                sub = InteractionTable([r for r in t if r.week <= week])
+                for rep in range(cfg.b):
+                    rng_rep = np.random.default_rng([cfg.seed, week, rep])
+                    tbl = resampled_table(sub, resample_games(list(sub.games), rng_rep))
+                    ratings = reference_ratings(tbl, cfg)
+                    for (model, role, pid, w), series in summary.weekly.items():
+                        if w == week:
+                            want = ratings[(model, role)].get(pid, math.nan)
+                            assert_same_value(series.values[rep], want)
+
+    def test_draws_repeating_a_game_three_times_are_covered(self, rng):
+        # the seeds above include a replicate that draws one game three
+        # times with the cut inside one of its later copies
+        found = False
+        for seed in (0, 3, 11):
+            for rep in range(4):
+                draws = np.random.default_rng([seed, rep]).integers(0, 5, size=5)
+                m = np.bincount(draws, minlength=5)
+                n_g = 24  # random_table(n_rows=120, n_games=5)
+                cut = math.floor(0.8 * m.sum() * n_g)
+                start = np.cumsum(m * n_g) - m * n_g
+                g = int(np.searchsorted(np.cumsum(m * n_g), cut, side="right"))
+                if m.max() >= 3 and g < 5 and m[g] >= 2 and cut - start[g] >= n_g:
+                    found = True
+        assert found
+
+    def test_game_ids_resembling_copy_tags_do_not_collide(self, rng):
+        base = random_table(rng, n_rows=120, n_games=5)
+        # last in sorted order, where the 80% cut falls; a tag "g0#2" on a
+        # second copy of g0 would interleave with the real game g0#2
+        names = ["a0", "a1", "g0", "g0#2", "g0#3"]
+        renamed = ["a0", "a1", "a2", "a3", "a4"]  # same sorted order
+
+        def relabel(ids):
+            mapping = dict(zip(sorted(base.games), ids))
+            return InteractionTable(replace(r, game_id=mapping[r.game_id]) for r in base)
+
+        tagged, plain = relabel(names), relabel(renamed)
+        assert sorted(tagged.games) == names
+        cfg = config(b=4, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            a = end_to_end_bootstrap(canonical_sort(tagged), cfg)
+            b = end_to_end_bootstrap(canonical_sort(plain), cfg)
+        assert json.dumps(summary_to_json_dict(a), sort_keys=True) == json.dumps(
+            summary_to_json_dict(b), sort_keys=True
+        )
 
 
 class TestPercentileInterval:

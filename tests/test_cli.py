@@ -153,6 +153,26 @@ class TestBootstrap:
         reps = read_rows(tmp_path / "replicates.csv")
         assert len(reps) > 1
 
+    def test_single_model_tracks_no_improvements(self, synth_csv, tmp_path):
+        code = run(
+            ["bootstrap", "--interactions", str(synth_csv[0]), "--b", "2",
+             "--lambda-win", "0.5", "--lambda-sev", "0.5", "--models", "win",
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "bootstrap.json").read_text())
+        assert payload["improvements"] == {}
+        assert payload["ratings"]
+
+    def test_no_improvements_flag_still_accepted(self, synth_csv, tmp_path):
+        code = run(
+            ["bootstrap", "--interactions", str(synth_csv[0]), "--b", "1",
+             "--lambda-win", "0.5", "--lambda-sev", "0.5", "--no-improvements",
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        assert json.loads((tmp_path / "bootstrap.json").read_text())["improvements"] == {}
+
 
 class TestPath:
     def test_outputs(self, synth_csv, tmp_path):

@@ -5,11 +5,13 @@ from trenchrank.design import (
     DOUBLE_TEAM_COL,
     INTERCEPT_COL,
     PlayerIndex,
+    aggregate_cells,
     build_index,
     build_matrix,
     encode_row,
     linear_predictor,
     penalty_mask,
+    rows_to_csr,
 )
 from trenchrank.errors import DataError
 from trenchrank.interactions import InteractionTable
@@ -86,6 +88,19 @@ class TestBuildMatrix:
             # exactly the expected nonzeros
             assert np.count_nonzero(dense[i]) == 3 + int(x.double_team)
 
+    def test_equals_row_encoder(self, rng):
+        t = random_table(rng, n_rows=80, n_rushers=6, n_blockers=5)
+        own = build_index(t)
+        # an index from part of the table leaves some players unseen
+        partial = build_index(InteractionTable(t.rows[:10]))
+        for idx in (own, partial):
+            got = build_matrix(t, idx)
+            want = rows_to_csr([encode_row(x, idx) for x in t], idx.n_columns)
+            assert got.shape == want.shape
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+
     def test_rusher_blocker_blocks_are_disjoint(self, rng):
         t = random_table(rng)
         idx = build_index(t)
@@ -93,6 +108,16 @@ class TestBuildMatrix:
         bcols = set(idx.blocker_cols.values())
         assert not rcols & bcols
         assert {INTERCEPT_COL, DOUBLE_TEAM_COL} | rcols | bcols == set(range(idx.n_columns))
+
+
+class TestAggregateCells:
+    def test_sums_weights_of_equal_keys_and_drops_empty_cells(self):
+        a = np.array([0, 1, 0, 2, 1, 0])
+        b = np.array([1, 0, 1, 1, 0, 0])
+        w = np.array([1.0, 2.0, 3.0, 0.0, 4.0, 5.0])
+        rows, totals = aggregate_cells(w, a, b)
+        cells = {(int(a[r]), int(b[r])): t for r, t in zip(rows, totals)}
+        assert cells == {(0, 1): 4.0, (1, 0): 6.0, (0, 0): 5.0}
 
 
 class TestPenaltyMask:

@@ -70,6 +70,9 @@ class TestBinaryLogLoss:
         loss = binary_log_loss([0.9, 0.2], [True, False])
         assert loss == pytest.approx(-(math.log(0.9) + math.log(0.8)) / 2, abs=1e-12)
         assert loss == pytest.approx(0.1643, abs=1e-4)
+        # weighted: the first row counts three times, as if repeated
+        weighted = binary_log_loss([0.9, 0.2], [True, False], [3.0, 1.0])
+        assert weighted == pytest.approx(-(3 * math.log(0.9) + math.log(0.8)) / 4, abs=1e-12)
 
     def test_perfect_predictions_hit_clip_floor(self):
         loss = binary_log_loss([1.0, 0.0], [True, False])
@@ -112,6 +115,8 @@ class TestMulticlassLogLoss:
         expected = -(math.log(0.7) + math.log(0.1)) / 2
         assert multiclass_log_loss(M, cls) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1.3297, abs=1e-4)
+        weighted = multiclass_log_loss(M, cls, [3.0, 1.0])
+        assert weighted == pytest.approx(-(3 * math.log(0.7) + math.log(0.1)) / 4, abs=1e-12)
 
     def test_unnormalized_vector_rejected(self):
         M = np.array([[0.5, 0.5, 0.1, 0.0]])

@@ -12,6 +12,8 @@ from trenchrank.fit import (
     MultinomialFit,
     binary_objective_grad,
     cv_fold_labels,
+    fit_coded,
+    multinomial_objective_grad,
     cv_select_lambda,
     expected_severity,
     fit_binary_ridge,
@@ -115,15 +117,16 @@ class TestBinaryGradient:
             pen = penalty_mask(idx)
             theta = rng.normal(scale=0.4, size=idx.n_columns)
             lam = float(rng.uniform(0.01, 1.0))
-            _, g = binary_objective_grad(theta, X, y, lam, pen)
-            h = 1e-6
-            for j in range(idx.n_columns):
-                e = np.zeros_like(theta)
-                e[j] = h
-                fp, _ = binary_objective_grad(theta + e, X, y, lam, pen)
-                fm, _ = binary_objective_grad(theta - e, X, y, lam, pen)
-                fd = (fp - fm) / (2 * h)
-                assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+            for w in (None, rng.uniform(0.0, 3.0, size=len(y))):
+                _, g = binary_objective_grad(theta, X, y, lam, pen, w)
+                h = 1e-6
+                for j in range(idx.n_columns):
+                    e = np.zeros_like(theta)
+                    e[j] = h
+                    fp, _ = binary_objective_grad(theta + e, X, y, lam, pen, w)
+                    fm, _ = binary_objective_grad(theta - e, X, y, lam, pen, w)
+                    fd = (fp - fm) / (2 * h)
+                    assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     def test_objective_equals_dense_formula(self, rng):
         t, idx, X, y = binary_problem(rng)
@@ -131,6 +134,28 @@ class TestBinaryGradient:
         theta = rng.normal(scale=0.5, size=idx.n_columns)
         f, _ = binary_objective_grad(theta, X, y, 0.3, pen)
         assert f == pytest.approx(dense_binary_obj(theta, X.toarray(), y, 0.3, pen), rel=1e-12)
+
+
+class TestMultinomialGradient:
+    def test_matches_central_differences(self, rng):
+        for _ in range(3):
+            t = random_table(rng, n_rows=int(rng.integers(20, 41)))
+            idx = build_index(t)
+            X = build_matrix(t, idx)
+            pen = penalty_mask(idx)
+            cls = np.array([int(r.severity) for r in t])
+            theta = rng.normal(scale=0.4, size=3 * idx.n_columns)
+            lam = float(rng.uniform(0.01, 1.0))
+            for w in (None, rng.uniform(0.0, 3.0, size=len(t))):
+                _, g = multinomial_objective_grad(theta, X, cls, 4, lam, pen, w)
+                h = 1e-6
+                for j in range(theta.size):
+                    e = np.zeros_like(theta)
+                    e[j] = h
+                    fp, _ = multinomial_objective_grad(theta + e, X, cls, 4, lam, pen, w)
+                    fm, _ = multinomial_objective_grad(theta - e, X, cls, 4, lam, pen, w)
+                    fd = (fp - fm) / (2 * h)
+                    assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 class TestBinarySolver:
@@ -352,6 +377,111 @@ class TestMultinomialSolver:
         assert probs[OutcomeClass.HIT] == 0.0
         assert probs[OutcomeClass.LOSS] >= 0.0
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def _assert_fits_close(a, b, tol):
+    if isinstance(a, BinaryFit):
+        pairs = [(a.alpha, b.alpha), (a.delta, b.delta)]
+        effects = [(a.rusher_effects, b.rusher_effects), (a.blocker_effects, b.blocker_effects)]
+    else:
+        assert (a.classes, a.dropped) == (b.classes, b.dropped)
+        pairs = [(a.alpha[c], b.alpha[c]) for c in a.classes]
+        pairs += [(a.delta[c], b.delta[c]) for c in a.classes]
+        effects = [(a.rusher_effects[c], b.rusher_effects[c]) for c in a.classes]
+        effects += [(a.blocker_effects[c], b.blocker_effects[c]) for c in a.classes]
+    for x, y in pairs:
+        assert x == pytest.approx(y, abs=tol)
+    for x, y in effects:
+        assert x.keys() == y.keys()
+        for pid in x:
+            assert x[pid] == pytest.approx(y[pid], abs=tol)
+
+
+def _fit_rows(model, X, rows, lam, idx, weights=None):
+    if model == "win":
+        return fit_binary_ridge(X, [r.win_target for r in rows], lam, idx, weights=weights)
+    return fit_multinomial_ridge(X, [r.severity for r in rows], lam, idx, weights=weights)
+
+
+class TestWeightedFits:
+    @pytest.mark.parametrize("model", ["win", "severity"])
+    def test_integer_weights_equal_repeated_rows(self, rng, model):
+        for _ in range(3):
+            t = random_table(rng, n_rows=40)
+            idx = build_index(t)
+            w = rng.integers(1, 4, size=len(t))
+            repeated = InteractionTable([r for r, k in zip(t, w) for _ in range(k)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                weighted = _fit_rows(model, build_matrix(t, idx), t, 0.3, idx, w)
+                copies = _fit_rows(model, build_matrix(repeated, idx), repeated, 0.3, idx)
+            _assert_fits_close(weighted, copies, 1e-10)
+            assert weighted.neg_loglik == pytest.approx(copies.neg_loglik, rel=1e-10)
+
+    @pytest.mark.parametrize("model", ["win", "severity"])
+    def test_zero_weight_equals_removed_row(self, rng, model):
+        t = random_table(rng, n_rows=40)
+        idx = build_index(t)
+        w = np.ones(len(t))
+        w[[3, 17]] = 0.0
+        kept = InteractionTable([r for r, k in zip(t, w) if k])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            weighted = _fit_rows(model, build_matrix(t, idx), t, 0.3, idx, w)
+            removed = _fit_rows(model, build_matrix(kept, idx), kept, 0.3, idx)
+        _assert_fits_close(weighted, removed, 1e-10)
+
+    def test_bad_weights_rejected(self, rng):
+        t, idx, X, y = binary_problem(rng)
+        for bad in (np.ones(len(y) - 1), -np.ones(len(y)), np.zeros(len(y))):
+            with pytest.raises(DataError):
+                fit_binary_ridge(X, y, 0.1, idx, weights=bad)
+
+    def test_zero_weight_class_is_dropped(self):
+        rows = [
+            make_row(idx=i, rusher=f"R{i % 3}", severity=OutcomeClass(i % 3)) for i in range(21)
+        ]
+        t = InteractionTable(rows)
+        w = np.array([0.0 if r.severity is OutcomeClass.HIT else 1.0 for r in t])
+        with pytest.warns(RuntimeWarning, match="dropped"):
+            fit = fit_multinomial_ridge(
+                build_matrix(t, build_index(t)), [r.severity for r in t], 0.1,
+                build_index(t), weights=w,
+            )
+        assert fit.dropped == (OutcomeClass.HIT, OutcomeClass.SACK)
+
+    @pytest.mark.parametrize("model", ["win", "severity"])
+    def test_fit_coded_matches_table_fit(self, rng, model):
+        t = random_table(rng, n_rows=120)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cells = fit_coded(t.coded, np.ones(len(t)), model, 0.4)
+            rows = (fit_win_model if model == "win" else fit_severity_model)(t, 0.4)
+        _assert_fits_close(cells, rows, 1e-12)
+
+    def test_fit_coded_leaves_zero_weight_players_out(self, rng):
+        t = random_table(rng, n_rows=120)
+        absent = t.rushers[0]
+        w = np.array([0.0 if r.rusher_id == absent else 2.0 for r in t])
+        fit = fit_coded(t.coded, w, "win", 0.4)
+        assert absent not in fit.rusher_effects
+        assert set(fit.rusher_effects) == set(t.rushers) - {absent}
+
+
+class TestVectorizedPrediction:
+    def test_equals_per_row_predictors(self, rng):
+        t = random_table(rng, n_rows=80, n_rushers=7, n_blockers=6)
+        # fits on part of the table leave some players unseen
+        part = InteractionTable(t.rows[:30])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            win = fit_win_model(part, 0.3)
+            sev = fit_severity_model(part, 0.3)
+        assert predict_win_probs(win, t).tolist() == [predict_win_prob(win, x) for x in t]
+        want = np.array([[predict_class_probs(sev, x)[c] for c in CLASSES] for x in t])
+        assert np.array_equal(predict_class_prob_matrix(sev, t), want)
+        sub = np.array([5, 1, 40])
+        assert np.array_equal(predict_class_prob_matrix(sev, t.coded.take(sub)), want[sub])
 
 
 class TestExpectedSeverity:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from trenchrank.interactions import (
     write_interactions_csv,
 )
 
-from conftest import make_row
+from conftest import make_row, random_table
 
 
 class TestOutcomeClass:
@@ -138,6 +139,22 @@ class TestInteractionTable:
         assert t.games == ("g1",)
         assert t.plays == (("g1", "p1"),)
 
+    def test_coded_view_indexes_sorted_vocabularies(self, rng):
+        t = InteractionTable(reversed(random_table(rng).rows))
+        c = t.coded
+        assert (c.rushers, c.blockers, c.games) == (t.rushers, t.blockers, t.games)
+        assert [c.rushers[i] for i in c.rusher] == [r.rusher_id for r in t]
+        assert [c.blockers[i] for i in c.blocker] == [r.blocker_id for r in t]
+        assert [c.games[i] for i in c.game] == [r.game_id for r in t]
+        assert c.week.tolist() == [r.week for r in t]
+        assert c.double_team.tolist() == [r.double_team for r in t]
+        assert c.win.tolist() == [float(r.win_target) for r in t]
+        assert c.severity.tolist() == [int(r.severity) for r in t]
+        assert not c.rusher.flags.writeable
+        sub = c.take(np.array([4, 0]))
+        assert sub.rusher.tolist() == [c.rusher[4], c.rusher[0]]
+        assert sub.rushers == c.rushers
+
     def test_rows_by_game_preserves_row_order(self):
         rows = [make_row(game=g, idx=i) for g in ("g1", "g2") for i in range(3)]
         t = InteractionTable(rows)
@@ -219,6 +236,19 @@ class TestCsvRoundTrip:
             "g1,p1,0,1,R1,B1,2,0,loss\n"
         )
         with pytest.raises(DataError, match=":2"):
+            read_interactions_csv(p)
+
+    def test_duplicate_key_reports_both_lines(self, tmp_path):
+        p = tmp_path / "dup.csv"
+        p.write_text(
+            "game_id,play_id,event_game_index,week,rusher_id,blocker_id,"
+            "double_team,win_target,severity\n"
+            "g1,p1,0,1,R1,B1,0,0,loss\n"
+            "g1,p1,1,1,R1,B2,0,1,win\n"
+            "g1,p2,0,1,R2,B1,0,0,loss\n"
+            "g1,p1,1,1,R3,B3,1,0,loss\n"
+        )
+        with pytest.raises(DataError, match=r":5: duplicate key .* line 3"):
             read_interactions_csv(p)
 
     def test_bad_severity_label_rejected(self, tmp_path):

@@ -45,9 +45,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, FitError
-from .evaluate import split_point, validate_weighted
+from .baselines import DEFAULT_SEVERITY_PRIOR, DEFAULT_WIN_PRIOR
+from .evaluate import DEFAULT_SPLIT_RATIO, split_point, validate_weighted
 from .external import model_scores
-from .fit import fit_coded
+from .fit import DEFAULT_MAX_ITER, DEFAULT_TOL, fit_coded
 from .interactions import CodedTable, InteractionTable, canonical_sort
 
 MODES = ("end_to_end", "weekly_path")
@@ -71,16 +72,16 @@ class BootstrapConfig:
     lambda_win: float
     lambda_sev: float
     mode: str
-    ratio: float = 0.8
-    m_win: float = 25.0
-    m_sev: float = 50.0
+    ratio: float = DEFAULT_SPLIT_RATIO
+    m_win: float = DEFAULT_WIN_PRIOR
+    m_sev: float = DEFAULT_SEVERITY_PRIOR
     models: tuple[str, ...] = MODEL_NAMES
     track_improvements: bool = True
     track_ratings: bool = True
     track_players: tuple[str, ...] | None = None
     identity_resample: bool = False
-    tol: float = 1e-8
-    max_iter: int = 500
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     max_failure_rate: float = 0.05
 
     def __post_init__(self) -> None:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import bootstrap as boot
 from . import evaluate, report
+from .baselines import DEFAULT_SEVERITY_PRIOR, DEFAULT_WIN_PRIOR
 from .errors import DataError, FitError
 from .external import read_accolades_csv, run_external_eval
 from .fit import (
@@ -34,7 +35,6 @@ from .fit import (
 )
 from .interactions import (
     INTERACTION_CSV_HEADER,
-    OutcomeClass,
     read_interactions_csv,
     summarize,
     write_interactions_csv,
@@ -70,12 +70,17 @@ def _read_json(path) -> dict:
         return json.load(fh)
 
 
-def _parse_grid(args) -> list[float]:
-    if args.grid_size is None and args.grid_min is None and args.grid_max is None:
+def _lambda_grid(lo: float | None, hi: float | None, size: int | None) -> list[float]:
+    """The CV grid from ``--grid-*`` flags or ``grid_*`` config keys.
+
+    With none given it is ``DEFAULT_LAMBDA_GRID``; a missing bound or
+    size takes that grid's value.
+    """
+    if lo is None and hi is None and size is None:
         return list(DEFAULT_LAMBDA_GRID)
-    lo = 1e-6 if args.grid_min is None else args.grid_min
-    hi = 1e2 if args.grid_max is None else args.grid_max
-    size = 25 if args.grid_size is None else args.grid_size
+    lo = 1e-6 if lo is None else lo
+    hi = 1e2 if hi is None else hi
+    size = 25 if size is None else size
     if lo <= 0 or hi <= 0 or hi < lo or size < 1:
         raise ValueError(f"bad lambda grid: min={lo} max={hi} size={size}")
     return list(np.logspace(math.log10(lo), math.log10(hi), size))
@@ -194,7 +199,7 @@ def _cmd_fit(args) -> int:
     cv_traces: dict = {}
     lam_win = lam_sev = args.lam
     if args.lam is None:
-        grid = _parse_grid(args)
+        grid = _lambda_grid(args.grid_min, args.grid_max, args.grid_size)
         for m in models:
             cv = cv_select_lambda(
                 table, m, grid, args.folds, tol=args.tol, max_iter=args.max_iter
@@ -224,7 +229,7 @@ def _cmd_validate(args) -> int:
         m_win=args.m_win,
         m_sev=args.m_sev,
         ratio=args.ratio,
-        grid=_parse_grid(args),
+        grid=_lambda_grid(args.grid_min, args.grid_max, args.grid_size),
         n_folds=args.folds,
         tol=args.tol,
         max_iter=args.max_iter,
@@ -253,7 +258,7 @@ def _cmd_sensitivity(args) -> int:
         lambda_win=args.lambda_win,
         lambda_sev=args.lambda_sev,
         ratio=args.ratio,
-        grid=_parse_grid(args),
+        grid=_lambda_grid(args.grid_min, args.grid_max, args.grid_size),
         n_folds=args.folds,
         tol=args.tol,
         max_iter=args.max_iter,
@@ -277,9 +282,9 @@ def _bootstrap_config(args, mode: str) -> boot.BootstrapConfig:
         lambda_win=args.lambda_win,
         lambda_sev=args.lambda_sev,
         mode=mode,
-        ratio=getattr(args, "ratio", 0.8),
-        m_win=getattr(args, "m_win", 25.0),
-        m_sev=getattr(args, "m_sev", 50.0),
+        ratio=getattr(args, "ratio", evaluate.DEFAULT_SPLIT_RATIO),
+        m_win=getattr(args, "m_win", DEFAULT_WIN_PRIOR),
+        m_sev=getattr(args, "m_sev", DEFAULT_SEVERITY_PRIOR),
         models=models,
         # holdout improvements compare both models, so a single model skips them
         track_improvements=getattr(args, "improvements", False) and models == boot.MODEL_NAMES,
@@ -388,15 +393,20 @@ _PIPELINE_STAGES = (
 )
 
 
-def _pipeline_grid(cfg: dict) -> list[float]:
-    if not any(k in cfg for k in ("grid_min", "grid_max", "grid_size")):
-        return list(DEFAULT_LAMBDA_GRID)
-    lo = cfg.get("grid_min", 1e-6)
-    hi = cfg.get("grid_max", 1e2)
-    size = cfg.get("grid_size", 25)
-    if lo <= 0 or hi <= 0 or hi < lo or size < 1:
-        raise ValueError(f"bad lambda grid in config: min={lo} max={hi} size={size}")
-    return list(np.logspace(math.log10(lo), math.log10(hi), size))
+def _config_str(cfg: dict, key: str, default: str | None = None) -> str | None:
+    """A comma-separated string setting (``default`` if absent or null).
+
+    Any other JSON type, such as a list, is a usage error naming the key.
+    """
+    value = cfg.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        raise ValueError(
+            f"config key {key!r} must be a comma-separated string, "
+            f"got {type(value).__name__} {value!r}"
+        )
+    return value
 
 
 def _resolve_table(cfg: dict, stages: list[str], run_dir: Path):
@@ -447,7 +457,7 @@ def _cmd_pipeline(args) -> int:
         raise ValueError(f"unknown config keys: {unknown}")
     if "seed" not in cfg:
         raise ValueError("config must set an explicit 'seed'")
-    stages = [s.strip() for s in cfg.get("stages", "validate").split(",") if s.strip()]
+    stages = [s.strip() for s in _config_str(cfg, "stages", "validate").split(",") if s.strip()]
     bad = [s for s in stages if s not in _PIPELINE_STAGES]
     if bad:
         raise ValueError(f"unknown stages: {bad} (choose from {_PIPELINE_STAGES})")
@@ -465,7 +475,7 @@ def _cmd_pipeline(args) -> int:
 
     tol = cfg.get("tol", DEFAULT_TOL)
     max_iter = cfg.get("max_iter", DEFAULT_MAX_ITER)
-    grid = _pipeline_grid(cfg)
+    grid = _lambda_grid(cfg.get("grid_min"), cfg.get("grid_max"), cfg.get("grid_size"))
     folds = cfg.get("folds", 5)
 
     stage = "resolve-input"
@@ -515,9 +525,9 @@ def _cmd_pipeline(args) -> int:
                 table,
                 lambda_win=cfg.get("lambda_win"),
                 lambda_sev=cfg.get("lambda_sev"),
-                m_win=cfg.get("m_win", 25.0),
-                m_sev=cfg.get("m_sev", 50.0),
-                ratio=cfg.get("ratio", 0.8),
+                m_win=cfg.get("m_win", DEFAULT_WIN_PRIOR),
+                m_sev=cfg.get("m_sev", DEFAULT_SEVERITY_PRIOR),
+                ratio=cfg.get("ratio", evaluate.DEFAULT_SPLIT_RATIO),
                 grid=grid,
                 n_folds=folds,
                 tol=tol,
@@ -540,7 +550,7 @@ def _cmd_pipeline(args) -> int:
                 m_grid,
                 lambda_win=cfg.get("lambda_win"),
                 lambda_sev=cfg.get("lambda_sev"),
-                ratio=cfg.get("ratio", 0.8),
+                ratio=cfg.get("ratio", evaluate.DEFAULT_SPLIT_RATIO),
                 grid=grid,
                 n_folds=folds,
                 tol=tol,
@@ -559,9 +569,9 @@ def _cmd_pipeline(args) -> int:
                 lambda_win=lw,
                 lambda_sev=ls,
                 mode="end_to_end",
-                ratio=cfg.get("ratio", 0.8),
-                m_win=cfg.get("m_win", 25.0),
-                m_sev=cfg.get("m_sev", 50.0),
+                ratio=cfg.get("ratio", evaluate.DEFAULT_SPLIT_RATIO),
+                m_win=cfg.get("m_win", DEFAULT_WIN_PRIOR),
+                m_sev=cfg.get("m_sev", DEFAULT_SEVERITY_PRIOR),
                 identity_resample=cfg.get("identity_resample", False),
                 tol=tol,
                 max_iter=max_iter,
@@ -584,7 +594,7 @@ def _cmd_pipeline(args) -> int:
         if "path" in stages:
             stage = "path"
             lw, ls = full_data_lambdas()
-            players = cfg.get("players")
+            players = _config_str(cfg, "players")
             config = boot.BootstrapConfig(
                 b=cfg.get("b_weekly", 100),
                 seed=cfg["seed"],
@@ -651,13 +661,6 @@ def _cmd_pipeline(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="trenchrank", description=__doc__)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="thread budget for fold/replicate execution "
-        "(stages currently run sequentially)",
-    )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("ingest", help="build the interaction table from tracking CSVs")
@@ -704,9 +707,9 @@ def build_parser() -> _Parser:
     p.add_argument("--interactions", required=True)
     p.add_argument("--lambda-win", type=float, default=None)
     p.add_argument("--lambda-sev", type=float, default=None)
-    p.add_argument("--m-win", type=float, default=25.0)
-    p.add_argument("--m-sev", type=float, default=50.0)
-    p.add_argument("--ratio", type=float, default=0.8)
+    p.add_argument("--m-win", type=float, default=DEFAULT_WIN_PRIOR)
+    p.add_argument("--m-sev", type=float, default=DEFAULT_SEVERITY_PRIOR)
+    p.add_argument("--ratio", type=float, default=evaluate.DEFAULT_SPLIT_RATIO)
     _add_grid_flags(p)
     _add_solver_flags(p)
     p.add_argument("--out-dir", required=True)
@@ -717,7 +720,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m-grid", default="10,25,50,100")
     p.add_argument("--lambda-win", type=float, default=None)
     p.add_argument("--lambda-sev", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=0.8)
+    p.add_argument("--ratio", type=float, default=evaluate.DEFAULT_SPLIT_RATIO)
     _add_grid_flags(p)
     _add_solver_flags(p)
     p.add_argument("--out-dir", required=True)
@@ -729,9 +732,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda-win", type=float, required=True)
     p.add_argument("--lambda-sev", type=float, required=True)
-    p.add_argument("--ratio", type=float, default=0.8)
-    p.add_argument("--m-win", type=float, default=25.0)
-    p.add_argument("--m-sev", type=float, default=50.0)
+    p.add_argument("--ratio", type=float, default=evaluate.DEFAULT_SPLIT_RATIO)
+    p.add_argument("--m-win", type=float, default=DEFAULT_WIN_PRIOR)
+    p.add_argument("--m-sev", type=float, default=DEFAULT_SEVERITY_PRIOR)
     p.add_argument("--models", choices=("both", "win", "severity"), default="both")
     p.add_argument("--no-improvements", dest="improvements", action="store_false",
                    help="skip the per-replicate holdout refits; they run only when "
@@ -790,9 +793,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
     if not getattr(args, "func", None):
         parser.print_help(sys.stderr)
         return 1

@@ -3,36 +3,36 @@
 Each interaction becomes one row with an intercept, the double-team
 indicator, +1 on the rusher's column and -1 on the blocker's column.
 Rusher and blocker columns are separate blocks even when the same
-player appears in both roles.
+player appears in both roles.  A player absent from the index gets no
+column: its effect is the ridge prior mean, zero.
 
 Column layout: ``[intercept | double_team | rushers... | blockers...]``.
 
-The solvers take the design as a CSR matrix built in one vectorized
-pass from integer column codes (``csr_from_codes``).  A weighted fit
-first merges rows that encode alike into cells (``aggregate_cells``):
-rows with equal (rusher, blocker, double_team, outcome) contribute
-identical likelihood terms, so one cell row carrying their summed
-weight replaces them.
+The design is a CSR matrix built in one vectorized pass from the
+integer codes of the table's coded view (``csr_from_codes``); there is
+no per-row encoder.  Both models share it, since the fit layer treats
+the binary model as the one-class case of the severity model.  A
+weighted fit, cross-validation fold or bootstrap replicate first merges
+rows that encode alike into cells (``aggregate_cells``): rows with
+equal (rusher, blocker, double_team, outcome) contribute identical
+likelihood terms, so one cell row carrying their summed weight
+replaces them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
-from .interactions import Interaction, InteractionTable
+from .interactions import InteractionTable
 
 INTERCEPT_COL = 0
 DOUBLE_TEAM_COL = 1
-
-#: One encoded row: (column ordinal, value) pairs for the nonzero entries.
-SparseRow = list[tuple[int, float]]
-
 
 @dataclass(frozen=True)
 class PlayerIndex:
@@ -88,40 +88,6 @@ def index_from_ids(rushers: Sequence[str], blockers: Sequence[str]) -> PlayerInd
     return PlayerIndex(rusher_cols=rusher_cols, blocker_cols=blocker_cols)
 
 
-def encode_row(x: Interaction, idx: PlayerIndex) -> SparseRow:
-    """Encode one interaction against an index.
-
-    Players absent from the index contribute no column (their effect is
-    the ridge prior mean, zero), so unseen matchups still encode.
-    """
-    row: SparseRow = [(INTERCEPT_COL, 1.0)]
-    if x.double_team:
-        row.append((DOUBLE_TEAM_COL, 1.0))
-    rc = idx.rusher_cols.get(x.rusher_id)
-    if rc is not None:
-        row.append((rc, 1.0))
-    bc = idx.blocker_cols.get(x.blocker_id)
-    if bc is not None:
-        row.append((bc, -1.0))
-    return row
-
-
-def rows_to_csr(rows: Iterable[SparseRow], n_columns: int) -> sp.csr_matrix:
-    """Assemble encoded rows into a CSR matrix for the solvers."""
-    data: list[float] = []
-    indices: list[int] = []
-    indptr: list[int] = [0]
-    for row in rows:
-        for col, val in row:
-            indices.append(col)
-            data.append(val)
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.asarray(data), np.asarray(indices), np.asarray(indptr)),
-        shape=(len(indptr) - 1, n_columns),
-    )
-
-
 def csr_from_codes(
     rusher_cols: np.ndarray,
     blocker_cols: np.ndarray,
@@ -131,8 +97,8 @@ def csr_from_codes(
     """Design rows from per-row column numbers, built without a row loop.
 
     A negative rusher or blocker column means the player is not in the
-    index and contributes no entry, as in ``encode_row``; entries come in
-    ``encode_row``'s order.
+    index and contributes no entry.  Each row's entries come in column
+    role order: intercept, double team, rusher, blocker.
     """
     rusher_cols = np.asarray(rusher_cols, dtype=np.intp)
     blocker_cols = np.asarray(blocker_cols, dtype=np.intp)
@@ -156,6 +122,7 @@ def csr_from_codes(
 
 
 def build_matrix(table: InteractionTable, idx: PlayerIndex) -> sp.csr_matrix:
+    """One design row per table row over ``idx``'s columns."""
     coded = table.coded
     # column of each vocabulary entry in idx, -1 for players it lacks
     rcols = np.array([idx.rusher_cols.get(p, -1) for p in coded.rushers], dtype=np.intp)
@@ -191,7 +158,3 @@ def penalty_mask(idx: PlayerIndex) -> np.ndarray:
     mask[INTERCEPT_COL] = 0.0
     return mask
 
-
-def linear_predictor(theta: Sequence[float], row: SparseRow) -> float:
-    """Dot product of a parameter vector with one encoded row."""
-    return sum(theta[col] * val for col, val in row)

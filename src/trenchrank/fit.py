@@ -1,8 +1,12 @@
 """Ridge-penalized Bradley-Terry fitting.
 
-Two models over the same design rows: a binary win/loss logistic model
-and a multinomial outcome-severity model with ``loss`` as the reference
-class.  Both minimize
+Two models over the same design: a binary win/loss model and a severity
+model over the four outcome classes with ``loss`` as the reference.
+Both are one multinomial logit over K non-reference classes.  The
+severity model has one class for each non-loss class seen in training;
+the binary model is the K = 1 case, with the win target as the class
+index.  So one objective, one Hessian and one damped Newton loop serve
+both.  Each minimizes
 
     sum-scale negative log-likelihood  +  lam * ||theta_penalized||^2
 
@@ -11,24 +15,31 @@ intercepts are not.  The penalty uses the raw sum-of-squares (no 1/2
 factor) and the likelihood is the sum over rows, so ``lam`` is
 interpreted in those units.
 
-Every objective, solver and fit takes optional row ``weights``
-(nonnegative, default all ones): row i then contributes ``weights[i]``
-times its log-likelihood term.  An integer weight k fits exactly like k
-copies of the row and a zero weight like its removal, which is how the
-bootstrap refits a resample of games without building it
-(``fit_coded``).
+Every objective and fit takes optional row ``weights`` (nonnegative,
+default all ones): row i then contributes ``weights[i]`` times its
+log-likelihood term.  An integer weight k fits exactly like k copies of
+the row and a zero weight like its removal.
 
-Both models are solved by the same deterministic damped Newton
-iteration (dense Cholesky of the penalized Hessian, Armijo
-backtracking).  Convergence means gradient sup-norm <= ``tol`` (default
-1e-8).
+Fits of a table run on weighted cells: rows with equal (rusher,
+blocker, double_team, outcome) are merged into one design row carrying
+their summed weight (``fit_coded``; ``fit_win_model`` and
+``fit_severity_model`` are its all-ones case).  Cross-validation uses
+the same cells: a fold is a 0/1 row-weight vector over the table's one
+coded view, fitted along the lambda path with warm starts, and its
+held-out rows are scored by the same vectorized predictor as
+``predict_win_probs`` and ``predict_class_prob_matrix``.
+
+The Newton step solves the penalized Hessian by dense Cholesky (least
+squares if that fails) and backtracks to the Armijo condition; the
+Hessian reuses the class probabilities computed for the accepted step.
+Convergence means gradient sup-norm <= ``tol`` (default 1e-8).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -37,14 +48,10 @@ from scipy.special import expit
 
 from .design import (
     PlayerIndex,
-    SparseRow,
     aggregate_cells,
-    build_index,
-    build_matrix,
     csr_from_codes,
     index_from_ids,
     penalty_mask,
-    rows_to_csr,
 )
 from .errors import DataError, FitError
 from .interactions import (
@@ -61,6 +68,7 @@ DEFAULT_MAX_ITER = 500
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-6.0, 2.0, 25))
 
 _ARMIJO_C = 1e-4
+_MODELS = ("win", "severity")
 
 
 @dataclass(frozen=True)
@@ -109,25 +117,27 @@ class CvResult:
 
 
 # ---------------------------------------------------------------------------
-# Objectives
+# Objective
 
 
-def binary_objective_grad(
-    theta: np.ndarray,
-    X: sp.csr_matrix,
-    y: np.ndarray,
-    lam: float,
-    pen_mask: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Penalized binary negative log-likelihood and its gradient."""
-    w = np.ones(X.shape[0]) if weights is None else weights
-    eta = X @ theta
-    nll = float(np.sum(w * np.logaddexp(0.0, eta)) - (w * y) @ eta)
-    p = expit(eta)
-    grad = X.T @ (w * (p - y)) + 2.0 * lam * (pen_mask * theta)
-    obj = nll + lam * float(pen_mask @ (theta * theta))
-    return obj, grad
+def _objective(theta_flat, X, class_idx, n_classes, lam, pen_mask, weights):
+    """Penalized objective, its gradient and the (n, n_classes) class probabilities."""
+    n, d = X.shape
+    theta = theta_flat.reshape(n_classes - 1, d)
+    eta = np.empty((n, n_classes))
+    eta[:, 0] = 0.0
+    eta[:, 1:] = X @ theta.T
+    shift = eta.max(axis=1)
+    exp_eta = np.exp(eta - shift[:, None])
+    denom = exp_eta.sum(axis=1)
+    logp_obs = eta[np.arange(n), class_idx] - shift - np.log(denom)
+    nll = -float((weights * logp_obs).sum())
+    probs = exp_eta / denom[:, None]
+    resid = probs[:, 1:] - np.equal.outer(class_idx, np.arange(1, n_classes))
+    resid *= weights[:, None]
+    grad = np.asarray((X.T @ resid).T) + 2.0 * lam * (pen_mask[None, :] * theta)
+    obj = nll + lam * float(np.sum(pen_mask[None, :] * theta * theta))
+    return obj, grad.ravel(), probs
 
 
 def multinomial_objective_grad(
@@ -144,96 +154,35 @@ def multinomial_objective_grad(
     ``class_idx`` holds 0 for the reference class and 1..K for the
     modeled classes; parameters are the K rows of ``theta`` (flattened).
     """
-    n, d = X.shape
-    w = np.ones(n) if weights is None else weights
-    k = n_model_classes - 1
-    theta = theta_flat.reshape(k, d)
-    eta = np.empty((n, n_model_classes))
-    eta[:, 0] = 0.0
-    eta[:, 1:] = X @ theta.T
-    shift = eta.max(axis=1)
-    exp_eta = np.exp(eta - shift[:, None])
-    denom = exp_eta.sum(axis=1)
-    logp_obs = eta[np.arange(n), class_idx] - shift - np.log(denom)
-    nll = -float((w * logp_obs).sum())
-    probs = exp_eta / denom[:, None]
-    resid = probs[:, 1:] - np.equal.outer(class_idx, np.arange(1, n_model_classes))
-    resid *= w[:, None]
-    grad = np.asarray((X.T @ resid).T) + 2.0 * lam * (pen_mask[None, :] * theta)
-    obj = nll + lam * float(np.sum(pen_mask[None, :] * theta * theta))
-    return obj, grad.ravel()
+    w = np.ones(X.shape[0]) if weights is None else weights
+    obj, grad, _ = _objective(theta_flat, X, class_idx, n_model_classes, lam, pen_mask, w)
+    return obj, grad
+
+
+def binary_objective_grad(
+    theta: np.ndarray,
+    X: sp.csr_matrix,
+    y: np.ndarray,
+    lam: float,
+    pen_mask: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """Penalized binary negative log-likelihood and its gradient.
+
+    The K = 1 case of ``multinomial_objective_grad``: class 1 is a win.
+    """
+    y_idx = np.asarray(y, dtype=np.intp)
+    return multinomial_objective_grad(theta, X, y_idx, 2, lam, pen_mask, weights)
 
 
 # ---------------------------------------------------------------------------
-# Solvers
+# Solver
 
 
-def _take_step(value_grad_fn, theta, obj, grad, direction):
-    """Armijo backtracking step with a gradient-norm endgame rule.
-
-    Near the optimum the per-step objective decrease falls below the
-    floating-point resolution of the objective, so the Armijo test
-    cannot certify the (correct) full Newton step and backtracking
-    would destroy quadratic convergence.  When the full step changes
-    the objective by no more than numerical noise but shrinks the
-    gradient sup-norm, it is accepted outright.
-    """
-    slope = float(grad @ direction)
-    if slope >= 0.0:
-        direction = -grad
-        slope = float(grad @ direction)
-        if slope >= 0.0:
-            return theta, obj, grad, False
-    grad_sup = float(np.abs(grad).max())
-    noise = 1e-8 * max(1.0, abs(obj))
-    t = 1.0
-    for _ in range(60):
-        cand = theta + t * direction
-        cand_obj, cand_grad = value_grad_fn(cand)
-        if cand_obj <= obj + _ARMIJO_C * t * slope:
-            return cand, cand_obj, cand_grad, True
-        if t == 1.0 and cand_obj <= obj + noise and np.abs(cand_grad).max() < grad_sup:
-            return cand, cand_obj, cand_grad, True
-        t *= 0.5
-    return theta, obj, grad, False
-
-
-def _solve_binary(X, y, lam, pen_mask, theta0, tol, max_iter, weights=None):
-    theta = np.zeros(X.shape[1]) if theta0 is None else np.asarray(theta0, float).copy()
-    row_w = np.ones(X.shape[0]) if weights is None else weights
-
-    def value_grad(th):
-        return binary_objective_grad(th, X, y, lam, pen_mask, row_w)
-
-    obj, grad = value_grad(theta)
-    iterations = 0
-    while np.abs(grad).max() > tol and iterations < max_iter:
-        iterations += 1
-        p = expit(X @ theta)
-        w = p * (1.0 - p) * row_w
-        H = (X.multiply(w[:, None]).T @ X).toarray()
-        H[np.diag_indices_from(H)] += 2.0 * lam * pen_mask
-        try:
-            factor = scipy.linalg.cho_factor(H, check_finite=False)
-            direction = scipy.linalg.cho_solve(factor, -grad, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            direction = np.linalg.lstsq(H, -grad, rcond=None)[0]
-        theta, obj, grad, moved = _take_step(value_grad, theta, obj, grad, direction)
-        if not moved:
-            break
-    grad_sup = float(np.abs(grad).max())
-    return theta, grad_sup, iterations
-
-
-def _multinomial_hessian(X, theta, n_model_classes, lam, pen_mask, weights):
-    n, d = X.shape
-    k = n_model_classes - 1
-    eta = np.empty((n, n_model_classes))
-    eta[:, 0] = 0.0
-    eta[:, 1:] = X @ theta.T
-    shift = eta.max(axis=1)
-    exp_eta = np.exp(eta - shift[:, None])
-    probs = exp_eta / exp_eta.sum(axis=1)[:, None]
+def _hessian(X, probs, lam, pen_mask, weights):
+    """Penalized Hessian at the point whose class probabilities are ``probs``."""
+    d = X.shape[1]
+    k = probs.shape[1] - 1
     H = np.empty((k * d, k * d))
     for a in range(k):
         pa = probs[:, a + 1]
@@ -243,48 +192,78 @@ def _multinomial_hessian(X, theta, n_model_classes, lam, pen_mask, weights):
             H[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
             if b != a:
                 H[b * d : (b + 1) * d, a * d : (a + 1) * d] = block.T
-    diag = np.tile(2.0 * lam * pen_mask, k)
-    H[np.diag_indices_from(H)] += diag
+    H[np.diag_indices_from(H)] += np.tile(2.0 * lam * pen_mask, k)
     return H
 
 
-def _solve_multinomial(
-    X, class_idx, n_model_classes, lam, pen_mask, theta0, tol, max_iter, weights=None
-):
-    n, d = X.shape
-    k = n_model_classes - 1
-    theta_flat = np.zeros(k * d) if theta0 is None else np.asarray(theta0, float).ravel().copy()
-    row_w = np.ones(n) if weights is None else weights
+def _take_step(value_grad_fn, theta, state, direction):
+    """Armijo backtracking step with a gradient-norm endgame rule.
+
+    ``state`` is ``value_grad_fn(theta)``: (objective, gradient, class
+    probabilities).  Returns the new point, its state and whether it
+    moved.
+
+    Near the optimum the per-step objective decrease falls below the
+    floating-point resolution of the objective, so the Armijo test
+    cannot certify the (correct) full Newton step and backtracking
+    would destroy quadratic convergence.  When the full step changes
+    the objective by no more than numerical noise but shrinks the
+    gradient sup-norm, it is accepted outright.
+    """
+    obj, grad, _ = state
+    slope = float(grad @ direction)
+    if slope >= 0.0:
+        direction = -grad
+        slope = float(grad @ direction)
+        if slope >= 0.0:
+            return theta, state, False
+    grad_sup = float(np.abs(grad).max())
+    noise = 1e-8 * max(1.0, abs(obj))
+    t = 1.0
+    for _ in range(60):
+        cand = theta + t * direction
+        cand_state = value_grad_fn(cand)
+        cand_obj, cand_grad, _ = cand_state
+        if cand_obj <= obj + _ARMIJO_C * t * slope:
+            return cand, cand_state, True
+        if t == 1.0 and cand_obj <= obj + noise and np.abs(cand_grad).max() < grad_sup:
+            return cand, cand_state, True
+        t *= 0.5
+    return theta, state, False
+
+
+def _solve(X, class_idx, n_classes, lam, pen_mask, theta0, tol, max_iter, weights):
+    """Damped Newton over the K = n_classes - 1 non-reference classes.
+
+    Returns theta as a (K, d) array, the unpenalized negative
+    log-likelihood there, the gradient sup-norm and the iteration count.
+    """
+    k, d = n_classes - 1, X.shape[1]
+    theta = np.zeros(k * d) if theta0 is None else np.array(theta0, dtype=float).ravel()
 
     def value_grad(th):
-        return multinomial_objective_grad(
-            th, X, class_idx, n_model_classes, lam, pen_mask, row_w
-        )
+        return _objective(th, X, class_idx, n_classes, lam, pen_mask, weights)
 
-    obj, grad = value_grad(theta_flat)
+    state = value_grad(theta)
     iterations = 0
-    while np.abs(grad).max() > tol and iterations < max_iter:
+    while np.abs(state[1]).max() > tol and iterations < max_iter:
         iterations += 1
-        H = _multinomial_hessian(
-            X, theta_flat.reshape(k, d), n_model_classes, lam, pen_mask, row_w
-        )
+        H = _hessian(X, state[2], lam, pen_mask, weights)
         try:
             factor = scipy.linalg.cho_factor(H, check_finite=False)
-            direction = scipy.linalg.cho_solve(factor, -grad, check_finite=False)
+            direction = scipy.linalg.cho_solve(factor, -state[1], check_finite=False)
         except scipy.linalg.LinAlgError:
-            direction = np.linalg.lstsq(H, -grad, rcond=None)[0]
-        theta_flat, obj, grad, moved = _take_step(value_grad, theta_flat, obj, grad, direction)
+            direction = np.linalg.lstsq(H, -state[1], rcond=None)[0]
+        theta, state, moved = _take_step(value_grad, theta, state, direction)
         if not moved:
             break
+    theta = theta.reshape(k, d)
+    nll = state[0] - lam * float(np.sum(pen_mask[None, :] * theta * theta))
+    return theta, nll, float(np.abs(state[1]).max()), iterations
 
-    grad_sup = float(np.abs(grad).max())
-    return theta_flat.reshape(k, d), grad_sup, iterations
 
-
-def _as_matrix(rows, n_columns) -> sp.csr_matrix:
-    if sp.issparse(rows):
-        return rows.tocsr()
-    return rows_to_csr(rows, n_columns)
+# ---------------------------------------------------------------------------
+# Fits
 
 
 def _row_weights(weights, n_rows: int) -> np.ndarray:
@@ -296,8 +275,26 @@ def _row_weights(weights, n_rows: int) -> np.ndarray:
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise DataError("row weights must be finite and nonnegative")
     if not w.sum() > 0:
-        raise DataError("row weights must not all be zero")
+        raise DataError("a fit needs at least one row of positive weight")
     return w
+
+
+def _class_coding(model: str, outcome: np.ndarray, weights: np.ndarray):
+    """Modeled and dropped classes, and each row's softmax position.
+
+    The binary model always has the single class ``win`` (position 1 is
+    a win).  The severity model keeps the non-loss classes seen in a
+    row of positive weight; rows of a dropped class sit at position 0
+    with the loss reference, where their weight is zero.
+    """
+    if model == "win":
+        return (OutcomeClass.WIN,), (), outcome
+    present = set(np.unique(outcome[weights > 0]).tolist())
+    modeled = tuple(c for c in CLASSES[1:] if c in present)
+    dropped = tuple(c for c in CLASSES[1:] if c not in present)
+    position = np.zeros(len(CLASSES), dtype=np.intp)
+    position[list(modeled)] = np.arange(1, len(modeled) + 1)
+    return modeled, dropped, position[outcome]
 
 
 def _effect_dicts(theta: np.ndarray, idx: PlayerIndex) -> tuple[dict[str, float], dict[str, float]]:
@@ -306,9 +303,90 @@ def _effect_dicts(theta: np.ndarray, idx: PlayerIndex) -> tuple[dict[str, float]
     return rushers, blockers
 
 
+def _as_fit(model, theta, index, modeled, dropped, **stats) -> BinaryFit | MultinomialFit:
+    """Package a (K, d) solution; ``stats`` are the remaining fit fields."""
+    effects = [_effect_dicts(row, index) for row in theta]
+    if model == "win":
+        return BinaryFit(
+            alpha=float(theta[0, 0]),
+            delta=float(theta[0, 1]),
+            rusher_effects=effects[0][0],
+            blocker_effects=effects[0][1],
+            **stats,
+        )
+    return MultinomialFit(
+        classes=modeled,
+        dropped=dropped,
+        alpha={c: float(theta[i, 0]) for i, c in enumerate(modeled)},
+        delta={c: float(theta[i, 1]) for i, c in enumerate(modeled)},
+        rusher_effects={c: effects[i][0] for i, c in enumerate(modeled)},
+        blocker_effects={c: effects[i][1] for i, c in enumerate(modeled)},
+        **stats,
+    )
+
+
+def _fit_ridge(
+    X, outcome, lam, index, model, *, weights=None, tol=DEFAULT_TOL,
+    max_iter=DEFAULT_MAX_ITER, theta0=None, stacklevel,
+) -> BinaryFit | MultinomialFit:
+    """The one fit behind every public fit function.
+
+    ``outcome`` is the win target (``model == "win"``) or the outcome
+    class of each design row.  Warnings are reported ``stacklevel``
+    frames up, at the caller of the public function.
+    """
+    if lam < 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not sp.issparse(X):
+        raise TypeError(f"the design must be a scipy sparse matrix, got {type(X).__name__}")
+    X = X.tocsr()
+    n = X.shape[0]
+    if n == 0:
+        raise DataError(f"{model} fit requires at least one row")
+    values = np.asarray(outcome)
+    if values.shape != (n,):
+        raise DataError(f"row/target length mismatch: {n} vs {values.shape[0]}")
+    if model == "win" and not np.all((values == 0) | (values == 1)):
+        raise DataError("win targets must be 0 or 1")
+    w = _row_weights(weights, n)
+
+    modeled, dropped, class_idx = _class_coding(model, values.astype(np.intp), w)
+    if dropped:
+        warnings.warn(
+            "classes never observed in training were dropped from the softmax: "
+            + ", ".join(c.label for c in dropped),
+            RuntimeWarning,
+            stacklevel=stacklevel,
+        )
+    if not modeled:
+        raise DataError("severity fit needs at least one non-loss class in training")
+
+    theta, nll, grad_sup, iterations = _solve(
+        X, class_idx, len(modeled) + 1, lam, penalty_mask(index), theta0, tol, max_iter, w
+    )
+    converged = grad_sup <= tol
+    # a separated cell only reaches the gradient tolerance once its linear
+    # predictor is around ln(n / tol), far beyond any finite-MLE value
+    if model == "win" and lam == 0 and (not converged or np.abs(X @ theta[0]).max() > 15.0):
+        warnings.warn(
+            "possible separation: unpenalized fit produced extreme linear predictors",
+            RuntimeWarning,
+            stacklevel=stacklevel,
+        )
+    if not converged:
+        raise FitError(
+            f"{'binary' if model == 'win' else 'multinomial'} fit did not converge: "
+            f"gradient sup-norm {grad_sup:.3e} after {iterations} iterations (tol {tol:.1e})"
+        )
+    return _as_fit(
+        model, theta, index, modeled, dropped,
+        lam=lam, neg_loglik=nll, grad_norm=grad_sup, iterations=iterations,
+    )
+
+
 def fit_binary_ridge(
-    rows: Sequence[SparseRow] | sp.spmatrix,
-    y: Sequence[bool],
+    X: sp.spmatrix,
+    y: Sequence[bool] | np.ndarray,
     lam: float,
     index: PlayerIndex,
     *,
@@ -319,67 +397,20 @@ def fit_binary_ridge(
 ) -> BinaryFit:
     """Fit the binary win/loss model at a fixed penalty weight.
 
-    ``weights`` multiplies each row's likelihood term (default 1).
+    ``X`` is a sparse design over ``index`` (``build_matrix``) and ``y``
+    the 0/1 win targets.  ``weights`` multiplies each row's likelihood
+    term (default 1).  An unpenalized fit whose linear predictors run
+    off warns of possible separation.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    X = _as_matrix(rows, index.n_columns)
-    if X.shape[0] == 0:
-        raise DataError("fit_binary_ridge requires at least one row")
-    yv = np.asarray(y, dtype=float)
-    if yv.shape[0] != X.shape[0]:
-        raise DataError(f"row/target length mismatch: {X.shape[0]} vs {yv.shape[0]}")
-    w = _row_weights(weights, X.shape[0])
-    mask = penalty_mask(index)
-
-    theta, grad_sup, iterations = _solve_binary(X, yv, lam, mask, theta0, tol, max_iter, w)
-    converged = grad_sup <= tol
-    eta = X @ theta
-    # a separated cell only reaches the gradient tolerance once its linear
-    # predictor is around ln(n / tol), far beyond any finite-MLE value
-    if lam == 0 and (not converged or np.abs(eta).max() > 15.0):
-        warnings.warn(
-            "possible separation: unpenalized fit produced extreme linear predictors",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if not converged:
-        raise FitError(
-            f"binary fit did not converge: gradient sup-norm {grad_sup:.3e} "
-            f"after {iterations} iterations (tol {tol:.1e})"
-        )
-    nll = float(np.sum(w * np.logaddexp(0.0, eta)) - (w * yv) @ eta)
-    rushers, blockers = _effect_dicts(theta, index)
-    return BinaryFit(
-        alpha=float(theta[0]),
-        delta=float(theta[1]),
-        rusher_effects=rushers,
-        blocker_effects=blockers,
-        lam=lam,
-        neg_loglik=nll,
-        grad_norm=grad_sup,
-        iterations=iterations,
+    return _fit_ridge(
+        X, y, lam, index, "win",
+        weights=weights, tol=tol, max_iter=max_iter, theta0=theta0, stacklevel=3,
     )
 
 
-def _modeled_classes(observed: Iterable[OutcomeClass]) -> tuple[list[OutcomeClass], list[OutcomeClass]]:
-    present = set(observed)
-    modeled = [c for c in CLASSES if c is not OutcomeClass.LOSS and c in present]
-    dropped = [c for c in CLASSES if c is not OutcomeClass.LOSS and c not in present]
-    return modeled, dropped
-
-
-def _class_positions(modeled: Sequence[OutcomeClass]) -> np.ndarray:
-    """Lookup from outcome class to softmax position (0 = loss or dropped)."""
-    position = np.zeros(len(CLASSES), dtype=np.intp)
-    for i, c in enumerate(modeled):
-        position[int(c)] = i + 1
-    return position
-
-
 def fit_multinomial_ridge(
-    rows: Sequence[SparseRow] | sp.spmatrix,
-    classes: Sequence[OutcomeClass],
+    X: sp.spmatrix,
+    classes: Sequence[OutcomeClass] | np.ndarray,
     lam: float,
     index: PlayerIndex,
     *,
@@ -396,84 +427,40 @@ def fit_multinomial_ridge(
     retained.  ``weights`` multiplies each row's likelihood term
     (default 1).
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    X = _as_matrix(rows, index.n_columns)
-    if X.shape[0] == 0:
-        raise DataError("fit_multinomial_ridge requires at least one row")
-    if len(classes) != X.shape[0]:
-        raise DataError(f"row/target length mismatch: {X.shape[0]} vs {len(classes)}")
-    w = _row_weights(weights, X.shape[0])
-    cls = np.asarray(classes, dtype=np.intp)
-
-    modeled, dropped = _modeled_classes(OutcomeClass(c) for c in np.unique(cls[w > 0]))
-    if dropped:
-        warnings.warn(
-            "classes never observed in training were dropped from the softmax: "
-            + ", ".join(c.label for c in dropped),
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if not modeled:
-        raise DataError("severity fit needs at least one non-loss class in training")
-
-    class_idx = _class_positions(modeled)[cls]
-    n_model = len(modeled) + 1
-    mask = penalty_mask(index)
-
-    theta, grad_sup, iterations = _solve_multinomial(
-        X, class_idx, n_model, lam, mask, theta0, tol, max_iter, w
-    )
-    if grad_sup > tol:
-        raise FitError(
-            f"multinomial fit did not converge: gradient sup-norm {grad_sup:.3e} "
-            f"after {iterations} iterations (tol {tol:.1e})"
-        )
-    obj, _ = multinomial_objective_grad(theta.ravel(), X, class_idx, n_model, lam, mask, w)
-    nll = obj - lam * float(np.sum(mask[None, :] * theta * theta))
-
-    alpha: dict[OutcomeClass, float] = {}
-    delta: dict[OutcomeClass, float] = {}
-    rusher_effects: dict[OutcomeClass, dict[str, float]] = {}
-    blocker_effects: dict[OutcomeClass, dict[str, float]] = {}
-    for i, c in enumerate(modeled):
-        alpha[c] = float(theta[i, 0])
-        delta[c] = float(theta[i, 1])
-        rushers, blockers = _effect_dicts(theta[i], index)
-        rusher_effects[c] = rushers
-        blocker_effects[c] = blockers
-    return MultinomialFit(
-        classes=tuple(modeled),
-        dropped=tuple(dropped),
-        alpha=alpha,
-        delta=delta,
-        rusher_effects=rusher_effects,
-        blocker_effects=blocker_effects,
-        lam=lam,
-        neg_loglik=float(nll),
-        grad_norm=grad_sup,
-        iterations=iterations,
+    return _fit_ridge(
+        X, classes, lam, index, "severity",
+        weights=weights, tol=tol, max_iter=max_iter, theta0=theta0, stacklevel=3,
     )
 
 
-def fit_win_model(
-    table: InteractionTable, lam: float, **kwargs
-) -> BinaryFit:
-    """Convenience wrapper: index + design + binary fit from a table."""
-    idx = build_index(table)
-    X = build_matrix(table, idx)
-    y = [r.win_target for r in table]
-    return fit_binary_ridge(X, y, lam, idx, **kwargs)
+def _cells(coded: CodedTable, weights: np.ndarray, model: str):
+    """Merge rows into (rusher, blocker, double_team, outcome) cells.
+
+    Returns the cells' design, outcomes, summed weights and index; only
+    players with a row of positive weight enter the index.
+    """
+    outcome = coded.win.astype(np.intp) if model == "win" else coded.severity
+    rows, cell_w = aggregate_cells(
+        weights, coded.rusher, coded.blocker, coded.double_team.astype(np.intp), outcome
+    )
+    rushers, rusher_col = np.unique(coded.rusher[rows], return_inverse=True)
+    blockers, blocker_col = np.unique(coded.blocker[rows], return_inverse=True)
+    idx = index_from_ids(
+        [coded.rushers[i] for i in rushers], [coded.blockers[i] for i in blockers]
+    )
+    X = csr_from_codes(
+        2 + rusher_col, 2 + rushers.size + blocker_col, coded.double_team[rows], idx.n_columns
+    )
+    return X, outcome[rows], cell_w, idx
 
 
-def fit_severity_model(
-    table: InteractionTable, lam: float, **kwargs
-) -> MultinomialFit:
-    """Convenience wrapper: index + design + multinomial fit from a table."""
-    idx = build_index(table)
-    X = build_matrix(table, idx)
-    classes = [r.severity for r in table]
-    return fit_multinomial_ridge(X, classes, lam, idx, **kwargs)
+def _fit_cells(coded, weights, model, lam, *, stacklevel, **kwargs):
+    if model not in _MODELS:
+        raise ValueError(f"model must be 'win' or 'severity', got {model!r}")
+    X, outcome, cell_w, idx = _cells(coded, _row_weights(weights, len(coded)), model)
+    return _fit_ridge(
+        X, outcome, lam, idx, model, weights=cell_w, stacklevel=stacklevel + 1, **kwargs
+    )
 
 
 def fit_coded(
@@ -486,26 +473,19 @@ def fit_coded(
     whose rows all have zero weight are left out of the index, so they
     get no effect (rather than the prior mean) in the result.
     """
-    if model not in ("win", "severity"):
-        raise ValueError(f"model must be 'win' or 'severity', got {model!r}")
-    outcome = coded.win.astype(np.intp) if model == "win" else coded.severity
-    rows, cell_w = aggregate_cells(
-        np.asarray(weights, dtype=float), coded.rusher, coded.blocker,
-        coded.double_team.astype(np.intp), outcome,
+    return _fit_cells(coded, weights, model, lam, stacklevel=3, **kwargs)
+
+
+def fit_win_model(table: InteractionTable, lam: float, **kwargs) -> BinaryFit:
+    """Binary fit of every row of a table: ``fit_coded`` with unit weights."""
+    return _fit_cells(table.coded, np.ones(len(table)), "win", lam, stacklevel=3, **kwargs)
+
+
+def fit_severity_model(table: InteractionTable, lam: float, **kwargs) -> MultinomialFit:
+    """Severity fit of every row of a table: ``fit_coded`` with unit weights."""
+    return _fit_cells(
+        table.coded, np.ones(len(table)), "severity", lam, stacklevel=3, **kwargs
     )
-    if rows.size == 0:
-        raise DataError(f"{model} fit requires at least one row of positive weight")
-    rushers, rusher_col = np.unique(coded.rusher[rows], return_inverse=True)
-    blockers, blocker_col = np.unique(coded.blocker[rows], return_inverse=True)
-    idx = index_from_ids(
-        [coded.rushers[i] for i in rushers], [coded.blockers[i] for i in blockers]
-    )
-    X = csr_from_codes(
-        2 + rusher_col, 2 + rushers.size + blocker_col, coded.double_team[rows], idx.n_columns
-    )
-    if model == "win":
-        return fit_binary_ridge(X, coded.win[rows], lam, idx, weights=cell_w, **kwargs)
-    return fit_multinomial_ridge(X, coded.severity[rows], lam, idx, weights=cell_w, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +601,13 @@ def cv_fold_labels(table: InteractionTable, n_folds: int) -> np.ndarray:
 
     Grouping by game keeps plays from one game inside a single fold.
     """
-    games = table.games
-    if len(games) < n_folds:
-        raise DataError(f"need at least {n_folds} games for {n_folds} folds, have {len(games)}")
-    game_fold: dict[str, int] = {}
-    splits = np.array_split(np.arange(len(games)), n_folds)
-    for fold, block in enumerate(splits):
-        for gi in block:
-            game_fold[games[gi]] = fold
-    return np.array([game_fold[r.game_id] for r in table], dtype=np.intp)
+    n_games = len(table.games)
+    if n_games < n_folds:
+        raise DataError(f"need at least {n_folds} games for {n_folds} folds, have {n_games}")
+    game_fold = np.empty(n_games, dtype=np.intp)
+    for fold, block in enumerate(np.array_split(np.arange(n_games), n_folds)):
+        game_fold[block] = fold
+    return game_fold[table.coded.game]
 
 
 def cv_select_lambda(
@@ -645,11 +623,13 @@ def cv_select_lambda(
 
     Fits on each fold's complement (warm-started from large to small
     lambda) and scores held-fold log loss; returns the argmin with ties
-    broken toward stronger shrinkage.
+    broken toward stronger shrinkage.  A fold's training part is the
+    table's weighted cells with weight 0 on the held-out games, so
+    classes it never sees are dropped without a warning.
     """
     from .evaluate import binary_log_loss, multiclass_log_loss
 
-    if target not in ("win", "severity"):
+    if target not in _MODELS:
         raise ValueError(f"target must be 'win' or 'severity', got {target!r}")
     lambdas = np.asarray(DEFAULT_LAMBDA_GRID if grid is None else list(grid), dtype=float)
     if lambdas.size == 0:
@@ -657,58 +637,38 @@ def cv_select_lambda(
     if n_folds < 2:
         raise ValueError(f"need at least 2 folds, got {n_folds}")
 
+    coded = table.coded
     labels = cv_fold_labels(table, n_folds)
     desc = np.sort(lambdas)[::-1]
     fold_losses = np.zeros((n_folds, desc.size))
 
     for fold in range(n_folds):
-        train_rows = [r for r, f in zip(table, labels) if f != fold]
-        held_rows = [r for r, f in zip(table, labels) if f == fold]
-        if not train_rows or not held_rows:
+        in_fold = labels == fold
+        if in_fold.all() or not in_fold.any():
             raise DataError(f"fold {fold} is empty")
-        train_tbl = InteractionTable(train_rows)
-        held_tbl = InteractionTable(held_rows)
-        idx = build_index(train_tbl)
-        X = build_matrix(train_tbl, idx)
-        Xh = build_matrix(held_tbl, idx)
+        X, outcome, cell_w, idx = _cells(coded, (~in_fold).astype(float), target)
+        held = coded.take(in_fold)
+        modeled, dropped, class_idx = _class_coding(target, outcome, cell_w)
+        if not modeled:
+            raise DataError(f"fold {fold}: training split has no non-loss class")
         mask = penalty_mask(idx)
-
-        if target == "win":
-            y = np.array([r.win_target for r in train_rows], dtype=float)
-            yh = np.array([r.win_target for r in held_rows], dtype=float)
-            theta = None
-            for j, lam in enumerate(desc):
-                theta, grad_sup, _ = _solve_binary(X, y, lam, mask, theta, tol, max_iter)
-                if grad_sup > tol:
-                    raise FitError(f"cv fold {fold} failed to converge at lam={lam:g}")
-                fold_losses[fold, j] = binary_log_loss(expit(Xh @ theta), yh)
-        else:
-            classes = [r.severity for r in train_rows]
-            modeled, _ = _modeled_classes(classes)
-            if not modeled:
-                raise DataError(f"fold {fold}: training split has no non-loss class")
-            position = {c: i + 1 for i, c in enumerate(modeled)}
-            class_idx = np.array([position.get(c, 0) for c in classes], dtype=np.intp)
-            n_model = len(modeled) + 1
-            held_classes = [r.severity for r in held_rows]
-            theta = None
-            for j, lam in enumerate(desc):
-                theta, grad_sup, _ = _solve_multinomial(
-                    X, class_idx, n_model, lam, mask, theta, tol, max_iter
+        theta = None
+        for j, lam in enumerate(desc):
+            theta, nll, grad_sup, iterations = _solve(
+                X, class_idx, len(modeled) + 1, lam, mask, theta, tol, max_iter, cell_w
+            )
+            if grad_sup > tol:
+                raise FitError(f"cv fold {fold} failed to converge at lam={lam:g}")
+            fit = _as_fit(
+                target, theta, idx, modeled, dropped,
+                lam=lam, neg_loglik=nll, grad_norm=grad_sup, iterations=iterations,
+            )
+            if target == "win":
+                fold_losses[fold, j] = binary_log_loss(predict_win_probs(fit, held), held.win)
+            else:
+                fold_losses[fold, j] = multiclass_log_loss(
+                    predict_class_prob_matrix(fit, held), held.severity
                 )
-                if grad_sup > tol:
-                    raise FitError(f"cv fold {fold} failed to converge at lam={lam:g}")
-                eta = np.empty((len(held_rows), n_model))
-                eta[:, 0] = 0.0
-                eta[:, 1:] = Xh @ theta.T
-                shift = eta.max(axis=1)
-                exp_eta = np.exp(eta - shift[:, None])
-                probs_model = exp_eta / exp_eta.sum(axis=1)[:, None]
-                probs = np.zeros((len(held_rows), len(CLASSES)))
-                probs[:, int(OutcomeClass.LOSS)] = probs_model[:, 0]
-                for i, c in enumerate(modeled):
-                    probs[:, int(c)] = probs_model[:, i + 1]
-                fold_losses[fold, j] = multiclass_log_loss(probs, held_classes)
 
     mean_desc = fold_losses.mean(axis=0)
     lambda_min = select_lambda_min(desc, mean_desc)

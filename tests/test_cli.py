@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from trenchrank import cli
 from trenchrank.cli import main
 from trenchrank.interactions import read_interactions_csv
 from trenchrank.report import (
@@ -76,7 +77,15 @@ class TestFit:
         assert "cv" not in payload
         assert payload["win"]["lambda"] == 0.5
 
-    def test_cv_payload_traces_grid(self, synth_csv, tmp_path):
+    def test_cv_payload_traces_grid(self, synth_csv, tmp_path, monkeypatch):
+        grids = []
+        real = cli.cv_select_lambda
+
+        def spy(table, target, grid, *args, **kwargs):
+            grids.append(list(grid))
+            return real(table, target, grid, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "cv_select_lambda", spy)
         out = tmp_path / "fits.json"
         code = run(
             [
@@ -93,6 +102,26 @@ class TestFit:
         assert len(trace["mean_losses"]) == 3
         assert trace["lambda_min"] in trace["lambdas"]
         assert payload["win"]["lambda"] == trace["lambda_min"]
+
+        # the same bounds as pipeline config keys give the same grid
+        cfg = {
+            "seed": 3, "stages": "fit", "out_dir": str(tmp_path / "runs"),
+            "interactions": str(synth_csv[0]), "folds": 3,
+            "grid_min": 0.1, "grid_max": 10, "grid_size": 3,
+        }
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert run(["pipeline", "--config", str(tmp_path / "config.json")]) == 0
+        assert len(grids) == 3
+        assert grids[1] == grids[2] == grids[0]
+
+        # bad bounds are usage errors on both surfaces
+        for flags in (["--grid-min", "10", "--grid-max", "0.1"], ["--grid-min", "0"]):
+            code = run(["fit", "--interactions", str(synth_csv[0]),
+                        "--out", str(tmp_path / "bad.json")] + flags)
+            assert code == 1
+        for bad in ({"grid_min": 10, "grid_max": 0.1}, {"grid_min": 0}):
+            (tmp_path / "bad.json").write_text(json.dumps({**cfg, **bad}))
+            assert run(["pipeline", "--config", str(tmp_path / "bad.json")]) == 1
 
     def test_single_model_selection(self, synth_csv, tmp_path):
         out = tmp_path / "sev.json"
@@ -323,6 +352,19 @@ class TestPipeline:
         cfg_path.write_text(json.dumps({"stages": "synth", "out_dir": str(tmp_path / "runs")}))
         assert run(["pipeline", "--config", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [
+            ("stages", {"stages": ["synth", "fit"]}),
+            ("players", {"stages": "synth,path", "players": ["R00"]}),
+        ],
+    )
+    def test_list_for_comma_separated_key_is_usage_error(self, tmp_path, capsys, key, overrides):
+        cfg = self.config(tmp_path, **overrides)
+        assert run(["pipeline", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+
     def test_stage_failure_writes_error_json(self, tmp_path):
         cfg = self.config(tmp_path, lambda_win=-1.0)
         assert run(["pipeline", "--config", str(cfg)]) == 1
@@ -355,8 +397,3 @@ class TestExitCodes:
     def test_bare_invocation_prints_help(self, capsys):
         assert run([]) == 1
         assert "usage" in capsys.readouterr().err.lower()
-
-    def test_threads_must_be_positive(self, synth_csv, tmp_path):
-        code = run(["--threads", "0", "fit", "--interactions", str(synth_csv[0]),
-                    "--lam", "0.5", "--out", str(tmp_path / "f.json")])
-        assert code == 1

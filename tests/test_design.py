@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from trenchrank.design import (
     DOUBLE_TEAM_COL,
@@ -8,15 +9,54 @@ from trenchrank.design import (
     aggregate_cells,
     build_index,
     build_matrix,
-    encode_row,
-    linear_predictor,
     penalty_mask,
-    rows_to_csr,
 )
 from trenchrank.errors import DataError
-from trenchrank.interactions import InteractionTable
+from trenchrank.interactions import Interaction, InteractionTable
 
 from conftest import make_row, random_table
+
+# ---------------------------------------------------------------------------
+# Reference row encoder: one interaction at a time, as (column, value)
+# pairs.  build_matrix is checked against it.
+
+#: One encoded row: (column ordinal, value) pairs for the nonzero entries.
+SparseRow = list[tuple[int, float]]
+
+
+def encode_row(x: Interaction, idx: PlayerIndex) -> SparseRow:
+    """Encode one interaction; players absent from the index get no column."""
+    row: SparseRow = [(INTERCEPT_COL, 1.0)]
+    if x.double_team:
+        row.append((DOUBLE_TEAM_COL, 1.0))
+    rc = idx.rusher_cols.get(x.rusher_id)
+    if rc is not None:
+        row.append((rc, 1.0))
+    bc = idx.blocker_cols.get(x.blocker_id)
+    if bc is not None:
+        row.append((bc, -1.0))
+    return row
+
+
+def rows_to_csr(rows, n_columns: int) -> sp.csr_matrix:
+    """Assemble encoded rows into a CSR matrix."""
+    data: list[float] = []
+    indices: list[int] = []
+    indptr: list[int] = [0]
+    for row in rows:
+        for col, val in row:
+            indices.append(col)
+            data.append(val)
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (np.asarray(data), np.asarray(indices), np.asarray(indptr)),
+        shape=(len(indptr) - 1, n_columns),
+    )
+
+
+def linear_predictor(theta, row: SparseRow) -> float:
+    """Dot product of a parameter vector with one encoded row."""
+    return sum(theta[col] * val for col, val in row)
 
 
 class TestBuildIndex:

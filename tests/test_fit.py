@@ -6,6 +6,7 @@ import pytest
 
 from trenchrank.design import build_index, build_matrix, penalty_mask
 from trenchrank.errors import DataError, FitError
+from trenchrank.evaluate import binary_log_loss, multiclass_log_loss
 from trenchrank.fit import (
     BinaryFit,
     DEFAULT_LAMBDA_GRID,
@@ -341,6 +342,25 @@ class TestMultinomialSolver:
         assert probs[OutcomeClass.HIT] == 0.0
         assert probs[OutcomeClass.SACK] == 0.0
 
+    @pytest.mark.parametrize("entry", ["fit_severity_model", "fit_multinomial_ridge", "fit_coded"])
+    def test_dropped_class_warning_points_at_caller(self, entry):
+        rows = [
+            make_row(idx=i, rusher=f"R{i % 3}", severity=OutcomeClass(i % 2)) for i in range(20)
+        ]
+        t = InteractionTable(rows)
+        idx = build_index(t)
+        fits = {
+            "fit_severity_model": lambda: fit_severity_model(t, 0.1),
+            "fit_multinomial_ridge": lambda: fit_multinomial_ridge(
+                build_matrix(t, idx), [r.severity for r in t], 0.1, idx
+            ),
+            "fit_coded": lambda: fit_coded(t.coded, np.ones(len(t)), "severity", 0.1),
+        }
+        with pytest.warns(RuntimeWarning, match="dropped") as record:
+            fits[entry]()
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
     def test_all_loss_table_rejected(self):
         rows = [make_row(idx=i, severity=OutcomeClass.LOSS) for i in range(8)]
         with pytest.raises(DataError):
@@ -459,6 +479,21 @@ class TestWeightedFits:
             rows = (fit_win_model if model == "win" else fit_severity_model)(t, 0.4)
         _assert_fits_close(cells, rows, 1e-12)
 
+    @pytest.mark.parametrize("model", ["win", "severity"])
+    def test_table_fit_matches_row_design(self, rng, model):
+        # fit_*_model runs on weighted cells; the reference fits one
+        # design row per table row
+        for _ in range(3):
+            t = random_table(rng, n_rows=120, n_rushers=6, n_blockers=5)
+            idx = build_index(t)
+            lam = float(rng.uniform(0.05, 0.5))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                cells = (fit_win_model if model == "win" else fit_severity_model)(t, lam)
+                rows = _fit_rows(model, build_matrix(t, idx), t, lam, idx)
+            _assert_fits_close(cells, rows, 1e-10)
+            assert cells.neg_loglik == pytest.approx(rows.neg_loglik, rel=1e-10)
+
     def test_fit_coded_leaves_zero_weight_players_out(self, rng):
         t = random_table(rng, n_rows=120)
         absent = t.rushers[0]
@@ -551,6 +586,89 @@ class TestLambdaSelection:
         t = random_table(rng)
         with pytest.raises(ValueError):
             cv_select_lambda(t, "margin", [0.1], 2)
+
+
+def reference_cv(table, target, grid, n_folds):
+    """Grouped CV with one InteractionTable, index and row design per fold."""
+    games = table.games
+    fold_of = {}
+    for fold, block in enumerate(np.array_split(np.arange(len(games)), n_folds)):
+        for gi in block:
+            fold_of[games[gi]] = fold
+    desc = sorted(grid, reverse=True)
+    losses = np.zeros((n_folds, len(desc)))
+    for fold in range(n_folds):
+        train = InteractionTable([r for r in table if fold_of[r.game_id] != fold])
+        held = InteractionTable([r for r in table if fold_of[r.game_id] == fold])
+        idx = build_index(train)
+        X, Xh = build_matrix(train, idx), build_matrix(held, idx)
+        theta = None
+        for j, lam in enumerate(desc):
+            if target == "win":
+                fit = fit_binary_ridge(X, [r.win_target for r in train], lam, idx, theta0=theta)
+                theta = _theta_from_binary(fit, idx)
+                probs = 1.0 / (1.0 + np.exp(-(Xh @ theta)))
+                losses[fold, j] = binary_log_loss(probs, [r.win_target for r in held])
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                fit = fit_multinomial_ridge(
+                    X, [r.severity for r in train], lam, idx, theta0=theta
+                )
+            Theta = _theta_from_multinomial(fit, idx)
+            theta = Theta.T
+            eta = np.hstack([np.zeros((len(held), 1)), Xh @ Theta])
+            p = np.exp(eta - eta.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            probs = np.zeros((len(held), len(CLASSES)))
+            probs[:, 0] = p[:, 0]
+            for k, c in enumerate(fit.classes, start=1):
+                probs[:, int(c)] = p[:, k]
+            losses[fold, j] = multiclass_log_loss(probs, [r.severity for r in held])
+    mean = losses.mean(axis=0)
+    return desc[::-1], list(mean[::-1]), select_lambda_min(desc, mean)
+
+
+def cv_fixture(rng):
+    """Six games in three folds.  Fold 0 holds every ``hit`` row, so its
+    training part misses that class; fold 2 holds a rusher and a blocker
+    that appear nowhere else."""
+    rows = []
+    for r in random_table(rng, n_rows=150, n_rushers=6, n_blockers=5, n_games=6):
+        severity = r.severity
+        if severity is OutcomeClass.HIT and r.game_id not in ("g0", "g1"):
+            severity = OutcomeClass.SACK
+        lone = r.game_id == "g5" and r.event_game_index % 4 == 0
+        rows.append(
+            make_row(
+                game=r.game_id, play=r.play_id, idx=r.event_game_index, week=r.week,
+                rusher="RZ" if lone else r.rusher_id, blocker="BZ" if lone else r.blocker_id,
+                double=r.double_team, win=r.win_target, severity=severity,
+            )
+        )
+    return InteractionTable(rows)
+
+
+class TestCvMatchesPerFoldTables:
+    @pytest.mark.parametrize("target", ["win", "severity"])
+    def test_equals_reference(self, rng, target):
+        grid = [0.01, 0.1, 1.0, 5.0]
+        for _ in range(3):
+            t = cv_fixture(rng)
+            labels = cv_fold_labels(t, 3)
+            held_hit = [r.severity is OutcomeClass.HIT for r, f in zip(t, labels) if f == 0]
+            assert any(held_hit)
+            assert not any(r.severity is OutcomeClass.HIT for r, f in zip(t, labels) if f != 0)
+            assert {r.rusher_id for r, f in zip(t, labels) if f == 2} - {
+                r.rusher_id for r, f in zip(t, labels) if f != 2
+            } == {"RZ"}
+            want_lambdas, want_losses, want_min = reference_cv(t, target, grid, 3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # cv drops classes silently
+                got = cv_select_lambda(t, target, grid, 3)
+            assert list(got.lambdas) == want_lambdas
+            assert got.mean_losses == pytest.approx(want_losses, rel=0, abs=1e-9)
+            assert got.lambda_min == want_min
 
 
 class TestSerialization:

@@ -13,19 +13,17 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import bootstrap as boot
 from . import evaluate, report
-from .baselines import DEFAULT_SEVERITY_PRIOR, DEFAULT_WIN_PRIOR
 from .errors import DataError, FitError
-from .external import read_accolades_csv, run_external_eval
+from .external import ACCOLADE_SLICES, read_accolades_csv, run_external_eval
 from .fit import (
     BinaryFit,
     DEFAULT_LAMBDA_GRID,
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     MultinomialFit,
     cv_select_lambda,
     fit_from_json_dict,
@@ -35,6 +33,7 @@ from .fit import (
 )
 from .interactions import (
     INTERACTION_CSV_HEADER,
+    InteractionTable,
     read_interactions_csv,
     summarize,
     write_interactions_csv,
@@ -70,6 +69,17 @@ def _read_json(path) -> dict:
         return json.load(fh)
 
 
+def _pick(src: Mapping, *keys: str, **renamed: str) -> dict:
+    """Keyword arguments from ``src`` (a pipeline config or ``vars(args)``):
+    ``keys`` under their own names, ``renamed`` as argument=source key.
+
+    A key that is missing or None (a flag not given, a JSON null) is left
+    out, so the called function's default applies.
+    """
+    names = {**{key: key for key in keys}, **renamed}
+    return {arg: src[key] for arg, key in names.items() if src.get(key) is not None}
+
+
 def _lambda_grid(lo: float | None, hi: float | None, size: int | None) -> list[float]:
     """The CV grid from ``--grid-*`` flags or ``grid_*`` config keys.
 
@@ -90,25 +100,22 @@ def _add_grid_flags(p) -> None:
     p.add_argument("--grid-min", type=float, default=None, help="smallest lambda in the CV grid")
     p.add_argument("--grid-max", type=float, default=None, help="largest lambda in the CV grid")
     p.add_argument("--grid-size", type=int, default=None, help="number of CV grid points")
-    p.add_argument("--folds", type=int, default=5, help="CV fold count (grouped by game)")
+    p.add_argument("--folds", type=int, help="CV fold count (grouped by game)")
 
 
 def _add_solver_flags(p) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="gradient sup-norm tolerance")
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="solver iteration cap")
+    p.add_argument("--tol", type=float, help="gradient sup-norm tolerance")
+    p.add_argument("--max-iter", type=int, help="solver iteration cap")
 
 
-def _fits_payload(table, lam_win, lam_sev, models, args, cv_traces=None) -> dict:
-    payload: dict = {}
-    if cv_traces:
-        payload["cv"] = cv_traces
-    if "win" in models:
-        fit = fit_win_model(table, lam_win, tol=args.tol, max_iter=args.max_iter)
-        payload["win"] = fit_to_json_dict(fit)
-    if "severity" in models:
-        fit = fit_severity_model(table, lam_sev, tol=args.tol, max_iter=args.max_iter)
-        payload["severity"] = fit_to_json_dict(fit)
-    return payload
+def _solver_options(src: Mapping) -> dict:
+    return _pick(src, "tol", "max_iter")
+
+
+def _cv_options(src: Mapping) -> dict:
+    """The CV grid and fold count, with the solver options."""
+    grid = _lambda_grid(src.get("grid_min"), src.get("grid_max"), src.get("grid_size"))
+    return {"grid": grid, **_pick(src, "tol", "max_iter", n_folds="folds")}
 
 
 def _load_fits(path) -> tuple[BinaryFit | None, MultinomialFit | None]:
@@ -120,50 +127,40 @@ def _load_fits(path) -> tuple[BinaryFit | None, MultinomialFit | None]:
     return win, sev
 
 
+def _out_dir(path) -> Path:
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_table(table: InteractionTable, path) -> None:
+    write_interactions_csv(table, path)
+    report.validate_csv_header(path, INTERACTION_CSV_HEADER)
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Stages.  Each ``_run_<stage>`` runs one stage and writes its files; the
+# subcommand of the same name and ``pipeline`` both call it, passing only
+# the options that were set.
 
 
-def _cmd_ingest(args) -> int:
-    frames = read_tracking_csv(args.tracking)
-    events = read_events_csv(args.events)
-    engagements = read_engagements_csv(args.engagements)
-    schedule = read_schedule_csv(args.schedule)
+def _run_ingest(out, tracking, events, engagements, schedule, **options) -> InteractionTable:
+    """The table built from the raw CSVs; ``options`` go to ``build_interactions``."""
     table = build_interactions(
-        frames,
-        events,
-        engagements,
-        schedule,
-        horizon=args.horizon,
-        tolerance=args.tolerance,
-        min_overlap=args.min_overlap,
+        read_tracking_csv(tracking), read_events_csv(events),
+        read_engagements_csv(engagements), read_schedule_csv(schedule), **options,
     )
-    write_interactions_csv(table, args.out)
-    report.validate_csv_header(args.out, INTERACTION_CSV_HEADER)
-    s = summarize(table)
-    print(
-        f"wrote {args.out}: {s.interactions} interactions, {s.plays} plays, "
-        f"{s.games} games, {s.rushers} rushers, {s.blockers} blockers"
-    )
-    return 0
+    _write_table(table, out)
+    return table
 
 
-def _synth_config_from_args(args) -> SynthConfig:
-    return SynthConfig(
-        n_rushers=args.rushers,
-        n_blockers=args.blockers,
-        n_games=args.games,
-        plays_per_game=args.plays_per_game,
-        interactions_per_play=args.interactions_per_play,
-        n_weeks=args.weeks,
-        sigma_r=args.sigma_r,
-        sigma_b=args.sigma_b,
-        alpha=args.alpha,
-        delta=args.delta,
-        p_double=args.p_double,
-        coupled=args.coupled,
-        seed=args.seed,
-    )
+# synth flag dests and pipeline config keys -> SynthConfig fields, in flag order
+_SYNTH_FIELDS = {
+    "rushers": "n_rushers", "blockers": "n_blockers", "games": "n_games",
+    "plays_per_game": "plays_per_game", "interactions_per_play": "interactions_per_play",
+    "weeks": "n_weeks", "sigma_r": "sigma_r", "sigma_b": "sigma_b", "alpha": "alpha",
+    "delta": "delta", "p_double": "p_double", "coupled": "coupled", "seed": "seed",
+}
 
 
 def _truth_json_dict(truth) -> dict:
@@ -183,62 +180,178 @@ def _truth_json_dict(truth) -> dict:
     }
 
 
+def _run_synth(out, truth_out=None, **settings) -> InteractionTable:
+    """A synthetic table from ``settings`` keyed as ``_SYNTH_FIELDS``, and its truth."""
+    config = SynthConfig(**{_SYNTH_FIELDS[key]: value for key, value in settings.items()})
+    table, truth = synth_generate(config)
+    _write_table(table, out)
+    if truth_out:
+        _write_json(_truth_json_dict(truth), truth_out)
+    return table
+
+
+_FITTERS = {"win": fit_win_model, "severity": fit_severity_model}
+
+
+def _select_lambdas(table, wanted: Mapping[str, float | None], **cv) -> tuple[dict, dict]:
+    """Each model's penalty, a None one selected by game-grouped CV on
+    ``table``, and the CV trace of each selected penalty."""
+    lambdas: dict[str, float] = {}
+    traces: dict[str, dict] = {}
+    for model, lam in wanted.items():
+        if lam is None:
+            result = cv_select_lambda(table, model, **cv)
+            traces[model] = {
+                "lambdas": list(result.lambdas),
+                "mean_losses": list(result.mean_losses),
+                "lambda_min": result.lambda_min,
+            }
+            lam = result.lambda_min
+        lambdas[model] = lam
+    return lambdas, traces
+
+
+def _fit_models(table, lambdas: Mapping[str, float], **solver) -> dict:
+    return {model: _FITTERS[model](table, lam, **solver) for model, lam in lambdas.items()}
+
+
+def _run_fit(table, wanted: Mapping[str, float | None], out, **cv) -> tuple[dict, dict]:
+    """Fit each model of ``wanted`` (model -> penalty, None to select it by
+    CV) and write the fits with the CV traces; returns penalties and fits."""
+    lambdas, traces = _select_lambdas(table, wanted, **cv)
+    fits = _fit_models(table, lambdas, **_solver_options(cv))
+    payload = {"cv": traces} if traces else {}
+    payload.update((model, fit_to_json_dict(fit)) for model, fit in fits.items())
+    _write_json(payload, out)
+    return lambdas, fits
+
+
+def _write_validation(rep: evaluate.ValidationReport, out_dir: Path, ci=None) -> None:
+    report.write_validation_csv(rep.rows, out_dir / "validation.csv", ci)
+    report.validate_csv_header(out_dir / "validation.csv", report.VALIDATION_CSV_HEADER)
+    _write_json(report.validation_to_json_dict(rep, ci), out_dir / "validation.json")
+
+
+def _run_validate(table, out_dir, **options) -> evaluate.ValidationReport:
+    """Ordered holdout validation; ``options`` go to ``run_validation``."""
+    rep = evaluate.run_validation(table, **options)
+    _write_validation(rep, _out_dir(out_dir))
+    return rep
+
+
+def _run_sensitivity(table, out_dir, **options) -> list[evaluate.SensitivityRow]:
+    """The matchup-baseline prior sweep; ``options`` go to
+    ``prior_sensitivity``, with an ``m_grid`` string split on commas."""
+    if isinstance(options.get("m_grid"), str):
+        options["m_grid"] = [float(v) for v in options["m_grid"].split(",") if v]
+    rows = evaluate.prior_sensitivity(table, **options)
+    out_dir = _out_dir(out_dir)
+    report.write_sensitivity_csv(rows, out_dir / "sensitivity.csv")
+    report.validate_csv_header(out_dir / "sensitivity.csv", report.SENSITIVITY_CSV_HEADER)
+    _write_json(report.sensitivity_to_json_dict(rows), out_dir / "sensitivity.json")
+    return rows
+
+
+def _bootstrap_config(mode: str, b: int, models: str = "both", players: str | None = None,
+                      improvements: bool = True, no_ratings: bool = False,
+                      **settings) -> boot.BootstrapConfig:
+    """A config from flag-style settings; the other settings pass through."""
+    chosen = boot.MODEL_NAMES if models == "both" else (models,)
+    return boot.BootstrapConfig(
+        b=b,
+        mode=mode,
+        models=chosen,
+        # holdout improvements compare both models, so a single model skips them
+        track_improvements=improvements and chosen == boot.MODEL_NAMES,
+        track_ratings=not no_ratings,
+        track_players=tuple(players.split(",")) if players else None,
+        **settings,
+    )
+
+
+def _run_bootstrap(table, out_dir, replicates: bool = False, b: int = 1000,
+                   **settings) -> boot.BootstrapSummary:
+    """The end-to-end game bootstrap, with the replicate-level CSV if asked."""
+    summary = boot.end_to_end_bootstrap(table, _bootstrap_config("end_to_end", b, **settings))
+    out_dir = _out_dir(out_dir)
+    _write_json(report.summary_to_json_dict(summary), out_dir / "bootstrap.json")
+    if replicates:
+        report.write_replicates_csv(summary, out_dir / "replicates.csv")
+        report.validate_csv_header(out_dir / "replicates.csv", report.REPLICATES_CSV_HEADER)
+    return summary
+
+
+def _run_path(table, out_dir, b: int = 100, **settings) -> boot.BootstrapSummary:
+    """The weekly cumulative-checkpoint bootstrap (no holdout refits)."""
+    config = _bootstrap_config("weekly_path", b, improvements=False, **settings)
+    summary = boot.weekly_path_bootstrap(table, config)
+    out_dir = _out_dir(out_dir)
+    report.write_weekly_csv(summary, out_dir / "weekly.csv")
+    report.validate_csv_header(out_dir / "weekly.csv", report.WEEKLY_CSV_HEADER)
+    _write_json(report.summary_to_json_dict(summary), out_dir / "path.json")
+    return summary
+
+
+def _run_external(table, win_fit, sev_fit, accolades, out_dir, **options) -> list:
+    """Rank metrics against the accolade labels, one CSV per slice."""
+    rows = run_external_eval(win_fit, sev_fit, table, accolades, **options)
+    out_dir = _out_dir(out_dir)
+    for accolade in ACCOLADE_SLICES:
+        path = out_dir / f"external_{accolade}.csv"
+        report.write_rank_eval_csv([r for r in rows if r.accolade == accolade], path)
+        report.validate_csv_header(path, report.RANK_EVAL_CSV_HEADER)
+    _write_json(report.rank_eval_to_json_dict(rows), out_dir / "external.json")
+    return rows
+
+
+def _run_leaderboard(table, fits: Iterable, out, bands=None, **options) -> list:
+    """Top players of each fit (None entries skipped) in one CSV."""
+    rows = [row for fit in fits if fit is not None
+            for row in report.leaderboard(fit, table, bands=bands, **options)]
+    report.write_leaderboard_csv(rows, out)
+    report.validate_csv_header(out, report.LEADERBOARD_CSV_HEADER)
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Subcommands
+
+
+def _cmd_ingest(args) -> int:
+    table = _run_ingest(
+        args.out, args.tracking, args.events, args.engagements, args.schedule,
+        **_pick(vars(args), "horizon", "tolerance", "min_overlap"),
+    )
+    s = summarize(table)
+    print(
+        f"wrote {args.out}: {s.interactions} interactions, {s.plays} plays, "
+        f"{s.games} games, {s.rushers} rushers, {s.blockers} blockers"
+    )
+    return 0
+
+
 def _cmd_synth(args) -> int:
-    table, truth = synth_generate(_synth_config_from_args(args))
-    write_interactions_csv(table, args.out)
-    report.validate_csv_header(args.out, INTERACTION_CSV_HEADER)
-    if args.truth:
-        _write_json(_truth_json_dict(truth), args.truth)
+    table = _run_synth(args.out, args.truth, **_pick(vars(args), *_SYNTH_FIELDS))
     print(f"wrote {args.out}: {len(table)} interactions (seed {args.seed})")
     return 0
 
 
 def _cmd_fit(args) -> int:
     table = read_interactions_csv(args.interactions)
-    models = ("win", "severity") if args.model == "both" else (args.model,)
-    cv_traces: dict = {}
-    lam_win = lam_sev = args.lam
-    if args.lam is None:
-        grid = _lambda_grid(args.grid_min, args.grid_max, args.grid_size)
-        for m in models:
-            cv = cv_select_lambda(
-                table, m, grid, args.folds, tol=args.tol, max_iter=args.max_iter
-            )
-            cv_traces[m] = {
-                "lambdas": list(cv.lambdas),
-                "mean_losses": list(cv.mean_losses),
-                "lambda_min": cv.lambda_min,
-            }
-            if m == "win":
-                lam_win = cv.lambda_min
-            else:
-                lam_sev = cv.lambda_min
-    payload = _fits_payload(table, lam_win, lam_sev, models, args, cv_traces)
-    _write_json(payload, args.out)
-    for m in models:
-        print(f"{m}: lambda={payload[m]['lambda']:g} nll={payload[m]['neg_loglik']:.4f}")
+    models = boot.MODEL_NAMES if args.model == "both" else (args.model,)
+    _, fits = _run_fit(table, dict.fromkeys(models, args.lam), args.out, **_cv_options(vars(args)))
+    for model, fit in fits.items():
+        print(f"{model}: lambda={fit.lam:g} nll={fit.neg_loglik:.4f}")
     return 0
 
 
 def _cmd_validate(args) -> int:
     table = read_interactions_csv(args.interactions)
-    rep = evaluate.run_validation(
-        table,
-        lambda_win=args.lambda_win,
-        lambda_sev=args.lambda_sev,
-        m_win=args.m_win,
-        m_sev=args.m_sev,
-        ratio=args.ratio,
-        grid=_lambda_grid(args.grid_min, args.grid_max, args.grid_size),
-        n_folds=args.folds,
-        tol=args.tol,
-        max_iter=args.max_iter,
+    rep = _run_validate(
+        table, args.out_dir,
+        **_pick(vars(args), "lambda_win", "lambda_sev", "m_win", "m_sev", "ratio"),
+        **_cv_options(vars(args)),
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_validation_csv(rep.rows, out_dir / "validation.csv")
-    report.validate_csv_header(out_dir / "validation.csv", report.VALIDATION_CSV_HEADER)
-    _write_json(report.validation_to_json_dict(rep), out_dir / "validation.json")
     print(f"lambda_win={rep.lambda_win:g} lambda_sev={rep.lambda_sev:g} "
           f"(train {rep.n_train} / test {rep.n_test})")
     for row in rep.rows:
@@ -251,61 +364,23 @@ def _cmd_validate(args) -> int:
 
 def _cmd_sensitivity(args) -> int:
     table = read_interactions_csv(args.interactions)
-    m_grid = [float(v) for v in args.m_grid.split(",") if v]
-    rows = evaluate.prior_sensitivity(
-        table,
-        m_grid,
-        lambda_win=args.lambda_win,
-        lambda_sev=args.lambda_sev,
-        ratio=args.ratio,
-        grid=_lambda_grid(args.grid_min, args.grid_max, args.grid_size),
-        n_folds=args.folds,
-        tol=args.tol,
-        max_iter=args.max_iter,
+    rows = _run_sensitivity(
+        table, args.out_dir,
+        **_pick(vars(args), "m_grid", "lambda_win", "lambda_sev", "ratio"),
+        **_cv_options(vars(args)),
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_sensitivity_csv(rows, out_dir / "sensitivity.csv")
-    report.validate_csv_header(out_dir / "sensitivity.csv", report.SENSITIVITY_CSV_HEADER)
-    _write_json(report.sensitivity_to_json_dict(rows), out_dir / "sensitivity.json")
     for row in rows:
         print(f"{row.task} m={row.m:g}: improvement={row.improvement:+.4f}")
     return 0
 
 
-def _bootstrap_config(args, mode: str) -> boot.BootstrapConfig:
-    models = ("win", "severity") if args.models == "both" else (args.models,)
-    players = tuple(args.players.split(",")) if args.players else None
-    return boot.BootstrapConfig(
-        b=args.b,
-        seed=args.seed,
-        lambda_win=args.lambda_win,
-        lambda_sev=args.lambda_sev,
-        mode=mode,
-        ratio=getattr(args, "ratio", evaluate.DEFAULT_SPLIT_RATIO),
-        m_win=getattr(args, "m_win", DEFAULT_WIN_PRIOR),
-        m_sev=getattr(args, "m_sev", DEFAULT_SEVERITY_PRIOR),
-        models=models,
-        # holdout improvements compare both models, so a single model skips them
-        track_improvements=getattr(args, "improvements", False) and models == boot.MODEL_NAMES,
-        track_ratings=not getattr(args, "no_ratings", False),
-        track_players=players,
-        identity_resample=args.identity_resample,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
-
-
 def _cmd_bootstrap(args) -> int:
     table = read_interactions_csv(args.interactions)
-    config = _bootstrap_config(args, "end_to_end")
-    summary = boot.end_to_end_bootstrap(table, config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(report.summary_to_json_dict(summary), out_dir / "bootstrap.json")
-    if args.replicates:
-        report.write_replicates_csv(summary, out_dir / "replicates.csv")
-        report.validate_csv_header(out_dir / "replicates.csv", report.REPLICATES_CSV_HEADER)
+    summary = _run_bootstrap(table, args.out_dir, **_pick(
+        vars(args), "replicates", "b", "seed", "lambda_win", "lambda_sev", "ratio",
+        "m_win", "m_sev", "models", "improvements", "no_ratings", "players",
+        "identity_resample", "tol", "max_iter",
+    ))
     print(f"B={summary.b} replicates, {summary.n_failed} failed")
     for key, series in sorted(summary.improvements.items()):
         print(f"improvement {key[0]}/{key[1]}: mean={series.mean:+.4f} "
@@ -315,13 +390,10 @@ def _cmd_bootstrap(args) -> int:
 
 def _cmd_path(args) -> int:
     table = read_interactions_csv(args.interactions)
-    config = _bootstrap_config(args, "weekly_path")
-    summary = boot.weekly_path_bootstrap(table, config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_weekly_csv(summary, out_dir / "weekly.csv")
-    report.validate_csv_header(out_dir / "weekly.csv", report.WEEKLY_CSV_HEADER)
-    _write_json(report.summary_to_json_dict(summary), out_dir / "path.json")
+    summary = _run_path(table, args.out_dir, **_pick(
+        vars(args), "b", "seed", "lambda_win", "lambda_sev", "models", "players",
+        "identity_resample", "tol", "max_iter",
+    ))
     print(f"checkpoints: {list(summary.checkpoints)} ({summary.n_failed} failed fits)")
     return 0
 
@@ -332,15 +404,9 @@ def _cmd_external(args) -> int:
     if win_fit is None or sev_fit is None:
         raise DataError(f"{args.fit}: external evaluation needs both model fits")
     accolades = read_accolades_csv(args.accolades)
-    rows = run_external_eval(win_fit, sev_fit, table, accolades, min_n=args.min_n)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for accolade in ("first", "first_second"):
-        sliced = [r for r in rows if r.accolade == accolade]
-        path = out_dir / f"external_{accolade}.csv"
-        report.write_rank_eval_csv(sliced, path)
-        report.validate_csv_header(path, report.RANK_EVAL_CSV_HEADER)
-    _write_json(report.rank_eval_to_json_dict(rows), out_dir / "external.json")
+    rows = _run_external(
+        table, win_fit, sev_fit, accolades, args.out_dir, **_pick(vars(args), "min_n")
+    )
     for row in rows:
         print(f"{row.accolade} {row.task}/{row.role}: auc={row.auc:.3f} "
               f"(base {row.base_auc:.3f}) enrich={row.enrichment:.2f}")
@@ -359,14 +425,9 @@ def _bands_from_summary_json(path) -> dict[tuple[str, str, str], tuple[float, fl
 
 def _cmd_leaderboard(args) -> int:
     table = read_interactions_csv(args.interactions)
-    win_fit, sev_fit = _load_fits(args.fit)
+    fits = _load_fits(args.fit)
     bands = _bands_from_summary_json(args.bands) if args.bands else None
-    rows = []
-    for fit in (win_fit, sev_fit):
-        if fit is not None:
-            rows.extend(report.leaderboard(fit, table, args.min_n, args.top, bands))
-    report.write_leaderboard_csv(rows, args.out)
-    report.validate_csv_header(args.out, report.LEADERBOARD_CSV_HEADER)
+    rows = _run_leaderboard(table, fits, args.out, bands, **_pick(vars(args), "min_n", "top"))
     for row in rows:
         band = f" [{row.lo:.3f}, {row.hi:.3f}]" if row.lo is not None else ""
         print(f"{row.model}/{row.role} {row.player_id}: {row.rating:+.3f} (n={row.n}){band}")
@@ -387,10 +448,7 @@ _PIPELINE_KEYS = {
     "b_end_to_end", "b_weekly", "replicates", "identity_resample",
     "accolades", "min_n_external", "min_n_leaderboard", "top", "players",
 }
-_PIPELINE_STAGES = (
-    "ingest", "synth", "fit", "validate", "sensitivity",
-    "bootstrap", "path", "external", "leaderboard",
-)
+_RAW_KEYS = ("tracking", "events", "engagements", "schedule")
 
 
 def _config_str(cfg: dict, key: str, default: str | None = None) -> str | None:
@@ -409,249 +467,181 @@ def _config_str(cfg: dict, key: str, default: str | None = None) -> str | None:
     return value
 
 
-def _resolve_table(cfg: dict, stages: list[str], run_dir: Path):
-    truth = None
-    if "interactions" in cfg:
-        table = read_interactions_csv(cfg["interactions"])
-    elif "ingest" in stages:
-        for key in ("tracking", "events", "engagements", "schedule"):
-            if key not in cfg:
-                raise DataError(f"ingest stage requires config key {key!r}")
-        table = build_interactions(
-            read_tracking_csv(cfg["tracking"]),
-            read_events_csv(cfg["events"]),
-            read_engagements_csv(cfg["engagements"]),
-            read_schedule_csv(cfg["schedule"]),
+class _PipelineRun:
+    """A checked pipeline config and the values its stages share.
+
+    The constructor raises every config error, before any stage runs.
+    Each stage method maps config keys onto its ``_run_*`` call.  The
+    full-data penalties and fits are computed once, on first use.
+    """
+
+    def __init__(self, cfg: dict):
+        unknown = sorted(set(cfg) - _PIPELINE_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
+        if "seed" not in cfg:
+            raise ValueError("config must set an explicit 'seed'")
+        stages = _config_str(cfg, "stages", "validate").split(",")
+        self.stages = [s.strip() for s in stages if s.strip()]
+        bad = [s for s in self.stages if s not in _STAGES]
+        if bad:
+            raise ValueError(f"unknown stages: {bad} (choose from {tuple(_STAGES)})")
+        _config_str(cfg, "players")
+        self.cv = _cv_options(cfg)
+
+        self.given_table = cfg.get("interactions") is not None
+        sources = [s for s in ("ingest", "synth") if s in self.stages]
+        if self.given_table and sources:
+            raise ValueError(
+                f"config key 'interactions' conflicts with the {sources[0]!r} stage: "
+                "give an input table or a stage that builds one, not both"
+            )
+        if len(sources) > 1:
+            raise ValueError(
+                "stages 'ingest' and 'synth' both build the interaction table; list one"
+            )
+        if not self.given_table and not sources:
+            raise DataError(
+                "config needs an 'interactions' path, or an 'ingest' or 'synth' stage"
+            )
+        for name, (requires, _) in _STAGES.items():
+            for key, what in requires.items():
+                if name in self.stages and cfg.get(key) is None:
+                    raise DataError(f"{name} stage requires {what}")
+
+        self.cfg = cfg
+        self.wanted = {"win": cfg.get("lambda_win"), "severity": cfg.get("lambda_sev")}
+        self.dir: Path | None = None
+        self.table: InteractionTable | None = None
+        self.lambdas: dict | None = None
+        self.fits: dict | None = None
+        self.validation: evaluate.ValidationReport | None = None
+        self.summary: boot.BootstrapSummary | None = None
+
+    def full_lambdas(self) -> dict:
+        # the bootstrap penalty is fixed from full-data CV, unlike
+        # validation's train-only selection
+        if self.lambdas is None:
+            self.lambdas, _ = _select_lambdas(self.table, self.wanted, **self.cv)
+        return self.lambdas
+
+    def full_fits(self) -> dict:
+        if self.fits is None:
+            self.fits = _fit_models(self.table, self.full_lambdas(), **_solver_options(self.cv))
+        return self.fits
+
+    def ingest(self) -> None:
+        self.table = _run_ingest(self.dir / "interactions.csv", **_pick(self.cfg, *_RAW_KEYS))
+
+    def synth(self) -> None:
+        self.table = _run_synth(
+            self.dir / "interactions.csv", self.dir / "truth.json",
+            **_pick(self.cfg, *_SYNTH_FIELDS),
         )
-    elif "synth" in stages:
-        synth_cfg = SynthConfig(
-            n_rushers=cfg.get("rushers", 60),
-            n_blockers=cfg.get("blockers", 40),
-            n_games=cfg.get("games", 30),
-            plays_per_game=cfg.get("plays_per_game", 20),
-            interactions_per_play=cfg.get("interactions_per_play", 5),
-            n_weeks=cfg.get("weeks", 18),
-            sigma_r=cfg.get("sigma_r", 0.5),
-            sigma_b=cfg.get("sigma_b", 0.5),
-            alpha=cfg.get("alpha", math.log(0.27 / 0.73)),
-            delta=cfg.get("delta", -0.5),
-            p_double=cfg.get("p_double", 0.427),
-            coupled=cfg.get("coupled", False),
-            seed=cfg["seed"],
+
+    def fit(self) -> None:
+        self.lambdas, self.fits = _run_fit(
+            self.table, self.wanted, self.dir / "fits.json", **self.cv
         )
-        table, truth = synth_generate(synth_cfg)
-        _write_json(_truth_json_dict(truth), run_dir / "truth.json")
-    else:
-        raise DataError(
-            "config needs an 'interactions' path, or an 'ingest' or 'synth' stage"
+
+    def validate(self) -> None:
+        self.validation = _run_validate(
+            self.table, self.dir,
+            **_pick(self.cfg, "lambda_win", "lambda_sev", "m_win", "m_sev", "ratio"),
+            **self.cv,
         )
-    write_interactions_csv(table, run_dir / "interactions.csv")
-    report.validate_csv_header(run_dir / "interactions.csv", INTERACTION_CSV_HEADER)
-    return table, truth
+
+    def sensitivity(self) -> None:
+        _run_sensitivity(
+            self.table, self.dir,
+            **_pick(self.cfg, "m_grid", "lambda_win", "lambda_sev", "ratio"),
+            **self.cv,
+        )
+
+    def bootstrap(self) -> None:
+        lambdas = self.full_lambdas()
+        self.summary = _run_bootstrap(
+            self.table, self.dir,
+            lambda_win=lambdas["win"], lambda_sev=lambdas["severity"],
+            **_pick(self.cfg, "replicates", "seed", "ratio", "m_win", "m_sev",
+                    "identity_resample", "tol", "max_iter", b="b_end_to_end"),
+        )
+        if self.validation is not None:
+            # the holdout rows gain the bootstrap's improvement intervals
+            ci = {key: (s.lo, s.hi) for key, s in self.summary.improvements.items()}
+            _write_validation(self.validation, self.dir, ci)
+
+    def path(self) -> None:
+        lambdas = self.full_lambdas()
+        _run_path(
+            self.table, self.dir,
+            lambda_win=lambdas["win"], lambda_sev=lambdas["severity"],
+            **_pick(self.cfg, "seed", "players", "identity_resample", "tol", "max_iter",
+                    b="b_weekly"),
+        )
+
+    def external(self) -> None:
+        accolades = read_accolades_csv(self.cfg["accolades"])
+        fits = self.full_fits()
+        _run_external(
+            self.table, fits["win"], fits["severity"], accolades, self.dir,
+            **_pick(self.cfg, min_n="min_n_external"),
+        )
+
+    def leaderboard(self) -> None:
+        bands = report.bands_from_summary(self.summary) if self.summary is not None else None
+        _run_leaderboard(
+            self.table, self.full_fits().values(), self.dir / "leaderboard.csv", bands,
+            **_pick(self.cfg, "top", min_n="min_n_leaderboard"),
+        )
+
+
+# Stages in run order: name -> (required config keys, each mapped to how
+# an error names it when missing; the stage's pipeline call).
+_STAGES = {
+    "ingest": ({key: f"config key {key!r}" for key in _RAW_KEYS}, _PipelineRun.ingest),
+    "synth": ({}, _PipelineRun.synth),
+    "fit": ({}, _PipelineRun.fit),
+    "validate": ({}, _PipelineRun.validate),
+    "sensitivity": ({}, _PipelineRun.sensitivity),
+    "bootstrap": ({}, _PipelineRun.bootstrap),
+    "path": ({}, _PipelineRun.path),
+    "external": ({"accolades": "an 'accolades' CSV path in config"}, _PipelineRun.external),
+    "leaderboard": ({}, _PipelineRun.leaderboard),
+}
 
 
 def _cmd_pipeline(args) -> int:
     cfg = _read_json(args.config)
-    unknown = sorted(set(cfg) - _PIPELINE_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {unknown}")
-    if "seed" not in cfg:
-        raise ValueError("config must set an explicit 'seed'")
-    stages = [s.strip() for s in _config_str(cfg, "stages", "validate").split(",") if s.strip()]
-    bad = [s for s in stages if s not in _PIPELINE_STAGES]
-    if bad:
-        raise ValueError(f"unknown stages: {bad} (choose from {_PIPELINE_STAGES})")
+    run = _PipelineRun(cfg)
 
     base = Path(cfg.get("out_dir", "runs"))
     stamp = time.strftime("%Y%m%d_%H%M%S")
-    run_dir = base / f"run_{stamp}"
+    run.dir = base / f"run_{stamp}"
     n = 2
-    while run_dir.exists():
-        run_dir = base / f"run_{stamp}-{n}"
+    while run.dir.exists():
+        run.dir = base / f"run_{stamp}-{n}"
         n += 1
-    run_dir.mkdir(parents=True)
-    _write_json(cfg, run_dir / "config_resolved.json")
-    print(f"run directory: {run_dir}")
-
-    tol = cfg.get("tol", DEFAULT_TOL)
-    max_iter = cfg.get("max_iter", DEFAULT_MAX_ITER)
-    grid = _lambda_grid(cfg.get("grid_min"), cfg.get("grid_max"), cfg.get("grid_size"))
-    folds = cfg.get("folds", 5)
+    run.dir.mkdir(parents=True)
+    _write_json(cfg, run.dir / "config_resolved.json")
+    print(f"run directory: {run.dir}")
 
     stage = "resolve-input"
     try:
-        table, _truth = _resolve_table(cfg, stages, run_dir)
-
-        lam_win = cfg.get("lambda_win")
-        lam_sev = cfg.get("lambda_sev")
-
-        def full_data_lambdas():
-            # the bootstrap penalty is fixed from full-data CV, unlike
-            # validation's train-only selection
-            nonlocal lam_win, lam_sev
-            if lam_win is None:
-                lam_win = cv_select_lambda(
-                    table, "win", grid, folds, tol=tol, max_iter=max_iter
-                ).lambda_min
-            if lam_sev is None:
-                lam_sev = cv_select_lambda(
-                    table, "severity", grid, folds, tol=tol, max_iter=max_iter
-                ).lambda_min
-            return lam_win, lam_sev
-
-        fits: dict[str, BinaryFit | MultinomialFit] = {}
-
-        def full_fits():
-            if not fits:
-                lw, ls = full_data_lambdas()
-                fits["win"] = fit_win_model(table, lw, tol=tol, max_iter=max_iter)
-                fits["severity"] = fit_severity_model(table, ls, tol=tol, max_iter=max_iter)
-            return fits["win"], fits["severity"]
-
-        validation_report = None
-        summary = None
-
-        if "fit" in stages:
-            stage = "fit"
-            wf, sf = full_fits()
-            _write_json(
-                {"win": fit_to_json_dict(wf), "severity": fit_to_json_dict(sf)},
-                run_dir / "fits.json",
-            )
-
-        if "validate" in stages:
-            stage = "validate"
-            validation_report = evaluate.run_validation(
-                table,
-                lambda_win=cfg.get("lambda_win"),
-                lambda_sev=cfg.get("lambda_sev"),
-                m_win=cfg.get("m_win", DEFAULT_WIN_PRIOR),
-                m_sev=cfg.get("m_sev", DEFAULT_SEVERITY_PRIOR),
-                ratio=cfg.get("ratio", evaluate.DEFAULT_SPLIT_RATIO),
-                grid=grid,
-                n_folds=folds,
-                tol=tol,
-                max_iter=max_iter,
-            )
-            report.write_validation_csv(validation_report.rows, run_dir / "validation.csv")
-            report.validate_csv_header(run_dir / "validation.csv", report.VALIDATION_CSV_HEADER)
-            _write_json(
-                report.validation_to_json_dict(validation_report),
-                run_dir / "validation.json",
-            )
-
-        if "sensitivity" in stages:
-            stage = "sensitivity"
-            m_grid = cfg.get("m_grid", list(evaluate.SENSITIVITY_PRIOR_GRID))
-            if isinstance(m_grid, str):
-                m_grid = [float(v) for v in m_grid.split(",") if v]
-            rows = evaluate.prior_sensitivity(
-                table,
-                m_grid,
-                lambda_win=cfg.get("lambda_win"),
-                lambda_sev=cfg.get("lambda_sev"),
-                ratio=cfg.get("ratio", evaluate.DEFAULT_SPLIT_RATIO),
-                grid=grid,
-                n_folds=folds,
-                tol=tol,
-                max_iter=max_iter,
-            )
-            report.write_sensitivity_csv(rows, run_dir / "sensitivity.csv")
-            report.validate_csv_header(run_dir / "sensitivity.csv", report.SENSITIVITY_CSV_HEADER)
-            _write_json(report.sensitivity_to_json_dict(rows), run_dir / "sensitivity.json")
-
-        if "bootstrap" in stages:
-            stage = "bootstrap"
-            lw, ls = full_data_lambdas()
-            config = boot.BootstrapConfig(
-                b=cfg.get("b_end_to_end", 1000),
-                seed=cfg["seed"],
-                lambda_win=lw,
-                lambda_sev=ls,
-                mode="end_to_end",
-                ratio=cfg.get("ratio", evaluate.DEFAULT_SPLIT_RATIO),
-                m_win=cfg.get("m_win", DEFAULT_WIN_PRIOR),
-                m_sev=cfg.get("m_sev", DEFAULT_SEVERITY_PRIOR),
-                identity_resample=cfg.get("identity_resample", False),
-                tol=tol,
-                max_iter=max_iter,
-            )
-            summary = boot.end_to_end_bootstrap(table, config)
-            _write_json(report.summary_to_json_dict(summary), run_dir / "bootstrap.json")
-            if cfg.get("replicates", False):
-                report.write_replicates_csv(summary, run_dir / "replicates.csv")
-                report.validate_csv_header(run_dir / "replicates.csv", report.REPLICATES_CSV_HEADER)
-            if validation_report is not None:
-                ci = {key: (s.lo, s.hi) for key, s in summary.improvements.items()}
-                report.write_validation_csv(
-                    validation_report.rows, run_dir / "validation.csv", ci
-                )
-                _write_json(
-                    report.validation_to_json_dict(validation_report, ci),
-                    run_dir / "validation.json",
-                )
-
-        if "path" in stages:
-            stage = "path"
-            lw, ls = full_data_lambdas()
-            players = _config_str(cfg, "players")
-            config = boot.BootstrapConfig(
-                b=cfg.get("b_weekly", 100),
-                seed=cfg["seed"],
-                lambda_win=lw,
-                lambda_sev=ls,
-                mode="weekly_path",
-                track_improvements=False,
-                track_players=tuple(players.split(",")) if players else None,
-                identity_resample=cfg.get("identity_resample", False),
-                tol=tol,
-                max_iter=max_iter,
-            )
-            weekly = boot.weekly_path_bootstrap(table, config)
-            report.write_weekly_csv(weekly, run_dir / "weekly.csv")
-            report.validate_csv_header(run_dir / "weekly.csv", report.WEEKLY_CSV_HEADER)
-            _write_json(report.summary_to_json_dict(weekly), run_dir / "path.json")
-
-        if "external" in stages:
-            stage = "external"
-            if "accolades" not in cfg:
-                raise DataError("external stage requires an 'accolades' CSV path in config")
-            accolades = read_accolades_csv(cfg["accolades"])
-            wf, sf = full_fits()
-            rows = run_external_eval(
-                wf, sf, table, accolades, min_n=cfg.get("min_n_external", 0)
-            )
-            for accolade in ("first", "first_second"):
-                sliced = [r for r in rows if r.accolade == accolade]
-                path = run_dir / f"external_{accolade}.csv"
-                report.write_rank_eval_csv(sliced, path)
-                report.validate_csv_header(path, report.RANK_EVAL_CSV_HEADER)
-            _write_json(report.rank_eval_to_json_dict(rows), run_dir / "external.json")
-
-        if "leaderboard" in stages:
-            stage = "leaderboard"
-            wf, sf = full_fits()
-            bands = report.bands_from_summary(summary) if summary is not None else None
-            rows = []
-            for fit in (wf, sf):
-                rows.extend(
-                    report.leaderboard(
-                        fit,
-                        table,
-                        cfg.get("min_n_leaderboard", report.DEFAULT_MIN_INTERACTIONS),
-                        cfg.get("top", report.DEFAULT_TOP),
-                        bands,
-                    )
-                )
-            report.write_leaderboard_csv(rows, run_dir / "leaderboard.csv")
-            report.validate_csv_header(run_dir / "leaderboard.csv", report.LEADERBOARD_CSV_HEADER)
+        if run.given_table:
+            run.table = read_interactions_csv(cfg["interactions"])
+            _write_table(run.table, run.dir / "interactions.csv")
+        for name, (_, call) in _STAGES.items():
+            if name in run.stages:
+                stage = name
+                call(run)
     except Exception as exc:
         _write_json(
             {"stage": stage, "error": type(exc).__name__, "message": str(exc)},
-            run_dir / "error.json",
+            run.dir / "error.json",
         )
         raise
-    print(f"completed stages: {', '.join(stages)}")
+    print(f"completed stages: {', '.join(run.stages)}")
     return 0
 
 
@@ -669,28 +659,21 @@ def build_parser() -> _Parser:
     p.add_argument("--engagements", required=True)
     p.add_argument("--schedule", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--horizon", type=int, default=25, help="win-rule horizon in frames")
-    p.add_argument("--tolerance", type=float, default=0.0, help="win-rule distance margin")
-    p.add_argument("--min-overlap", type=int, default=1, help="double-team overlap frames")
+    p.add_argument("--horizon", type=int, help="win-rule horizon in frames")
+    p.add_argument("--tolerance", type=float, help="win-rule distance margin")
+    p.add_argument("--min-overlap", type=int, help="double-team overlap frames")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("synth", help="generate synthetic interactions with known truth")
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None, help="also write ground-truth JSON here")
-    p.add_argument("--rushers", type=int, default=60)
-    p.add_argument("--blockers", type=int, default=40)
-    p.add_argument("--games", type=int, default=30)
-    p.add_argument("--plays-per-game", type=int, default=20)
-    p.add_argument("--interactions-per-play", type=int, default=5)
-    p.add_argument("--weeks", type=int, default=18)
-    p.add_argument("--sigma-r", type=float, default=0.5)
-    p.add_argument("--sigma-b", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=math.log(0.27 / 0.73))
-    p.add_argument("--delta", type=float, default=-0.5)
-    p.add_argument("--p-double", type=float, default=0.427)
-    p.add_argument("--coupled", action="store_true",
-                   help="derive win_target from the drawn outcome class")
-    p.add_argument("--seed", type=int, default=0)
+    for key, name in _SYNTH_FIELDS.items():
+        flag, default = "--" + key.replace("_", "-"), getattr(SynthConfig, name)
+        if isinstance(default, bool):
+            p.add_argument(flag, action="store_true",
+                           help="derive win_target from the drawn outcome class")
+        else:
+            p.add_argument(flag, type=type(default), default=default)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit models at a fixed or CV-selected penalty")
@@ -707,9 +690,9 @@ def build_parser() -> _Parser:
     p.add_argument("--interactions", required=True)
     p.add_argument("--lambda-win", type=float, default=None)
     p.add_argument("--lambda-sev", type=float, default=None)
-    p.add_argument("--m-win", type=float, default=DEFAULT_WIN_PRIOR)
-    p.add_argument("--m-sev", type=float, default=DEFAULT_SEVERITY_PRIOR)
-    p.add_argument("--ratio", type=float, default=evaluate.DEFAULT_SPLIT_RATIO)
+    p.add_argument("--m-win", type=float)
+    p.add_argument("--m-sev", type=float)
+    p.add_argument("--ratio", type=float)
     _add_grid_flags(p)
     _add_solver_flags(p)
     p.add_argument("--out-dir", required=True)
@@ -717,10 +700,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sensitivity", help="matchup-baseline prior-strength sweep")
     p.add_argument("--interactions", required=True)
-    p.add_argument("--m-grid", default="10,25,50,100")
+    p.add_argument("--m-grid")
     p.add_argument("--lambda-win", type=float, default=None)
     p.add_argument("--lambda-sev", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=evaluate.DEFAULT_SPLIT_RATIO)
+    p.add_argument("--ratio", type=float)
     _add_grid_flags(p)
     _add_solver_flags(p)
     p.add_argument("--out-dir", required=True)
@@ -728,14 +711,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bootstrap", help="end-to-end game bootstrap at fixed penalties")
     p.add_argument("--interactions", required=True)
-    p.add_argument("--b", type=int, default=1000)
+    p.add_argument("--b", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda-win", type=float, required=True)
     p.add_argument("--lambda-sev", type=float, required=True)
-    p.add_argument("--ratio", type=float, default=evaluate.DEFAULT_SPLIT_RATIO)
-    p.add_argument("--m-win", type=float, default=DEFAULT_WIN_PRIOR)
-    p.add_argument("--m-sev", type=float, default=DEFAULT_SEVERITY_PRIOR)
-    p.add_argument("--models", choices=("both", "win", "severity"), default="both")
+    p.add_argument("--ratio", type=float)
+    p.add_argument("--m-win", type=float)
+    p.add_argument("--m-sev", type=float)
+    p.add_argument("--models", choices=("both", "win", "severity"))
     p.add_argument("--no-improvements", dest="improvements", action="store_false",
                    help="skip the per-replicate holdout refits; they run only when "
                         "--models is both (the default)")
@@ -751,31 +734,30 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("path", help="weekly cumulative-checkpoint bootstrap bands")
     p.add_argument("--interactions", required=True)
-    p.add_argument("--b", type=int, default=100)
+    p.add_argument("--b", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda-win", type=float, required=True)
     p.add_argument("--lambda-sev", type=float, required=True)
-    p.add_argument("--models", choices=("both", "win", "severity"), default="both")
+    p.add_argument("--models", choices=("both", "win", "severity"))
     p.add_argument("--players", default=None, help="comma-separated players to track")
     p.add_argument("--identity-resample", action="store_true")
     _add_solver_flags(p)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_path, improvements=False, no_ratings=False)
+    p.set_defaults(func=_cmd_path)
 
     p = sub.add_parser("external", help="rank validation against accolade labels")
     p.add_argument("--interactions", required=True)
     p.add_argument("--fit", required=True, help="fit JSON with both models")
     p.add_argument("--accolades", required=True)
-    p.add_argument("--min-n", type=int, default=0,
-                   help="minimum interactions for slice membership")
+    p.add_argument("--min-n", type=int, help="minimum interactions for slice membership")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_external)
 
     p = sub.add_parser("leaderboard", help="top players by fitted rating")
     p.add_argument("--interactions", required=True)
     p.add_argument("--fit", required=True, help="fit JSON from the fit subcommand")
-    p.add_argument("--min-n", type=int, default=report.DEFAULT_MIN_INTERACTIONS)
-    p.add_argument("--top", type=int, default=report.DEFAULT_TOP)
+    p.add_argument("--min-n", type=int)
+    p.add_argument("--top", type=int)
     p.add_argument("--bands", default=None, help="bootstrap.json with rating bands")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_leaderboard)
@@ -793,7 +775,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not getattr(args, "func", None):
+    if args.command is None:
         parser.print_help(sys.stderr)
         return 1
     try:

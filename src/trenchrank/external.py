@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DataError
 from .fit import BinaryFit, MultinomialFit
 from .interactions import (
+    CLASSES,
     InteractionTable,
     OutcomeClass,
     SeverityWeights,
@@ -118,6 +119,24 @@ def enrichment_at_k(
     return (hits * n) / (k * n_pos)
 
 
+def role_sums(
+    table: InteractionTable, role: str, values: np.ndarray | None = None
+) -> dict[str, int] | dict[str, float]:
+    """Each player's row count in ``role``, or with ``values`` (one per
+    row) their per-player sum, keyed by player id.
+
+    ``np.bincount`` adds the values in row order, so a sum has the bits
+    of a sequential loop over the rows.
+    """
+    if role not in ROLES:
+        raise ValueError(f"role must be one of {ROLES}, got {role!r}")
+    coded = table.coded
+    ids, codes = (
+        (coded.rushers, coded.rusher) if role == "rusher" else (coded.blockers, coded.blocker)
+    )
+    return dict(zip(ids, np.bincount(codes, weights=values, minlength=len(ids)).tolist()))
+
+
 def raw_baseline_scores(
     table: InteractionTable,
     task: str,
@@ -132,21 +151,15 @@ def raw_baseline_scores(
     """
     if task not in ("win", "severity"):
         raise ValueError(f"task must be 'win' or 'severity', got {task!r}")
-    if role not in ROLES:
-        raise ValueError(f"role must be one of {ROLES}, got {role!r}")
     w = default_severity_weights() if weights is None else weights
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for row in table:
-        pid = row.rusher_id if role == "rusher" else row.blocker_id
-        if task == "win":
-            value = float(row.win_target)
-        else:
-            value = w.weight(row.severity)
-        if role == "blocker":
-            value = 1.0 - value
-        sums[pid] = sums.get(pid, 0.0) + value
-        counts[pid] = counts.get(pid, 0) + 1
+    coded = table.coded
+    if task == "win":
+        values = coded.win
+    else:
+        values = np.array([w.weight(c) for c in CLASSES])[coded.severity]
+    if role == "blocker":
+        values = 1.0 - values
+    sums, counts = role_sums(table, role, values), role_sums(table, role)
     return {pid: sums[pid] / counts[pid] for pid in counts}
 
 
@@ -195,13 +208,8 @@ def run_external_eval(
     (``min_n`` raises the bar); accolade players with no qualifying
     interactions are excluded with a warning.
     """
-    role_counts: dict[str, dict[str, int]] = {"rusher": {}, "blocker": {}}
-    for r in table:
-        role_counts["rusher"][r.rusher_id] = role_counts["rusher"].get(r.rusher_id, 0) + 1
-        role_counts["blocker"][r.blocker_id] = role_counts["blocker"].get(r.blocker_id, 0) + 1
     role_players = {
-        role: [p for p in (table.rushers if role == "rusher" else table.blockers)
-               if role_counts[role][p] >= max(1, min_n)]
+        role: [p for p, n in role_sums(table, role).items() if n >= max(1, min_n)]
         for role in ROLES
     }
     rated = set(role_players["rusher"]) | set(role_players["blocker"])
@@ -215,14 +223,19 @@ def run_external_eval(
             stacklevel=2,
         )
 
+    # per-player scores do not depend on the accolade slice
+    scores = {
+        (task, role): (model_scores(fit, role, weights),
+                       raw_baseline_scores(table, task, role, weights))
+        for task, fit in (("win", win_fit), ("severity", severity_fit))
+        for role in ROLES
+    }
     rows: list[RankEvalRow] = []
     for accolade in slices:
         for task in ("win", "severity"):
-            fit = win_fit if task == "win" else severity_fit
             for role in ROLES:
                 players = role_players[role]
-                model = model_scores(fit, role, weights)
-                base = raw_baseline_scores(table, task, role, weights)
+                model, base = scores[(task, role)]
                 labels = [_slice_positive(accolades.get(p), accolade) for p in players]
                 k = sum(labels)
                 if k == 0:

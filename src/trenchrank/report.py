@@ -22,7 +22,7 @@ from .bootstrap import (
 )
 from .errors import DataError
 from .evaluate import SensitivityRow, ValidationReport, ValidationRow
-from .external import RankEvalRow, model_scores
+from .external import RankEvalRow, model_scores, role_sums
 from .fit import BinaryFit, MultinomialFit, fit_to_json_dict
 from .interactions import InteractionTable, SeverityWeights
 
@@ -83,10 +83,7 @@ def leaderboard(
     model = "win" if isinstance(fit, BinaryFit) else "severity"
     rows: list[LeaderboardRow] = []
     for role in ("rusher", "blocker"):
-        counts: dict[str, int] = {}
-        for r in table:
-            pid = r.rusher_id if role == "rusher" else r.blocker_id
-            counts[pid] = counts.get(pid, 0) + 1
+        counts = role_sums(table, role)
         scores = model_scores(fit, role, weights)
         eligible = [
             (pid, rating)

@@ -258,6 +258,10 @@ def build_interactions(
     for game_id, tagged in by_game.items():
         tagged.sort(key=lambda pe: (pe[0], pe[1].start_frame, pe[1].rusher_id, pe[1].blocker_id))
         week = schedule[game_id]
+        # each rusher's engagements on a play, in event order
+        partners: dict[tuple[str, str], list[Engagement]] = {}
+        for play_id, e in tagged:
+            partners.setdefault((play_id, e.rusher_id), []).append(e)
         for event_index, (play_id, e) in enumerate(tagged):
             key = (game_id, play_id)
             ev = events_by_play[key]
@@ -277,9 +281,6 @@ def build_interactions(
                     horizon=horizon,
                     tolerance=tolerance,
                 )
-            rusher_engagements = [
-                other for p, other in tagged if p == play_id and other.rusher_id == e.rusher_id
-            ]
             rows.append(
                 Interaction(
                     game_id=game_id,
@@ -288,7 +289,9 @@ def build_interactions(
                     week=week,
                     rusher_id=e.rusher_id,
                     blocker_id=e.blocker_id,
-                    double_team=detect_double_team(rusher_engagements, min_overlap=min_overlap),
+                    double_team=detect_double_team(
+                        partners[(play_id, e.rusher_id)], min_overlap=min_overlap
+                    ),
                     win_target=won,
                     severity=label_outcome(
                         has_sack=ev.has_sack, has_hit=ev.qb_hit, has_win=won

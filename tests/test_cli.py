@@ -372,6 +372,106 @@ class TestPipeline:
         err = json.loads((run_dir / "error.json").read_text())
         assert err["stage"] == "fit"
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"stages": "synth,fit", "interactions": True}, ("'interactions'", "'synth'")),
+            ({"stages": "ingest,fit", "interactions": True}, ("'interactions'", "'ingest'")),
+            ({"stages": "ingest,synth,fit"}, ("'ingest'", "'synth'")),
+        ],
+        ids=["interactions-synth", "interactions-ingest", "ingest-synth"],
+    )
+    def test_table_source_conflict_is_usage_error(
+        self, synth_csv, tmp_path, capsys, overrides, named
+    ):
+        raw = {key: str(tmp_path / f"{key}.csv")
+               for key in ("tracking", "events", "engagements", "schedule")}
+        overrides = dict(overrides)
+        if overrides.pop("interactions", False):
+            overrides["interactions"] = str(synth_csv[0])
+        cfg = self.config(tmp_path, **raw, **overrides)
+        assert run(["pipeline", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and all(name in err for name in named)
+        assert self.runs(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"stages": "synth,fit,bootstrap,external"},
+             "external stage requires an 'accolades' CSV path in config"),
+            ({"stages": "ingest,fit", "tracking": "t.csv", "events": "e.csv",
+              "schedule": "s.csv"},
+             "ingest stage requires config key 'engagements'"),
+            ({"stages": "fit,validate"},
+             "config needs an 'interactions' path, or an 'ingest' or 'synth' stage"),
+        ],
+        ids=["accolades", "ingest-input", "no-table"],
+    )
+    def test_missing_key_fails_before_any_stage(self, tmp_path, capsys, overrides, message):
+        cfg = self.config(tmp_path, **overrides)
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert self.runs(tmp_path) == []
+
+    def test_stages_equal_subcommands(self, synth_csv, tmp_path):
+        """One pipeline run writes the files each subcommand writes alone."""
+        acc = tmp_path / "accolades.csv"
+        table = read_interactions_csv(synth_csv[0])
+        acc.write_text(
+            "player_id,team_level\n"
+            f"{table.rushers[0]},first\n{table.rushers[1]},second\n"
+            f"{table.blockers[0]},first\n{table.blockers[1]},second\n"
+        )
+        cfg = self.config(
+            tmp_path,
+            stages="synth,fit,validate,sensitivity,bootstrap,path,external,leaderboard",
+            replicates=True, b_end_to_end=3, b_weekly=2, accolades=str(acc),
+            min_n_leaderboard=1, top=3,
+        )
+        assert run(["pipeline", "--config", str(cfg)]) == 0
+        (got,) = self.runs(tmp_path)
+
+        want = tmp_path / "subcommands"
+        want.mkdir()
+        lams = ["--lambda-win", "0.5", "--lambda-sev", "0.5"]
+        csv_in = ["--interactions", str(want / "interactions.csv")]
+        out_dir = ["--out-dir", str(want)]
+        for argv in (
+            ["synth", "--out", str(want / "interactions.csv"),
+             "--truth", str(want / "truth.json")] + SYNTH_ARGS,
+            ["fit"] + csv_in + ["--lam", "0.5", "--out", str(want / "fits.json")],
+            ["validate"] + csv_in + lams + out_dir,
+            ["sensitivity"] + csv_in + lams + out_dir,
+            ["bootstrap"] + csv_in + lams + ["--b", "3", "--seed", "3", "--replicates"] + out_dir,
+            ["path"] + csv_in + lams + ["--b", "2", "--seed", "3"] + out_dir,
+            ["external"] + csv_in + ["--fit", str(want / "fits.json"),
+                                     "--accolades", str(acc)] + out_dir,
+            ["leaderboard"] + csv_in + ["--fit", str(want / "fits.json"), "--min-n", "1",
+                                        "--top", "3", "--bands", str(want / "bootstrap.json"),
+                                        "--out", str(want / "leaderboard.csv")],
+        ):
+            assert run(argv) == 0, argv
+
+        names = {p.name for p in want.iterdir()}
+        assert names == {p.name for p in got.iterdir()} - {"config_resolved.json"}
+        for name in sorted(names - {"validation.csv", "validation.json"}):
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+        # validation agrees except for the CI the pipeline takes from its bootstrap
+        boot = json.loads((got / "bootstrap.json").read_text())["improvements"]
+        got_rows, want_rows = read_rows(got / "validation.csv"), read_rows(want / "validation.csv")
+        assert [r[:5] for r in got_rows] == [r[:5] for r in want_rows]
+        assert all(r[5:] == ["", ""] for r in want_rows[1:])
+        for task, baseline, *_, lo, hi in got_rows[1:]:
+            series = boot[f"{task}:{baseline}"]
+            assert (lo, hi) == (f"{series['lo']:.4f}", f"{series['hi']:.4f}")
+        got_json = json.loads((got / "validation.json").read_text())
+        for rec in got_json["rows"]:
+            series = boot[f"{rec['task']}:{rec['baseline']}"]
+            assert (rec.pop("ci_lo"), rec.pop("ci_hi")) == (series["lo"], series["hi"])
+        assert got_json == json.loads((want / "validation.json").read_text())
+
 
 class TestExitCodes:
     def test_missing_input_file_is_data_error(self, tmp_path):

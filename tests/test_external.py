@@ -13,10 +13,16 @@ from trenchrank.external import (
     rank_auc,
     raw_baseline_scores,
     read_accolades_csv,
+    role_sums,
     run_external_eval,
 )
 from trenchrank.fit import fit_severity_model, fit_win_model
-from trenchrank.interactions import InteractionTable, OutcomeClass, default_severity_weights
+from trenchrank.interactions import (
+    InteractionTable,
+    OutcomeClass,
+    SeverityWeights,
+    default_severity_weights,
+)
 
 from conftest import make_row, random_table
 
@@ -204,6 +210,27 @@ class TestScores:
         w = default_severity_weights()
         scores = raw_baseline_scores(t, "severity", "rusher", w)
         assert scores["R1"] == pytest.approx(0.5)  # mean of (1.0, 0.0)
+
+    @pytest.mark.parametrize("weights", [None, SeverityWeights(0.0, 0.137, 0.333, 1.0)])
+    def test_bincount_sums_equal_row_loop(self, rng, weights):
+        """Counts and raw scores equal a sequential loop over the rows, bit for bit."""
+        w = default_severity_weights() if weights is None else weights
+        for _ in range(5):
+            t = random_table(rng, n_rows=300, n_rushers=9, n_blockers=7, n_games=6)
+            for role in ("rusher", "blocker"):
+                counts, sums = {}, {"win": {}, "severity": {}}
+                for row in t:
+                    pid = row.rusher_id if role == "rusher" else row.blocker_id
+                    counts[pid] = counts.get(pid, 0) + 1
+                    for task, value in (("win", float(row.win_target)),
+                                        ("severity", w.weight(row.severity))):
+                        value = 1.0 - value if role == "blocker" else value
+                        sums[task][pid] = sums[task].get(pid, 0.0) + value
+                assert role_sums(t, role) == counts
+                assert all(type(n) is int for n in role_sums(t, role).values())
+                for task in ("win", "severity"):
+                    want = {pid: sums[task][pid] / counts[pid] for pid in counts}
+                    assert raw_baseline_scores(t, task, role, weights) == want
 
 
 class TestRunExternalEval:

@@ -10,11 +10,14 @@ Column layout: ``[intercept | double_team | rushers... | blockers...]``.
 
 The design is a CSR matrix built in one vectorized pass from the
 integer codes of the table's coded view (``csr_from_codes``); there is
-no per-row encoder.  Both models share it, since the fit layer treats
-the binary model as the one-class case of the severity model.  A
-weighted fit, cross-validation fold or bootstrap replicate first merges
-rows that encode alike into cells (``aggregate_cells``): rows with
-equal (rusher, blocker, double_team, outcome) contribute identical
+no per-row encoder.  ``codes_from_csr`` is its inverse: the fit layer
+solves on the codes, and decodes a public caller's matrix once,
+rejecting any row that is not of the paired-comparison form.  Both
+models share the design, since the fit layer treats the binary model
+as the one-class case of the severity model.  A weighted fit,
+cross-validation fold or bootstrap replicate first merges rows that
+encode alike into cells (``aggregate_cells``): rows with equal
+(rusher, blocker, double_team, outcome) contribute identical
 likelihood terms, so one cell row carrying their summed weight
 replaces them.
 """
@@ -119,6 +122,50 @@ def csr_from_codes(
         data[at] = value
         slot += present
     return sp.csr_matrix((data, indices, indptr), shape=(rusher_cols.shape[0], n_columns))
+
+
+def codes_from_csr(
+    X: sp.spmatrix, n_rushers: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of ``csr_from_codes``: each row's rusher and blocker column
+    (-1 when the row has none) and its double-team flag.
+
+    A row must hold 1 in the intercept column, 0 or 1 in the double-team
+    column, at most one +1 among the ``n_rushers`` rusher columns and at
+    most one -1 among the blocker columns after them.  Without
+    ``n_rushers``, the rusher columns are those before the first column
+    that holds a -1.  Raises ``DataError`` naming the first row of any
+    other form.
+    """
+    X = sp.csr_matrix(X, dtype=float, copy=True)
+    X.sum_duplicates()
+    X.eliminate_zeros()
+    n = X.shape[0]
+    row = np.repeat(np.arange(n), np.diff(X.indptr))
+    col, val = X.indices, X.data
+    if n_rushers is None:
+        n_rushers = int(col[(col > DOUBLE_TEAM_COL) & (val == -1.0)].min(initial=X.shape[1])) - 2
+    role = np.select(
+        [col == INTERCEPT_COL, col == DOUBLE_TEAM_COL, col < 2 + n_rushers], [0, 1, 2], 3
+    )
+    bad = np.bincount(row, weights=val != np.array([1.0, 1.0, 1.0, -1.0])[role], minlength=n) > 0
+    per_role = np.bincount(4 * row + role, minlength=4 * n).reshape(n, 4)
+    bad |= (per_role[:, 0] != 1) | (per_role[:, 1:] > 1).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        span = slice(X.indptr[i], X.indptr[i + 1])
+        entries = {int(c): float(v) for c, v in zip(col[span], val[span])}
+        raise DataError(
+            f"design row {i} is not a paired comparison (intercept 1, double team 0 or 1, "
+            f"+1 on at most one rusher, -1 on at most one blocker): entries {entries}"
+        )
+    rusher_cols = np.full(n, -1, dtype=np.intp)
+    blocker_cols = np.full(n, -1, dtype=np.intp)
+    rusher_cols[row[role == 2]] = col[role == 2]
+    blocker_cols[row[role == 3]] = col[role == 3]
+    double_team = np.zeros(n, dtype=bool)
+    double_team[row[role == 1]] = True
+    return rusher_cols, blocker_cols, double_team
 
 
 def build_matrix(table: InteractionTable, idx: PlayerIndex) -> sp.csr_matrix:

@@ -29,17 +29,34 @@ coded view, fitted along the lambda path with warm starts, and its
 held-out rows are scored by the same vectorized predictor as
 ``predict_win_probs`` and ``predict_class_prob_matrix``.
 
-The Newton step solves the penalized Hessian by dense Cholesky (least
-squares if that fails) and backtracks to the Armijo condition; the
+The solver never forms a design matrix.  Every design row is an
+intercept, a double-team flag, +1 on one rusher and -1 on one blocker,
+so it works on those codes (``_Design``): the linear predictors are a
+gather, X^T r and each K x K class block of the Hessian X^T W X are
+``np.bincount``s per rusher, per blocker and per (rusher, blocker)
+pair.  Rusher effects do not interact with each other, so the Hessian
+is one K x K block per rusher plus their coupling to the K (2 + B)
+intercept, double-team and blocker parameters.  The Newton step
+eliminates the rusher blocks with a batched Cholesky and factors only
+the K (2 + B) Schur complement, then back-substitutes; rushers are the
+larger role in the paper's data (620 against 348 blockers).  A step
+whose factor is not positive definite (e.g. lam = 0 with a player of
+zero weight) is solved by least squares on the dense Hessian instead,
+and a fit that does not converge says how many steps did so and which
+factor failed.  The step backtracks to the Armijo condition, and the
 Hessian reuses the class probabilities computed for the accepted step.
-Convergence means gradient sup-norm <= ``tol`` (default 1e-8).
+Convergence means gradient sup-norm <= ``tol`` (default 1e-8).  The
+public ``fit_*_ridge`` and ``*_objective_grad`` decode their CSR design
+once (``codes_from_csr``), so a row of any other form is a
+``DataError``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -49,7 +66,7 @@ from scipy.special import expit
 from .design import (
     PlayerIndex,
     aggregate_cells,
-    csr_from_codes,
+    codes_from_csr,
     index_from_ids,
     penalty_mask,
 )
@@ -117,25 +134,113 @@ class CvResult:
 
 
 # ---------------------------------------------------------------------------
+# Design codes
+
+
+@dataclass(frozen=True)
+class _Design:
+    """Design rows held as codes instead of a sparse matrix.
+
+    Row i is ``[1, double_team[i], +1 on rusher[i], -1 on blocker[i]]``
+    over the columns ``[intercept | double_team | rushers | blockers]``.
+    A row without a rusher (blocker) entry holds ``n_rushers``
+    (``n_blockers``), one past the last position, so that per-player sums
+    are ``np.bincount``s whose last bin is dropped.
+    """
+
+    rusher: np.ndarray
+    blocker: np.ndarray
+    double_team: np.ndarray
+    n_rushers: int
+    n_blockers: int
+
+    @property
+    def n_columns(self) -> int:
+        return 2 + self.n_rushers + self.n_blockers
+
+    @property
+    def rusher_columns(self) -> slice:
+        return slice(2, 2 + self.n_rushers)
+
+    @cached_property
+    def rest_columns(self) -> np.ndarray:
+        """Intercept, double team and blocker columns."""
+        return np.r_[0, 1, 2 + self.n_rushers : self.n_columns]
+
+    def per_rusher(self, values: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rusher, weights=values, minlength=self.n_rushers + 1)[:-1]
+
+    def per_blocker(self, values: np.ndarray) -> np.ndarray:
+        return np.bincount(self.blocker, weights=values, minlength=self.n_blockers + 1)[:-1]
+
+
+def _design_from_csr(X, index: PlayerIndex | None = None) -> _Design:
+    """Decode a ``build_matrix`` design over ``index``.
+
+    Without an index (the objective functions), the rusher columns are
+    found as ``codes_from_csr`` finds them.
+    """
+    if not sp.issparse(X):
+        raise TypeError(f"the design must be a scipy sparse matrix, got {type(X).__name__}")
+    d = X.shape[1]
+    if index is not None and d != index.n_columns:
+        raise DataError(f"design has {d} columns, the index {index.n_columns}")
+    r = None if index is None else index.n_rushers
+    rusher_cols, blocker_cols, double_team = codes_from_csr(X, r)
+    if r is None:
+        r = int(blocker_cols[blocker_cols >= 0].min(initial=d)) - 2
+    b = d - 2 - r
+    return _Design(
+        rusher=np.where(rusher_cols >= 0, rusher_cols - 2, r),
+        blocker=np.where(blocker_cols >= 0, blocker_cols - 2 - r, b),
+        double_team=double_team.astype(float),
+        n_rushers=r,
+        n_blockers=b,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Objective
 
 
-def _objective(theta_flat, X, class_idx, n_classes, lam, pen_mask, weights):
-    """Penalized objective, its gradient and the (n, n_classes) class probabilities."""
-    n, d = X.shape
+def _linear_predictors(theta: np.ndarray, design: _Design) -> np.ndarray:
+    """(K, n) linear predictors of the (K, d) parameters ``theta``."""
+    k = theta.shape[0]
+    rusher = np.hstack([theta[:, design.rusher_columns], np.zeros((k, 1))])
+    blocker = np.hstack([theta[:, 2 + design.n_rushers :], np.zeros((k, 1))])
+    eta = np.take(rusher, design.rusher, axis=1) - np.take(blocker, design.blocker, axis=1)
+    eta += theta[:, :1]
+    eta += theta[:, 1:2] * design.double_team
+    return eta
+
+
+def _transpose_product(design: _Design, resid: np.ndarray) -> np.ndarray:
+    """X^T resid^T for (K, n) ``resid``, as a (K, d) array."""
+    out = np.empty((resid.shape[0], design.n_columns))
+    out[:, 0] = resid.sum(axis=1)
+    out[:, 1] = resid @ design.double_team
+    for a, row in enumerate(resid):
+        out[a, design.rusher_columns] = design.per_rusher(row)
+        out[a, 2 + design.n_rushers :] = -design.per_blocker(row)
+    return out
+
+
+def _objective(theta_flat, design, class_idx, n_classes, lam, pen_mask, weights):
+    """Penalized objective, its gradient and the (n_classes, n) class probabilities."""
+    n, d = design.rusher.shape[0], design.n_columns
     theta = theta_flat.reshape(n_classes - 1, d)
-    eta = np.empty((n, n_classes))
-    eta[:, 0] = 0.0
-    eta[:, 1:] = X @ theta.T
-    shift = eta.max(axis=1)
-    exp_eta = np.exp(eta - shift[:, None])
-    denom = exp_eta.sum(axis=1)
-    logp_obs = eta[np.arange(n), class_idx] - shift - np.log(denom)
-    nll = -float((weights * logp_obs).sum())
-    probs = exp_eta / denom[:, None]
-    resid = probs[:, 1:] - np.equal.outer(class_idx, np.arange(1, n_classes))
-    resid *= weights[:, None]
-    grad = np.asarray((X.T @ resid).T) + 2.0 * lam * (pen_mask[None, :] * theta)
+    eta = np.empty((n_classes, n))
+    eta[0] = 0.0
+    eta[1:] = _linear_predictors(theta, design)
+    shift = eta.max(axis=0)
+    exp_eta = np.exp(eta - shift)
+    denom = exp_eta.sum(axis=0)
+    logp_obs = eta[class_idx, np.arange(n)] - shift - np.log(denom)
+    nll = -float(weights @ logp_obs)
+    probs = exp_eta / denom
+    resid = probs[1:] - np.equal.outer(np.arange(1, n_classes), class_idx)
+    resid *= weights
+    grad = _transpose_product(design, resid) + 2.0 * lam * (pen_mask[None, :] * theta)
     obj = nll + lam * float(np.sum(pen_mask[None, :] * theta * theta))
     return obj, grad.ravel(), probs
 
@@ -153,9 +258,12 @@ def multinomial_objective_grad(
 
     ``class_idx`` holds 0 for the reference class and 1..K for the
     modeled classes; parameters are the K rows of ``theta`` (flattened).
+    ``X`` must have the paired-comparison form of ``build_matrix``
+    (``DataError`` names the first row that does not).
     """
+    design = _design_from_csr(X)
     w = np.ones(X.shape[0]) if weights is None else weights
-    obj, grad, _ = _objective(theta_flat, X, class_idx, n_model_classes, lam, pen_mask, w)
+    obj, grad, _ = _objective(theta_flat, design, class_idx, n_model_classes, lam, pen_mask, w)
     return obj, grad
 
 
@@ -179,21 +287,139 @@ def binary_objective_grad(
 # Solver
 
 
-def _hessian(X, probs, lam, pen_mask, weights):
-    """Penalized Hessian at the point whose class probabilities are ``probs``."""
-    d = X.shape[1]
-    k = probs.shape[1] - 1
-    H = np.empty((k * d, k * d))
+class _HessianParts(NamedTuple):
+    """The penalized Hessian with rusher parameters ordered first.
+
+    ``rusher`` holds one K x K block per rusher (rusher effects are
+    uncoupled across rushers); ``coupling`` (R, K, M) couples them to the
+    M = K * (2 + B) other parameters, ordered by class, then intercept,
+    double team, blockers; ``rest`` is the M x M block of those.
+    """
+
+    rusher: np.ndarray
+    coupling: np.ndarray
+    rest: np.ndarray
+
+
+def _hessian_parts(design: _Design, probs, lam, pen_mask, weights) -> _HessianParts:
+    """Penalized Hessian at the point whose (n_classes, n) class
+    probabilities are ``probs``.
+
+    Each (a, b) class block of X^T W X is a handful of per-player sums of
+    the cell weights ``W = w p_a (1[a = b] - p_b)``.
+    """
+    r, nb = design.n_rushers, design.n_blockers
+    k = probs.shape[0] - 1
+    m = 2 + nb
+    dt = design.double_team
+    pair = design.rusher * (nb + 1) + design.blocker
+    rusher = np.empty((r, k, k))
+    coupling = np.empty((r, k, k, m))
+    rest = np.zeros((k, m, k, m))
+    diag = np.arange(2, m)
     for a in range(k):
-        pa = probs[:, a + 1]
         for b in range(a, k):
-            w = pa * ((1.0 if a == b else 0.0) - probs[:, b + 1]) * weights
-            block = (X.multiply(w[:, None]).T @ X).toarray()
-            H[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
-            if b != a:
-                H[b * d : (b + 1) * d, a * d : (a + 1) * d] = block.T
-    H[np.diag_indices_from(H)] += np.tile(2.0 * lam * pen_mask, k)
-    return H
+            w = weights * probs[a + 1] * ((1.0 if a == b else 0.0) - probs[b + 1])
+            wd = w * dt
+            per_rusher = design.per_rusher(w)
+            per_blocker = design.per_blocker(w)
+            met = np.bincount(pair, weights=w, minlength=(r + 1) * (nb + 1))
+            block = rest[a, :, b, :]
+            block[0, 0] = w.sum()
+            block[0, 1] = block[1, 0] = block[1, 1] = wd.sum()
+            block[0, 2:] = block[2:, 0] = -per_blocker
+            block[1, 2:] = block[2:, 1] = -design.per_blocker(wd)
+            block[diag, diag] = per_blocker
+            rest[b, :, a, :] = block
+            rusher[:, a, b] = rusher[:, b, a] = per_rusher
+            coupling[:, a, b, 0] = per_rusher
+            coupling[:, a, b, 1] = design.per_rusher(wd)
+            coupling[:, a, b, 2:] = -met.reshape(r + 1, nb + 1)[:r, :nb]
+            coupling[:, b, a] = coupling[:, a, b]
+    ridge = 2.0 * lam * pen_mask
+    rusher[:, np.arange(k), np.arange(k)] += ridge[design.rusher_columns, None]
+    rest = rest.reshape(k * m, k * m)
+    rest[np.diag_indices_from(rest)] += np.tile(ridge[design.rest_columns], k)
+    return _HessianParts(rusher, coupling.reshape(r, k, k * m), rest)
+
+
+def _dense_hessian(parts: _HessianParts, design: _Design) -> np.ndarray:
+    """The full (K d) x (K d) Hessian in class-major order."""
+    r, k, m = parts.coupling.shape
+    n = r * k + m
+    H = np.zeros((n, n))
+    block = np.arange(r * k).reshape(r, k)
+    H[block[:, :, None], block[:, None, :]] = parts.rusher
+    H[: r * k, r * k :] = parts.coupling.reshape(r * k, m)
+    H[r * k :, : r * k] = H[: r * k, r * k :].T
+    H[r * k :, r * k :] = parts.rest
+    # class-major position of each rusher-first parameter
+    position = np.arange(k * design.n_columns).reshape(k, -1)
+    order = np.concatenate([
+        position[:, design.rusher_columns].T.ravel(), position[:, design.rest_columns].ravel()
+    ])
+    out = np.empty_like(H)
+    out[np.ix_(order, order)] = H
+    return out
+
+
+def _forward(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Solve ``L[j] X[j] = Y[j]`` for lower-triangular K x K blocks ``L[j]``."""
+    X = np.empty_like(Y)
+    for a in range(L.shape[1]):
+        acc = Y[:, a].copy()
+        for c in range(a):
+            acc -= L[:, a, c, None] * X[:, c]
+        X[:, a] = acc / L[:, a, a, None]
+    return X
+
+
+def _backward(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Solve ``L[j]^T X[j] = Y[j]`` for lower-triangular K x K blocks ``L[j]``."""
+    X = np.empty_like(Y)
+    for a in reversed(range(L.shape[1])):
+        acc = Y[:, a].copy()
+        for c in range(a + 1, L.shape[1]):
+            acc -= L[:, c, a, None] * X[:, c]
+        X[:, a] = acc / L[:, a, a, None]
+    return X
+
+
+def _newton_direction(parts: _HessianParts, grad: np.ndarray, design: _Design):
+    """Solve ``H x = -grad`` by a Schur complement over the rusher blocks.
+
+    With ``H = [[A, C], [C^T, D]]``, ``A = L L^T`` block by block and
+    ``G = L^-1 C``, only ``S = D - G^T G`` (M x M) is factored densely.
+    Returns the class-major direction and None, or None and the factor
+    that is not positive definite: ``("rusher", position)`` or
+    ``("schur", None)``.
+    """
+    r, k, m = parts.coupling.shape
+    try:
+        L = np.linalg.cholesky(parts.rusher)
+    except np.linalg.LinAlgError:
+        for j, block in enumerate(parts.rusher):
+            try:
+                np.linalg.cholesky(block)
+            except np.linalg.LinAlgError:
+                return None, ("rusher", j)
+        raise
+    g = grad.reshape(k, design.n_columns)
+    rushers, rest = design.rusher_columns, design.rest_columns
+    G = _forward(L, parts.coupling).reshape(r * k, m)
+    u = _forward(L, -g[:, rushers].T[:, :, None]).ravel()
+    try:
+        # np.dot computes G^T G as a symmetric rank-k update
+        schur = parts.rest - np.dot(G.T, G)
+        factor = scipy.linalg.cho_factor(schur, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return None, ("schur", None)
+    x_rest = scipy.linalg.cho_solve(factor, -g[:, rest].ravel() - G.T @ u, check_finite=False)
+    x_rusher = _backward(L, (u - G @ x_rest).reshape(r, k, 1))
+    direction = np.empty_like(g)
+    direction[:, rushers] = x_rusher[:, :, 0].T
+    direction[:, rest] = x_rest.reshape(k, -1)
+    return direction.ravel(), None
 
 
 def _take_step(value_grad_fn, theta, state, direction):
@@ -232,34 +458,59 @@ def _take_step(value_grad_fn, theta, state, direction):
     return theta, state, False
 
 
-def _solve(X, class_idx, n_classes, lam, pen_mask, theta0, tol, max_iter, weights):
+class _Solution(NamedTuple):
+    theta: np.ndarray  # (K, d)
+    nll: float  # unpenalized
+    grad_sup: float
+    iterations: int
+    fallbacks: list  # the failed factor of each least-squares step
+
+
+def _solve(design, class_idx, n_classes, lam, pen_mask, theta0, tol, max_iter, weights):
     """Damped Newton over the K = n_classes - 1 non-reference classes.
 
-    Returns theta as a (K, d) array, the unpenalized negative
-    log-likelihood there, the gradient sup-norm and the iteration count.
+    A step whose Schur factorization fails (a factor that is not
+    positive definite, e.g. at lam = 0) is solved by least squares on
+    the dense Hessian instead, and the failed factor is recorded.
     """
-    k, d = n_classes - 1, X.shape[1]
+    k, d = n_classes - 1, design.n_columns
     theta = np.zeros(k * d) if theta0 is None else np.array(theta0, dtype=float).ravel()
 
     def value_grad(th):
-        return _objective(th, X, class_idx, n_classes, lam, pen_mask, weights)
+        return _objective(th, design, class_idx, n_classes, lam, pen_mask, weights)
 
     state = value_grad(theta)
     iterations = 0
+    fallbacks = []
     while np.abs(state[1]).max() > tol and iterations < max_iter:
         iterations += 1
-        H = _hessian(X, state[2], lam, pen_mask, weights)
-        try:
-            factor = scipy.linalg.cho_factor(H, check_finite=False)
-            direction = scipy.linalg.cho_solve(factor, -state[1], check_finite=False)
-        except scipy.linalg.LinAlgError:
+        parts = _hessian_parts(design, state[2], lam, pen_mask, weights)
+        direction, failed = _newton_direction(parts, state[1], design)
+        if failed is not None:
+            fallbacks.append(failed)
+            H = _dense_hessian(parts, design)
             direction = np.linalg.lstsq(H, -state[1], rcond=None)[0]
         theta, state, moved = _take_step(value_grad, theta, state, direction)
         if not moved:
             break
     theta = theta.reshape(k, d)
     nll = state[0] - lam * float(np.sum(pen_mask[None, :] * theta * theta))
-    return theta, nll, float(np.abs(state[1]).max()), iterations
+    return _Solution(theta, nll, float(np.abs(state[1]).max()), iterations, fallbacks)
+
+
+def _fallback_note(solution: _Solution, index: PlayerIndex) -> str:
+    """How many Newton steps fell back to least squares, and the last failed factor."""
+    note = (
+        f"{len(solution.fallbacks)} of {solution.iterations} Newton steps"
+        " fell back to least squares"
+    )
+    if not solution.fallbacks:
+        return note
+    kind, position = solution.fallbacks[-1]
+    if kind == "schur":
+        return note + " (last failure: the Schur complement factor)"
+    player = next(p for p, c in index.rusher_cols.items() if c == 2 + position)
+    return note + f" (last failure: the block of rusher {player!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +577,19 @@ def _as_fit(model, theta, index, modeled, dropped, **stats) -> BinaryFit | Multi
 
 
 def _fit_ridge(
-    X, outcome, lam, index, model, *, weights=None, tol=DEFAULT_TOL,
+    design, outcome, lam, index, model, *, weights=None, tol=DEFAULT_TOL,
     max_iter=DEFAULT_MAX_ITER, theta0=None, stacklevel,
 ) -> BinaryFit | MultinomialFit:
     """The one fit behind every public fit function.
 
-    ``outcome`` is the win target (``model == "win"``) or the outcome
-    class of each design row.  Warnings are reported ``stacklevel``
-    frames up, at the caller of the public function.
+    ``design`` holds the rows' codes over ``index``'s columns and
+    ``outcome`` the win target (``model == "win"``) or the outcome class
+    of each row.  Warnings are reported ``stacklevel`` frames up, at the
+    caller of the public function.
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    if not sp.issparse(X):
-        raise TypeError(f"the design must be a scipy sparse matrix, got {type(X).__name__}")
-    X = X.tocsr()
-    n = X.shape[0]
+    n = design.rusher.shape[0]
     if n == 0:
         raise DataError(f"{model} fit requires at least one row")
     values = np.asarray(outcome)
@@ -361,13 +610,16 @@ def _fit_ridge(
     if not modeled:
         raise DataError("severity fit needs at least one non-loss class in training")
 
-    theta, nll, grad_sup, iterations = _solve(
-        X, class_idx, len(modeled) + 1, lam, penalty_mask(index), theta0, tol, max_iter, w
+    solution = _solve(
+        design, class_idx, len(modeled) + 1, lam, penalty_mask(index), theta0, tol, max_iter, w
     )
+    theta, grad_sup, iterations = solution.theta, solution.grad_sup, solution.iterations
     converged = grad_sup <= tol
     # a separated cell only reaches the gradient tolerance once its linear
     # predictor is around ln(n / tol), far beyond any finite-MLE value
-    if model == "win" and lam == 0 and (not converged or np.abs(X @ theta[0]).max() > 15.0):
+    if model == "win" and lam == 0 and (
+        not converged or np.abs(_linear_predictors(theta, design)).max() > 15.0
+    ):
         warnings.warn(
             "possible separation: unpenalized fit produced extreme linear predictors",
             RuntimeWarning,
@@ -376,12 +628,14 @@ def _fit_ridge(
     if not converged:
         raise FitError(
             f"{'binary' if model == 'win' else 'multinomial'} fit did not converge: "
-            f"gradient sup-norm {grad_sup:.3e} after {iterations} iterations (tol {tol:.1e})"
+            f"gradient sup-norm {grad_sup:.3e} after {iterations} iterations (tol {tol:.1e}); "
+            + _fallback_note(solution, index)
         )
     return _as_fit(
         model, theta, index, modeled, dropped,
-        lam=lam, neg_loglik=nll, grad_norm=grad_sup, iterations=iterations,
+        lam=lam, neg_loglik=solution.nll, grad_norm=grad_sup, iterations=iterations,
     )
+
 
 
 def fit_binary_ridge(
@@ -400,10 +654,11 @@ def fit_binary_ridge(
     ``X`` is a sparse design over ``index`` (``build_matrix``) and ``y``
     the 0/1 win targets.  ``weights`` multiplies each row's likelihood
     term (default 1).  An unpenalized fit whose linear predictors run
-    off warns of possible separation.
+    off warns of possible separation.  A design row that is not a paired
+    comparison (``codes_from_csr``) is a ``DataError``.
     """
     return _fit_ridge(
-        X, y, lam, index, "win",
+        _design_from_csr(X, index), y, lam, index, "win",
         weights=weights, tol=tol, max_iter=max_iter, theta0=theta0, stacklevel=3,
     )
 
@@ -425,10 +680,11 @@ def fit_multinomial_ridge(
     dropped from the softmax and reported on the result rather than
     being given fabricated parameters; the loss reference is always
     retained.  ``weights`` multiplies each row's likelihood term
-    (default 1).
+    (default 1).  A design row that is not a paired comparison
+    (``codes_from_csr``) is a ``DataError``.
     """
     return _fit_ridge(
-        X, classes, lam, index, "severity",
+        _design_from_csr(X, index), classes, lam, index, "severity",
         weights=weights, tol=tol, max_iter=max_iter, theta0=theta0, stacklevel=3,
     )
 
@@ -436,30 +692,34 @@ def fit_multinomial_ridge(
 def _cells(coded: CodedTable, weights: np.ndarray, model: str):
     """Merge rows into (rusher, blocker, double_team, outcome) cells.
 
-    Returns the cells' design, outcomes, summed weights and index; only
-    players with a row of positive weight enter the index.
+    Returns the cells' design codes, outcomes, summed weights and index;
+    only players with a row of positive weight enter the index.
     """
     outcome = coded.win.astype(np.intp) if model == "win" else coded.severity
     rows, cell_w = aggregate_cells(
         weights, coded.rusher, coded.blocker, coded.double_team.astype(np.intp), outcome
     )
-    rushers, rusher_col = np.unique(coded.rusher[rows], return_inverse=True)
-    blockers, blocker_col = np.unique(coded.blocker[rows], return_inverse=True)
+    rushers, rusher_pos = np.unique(coded.rusher[rows], return_inverse=True)
+    blockers, blocker_pos = np.unique(coded.blocker[rows], return_inverse=True)
     idx = index_from_ids(
         [coded.rushers[i] for i in rushers], [coded.blockers[i] for i in blockers]
     )
-    X = csr_from_codes(
-        2 + rusher_col, 2 + rushers.size + blocker_col, coded.double_team[rows], idx.n_columns
+    design = _Design(
+        rusher=rusher_pos,
+        blocker=blocker_pos,
+        double_team=coded.double_team[rows].astype(float),
+        n_rushers=rushers.size,
+        n_blockers=blockers.size,
     )
-    return X, outcome[rows], cell_w, idx
+    return design, outcome[rows], cell_w, idx
 
 
 def _fit_cells(coded, weights, model, lam, *, stacklevel, **kwargs):
     if model not in _MODELS:
         raise ValueError(f"model must be 'win' or 'severity', got {model!r}")
-    X, outcome, cell_w, idx = _cells(coded, _row_weights(weights, len(coded)), model)
+    design, outcome, cell_w, idx = _cells(coded, _row_weights(weights, len(coded)), model)
     return _fit_ridge(
-        X, outcome, lam, idx, model, weights=cell_w, stacklevel=stacklevel + 1, **kwargs
+        design, outcome, lam, idx, model, weights=cell_w, stacklevel=stacklevel + 1, **kwargs
     )
 
 
@@ -646,7 +906,7 @@ def cv_select_lambda(
         in_fold = labels == fold
         if in_fold.all() or not in_fold.any():
             raise DataError(f"fold {fold} is empty")
-        X, outcome, cell_w, idx = _cells(coded, (~in_fold).astype(float), target)
+        design, outcome, cell_w, idx = _cells(coded, (~in_fold).astype(float), target)
         held = coded.take(in_fold)
         modeled, dropped, class_idx = _class_coding(target, outcome, cell_w)
         if not modeled:
@@ -654,14 +914,18 @@ def cv_select_lambda(
         mask = penalty_mask(idx)
         theta = None
         for j, lam in enumerate(desc):
-            theta, nll, grad_sup, iterations = _solve(
-                X, class_idx, len(modeled) + 1, lam, mask, theta, tol, max_iter, cell_w
+            solution = _solve(
+                design, class_idx, len(modeled) + 1, lam, mask, theta, tol, max_iter, cell_w
             )
-            if grad_sup > tol:
-                raise FitError(f"cv fold {fold} failed to converge at lam={lam:g}")
+            if solution.grad_sup > tol:
+                raise FitError(
+                    f"cv fold {fold} failed to converge at lam={lam:g}; "
+                    + _fallback_note(solution, idx)
+                )
+            theta = solution.theta
             fit = _as_fit(
-                target, theta, idx, modeled, dropped,
-                lam=lam, neg_loglik=nll, grad_norm=grad_sup, iterations=iterations,
+                target, theta, idx, modeled, dropped, lam=lam, neg_loglik=solution.nll,
+                grad_norm=solution.grad_sup, iterations=solution.iterations,
             )
             if target == "win":
                 fold_losses[fold, j] = binary_log_loss(predict_win_probs(fit, held), held.win)

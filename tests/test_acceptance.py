@@ -362,6 +362,7 @@ FULL_SCALE = SynthConfig(
 )
 
 
+@pytest.mark.slow
 def test_criterion_07_synthetic_recovery():
     with criterion(7, "full-scale synthetic recovery"):
         table, truth = synth_generate(FULL_SCALE)
@@ -391,6 +392,7 @@ def test_criterion_07_synthetic_recovery():
             assert all(row.improvement > 0 for row in rep.rows)
 
 
+@pytest.mark.slow
 def test_criterion_08_bootstrap_determinism_and_coverage():
     with criterion(8, "bootstrap determinism and interval coverage"):
         cfg = SynthConfig(

@@ -9,6 +9,7 @@ from trenchrank.design import (
     aggregate_cells,
     build_index,
     build_matrix,
+    codes_from_csr,
     penalty_mask,
 )
 from trenchrank.errors import DataError
@@ -140,6 +141,20 @@ class TestBuildMatrix:
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.data, want.data)
+
+    def test_codes_round_trip(self, rng):
+        t = random_table(rng, n_rows=80, n_rushers=6, n_blockers=5)
+        partial = build_index(InteractionTable(t.rows[:10]))
+        for idx in (build_index(t), partial):
+            X = build_matrix(t, idx)
+            for n_rushers in (idx.n_rushers, None):
+                rusher, blocker, double_team = codes_from_csr(X, n_rushers)
+                want = [
+                    (idx.rusher_cols.get(x.rusher_id, -1), idx.blocker_cols.get(x.blocker_id, -1),
+                     x.double_team)
+                    for x in t
+                ]
+                assert list(zip(rusher.tolist(), blocker.tolist(), double_team.tolist())) == want
 
     def test_rusher_blocker_blocks_are_disjoint(self, rng):
         t = random_table(rng)

@@ -3,7 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
+from trenchrank import fit as fit_module
 from trenchrank.design import build_index, build_matrix, penalty_mask
 from trenchrank.errors import DataError, FitError
 from trenchrank.evaluate import binary_log_loss, multiclass_log_loss
@@ -501,6 +504,228 @@ class TestWeightedFits:
         fit = fit_coded(t.coded, w, "win", 0.4)
         assert absent not in fit.rusher_effects
         assert set(fit.rusher_effects) == set(t.rushers) - {absent}
+
+
+def reference_hessian(X, probs, lam, pen_mask, weights):
+    """The penalized Hessian as the general sparse products X^T W_ab X."""
+    d = X.shape[1]
+    k = probs.shape[1] - 1
+    H = np.empty((k * d, k * d))
+    for a in range(k):
+        pa = probs[:, a + 1]
+        for b in range(a, k):
+            w = pa * ((1.0 if a == b else 0.0) - probs[:, b + 1]) * weights
+            block = (X.multiply(w[:, None]).T @ X).toarray()
+            H[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
+            if b != a:
+                H[b * d : (b + 1) * d, a * d : (a + 1) * d] = block.T
+    H[np.diag_indices_from(H)] += np.tile(2.0 * lam * pen_mask, k)
+    return H
+
+
+def reference_probs(X, theta):
+    """(n, K + 1) softmax probabilities with the reference class first."""
+    eta = np.hstack([np.zeros((X.shape[0], 1)), X @ theta.reshape(-1, X.shape[1]).T])
+    p = np.exp(eta - eta.max(axis=1, keepdims=True))
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def reference_solve(X, class_idx, n_classes, lam, pen, weights, tol=1e-8, max_iter=500):
+    """Damped Newton on the reference Hessian: dense Cholesky, least squares if it fails."""
+
+    def value_grad(th):
+        obj, grad = multinomial_objective_grad(th, X, class_idx, n_classes, lam, pen, weights)
+        return obj, grad, reference_probs(X, th)
+
+    theta = np.zeros((n_classes - 1) * X.shape[1])
+    state = value_grad(theta)
+    iterations = fallbacks = 0
+    while np.abs(state[1]).max() > tol and iterations < max_iter:
+        iterations += 1
+        H = reference_hessian(X, state[2], lam, pen, weights)
+        try:
+            direction = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), -state[1])
+        except scipy.linalg.LinAlgError:
+            fallbacks += 1
+            direction = np.linalg.lstsq(H, -state[1], rcond=None)[0]
+        theta, state, moved = fit_module._take_step(value_grad, theta, state, direction)
+        if not moved:
+            break
+    return theta, iterations, fallbacks
+
+
+def hessian_cases(rng):
+    """(name, X, index, class_idx, n_classes, weights) for the structured-Hessian oracles."""
+    t = random_table(rng, n_rows=120, n_rushers=7, n_blockers=5)
+    idx = build_index(t)
+    X = build_matrix(t, idx)
+    sev = t.coded.severity
+    ones = np.ones(len(t))
+    # every hit row has zero weight, so hit is dropped and K = 2
+    no_hit = np.where(sev == int(OutcomeClass.HIT), 0.0, rng.uniform(0.5, 2.0, len(t)))
+    _, _, dropped_idx = fit_module._class_coding("severity", sev, no_hit)
+    zero_cells = np.where(rng.random(len(t)) < 0.3, 0.0, rng.integers(1, 4, len(t)))
+    part = build_index(InteractionTable(t.rows[:25]))
+    yield "K=1", X, idx, t.coded.win.astype(np.intp), 2, ones
+    yield "K=3", X, idx, sev, 4, ones
+    yield "dropped class", X, idx, dropped_idx, 3, no_hit
+    yield "zero-weight cells", X, idx, sev, 4, zero_cells
+    yield "partial index", build_matrix(t, part), part, sev, 4, ones
+
+
+class TestStructuredNewtonStep:
+    def test_hessian_equals_sparse_products(self, rng):
+        for name, X, idx, class_idx, n_classes, w in hessian_cases(rng):
+            design = fit_module._design_from_csr(X, idx)
+            pen = penalty_mask(idx)
+            theta = rng.normal(scale=0.5, size=(n_classes - 1) * idx.n_columns)
+            probs = reference_probs(X, theta)
+            want = reference_hessian(X, probs, 0.3, pen, w)
+            parts = fit_module._hessian_parts(design, probs.T, 0.3, pen, w)
+            got = fit_module._dense_hessian(parts, design)
+            # the terms of one entry share a sign, so each entry agrees to 1e-12 relative
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
+
+    def test_schur_direction_equals_dense_cholesky(self, rng):
+        for name, X, idx, class_idx, n_classes, w in hessian_cases(rng):
+            design = fit_module._design_from_csr(X, idx)
+            pen = penalty_mask(idx)
+            theta = rng.normal(scale=0.5, size=(n_classes - 1) * idx.n_columns)
+            _, grad = multinomial_objective_grad(theta, X, class_idx, n_classes, 0.3, pen, w)
+            probs = reference_probs(X, theta)
+            H = reference_hessian(X, probs, 0.3, pen, w)
+            want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), -grad)
+            parts = fit_module._hessian_parts(design, probs.T, 0.3, pen, w)
+            got, failed = fit_module._newton_direction(parts, grad, design)
+            assert failed is None, name
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
+
+    def test_objective_equals_sparse_design(self, rng):
+        for name, X, idx, class_idx, n_classes, w in hessian_cases(rng):
+            design = fit_module._design_from_csr(X, idx)
+            pen = penalty_mask(idx)
+            theta = rng.normal(scale=0.5, size=(n_classes - 1) * idx.n_columns)
+            _, grad, probs = fit_module._objective(
+                theta, design, class_idx, n_classes, 0.3, pen, w
+            )
+            want_probs = reference_probs(X, theta)
+            np.testing.assert_allclose(probs.T, want_probs, rtol=1e-13, atol=1e-15, err_msg=name)
+            resid = want_probs[:, 1:] - np.equal.outer(class_idx, np.arange(1, n_classes))
+            want_grad = (X.T @ (resid * w[:, None])).T + 0.6 * pen * theta.reshape(-1, X.shape[1])
+            np.testing.assert_allclose(
+                grad, want_grad.ravel(), rtol=1e-10, atol=1e-12, err_msg=name
+            )
+
+    def _zero_exposure_problem(self, rng, role):
+        """A binary problem where one player of ``role`` has only zero-weight rows."""
+        t = random_table(rng, n_rows=240, n_rushers=4, n_blockers=3)
+        idx = build_index(t)
+        codes = t.coded.rusher if role == "rusher" else t.coded.blocker
+        w = np.where(codes == 0, 0.0, 1.0)
+        return t, idx, build_matrix(t, idx), t.coded.win.astype(np.intp), w
+
+    def test_unpenalized_fit_falls_back_to_least_squares(self, rng):
+        t, idx, X, y, w = self._zero_exposure_problem(rng, "rusher")
+        pen = penalty_mask(idx)
+        design = fit_module._design_from_csr(X, idx)
+        solution = fit_module._solve(design, y, 2, 0.0, pen, None, 1e-8, 500, w)
+        assert solution.grad_sup <= 1e-8
+        assert solution.fallbacks == [("rusher", 0)] * solution.iterations
+        want, iterations, fallbacks = reference_solve(X, y, 2, 0.0, pen, w)
+        assert fallbacks == iterations == solution.iterations
+        np.testing.assert_allclose(solution.theta.ravel(), want, rtol=0, atol=1e-8)
+        fit = fit_binary_ridge(X, y, 0.0, idx, weights=w)
+        assert fit.alpha == pytest.approx(want[0], abs=1e-8)
+        for pid, col in idx.rusher_cols.items():
+            assert fit.rusher_effects[pid] == pytest.approx(want[col], abs=1e-8)
+
+    @pytest.mark.parametrize("role", ["rusher", "blocker"])
+    def test_fit_error_names_failed_factor(self, rng, role):
+        t, idx, X, y, w = self._zero_exposure_problem(rng, role)
+        with pytest.raises(FitError) as info, pytest.warns(RuntimeWarning, match="separation"):
+            fit_binary_ridge(X, y, 0.0, idx, weights=w, max_iter=1)
+        message = str(info.value)
+        assert "1 of 1 Newton steps fell back to least squares" in message
+        if role == "rusher":
+            assert f"the block of rusher {t.rushers[0]!r}" in message
+        else:
+            assert "the Schur complement factor" in message
+
+    def test_fit_error_without_fallback_says_so(self, rng):
+        t, idx, X, y = binary_problem(rng)
+        with pytest.raises(FitError, match="0 of 1 Newton steps fell back"):
+            fit_binary_ridge(X, y, 0.1, idx, max_iter=1, tol=1e-300)
+
+
+def malformed_designs(rng):
+    """(shape, row, design) with one row that is not a paired comparison."""
+    t = random_table(rng, n_rows=40, n_rushers=3, n_blockers=3)
+    idx = build_index(t)
+    base = build_matrix(t, idx).toarray()
+    r0, b0 = idx.rusher_cols[t.rushers[0]], idx.blocker_cols[t.blockers[0]]
+    row = 7
+    cases = {}
+    X = base.copy()
+    X[row, 0] = 2.0
+    cases["intercept not 1"] = X
+    X = base.copy()
+    X[row, 2 : 2 + idx.n_rushers] = 0.0
+    X[row, [r0, r0 + 1]] = 1.0
+    cases["two rusher entries"] = X
+    X = base.copy()
+    X[row, 2 : 2 + idx.n_rushers] = 0.0
+    X[row, 2 + idx.n_rushers :] = 0.0
+    X[row, b0 + 1] = 1.0
+    cases["+1 in a blocker column"] = X
+    X = base.copy()
+    X[row, 1] = 0.5
+    cases["double team not 0/1"] = X
+    for shape, dense in cases.items():
+        yield shape, row, t, idx, sp.csr_matrix(dense)
+
+
+class TestMalformedDesignRows:
+    def test_fits_name_the_row(self, rng):
+        for shape, row, t, idx, X in malformed_designs(rng):
+            y = t.coded.win.astype(float)
+            with pytest.raises(DataError, match=f"design row {row} "):
+                fit_binary_ridge(X, y, 0.1, idx)
+            with pytest.raises(DataError, match=f"design row {row} "):
+                fit_multinomial_ridge(X, [r.severity for r in t], 0.1, idx)
+
+    def test_objectives_name_the_row(self, rng):
+        for shape, row, t, idx, X in malformed_designs(rng):
+            pen = penalty_mask(idx)
+            with pytest.raises(DataError, match=f"design row {row} "):
+                binary_objective_grad(np.zeros(idx.n_columns), X, t.coded.win, 0.1, pen)
+            with pytest.raises(DataError, match=f"design row {row} "):
+                multinomial_objective_grad(
+                    np.zeros(3 * idx.n_columns), X, t.coded.severity, 4, 0.1, pen
+                )
+
+    def test_well_formed_rows_pass(self, rng):
+        # stored zeros, a partial index and unsorted entries are all well formed
+        t = random_table(rng, n_rows=40, n_rushers=3, n_blockers=3)
+        idx = build_index(InteractionTable(t.rows[:10]))
+        X = build_matrix(t, idx)
+        coo = X.tocoo()
+        order = rng.permutation(coo.nnz)
+        shuffled = sp.coo_matrix(
+            (np.append(coo.data[order], 0.0),
+             (np.append(coo.row[order], 3), np.append(coo.col[order], 1))),
+            shape=X.shape,
+        )
+        pen = penalty_mask(idx)
+        theta = rng.normal(size=idx.n_columns)
+        want = binary_objective_grad(theta, X, t.coded.win, 0.1, pen)
+        got = binary_objective_grad(theta, shuffled, t.coded.win, 0.1, pen)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+
+    def test_column_count_must_match_index(self, rng):
+        t, idx, X, y = binary_problem(rng)
+        with pytest.raises(DataError, match="columns"):
+            fit_binary_ridge(X[:, :-1], y, 0.1, idx)
 
 
 class TestVectorizedPrediction:

@@ -3,29 +3,47 @@
 Plays are kept when they contain a forward pass or a sack (dropbacks).
 Each engagement on a kept play becomes one interaction:
 
-- win_target: the rusher's QB distance drops strictly below the
-  blocker's at some frame in the engagement window clipped to the 2.5 s
-  horizon after the snap (25 frames at 10 Hz, endpoint included);
+- win_target: at some frame of the engagement window clipped to the
+  2.5 s horizon, [max(snap, start), min(snap + 25, end)] (25 frames at
+  10 Hz, endpoint included), the rusher's distance to the QB is strictly
+  below the blocker's minus ``tolerance`` (0 by default);
 - severity: sack > hit > win > loss by priority, with sack and hit
   taken from play-level annotations and win from the 2.5 s rule;
 - double_team: two engagements of the same rusher by distinct blockers
   share at least one frame.
 
-All inputs are flat CSVs with required headers and 0/1 booleans.
+The tracking path is columnar.  ``read_tracking_csv`` parses the file
+with one ``np.loadtxt`` call into a read-only ``TrackingFrames``: play
+and player codes over sorted vocabularies, frame, x, y, is_qb and source
+line columns, and one sort of the rows by (play, player, frame).
+``build_interactions`` finds each engagement's clipped window in the QB,
+rusher and blocker tracks with one ``searchsorted`` each and decides the
+win as an any over the gathered window.  Distances use ``math.hypot``:
+``np.hypot`` differs from it in the last bit, and the rule is a strict
+comparison.  ``Frame``, ``qb_distance``, ``rusher_win_25`` and
+``detect_double_team`` stay the scalar definitions of the rule.
+
+All inputs are flat CSVs with required headers and 0/1 booleans, each
+parsed by one ``np.loadtxt`` call.  A file that call rejects, or that
+fails a check, is rescanned record by record with ``csv``, so the error
+names the first bad line.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
 import math
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import DataError
 from .interactions import (
     Interaction,
     InteractionTable,
+    _frozen,
     _parse_bool01,
     canonical_sort,
     label_outcome,
@@ -37,6 +55,9 @@ TRACKING_CSV_HEADER = ["game_id", "play_id", "frame_index", "player_id", "x", "y
 EVENTS_CSV_HEADER = ["game_id", "play_id", "snap_frame", "has_forward_pass", "has_sack", "qb_hit"]
 ENGAGEMENTS_CSV_HEADER = ["game_id", "play_id", "rusher_id", "blocker_id", "start_frame", "end_frame"]
 SCHEDULE_CSV_HEADER = ["game_id", "week"]
+
+# ids and the 0/1 flag stay strings, so their checks read what the file says
+_TRACKING_CSV_TYPES = [object, object, np.int64, object, np.float64, np.float64, object]
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,6 +109,149 @@ class Engagement:
             raise DataError(
                 f"engagement has start_frame {self.start_frame} > end_frame {self.end_frame}"
             )
+
+
+def _factorize(values) -> tuple[tuple, np.ndarray]:
+    """Sorted distinct values and each value's int64 code into them."""
+    vocab = tuple(sorted(set(values)))
+    index = {v: i for i, v in enumerate(vocab)}
+    return vocab, np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+
+
+def _play_codes(game_id: np.ndarray, play_id: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Sorted distinct (game_id, play_id) pairs and each row's code.
+
+    Tracking files list a play's rows together, so each run of one play
+    is looked up once.
+    """
+    n = len(game_id)
+    head = np.ones(n, dtype=bool)
+    head[1:] = (game_id[1:] != game_id[:-1]) | (play_id[1:] != play_id[:-1])
+    heads = np.flatnonzero(head)
+    games, game = _factorize(game_id[heads])
+    play_ids, play = _factorize(play_id[heads])
+    pairs, code = np.unique(game * len(play_ids) + play, return_inverse=True)
+    plays = tuple((games[p // len(play_ids)], play_ids[p % len(play_ids)]) for p in pairs.tolist())
+    return plays, np.repeat(code.astype(np.int64), np.diff(heads, append=n))
+
+
+class TrackingFrames(Sequence):
+    """Tracking rows as read-only columns, in input order.
+
+    ``plays`` (sorted ``(game_id, play_id)`` pairs) and ``players``
+    (sorted ids) are the vocabularies behind the int64 ``play`` and
+    ``player`` codes; ``frame``, ``x``, ``y`` and ``is_qb`` hold the
+    other fields, and ``line`` each row's source line (None for rows that
+    were not read from a file).  ``len()`` is the row count and indexing
+    yields a ``Frame``.
+
+    The rows are sorted once by (play, player, frame), so each player's
+    track on a play is one run of the sorted rows.  A repeated (game,
+    play, frame, player) is a DataError.
+    """
+
+    def __init__(self, game_id, play_id, player_id, frame, x, y, is_qb, *, line=None, source=None):
+        self.plays, play = _play_codes(
+            np.asarray(game_id, dtype=object), np.asarray(play_id, dtype=object)
+        )
+        self.play = _frozen(play)
+        self.players, player = _factorize(player_id)
+        self.player = _frozen(player)
+        # contiguous copies, so no view keeps a parsed file's rows alive
+        self.frame = _frozen(np.ascontiguousarray(frame, dtype=np.int64))
+        self.x = _frozen(np.ascontiguousarray(x, dtype=np.float64))
+        self.y = _frozen(np.ascontiguousarray(y, dtype=np.float64))
+        self.is_qb = _frozen(np.ascontiguousarray(is_qb, dtype=bool))
+        self.line = None if line is None else _frozen(np.ascontiguousarray(line, dtype=np.int64))
+        # keys pack dense ranks, not raw ids and frame numbers, so they fit in int64
+        self._frame_values, self._rank = np.unique(self.frame, return_inverse=True)
+        self._series, series = np.unique(
+            self.play * len(self.players) + self.player, return_inverse=True
+        )
+        key = series * len(self._frame_values) + self._rank
+        self._order = _frozen(np.argsort(key, kind="stable"))
+        self._sorted_key = _frozen(key[self._order])
+        self._check_unique(source)
+
+    @classmethod
+    def from_frames(cls, frames: Iterable[Frame]) -> "TrackingFrames":
+        frames = list(frames)
+        return cls(
+            [f.game_id for f in frames], [f.play_id for f in frames],
+            [f.player_id for f in frames], [f.frame_index for f in frames],
+            [f.x for f in frames], [f.y for f in frames], [bool(f.is_qb) for f in frames],
+        )
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __getitem__(self, i: int) -> Frame:
+        game_id, play_id = self.plays[self.play[i]]
+        return Frame(
+            game_id, play_id, int(self.frame[i]), self.players[self.player[i]],
+            float(self.x[i]), float(self.y[i]), bool(self.is_qb[i]),
+        )
+
+    def _where(self, i: int) -> str:
+        game_id, play_id = self.plays[self.play[i]]
+        return f"{game_id}/{play_id} frame {self.frame[i]}"
+
+    def _check_unique(self, source) -> None:
+        dup = np.flatnonzero(self._sorted_key[1:] == self._sorted_key[:-1])
+        if not dup.size:
+            return
+        # the stable sort keeps equal keys in input order: report the
+        # repeat that comes first, as a row-by-row read would meet it
+        k = int(np.argmin(self._order[dup + 1]))
+        first, again = self._order[dup[k]], self._order[dup[k] + 1]
+        player_id = self.players[self.player[again]]
+        what = f"duplicate tracking row for player {player_id!r} at {self._where(again)}"
+        if self.line is None:
+            raise DataError(what)
+        raise DataError(f"{source}:{self.line[again]}: {what} (first at line {self.line[first]})")
+
+    def _qb_track(self) -> tuple[np.ndarray, np.ndarray]:
+        """QB rows sorted by (play, frame) and their sort keys.
+
+        Two QB rows at one (play, frame) are a DataError naming the later
+        one in input order.
+        """
+        rows = np.flatnonzero(self.is_qb)
+        key = self.play[rows] * len(self._frame_values) + self._rank[rows]
+        order = np.argsort(key, kind="stable")
+        rows, key = rows[order], key[order]
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:
+            raise DataError(f"multiple QB frames at {self._where(rows[dup + 1].min())}")
+        return rows, key
+
+    def _runs(self, sorted_key, group, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Where each window's run starts in ``sorted_key``, and whether it is whole.
+
+        ``sorted_key`` packs (group, frame rank) as ``_sorted_key`` does;
+        ``group`` is -1 where the track does not exist.  A run is whole
+        when it holds every frame ``lo..hi``, so that run positions of
+        different tracks line up frame by frame.
+        """
+        width = len(self._frame_values)
+        first = np.searchsorted(self._frame_values, lo)
+        last = np.searchsorted(self._frame_values, hi, "right") - 1
+        start = np.searchsorted(sorted_key, group * width + first)
+        end = start + (hi - lo)
+        inside = (group >= 0) & (end < len(sorted_key))
+        if not inside.any():
+            return start, inside
+        # keys are distinct, so n keys in the window's key range are its n frames
+        whole = inside & (sorted_key[np.where(inside, end, 0)] == group * width + last)
+        return start, whole
+
+    def _series_code(self, play, player) -> np.ndarray:
+        """Code of each (play, player) track in the sorted keys; -1 where absent."""
+        want = play * len(self.players) + player
+        at = np.searchsorted(self._series, want)
+        ok = (play >= 0) & (player >= 0) & (at < len(self._series))
+        ok[ok] = self._series[at[ok]] == want[ok]
+        return np.where(ok, at, -1)
 
 
 def is_dropback(events: PlayEvents) -> bool:
@@ -176,30 +340,79 @@ def detect_double_team(engagements: Sequence[Engagement], *, min_overlap: int = 
     return False
 
 
-def _distance_series(
-    positions: Mapping[tuple[str, int], tuple[float, float]],
-    qb_track: Mapping[int, tuple[float, float]],
-    player_id: str,
-    frames: Iterable[int],
-    game_id: str,
-    play_id: str,
-) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for t in frames:
-        if t not in qb_track:
-            raise DataError(f"missing QB track at {game_id}/{play_id} frame {t}")
-        if (player_id, t) not in positions:
-            raise DataError(
-                f"missing track for player {player_id!r} at {game_id}/{play_id} frame {t}"
-            )
-        qx, qy = qb_track[t]
-        px, py = positions[(player_id, t)]
-        out[t] = math.hypot(px - qx, py - qy)
-    return out
+def _missing_track(frames: TrackingFrames, game_id, play_id, player_ids, window) -> DataError:
+    """The error a frame-by-frame walk of one window meets first: the
+    rusher's frames before the blocker's, and at each frame the QB
+    before the player."""
+    key = (game_id, play_id)
+    code = frames.plays.index(key) if key in frames.plays else -1
+    rows = np.flatnonzero(frames.play == code)
+    qb_frames = set(frames.frame[rows[frames.is_qb[rows]]].tolist())
+    tracked = {
+        (frames.players[p], t) for p, t in zip(frames.player[rows], frames.frame[rows].tolist())
+    }
+    for player_id in player_ids:
+        for t in window:
+            if t not in qb_frames:
+                return DataError(f"missing QB track at {game_id}/{play_id} frame {t}")
+            if (player_id, t) not in tracked:
+                return DataError(
+                    f"missing track for player {player_id!r} at {game_id}/{play_id} frame {t}"
+                )
+    raise AssertionError("no missing track in the window")
+
+
+def _window_wins(frames: TrackingFrames, qb_track, keys, windows, tolerance: float) -> np.ndarray:
+    """Win flag of each engagement ``(game_id, play_id, rusher_id,
+    blocker_id)`` over its clipped window (a ``range``); empty windows
+    are losses.  Every frame of a non-empty window needs a QB, rusher and
+    blocker row.  ``qb_track`` is ``frames._qb_track()``."""
+    won = np.zeros(len(windows), dtype=bool)
+    n = np.fromiter(map(len, windows), np.int64, len(windows))
+    live = np.flatnonzero(n > 0)
+    if not live.size:
+        return won
+    n = n[live]
+    # a window that starts after every tracked frame cannot be whole; the
+    # cap also keeps frame numbers too large for int64 out of the arrays
+    top = int(frames._frame_values[-1]) + 1 if len(frames) else 0
+    lo = np.array([min(windows[i].start, top) for i in live], dtype=np.int64)
+    hi = lo + n - 1
+    play_code = {key: i for i, key in enumerate(frames.plays)}
+    player_code = {p: i for i, p in enumerate(frames.players)}
+    play = np.array([play_code.get(keys[i][:2], -1) for i in live], dtype=np.int64)
+    qb_rows, qb_key = qb_track
+    q_start, whole = frames._runs(qb_key, play, lo, hi)
+    starts = [q_start]
+    for role in (2, 3):  # the rusher's track, then the blocker's
+        player = np.array([player_code.get(keys[i][role], -1) for i in live], dtype=np.int64)
+        series = frames._series_code(play, player)
+        start, role_whole = frames._runs(frames._sorted_key, series, lo, hi)
+        starts.append(start)
+        whole &= role_whole
+    if not whole.all():
+        i = live[np.argmin(whole)]
+        game_id, play_id, rusher_id, blocker_id = keys[i]
+        raise _missing_track(frames, game_id, play_id, (rusher_id, blocker_id), windows[i])
+
+    # gather every window frame: segment offsets, then rows of each track
+    seg = np.cumsum(n) - n
+    step = np.arange(int(n.sum())) - np.repeat(seg, n)
+    qb = qb_rows[np.repeat(starts[0], n) + step]
+    qx, qy = frames.x[qb], frames.y[qb]
+
+    def qb_dist(start):
+        rows = frames._order[np.repeat(start, n) + step]
+        dx, dy = frames.x[rows] - qx, frames.y[rows] - qy
+        return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, len(rows))
+
+    beats = qb_dist(starts[1]) < qb_dist(starts[2]) - tolerance
+    won[live] = np.logical_or.reduceat(beats, seg)
+    return won
 
 
 def build_interactions(
-    frames: Sequence[Frame],
+    frames: TrackingFrames | Sequence[Frame],
     events: Sequence[PlayEvents],
     engagements: Sequence[Engagement],
     schedule: Mapping[str, int],
@@ -210,11 +423,22 @@ def build_interactions(
 ) -> InteractionTable:
     """Assemble the modeling table from raw tracking inputs.
 
-    Engagements whose window misses the snap horizon entirely produce
-    win_target=False (no win is demonstrable inside 2.5 s) rather than
-    an error.  event_game_index numbers each game's engagements by
-    (play order, start_frame, rusher_id, blocker_id).
+    ``frames`` is a ``TrackingFrames`` or a list of ``Frame``s (converted
+    once).  Engagements whose window misses the snap horizon entirely
+    produce win_target=False (no win is demonstrable inside 2.5 s) rather
+    than an error.  event_game_index numbers each game's engagements by
+    (play order, start_frame, rusher_id, blocker_id).  ``horizon`` must be
+    >= 0, ``tolerance`` finite and >= 0, and ``min_overlap`` >= 1.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0 frames, got {horizon}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    if min_overlap < 1:
+        raise ValueError(f"min_overlap must be >= 1 frame, got {min_overlap}")
+    if not isinstance(frames, TrackingFrames):
+        frames = TrackingFrames.from_frames(frames)
+
     events_by_play: dict[tuple[str, str], PlayEvents] = {}
     for ev in events:
         key = (ev.game_id, ev.play_id)
@@ -222,18 +446,7 @@ def build_interactions(
             raise DataError(f"duplicate events row for {key}")
         events_by_play[key] = ev
 
-    qb_tracks: dict[tuple[str, str], dict[int, tuple[float, float]]] = {}
-    positions: dict[tuple[str, str], dict[tuple[str, int], tuple[float, float]]] = {}
-    for f in frames:
-        key = (f.game_id, f.play_id)
-        if f.is_qb:
-            track = qb_tracks.setdefault(key, {})
-            if f.frame_index in track:
-                raise DataError(
-                    f"multiple QB frames at {f.game_id}/{f.play_id} frame {f.frame_index}"
-                )
-            track[f.frame_index] = (f.x, f.y)
-        positions.setdefault(key, {})[(f.player_id, f.frame_index)] = (f.x, f.y)
+    qb_track = frames._qb_track()  # two QBs at one instant fail before any engagement check
 
     by_play: dict[tuple[str, str], list[Engagement]] = {}
     for e in engagements:
@@ -254,50 +467,40 @@ def build_interactions(
         for e in plays_engagements:
             by_game.setdefault(game_id, []).append((play_id, e))
 
-    rows: list[Interaction] = []
+    # each game's engagements in event order, with their double-team flags
+    ordered: list[tuple[str, str, int, Engagement, bool]] = []
     for game_id, tagged in by_game.items():
         tagged.sort(key=lambda pe: (pe[0], pe[1].start_frame, pe[1].rusher_id, pe[1].blocker_id))
-        week = schedule[game_id]
-        # each rusher's engagements on a play, in event order
         partners: dict[tuple[str, str], list[Engagement]] = {}
         for play_id, e in tagged:
             partners.setdefault((play_id, e.rusher_id), []).append(e)
         for event_index, (play_id, e) in enumerate(tagged):
-            key = (game_id, play_id)
-            ev = events_by_play[key]
-            window = _win_window(ev.snap_frame, (e.start_frame, e.end_frame), horizon)
-            if len(window) == 0:
-                won = False
-            else:
-                qb_track = qb_tracks.get(key, {})
-                pos = positions.get(key, {})
-                rd = _distance_series(pos, qb_track, e.rusher_id, window, game_id, play_id)
-                bd = _distance_series(pos, qb_track, e.blocker_id, window, game_id, play_id)
-                won = rusher_win_25(
-                    rd,
-                    bd,
-                    ev.snap_frame,
-                    (e.start_frame, e.end_frame),
-                    horizon=horizon,
-                    tolerance=tolerance,
-                )
-            rows.append(
-                Interaction(
-                    game_id=game_id,
-                    play_id=play_id,
-                    event_game_index=event_index,
-                    week=week,
-                    rusher_id=e.rusher_id,
-                    blocker_id=e.blocker_id,
-                    double_team=detect_double_team(
-                        partners[(play_id, e.rusher_id)], min_overlap=min_overlap
-                    ),
-                    win_target=won,
-                    severity=label_outcome(
-                        has_sack=ev.has_sack, has_hit=ev.qb_hit, has_win=won
-                    ),
-                )
+            double = detect_double_team(partners[(play_id, e.rusher_id)], min_overlap=min_overlap)
+            ordered.append((game_id, play_id, event_index, e, double))
+
+    windows = [
+        _win_window(events_by_play[(g, p)].snap_frame, (e.start_frame, e.end_frame), horizon)
+        for g, p, _, e, _ in ordered
+    ]
+    keys = [(g, p, e.rusher_id, e.blocker_id) for g, p, _, e, _ in ordered]
+    won = _window_wins(frames, qb_track, keys, windows, tolerance).tolist()
+
+    rows: list[Interaction] = []
+    for (game_id, play_id, event_index, e, double), w in zip(ordered, won):
+        ev = events_by_play[(game_id, play_id)]
+        rows.append(
+            Interaction(
+                game_id=game_id,
+                play_id=play_id,
+                event_game_index=event_index,
+                week=schedule[game_id],
+                rusher_id=e.rusher_id,
+                blocker_id=e.blocker_id,
+                double_team=double,
+                win_target=w,
+                severity=label_outcome(has_sack=ev.has_sack, has_hit=ev.qb_hit, has_win=w),
             )
+        )
     return canonical_sort(InteractionTable(rows))
 
 
@@ -310,95 +513,164 @@ def _check_header(path, got, want) -> None:
         raise DataError(f"bad header in {path}: expected {want}, got {got}")
 
 
-def read_tracking_csv(path) -> list[Frame]:
+def _parsed(path, records: Iterable, record):
+    """``record`` of each record, in file order; an error names the
+    record's line (the header is line 1)."""
+    for lineno, rec in enumerate(records, start=2):
+        try:
+            value = record(rec)
+        except (ValueError, DataError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        yield value
+
+
+def _csv_records(path, width: int):
+    """The data records of ``path`` as ``csv`` reads them, each checked
+    to have ``width`` fields."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        _check_header(path, next(reader, None), TRACKING_CSV_HEADER)
-        out = []
+        next(reader, None)
         for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != len(TRACKING_CSV_HEADER):
-                raise DataError(f"{path}:{lineno}: expected {len(TRACKING_CSV_HEADER)} fields")
+            if len(rec) != width:
+                raise DataError(f"{path}:{lineno}: expected {width} fields")
+            yield rec
+
+
+def _line_count(path) -> int:
+    """Lines in ``path``, a last line without a newline included."""
+    n, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            n += chunk.count(b"\n")
+            last = chunk[-1:]
+    return n + (last != b"\n")
+
+
+def _read_csv(path, header, record, types=None, valid=None) -> np.ndarray:
+    """The data records of one CSV file as a structured array, parsed by
+    a single ``np.loadtxt`` call (columns of ``types``, strings if None).
+
+    ``record`` checks one record of strings as a row-by-row reader would.
+    It runs only in a rescan with ``csv``, which raises the first bad
+    record's error.  A rescan happens when ``np.loadtxt`` fails, when it
+    skipped blank lines (errors here), or when ``valid(rows)`` is false.
+    """
+    dtype = np.dtype(list(zip(header, types or [object] * len(header))))
+    rows = failure = None
+    with open(path, newline="") as fh:
+        head = fh.readline()
+        _check_header(path, next(csv.reader([head])) if head else None, header)
+        start = fh.tell()
+        first = fh.readline()
+        if not first:
+            return np.empty(0, dtype=dtype)
+        # after a blank first line np.loadtxt may find no data and warn;
+        # the rescan raises the blank line's error instead
+        if first.rstrip("\r\n"):
+            fh.seek(start)
             try:
-                out.append(
-                    Frame(
-                        game_id=rec[0],
-                        play_id=rec[1],
-                        frame_index=int(rec[2]),
-                        player_id=rec[3],
-                        x=float(rec[4]),
-                        y=float(rec[5]),
-                        is_qb=_parse_bool01(rec[6], "is_qb"),
-                    )
+                rows = np.loadtxt(
+                    fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
                 )
-            except (ValueError, DataError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return out
+            except ValueError as exc:
+                failure = exc
+    if rows is not None and len(rows) == _line_count(path) - 1 and (valid is None or valid(rows)):
+        return rows
+    n = sum(1 for _ in _parsed(path, _csv_records(path, len(header)), record))
+    if rows is not None and n == len(rows) and (valid is None or valid(rows)):
+        return rows  # quoted line breaks made the line count differ
+    raise DataError(f"{path}: np.loadtxt and csv disagree ({failure or f'{n} csv records'})")
+
+
+def _decimal(kind, text: str, field: str):
+    """``kind(text)``, refusing the underscores and non-ASCII digits
+    that Python accepts and ``np.loadtxt`` does not."""
+    value = kind(text)
+    if "_" in text or not text.isascii():
+        raise ValueError(
+            f"{field} must be written in ASCII digits without underscores, got {text!r}"
+        )
+    return value
+
+
+def _tracking_record(rec) -> Frame:
+    return Frame(
+        game_id=rec[0],
+        play_id=rec[1],
+        frame_index=_decimal(int, rec[2], "frame_index"),
+        player_id=rec[3],
+        x=_decimal(float, rec[4], "x"),
+        y=_decimal(float, rec[5], "y"),
+        is_qb=_parse_bool01(rec[6], "is_qb"),
+    )
+
+
+def _tracking_valid(rows) -> bool:
+    flag = rows["is_qb"]
+    return bool(((flag == "1") | (flag == "0")).all() and (rows["frame_index"] >= 0).all())
+
+
+def read_tracking_csv(path) -> TrackingFrames:
+    """Tracking frames as columns; see ``TrackingFrames``."""
+    rows = _read_csv(
+        path, TRACKING_CSV_HEADER, _tracking_record, _TRACKING_CSV_TYPES, _tracking_valid
+    )
+    return TrackingFrames(
+        rows["game_id"], rows["play_id"], rows["player_id"], rows["frame_index"],
+        rows["x"], rows["y"], rows["is_qb"] == "1",
+        line=np.arange(2, len(rows) + 2), source=path,
+    )
+
+
+def _events_record(rec) -> PlayEvents:
+    return PlayEvents(
+        game_id=rec[0],
+        play_id=rec[1],
+        snap_frame=int(rec[2]),
+        has_forward_pass=_parse_bool01(rec[3], "has_forward_pass"),
+        has_sack=_parse_bool01(rec[4], "has_sack"),
+        qb_hit=_parse_bool01(rec[5], "qb_hit"),
+    )
 
 
 def read_events_csv(path) -> list[PlayEvents]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(path, next(reader, None), EVENTS_CSV_HEADER)
-        out = []
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != len(EVENTS_CSV_HEADER):
-                raise DataError(f"{path}:{lineno}: expected {len(EVENTS_CSV_HEADER)} fields")
-            try:
-                out.append(
-                    PlayEvents(
-                        game_id=rec[0],
-                        play_id=rec[1],
-                        snap_frame=int(rec[2]),
-                        has_forward_pass=_parse_bool01(rec[3], "has_forward_pass"),
-                        has_sack=_parse_bool01(rec[4], "has_sack"),
-                        qb_hit=_parse_bool01(rec[5], "qb_hit"),
-                    )
-                )
-            except (ValueError, DataError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    rows = _read_csv(path, EVENTS_CSV_HEADER, _events_record)
+    return list(_parsed(path, rows.tolist(), _events_record))
+
+
+def _engagement_record(rec) -> Engagement:
+    return Engagement(
+        game_id=rec[0],
+        play_id=rec[1],
+        rusher_id=rec[2],
+        blocker_id=rec[3],
+        start_frame=int(rec[4]),
+        end_frame=int(rec[5]),
+    )
 
 
 def read_engagements_csv(path) -> list[Engagement]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(path, next(reader, None), ENGAGEMENTS_CSV_HEADER)
-        out = []
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != len(ENGAGEMENTS_CSV_HEADER):
-                raise DataError(f"{path}:{lineno}: expected {len(ENGAGEMENTS_CSV_HEADER)} fields")
-            try:
-                out.append(
-                    Engagement(
-                        game_id=rec[0],
-                        play_id=rec[1],
-                        rusher_id=rec[2],
-                        blocker_id=rec[3],
-                        start_frame=int(rec[4]),
-                        end_frame=int(rec[5]),
-                    )
-                )
-            except (ValueError, DataError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    rows = _read_csv(path, ENGAGEMENTS_CSV_HEADER, _engagement_record)
+    return list(_parsed(path, rows.tolist(), _engagement_record))
 
 
 def read_schedule_csv(path) -> dict[str, int]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(path, next(reader, None), SCHEDULE_CSV_HEADER)
-        out: dict[str, int] = {}
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields")
-            game_id, week_text = rec
-            if game_id in out:
-                raise DataError(f"{path}:{lineno}: duplicate game_id {game_id!r}")
-            try:
-                week = int(week_text)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad week {week_text!r}") from exc
-            if week < 1:
-                raise DataError(f"{path}:{lineno}: week must be >= 1, got {week}")
-            out[game_id] = week
+    out: dict[str, int] = {}
+
+    def add(rec) -> None:
+        game_id, week_text = rec
+        if game_id in out:
+            raise DataError(f"duplicate game_id {game_id!r}")
+        try:
+            week = int(week_text)
+        except ValueError as exc:
+            raise DataError(f"bad week {week_text!r}") from exc
+        if week < 1:
+            raise DataError(f"week must be >= 1, got {week}")
+        out[game_id] = week
+
+    rows = _read_csv(path, SCHEDULE_CSV_HEADER, add)
+    out.clear()  # a rescan that found no error has filled it
+    for _ in _parsed(path, rows.tolist(), add):
+        pass
     return out

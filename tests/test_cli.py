@@ -307,6 +307,27 @@ class TestIngest:
         assert len(table) == 3
         assert {r.severity.label for r in table} == {"hit"}
 
+    @pytest.mark.parametrize("option", [
+        ["--horizon", "-1"],
+        ["--tolerance", "nan"],
+        ["--tolerance", "inf"],
+        ["--tolerance", "-0.5"],
+        ["--min-overlap", "0"],
+    ], ids=" ".join)
+    def test_label_changing_options_rejected(self, tmp_path, capsys, option):
+        self.write_inputs(tmp_path)
+        out = tmp_path / "interactions.csv"
+        code = run(
+            ["ingest", "--tracking", str(tmp_path / "tracking.csv"),
+             "--events", str(tmp_path / "events.csv"),
+             "--engagements", str(tmp_path / "engagements.csv"),
+             "--schedule", str(tmp_path / "schedule.csv"),
+             "--out", str(out)] + option
+        )
+        assert code == 1
+        assert option[0].lstrip("-").replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipeline:
     def config(self, tmp_path, **overrides):

@@ -1,13 +1,30 @@
+import collections
+import csv
 import math
+import sys
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from trenchrank import cli
 from trenchrank.errors import DataError
-from trenchrank.interactions import OutcomeClass
+from trenchrank.interactions import (
+    Interaction,
+    InteractionTable,
+    OutcomeClass,
+    _parse_bool01,
+    canonical_sort,
+    label_outcome,
+    write_interactions_csv,
+)
 from trenchrank.tracking import (
+    TRACKING_CSV_HEADER,
     Engagement,
     Frame,
     PlayEvents,
+    TrackingFrames,
     WIN_HORIZON_FRAMES,
     build_interactions,
     detect_double_team,
@@ -19,6 +36,11 @@ from trenchrank.tracking import (
     read_tracking_csv,
     rusher_win_25,
 )
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+import rawgen  # noqa: E402  (raw tracking CSVs whose table is known by construction)
 
 
 def frame(pid, x, y, *, qb=False, game="g1", play="p1", t=0):
@@ -360,3 +382,462 @@ class TestCsvReaders:
         )
         with pytest.raises(DataError, match="fields"):
             read_engagements_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the row reader and dict-based builder that the
+# columnar path replaced, kept as the oracle it must match.
+
+
+def reference_read_tracking_csv(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != TRACKING_CSV_HEADER:
+            raise DataError(f"bad header in {path}: expected {TRACKING_CSV_HEADER}, got {header}")
+        out = []
+        for lineno, rec in enumerate(reader, start=2):
+            if len(rec) != len(TRACKING_CSV_HEADER):
+                raise DataError(f"{path}:{lineno}: expected {len(TRACKING_CSV_HEADER)} fields")
+            try:
+                out.append(
+                    Frame(
+                        game_id=rec[0],
+                        play_id=rec[1],
+                        frame_index=int(rec[2]),
+                        player_id=rec[3],
+                        x=float(rec[4]),
+                        y=float(rec[5]),
+                        is_qb=_parse_bool01(rec[6], "is_qb"),
+                    )
+                )
+            except (ValueError, DataError) as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
+def _reference_distances(positions, qb_track, player_id, frames, game_id, play_id, hypot):
+    out = {}
+    for t in frames:
+        if t not in qb_track:
+            raise DataError(f"missing QB track at {game_id}/{play_id} frame {t}")
+        if (player_id, t) not in positions:
+            raise DataError(
+                f"missing track for player {player_id!r} at {game_id}/{play_id} frame {t}"
+            )
+        qx, qy = qb_track[t]
+        px, py = positions[(player_id, t)]
+        out[t] = hypot(px - qx, py - qy)
+    return out
+
+
+def reference_build_interactions(
+    frames, events, engagements, schedule, *, horizon=WIN_HORIZON_FRAMES, tolerance=0.0,
+    min_overlap=1, hypot=math.hypot,
+):
+    events_by_play = {}
+    for ev in events:
+        key = (ev.game_id, ev.play_id)
+        if key in events_by_play:
+            raise DataError(f"duplicate events row for {key}")
+        events_by_play[key] = ev
+
+    qb_tracks = {}
+    positions = {}
+    for f in frames:
+        key = (f.game_id, f.play_id)
+        if f.is_qb:
+            track = qb_tracks.setdefault(key, {})
+            if f.frame_index in track:
+                raise DataError(
+                    f"multiple QB frames at {f.game_id}/{f.play_id} frame {f.frame_index}"
+                )
+            track[f.frame_index] = (f.x, f.y)
+        positions.setdefault(key, {})[(f.player_id, f.frame_index)] = (f.x, f.y)
+
+    by_play = {}
+    for e in engagements:
+        key = (e.game_id, e.play_id)
+        if key not in events_by_play:
+            raise DataError(
+                f"dangling engagement: no events row for {e.game_id}/{e.play_id} "
+                f"({e.rusher_id} vs {e.blocker_id})"
+            )
+        by_play.setdefault(key, []).append(e)
+
+    by_game = {}
+    for (game_id, play_id), plays_engagements in by_play.items():
+        if not is_dropback(events_by_play[(game_id, play_id)]):
+            continue
+        if game_id not in schedule:
+            raise DataError(f"game {game_id!r} missing from the schedule (unknown week)")
+        for e in plays_engagements:
+            by_game.setdefault(game_id, []).append((play_id, e))
+
+    rows = []
+    for game_id, tagged in by_game.items():
+        tagged.sort(key=lambda pe: (pe[0], pe[1].start_frame, pe[1].rusher_id, pe[1].blocker_id))
+        partners = {}
+        for play_id, e in tagged:
+            partners.setdefault((play_id, e.rusher_id), []).append(e)
+        for event_index, (play_id, e) in enumerate(tagged):
+            key = (game_id, play_id)
+            ev = events_by_play[key]
+            window = range(
+                max(ev.snap_frame, e.start_frame), min(ev.snap_frame + horizon, e.end_frame) + 1
+            )
+            won = False
+            if len(window):
+                qb_track = qb_tracks.get(key, {})
+                pos = positions.get(key, {})
+                rd, bd = (
+                    _reference_distances(pos, qb_track, pid, window, game_id, play_id, hypot)
+                    for pid in (e.rusher_id, e.blocker_id)
+                )
+                won = any(rd[t] < bd[t] - tolerance for t in window)
+            rows.append(
+                Interaction(
+                    game_id=game_id,
+                    play_id=play_id,
+                    event_game_index=event_index,
+                    week=schedule[game_id],
+                    rusher_id=e.rusher_id,
+                    blocker_id=e.blocker_id,
+                    double_team=detect_double_team(
+                        partners[(play_id, e.rusher_id)], min_overlap=min_overlap
+                    ),
+                    win_target=won,
+                    severity=label_outcome(has_sack=ev.has_sack, has_hit=ev.qb_hit, has_win=won),
+                )
+            )
+    return canonical_sort(InteractionTable(rows))
+
+
+# ---------------------------------------------------------------------------
+# Equivalence oracle on seeded random worlds
+
+
+def _hard_vectors(n=40):
+    """Off-grid QB offsets where np.hypot is above math.hypot in the last bit."""
+    rng = np.random.default_rng(2024)
+    out = []
+    while len(out) < n:
+        xy = rng.uniform(0.5, 9.0, size=(20000, 2))
+        exact = np.array(list(map(math.hypot, xy[:, 0].tolist(), xy[:, 1].tolist())))
+        out += [tuple(v) for v in xy[np.hypot(xy[:, 0], xy[:, 1]) > exact].tolist()]
+    return out[:n]
+
+
+HARD_VECTORS = _hard_vectors()
+
+
+def _window_kind(rng, snap):
+    """(start, end, case): windows inside the horizon, clipped at the snap
+    or at snap + 25, or missing the horizon on either side."""
+    u = rng.random()
+    if u < 0.25:
+        start = snap - int(rng.integers(1, 4))
+        return start, snap + int(rng.integers(0, 20)), "clipped_at_snap"
+    if u < 0.5:
+        start = snap + int(rng.integers(5, 25))
+        return start, snap + WIN_HORIZON_FRAMES + int(rng.integers(1, 6)), "clipped_at_horizon"
+    if u < 0.6:
+        if rng.random() < 0.5:
+            start = snap + WIN_HORIZON_FRAMES + int(rng.integers(1, 4))
+            return start, start + int(rng.integers(0, 3)), "misses_horizon"
+        return 0, snap - 1, "misses_horizon"
+    start = snap + int(rng.integers(0, 10))
+    return start, start + int(rng.integers(0, 15)), "inside"
+
+
+def random_world(seed):
+    """Frames (shuffled), events, engagements, schedule and case counts of
+    a random world whose win labels hinge on single frames at the window
+    edges, exact ties, last-bit hypot differences and small margins."""
+    rng = np.random.default_rng(seed)
+    frames, events, engagements, schedule = [], [], [], {}
+    cases = collections.Counter()
+    for g in range(3):
+        game = f"g{g}"
+        schedule[game] = g + 1
+        for p in range(12):
+            play = f"p{p}"
+            snap = int(rng.integers(1, 6))
+            last = snap + WIN_HORIZON_FRAMES + 8
+            u = rng.random()
+            hit = bool(rng.random() < 0.1)
+            events.append(PlayEvents(game, play, snap, u >= 0.1, 0.1 <= u < 0.2, hit))
+            origin = rng.random() < 0.5  # the QB stays at (0, 0): hypot inputs are exact offsets
+            if origin:
+                qb = {t: (0.0, 0.0) for t in range(last + 1)}
+            else:
+                qb = {t: tuple(rng.uniform(-30, 30, 2).tolist()) for t in range(last + 1)}
+            rushers = [f"R{i}" for i in rng.choice(10, int(rng.integers(1, 4)), replace=False)]
+            blockers = iter(f"B{i}" for i in rng.permutation(12))
+            rusher_vec = {}
+            for r in rushers:
+                theta = rng.uniform(0, 2 * math.pi, last + 1)
+                dist = rng.uniform(2, 10, last + 1)
+                rusher_vec[r] = {t: (dist[t] * math.cos(theta[t]), dist[t] * math.sin(theta[t]))
+                                 for t in range(last + 1)}
+            blocker_vec = {}
+            span = {}
+            for r in rushers:
+                first = None
+                for k in range(int(rng.integers(1, 3))):
+                    b = next(blockers)
+                    if first is None:
+                        start, end, case = _window_kind(rng, snap)
+                    else:  # second blocker: touch at one frame, share two, or follow on
+                        start = first[1] - int(rng.integers(-1, 2))
+                        end = start + int(rng.integers(1, 10))
+                        case = {0: "touching", 1: "two_shared"}.get(first[1] - start, "sequential")
+                    cases[case] += 1
+                    first = first or (start, end)
+                    engagements.append(Engagement(game, play, r, b, start, end))
+                    lo, hi = max(snap, start), min(snap + WIN_HORIZON_FRAMES, end)
+                    window = range(lo, hi + 1)
+                    # loss frames everywhere; outside the window the rusher often "wins"
+                    rel = {t: 1.3 if t not in window and rng.random() < 0.5 else 0.75
+                           for t in range(last + 1)}
+                    special = rng.choice(["none", "win_lo", "win_hi", "win_after", "win_before",
+                                          "win_any", "tie", "margin", "hypot"])
+                    if not len(window):
+                        special = "none"
+                    if special == "hypot" and (not origin or k > 0):
+                        special = "tie"
+                    cases[str(special)] += 1
+                    if special == "win_hi":
+                        cases["win_hi_at_end" if hi == end else "win_hi_at_horizon"] += 1
+                    target = {"win_lo": lo, "win_hi": hi, "win_after": hi + 1, "win_before": lo - 1,
+                              "win_any": int(rng.integers(lo, hi + 1)) if len(window) else -1}
+                    if special in target and 0 <= target[special] <= last:
+                        rel[target[special]] = 1.3
+                    vec = {}
+                    for t in range(last + 1):
+                        rx, ry = rusher_vec[r][t]
+                        vec[t] = (rx * rel[t], ry * rel[t])
+                        if t in window and special == "tie" and rng.random() < 0.5:
+                            vec[t] = None  # on the rusher's spot
+                        elif t in window and special == "margin" and rng.random() < 0.3:
+                            d = math.hypot(rx, ry)
+                            vec[t] = (rx * (d + 0.05) / d, ry * (d + 0.05) / d)
+                        elif t in window and special == "hypot":
+                            hx, hy = HARD_VECTORS[int(rng.integers(len(HARD_VECTORS)))]
+                            rusher_vec[r][t] = (math.hypot(hx, hy), 0.0)
+                            vec[t] = (hx, hy)
+                    blocker_vec[b] = r, vec
+                    # tracks cover the window plus a random margin, never all frames
+                    a = max(0, min(lo, snap) - int(rng.integers(0, 3)))
+                    z = min(last, max(hi, snap) + int(rng.integers(0, 3)))
+                    span[b] = (a, z)
+                    sa, sz = span.get(r, (a, z))
+                    span[r] = (min(sa, a), max(sz, z))
+            for t in range(last + 1):
+                qx, qy = qb[t]
+                frames.append(Frame(game, play, t, "QB", qx, qy, True))
+                for r in rushers:
+                    if span[r][0] <= t <= span[r][1]:
+                        rx, ry = rusher_vec[r][t]
+                        frames.append(Frame(game, play, t, r, qx + rx, qy + ry, False))
+                for b, (r, vec) in blocker_vec.items():
+                    if span[b][0] <= t <= span[b][1]:
+                        bx, by = rusher_vec[r][t] if vec[t] is None else vec[t]
+                        frames.append(Frame(game, play, t, b, qx + bx, qy + by, False))
+    order = rng.permutation(len(frames))
+    return [frames[i] for i in order], events, engagements, schedule, cases
+
+
+WORLD_OPTIONS = [{}, {"tolerance": 0.1}, {"min_overlap": 2}, {"horizon": 7}]
+
+
+class TestEquivalenceOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_world_covers_every_case(self, seed):
+        frames, events, engagements, schedule, cases = random_world(seed)
+        for case in ("clipped_at_snap", "clipped_at_horizon", "misses_horizon", "inside",
+                     "touching", "two_shared", "win_lo", "win_after", "win_before", "tie",
+                     "margin", "hypot", "win_hi_at_end", "win_hi_at_horizon"):
+            assert cases[case] > 0, case
+        # last-bit hypot differences decide some labels, and so do ties and margins
+        exact = reference_build_interactions(frames, events, engagements, schedule)
+        assert exact != reference_build_interactions(
+            frames, events, engagements, schedule, hypot=np.hypot
+        )
+        assert exact != reference_build_interactions(
+            frames, events, engagements, schedule, tolerance=0.1
+        )
+
+    @pytest.mark.parametrize("options", WORLD_OPTIONS, ids=lambda o: ",".join(o) or "defaults")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_frame_lists_match_reference(self, seed, options):
+        frames, events, engagements, schedule, _ = random_world(seed)
+        want = reference_build_interactions(frames, events, engagements, schedule, **options)
+        got = build_interactions(frames, events, engagements, schedule, **options)
+        assert got == want
+        assert any(r.win_target for r in got) and not all(r.win_target for r in got)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_csv_path_matches_reference(self, seed, tmp_path):
+        frames, events, engagements, schedule, _ = random_world(seed)
+        path = tmp_path / "tracking.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(TRACKING_CSV_HEADER)
+            for f in frames:
+                w.writerow([f.game_id, f.play_id, f.frame_index, f.player_id, f.x, f.y,
+                            int(f.is_qb)])
+        ref_frames = reference_read_tracking_csv(path)
+        columns = read_tracking_csv(path)
+        assert list(columns) == ref_frames == frames
+        for options in WORLD_OPTIONS:
+            assert build_interactions(columns, events, engagements, schedule, **options) == \
+                reference_build_interactions(ref_frames, events, engagements, schedule, **options)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rawgen_ingest_is_byte_identical(self, seed, tmp_path, capsys):
+        info = rawgen.generate(tmp_path, seed=seed, n_games=1)
+        paths = info["paths"]
+        out = tmp_path / "interactions.csv"
+        argv = ["ingest"] + [
+            arg for name in ("tracking", "events", "engagements", "schedule")
+            for arg in (f"--{name}", paths[name])
+        ] + ["--out", str(out)]
+        assert cli.main(argv) == 0
+        ref = tmp_path / "reference.csv"
+        write_interactions_csv(
+            reference_build_interactions(
+                reference_read_tracking_csv(paths["tracking"]), read_events_csv(paths["events"]),
+                read_engagements_csv(paths["engagements"]), read_schedule_csv(paths["schedule"]),
+            ),
+            ref,
+        )
+        assert out.read_bytes() == ref.read_bytes()
+        assert rawgen.read_rows(out) == rawgen.read_rows(paths["expected"])
+
+
+# ---------------------------------------------------------------------------
+# Reader parity: malformed inputs raise the reference's error text
+
+
+def _play_rows(drop=()):
+    """QB, R1 and B1 rows of g1/p1 at frames 0-2, minus ``drop`` (player, frame) pairs."""
+    spots = {"QB": ("0.0", "0.0", "1"), "R1": ("3.0", "4.0", "0"), "B1": ("1.0", "1.0", "0")}
+    return [
+        f"g1,p1,{t},{pid},{x},{y},{qb}"
+        for t in range(3) for pid, (x, y, qb) in spots.items() if (pid, t) not in drop
+    ]
+
+
+PARITY_EVENTS = [PlayEvents("g1", "p1", 0, True, False, False)]
+PARITY_ENGAGEMENTS = [Engagement("g1", "p1", "R1", "B1", 0, 2)]
+
+READER_CASES = {
+    "short line": _play_rows() + ["g1,p1,3,QB,0.0,0.0"],
+    "long line": _play_rows() + ["g1,p1,3,QB,0.0,0.0,1,9"],
+    "blank line": _play_rows()[:2] + [""] + _play_rows()[2:],
+    "blank last line": _play_rows() + [""],
+    "non-integer frame_index": _play_rows() + ["g1,p1,1.5,QB,0.0,0.0,1"],
+    "non-numeric x": _play_rows() + ["g1,p1,3,QB,abc,0.0,1"],
+    "is_qb yes": _play_rows() + ["g1,p1,3,QB,0.0,0.0,yes"],
+    "is_qb 2": _play_rows() + ["g1,p1,3,QB,0.0,0.0,2"],
+    "negative frame_index": _play_rows() + ["g1,p1,-1,QB,0.0,0.0,1"],
+    "bad flag before bad number": ["g1,p1,0,QB,0.0,0.0,yes", "g1,p1,1,QB,abc,0.0,1"],
+    "negative frame before short line": ["g1,p1,-4,QB,0.0,0.0,1", "g1,p1,1,QB"],
+    "header only": [],
+    "hash inside an id": [r.replace("g1", "g0#2") for r in _play_rows()],
+    "quoted id with a comma": [r.replace("R1", '"R,1"') for r in _play_rows()],
+    "doubled quotes": [r.replace("R1", '"R""1"') for r in _play_rows()],
+    "duplicate QB frame": _play_rows() + ["g1,p1,1,QB2,5.0,5.0,1"],
+    "missing QB and player track at one frame": _play_rows(drop={("QB", 1), ("R1", 1)}),
+    "missing player track before missing QB track": _play_rows(drop={("R1", 0), ("QB", 2)}),
+    "missing blocker track before missing QB track": _play_rows(drop={("B1", 0), ("QB", 2)}),
+    "missing blocker track": _play_rows(drop={("B1", 1)}),
+}
+
+
+PARSED_IDS = {"hash inside an id": "g0#2", "quoted id with a comma": "R,1", "doubled quotes": 'R"1'}
+
+
+def _outcome(read, build, path):
+    """The read error's text, or the frames read and the built table or
+    the build error's text."""
+    try:
+        frames = read(path)
+    except DataError as exc:
+        return str(exc)
+    try:
+        return list(frames), build(frames, PARITY_EVENTS, PARITY_ENGAGEMENTS, {"g1": 1})
+    except DataError as exc:
+        return list(frames), str(exc)
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_reader_parity(case, tmp_path):
+    path = tmp_path / "tracking.csv"
+    lines = READER_CASES[case]
+    path.write_text(",".join(TRACKING_CSV_HEADER) + "\n" + "".join(line + "\n" for line in lines))
+    want = _outcome(reference_read_tracking_csv, reference_build_interactions, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(read_tracking_csv, build_interactions, path)
+    assert got == want
+    if case == "header only":
+        assert got[0] == []
+    elif case in PARSED_IDS:
+        assert PARSED_IDS[case] in {f.player_id for f in got[0]} | {f.game_id for f in got[0]}
+    else:  # every other case is a read or build error
+        assert isinstance(got, str) or isinstance(got[1], str)
+
+
+class TestColumnarReader:
+    def test_underscored_numerals_rejected_with_line(self, tmp_path):
+        for row in ("g1,p1,5_0,QB,0.0,0.0,1", "g1,p1,5,QB,1_5,0.0,1"):
+            path = tmp_path / "tracking.csv"
+            path.write_text(",".join(TRACKING_CSV_HEADER) + "\ng1,p1,0,QB,0.0,0.0,1\n" + row + "\n")
+            assert len(reference_read_tracking_csv(path)) == 2  # Python's int/float accept them
+            with pytest.raises(DataError, match=r":3: .*underscores"):
+                read_tracking_csv(path)
+
+    def test_duplicate_csv_row_names_both_lines(self, tmp_path):
+        path = tmp_path / "tracking.csv"
+        rows = _play_rows()
+        path.write_text(",".join(TRACKING_CSV_HEADER) + "\n"
+                        + "\n".join(rows + [rows[4].replace("3.0", "9.0")]) + "\n")
+        with pytest.raises(
+            DataError,
+            match=r"tracking.csv:11: duplicate tracking row for player 'R1' at g1/p1 frame 1 "
+                  r"\(first at line 6\)",
+        ):
+            read_tracking_csv(path)
+
+    def test_duplicate_frame_in_list_names_key(self):
+        frames, events, engagements, schedule = hand_play()
+        frames = frames + [frame("R2", 1.0, 1.0, t=7)]
+        want = r"^duplicate tracking row for player 'R2' at g1/p1 frame 7$"
+        with pytest.raises(DataError, match=want):
+            build_interactions(frames, events, engagements, schedule)
+        with pytest.raises(DataError, match="duplicate tracking row"):
+            TrackingFrames.from_frames(frames)
+
+    def test_columns_are_read_only_and_index_to_frames(self):
+        frames, *_ = hand_play()
+        columns = TrackingFrames.from_frames(frames)
+        assert len(columns) == len(frames) and list(columns) == frames
+        assert columns[-1] == frames[-1]
+        assert columns.plays == (("g1", "p1"), ("g1", "p2"))
+        assert columns.players == ("B1", "B2", "QB", "R1", "R2")
+        assert columns.line is None
+        with pytest.raises(ValueError):
+            columns.x[0] = 1.0
+
+    def test_window_past_int64_gives_reference_error(self):
+        frames, events, engagements, schedule = hand_play()
+        events = [PlayEvents("g1", "p1", 2**64, True, False, False), events[1]]
+        engagements = engagements + [Engagement("g1", "p1", "R1", "B2", 0, 2**64 + 5)]
+        errors = []
+        for build in (reference_build_interactions, build_interactions):
+            with pytest.raises(DataError) as info:
+                build(frames, events, engagements, schedule)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == f"missing QB track at g1/p1 frame {2**64}"

@@ -23,16 +23,18 @@ win as an any over the gathered window.  Distances use ``math.hypot``:
 comparison.  ``Frame``, ``qb_distance``, ``rusher_win_25`` and
 ``detect_double_team`` stay the scalar definitions of the rule.
 
-All inputs are flat CSVs with required headers and 0/1 booleans, each
-parsed by one ``np.loadtxt`` call.  A file that call rejects, or that
-fails a check, is rescanned record by record with ``csv``, so the error
-names the first bad line.
+All inputs are flat CSVs with required headers and 0/1 booleans.  The
+events, engagements and schedule files are read record by record with
+``csv``; an error names the bad line.  A tracking file that
+``np.loadtxt`` rejects, or that fails a check, is rescanned the same way,
+so its error names the first bad line too.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -171,6 +173,7 @@ class TrackingFrames(Sequence):
         key = series * len(self._frame_values) + self._rank
         self._order = _frozen(np.argsort(key, kind="stable"))
         self._sorted_key = _frozen(key[self._order])
+        self._qb = None
         self._check_unique(source)
 
     @classmethod
@@ -210,20 +213,90 @@ class TrackingFrames(Sequence):
             raise DataError(what)
         raise DataError(f"{source}:{self.line[again]}: {what} (first at line {self.line[first]})")
 
-    def _qb_track(self) -> tuple[np.ndarray, np.ndarray]:
-        """QB rows sorted by (play, frame) and their sort keys.
+    def qb_track(self) -> tuple[np.ndarray, np.ndarray]:
+        """QB rows sorted by (play, frame) and their sort keys, found once.
 
         Two QB rows at one (play, frame) are a DataError naming the later
         one in input order.
         """
-        rows = np.flatnonzero(self.is_qb)
-        key = self.play[rows] * len(self._frame_values) + self._rank[rows]
-        order = np.argsort(key, kind="stable")
-        rows, key = rows[order], key[order]
-        dup = np.flatnonzero(key[1:] == key[:-1])
-        if dup.size:
-            raise DataError(f"multiple QB frames at {self._where(rows[dup + 1].min())}")
-        return rows, key
+        if self._qb is None:
+            rows = np.flatnonzero(self.is_qb)
+            key = self.play[rows] * len(self._frame_values) + self._rank[rows]
+            order = np.argsort(key, kind="stable")
+            rows, key = rows[order], key[order]
+            dup = np.flatnonzero(key[1:] == key[:-1])
+            if dup.size:
+                raise DataError(f"multiple QB frames at {self._where(rows[dup + 1].min())}")
+            self._qb = rows, key
+        return self._qb
+
+    def window_wins(self, keys, windows, tolerance: float) -> np.ndarray:
+        """Win flag of each engagement ``(game_id, play_id, rusher_id,
+        blocker_id)`` over its clipped window (a ``range``); empty windows
+        are losses.  Every frame of a non-empty window needs a QB, rusher
+        and blocker row."""
+        won = np.zeros(len(windows), dtype=bool)
+        n = np.fromiter(map(len, windows), np.int64, len(windows))
+        live = np.flatnonzero(n > 0)
+        if not live.size:
+            return won
+        n = n[live]
+        # a window that starts after every tracked frame cannot be whole; the
+        # cap also keeps frame numbers too large for int64 out of the arrays
+        top = int(self._frame_values[-1]) + 1 if len(self) else 0
+        lo = np.array([min(windows[i].start, top) for i in live], dtype=np.int64)
+        hi = lo + n - 1
+        play_code = {key: i for i, key in enumerate(self.plays)}
+        player_code = {p: i for i, p in enumerate(self.players)}
+        play = np.array([play_code.get(keys[i][:2], -1) for i in live], dtype=np.int64)
+        qb_rows, qb_key = self.qb_track()
+        q_start, whole = self._runs(qb_key, play, lo, hi)
+        starts = [q_start]
+        for role in (2, 3):  # the rusher's track, then the blocker's
+            player = np.array([player_code.get(keys[i][role], -1) for i in live], dtype=np.int64)
+            series = self._series_code(play, player)
+            start, role_whole = self._runs(self._sorted_key, series, lo, hi)
+            starts.append(start)
+            whole &= role_whole
+        if not whole.all():
+            i = live[np.argmin(whole)]
+            raise self._missing_track(keys[i], windows[i])
+
+        # gather every window frame: segment offsets, then rows of each track
+        seg = np.cumsum(n) - n
+        step = np.arange(int(n.sum())) - np.repeat(seg, n)
+        qb = qb_rows[np.repeat(starts[0], n) + step]
+        qx, qy = self.x[qb], self.y[qb]
+
+        def qb_dist(start):
+            rows = self._order[np.repeat(start, n) + step]
+            dx, dy = self.x[rows] - qx, self.y[rows] - qy
+            return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, len(rows))
+
+        beats = qb_dist(starts[1]) < qb_dist(starts[2]) - tolerance
+        won[live] = np.logical_or.reduceat(beats, seg)
+        return won
+
+    def _missing_track(self, key, window) -> DataError:
+        """The error a frame-by-frame walk of one engagement's window meets
+        first: the rusher's frames before the blocker's, and at each frame
+        the QB before the player."""
+        game_id, play_id, rusher_id, blocker_id = key
+        code = self.plays.index((game_id, play_id)) if (game_id, play_id) in self.plays else -1
+        rows = np.flatnonzero(self.play == code)
+        qb_frames = set(self.frame[rows[self.is_qb[rows]]].tolist())
+        tracked = {
+            (self.players[p], t) for p, t in zip(self.player[rows], self.frame[rows].tolist())
+        }
+        for player_id in (rusher_id, blocker_id):
+            for t in window:
+                if t not in qb_frames:
+                    return DataError(f"missing QB track at {game_id}/{play_id} frame {t}")
+                if (player_id, t) not in tracked:
+                    return DataError(
+                        f"missing track for player {player_id!r} at {game_id}/{play_id} frame {t}"
+                    )
+        raise AssertionError("no missing track in the window")
 
     def _runs(self, sorted_key, group, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """Where each window's run starts in ``sorted_key``, and whether it is whole.
@@ -340,77 +413,6 @@ def detect_double_team(engagements: Sequence[Engagement], *, min_overlap: int = 
     return False
 
 
-def _missing_track(frames: TrackingFrames, game_id, play_id, player_ids, window) -> DataError:
-    """The error a frame-by-frame walk of one window meets first: the
-    rusher's frames before the blocker's, and at each frame the QB
-    before the player."""
-    key = (game_id, play_id)
-    code = frames.plays.index(key) if key in frames.plays else -1
-    rows = np.flatnonzero(frames.play == code)
-    qb_frames = set(frames.frame[rows[frames.is_qb[rows]]].tolist())
-    tracked = {
-        (frames.players[p], t) for p, t in zip(frames.player[rows], frames.frame[rows].tolist())
-    }
-    for player_id in player_ids:
-        for t in window:
-            if t not in qb_frames:
-                return DataError(f"missing QB track at {game_id}/{play_id} frame {t}")
-            if (player_id, t) not in tracked:
-                return DataError(
-                    f"missing track for player {player_id!r} at {game_id}/{play_id} frame {t}"
-                )
-    raise AssertionError("no missing track in the window")
-
-
-def _window_wins(frames: TrackingFrames, qb_track, keys, windows, tolerance: float) -> np.ndarray:
-    """Win flag of each engagement ``(game_id, play_id, rusher_id,
-    blocker_id)`` over its clipped window (a ``range``); empty windows
-    are losses.  Every frame of a non-empty window needs a QB, rusher and
-    blocker row.  ``qb_track`` is ``frames._qb_track()``."""
-    won = np.zeros(len(windows), dtype=bool)
-    n = np.fromiter(map(len, windows), np.int64, len(windows))
-    live = np.flatnonzero(n > 0)
-    if not live.size:
-        return won
-    n = n[live]
-    # a window that starts after every tracked frame cannot be whole; the
-    # cap also keeps frame numbers too large for int64 out of the arrays
-    top = int(frames._frame_values[-1]) + 1 if len(frames) else 0
-    lo = np.array([min(windows[i].start, top) for i in live], dtype=np.int64)
-    hi = lo + n - 1
-    play_code = {key: i for i, key in enumerate(frames.plays)}
-    player_code = {p: i for i, p in enumerate(frames.players)}
-    play = np.array([play_code.get(keys[i][:2], -1) for i in live], dtype=np.int64)
-    qb_rows, qb_key = qb_track
-    q_start, whole = frames._runs(qb_key, play, lo, hi)
-    starts = [q_start]
-    for role in (2, 3):  # the rusher's track, then the blocker's
-        player = np.array([player_code.get(keys[i][role], -1) for i in live], dtype=np.int64)
-        series = frames._series_code(play, player)
-        start, role_whole = frames._runs(frames._sorted_key, series, lo, hi)
-        starts.append(start)
-        whole &= role_whole
-    if not whole.all():
-        i = live[np.argmin(whole)]
-        game_id, play_id, rusher_id, blocker_id = keys[i]
-        raise _missing_track(frames, game_id, play_id, (rusher_id, blocker_id), windows[i])
-
-    # gather every window frame: segment offsets, then rows of each track
-    seg = np.cumsum(n) - n
-    step = np.arange(int(n.sum())) - np.repeat(seg, n)
-    qb = qb_rows[np.repeat(starts[0], n) + step]
-    qx, qy = frames.x[qb], frames.y[qb]
-
-    def qb_dist(start):
-        rows = frames._order[np.repeat(start, n) + step]
-        dx, dy = frames.x[rows] - qx, frames.y[rows] - qy
-        return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, len(rows))
-
-    beats = qb_dist(starts[1]) < qb_dist(starts[2]) - tolerance
-    won[live] = np.logical_or.reduceat(beats, seg)
-    return won
-
-
 def build_interactions(
     frames: TrackingFrames | Sequence[Frame],
     events: Sequence[PlayEvents],
@@ -446,7 +448,7 @@ def build_interactions(
             raise DataError(f"duplicate events row for {key}")
         events_by_play[key] = ev
 
-    qb_track = frames._qb_track()  # two QBs at one instant fail before any engagement check
+    frames.qb_track()  # two QBs at one instant fail before any engagement check
 
     by_play: dict[tuple[str, str], list[Engagement]] = {}
     for e in engagements:
@@ -483,7 +485,7 @@ def build_interactions(
         for g, p, _, e, _ in ordered
     ]
     keys = [(g, p, e.rusher_id, e.blocker_id) for g, p, _, e, _ in ordered]
-    won = _window_wins(frames, qb_track, keys, windows, tolerance).tolist()
+    won = frames.window_wins(keys, windows, tolerance).tolist()
 
     rows: list[Interaction] = []
     for (game_id, play_id, event_index, e, double), w in zip(ordered, won):
@@ -513,27 +515,28 @@ def _check_header(path, got, want) -> None:
         raise DataError(f"bad header in {path}: expected {want}, got {got}")
 
 
-def _parsed(path, records: Iterable, record):
-    """``record`` of each record, in file order; an error names the
-    record's line (the header is line 1)."""
-    for lineno, rec in enumerate(records, start=2):
+def _csv_records(path, header):
+    """``(line, record)`` for each data record of ``path`` as ``csv``
+    reads it (the header is line 1), after the header and field-count
+    checks."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        _check_header(path, next(reader, None), header)
+        for lineno, rec in enumerate(reader, start=2):
+            if len(rec) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+            yield lineno, rec
+
+
+def _parsed(path, header, record):
+    """``record`` of each data record, in file order; an error names the
+    record's line."""
+    for lineno, rec in _csv_records(path, header):
         try:
             value = record(rec)
         except (ValueError, DataError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         yield value
-
-
-def _csv_records(path, width: int):
-    """The data records of ``path`` as ``csv`` reads them, each checked
-    to have ``width`` fields."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != width:
-                raise DataError(f"{path}:{lineno}: expected {width} fields")
-            yield rec
 
 
 def _line_count(path) -> int:
@@ -544,42 +547,6 @@ def _line_count(path) -> int:
             n += chunk.count(b"\n")
             last = chunk[-1:]
     return n + (last != b"\n")
-
-
-def _read_csv(path, header, record, types=None, valid=None) -> np.ndarray:
-    """The data records of one CSV file as a structured array, parsed by
-    a single ``np.loadtxt`` call (columns of ``types``, strings if None).
-
-    ``record`` checks one record of strings as a row-by-row reader would.
-    It runs only in a rescan with ``csv``, which raises the first bad
-    record's error.  A rescan happens when ``np.loadtxt`` fails, when it
-    skipped blank lines (errors here), or when ``valid(rows)`` is false.
-    """
-    dtype = np.dtype(list(zip(header, types or [object] * len(header))))
-    rows = failure = None
-    with open(path, newline="") as fh:
-        head = fh.readline()
-        _check_header(path, next(csv.reader([head])) if head else None, header)
-        start = fh.tell()
-        first = fh.readline()
-        if not first:
-            return np.empty(0, dtype=dtype)
-        # after a blank first line np.loadtxt may find no data and warn;
-        # the rescan raises the blank line's error instead
-        if first.rstrip("\r\n"):
-            fh.seek(start)
-            try:
-                rows = np.loadtxt(
-                    fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
-                )
-            except ValueError as exc:
-                failure = exc
-    if rows is not None and len(rows) == _line_count(path) - 1 and (valid is None or valid(rows)):
-        return rows
-    n = sum(1 for _ in _parsed(path, _csv_records(path, len(header)), record))
-    if rows is not None and n == len(rows) and (valid is None or valid(rows)):
-        return rows  # quoted line breaks made the line count differ
-    raise DataError(f"{path}: np.loadtxt and csv disagree ({failure or f'{n} csv records'})")
 
 
 def _decimal(kind, text: str, field: str):
@@ -610,11 +577,48 @@ def _tracking_valid(rows) -> bool:
     return bool(((flag == "1") | (flag == "0")).all() and (rows["frame_index"] >= 0).all())
 
 
+def _load_tracking(path) -> np.ndarray:
+    """The tracking file's data records as a structured array, parsed by a
+    single ``np.loadtxt`` call.
+
+    When that call fails, skips blank lines (errors here) or reads a value
+    the checks reject, a rescan with ``csv`` raises the first bad record's
+    error as a row-by-row reader would.
+    """
+    dtype = np.dtype(list(zip(TRACKING_CSV_HEADER, _TRACKING_CSV_TYPES)))
+    rows = failure = None
+    with open(path, newline="") as fh:
+        head = fh.readline()
+        _check_header(path, next(csv.reader([head])) if head else None, TRACKING_CSV_HEADER)
+        start = fh.tell()
+        first = fh.readline()
+        if not first:
+            return np.empty(0, dtype=dtype)
+        # after a blank first line np.loadtxt may find no data and warn;
+        # the rescan raises the blank line's error instead
+        if first.rstrip("\r\n"):
+            fh.seek(start)
+            try:
+                with warnings.catch_warnings():
+                    # an int64 field such as "3.5" or "1e1" is otherwise
+                    # truncated to an integer with only a DeprecationWarning
+                    warnings.simplefilter("error", DeprecationWarning)
+                    rows = np.loadtxt(
+                        fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
+                    )
+            except (ValueError, DeprecationWarning) as exc:
+                failure = exc
+    if rows is not None and len(rows) == _line_count(path) - 1 and _tracking_valid(rows):
+        return rows
+    n = sum(1 for _ in _parsed(path, TRACKING_CSV_HEADER, _tracking_record))
+    if rows is not None and n == len(rows) and _tracking_valid(rows):
+        return rows  # quoted line breaks made the line count differ
+    raise DataError(f"{path}: np.loadtxt and csv disagree ({failure or f'{n} csv records'})")
+
+
 def read_tracking_csv(path) -> TrackingFrames:
     """Tracking frames as columns; see ``TrackingFrames``."""
-    rows = _read_csv(
-        path, TRACKING_CSV_HEADER, _tracking_record, _TRACKING_CSV_TYPES, _tracking_valid
-    )
+    rows = _load_tracking(path)
     return TrackingFrames(
         rows["game_id"], rows["play_id"], rows["player_id"], rows["frame_index"],
         rows["x"], rows["y"], rows["is_qb"] == "1",
@@ -634,8 +638,7 @@ def _events_record(rec) -> PlayEvents:
 
 
 def read_events_csv(path) -> list[PlayEvents]:
-    rows = _read_csv(path, EVENTS_CSV_HEADER, _events_record)
-    return list(_parsed(path, rows.tolist(), _events_record))
+    return list(_parsed(path, EVENTS_CSV_HEADER, _events_record))
 
 
 def _engagement_record(rec) -> Engagement:
@@ -650,27 +653,19 @@ def _engagement_record(rec) -> Engagement:
 
 
 def read_engagements_csv(path) -> list[Engagement]:
-    rows = _read_csv(path, ENGAGEMENTS_CSV_HEADER, _engagement_record)
-    return list(_parsed(path, rows.tolist(), _engagement_record))
+    return list(_parsed(path, ENGAGEMENTS_CSV_HEADER, _engagement_record))
 
 
 def read_schedule_csv(path) -> dict[str, int]:
     out: dict[str, int] = {}
-
-    def add(rec) -> None:
-        game_id, week_text = rec
+    for lineno, (game_id, week_text) in _csv_records(path, SCHEDULE_CSV_HEADER):
         if game_id in out:
-            raise DataError(f"duplicate game_id {game_id!r}")
+            raise DataError(f"{path}:{lineno}: duplicate game_id {game_id!r}")
         try:
             week = int(week_text)
         except ValueError as exc:
-            raise DataError(f"bad week {week_text!r}") from exc
+            raise DataError(f"{path}:{lineno}: bad week {week_text!r}") from exc
         if week < 1:
-            raise DataError(f"week must be >= 1, got {week}")
+            raise DataError(f"{path}:{lineno}: week must be >= 1, got {week}")
         out[game_id] = week
-
-    rows = _read_csv(path, SCHEDULE_CSV_HEADER, add)
-    out.clear()  # a rescan that found no error has filled it
-    for _ in _parsed(path, rows.tolist(), add):
-        pass
     return out

@@ -738,6 +738,9 @@ READER_CASES = {
     "blank line": _play_rows()[:2] + [""] + _play_rows()[2:],
     "blank last line": _play_rows() + [""],
     "non-integer frame_index": _play_rows() + ["g1,p1,1.5,QB,0.0,0.0,1"],
+    "frame_index 3.5": _play_rows() + ["g1,p1,3.5,QB,0.0,0.0,1"],
+    "frame_index 2.9": _play_rows() + ["g1,p1,2.9,QB,0.0,0.0,1"],
+    "frame_index 1e1": _play_rows() + ["g1,p1,1e1,QB,0.0,0.0,1"],
     "non-numeric x": _play_rows() + ["g1,p1,3,QB,abc,0.0,1"],
     "is_qb yes": _play_rows() + ["g1,p1,3,QB,0.0,0.0,yes"],
     "is_qb 2": _play_rows() + ["g1,p1,3,QB,0.0,0.0,2"],
@@ -778,9 +781,12 @@ def test_reader_parity(case, tmp_path):
     lines = READER_CASES[case]
     path.write_text(",".join(TRACKING_CSV_HEADER) + "\n" + "".join(line + "\n" for line in lines))
     want = _outcome(reference_read_tracking_csv, reference_build_interactions, path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    # warnings are recorded, not raised, so the reader takes the path it
+    # takes under the default filters; it must warn about nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         got = _outcome(read_tracking_csv, build_interactions, path)
+    assert [str(w.message) for w in caught] == []
     assert got == want
     if case == "header only":
         assert got[0] == []
@@ -798,6 +804,31 @@ class TestColumnarReader:
             assert len(reference_read_tracking_csv(path)) == 2  # Python's int/float accept them
             with pytest.raises(DataError, match=r":3: .*underscores"):
                 read_tracking_csv(path)
+
+    @pytest.mark.parametrize("text", ["3.5", "2.9", "1e1"])
+    def test_float_frame_index_rejected_where_loadtxt_only_warns(self, text, tmp_path, monkeypatch):
+        # numpy 1.x parses such an int field as a float, truncates it and
+        # only warns; emulate that, since newer numpy raises by itself
+        real = np.loadtxt
+
+        def truncating_loadtxt(fh, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            as_float = np.dtype([(name, np.float64 if name == "frame_index" else dtype[name])
+                                 for name in dtype.names])
+            return real(fh, dtype=as_float, **kwargs).astype(dtype)
+
+        path = tmp_path / "tracking.csv"
+        path.write_text(",".join(TRACKING_CSV_HEADER) + "\ng1,p1,0,QB,0.0,0.0,1\n"
+                        + f"g1,p1,{text},QB,0.0,0.0,1\n")
+        with pytest.raises(DataError) as want:
+            reference_read_tracking_csv(path)
+        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with pytest.raises(DataError) as got:
+                read_tracking_csv(path)
+        assert str(got.value) == str(want.value)
 
     def test_duplicate_csv_row_names_both_lines(self, tmp_path):
         path = tmp_path / "tracking.csv"

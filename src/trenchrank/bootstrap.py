@@ -29,16 +29,21 @@ weight is the rest of m_g.
 
 A player whose rows all have zero weight is absent from that fit: the
 rating is NaN, and validation falls back for the player as it does for
-any player unseen in training.  Each replicate derives its own RNG
-stream from (seed, replicate index) or (seed, week, replicate index), so
-results do not depend on execution order.  Percentiles use linearly
-interpolated order statistics.
+any player unseen in training.  A severity class without training
+weight in a replicate is dropped from its fits, as in any fit; a
+bootstrap call then issues one warning that names the dropped classes
+and counts the replicates that dropped any, in place of one per fit.
+Each replicate derives its own RNG stream from (seed, replicate index)
+or (seed, week, replicate index), so results do not depend on execution
+order.  Percentiles use linearly interpolated order statistics.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,8 +53,8 @@ from .errors import DataError, FitError
 from .baselines import DEFAULT_SEVERITY_PRIOR, DEFAULT_WIN_PRIOR
 from .evaluate import DEFAULT_SPLIT_RATIO, split_point, validate_weighted
 from .external import model_scores
-from .fit import DEFAULT_MAX_ITER, DEFAULT_TOL, fit_coded
-from .interactions import CodedTable, InteractionTable, canonical_sort
+from .fit import DEFAULT_MAX_ITER, DEFAULT_TOL, DROPPED_CLASSES_WARNING, fit_coded
+from .interactions import CodedTable, InteractionTable, OutcomeClass, canonical_sort
 
 MODES = ("end_to_end", "weekly_path")
 MODEL_NAMES = ("win", "severity")
@@ -201,14 +206,50 @@ def _tracked_role_players(
 
 def _fit_ratings(
     coded: CodedTable, weights: np.ndarray, config: BootstrapConfig
-) -> dict[tuple[str, str], dict[str, float]]:
+) -> tuple[dict[tuple[str, str], dict[str, float]], tuple[OutcomeClass, ...]]:
+    """Each model's ratings by (model, role), and the severity fit's dropped classes."""
     out: dict[tuple[str, str], dict[str, float]] = {}
+    dropped: tuple[OutcomeClass, ...] = ()
     for model in config.models:
         lam = config.lambda_win if model == "win" else config.lambda_sev
         fit = fit_coded(coded, weights, model, lam, tol=config.tol, max_iter=config.max_iter)
+        if model == "severity":
+            dropped = fit.dropped
         for role in ("rusher", "blocker"):
             out[(model, role)] = model_scores(fit, role)
-    return out
+    return out, dropped
+
+
+class _DroppedClasses:
+    """The classes a bootstrap call's replicates dropped, warned about once."""
+
+    def __init__(self) -> None:
+        self.classes: set[OutcomeClass] = set()
+        self.replicates = 0
+
+    @contextmanager
+    def held_back(self):
+        """Silence the per-fit dropped-class warnings."""
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", re.escape(DROPPED_CLASSES_WARNING), RuntimeWarning
+            )
+            yield
+
+    def add(self, dropped: Sequence[OutcomeClass]) -> None:
+        """Record one successful replicate's dropped classes."""
+        if dropped:
+            self.replicates += 1
+            self.classes.update(dropped)
+
+    def warn(self, n_replicates: int) -> None:
+        if self.replicates:
+            warnings.warn(
+                f"{DROPPED_CLASSES_WARNING} in {self.replicates} of {n_replicates} "
+                "bootstrap replicates: " + ", ".join(c.label for c in sorted(self.classes)),
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
 
 def _check_failures(n_failed: int, b: int, max_rate: float) -> None:
@@ -249,33 +290,36 @@ def end_to_end_bootstrap(table: InteractionTable, config: BootstrapConfig) -> Bo
     }
 
     n_failed = 0
+    dropped = _DroppedClasses()
     for rep in range(config.b):
         rng = np.random.default_rng([config.seed, rep])
         m = _multiplicities(len(coded.games), rng, config.identity_resample)
         try:
-            report = None
-            if config.track_improvements:
-                train_w, test_w = split_weights(coded, m, config.ratio)
-                report = validate_weighted(
-                    coded,
-                    train_w,
-                    test_w,
-                    lambda_win=config.lambda_win,
-                    lambda_sev=config.lambda_sev,
-                    m_win=config.m_win,
-                    m_sev=config.m_sev,
-                    tol=config.tol,
-                    max_iter=config.max_iter,
-                )
-            scores = (
-                _fit_ratings(coded, m[coded.game].astype(float), config)
-                if config.track_ratings
-                else None
-            )
+            with dropped.held_back():
+                report = scores = None
+                rep_dropped: tuple[OutcomeClass, ...] = ()
+                if config.track_improvements:
+                    train_w, test_w = split_weights(coded, m, config.ratio)
+                    report = validate_weighted(
+                        coded,
+                        train_w,
+                        test_w,
+                        lambda_win=config.lambda_win,
+                        lambda_sev=config.lambda_sev,
+                        m_win=config.m_win,
+                        m_sev=config.m_sev,
+                        tol=config.tol,
+                        max_iter=config.max_iter,
+                    )
+                    rep_dropped = report.severity_fit.dropped
+                if config.track_ratings:
+                    scores, rating_dropped = _fit_ratings(coded, m[coded.game].astype(float), config)
+                    rep_dropped += rating_dropped
         except FitError:
             n_failed += 1
             _check_failures(n_failed, config.b, config.max_failure_rate)
             continue
+        dropped.add(rep_dropped)
         if report is not None:
             for row in report.rows:
                 imp_values.setdefault((row.task, row.baseline), []).append(row.improvement)
@@ -285,6 +329,7 @@ def end_to_end_bootstrap(table: InteractionTable, config: BootstrapConfig) -> Bo
                 for pid in players:
                     rating_values[(model, role, pid)].append(got.get(pid, math.nan))
 
+    dropped.warn(config.b)
     return BootstrapSummary(
         mode=config.mode,
         b=config.b,
@@ -329,6 +374,7 @@ def weekly_path_bootstrap(table: InteractionTable, config: BootstrapConfig) -> B
     planned_fits = config.b * len(checkpoints)
 
     n_failed = 0
+    dropped = _DroppedClasses()
     for week in checkpoints:
         in_week = coded.week <= week
         games = np.unique(coded.game[in_week])
@@ -337,11 +383,15 @@ def weekly_path_bootstrap(table: InteractionTable, config: BootstrapConfig) -> B
             m = np.zeros(len(coded.games), dtype=np.intp)
             m[games] = _multiplicities(games.size, rng, config.identity_resample)
             try:
-                scores = _fit_ratings(coded, (m[coded.game] * in_week).astype(float), config)
+                with dropped.held_back():
+                    scores, rep_dropped = _fit_ratings(
+                        coded, (m[coded.game] * in_week).astype(float), config
+                    )
             except FitError:
                 n_failed += 1
                 _check_failures(n_failed, planned_fits, config.max_failure_rate)
                 continue
+            dropped.add(rep_dropped)
             for (model, role), players in rating_players.items():
                 got = scores[(model, role)]
                 for pid in players:
@@ -349,6 +399,7 @@ def weekly_path_bootstrap(table: InteractionTable, config: BootstrapConfig) -> B
                         got.get(pid, math.nan)
                     )
 
+    dropped.warn(planned_fits)
     return BootstrapSummary(
         mode=config.mode,
         b=config.b,

@@ -472,7 +472,8 @@ class _PipelineRun:
 
     The constructor raises every config error, before any stage runs.
     Each stage method maps config keys onto its ``_run_*`` call.  The
-    full-data penalties and fits are computed once, on first use.
+    full-data penalties and fits, and the train-split penalties of the
+    validate and sensitivity stages, are computed once, on first use.
     """
 
     def __init__(self, cfg: dict):
@@ -514,6 +515,7 @@ class _PipelineRun:
         self.dir: Path | None = None
         self.table: InteractionTable | None = None
         self.lambdas: dict | None = None
+        self.split_lambdas: dict | None = None
         self.fits: dict | None = None
         self.validation: evaluate.ValidationReport | None = None
         self.summary: boot.BootstrapSummary | None = None
@@ -524,6 +526,14 @@ class _PipelineRun:
         if self.lambdas is None:
             self.lambdas, _ = _select_lambdas(self.table, self.wanted, **self.cv)
         return self.lambdas
+
+    def train_lambdas(self) -> dict:
+        # validation and the sensitivity sweep select their penalties on the
+        # same ordered train split, so its CV runs once for both stages
+        if self.split_lambdas is None:
+            train = evaluate.ordered_split(self.table, **_pick(self.cfg, "ratio")).train
+            self.split_lambdas, _ = _select_lambdas(train, self.wanted, **self.cv)
+        return self.split_lambdas
 
     def full_fits(self) -> dict:
         if self.fits is None:
@@ -545,16 +555,20 @@ class _PipelineRun:
         )
 
     def validate(self) -> None:
+        lambdas = self.train_lambdas()
         self.validation = _run_validate(
             self.table, self.dir,
-            **_pick(self.cfg, "lambda_win", "lambda_sev", "m_win", "m_sev", "ratio"),
+            lambda_win=lambdas["win"], lambda_sev=lambdas["severity"],
+            **_pick(self.cfg, "m_win", "m_sev", "ratio"),
             **self.cv,
         )
 
     def sensitivity(self) -> None:
+        lambdas = self.train_lambdas()
         _run_sensitivity(
             self.table, self.dir,
-            **_pick(self.cfg, "m_grid", "lambda_win", "lambda_sev", "ratio"),
+            lambda_win=lambdas["win"], lambda_sev=lambdas["severity"],
+            **_pick(self.cfg, "m_grid", "ratio"),
             **self.cv,
         )
 

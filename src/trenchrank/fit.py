@@ -49,6 +49,17 @@ Convergence means gradient sup-norm <= ``tol`` (default 1e-8).  The
 public ``fit_*_ridge`` and ``*_objective_grad`` decode their CSR design
 once (``codes_from_csr``), so a row of any other form is a
 ``DataError``.
+
+Start points only change how many Newton steps a fit takes; the optimum
+is the same to within ``tol``.  A fit without ``theta0`` starts at the
+intercept-only optimum, log(w_a / w_0) for the weighted class totals
+w_c with every other parameter 0, when ``lam > 0``, and at zero when
+``lam == 0``: without a penalty the optimum need not be unique, so the
+start must not move the point the least-squares steps return.
+Cross-validation warm-starts each fold's lambda path from large to
+small, and starts a fold's largest lambda from the previous fold's
+solution there, mapped onto the fold's players by id (a player the
+previous fold did not see starts at 0).
 """
 
 from __future__ import annotations
@@ -83,6 +94,8 @@ from .interactions import (
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 500
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-6.0, 2.0, 25))
+#: Start of the RuntimeWarning a fit issues when it drops classes.
+DROPPED_CLASSES_WARNING = "classes never observed in training were dropped from the softmax"
 
 _ARMIJO_C = 1e-4
 _MODELS = ("win", "severity")
@@ -466,15 +479,38 @@ class _Solution(NamedTuple):
     fallbacks: list  # the failed factor of each least-squares step
 
 
+def _intercept_start(class_idx, n_classes, weights, d) -> np.ndarray:
+    """The (K, d) intercept-only optimum: intercept a is log(w_a / w_0)
+    for the weighted class totals w_c, every other parameter 0.
+
+    It is zero when a class has no weight, since no finite intercept then
+    fits the class frequencies.
+    """
+    theta = np.zeros((n_classes - 1, d))
+    totals = np.bincount(class_idx, weights=weights, minlength=n_classes)
+    if np.all(totals > 0):
+        theta[:, 0] = np.log(totals[1:] / totals[0])
+    return theta
+
+
 def _solve(design, class_idx, n_classes, lam, pen_mask, theta0, tol, max_iter, weights):
     """Damped Newton over the K = n_classes - 1 non-reference classes.
 
-    A step whose Schur factorization fails (a factor that is not
-    positive definite, e.g. at lam = 0) is solved by least squares on
-    the dense Hessian instead, and the failed factor is recorded.
+    Without ``theta0`` a penalized fit starts at the intercept-only
+    optimum and an unpenalized one at zero: at lam = 0 the optimum need
+    not be unique, and the least-squares steps then return a point that
+    depends on the start.  A step whose Schur factorization fails (a
+    factor that is not positive definite, e.g. at lam = 0) is solved by
+    least squares on the dense Hessian instead, and the failed factor is
+    recorded.
     """
     k, d = n_classes - 1, design.n_columns
-    theta = np.zeros(k * d) if theta0 is None else np.array(theta0, dtype=float).ravel()
+    if theta0 is not None:
+        theta = np.array(theta0, dtype=float).ravel()
+    elif lam > 0:
+        theta = _intercept_start(class_idx, n_classes, weights, d).ravel()
+    else:
+        theta = np.zeros(k * d)
 
     def value_grad(th):
         return _objective(th, design, class_idx, n_classes, lam, pen_mask, weights)
@@ -576,6 +612,25 @@ def _as_fit(model, theta, index, modeled, dropped, **stats) -> BinaryFit | Multi
     )
 
 
+def _theta_on_index(fit: BinaryFit | MultinomialFit, index: PlayerIndex) -> np.ndarray:
+    """The (K, d) parameters of ``fit`` over ``index``'s columns; a player
+    the fit has no effect for gets 0."""
+    if isinstance(fit, BinaryFit):
+        rows = [(fit.alpha, fit.delta, fit.rusher_effects, fit.blocker_effects)]
+    else:
+        rows = [
+            (fit.alpha[c], fit.delta[c], fit.rusher_effects[c], fit.blocker_effects[c])
+            for c in fit.classes
+        ]
+    theta = np.zeros((len(rows), index.n_columns))
+    for a, (alpha, delta, rushers, blockers) in enumerate(rows):
+        theta[a, :2] = alpha, delta
+        for cols, effects in ((index.rusher_cols, rushers), (index.blocker_cols, blockers)):
+            for pid, col in cols.items():
+                theta[a, col] = effects.get(pid, 0.0)
+    return theta
+
+
 def _fit_ridge(
     design, outcome, lam, index, model, *, weights=None, tol=DEFAULT_TOL,
     max_iter=DEFAULT_MAX_ITER, theta0=None, stacklevel,
@@ -602,8 +657,7 @@ def _fit_ridge(
     modeled, dropped, class_idx = _class_coding(model, values.astype(np.intp), w)
     if dropped:
         warnings.warn(
-            "classes never observed in training were dropped from the softmax: "
-            + ", ".join(c.label for c in dropped),
+            f"{DROPPED_CLASSES_WARNING}: " + ", ".join(c.label for c in dropped),
             RuntimeWarning,
             stacklevel=stacklevel,
         )
@@ -881,11 +935,20 @@ def cv_select_lambda(
 ) -> CvResult:
     """Grouped cross-validation over a lambda grid.
 
-    Fits on each fold's complement (warm-started from large to small
-    lambda) and scores held-fold log loss; returns the argmin with ties
-    broken toward stronger shrinkage.  A fold's training part is the
-    table's weighted cells with weight 0 on the held-out games, so
-    classes it never sees are dropped without a warning.
+    Fits on each fold's complement and scores held-fold log loss;
+    returns the argmin with ties broken toward stronger shrinkage.  A
+    fold's training part is the table's weighted cells with weight 0 on
+    the held-out games, so classes it never sees are dropped without a
+    warning.
+
+    Each fold walks the grid from large to small lambda, every fit
+    warm-started from the one before.  The first fit of fold f > 0
+    starts from fold f - 1's solution at the same (largest) lambda,
+    mapped onto fold f's players by id, players new to fold f at 0.  It
+    starts cold, as fold 0 does, when the two folds model different
+    classes or when that lambda is 0: from the intercept-only optimum
+    at lambda > 0 and from zero at lambda = 0.  The starts change
+    iteration counts, not the optimum beyond ``tol``.
     """
     from .evaluate import binary_log_loss, multiclass_log_loss
 
@@ -901,6 +964,7 @@ def cv_select_lambda(
     labels = cv_fold_labels(table, n_folds)
     desc = np.sort(lambdas)[::-1]
     fold_losses = np.zeros((n_folds, desc.size))
+    chained = None  # the previous fold's classes and its fit at the largest lambda
 
     for fold in range(n_folds):
         in_fold = labels == fold
@@ -913,6 +977,8 @@ def cv_select_lambda(
             raise DataError(f"fold {fold}: training split has no non-loss class")
         mask = penalty_mask(idx)
         theta = None
+        if desc[0] > 0 and chained is not None and chained[0] == modeled:
+            theta = _theta_on_index(chained[1], idx)
         for j, lam in enumerate(desc):
             solution = _solve(
                 design, class_idx, len(modeled) + 1, lam, mask, theta, tol, max_iter, cell_w
@@ -927,6 +993,8 @@ def cv_select_lambda(
                 target, theta, idx, modeled, dropped, lam=lam, neg_loglik=solution.nll,
                 grad_norm=solution.grad_sup, iterations=solution.iterations,
             )
+            if j == 0:
+                chained = modeled, fit
             if target == "win":
                 fold_losses[fold, j] = binary_log_loss(predict_win_probs(fit, held), held.win)
             else:

@@ -19,7 +19,7 @@ from trenchrank.bootstrap import (
 from trenchrank.errors import DataError, FitError
 from trenchrank.evaluate import run_validation, validate_weighted
 from trenchrank.external import model_scores
-from trenchrank.fit import fit_severity_model, fit_win_model
+from trenchrank.fit import DROPPED_CLASSES_WARNING, fit_severity_model, fit_win_model
 from trenchrank.interactions import Interaction, InteractionTable, OutcomeClass, canonical_sort
 from trenchrank.report import summary_to_json_dict
 
@@ -411,6 +411,81 @@ class TestEndToEnd:
         t = random_table(rng)
         with pytest.raises(ValueError):
             end_to_end_bootstrap(t, config(mode="weekly_path", track_improvements=False))
+
+
+def one_hit_game_table(rng):
+    """Six games over four weeks with ``hit`` rows only in g0 (week 1)."""
+    return InteractionTable([
+        replace(r, severity=OutcomeClass.SACK)
+        if r.severity is OutcomeClass.HIT and r.game_id != "g0" else r
+        for r in random_table(rng, n_rows=180, n_games=6)
+    ])
+
+
+def dropped_warnings(caught):
+    return [w for w in caught if str(w.message).startswith(DROPPED_CLASSES_WARNING)]
+
+
+class TestDroppedClassWarning:
+    """A bootstrap call warns once about dropped classes, not once per fit."""
+
+    def test_end_to_end_warns_once(self, rng):
+        t = one_hit_game_table(rng)
+        cfg = config(b=8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            summary = end_to_end_bootstrap(t, cfg)
+        assert summary.n_failed == 0
+        coded, hit = t.coded, t.coded.severity == int(OutcomeClass.HIT)
+        affected = 0
+        for rep in range(cfg.b):
+            draws = resample_games(range(len(t.games)), np.random.default_rng([cfg.seed, rep]))
+            m = np.bincount(draws, minlength=len(t.games))
+            train_w, _ = split_weights(coded, m, cfg.ratio)
+            affected += bool(m[0] == 0 or not train_w[hit].any())
+        assert 0 < affected < cfg.b
+        (warning,) = dropped_warnings(caught)
+        assert warning.category is RuntimeWarning
+        assert warning.filename == __file__
+        assert str(warning.message) == (
+            f"{DROPPED_CLASSES_WARNING} in {affected} of {cfg.b} bootstrap replicates: hit"
+        )
+
+    def test_weekly_path_warns_once(self, rng):
+        t = one_hit_game_table(rng)
+        cfg = config(b=4, mode="weekly_path", track_improvements=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            summary = weekly_path_bootstrap(t, cfg)
+        affected = 0
+        for week in summary.checkpoints:
+            n_games = len({r.game_id for r in t if r.week <= week})
+            for rep in range(cfg.b):
+                draws = resample_games(range(n_games), np.random.default_rng([cfg.seed, week, rep]))
+                affected += bool(0 not in draws)  # g0 is the first game of every checkpoint
+        assert affected > 0
+        (warning,) = dropped_warnings(caught)
+        assert str(warning.message) == (
+            f"{DROPPED_CLASSES_WARNING} in {affected} of "
+            f"{cfg.b * len(summary.checkpoints)} bootstrap replicates: hit"
+        )
+
+    def test_no_dropped_class_no_warning(self, rng):
+        t = random_table(rng, n_rows=120, n_games=4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            end_to_end_bootstrap(t, config(b=2, identity_resample=True))
+        assert dropped_warnings(caught) == []
+
+    def test_direct_fits_still_warn(self, rng):
+        t = one_hit_game_table(rng)
+        without_g0 = np.array([r.game_id != "g0" for r in t], dtype=float)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            validate_weighted(t.coded, without_g0, 1.0 - without_g0, lambda_win=0.5, lambda_sev=0.5)
+        assert [str(w.message) for w in dropped_warnings(caught)] == [
+            f"{DROPPED_CLASSES_WARNING}: hit"
+        ]
 
 
 class TestWeeklyPath:

@@ -494,6 +494,39 @@ class TestPipeline:
         assert got_json == json.loads((want / "validation.json").read_text())
 
 
+    def test_holdout_cv_runs_once_for_validate_and_sensitivity(
+        self, synth_csv, tmp_path, monkeypatch
+    ):
+        """Without penalties, both stages use one train-split CV per target,
+        and write what the subcommands write alone."""
+        targets = []
+        real = cli.cv_select_lambda
+
+        def spy(table, target, *args, **kwargs):
+            targets.append(target)
+            return real(table, target, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "cv_select_lambda", spy)
+        monkeypatch.setattr(cli.evaluate, "cv_select_lambda", spy)
+        grid = {"grid_min": 0.1, "grid_max": 10, "grid_size": 3, "folds": 3}
+        cfg = self.config(
+            tmp_path, stages="validate,sensitivity", interactions=str(synth_csv[0]),
+            lambda_win=None, lambda_sev=None, **grid,
+        )
+        assert run(["pipeline", "--config", str(cfg)]) == 0
+        assert targets == ["win", "severity"]
+        (got,) = self.runs(tmp_path)
+
+        want = tmp_path / "subcommands"
+        flags = ["--interactions", str(synth_csv[0]), "--out-dir", str(want),
+                 "--grid-min", "0.1", "--grid-max", "10", "--grid-size", "3", "--folds", "3"]
+        assert run(["validate"] + flags) == 0
+        assert run(["sensitivity"] + flags) == 0
+        assert targets == ["win", "severity"] * 3
+        for name in ("validation.csv", "validation.json", "sensitivity.csv", "sensitivity.json"):
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
 class TestExitCodes:
     def test_missing_input_file_is_data_error(self, tmp_path):
         out = tmp_path / "fits.json"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 
@@ -38,6 +39,7 @@ from trenchrank.interactions import (
     OutcomeClass,
     SeverityWeights,
 )
+from trenchrank.synth import SynthConfig, synth_generate
 
 from conftest import make_row, random_table
 
@@ -894,6 +896,163 @@ class TestCvMatchesPerFoldTables:
             assert list(got.lambdas) == want_lambdas
             assert got.mean_losses == pytest.approx(want_losses, rel=0, abs=1e-9)
             assert got.lambda_min == want_min
+
+
+def reference_cv_select_lambda(table, target, grid, n_folds, tol=1e-8, max_iter=500):
+    """Grouped CV with every fold's lambda path started at theta = 0."""
+    coded = table.coded
+    labels = cv_fold_labels(table, n_folds)
+    desc = np.sort(np.asarray(grid, dtype=float))[::-1]
+    losses = np.zeros((n_folds, desc.size))
+    for fold in range(n_folds):
+        in_fold = labels == fold
+        design, outcome, cell_w, idx = fit_module._cells(coded, (~in_fold).astype(float), target)
+        held = coded.take(in_fold)
+        modeled, dropped, class_idx = fit_module._class_coding(target, outcome, cell_w)
+        theta = np.zeros((len(modeled), idx.n_columns))
+        for j, lam in enumerate(desc):
+            solution = fit_module._solve(
+                design, class_idx, len(modeled) + 1, lam, penalty_mask(idx), theta, tol,
+                max_iter, cell_w,
+            )
+            assert solution.grad_sup <= tol
+            theta = solution.theta
+            fit = fit_module._as_fit(
+                target, theta, idx, modeled, dropped, lam=lam, neg_loglik=solution.nll,
+                grad_norm=solution.grad_sup, iterations=solution.iterations,
+            )
+            if target == "win":
+                losses[fold, j] = binary_log_loss(predict_win_probs(fit, held), held.win)
+            else:
+                losses[fold, j] = multiclass_log_loss(
+                    predict_class_prob_matrix(fit, held), held.severity
+                )
+    mean = losses.mean(axis=0)
+    return list(desc[::-1]), list(mean[::-1]), select_lambda_min(desc, mean)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(theta0, iterations) of every ``_solve`` call."""
+    calls = []
+    real = fit_module._solve
+
+    def spy(design, class_idx, n_classes, lam, pen_mask, theta0, *rest):
+        solution = real(design, class_idx, n_classes, lam, pen_mask, theta0, *rest)
+        calls.append((theta0, solution.iterations))
+        return solution
+
+    monkeypatch.setattr(fit_module, "_solve", spy)
+    return calls
+
+
+def synth_world(seed):
+    """A small synthetic season: loss is the common class, as in the paper's data."""
+    table, _ = synth_generate(SynthConfig(
+        n_rushers=12, n_blockers=9, n_games=6, plays_per_game=20, interactions_per_play=4,
+        n_weeks=6, seed=seed,
+    ))
+    return table
+
+
+def cv_worlds(rng):
+    """``cv_fixture`` tables, whose fold 0 does not model ``hit`` and fold 1
+    does, and synthetic seasons; each in three folds."""
+    for seed in range(2):
+        yield cv_fixture(rng)
+        yield synth_world(seed)
+
+
+class TestStartPoints:
+    def test_intercept_start_is_the_intercept_only_optimum(self, rng):
+        for name, X, idx, class_idx, n_classes, w in hessian_cases(rng):
+            d = idx.n_columns
+            theta = fit_module._intercept_start(class_idx, n_classes, w, d)
+            assert not theta[:, 1:].any(), name
+            _, grad = multinomial_objective_grad(
+                theta.ravel(), X, class_idx, n_classes, 0.3, penalty_mask(idx), w
+            )
+            assert np.abs(grad.reshape(-1, d)[:, 0]).max() <= 1e-9 * w.sum(), name
+
+    def test_class_without_weight_starts_at_zero(self):
+        class_idx = np.array([0, 0, 2, 2])
+        theta = fit_module._intercept_start(class_idx, 4, np.ones(4), 5)
+        assert np.array_equal(theta, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("lam", [0.01, 0.3, 1.0])
+    def test_intercept_start_reaches_the_zero_start_optimum(self, lam):
+        # at a gradient tolerance of 1e-10 the two optima agree to 1e-8
+        tol = 1e-10
+        cold = warm = 0
+        for seed in range(4):
+            t = synth_world(seed)
+            zero_cells = np.random.default_rng(seed).integers(0, 4, len(t)).astype(float)
+            for w, model in itertools.product((np.ones(len(t)), zero_cells), ("win", "severity")):
+                design, outcome, cell_w, idx = fit_module._cells(t.coded, w, model)
+                modeled, _, class_idx = fit_module._class_coding(model, outcome, cell_w)
+                args = design, class_idx, len(modeled) + 1, lam, penalty_mask(idx)
+                zero = np.zeros(len(modeled) * idx.n_columns)
+                want = fit_module._solve(*args, zero, tol, 500, cell_w)
+                got = fit_module._solve(*args, None, tol, 500, cell_w)
+                assert got.grad_sup <= tol
+                np.testing.assert_allclose(got.theta, want.theta, rtol=0, atol=1e-8)
+                cold += want.iterations
+                warm += got.iterations
+        assert warm < cold
+
+    def test_theta_on_index_maps_by_player_id(self, rng):
+        t = random_table(rng, n_rows=80, n_rushers=7, n_blockers=6)
+        part = InteractionTable([r for r in t if "0" not in r.rusher_id + r.blocker_id])
+        idx = build_index(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fits = [fit_win_model(part, 0.3), fit_severity_model(part, 0.3)]
+        for fit in fits:
+            if isinstance(fit, BinaryFit):
+                want = _theta_from_binary(fit, build_index(part))[None, :]
+            else:
+                want = _theta_from_multinomial(fit, build_index(part)).T
+            got = fit_module._theta_on_index(fit, idx)
+            kept = [0, 1] + [idx.rusher_cols[p] for p in part.rushers] + [
+                idx.blocker_cols[p] for p in part.blockers
+            ]
+            assert np.array_equal(got[:, kept], want)
+            assert not got[:, [idx.rusher_cols["R0"], idx.blocker_cols["B0"]]].any()
+
+
+class TestChainedCv:
+    @pytest.mark.parametrize("target", ["win", "severity"])
+    @pytest.mark.parametrize("grid", [[0.01, 0.1, 1.0, 5.0], [1.0], [0.0]], ids=str)
+    def test_equals_cold_folds(self, rng, solves, target, grid):
+        cold = chained = 0
+        for t in cv_worlds(rng):
+            want_lambdas, want_losses, want_min = reference_cv_select_lambda(t, target, grid, 3)
+            cold += sum(n for _, n in solves)
+            solves.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # cv drops classes silently
+                got = cv_select_lambda(t, target, grid, 3)
+            chained += sum(n for _, n in solves)
+            solves.clear()
+            assert list(got.lambdas) == want_lambdas
+            assert got.mean_losses == pytest.approx(want_losses, rel=0, abs=1e-9)
+            assert got.lambda_min == want_min
+        if grid == [0.0]:
+            assert chained == cold  # both start every fold at zero
+        else:
+            assert chained < cold
+
+    def test_fold_start_points(self, rng, solves):
+        t = cv_fixture(rng)
+        grid = [0.1, 1.0]
+        for target, chained_folds in (("win", [1, 2]), ("severity", [2])):
+            cv_select_lambda(t, target, grid, 3)
+            firsts = [theta0 for theta0, _ in solves[:: len(grid)]]
+            # fold 1 models hit and fold 0 does not, so fold 1 starts cold
+            assert [f for f, theta0 in enumerate(firsts) if theta0 is not None] == chained_folds
+            solves.clear()
+        cv_select_lambda(t, "win", [0.0, 0.0], 3)
+        assert [theta0 is None for theta0, _ in solves] == [True, False] * 3
 
 
 class TestSerialization:

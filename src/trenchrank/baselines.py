@@ -21,6 +21,7 @@ belongs to the evaluator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +103,16 @@ def _first_seen_codes(codes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return uniq[np.argsort(first, kind="stable")]
 
 
+def check_prior_strength(m: float) -> None:
+    """A prior strength must be finite and >= 0 (NaN is neither)."""
+    if not 0 <= m < math.inf:
+        raise ValueError(f"prior strength must be finite and >= 0, got {m}")
+
+
 def _check_fit_input(n_rows: int, weights: np.ndarray, m: float, what: str) -> None:
     if n_rows == 0 or not weights.sum() > 0:
         raise DataError(f"cannot fit a {what} baseline on an empty table")
-    if m < 0:
-        raise ValueError(f"prior strength must be >= 0, got {m}")
+    check_prior_strength(m)
 
 
 def fit_win_baseline_coded(

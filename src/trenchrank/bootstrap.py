@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, FitError
-from .baselines import DEFAULT_SEVERITY_PRIOR, DEFAULT_WIN_PRIOR
+from .baselines import DEFAULT_SEVERITY_PRIOR, DEFAULT_WIN_PRIOR, check_prior_strength
 from .evaluate import DEFAULT_SPLIT_RATIO, split_point, validate_weighted
 from .external import model_scores
 from .fit import DEFAULT_MAX_ITER, DEFAULT_TOL, DROPPED_CLASSES_WARNING, fit_coded
@@ -94,6 +94,8 @@ class BootstrapConfig:
             raise ValueError(f"replicate count must be >= 1, got {self.b}")
         if self.lambda_win <= 0 or self.lambda_sev <= 0:
             raise ValueError("bootstrap penalties must be positive (fixed from a prior CV run)")
+        for m in (self.m_win, self.m_sev):
+            check_prior_strength(m)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         bad = [m for m in self.models if m not in MODEL_NAMES]

@@ -8,6 +8,7 @@ error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -83,14 +84,12 @@ def _pick(src: Mapping, *keys: str, **renamed: str) -> dict:
 def _lambda_grid(lo: float | None, hi: float | None, size: int | None) -> list[float]:
     """The CV grid from ``--grid-*`` flags or ``grid_*`` config keys.
 
-    With none given it is ``DEFAULT_LAMBDA_GRID``; a missing bound or
-    size takes that grid's value.
+    A missing bound or size takes ``DEFAULT_LAMBDA_GRID``'s, so with none
+    given it is that grid.
     """
-    if lo is None and hi is None and size is None:
-        return list(DEFAULT_LAMBDA_GRID)
-    lo = 1e-6 if lo is None else lo
-    hi = 1e2 if hi is None else hi
-    size = 25 if size is None else size
+    lo = DEFAULT_LAMBDA_GRID[0] if lo is None else lo
+    hi = DEFAULT_LAMBDA_GRID[-1] if hi is None else hi
+    size = len(DEFAULT_LAMBDA_GRID) if size is None else size
     if lo <= 0 or hi <= 0 or hi < lo or size < 1:
         raise ValueError(f"bad lambda grid: min={lo} max={hi} size={size}")
     return list(np.logspace(math.log10(lo), math.log10(hi), size))
@@ -226,25 +225,33 @@ def _run_fit(table, wanted: Mapping[str, float | None], out, **cv) -> tuple[dict
     return lambdas, fits
 
 
-def _write_validation(rep: evaluate.ValidationReport, out_dir: Path, ci=None) -> None:
+def _holdout(table, src: Mapping) -> evaluate.ValidationReport:
+    """``run_validation``'s holdout, shared by validate and sensitivity."""
+    return evaluate.run_validation(
+        table, **_pick(src, "lambda_win", "lambda_sev", "m_win", "m_sev", "ratio"),
+        **_cv_options(src),
+    )
+
+
+def _prior_grid(m_grid=evaluate.SENSITIVITY_PRIOR_GRID) -> list[float]:
+    """The sweep's prior strengths from ``--m-grid`` or the ``m_grid`` key
+    (a comma-separated string, or a list in config), checked."""
+    if isinstance(m_grid, str):
+        m_grid = [float(v) for v in m_grid.split(",") if v]
+    return evaluate.prior_grid(m_grid)
+
+
+def _run_validate(rep: evaluate.ValidationReport, out_dir, ci=None) -> None:
+    """Write a holdout report's rows, with bootstrap intervals if given."""
+    out_dir = _out_dir(out_dir)
     report.write_validation_csv(rep.rows, out_dir / "validation.csv", ci)
     report.validate_csv_header(out_dir / "validation.csv", report.VALIDATION_CSV_HEADER)
     _write_json(report.validation_to_json_dict(rep, ci), out_dir / "validation.json")
 
 
-def _run_validate(table, out_dir, **options) -> evaluate.ValidationReport:
-    """Ordered holdout validation; ``options`` go to ``run_validation``."""
-    rep = evaluate.run_validation(table, **options)
-    _write_validation(rep, _out_dir(out_dir))
-    return rep
-
-
-def _run_sensitivity(table, out_dir, **options) -> list[evaluate.SensitivityRow]:
-    """The matchup-baseline prior sweep; ``options`` go to
-    ``prior_sensitivity``, with an ``m_grid`` string split on commas."""
-    if isinstance(options.get("m_grid"), str):
-        options["m_grid"] = [float(v) for v in options["m_grid"].split(",") if v]
-    rows = evaluate.prior_sensitivity(table, **options)
+def _run_sensitivity(table, rep, out_dir, m_grid) -> list[evaluate.SensitivityRow]:
+    """The matchup-baseline prior sweep over a holdout report of ``table``."""
+    rows = evaluate.prior_sweep(table, rep, m_grid)
     out_dir = _out_dir(out_dir)
     report.write_sensitivity_csv(rows, out_dir / "sensitivity.csv")
     report.validate_csv_header(out_dir / "sensitivity.csv", report.SENSITIVITY_CSV_HEADER)
@@ -347,11 +354,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_validate(args) -> int:
     table = read_interactions_csv(args.interactions)
-    rep = _run_validate(
-        table, args.out_dir,
-        **_pick(vars(args), "lambda_win", "lambda_sev", "m_win", "m_sev", "ratio"),
-        **_cv_options(vars(args)),
-    )
+    rep = _holdout(table, vars(args))
+    _run_validate(rep, args.out_dir)
     print(f"lambda_win={rep.lambda_win:g} lambda_sev={rep.lambda_sev:g} "
           f"(train {rep.n_train} / test {rep.n_test})")
     for row in rep.rows:
@@ -363,12 +367,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
+    m_grid = _prior_grid(**_pick(vars(args), "m_grid"))  # checked before the holdout's CV
     table = read_interactions_csv(args.interactions)
-    rows = _run_sensitivity(
-        table, args.out_dir,
-        **_pick(vars(args), "m_grid", "lambda_win", "lambda_sev", "ratio"),
-        **_cv_options(vars(args)),
-    )
+    rows = _run_sensitivity(table, _holdout(table, vars(args)), args.out_dir, m_grid)
     for row in rows:
         print(f"{row.task} m={row.m:g}: improvement={row.improvement:+.4f}")
     return 0
@@ -472,8 +473,9 @@ class _PipelineRun:
 
     The constructor raises every config error, before any stage runs.
     Each stage method maps config keys onto its ``_run_*`` call.  The
-    full-data penalties and fits, and the train-split penalties of the
-    validate and sensitivity stages, are computed once, on first use.
+    full-data penalties and fits, and the ordered holdout (split, CV and
+    fits) that the validate and sensitivity stages share, are computed
+    once, on first use.
     """
 
     def __init__(self, cfg: dict):
@@ -489,6 +491,7 @@ class _PipelineRun:
             raise ValueError(f"unknown stages: {bad} (choose from {tuple(_STAGES)})")
         _config_str(cfg, "players")
         self.cv = _cv_options(cfg)
+        self.m_grid = _prior_grid(**_pick(cfg, "m_grid"))
 
         self.given_table = cfg.get("interactions") is not None
         sources = [s for s in ("ingest", "synth") if s in self.stages]
@@ -515,7 +518,6 @@ class _PipelineRun:
         self.dir: Path | None = None
         self.table: InteractionTable | None = None
         self.lambdas: dict | None = None
-        self.split_lambdas: dict | None = None
         self.fits: dict | None = None
         self.validation: evaluate.ValidationReport | None = None
         self.summary: boot.BootstrapSummary | None = None
@@ -527,13 +529,11 @@ class _PipelineRun:
             self.lambdas, _ = _select_lambdas(self.table, self.wanted, **self.cv)
         return self.lambdas
 
-    def train_lambdas(self) -> dict:
-        # validation and the sensitivity sweep select their penalties on the
-        # same ordered train split, so its CV runs once for both stages
-        if self.split_lambdas is None:
-            train = evaluate.ordered_split(self.table, **_pick(self.cfg, "ratio")).train
-            self.split_lambdas, _ = _select_lambdas(train, self.wanted, **self.cv)
-        return self.split_lambdas
+    @functools.cached_property
+    def holdout(self) -> evaluate.ValidationReport:
+        # written by the validate stage only: the bootstrap adds its
+        # intervals to ``self.validation``, never to a sweep's holdout
+        return _holdout(self.table, self.cfg)
 
     def full_fits(self) -> dict:
         if self.fits is None:
@@ -555,22 +555,11 @@ class _PipelineRun:
         )
 
     def validate(self) -> None:
-        lambdas = self.train_lambdas()
-        self.validation = _run_validate(
-            self.table, self.dir,
-            lambda_win=lambdas["win"], lambda_sev=lambdas["severity"],
-            **_pick(self.cfg, "m_win", "m_sev", "ratio"),
-            **self.cv,
-        )
+        self.validation = self.holdout
+        _run_validate(self.validation, self.dir)
 
     def sensitivity(self) -> None:
-        lambdas = self.train_lambdas()
-        _run_sensitivity(
-            self.table, self.dir,
-            lambda_win=lambdas["win"], lambda_sev=lambdas["severity"],
-            **_pick(self.cfg, "m_grid", "ratio"),
-            **self.cv,
-        )
+        _run_sensitivity(self.table, self.holdout, self.dir, self.m_grid)
 
     def bootstrap(self) -> None:
         lambdas = self.full_lambdas()
@@ -583,7 +572,7 @@ class _PipelineRun:
         if self.validation is not None:
             # the holdout rows gain the bootstrap's improvement intervals
             ci = {key: (s.lo, s.hi) for key, s in self.summary.improvements.items()}
-            _write_validation(self.validation, self.dir, ci)
+            _run_validate(self.validation, self.dir, ci)
 
     def path(self) -> None:
         lambdas = self.full_lambdas()

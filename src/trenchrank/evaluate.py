@@ -9,7 +9,9 @@ everything is scored by log loss (nats) on the held-out rows.
 ``validate_weighted`` is the one implementation: it takes a coded table
 and per-row train and test weights.  ``run_validation`` calls it with the
 ordered split's 0/1 weights; the bootstrap calls it with the weights a
-resample of games puts on each row.
+resample of games puts on each row.  The prior-strength sweep is built on
+it too: ``prior_sensitivity`` keeps ``run_validation``'s model losses and
+refits the matchup baselines over an m grid on the same 0/1 weights.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from .baselines import (
     DEFAULT_WIN_PRIOR,
     SeverityBaseline,
     WinBaseline,
-    fit_severity_baseline,
+    check_prior_strength,
     fit_severity_baseline_coded,
-    fit_win_baseline,
     fit_win_baseline_coded,
     predict_severity_matchups,
     predict_win_matchups,
@@ -41,8 +42,6 @@ from .fit import (
     MultinomialFit,
     cv_select_lambda,
     fit_coded,
-    fit_severity_model,
-    fit_win_model,
     predict_class_prob_matrix,
     predict_win_probs,
 )
@@ -121,8 +120,6 @@ def split_point(n: int, ratio: float = DEFAULT_SPLIT_RATIO) -> int:
 
 def ordered_split(table: InteractionTable, ratio: float = DEFAULT_SPLIT_RATIO) -> SplitResult:
     """First floor(ratio*n) rows to train, the rest to test, order kept."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
     if not table.is_canonically_sorted():
         raise DataError("ordered_split requires a canonically sorted table")
     n_train = split_point(len(table), ratio)
@@ -188,6 +185,21 @@ def multiclass_log_loss(
     return -_mean(np.log(p_obs), weights)
 
 
+def _ordered_weights(n_rows: int, n_train: int) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 train and test weights of an ordered split: the first n_train rows train."""
+    train_weights = (np.arange(n_rows) < n_train).astype(float)
+    return train_weights, 1.0 - train_weights
+
+
+def _matchup_baseline(task, coded, train_weights, test, w, m):
+    """The task's matchup baseline on train weights and its loss on ``test`` weighted by ``w``."""
+    if task == "win":
+        bl = fit_win_baseline_coded(coded, train_weights, m)
+        return bl, binary_log_loss(predict_win_matchups(bl, test), test.win, w)
+    bl = fit_severity_baseline_coded(coded, train_weights, m)
+    return bl, multiclass_log_loss(predict_severity_matchups(bl, test), test.severity, w)
+
+
 def validate_weighted(
     coded: CodedTable,
     train_weights: np.ndarray,
@@ -214,20 +226,17 @@ def validate_weighted(
 
     win_fit = fit_coded(coded, train_weights, "win", lambda_win, tol=tol, max_iter=max_iter)
     sev_fit = fit_coded(coded, train_weights, "severity", lambda_sev, tol=tol, max_iter=max_iter)
-    win_bl = fit_win_baseline_coded(coded, train_weights, m_win)
-    sev_bl = fit_severity_baseline_coded(coded, train_weights, m_sev)
-
     held = np.flatnonzero(test_weights > 0)
     test, w = coded.take(held), test_weights[held]
+    win_bl, matchup_win = _matchup_baseline("win", coded, train_weights, test, w, m_win)
+    sev_bl, matchup_sev = _matchup_baseline("severity", coded, train_weights, test, w, m_sev)
 
     model_win = binary_log_loss(predict_win_probs(win_fit, test), test.win, w)
     model_sev = multiclass_log_loss(predict_class_prob_matrix(sev_fit, test), test.severity, w)
     global_win = binary_log_loss(np.full(len(test), win_bl.p_global), test.win, w)
-    matchup_win = binary_log_loss(predict_win_matchups(win_bl, test), test.win, w)
     global_sev = multiclass_log_loss(
         np.tile(np.asarray(sev_bl.pi_global, dtype=float), (len(test), 1)), test.severity, w
     )
-    matchup_sev = multiclass_log_loss(predict_severity_matchups(sev_bl, test), test.severity, w)
 
     rows = (
         ValidationRow("win", "global", model_win, global_win, global_win - model_win),
@@ -267,6 +276,8 @@ def run_validation(
     bootstrap does); leave them None to select each by cross-validation
     on the train portion.  Test rows never touch selection or fitting.
     """
+    for m in (m_win, m_sev):
+        check_prior_strength(m)
     split = ordered_split(table, ratio)
     train, test = split.train, split.test
     if len(train) == 0 or len(test) == 0:
@@ -281,11 +292,9 @@ def run_validation(
             train, "severity", grid, n_folds, tol=tol, max_iter=max_iter
         ).lambda_min
 
-    train_weights = (np.arange(len(table)) < len(train)).astype(float)
     return validate_weighted(
         table.coded,
-        train_weights,
-        1.0 - train_weights,
+        *_ordered_weights(len(table), len(train)),
         lambda_win=lambda_win,
         lambda_sev=lambda_sev,
         m_win=m_win,
@@ -293,6 +302,32 @@ def run_validation(
         tol=tol,
         max_iter=max_iter,
     )
+
+
+def prior_grid(m_grid: Sequence[float]) -> list[float]:
+    """A sweep's prior strengths as floats: nonempty, each finite and >= 0."""
+    grid = [float(m) for m in m_grid]
+    if not grid:
+        raise ValueError("prior-strength grid must be nonempty")
+    for m in grid:
+        check_prior_strength(m)
+    return grid
+
+
+def prior_sweep(table: InteractionTable, report: ValidationReport,
+                m_grid: Sequence[float]) -> list[SensitivityRow]:
+    """``run_validation``'s ``report`` on ``table`` with its matchup baselines
+    refit at each m of a checked ``prior_grid``, on the same ordered split."""
+    coded = table.coded
+    train_weights, test_weights = _ordered_weights(len(table), report.n_train)
+    test = coded.take(test_weights > 0)
+    model = {row.task: row.model_logloss for row in report.rows}
+    out: list[SensitivityRow] = []
+    for task in TASKS:
+        for m in m_grid:
+            _, loss = _matchup_baseline(task, coded, train_weights, test, None, m)
+            out.append(SensitivityRow(task, m, model[task], loss, loss - model[task]))
+    return out
 
 
 def prior_sensitivity(
@@ -309,38 +344,13 @@ def prior_sensitivity(
 ) -> list[SensitivityRow]:
     """Matchup-baseline improvements across a prior-strength grid.
 
-    The models do not depend on m, so each task's model loss is fitted
-    once and repeated across the grid.
+    Built on ``validate_weighted``: the models do not depend on m, so this
+    is ``run_validation``'s holdout (its split, CV and two fits) swept by
+    ``prior_sweep``.  The whole grid is checked before any CV or fit.
     """
-    if len(m_grid) == 0:
-        raise ValueError("prior-strength grid must be nonempty")
-    split = ordered_split(table, ratio)
-    train, test = split.train, split.test
-    if len(train) == 0 or len(test) == 0:
-        raise DataError("sensitivity sweep needs nonempty train and test portions")
-
-    if lambda_win is None:
-        lambda_win = cv_select_lambda(
-            train, "win", grid, n_folds, tol=tol, max_iter=max_iter
-        ).lambda_min
-    if lambda_sev is None:
-        lambda_sev = cv_select_lambda(
-            train, "severity", grid, n_folds, tol=tol, max_iter=max_iter
-        ).lambda_min
-
-    win_fit = fit_win_model(train, lambda_win, tol=tol, max_iter=max_iter)
-    sev_fit = fit_severity_model(train, lambda_sev, tol=tol, max_iter=max_iter)
-    held = test.coded
-    model_win = binary_log_loss(predict_win_probs(win_fit, held), held.win)
-    model_sev = multiclass_log_loss(predict_class_prob_matrix(sev_fit, held), held.severity)
-
-    out: list[SensitivityRow] = []
-    for m in m_grid:
-        bl = fit_win_baseline(train, m)
-        loss = binary_log_loss(predict_win_matchups(bl, held), held.win)
-        out.append(SensitivityRow("win", float(m), model_win, loss, loss - model_win))
-    for m in m_grid:
-        bl = fit_severity_baseline(train, m)
-        loss = multiclass_log_loss(predict_severity_matchups(bl, held), held.severity)
-        out.append(SensitivityRow("severity", float(m), model_sev, loss, loss - model_sev))
-    return out
+    m_grid = prior_grid(m_grid)
+    report = run_validation(
+        table, lambda_win=lambda_win, lambda_sev=lambda_sev, ratio=ratio,
+        grid=grid, n_folds=n_folds, tol=tol, max_iter=max_iter,
+    )
+    return prior_sweep(table, report, m_grid)

@@ -132,6 +132,12 @@ class TestWinBaseline:
         with pytest.raises(ValueError):
             fit_win_baseline(small_table, -1.0)
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    @pytest.mark.parametrize("fit", [fit_win_baseline, fit_severity_baseline])
+    def test_nonfinite_prior_rejected(self, small_table, fit, m):
+        with pytest.raises(ValueError, match="prior strength must be finite and >= 0"):
+            fit(small_table, m)
+
     def test_rates_store_counts_and_smoothed_values(self):
         t = table_of(
             ("R1", "B1", True, OutcomeClass.WIN),

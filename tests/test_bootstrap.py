@@ -115,6 +115,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             config(lambda_sev=-1.0)
 
+    @pytest.mark.parametrize("key", ["m_win", "m_sev"])
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -1.0])
+    def test_prior_strengths_must_be_finite_and_nonnegative(self, key, m):
+        with pytest.raises(ValueError, match="prior strength must be finite and >= 0"):
+            config(**{key: m})
+
     def test_mode_checked(self):
         with pytest.raises(ValueError):
             config(mode="jackknife")

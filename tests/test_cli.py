@@ -1,12 +1,17 @@
 import csv
+import itertools
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 
 from trenchrank import cli
+from trenchrank import fit as fit_module
 from trenchrank.cli import main
-from trenchrank.interactions import read_interactions_csv
+from trenchrank.fit import DEFAULT_LAMBDA_GRID
+from trenchrank.interactions import InteractionTable, read_interactions_csv, write_interactions_csv
 from trenchrank.report import (
     LEADERBOARD_CSV_HEADER,
     RANK_EVAL_CSV_HEADER,
@@ -123,6 +128,27 @@ class TestFit:
             (tmp_path / "bad.json").write_text(json.dumps({**cfg, **bad}))
             assert run(["pipeline", "--config", str(tmp_path / "bad.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [dict(chosen) for k in range(4)
+         for chosen in itertools.combinations(
+             [("--grid-min", "0.01"), ("--grid-max", "10"), ("--grid-size", "7")], k)],
+        ids=lambda flags: " ".join(flags) or "none",
+    )
+    def test_grid_flags_give_the_grid_they_gave_before(self, flags):
+        def reference_lambda_grid(lo, hi, size):
+            if lo is None and hi is None and size is None:
+                return list(DEFAULT_LAMBDA_GRID)
+            lo = 1e-6 if lo is None else lo
+            hi = 1e2 if hi is None else hi
+            size = 25 if size is None else size
+            return list(np.logspace(math.log10(lo), math.log10(hi), size))
+
+        argv = ["fit", "--interactions", "t.csv", "--out", "f.json"]
+        args = cli.build_parser().parse_args(argv + [v for kv in flags.items() for v in kv])
+        want = reference_lambda_grid(args.grid_min, args.grid_max, args.grid_size)
+        assert cli._cv_options(vars(args))["grid"] == want
+
     def test_single_model_selection(self, synth_csv, tmp_path):
         out = tmp_path / "sev.json"
         code = run(
@@ -152,6 +178,16 @@ class TestValidate:
         assert payload["lambda_win"] == 0.5
         assert len(payload["rows"]) == 4
 
+    @pytest.mark.parametrize("flags", [
+        ["--m-win", "nan"], ["--m-sev", "inf"], ["--m-win", "-1"],
+    ], ids=" ".join)
+    def test_bad_prior_strength_is_usage_error(self, synth_csv, tmp_path, capsys, flags):
+        code = run(["validate", "--interactions", str(synth_csv[0]),
+                    "--out-dir", str(tmp_path)] + flags)
+        assert code == 1
+        assert "prior strength must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "validation.csv").exists()
+
 
 class TestSensitivity:
     def test_default_grid_gives_eight_rows(self, synth_csv, tmp_path):
@@ -165,6 +201,22 @@ class TestSensitivity:
         assert rows[0] == SENSITIVITY_CSV_HEADER
         assert len(rows) == 9
         assert [r[1] for r in rows[1:5]] == ["10", "25", "50", "100"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--m-grid", "nan"], ["--m-grid", "10,inf"], ["--m-grid", ","],
+    ], ids=" ".join)
+    def test_bad_grid_is_usage_error_before_any_fit(self, synth_csv, tmp_path, capsys,
+                                                     monkeypatch, flags):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the grid was checked")
+
+        monkeypatch.setattr(cli.evaluate, "cv_select_lambda", forbidden)
+        monkeypatch.setattr(fit_module, "_fit_ridge", forbidden)
+        code = run(["sensitivity", "--interactions", str(synth_csv[0]),
+                    "--out-dir", str(tmp_path)] + flags)
+        assert code == 1
+        assert "prior" in capsys.readouterr().err
+        assert not (tmp_path / "sensitivity.csv").exists()
 
 
 class TestBootstrap:
@@ -506,8 +558,16 @@ class TestPipeline:
             targets.append(target)
             return real(table, target, *args, **kwargs)
 
+        fits = []
+        real_fit = fit_module._fit_ridge
+
+        def fit_spy(*args, **kwargs):
+            fits.append(args[4])
+            return real_fit(*args, **kwargs)
+
         monkeypatch.setattr(cli, "cv_select_lambda", spy)
         monkeypatch.setattr(cli.evaluate, "cv_select_lambda", spy)
+        monkeypatch.setattr(fit_module, "_fit_ridge", fit_spy)
         grid = {"grid_min": 0.1, "grid_max": 10, "grid_size": 3, "folds": 3}
         cfg = self.config(
             tmp_path, stages="validate,sensitivity", interactions=str(synth_csv[0]),
@@ -515,6 +575,7 @@ class TestPipeline:
         )
         assert run(["pipeline", "--config", str(cfg)]) == 0
         assert targets == ["win", "severity"]
+        assert fits == ["win", "severity"]  # one pair of train-split fits for both stages
         (got,) = self.runs(tmp_path)
 
         want = tmp_path / "subcommands"
@@ -525,6 +586,36 @@ class TestPipeline:
         assert targets == ["win", "severity"] * 3
         for name in ("validation.csv", "validation.json", "sensitivity.csv", "sensitivity.json"):
             assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_sweep_alone_writes_no_validation(self, tmp_path):
+        cfg = self.config(tmp_path, stages="synth,sensitivity,bootstrap", b_end_to_end=2)
+        assert run(["pipeline", "--config", str(cfg)]) == 0
+        (got,) = self.runs(tmp_path)
+        assert (got / "sensitivity.csv").exists() and (got / "bootstrap.json").exists()
+        assert not (got / "validation.csv").exists()
+        assert not (got / "validation.json").exists()
+
+    @pytest.mark.parametrize("stage", ["validate", "sensitivity"])
+    def test_one_row_table_fails_like_the_subcommand(self, synth_csv, tmp_path, capsys, stage):
+        one_row = tmp_path / "one.csv"
+        write_interactions_csv(InteractionTable(read_interactions_csv(synth_csv[0]).rows[:1]),
+                               one_row)
+        assert run([stage, "--interactions", str(one_row), "--out-dir", str(tmp_path)]) == 2
+        message = capsys.readouterr().err.removeprefix("data error: ").strip()
+        assert message == "validation needs nonempty train and test portions"
+
+        cfg = self.config(tmp_path, stages=stage, interactions=str(one_row),
+                          lambda_win=None, lambda_sev=None)
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        (run_dir,) = self.runs(tmp_path)
+        err = json.loads((run_dir / "error.json").read_text())
+        assert (err["stage"], err["error"], err["message"]) == (stage, "DataError", message)
+
+    def test_bad_prior_grid_fails_before_any_stage(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, stages="synth,validate,sensitivity", m_grid="25,nan")
+        assert run(["pipeline", "--config", str(cfg)]) == 1
+        assert "prior strength must be finite and >= 0" in capsys.readouterr().err
+        assert self.runs(tmp_path) == []
 
 
 class TestExitCodes:

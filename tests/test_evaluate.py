@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,17 +7,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trenchrank.evaluate as ev
+import trenchrank.fit as fit_module
+from trenchrank.baselines import (
+    fit_severity_baseline,
+    fit_win_baseline,
+    predict_severity_matchups,
+    predict_win_matchups,
+)
 from trenchrank.errors import DataError
 from trenchrank.evaluate import (
     PROB_CLIP,
     SENSITIVITY_PRIOR_GRID,
+    SensitivityRow,
     binary_log_loss,
     multiclass_log_loss,
     ordered_split,
     prior_sensitivity,
     run_validation,
 )
+from trenchrank.fit import (
+    DROPPED_CLASSES_WARNING,
+    cv_select_lambda,
+    fit_severity_model,
+    fit_win_model,
+    predict_class_prob_matrix,
+    predict_win_probs,
+)
 from trenchrank.interactions import CLASSES, InteractionTable, OutcomeClass, canonical_sort
+from trenchrank.synth import SynthConfig, synth_generate
 
 from conftest import make_row, random_table
 
@@ -237,3 +256,125 @@ class TestPriorSensitivity:
             warnings.simplefilter("ignore", RuntimeWarning)
             rows = prior_sensitivity(t, [100.0, 10.0], lambda_win=0.5, lambda_sev=0.5)
         assert [r.m for r in rows] == [100.0, 10.0, 100.0, 10.0]
+
+
+def reference_prior_sensitivity(
+    table, m_grid=SENSITIVITY_PRIOR_GRID, *, lambda_win=None, lambda_sev=None,
+    ratio=0.8, grid=None, n_folds=5,
+):
+    """The sweep as written before it was built on ``run_validation``: its
+    own split, train-split CV and fits on a row table of the train split."""
+    if len(m_grid) == 0:
+        raise ValueError("prior-strength grid must be nonempty")
+    split = ordered_split(table, ratio)
+    train, test = split.train, split.test
+    if len(train) == 0 or len(test) == 0:
+        raise DataError("sensitivity sweep needs nonempty train and test portions")
+
+    if lambda_win is None:
+        lambda_win = cv_select_lambda(train, "win", grid, n_folds).lambda_min
+    if lambda_sev is None:
+        lambda_sev = cv_select_lambda(train, "severity", grid, n_folds).lambda_min
+
+    win_fit = fit_win_model(train, lambda_win)
+    sev_fit = fit_severity_model(train, lambda_sev)
+    held = test.coded
+    model_win = binary_log_loss(predict_win_probs(win_fit, held), held.win)
+    model_sev = multiclass_log_loss(predict_class_prob_matrix(sev_fit, held), held.severity)
+
+    out = []
+    for m in m_grid:
+        bl = fit_win_baseline(train, m)
+        loss = binary_log_loss(predict_win_matchups(bl, held), held.win)
+        out.append(SensitivityRow("win", float(m), model_win, loss, loss - model_win))
+    for m in m_grid:
+        bl = fit_severity_baseline(train, m)
+        loss = multiclass_log_loss(predict_severity_matchups(bl, held), held.severity)
+        out.append(SensitivityRow("severity", float(m), model_sev, loss, loss - model_sev))
+    return out
+
+
+def oracle_world(seed):
+    table, _ = synth_generate(SynthConfig(
+        n_rushers=40, n_blockers=30, n_games=30, plays_per_game=10, seed=seed,
+    ))
+    return table
+
+
+CV_OPTIONS = {"grid": [0.1, 1.0, 10.0], "n_folds": 3}
+
+
+class TestPriorSensitivityOracle:
+    """``prior_sensitivity`` on ``run_validation`` equals the sweep it replaced."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"lambda_win": 0.5, "lambda_sev": 0.5},
+            CV_OPTIONS,
+            {"lambda_win": 0.5, "lambda_sev": 0.5, "ratio": 0.7},
+            {**CV_OPTIONS, "ratio": 0.7, "m_grid": [100.0, 3.0, 37.5, 10.0]},
+        ],
+        ids=["pinned", "cv", "pinned-ratio", "cv-ratio-grid"],
+    )
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_rows_equal_reference(self, seed, options):
+        table = oracle_world(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = reference_prior_sensitivity(table, **options)
+            got = prior_sensitivity(table, **options)
+        assert got == want
+
+    def test_train_split_without_a_class(self):
+        table = oracle_world(21)
+        n_train = math.floor(0.8 * len(table))
+        rows = [
+            dataclasses.replace(r, severity=OutcomeClass.HIT)
+            if i < n_train and r.severity is OutcomeClass.SACK else r
+            for i, r in enumerate(table)
+        ]
+        rows[-1] = dataclasses.replace(rows[-1], severity=OutcomeClass.SACK)
+        table = InteractionTable(rows)
+        for options in ({"lambda_win": 0.5, "lambda_sev": 0.5}, CV_OPTIONS):
+            with pytest.warns(RuntimeWarning, match=DROPPED_CLASSES_WARNING):
+                got = prior_sensitivity(table, **options)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = reference_prior_sensitivity(table, **options)
+            assert got == want
+
+
+class TestPriorStrengthChecks:
+    @pytest.mark.parametrize(
+        "m_grid", [[math.nan], [math.inf], [10.0, math.nan], [25.0, -1.0], []],
+        ids=["nan", "inf", "nan-later", "negative", "empty"],
+    )
+    def test_bad_grid_fails_before_any_cv_or_fit(self, rng, monkeypatch, m_grid):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the grid was checked")
+
+        monkeypatch.setattr(ev, "cv_select_lambda", forbidden)
+        monkeypatch.setattr(fit_module, "_fit_ridge", forbidden)
+        t = random_table(rng, n_rows=120, n_games=6)
+        with pytest.raises(ValueError, match="prior-strength grid|prior strength"):
+            prior_sensitivity(t, m_grid)
+
+    @pytest.mark.parametrize("key", ["m_win", "m_sev"])
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -1.0])
+    def test_bad_validation_prior_fails_before_any_cv_or_fit(self, rng, monkeypatch, key, m):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the prior strength was checked")
+
+        monkeypatch.setattr(ev, "cv_select_lambda", forbidden)
+        monkeypatch.setattr(fit_module, "_fit_ridge", forbidden)
+        t = random_table(rng, n_rows=120, n_games=6)
+        with pytest.raises(ValueError, match="prior strength must be finite and >= 0"):
+            run_validation(t, **{key: m})
+
+    def test_empty_side_error_comes_from_run_validation(self):
+        t = InteractionTable([make_row()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(DataError, match="validation needs nonempty train and test"):
+                prior_sensitivity(t, lambda_win=0.5, lambda_sev=0.5)

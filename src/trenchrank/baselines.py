@@ -12,9 +12,9 @@ strength ``m``:
     smoothed = (n * observed + m * global) / (n + m)
 
 A player with no training rows (n = 0) gets the global value exactly.
-Fits count rows through ``np.bincount`` over a coded table, optionally
-with row weights (``fit_win_baseline_coded``); the table fits are the
-all-ones case.  None of the baselines reads the double-team flag.
+Fits count rows through ``np.bincount`` over the table's code columns,
+with row i counted ``weights[i]`` times (default once).  None of the
+baselines reads the double-team flag.
 Degenerate rates (exactly 0 or 1) are preserved; clipping for log loss
 belongs to the evaluator.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .interactions import CLASSES, CodedTable, InteractionTable, OutcomeClass
+from .interactions import CLASSES, InteractionTable, OutcomeClass
 
 DEFAULT_WIN_PRIOR = 25.0
 DEFAULT_SEVERITY_PRIOR = 50.0
@@ -109,41 +109,39 @@ def check_prior_strength(m: float) -> None:
         raise ValueError(f"prior strength must be finite and >= 0, got {m}")
 
 
-def _check_fit_input(n_rows: int, weights: np.ndarray, m: float, what: str) -> None:
-    if n_rows == 0 or not weights.sum() > 0:
+def _fit_weights(table: InteractionTable, weights, m: float, what: str) -> np.ndarray:
+    """Row weights as floats (all ones if None), checked with the prior strength."""
+    weights = np.ones(len(table)) if weights is None else np.asarray(weights, dtype=float)
+    if len(table) == 0 or not weights.sum() > 0:
         raise DataError(f"cannot fit a {what} baseline on an empty table")
     check_prior_strength(m)
+    return weights
 
 
-def fit_win_baseline_coded(
-    coded: CodedTable, weights: np.ndarray, m: float = DEFAULT_WIN_PRIOR
+def fit_win_baseline(
+    table: InteractionTable, m: float = DEFAULT_WIN_PRIOR, weights=None
 ) -> WinBaseline:
-    """Win baseline with row i counted ``weights[i]`` times.
+    """Win baseline with row i counted ``weights[i]`` times (default once).
 
     Players whose rows all have zero weight get no entry, so predictions
     fall back to the global rate for them.
     """
-    weights = np.asarray(weights, dtype=float)
-    _check_fit_input(len(coded), weights, m, "win")
-    p_global = float(np.sum(weights * coded.win) / np.sum(weights))
+    weights = _fit_weights(table, weights, m, "win")
+    p_global = float(np.sum(weights * table.win) / np.sum(weights))
 
     def side_rates(codes, vocab) -> dict[str, tuple[int, float]]:
         seen = _first_seen_codes(codes, weights)
         n = np.bincount(codes, weights=weights, minlength=len(vocab))[seen]
-        sums = np.bincount(codes, weights=weights * coded.win, minlength=len(vocab))[seen]
+        sums = np.bincount(codes, weights=weights * table.win, minlength=len(vocab))[seen]
         rates = _smoothed(n, sums, m, p_global)
         return {vocab[i]: (int(n_i), float(r)) for i, n_i, r in zip(seen, n, rates)}
 
     return WinBaseline(
         p_global=p_global,
         m=float(m),
-        rusher_rates=side_rates(coded.rusher, coded.rushers),
-        blocker_rates=side_rates(coded.blocker, coded.blockers),
+        rusher_rates=side_rates(table.rusher, table.rushers),
+        blocker_rates=side_rates(table.blocker, table.blockers),
     )
-
-
-def fit_win_baseline(train: InteractionTable, m: float = DEFAULT_WIN_PRIOR) -> WinBaseline:
-    return fit_win_baseline_coded(train.coded, np.ones(len(train)), m)
 
 
 def predict_win_global(bl: WinBaseline) -> float:
@@ -160,23 +158,22 @@ def predict_win_matchup(bl: WinBaseline, rusher_id: str, blocker_id: str) -> flo
     return inv_logit(0.5 * (logit(p_r) + logit(p_b)))
 
 
-def fit_severity_baseline_coded(
-    coded: CodedTable, weights: np.ndarray, m: float = DEFAULT_SEVERITY_PRIOR
+def fit_severity_baseline(
+    table: InteractionTable, m: float = DEFAULT_SEVERITY_PRIOR, weights=None
 ) -> SeverityBaseline:
-    """Severity baseline with row i counted ``weights[i]`` times.
+    """Severity baseline with row i counted ``weights[i]`` times (default once).
 
     Players whose rows all have zero weight get no entry, so predictions
     fall back to the global profile for them.
     """
-    weights = np.asarray(weights, dtype=float)
-    _check_fit_input(len(coded), weights, m, "severity")
+    weights = _fit_weights(table, weights, m, "severity")
     k = len(CLASSES)
-    pi_global = np.bincount(coded.severity, weights=weights, minlength=k) / np.sum(weights)
+    pi_global = np.bincount(table.severity, weights=weights, minlength=k) / np.sum(weights)
 
     def side_profiles(codes, vocab) -> dict[str, tuple[int, tuple[float, float, float, float]]]:
         seen = _first_seen_codes(codes, weights)
         counts = np.bincount(
-            codes * k + coded.severity, weights=weights, minlength=len(vocab) * k
+            codes * k + table.severity, weights=weights, minlength=len(vocab) * k
         ).reshape(len(vocab), k)[seen]
         n = counts.sum(axis=1)
         profiles = _smoothed(n[:, None], counts, m, pi_global)
@@ -188,15 +185,9 @@ def fit_severity_baseline_coded(
     return SeverityBaseline(
         pi_global=tuple(float(v) for v in pi_global),
         m=float(m),
-        rusher_profiles=side_profiles(coded.rusher, coded.rushers),
-        blocker_profiles=side_profiles(coded.blocker, coded.blockers),
+        rusher_profiles=side_profiles(table.rusher, table.rushers),
+        blocker_profiles=side_profiles(table.blocker, table.blockers),
     )
-
-
-def fit_severity_baseline(
-    train: InteractionTable, m: float = DEFAULT_SEVERITY_PRIOR
-) -> SeverityBaseline:
-    return fit_severity_baseline_coded(train.coded, np.ones(len(train)), m)
 
 
 def predict_severity_global(bl: SeverityBaseline) -> np.ndarray:
@@ -234,17 +225,17 @@ def _inv_logit_array(x: np.ndarray) -> np.ndarray:
         return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), z / (1.0 + z))
 
 
-def predict_win_matchups(bl: WinBaseline, coded: CodedTable) -> np.ndarray:
-    """``predict_win_matchup`` for every row of a coded table."""
-    p_r = np.array([bl.rusher_rates.get(p, (0, bl.p_global))[1] for p in coded.rushers])
-    p_b = np.array([bl.blocker_rates.get(p, (0, bl.p_global))[1] for p in coded.blockers])
+def predict_win_matchups(bl: WinBaseline, table: InteractionTable) -> np.ndarray:
+    """``predict_win_matchup`` for every row of a table."""
+    p_r = np.array([bl.rusher_rates.get(p, (0, bl.p_global))[1] for p in table.rushers])
+    p_b = np.array([bl.blocker_rates.get(p, (0, bl.p_global))[1] for p in table.blockers])
     with np.errstate(divide="ignore"):
         logit_r = np.log(p_r) - np.log1p(-p_r)
         logit_b = np.log(p_b) - np.log1p(-p_b)
-    return _inv_logit_array(0.5 * (logit_r[coded.rusher] + logit_b[coded.blocker]))
+    return _inv_logit_array(0.5 * (logit_r[table.rusher] + logit_b[table.blocker]))
 
 
-def predict_severity_matchups(bl: SeverityBaseline, coded: CodedTable) -> np.ndarray:
+def predict_severity_matchups(bl: SeverityBaseline, table: InteractionTable) -> np.ndarray:
     """``predict_severity_matchup`` for every row: an (n, 4) matrix."""
     loss_i = int(OutcomeClass.LOSS)
 
@@ -260,8 +251,8 @@ def predict_severity_matchups(bl: SeverityBaseline, coded: CodedTable) -> np.nda
             return np.log(prof / prof[:, loss_i : loss_i + 1])
 
     eta = 0.5 * (
-        log_odds(bl.rusher_profiles, coded.rushers, coded.rusher)[coded.rusher]
-        + log_odds(bl.blocker_profiles, coded.blockers, coded.blocker)[coded.blocker]
+        log_odds(bl.rusher_profiles, table.rushers, table.rusher)[table.rusher]
+        + log_odds(bl.blocker_profiles, table.blockers, table.blocker)[table.blocker]
     )
     eta[:, loss_i] = 0.0
     eta -= eta.max(axis=1, keepdims=True)

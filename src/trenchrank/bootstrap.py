@@ -6,8 +6,8 @@ here).  A replicate draws G game indices, ``rng.integers(0, G, size=G)``,
 and is fully described by the multiplicities ``m = bincount(draws,
 minlength=G)``.  Its likelihood is the original table's with each row
 weighted by its game's multiplicity (the weighted-likelihood view of the
-bootstrap), so every replicate refits one coded copy of the table under
-row weights; no resampled table is ever built.
+bootstrap), so every replicate refits the table's one set of columns
+under row weights; no resampled table is ever built.
 
 Two modes:
 
@@ -54,13 +54,15 @@ from .baselines import DEFAULT_SEVERITY_PRIOR, DEFAULT_WIN_PRIOR, check_prior_st
 from .evaluate import DEFAULT_SPLIT_RATIO, split_point, validate_weighted
 from .external import model_scores
 from .fit import DEFAULT_MAX_ITER, DEFAULT_TOL, DROPPED_CLASSES_WARNING, fit_coded
-from .interactions import CodedTable, InteractionTable, OutcomeClass, canonical_sort
+from .interactions import InteractionTable, OutcomeClass, canonical_sort
 
 MODES = ("end_to_end", "weekly_path")
 MODEL_NAMES = ("win", "severity")
 IMPROVEMENT_LEVELS = (2.5, 97.5)
 RATING_LEVELS = (25.0, 75.0)
 WEEKLY_Z = 1.96
+#: Largest share of a call's planned fits that may fail before it aborts.
+MAX_FAILURE_RATE = 0.05
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,6 @@ class BootstrapConfig:
     identity_resample: bool = False
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    max_failure_rate: float = 0.05
 
     def __post_init__(self) -> None:
         if self.b < 1:
@@ -160,21 +161,21 @@ def _multiplicities(n_games: int, rng: np.random.Generator, identity: bool) -> n
 
 
 def split_weights(
-    coded: CodedTable, m: np.ndarray, ratio: float
+    table: InteractionTable, m: np.ndarray, ratio: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row train and test weights of a replicate's ordered split.
 
-    ``coded`` must be in canonical order and ``m`` holds the copies of
+    ``table`` must be in canonical order and ``m`` holds the copies of
     each game (by game code).  See the module docstring for the cut rule.
     """
-    n_g = np.bincount(coded.game, minlength=len(coded.games))
+    n_g = np.bincount(table.game, minlength=len(table.games))
     game_start = np.cumsum(n_g) - n_g
     copy_start = np.cumsum(m * n_g) - m * n_g
     n_train = split_point(int(np.sum(m * n_g)), ratio)
     # rows of this game copy lying before the cut, counted from the row's
     # own position in the copy
-    g = coded.game
-    ahead = n_train - copy_start[g] - (np.arange(len(coded)) - game_start[g])
+    g = table.game
+    ahead = n_train - copy_start[g] - (np.arange(len(table)) - game_start[g])
     train = np.clip(-(-ahead // n_g[g]), 0, m[g])
     return train.astype(float), (m[g] - train).astype(float)
 
@@ -196,25 +197,29 @@ def _series(values: list[float], kind: str) -> TrackedSeries:
     return TrackedSeries(tuple(float(v) for v in arr), mean, sd, lo, hi)
 
 
-def _tracked_role_players(
-    table: InteractionTable, role: str, config: BootstrapConfig
-) -> list[str]:
-    players = table.rushers if role == "rusher" else table.blockers
-    if config.track_players is None:
-        return list(players)
-    keep = set(config.track_players)
-    return [p for p in players if p in keep]
+def _rating_players(
+    table: InteractionTable, config: BootstrapConfig
+) -> dict[tuple[str, str], list[str]]:
+    """The tracked players of each (model, role), in id order."""
+    keep = set(table.rushers + table.blockers if config.track_players is None
+               else config.track_players)
+    return {
+        (model, role): [p for p in (table.rushers if role == "rusher" else table.blockers)
+                        if p in keep]
+        for model in config.models
+        for role in ("rusher", "blocker")
+    }
 
 
 def _fit_ratings(
-    coded: CodedTable, weights: np.ndarray, config: BootstrapConfig
+    table: InteractionTable, weights: np.ndarray, config: BootstrapConfig
 ) -> tuple[dict[tuple[str, str], dict[str, float]], tuple[OutcomeClass, ...]]:
     """Each model's ratings by (model, role), and the severity fit's dropped classes."""
     out: dict[tuple[str, str], dict[str, float]] = {}
     dropped: tuple[OutcomeClass, ...] = ()
     for model in config.models:
         lam = config.lambda_win if model == "win" else config.lambda_sev
-        fit = fit_coded(coded, weights, model, lam, tol=config.tol, max_iter=config.max_iter)
+        fit = fit_coded(table, weights, model, lam, tol=config.tol, max_iter=config.max_iter)
         if model == "severity":
             dropped = fit.dropped
         for role in ("rusher", "blocker"):
@@ -254,11 +259,11 @@ class _DroppedClasses:
             )
 
 
-def _check_failures(n_failed: int, b: int, max_rate: float) -> None:
-    if n_failed > max_rate * b:
+def _check_failures(n_failed: int, b: int) -> None:
+    if n_failed > MAX_FAILURE_RATE * b:
         raise FitError(
             f"{n_failed} of {b} bootstrap replicates failed to fit "
-            f"(limit {max_rate:.0%}); aborting"
+            f"(limit {MAX_FAILURE_RATE:.0%}); aborting"
         )
 
 
@@ -268,7 +273,7 @@ def end_to_end_bootstrap(table: InteractionTable, config: BootstrapConfig) -> Bo
     Improvements come from each replicate's re-split holdout; ratings
     come from a refit on all of the replicate's rows, since season
     ratings are full-data quantities.  Failed replicates are dropped
-    and counted; more than ``max_failure_rate`` of them aborts.
+    and counted; more than ``MAX_FAILURE_RATE`` of them aborts.
     """
     if config.mode != "end_to_end":
         raise ValueError(f"config mode is {config.mode!r}, expected 'end_to_end'")
@@ -276,14 +281,9 @@ def end_to_end_bootstrap(table: InteractionTable, config: BootstrapConfig) -> Bo
         raise DataError("bootstrap requires at least one game")
     if not table.is_canonically_sorted():
         table = canonical_sort(table)
-    coded = table.coded
 
     imp_values: dict[tuple[str, str], list[float]] = {}
-    rating_players = {
-        (model, role): _tracked_role_players(table, role, config)
-        for model in config.models
-        for role in ("rusher", "blocker")
-    }
+    rating_players = _rating_players(table, config)
     rating_values: dict[tuple[str, str, str], list[float]] = {
         (model, role, pid): []
         for (model, role), players in rating_players.items()
@@ -295,15 +295,15 @@ def end_to_end_bootstrap(table: InteractionTable, config: BootstrapConfig) -> Bo
     dropped = _DroppedClasses()
     for rep in range(config.b):
         rng = np.random.default_rng([config.seed, rep])
-        m = _multiplicities(len(coded.games), rng, config.identity_resample)
+        m = _multiplicities(len(table.games), rng, config.identity_resample)
         try:
             with dropped.held_back():
                 report = scores = None
                 rep_dropped: tuple[OutcomeClass, ...] = ()
                 if config.track_improvements:
-                    train_w, test_w = split_weights(coded, m, config.ratio)
+                    train_w, test_w = split_weights(table, m, config.ratio)
                     report = validate_weighted(
-                        coded,
+                        table,
                         train_w,
                         test_w,
                         lambda_win=config.lambda_win,
@@ -315,11 +315,11 @@ def end_to_end_bootstrap(table: InteractionTable, config: BootstrapConfig) -> Bo
                     )
                     rep_dropped = report.severity_fit.dropped
                 if config.track_ratings:
-                    scores, rating_dropped = _fit_ratings(coded, m[coded.game].astype(float), config)
+                    scores, rating_dropped = _fit_ratings(table, m[table.game].astype(float), config)
                     rep_dropped += rating_dropped
         except FitError:
             n_failed += 1
-            _check_failures(n_failed, config.b, config.max_failure_rate)
+            _check_failures(n_failed, config.b)
             continue
         dropped.add(rep_dropped)
         if report is not None:
@@ -354,18 +354,13 @@ def weekly_path_bootstrap(table: InteractionTable, config: BootstrapConfig) -> B
         raise ValueError(f"config mode is {config.mode!r}, expected 'weekly_path'")
     if len(table) == 0:
         raise DataError("weekly path bootstrap requires a nonempty table")
-    coded = table.coded
-    max_week = int(coded.week.max())
+    max_week = int(table.week.max())
 
     weekly_values: dict[tuple[str, str, str, int], list[float]] = {}
-    rating_players = {
-        (model, role): _tracked_role_players(table, role, config)
-        for model in config.models
-        for role in ("rusher", "blocker")
-    }
+    rating_players = _rating_players(table, config)
     checkpoints: list[int] = []
     for week in range(1, max_week + 1):
-        if np.any(coded.week <= week):
+        if np.any(table.week <= week):
             checkpoints.append(week)
         else:
             warnings.warn(
@@ -378,20 +373,20 @@ def weekly_path_bootstrap(table: InteractionTable, config: BootstrapConfig) -> B
     n_failed = 0
     dropped = _DroppedClasses()
     for week in checkpoints:
-        in_week = coded.week <= week
-        games = np.unique(coded.game[in_week])
+        in_week = table.week <= week
+        games = np.unique(table.game[in_week])
         for rep in range(config.b):
             rng = np.random.default_rng([config.seed, week, rep])
-            m = np.zeros(len(coded.games), dtype=np.intp)
+            m = np.zeros(len(table.games), dtype=np.intp)
             m[games] = _multiplicities(games.size, rng, config.identity_resample)
             try:
                 with dropped.held_back():
                     scores, rep_dropped = _fit_ratings(
-                        coded, (m[coded.game] * in_week).astype(float), config
+                        table, (m[table.game] * in_week).astype(float), config
                     )
             except FitError:
                 n_failed += 1
-                _check_failures(n_failed, planned_fits, config.max_failure_rate)
+                _check_failures(n_failed, planned_fits)
                 continue
             dropped.add(rep_dropped)
             for (model, role), players in rating_players.items():

@@ -439,33 +439,36 @@ def _cmd_leaderboard(args) -> int:
 # Pipeline
 
 
-_PIPELINE_KEYS = {
-    "seed", "out_dir", "stages", "interactions",
-    "tracking", "events", "engagements", "schedule",
-    "rushers", "blockers", "games", "plays_per_game", "interactions_per_play",
-    "weeks", "sigma_r", "sigma_b", "alpha", "delta", "p_double", "coupled",
-    "lambda_win", "lambda_sev", "m_win", "m_sev", "m_grid", "ratio",
-    "grid_min", "grid_max", "grid_size", "folds", "tol", "max_iter",
-    "b_end_to_end", "b_weekly", "replicates", "identity_resample",
-    "accolades", "min_n_external", "min_n_leaderboard", "top", "players",
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what each JSON type of the pipeline config admits
+_JSON_TYPES = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": _is_number,
+    "a boolean": lambda v: isinstance(v, bool),
+    "a comma-separated string or a list of numbers":
+        lambda v: isinstance(v, str) or isinstance(v, list) and all(map(_is_number, v)),
 }
+
 _RAW_KEYS = ("tracking", "events", "engagements", "schedule")
-
-
-def _config_str(cfg: dict, key: str, default: str | None = None) -> str | None:
-    """A comma-separated string setting (``default`` if absent or null).
-
-    Any other JSON type, such as a list, is a usage error naming the key.
-    """
-    value = cfg.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, str):
-        raise ValueError(
-            f"config key {key!r} must be a comma-separated string, "
-            f"got {type(value).__name__} {value!r}"
-        )
-    return value
+# Pipeline config keys and their JSON types.  A null value is allowed for
+# every key and means the key is not set.
+_PIPELINE_KEYS = {
+    **dict.fromkeys(("out_dir", "stages", "interactions", *_RAW_KEYS, "accolades", "players"),
+                    "a string"),
+    **dict.fromkeys(("seed", "rushers", "blockers", "games", "plays_per_game",
+                     "interactions_per_play", "weeks", "grid_size", "folds", "max_iter",
+                     "b_end_to_end", "b_weekly", "min_n_external", "min_n_leaderboard", "top"),
+                    "an integer"),
+    **dict.fromkeys(("sigma_r", "sigma_b", "alpha", "delta", "p_double", "lambda_win",
+                     "lambda_sev", "m_win", "m_sev", "ratio", "grid_min", "grid_max", "tol"),
+                    "a number"),
+    **dict.fromkeys(("coupled", "replicates", "identity_resample"), "a boolean"),
+    "m_grid": "a comma-separated string or a list of numbers",
+}
 
 
 class _PipelineRun:
@@ -479,17 +482,23 @@ class _PipelineRun:
     """
 
     def __init__(self, cfg: dict):
-        unknown = sorted(set(cfg) - _PIPELINE_KEYS)
+        unknown = sorted(set(cfg) - set(_PIPELINE_KEYS))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
+        for key, value in cfg.items():
+            kind = _PIPELINE_KEYS[key]
+            if value is not None and not _JSON_TYPES[kind](value):
+                raise ValueError(
+                    f"config key {key!r} must be {kind}, got {type(value).__name__} {value!r}"
+                )
         if "seed" not in cfg:
             raise ValueError("config must set an explicit 'seed'")
-        stages = _config_str(cfg, "stages", "validate").split(",")
+        stages = cfg.get("stages")
+        stages = ("validate" if stages is None else stages).split(",")
         self.stages = [s.strip() for s in stages if s.strip()]
         bad = [s for s in self.stages if s not in _STAGES]
         if bad:
             raise ValueError(f"unknown stages: {bad} (choose from {tuple(_STAGES)})")
-        _config_str(cfg, "players")
         self.cv = _cv_options(cfg)
         self.m_grid = _prior_grid(**_pick(cfg, "m_grid"))
 

@@ -9,7 +9,7 @@ column: its effect is the ridge prior mean, zero.
 Column layout: ``[intercept | double_team | rushers... | blockers...]``.
 
 The design is a CSR matrix built in one vectorized pass from the
-integer codes of the table's coded view (``csr_from_codes``); there is
+integer code columns of the table (``csr_from_codes``); there is
 no per-row encoder.  ``codes_from_csr`` is its inverse: the fit layer
 solves on the codes, and decodes a public caller's matrix once,
 rejecting any row that is not of the paired-comparison form.  Both
@@ -170,12 +170,11 @@ def codes_from_csr(
 
 def build_matrix(table: InteractionTable, idx: PlayerIndex) -> sp.csr_matrix:
     """One design row per table row over ``idx``'s columns."""
-    coded = table.coded
     # column of each vocabulary entry in idx, -1 for players it lacks
-    rcols = np.array([idx.rusher_cols.get(p, -1) for p in coded.rushers], dtype=np.intp)
-    bcols = np.array([idx.blocker_cols.get(p, -1) for p in coded.blockers], dtype=np.intp)
+    rcols = np.array([idx.rusher_cols.get(p, -1) for p in table.rushers], dtype=np.intp)
+    bcols = np.array([idx.blocker_cols.get(p, -1) for p in table.blockers], dtype=np.intp)
     return csr_from_codes(
-        rcols[coded.rusher], bcols[coded.blocker], coded.double_team, idx.n_columns
+        rcols[table.rusher], bcols[table.blocker], table.double_team, idx.n_columns
     )
 
 

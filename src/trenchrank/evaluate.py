@@ -6,8 +6,8 @@ with penalty weights selected by grouped cross-validation on the train
 portion only; the four baselines are fit on the same train portion, and
 everything is scored by log loss (nats) on the held-out rows.
 
-``validate_weighted`` is the one implementation: it takes a coded table
-and per-row train and test weights.  ``run_validation`` calls it with the
+``validate_weighted`` is the one implementation: it takes a table and
+per-row train and test weights.  ``run_validation`` calls it with the
 ordered split's 0/1 weights; the bootstrap calls it with the weights a
 resample of games puts on each row.  The prior-strength sweep is built on
 it too: ``prior_sensitivity`` keeps ``run_validation``'s model losses and
@@ -29,8 +29,8 @@ from .baselines import (
     SeverityBaseline,
     WinBaseline,
     check_prior_strength,
-    fit_severity_baseline_coded,
-    fit_win_baseline_coded,
+    fit_severity_baseline,
+    fit_win_baseline,
     predict_severity_matchups,
     predict_win_matchups,
 )
@@ -45,7 +45,7 @@ from .fit import (
     predict_class_prob_matrix,
     predict_win_probs,
 )
-from .interactions import CLASSES, CodedTable, InteractionTable, OutcomeClass
+from .interactions import CLASSES, InteractionTable, OutcomeClass
 
 PROB_CLIP = 1e-15
 DEFAULT_SPLIT_RATIO = 0.8
@@ -123,10 +123,9 @@ def ordered_split(table: InteractionTable, ratio: float = DEFAULT_SPLIT_RATIO) -
     if not table.is_canonically_sorted():
         raise DataError("ordered_split requires a canonically sorted table")
     n_train = split_point(len(table), ratio)
-    rows = list(table)
     return SplitResult(
-        train=InteractionTable(rows[:n_train]),
-        test=InteractionTable(rows[n_train:]),
+        train=table.take(slice(None, n_train)),
+        test=table.take(slice(n_train, None)),
         ratio=ratio,
     )
 
@@ -191,17 +190,17 @@ def _ordered_weights(n_rows: int, n_train: int) -> tuple[np.ndarray, np.ndarray]
     return train_weights, 1.0 - train_weights
 
 
-def _matchup_baseline(task, coded, train_weights, test, w, m):
+def _matchup_baseline(task, table, train_weights, test, w, m):
     """The task's matchup baseline on train weights and its loss on ``test`` weighted by ``w``."""
     if task == "win":
-        bl = fit_win_baseline_coded(coded, train_weights, m)
+        bl = fit_win_baseline(table, m, train_weights)
         return bl, binary_log_loss(predict_win_matchups(bl, test), test.win, w)
-    bl = fit_severity_baseline_coded(coded, train_weights, m)
+    bl = fit_severity_baseline(table, m, train_weights)
     return bl, multiclass_log_loss(predict_severity_matchups(bl, test), test.severity, w)
 
 
 def validate_weighted(
-    coded: CodedTable,
+    table: InteractionTable,
     train_weights: np.ndarray,
     test_weights: np.ndarray,
     *,
@@ -224,12 +223,12 @@ def validate_weighted(
     if not (train_weights.sum() > 0 and test_weights.sum() > 0):
         raise DataError("validation needs nonempty train and test portions")
 
-    win_fit = fit_coded(coded, train_weights, "win", lambda_win, tol=tol, max_iter=max_iter)
-    sev_fit = fit_coded(coded, train_weights, "severity", lambda_sev, tol=tol, max_iter=max_iter)
+    win_fit = fit_coded(table, train_weights, "win", lambda_win, tol=tol, max_iter=max_iter)
+    sev_fit = fit_coded(table, train_weights, "severity", lambda_sev, tol=tol, max_iter=max_iter)
     held = np.flatnonzero(test_weights > 0)
-    test, w = coded.take(held), test_weights[held]
-    win_bl, matchup_win = _matchup_baseline("win", coded, train_weights, test, w, m_win)
-    sev_bl, matchup_sev = _matchup_baseline("severity", coded, train_weights, test, w, m_sev)
+    test, w = table.take(held), test_weights[held]
+    win_bl, matchup_win = _matchup_baseline("win", table, train_weights, test, w, m_win)
+    sev_bl, matchup_sev = _matchup_baseline("severity", table, train_weights, test, w, m_sev)
 
     model_win = binary_log_loss(predict_win_probs(win_fit, test), test.win, w)
     model_sev = multiclass_log_loss(predict_class_prob_matrix(sev_fit, test), test.severity, w)
@@ -293,7 +292,7 @@ def run_validation(
         ).lambda_min
 
     return validate_weighted(
-        table.coded,
+        table,
         *_ordered_weights(len(table), len(train)),
         lambda_win=lambda_win,
         lambda_sev=lambda_sev,
@@ -318,14 +317,13 @@ def prior_sweep(table: InteractionTable, report: ValidationReport,
                 m_grid: Sequence[float]) -> list[SensitivityRow]:
     """``run_validation``'s ``report`` on ``table`` with its matchup baselines
     refit at each m of a checked ``prior_grid``, on the same ordered split."""
-    coded = table.coded
     train_weights, test_weights = _ordered_weights(len(table), report.n_train)
-    test = coded.take(test_weights > 0)
+    test = table.take(test_weights > 0)
     model = {row.task: row.model_logloss for row in report.rows}
     out: list[SensitivityRow] = []
     for task in TASKS:
         for m in m_grid:
-            _, loss = _matchup_baseline(task, coded, train_weights, test, None, m)
+            _, loss = _matchup_baseline(task, table, train_weights, test, None, m)
             out.append(SensitivityRow(task, m, model[task], loss, loss - model[task]))
     return out
 

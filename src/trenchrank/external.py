@@ -130,9 +130,8 @@ def role_sums(
     """
     if role not in ROLES:
         raise ValueError(f"role must be one of {ROLES}, got {role!r}")
-    coded = table.coded
     ids, codes = (
-        (coded.rushers, coded.rusher) if role == "rusher" else (coded.blockers, coded.blocker)
+        (table.rushers, table.rusher) if role == "rusher" else (table.blockers, table.blocker)
     )
     return dict(zip(ids, np.bincount(codes, weights=values, minlength=len(ids)).tolist()))
 
@@ -152,11 +151,10 @@ def raw_baseline_scores(
     if task not in ("win", "severity"):
         raise ValueError(f"task must be 'win' or 'severity', got {task!r}")
     w = default_severity_weights() if weights is None else weights
-    coded = table.coded
     if task == "win":
-        values = coded.win
+        values = table.win
     else:
-        values = np.array([w.weight(c) for c in CLASSES])[coded.severity]
+        values = np.array([w.weight(c) for c in CLASSES])[table.severity]
     if role == "blocker":
         values = 1.0 - values
     sums, counts = role_sums(table, role, values), role_sums(table, role)

@@ -24,8 +24,8 @@ Fits of a table run on weighted cells: rows with equal (rusher,
 blocker, double_team, outcome) are merged into one design row carrying
 their summed weight (``fit_coded``; ``fit_win_model`` and
 ``fit_severity_model`` are its all-ones case).  Cross-validation uses
-the same cells: a fold is a 0/1 row-weight vector over the table's one
-coded view, fitted along the lambda path with warm starts, and its
+the same cells: a fold is a 0/1 row-weight vector over the table's
+columns, fitted along the lambda path with warm starts, and its
 held-out rows are scored by the same vectorized predictor as
 ``predict_win_probs`` and ``predict_class_prob_matrix``.
 
@@ -84,7 +84,6 @@ from .design import (
 from .errors import DataError, FitError
 from .interactions import (
     CLASSES,
-    CodedTable,
     Interaction,
     InteractionTable,
     OutcomeClass,
@@ -743,42 +742,42 @@ def fit_multinomial_ridge(
     )
 
 
-def _cells(coded: CodedTable, weights: np.ndarray, model: str):
+def _cells(table: InteractionTable, weights: np.ndarray, model: str):
     """Merge rows into (rusher, blocker, double_team, outcome) cells.
 
     Returns the cells' design codes, outcomes, summed weights and index;
     only players with a row of positive weight enter the index.
     """
-    outcome = coded.win.astype(np.intp) if model == "win" else coded.severity
+    outcome = table.win.astype(np.intp) if model == "win" else table.severity
     rows, cell_w = aggregate_cells(
-        weights, coded.rusher, coded.blocker, coded.double_team.astype(np.intp), outcome
+        weights, table.rusher, table.blocker, table.double_team.astype(np.intp), outcome
     )
-    rushers, rusher_pos = np.unique(coded.rusher[rows], return_inverse=True)
-    blockers, blocker_pos = np.unique(coded.blocker[rows], return_inverse=True)
+    rushers, rusher_pos = np.unique(table.rusher[rows], return_inverse=True)
+    blockers, blocker_pos = np.unique(table.blocker[rows], return_inverse=True)
     idx = index_from_ids(
-        [coded.rushers[i] for i in rushers], [coded.blockers[i] for i in blockers]
+        [table.rushers[i] for i in rushers], [table.blockers[i] for i in blockers]
     )
     design = _Design(
         rusher=rusher_pos,
         blocker=blocker_pos,
-        double_team=coded.double_team[rows].astype(float),
+        double_team=table.double_team[rows].astype(float),
         n_rushers=rushers.size,
         n_blockers=blockers.size,
     )
     return design, outcome[rows], cell_w, idx
 
 
-def _fit_cells(coded, weights, model, lam, *, stacklevel, **kwargs):
+def _fit_cells(table, weights, model, lam, *, stacklevel, **kwargs):
     if model not in _MODELS:
         raise ValueError(f"model must be 'win' or 'severity', got {model!r}")
-    design, outcome, cell_w, idx = _cells(coded, _row_weights(weights, len(coded)), model)
+    design, outcome, cell_w, idx = _cells(table, _row_weights(weights, len(table)), model)
     return _fit_ridge(
         design, outcome, lam, idx, model, weights=cell_w, stacklevel=stacklevel + 1, **kwargs
     )
 
 
 def fit_coded(
-    coded: CodedTable, weights: np.ndarray, model: str, lam: float, **kwargs
+    table: InteractionTable, weights: np.ndarray, model: str, lam: float, **kwargs
 ) -> BinaryFit | MultinomialFit:
     """Fit ``model`` ("win" or "severity") with row i counted weights[i] times.
 
@@ -787,19 +786,17 @@ def fit_coded(
     whose rows all have zero weight are left out of the index, so they
     get no effect (rather than the prior mean) in the result.
     """
-    return _fit_cells(coded, weights, model, lam, stacklevel=3, **kwargs)
+    return _fit_cells(table, weights, model, lam, stacklevel=3, **kwargs)
 
 
 def fit_win_model(table: InteractionTable, lam: float, **kwargs) -> BinaryFit:
     """Binary fit of every row of a table: ``fit_coded`` with unit weights."""
-    return _fit_cells(table.coded, np.ones(len(table)), "win", lam, stacklevel=3, **kwargs)
+    return _fit_cells(table, np.ones(len(table)), "win", lam, stacklevel=3, **kwargs)
 
 
 def fit_severity_model(table: InteractionTable, lam: float, **kwargs) -> MultinomialFit:
     """Severity fit of every row of a table: ``fit_coded`` with unit weights."""
-    return _fit_cells(
-        table.coded, np.ones(len(table)), "severity", lam, stacklevel=3, **kwargs
-    )
+    return _fit_cells(table, np.ones(len(table)), "severity", lam, stacklevel=3, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -817,22 +814,17 @@ def predict_win_prob(fit: BinaryFit, x: Interaction) -> float:
     return float(expit(eta))
 
 
-def _coded(table: InteractionTable | CodedTable) -> CodedTable:
-    return table.coded if isinstance(table, InteractionTable) else table
-
-
 def _effects_by_code(effects: Mapping[str, float], vocab: Sequence[str]) -> np.ndarray:
     return np.array([effects.get(pid, 0.0) for pid in vocab])
 
 
-def predict_win_probs(fit: BinaryFit, table: InteractionTable | CodedTable) -> np.ndarray:
-    """``predict_win_prob`` for every row of a table or coded table."""
-    c = _coded(table)
+def predict_win_probs(fit: BinaryFit, table: InteractionTable) -> np.ndarray:
+    """``predict_win_prob`` for every row of a table."""
     eta = (
         fit.alpha
-        + _effects_by_code(fit.rusher_effects, c.rushers)[c.rusher]
-        - _effects_by_code(fit.blocker_effects, c.blockers)[c.blocker]
-        + fit.delta * c.double_team.astype(float)
+        + _effects_by_code(fit.rusher_effects, table.rushers)[table.rusher]
+        - _effects_by_code(fit.blocker_effects, table.blockers)[table.blocker]
+        + fit.delta * table.double_team.astype(float)
     )
     return expit(eta)
 
@@ -858,27 +850,24 @@ def predict_class_probs(fit: MultinomialFit, x: Interaction) -> dict[OutcomeClas
     return out
 
 
-def predict_class_prob_matrix(
-    fit: MultinomialFit, table: InteractionTable | CodedTable
-) -> np.ndarray:
+def predict_class_prob_matrix(fit: MultinomialFit, table: InteractionTable) -> np.ndarray:
     """(n, 4) probability matrix with columns in severity order.
 
     Row i equals ``predict_class_probs`` for row i of the table.
     """
-    c = _coded(table)
-    dt = c.double_team.astype(float)
-    eta = np.zeros((len(c), len(fit.classes) + 1))
+    dt = table.double_team.astype(float)
+    eta = np.zeros((len(table), len(fit.classes) + 1))
     for k, cls in enumerate(fit.classes, start=1):
         eta[:, k] = (
             fit.alpha[cls]
-            + _effects_by_code(fit.rusher_effects[cls], c.rushers)[c.rusher]
-            - _effects_by_code(fit.blocker_effects[cls], c.blockers)[c.blocker]
+            + _effects_by_code(fit.rusher_effects[cls], table.rushers)[table.rusher]
+            - _effects_by_code(fit.blocker_effects[cls], table.blockers)[table.blocker]
             + fit.delta[cls] * dt
         )
     eta -= eta.max(axis=1, keepdims=True)
     weights = np.exp(eta)
     probs = weights / weights.sum(axis=1, keepdims=True)
-    out = np.zeros((len(c), len(CLASSES)))
+    out = np.zeros((len(table), len(CLASSES)))
     out[:, int(OutcomeClass.LOSS)] = probs[:, 0]
     for k, cls in enumerate(fit.classes, start=1):
         out[:, int(cls)] = probs[:, k]
@@ -921,7 +910,7 @@ def cv_fold_labels(table: InteractionTable, n_folds: int) -> np.ndarray:
     game_fold = np.empty(n_games, dtype=np.intp)
     for fold, block in enumerate(np.array_split(np.arange(n_games), n_folds)):
         game_fold[block] = fold
-    return game_fold[table.coded.game]
+    return game_fold[table.game]
 
 
 def cv_select_lambda(
@@ -960,7 +949,6 @@ def cv_select_lambda(
     if n_folds < 2:
         raise ValueError(f"need at least 2 folds, got {n_folds}")
 
-    coded = table.coded
     labels = cv_fold_labels(table, n_folds)
     desc = np.sort(lambdas)[::-1]
     fold_losses = np.zeros((n_folds, desc.size))
@@ -970,8 +958,8 @@ def cv_select_lambda(
         in_fold = labels == fold
         if in_fold.all() or not in_fold.any():
             raise DataError(f"fold {fold} is empty")
-        design, outcome, cell_w, idx = _cells(coded, (~in_fold).astype(float), target)
-        held = coded.take(in_fold)
+        design, outcome, cell_w, idx = _cells(table, (~in_fold).astype(float), target)
+        held = table.take(in_fold)
         modeled, dropped, class_idx = _class_coding(target, outcome, cell_w)
         if not modeled:
             raise DataError(f"fold {fold}: training split has no non-loss class")

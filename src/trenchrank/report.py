@@ -81,6 +81,7 @@ def leaderboard(
     broken by player id.
     """
     model = "win" if isinstance(fit, BinaryFit) else "severity"
+    bands = {} if bands is None else bands
     rows: list[LeaderboardRow] = []
     for role in ("rusher", "blocker"):
         counts = role_sums(table, role)
@@ -91,21 +92,11 @@ def leaderboard(
             if counts.get(pid, 0) >= min_n
         ]
         eligible.sort(key=lambda pr: (-pr[1], pr[0]))
-        for pid, rating in eligible[:top]:
-            lo = hi = None
-            if bands is not None and (model, role, pid) in bands:
-                lo, hi = bands[(model, role, pid)]
-            rows.append(
-                LeaderboardRow(
-                    model=model,
-                    role=role,
-                    player_id=pid,
-                    rating=rating,
-                    n=counts[pid],
-                    lo=lo,
-                    hi=hi,
-                )
-            )
+        rows += [
+            LeaderboardRow(model, role, pid, rating, counts[pid],
+                           *bands.get((model, role, pid), (None, None)))
+            for pid, rating in eligible[:top]
+        ]
     return rows
 
 
@@ -113,45 +104,32 @@ def leaderboard(
 # CSV writers
 
 
+def _write_csv(path, header: Sequence[str], records) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(records)
+
+
 def write_validation_csv(
     rows: Sequence[ValidationRow],
     path,
     ci: Mapping[tuple[str, str], tuple[float, float]] | None = None,
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(VALIDATION_CSV_HEADER)
-        for row in rows:
-            lo = hi = None
-            if ci is not None and (row.task, row.baseline) in ci:
-                lo, hi = ci[(row.task, row.baseline)]
-            writer.writerow(
-                [
-                    row.task,
-                    row.baseline,
-                    _fmt(row.model_logloss),
-                    _fmt(row.baseline_logloss),
-                    _fmt(row.improvement),
-                    _fmt(lo),
-                    _fmt(hi),
-                ]
-            )
+    ci = {} if ci is None else ci
+    _write_csv(path, VALIDATION_CSV_HEADER, (
+        [row.task, row.baseline, _fmt(row.model_logloss), _fmt(row.baseline_logloss),
+         _fmt(row.improvement), *map(_fmt, ci.get((row.task, row.baseline), (None, None)))]
+        for row in rows
+    ))
 
 
 def write_sensitivity_csv(rows: Sequence[SensitivityRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SENSITIVITY_CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.task,
-                    f"{row.m:g}",
-                    _fmt(row.model_logloss),
-                    _fmt(row.baseline_logloss),
-                    _fmt(row.improvement),
-                ]
-            )
+    _write_csv(path, SENSITIVITY_CSV_HEADER, (
+        [row.task, f"{row.m:g}", _fmt(row.model_logloss), _fmt(row.baseline_logloss),
+         _fmt(row.improvement)]
+        for row in rows
+    ))
 
 
 def write_rank_eval_csv(rows: Sequence[RankEvalRow], path) -> None:
@@ -161,80 +139,37 @@ def write_rank_eval_csv(rows: Sequence[RankEvalRow], path) -> None:
         raise DataError(
             f"rank-eval CSV holds one accolade slice per file, got {sorted(slices)}"
         )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RANK_EVAL_CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.task,
-                    row.role,
-                    row.k,
-                    _fmt(row.auc),
-                    _fmt(row.base_auc),
-                    _fmt(row.delta_auc),
-                    _fmt(row.enrichment),
-                    _fmt(row.base_enrichment),
-                    _fmt(row.delta_enrichment),
-                ]
-            )
+    _write_csv(path, RANK_EVAL_CSV_HEADER, (
+        [row.task, row.role, row.k, _fmt(row.auc), _fmt(row.base_auc), _fmt(row.delta_auc),
+         _fmt(row.enrichment), _fmt(row.base_enrichment), _fmt(row.delta_enrichment)]
+        for row in rows
+    ))
 
 
 def write_leaderboard_csv(rows: Sequence[LeaderboardRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEADERBOARD_CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.model,
-                    row.role,
-                    row.player_id,
-                    _fmt(row.rating),
-                    row.n,
-                    _fmt(row.lo),
-                    _fmt(row.hi),
-                ]
-            )
+    _write_csv(path, LEADERBOARD_CSV_HEADER, (
+        [row.model, row.role, row.player_id, _fmt(row.rating), row.n, _fmt(row.lo), _fmt(row.hi)]
+        for row in rows
+    ))
 
 
 def write_weekly_csv(summary: BootstrapSummary, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WEEKLY_CSV_HEADER)
-        for (model, role, pid, week) in sorted(summary.weekly):
-            series = summary.weekly[(model, role, pid, week)]
-            writer.writerow(
-                [
-                    model,
-                    role,
-                    pid,
-                    week,
-                    _fmt(series.mean),
-                    _fmt(series.sd),
-                    _fmt(series.lo),
-                    _fmt(series.hi),
-                ]
-            )
+    _write_csv(path, WEEKLY_CSV_HEADER, (
+        [*key, *map(_fmt, (series.mean, series.sd, series.lo, series.hi))]
+        for key, series in sorted(summary.weekly.items())
+    ))
 
 
 def write_replicates_csv(summary: BootstrapSummary, path) -> None:
     """Replicate-level audit stream: one row per (replicate, quantity)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPLICATES_CSV_HEADER)
-        for (task, baseline), series in sorted(summary.improvements.items()):
-            qid = f"improvement:{task}:{baseline}"
-            for rep, value in enumerate(series.values):
-                writer.writerow([rep, qid, "" if math.isnan(value) else repr(value)])
-        for (model, role, pid), series in sorted(summary.ratings.items()):
-            qid = f"rating:{model}:{role}:{pid}"
-            for rep, value in enumerate(series.values):
-                writer.writerow([rep, qid, "" if math.isnan(value) else repr(value)])
-        for (model, role, pid, week), series in sorted(summary.weekly.items()):
-            qid = f"weekly:{model}:{role}:{pid}:{week}"
-            for rep, value in enumerate(series.values):
-                writer.writerow([rep, qid, "" if math.isnan(value) else repr(value)])
+    groups = (("improvement", summary.improvements), ("rating", summary.ratings),
+              ("weekly", summary.weekly))
+    _write_csv(path, REPLICATES_CSV_HEADER, (
+        [rep, ":".join(map(str, (kind, *key))), "" if math.isnan(value) else repr(value)]
+        for kind, tracked in groups
+        for key, series in sorted(tracked.items())
+        for rep, value in enumerate(series.values)
+    ))
 
 
 def validate_csv_header(path, expected: Sequence[str]) -> None:

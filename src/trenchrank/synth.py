@@ -8,7 +8,8 @@ definitions; ``coupled`` mode instead derives win_target from the drawn
 class (win or worse) for stress tests.
 
 Ids are zero-padded so that generation order coincides with canonical
-order; the returned table is sorted by construction.  Default
+order; the table's columns are built from the drawn arrays, sorted by
+construction.  Default
 intercepts reproduce the observed base rates (27% win rate, class mix
 of roughly 73/25/1.1/0.6 percent) and the 42.7% double-team rate.
 """
@@ -22,7 +23,6 @@ import numpy as np
 
 from .interactions import (
     CLASSES,
-    Interaction,
     InteractionTable,
     OutcomeClass,
     SeverityWeights,
@@ -140,28 +140,20 @@ def synth_generate(cfg: SynthConfig) -> tuple[InteractionTable, GroundTruth]:
     if cfg.coupled:
         wins = sev_idx >= int(OutcomeClass.WIN)
 
-    rows: list[Interaction] = []
-    k = 0
     per_game = cfg.plays_per_game * cfg.interactions_per_play
-    for g in range(cfg.n_games):
-        week = g * cfg.n_weeks // cfg.n_games + 1
-        for p in range(cfg.plays_per_game):
-            for e in range(cfg.interactions_per_play):
-                rows.append(
-                    Interaction(
-                        game_id=game_ids[g],
-                        play_id=play_ids[p],
-                        event_game_index=p * cfg.interactions_per_play + e,
-                        week=week,
-                        rusher_id=rusher_ids[ri[k]],
-                        blocker_id=blocker_ids[bi[k]],
-                        double_team=bool(dbl[k]),
-                        win_target=bool(wins[k]),
-                        severity=CLASSES[sev_idx[k]],
-                    )
-                )
-                k += 1
-        assert k == (g + 1) * per_game
+    game = np.repeat(np.arange(cfg.n_games), per_game)
+    event = np.tile(np.arange(per_game), cfg.n_games)
+    table = InteractionTable.from_columns(
+        game=(tuple(game_ids), game),
+        play=(tuple(play_ids), event // cfg.interactions_per_play),
+        rusher=(tuple(rusher_ids), ri),
+        blocker=(tuple(blocker_ids), bi),
+        event_game_index=event,
+        week=game * cfg.n_weeks // cfg.n_games + 1,
+        double_team=dbl,
+        win=wins,
+        severity=sev_idx,
+    )
 
     truth = GroundTruth(
         alpha=cfg.alpha,
@@ -177,4 +169,4 @@ def synth_generate(cfg: SynthConfig) -> tuple[InteractionTable, GroundTruth]:
             c: dict(zip(blocker_ids, map(float, b_cls[c]))) for c in _NONREF
         },
     )
-    return InteractionTable(rows), truth
+    return table, truth

@@ -45,6 +45,8 @@ from .errors import DataError
 from .interactions import (
     Interaction,
     InteractionTable,
+    _decimal,
+    _factorize,
     _frozen,
     _parse_bool01,
     canonical_sort,
@@ -111,13 +113,6 @@ class Engagement:
             raise DataError(
                 f"engagement has start_frame {self.start_frame} > end_frame {self.end_frame}"
             )
-
-
-def _factorize(values) -> tuple[tuple, np.ndarray]:
-    """Sorted distinct values and each value's int64 code into them."""
-    vocab = tuple(sorted(set(values)))
-    index = {v: i for i, v in enumerate(vocab)}
-    return vocab, np.fromiter(map(index.__getitem__, values), np.int64, len(values))
 
 
 def _play_codes(game_id: np.ndarray, play_id: np.ndarray) -> tuple[tuple, np.ndarray]:
@@ -549,17 +544,6 @@ def _line_count(path) -> int:
     return n + (last != b"\n")
 
 
-def _decimal(kind, text: str, field: str):
-    """``kind(text)``, refusing the underscores and non-ASCII digits
-    that Python accepts and ``np.loadtxt`` does not."""
-    value = kind(text)
-    if "_" in text or not text.isascii():
-        raise ValueError(
-            f"{field} must be written in ASCII digits without underscores, got {text!r}"
-        )
-    return value
-
-
 def _tracking_record(rec) -> Frame:
     return Frame(
         game_id=rec[0],
@@ -630,7 +614,7 @@ def _events_record(rec) -> PlayEvents:
     return PlayEvents(
         game_id=rec[0],
         play_id=rec[1],
-        snap_frame=int(rec[2]),
+        snap_frame=_decimal(int, rec[2], "snap_frame"),
         has_forward_pass=_parse_bool01(rec[3], "has_forward_pass"),
         has_sack=_parse_bool01(rec[4], "has_sack"),
         qb_hit=_parse_bool01(rec[5], "qb_hit"),
@@ -647,8 +631,8 @@ def _engagement_record(rec) -> Engagement:
         play_id=rec[1],
         rusher_id=rec[2],
         blocker_id=rec[3],
-        start_frame=int(rec[4]),
-        end_frame=int(rec[5]),
+        start_frame=_decimal(int, rec[4], "start_frame"),
+        end_frame=_decimal(int, rec[5], "end_frame"),
     )
 
 
@@ -662,7 +646,7 @@ def read_schedule_csv(path) -> dict[str, int]:
         if game_id in out:
             raise DataError(f"{path}:{lineno}: duplicate game_id {game_id!r}")
         try:
-            week = int(week_text)
+            week = _decimal(int, week_text, "week")
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad week {week_text!r}") from exc
         if week < 1:

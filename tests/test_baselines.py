@@ -10,9 +10,7 @@ from trenchrank.baselines import (
     DEFAULT_SEVERITY_PRIOR,
     DEFAULT_WIN_PRIOR,
     fit_severity_baseline,
-    fit_severity_baseline_coded,
     fit_win_baseline,
-    fit_win_baseline_coded,
     inv_logit,
     logit,
     predict_severity_global,
@@ -100,13 +98,13 @@ def weighted_and_repeated(rng):
 class TestWinBaseline:
     def test_integer_weights_equal_repeated_rows(self, rng):
         t, w, repeated = weighted_and_repeated(rng)
-        assert fit_win_baseline_coded(t.coded, w, 25.0) == fit_win_baseline(repeated, 25.0)
+        assert fit_win_baseline(t, 25.0, w) == fit_win_baseline(repeated, 25.0)
 
     def test_vectorized_matchups_equal_scalar(self, rng):
         t = random_table(rng, n_rows=80, n_rushers=7, n_blockers=6)
         # fit on the first half so some players fall back to the global rate
         bl = fit_win_baseline(InteractionTable(t.rows[:40]), 25.0)
-        got = predict_win_matchups(bl, t.coded)
+        got = predict_win_matchups(bl, t)
         want = [predict_win_matchup(bl, r.rusher_id, r.blocker_id) for r in t]
         assert got.tolist() == want
 
@@ -214,13 +212,13 @@ class TestWinBaseline:
 class TestSeverityBaseline:
     def test_integer_weights_equal_repeated_rows(self, rng):
         t, w, repeated = weighted_and_repeated(rng)
-        got = fit_severity_baseline_coded(t.coded, w, 50.0)
+        got = fit_severity_baseline(t, 50.0, w)
         assert got == fit_severity_baseline(repeated, 50.0)
 
     def test_vectorized_matchups_equal_scalar(self, rng):
         t = random_table(rng, n_rows=80, n_rushers=7, n_blockers=6)
         bl = fit_severity_baseline(InteractionTable(t.rows[:40]), 50.0)
-        got = predict_severity_matchups(bl, t.coded)
+        got = predict_severity_matchups(bl, t)
         want = np.vstack([predict_severity_matchup(bl, r.rusher_id, r.blocker_id) for r in t])
         assert np.array_equal(got, want)
 
@@ -286,7 +284,7 @@ class TestSeverityBaseline:
         with pytest.raises(DataError):
             predict_severity_matchup(bl, "R1", "B1")
         with pytest.raises(DataError):
-            predict_severity_matchups(bl, t.coded)
+            predict_severity_matchups(bl, t)
 
     def test_matchup_converges_to_global_as_m_grows(self, small_table):
         bl = fit_severity_baseline(small_table, 1e9)

@@ -189,7 +189,7 @@ class TestResampledTable:
 
 
 class TestMultiplicityWeights:
-    """Row weights over one coded table against materialized resamples."""
+    """Row weights over one table against materialized resamples."""
 
     def test_split_weights_follow_the_copy_order(self, rng):
         t = random_table(rng, n_rows=40, n_games=4)
@@ -197,7 +197,7 @@ class TestMultiplicityWeights:
         # game 2 drawn three times; the cut (floor(0.8 * 40) = 32) falls
         # inside its third copy
         m = np.array([0, 1, 3, 0])
-        train_w, test_w = split_weights(t.coded, m, 0.8)
+        train_w, test_w = split_weights(t, m, 0.8)
         drawn = [g for g, k in zip(games, m) for _ in range(k)]
         tbl = resampled_table(t, drawn)
         n_train = math.floor(0.8 * len(tbl))
@@ -214,7 +214,7 @@ class TestMultiplicityWeights:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = validate_weighted(t.coded, train_w, test_w, lambda_win=0.5, lambda_sev=0.5)
+            got = validate_weighted(t, train_w, test_w, lambda_win=0.5, lambda_sev=0.5)
             want = run_validation(tbl, lambda_win=0.5, lambda_sev=0.5)
         for g, w in zip(got.rows, want.rows):
             assert (g.task, g.baseline) == (w.task, w.baseline)
@@ -442,12 +442,12 @@ class TestDroppedClassWarning:
             warnings.simplefilter("always")
             summary = end_to_end_bootstrap(t, cfg)
         assert summary.n_failed == 0
-        coded, hit = t.coded, t.coded.severity == int(OutcomeClass.HIT)
+        hit = t.severity == int(OutcomeClass.HIT)
         affected = 0
         for rep in range(cfg.b):
             draws = resample_games(range(len(t.games)), np.random.default_rng([cfg.seed, rep]))
             m = np.bincount(draws, minlength=len(t.games))
-            train_w, _ = split_weights(coded, m, cfg.ratio)
+            train_w, _ = split_weights(t, m, cfg.ratio)
             affected += bool(m[0] == 0 or not train_w[hit].any())
         assert 0 < affected < cfg.b
         (warning,) = dropped_warnings(caught)
@@ -488,7 +488,7 @@ class TestDroppedClassWarning:
         without_g0 = np.array([r.game_id != "g0" for r in t], dtype=float)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            validate_weighted(t.coded, without_g0, 1.0 - without_g0, lambda_win=0.5, lambda_sev=0.5)
+            validate_weighted(t, without_g0, 1.0 - without_g0, lambda_win=0.5, lambda_sev=0.5)
         assert [str(w.message) for w in dropped_warnings(caught)] == [
             f"{DROPPED_CLASSES_WARNING}: hit"
         ]

@@ -438,6 +438,22 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("m_grid", [25, None]), ("m_grid", 25), ("grid_min", "a"), ("ratio", "0.5"),
+         ("tol", [1]), ("rushers", 8.0), ("rushers", True), ("coupled", 1), ("seed", "3"),
+         ("out_dir", 7), ("lambda_win", {"v": 1})],
+    )
+    def test_wrong_json_type_is_usage_error_before_run_dir(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        cfg = self.config(tmp_path, stages="synth,validate,sensitivity", **{key: value})
+        monkeypatch.chdir(tmp_path)  # where a relative run directory would go
+        assert run(["pipeline", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_stage_failure_writes_error_json(self, tmp_path):
         cfg = self.config(tmp_path, lambda_win=-1.0)
         assert run(["pipeline", "--config", str(cfg)]) == 1

@@ -278,18 +278,17 @@ def reference_prior_sensitivity(
 
     win_fit = fit_win_model(train, lambda_win)
     sev_fit = fit_severity_model(train, lambda_sev)
-    held = test.coded
-    model_win = binary_log_loss(predict_win_probs(win_fit, held), held.win)
-    model_sev = multiclass_log_loss(predict_class_prob_matrix(sev_fit, held), held.severity)
+    model_win = binary_log_loss(predict_win_probs(win_fit, test), test.win)
+    model_sev = multiclass_log_loss(predict_class_prob_matrix(sev_fit, test), test.severity)
 
     out = []
     for m in m_grid:
         bl = fit_win_baseline(train, m)
-        loss = binary_log_loss(predict_win_matchups(bl, held), held.win)
+        loss = binary_log_loss(predict_win_matchups(bl, test), test.win)
         out.append(SensitivityRow("win", float(m), model_win, loss, loss - model_win))
     for m in m_grid:
         bl = fit_severity_baseline(train, m)
-        loss = multiclass_log_loss(predict_severity_matchups(bl, held), held.severity)
+        loss = multiclass_log_loss(predict_severity_matchups(bl, test), test.severity)
         out.append(SensitivityRow("severity", float(m), model_sev, loss, loss - model_sev))
     return out
 

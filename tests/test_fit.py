@@ -359,7 +359,7 @@ class TestMultinomialSolver:
             "fit_multinomial_ridge": lambda: fit_multinomial_ridge(
                 build_matrix(t, idx), [r.severity for r in t], 0.1, idx
             ),
-            "fit_coded": lambda: fit_coded(t.coded, np.ones(len(t)), "severity", 0.1),
+            "fit_coded": lambda: fit_coded(t, np.ones(len(t)), "severity", 0.1),
         }
         with pytest.warns(RuntimeWarning, match="dropped") as record:
             fits[entry]()
@@ -480,7 +480,7 @@ class TestWeightedFits:
         t = random_table(rng, n_rows=120)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            cells = fit_coded(t.coded, np.ones(len(t)), model, 0.4)
+            cells = fit_coded(t, np.ones(len(t)), model, 0.4)
             rows = (fit_win_model if model == "win" else fit_severity_model)(t, 0.4)
         _assert_fits_close(cells, rows, 1e-12)
 
@@ -503,7 +503,7 @@ class TestWeightedFits:
         t = random_table(rng, n_rows=120)
         absent = t.rushers[0]
         w = np.array([0.0 if r.rusher_id == absent else 2.0 for r in t])
-        fit = fit_coded(t.coded, w, "win", 0.4)
+        fit = fit_coded(t, w, "win", 0.4)
         assert absent not in fit.rusher_effects
         assert set(fit.rusher_effects) == set(t.rushers) - {absent}
 
@@ -561,14 +561,14 @@ def hessian_cases(rng):
     t = random_table(rng, n_rows=120, n_rushers=7, n_blockers=5)
     idx = build_index(t)
     X = build_matrix(t, idx)
-    sev = t.coded.severity
+    sev = t.severity
     ones = np.ones(len(t))
     # every hit row has zero weight, so hit is dropped and K = 2
     no_hit = np.where(sev == int(OutcomeClass.HIT), 0.0, rng.uniform(0.5, 2.0, len(t)))
     _, _, dropped_idx = fit_module._class_coding("severity", sev, no_hit)
     zero_cells = np.where(rng.random(len(t)) < 0.3, 0.0, rng.integers(1, 4, len(t)))
     part = build_index(InteractionTable(t.rows[:25]))
-    yield "K=1", X, idx, t.coded.win.astype(np.intp), 2, ones
+    yield "K=1", X, idx, t.win.astype(np.intp), 2, ones
     yield "K=3", X, idx, sev, 4, ones
     yield "dropped class", X, idx, dropped_idx, 3, no_hit
     yield "zero-weight cells", X, idx, sev, 4, zero_cells
@@ -622,9 +622,9 @@ class TestStructuredNewtonStep:
         """A binary problem where one player of ``role`` has only zero-weight rows."""
         t = random_table(rng, n_rows=240, n_rushers=4, n_blockers=3)
         idx = build_index(t)
-        codes = t.coded.rusher if role == "rusher" else t.coded.blocker
+        codes = t.rusher if role == "rusher" else t.blocker
         w = np.where(codes == 0, 0.0, 1.0)
-        return t, idx, build_matrix(t, idx), t.coded.win.astype(np.intp), w
+        return t, idx, build_matrix(t, idx), t.win.astype(np.intp), w
 
     def test_unpenalized_fit_falls_back_to_least_squares(self, rng):
         t, idx, X, y, w = self._zero_exposure_problem(rng, "rusher")
@@ -689,7 +689,7 @@ def malformed_designs(rng):
 class TestMalformedDesignRows:
     def test_fits_name_the_row(self, rng):
         for shape, row, t, idx, X in malformed_designs(rng):
-            y = t.coded.win.astype(float)
+            y = t.win.astype(float)
             with pytest.raises(DataError, match=f"design row {row} "):
                 fit_binary_ridge(X, y, 0.1, idx)
             with pytest.raises(DataError, match=f"design row {row} "):
@@ -699,10 +699,10 @@ class TestMalformedDesignRows:
         for shape, row, t, idx, X in malformed_designs(rng):
             pen = penalty_mask(idx)
             with pytest.raises(DataError, match=f"design row {row} "):
-                binary_objective_grad(np.zeros(idx.n_columns), X, t.coded.win, 0.1, pen)
+                binary_objective_grad(np.zeros(idx.n_columns), X, t.win, 0.1, pen)
             with pytest.raises(DataError, match=f"design row {row} "):
                 multinomial_objective_grad(
-                    np.zeros(3 * idx.n_columns), X, t.coded.severity, 4, 0.1, pen
+                    np.zeros(3 * idx.n_columns), X, t.severity, 4, 0.1, pen
                 )
 
     def test_well_formed_rows_pass(self, rng):
@@ -719,8 +719,8 @@ class TestMalformedDesignRows:
         )
         pen = penalty_mask(idx)
         theta = rng.normal(size=idx.n_columns)
-        want = binary_objective_grad(theta, X, t.coded.win, 0.1, pen)
-        got = binary_objective_grad(theta, shuffled, t.coded.win, 0.1, pen)
+        want = binary_objective_grad(theta, X, t.win, 0.1, pen)
+        got = binary_objective_grad(theta, shuffled, t.win, 0.1, pen)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
 
@@ -743,7 +743,7 @@ class TestVectorizedPrediction:
         want = np.array([[predict_class_probs(sev, x)[c] for c in CLASSES] for x in t])
         assert np.array_equal(predict_class_prob_matrix(sev, t), want)
         sub = np.array([5, 1, 40])
-        assert np.array_equal(predict_class_prob_matrix(sev, t.coded.take(sub)), want[sub])
+        assert np.array_equal(predict_class_prob_matrix(sev, t.take(sub)), want[sub])
 
 
 class TestExpectedSeverity:
@@ -900,14 +900,13 @@ class TestCvMatchesPerFoldTables:
 
 def reference_cv_select_lambda(table, target, grid, n_folds, tol=1e-8, max_iter=500):
     """Grouped CV with every fold's lambda path started at theta = 0."""
-    coded = table.coded
     labels = cv_fold_labels(table, n_folds)
     desc = np.sort(np.asarray(grid, dtype=float))[::-1]
     losses = np.zeros((n_folds, desc.size))
     for fold in range(n_folds):
         in_fold = labels == fold
-        design, outcome, cell_w, idx = fit_module._cells(coded, (~in_fold).astype(float), target)
-        held = coded.take(in_fold)
+        design, outcome, cell_w, idx = fit_module._cells(table, (~in_fold).astype(float), target)
+        held = table.take(in_fold)
         modeled, dropped, class_idx = fit_module._class_coding(target, outcome, cell_w)
         theta = np.zeros((len(modeled), idx.n_columns))
         for j, lam in enumerate(desc):
@@ -988,7 +987,7 @@ class TestStartPoints:
             t = synth_world(seed)
             zero_cells = np.random.default_rng(seed).integers(0, 4, len(t)).astype(float)
             for w, model in itertools.product((np.ones(len(t)), zero_cells), ("win", "severity")):
-                design, outcome, cell_w, idx = fit_module._cells(t.coded, w, model)
+                design, outcome, cell_w, idx = fit_module._cells(t, w, model)
                 modeled, _, class_idx = fit_module._class_coding(model, outcome, cell_w)
                 args = design, class_idx, len(modeled) + 1, lam, penalty_mask(idx)
                 zero = np.zeros(len(modeled) * idx.n_columns)

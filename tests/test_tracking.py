@@ -383,6 +383,29 @@ class TestCsvReaders:
         with pytest.raises(DataError, match="fields"):
             read_engagements_csv(path)
 
+    @pytest.mark.parametrize(
+        "reader, header, good, bad",
+        [
+            (read_events_csv, "game_id,play_id,snap_frame,has_forward_pass,has_sack,qb_hit",
+             "g1,p1,3,1,0,1", "g1,p2,{},1,0,0"),
+            (read_engagements_csv, "game_id,play_id,rusher_id,blocker_id,start_frame,end_frame",
+             "g1,p1,R1,B1,2,9", "g1,p1,R2,B1,{},99"),
+            (read_engagements_csv, "game_id,play_id,rusher_id,blocker_id,start_frame,end_frame",
+             "g1,p1,R1,B1,2,9", "g1,p1,R2,B1,0,{}"),
+            (read_schedule_csv, "game_id,week", "g1,1", "g2,{}"),
+        ],
+        ids=["snap_frame", "start_frame", "end_frame", "week"],
+    )
+    @pytest.mark.parametrize("text", ["1_0", "\u0663"])
+    def test_underscored_or_non_ascii_numerals_rejected_with_line(
+        self, tmp_path, reader, header, good, bad, text
+    ):
+        # Python's int() reads both; the tracking file's numeral rule does not
+        path = tmp_path / "in.csv"
+        path.write_text(f"{header}\n{good}\n{bad.format(text)}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"in.csv:3: "):
+            reader(path)
+
 
 # ---------------------------------------------------------------------------
 # Reference implementations: the row reader and dict-based builder that the

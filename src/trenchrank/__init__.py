@@ -56,7 +56,7 @@ from .interactions import (
     write_interactions_csv,
 )
 from .synth import GroundTruth, SynthConfig, synth_generate
-from .tracking import build_interactions, detect_double_team, rusher_win_25
+from .tracking import build_interactions, detect_double_team
 
 __version__ = "0.1.0"
 
@@ -112,7 +112,6 @@ __all__ = [
     "read_interactions_csv",
     "run_external_eval",
     "run_validation",
-    "rusher_win_25",
     "synth_generate",
     "weekly_path_bootstrap",
     "write_interactions_csv",

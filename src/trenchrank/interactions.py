@@ -10,8 +10,8 @@ An ``InteractionTable`` is one set of read-only columns: integer codes
 into sorted game, play, rusher and blocker id vocabularies, and the
 numeric fields.  Fits, baselines, splits and the bootstrap read the
 columns; an ``Interaction`` is decoded only for a caller that asks for
-a row.  The CSV reader and the synthetic generator build the columns
-directly.
+a row.  The CSV reader, ``tracking.build_interactions`` and the
+synthetic generator build the columns directly.
 """
 
 from __future__ import annotations
@@ -250,12 +250,6 @@ class InteractionTable:
         n = len(self.play_ids)
         pairs = np.unique(self.game * n + self.play).tolist()
         return tuple((self.games[p // n], self.play_ids[p % n]) for p in pairs)
-
-    @property
-    def rows_by_game(self) -> Mapping[str, tuple[Interaction, ...]]:
-        """Each game's rows, in row order; games in order of their first row."""
-        return {self.games[g]: self.take(self.game == g).rows
-                for g in dict.fromkeys(self.game.tolist())}
 
     def is_canonically_sorted(self) -> bool:
         order = _canonical_order(self)

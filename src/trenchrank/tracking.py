@@ -17,11 +17,10 @@ with one ``np.loadtxt`` call into a read-only ``TrackingFrames``: play
 and player codes over sorted vocabularies, frame, x, y, is_qb and source
 line columns, and one sort of the rows by (play, player, frame).
 ``build_interactions`` finds each engagement's clipped window in the QB,
-rusher and blocker tracks with one ``searchsorted`` each and decides the
-win as an any over the gathered window.  Distances use ``math.hypot``:
-``np.hypot`` differs from it in the last bit, and the rule is a strict
-comparison.  ``Frame``, ``qb_distance``, ``rusher_win_25`` and
-``detect_double_team`` stay the scalar definitions of the rule.
+rusher and blocker tracks with one ``searchsorted`` each, decides the
+win as an any over the gathered window and builds the table's columns
+directly.  Distances use ``math.hypot``: ``np.hypot`` differs from it in
+the last bit, and the rule is a strict comparison.
 
 All inputs are flat CSVs with required headers and 0/1 booleans.  The
 events, engagements and schedule files are read record by record with
@@ -37,13 +36,12 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import DataError
 from .interactions import (
-    Interaction,
     InteractionTable,
     _decimal,
     _factorize,
@@ -132,15 +130,14 @@ def _play_codes(game_id: np.ndarray, play_id: np.ndarray) -> tuple[tuple, np.nda
     return plays, np.repeat(code.astype(np.int64), np.diff(heads, append=n))
 
 
-class TrackingFrames(Sequence):
+class TrackingFrames:
     """Tracking rows as read-only columns, in input order.
 
     ``plays`` (sorted ``(game_id, play_id)`` pairs) and ``players``
     (sorted ids) are the vocabularies behind the int64 ``play`` and
     ``player`` codes; ``frame``, ``x``, ``y`` and ``is_qb`` hold the
     other fields, and ``line`` each row's source line (None for rows that
-    were not read from a file).  ``len()`` is the row count and indexing
-    yields a ``Frame``.
+    were not read from a file).  ``len()`` is the row count.
 
     The rows are sorted once by (play, player, frame), so each player's
     track on a play is one run of the sorted rows.  A repeated (game,
@@ -171,24 +168,8 @@ class TrackingFrames(Sequence):
         self._qb = None
         self._check_unique(source)
 
-    @classmethod
-    def from_frames(cls, frames: Iterable[Frame]) -> "TrackingFrames":
-        frames = list(frames)
-        return cls(
-            [f.game_id for f in frames], [f.play_id for f in frames],
-            [f.player_id for f in frames], [f.frame_index for f in frames],
-            [f.x for f in frames], [f.y for f in frames], [bool(f.is_qb) for f in frames],
-        )
-
     def __len__(self) -> int:
         return len(self.frame)
-
-    def __getitem__(self, i: int) -> Frame:
-        game_id, play_id = self.plays[self.play[i]]
-        return Frame(
-            game_id, play_id, int(self.frame[i]), self.players[self.player[i]],
-            float(self.x[i]), float(self.y[i]), bool(self.is_qb[i]),
-        )
 
     def _where(self, i: int) -> str:
         game_id, play_id = self.plays[self.play[i]]
@@ -327,62 +308,15 @@ def is_dropback(events: PlayEvents) -> bool:
     return events.has_forward_pass or events.has_sack
 
 
-def qb_distance(frames: Iterable[Frame], player_id: str) -> float:
-    """Euclidean distance from a player to the QB at one instant."""
-    qb = None
-    target = None
-    for f in frames:
-        if f.is_qb:
-            if qb is not None:
-                raise DataError(
-                    f"multiple QB frames at {f.game_id}/{f.play_id} frame {f.frame_index}"
-                )
-            qb = f
-        if f.player_id == player_id:
-            target = f
-    if qb is None:
-        raise DataError(f"no QB frame found for player {player_id!r} lookup")
-    if target is None:
-        raise DataError(f"no frame for player {player_id!r} at this instant")
-    return math.hypot(target.x - qb.x, target.y - qb.y)
-
-
 def _win_window(
     snap_frame: int, window: tuple[int, int], horizon: int
 ) -> range:
+    """The frames of ``window`` inside snap .. snap + horizon (endpoint
+    included); empty when the window misses the horizon."""
     start, end = window
     lo = max(snap_frame, start)
     hi = min(snap_frame + horizon, end)
     return range(lo, hi + 1)
-
-
-def rusher_win_25(
-    rusher_dists: Mapping[int, float],
-    blocker_dists: Mapping[int, float],
-    snap_frame: int,
-    window: tuple[int, int],
-    *,
-    horizon: int = WIN_HORIZON_FRAMES,
-    tolerance: float = 0.0,
-) -> bool:
-    """True iff the rusher gets strictly closer to the QB than the
-    blocker at any frame of the engagement within the snap horizon.
-
-    The horizon is inclusive: frames snap .. snap+horizon count.  Ties
-    are not wins (configurable ``tolerance`` widens the required gap).
-    """
-    frames = _win_window(snap_frame, window, horizon)
-    if len(frames) == 0:
-        raise DataError(
-            f"engagement window {window} does not intersect "
-            f"[{snap_frame}, {snap_frame + horizon}]"
-        )
-    for t in frames:
-        if t not in rusher_dists or t not in blocker_dists:
-            raise DataError(f"distance series missing frame {t} inside the win window")
-        if rusher_dists[t] < blocker_dists[t] - tolerance:
-            return True
-    return False
 
 
 def detect_double_team(engagements: Sequence[Engagement], *, min_overlap: int = 1) -> bool:
@@ -409,7 +343,7 @@ def detect_double_team(engagements: Sequence[Engagement], *, min_overlap: int = 
 
 
 def build_interactions(
-    frames: TrackingFrames | Sequence[Frame],
+    frames: TrackingFrames,
     events: Sequence[PlayEvents],
     engagements: Sequence[Engagement],
     schedule: Mapping[str, int],
@@ -420,12 +354,12 @@ def build_interactions(
 ) -> InteractionTable:
     """Assemble the modeling table from raw tracking inputs.
 
-    ``frames`` is a ``TrackingFrames`` or a list of ``Frame``s (converted
-    once).  Engagements whose window misses the snap horizon entirely
-    produce win_target=False (no win is demonstrable inside 2.5 s) rather
-    than an error.  event_game_index numbers each game's engagements by
-    (play order, start_frame, rusher_id, blocker_id).  ``horizon`` must be
-    >= 0, ``tolerance`` finite and >= 0, and ``min_overlap`` >= 1.
+    ``frames`` is a ``TrackingFrames``.  Engagements whose window misses
+    the snap horizon entirely produce win_target=False (no win is
+    demonstrable inside 2.5 s) rather than an error.  event_game_index
+    numbers each game's engagements by (play order, start_frame,
+    rusher_id, blocker_id).  ``horizon`` must be >= 0, ``tolerance``
+    finite and >= 0, and ``min_overlap`` >= 1.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0 frames, got {horizon}")
@@ -434,7 +368,7 @@ def build_interactions(
     if min_overlap < 1:
         raise ValueError(f"min_overlap must be >= 1 frame, got {min_overlap}")
     if not isinstance(frames, TrackingFrames):
-        frames = TrackingFrames.from_frames(frames)
+        raise TypeError(f"frames must be a TrackingFrames, got {type(frames).__name__}")
 
     events_by_play: dict[tuple[str, str], PlayEvents] = {}
     for ev in events:
@@ -461,6 +395,8 @@ def build_interactions(
             continue
         if game_id not in schedule:
             raise DataError(f"game {game_id!r} missing from the schedule (unknown week)")
+        if schedule[game_id] < 1:
+            raise DataError(f"game {game_id!r} has week {schedule[game_id]}; weeks start at 1")
         for e in plays_engagements:
             by_game.setdefault(game_id, []).append((play_id, e))
 
@@ -471,34 +407,36 @@ def build_interactions(
         partners: dict[tuple[str, str], list[Engagement]] = {}
         for play_id, e in tagged:
             partners.setdefault((play_id, e.rusher_id), []).append(e)
-        for event_index, (play_id, e) in enumerate(tagged):
-            double = detect_double_team(partners[(play_id, e.rusher_id)], min_overlap=min_overlap)
-            ordered.append((game_id, play_id, event_index, e, double))
+        double = {
+            key: detect_double_team(group, min_overlap=min_overlap)
+            for key, group in partners.items()
+        }
+        ordered += [
+            (game_id, play_id, event_index, e, double[(play_id, e.rusher_id)])
+            for event_index, (play_id, e) in enumerate(tagged)
+        ]
 
+    play_events = [events_by_play[(g, p)] for g, p, *_ in ordered]
     windows = [
-        _win_window(events_by_play[(g, p)].snap_frame, (e.start_frame, e.end_frame), horizon)
-        for g, p, _, e, _ in ordered
+        _win_window(ev.snap_frame, (e.start_frame, e.end_frame), horizon)
+        for ev, (*_, e, _) in zip(play_events, ordered)
     ]
     keys = [(g, p, e.rusher_id, e.blocker_id) for g, p, _, e, _ in ordered]
-    won = frames.window_wins(keys, windows, tolerance).tolist()
-
-    rows: list[Interaction] = []
-    for (game_id, play_id, event_index, e, double), w in zip(ordered, won):
-        ev = events_by_play[(game_id, play_id)]
-        rows.append(
-            Interaction(
-                game_id=game_id,
-                play_id=play_id,
-                event_game_index=event_index,
-                week=schedule[game_id],
-                rusher_id=e.rusher_id,
-                blocker_id=e.blocker_id,
-                double_team=double,
-                win_target=w,
-                severity=label_outcome(has_sack=ev.has_sack, has_hit=ev.qb_hit, has_win=w),
-            )
-        )
-    return canonical_sort(InteractionTable(rows))
+    won = frames.window_wins(keys, windows, tolerance)
+    sack = [ev.has_sack for ev in play_events]
+    hit = [ev.qb_hit for ev in play_events]
+    table = InteractionTable.from_columns(
+        game=_factorize([k[0] for k in keys]),
+        play=_factorize([k[1] for k in keys]),
+        rusher=_factorize([k[2] for k in keys]),
+        blocker=_factorize([k[3] for k in keys]),
+        event_game_index=[i for _, _, i, _, _ in ordered],
+        week=[schedule[g] for g, *_ in ordered],
+        double_team=[d for *_, d in ordered],
+        win=won,
+        severity=np.fromiter(map(label_outcome, sack, hit, won), np.intp, len(ordered)),
+    )
+    return canonical_sort(table)
 
 
 # ---------------------------------------------------------------------------

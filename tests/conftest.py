@@ -66,6 +66,12 @@ def random_table(
     return InteractionTable(rows)
 
 
+def rows_by_game(table):
+    """Each game's rows, in row order; games in order of their first row."""
+    return {table.games[g]: table.take(table.game == g).rows
+            for g in dict.fromkeys(table.game.tolist())}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -23,7 +23,7 @@ from trenchrank.fit import DROPPED_CLASSES_WARNING, fit_severity_model, fit_win_
 from trenchrank.interactions import Interaction, InteractionTable, OutcomeClass, canonical_sort
 from trenchrank.report import summary_to_json_dict
 
-from conftest import make_row, random_table
+from conftest import make_row, random_table, rows_by_game
 
 # ---------------------------------------------------------------------------
 # Reference: each replicate materialized as a resampled table (repeated
@@ -38,7 +38,7 @@ def resampled_table(table: InteractionTable, drawn) -> InteractionTable:
     copies of a game get a copy ordinal appended to game_id so the sort
     stays deterministic.
     """
-    by_game = table.rows_by_game
+    by_game = rows_by_game(table)
     rows: list[Interaction] = []
     seen: dict[str, int] = {}
     for gid in drawn:
@@ -178,8 +178,8 @@ class TestResampledTable:
         out = resampled_table(t, ["g0", "g0", "g1", "g0"])
         games = set(r.game_id for r in out)
         assert games == {"g0", "g0#2", "g0#3", "g1"}
-        per_game = len(t.rows_by_game["g0"])
-        assert len(out) == 3 * per_game + len(t.rows_by_game["g1"])
+        per_game = len(rows_by_game(t)["g0"])
+        assert len(out) == 3 * per_game + len(rows_by_game(t)["g1"])
         assert out.is_canonically_sorted()
 
     def test_unknown_game_rejected(self, rng):

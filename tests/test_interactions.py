@@ -29,7 +29,7 @@ from trenchrank.interactions import (
 )
 from trenchrank.synth import SynthConfig, synth_generate
 
-from conftest import make_row, random_table
+from conftest import make_row, random_table, rows_by_game
 
 
 class TestOutcomeClass:
@@ -171,7 +171,7 @@ class TestInteractionTable:
     def test_rows_by_game_preserves_row_order(self):
         rows = [make_row(game=g, idx=i) for g in ("g1", "g2") for i in range(3)]
         t = InteractionTable(rows)
-        assert [r.event_game_index for r in t.rows_by_game["g2"]] == [0, 1, 2]
+        assert [r.event_game_index for r in rows_by_game(t)["g2"]] == [0, 1, 2]
 
     def test_canonical_sort_orders_and_is_idempotent(self):
         shuffled = InteractionTable(

@@ -6,6 +6,8 @@ import pytest
 from trenchrank.interactions import CLASSES, OutcomeClass, SeverityWeights
 from trenchrank.synth import GroundTruth, SynthConfig, synth_generate
 
+from conftest import rows_by_game
+
 
 def inv_logit(z):
     return 1.0 / (1.0 + math.exp(-z))
@@ -68,7 +70,7 @@ class TestShape:
         cfg = SynthConfig(n_games=3, plays_per_game=4, interactions_per_play=2, seed=2)
         table, _ = synth_generate(cfg)
         for g in table.games:
-            idxs = [r.event_game_index for r in table.rows_by_game[g]]
+            idxs = [r.event_game_index for r in rows_by_game(table)[g]]
             assert idxs == list(range(8))
 
 

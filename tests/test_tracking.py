@@ -29,12 +29,10 @@ from trenchrank.tracking import (
     build_interactions,
     detect_double_team,
     is_dropback,
-    qb_distance,
     read_engagements_csv,
     read_events_csv,
     read_schedule_csv,
     read_tracking_csv,
-    rusher_win_25,
 )
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -47,31 +45,80 @@ def frame(pid, x, y, *, qb=False, game="g1", play="p1", t=0):
     return Frame(game, play, t, pid, float(x), float(y), qb)
 
 
+def tracking_frames(frames):
+    """``Frame``s as a ``TrackingFrames``, in list order."""
+    return TrackingFrames(
+        [f.game_id for f in frames], [f.play_id for f in frames],
+        [f.player_id for f in frames], [f.frame_index for f in frames],
+        [f.x for f in frames], [f.y for f in frames], [bool(f.is_qb) for f in frames],
+    )
+
+
+def decoded_frames(columns):
+    """The rows of a ``TrackingFrames`` as ``Frame``s, in input order."""
+    return [
+        Frame(*columns.plays[p], t, columns.players[i], x, y, qb)
+        for p, t, i, x, y, qb in zip(
+            columns.play.tolist(), columns.frame.tolist(), columns.player.tolist(),
+            columns.x.tolist(), columns.y.tolist(), columns.is_qb.tolist(),
+        )
+    ]
+
+
+def eng(rusher, blocker, start, end, *, game="g1", play="p1"):
+    return Engagement(game, play, rusher, blocker, start, end)
+
+
+def engage(frames, rusher="R1", blocker="B1", *, snap=0, window=(0, 0), **options):
+    """The win label of one engagement on the one-play world ``frames``."""
+    (row,) = build_interactions(
+        tracking_frames(frames), [PlayEvents("g1", "p1", snap, True, False, False)],
+        [eng(rusher, blocker, *window)], {"g1": 1}, **options,
+    )
+    return row.win_target
+
+
 class TestQbDistance:
     def test_three_four_five_triangle(self):
         frames = [frame("QB", 0, 0, qb=True), frame("R1", 3, 4)]
-        assert qb_distance(frames, "R1") == 5.0
+        # R1 is exactly 5.0 from the QB: a tie with B1 at 5.0, a win one ulp further
+        assert engage(frames + [frame("B1", 0, 5.0)]) is False
+        assert engage(frames + [frame("B1", 0, math.nextafter(5.0, 6.0))]) is True
 
     def test_zero_distance(self):
-        frames = [frame("QB", 2, 2, qb=True), frame("B1", 2, 2)]
-        assert qb_distance(frames, "B1") == 0.0
+        frames = [frame("QB", 2, 2, qb=True), frame("R1", 2, 2)]
+        assert engage(frames + [frame("B1", 2, 2)]) is False
+        assert engage(frames + [frame("B1", 2, math.nextafter(2.0, 3.0))]) is True
 
     def test_multiple_qbs_rejected(self):
-        frames = [frame("QB", 0, 0, qb=True), frame("QB2", 1, 1, qb=True), frame("R1", 3, 4)]
-        with pytest.raises(DataError, match="multiple QB"):
-            qb_distance(frames, "R1")
+        frames = [frame("QB", 0, 0, qb=True), frame("QB2", 1, 1, qb=True),
+                  frame("R1", 3, 4), frame("B1", 0, 5)]
+        with pytest.raises(DataError, match="multiple QB frames at g1/p1 frame 0"):
+            engage(frames)
 
     def test_missing_qb_rejected(self):
-        with pytest.raises(DataError, match="no QB"):
-            qb_distance([frame("R1", 3, 4)], "R1")
+        with pytest.raises(DataError, match="missing QB track at g1/p1 frame 0"):
+            engage([frame("R1", 3, 4), frame("B1", 0, 5)])
 
     def test_missing_player_rejected(self):
-        with pytest.raises(DataError, match="no frame for player"):
-            qb_distance([frame("QB", 0, 0, qb=True)], "R9")
+        frames = [frame("QB", 0, 0, qb=True), frame("B1", 0, 5)]
+        with pytest.raises(DataError, match="missing track for player 'R9' at g1/p1 frame 0"):
+            engage(frames, rusher="R9")
 
 
 def dists(pairs):
     return {t: float(d) for t, d in pairs}
+
+
+def wins(rusher_dists, blocker_dists, snap, window, **options):
+    """The win label of one engagement on a one-play world: the QB at the
+    origin at every frame either player has and, at each frame t, R1 at
+    (rusher_dists[t], 0) and B1 at (0, blocker_dists[t]), so those are
+    their exact distances to the QB."""
+    frames = [frame("QB", 0, 0, qb=True, t=t) for t in sorted({*rusher_dists, *blocker_dists})]
+    frames += [frame("R1", d, 0, t=t) for t, d in rusher_dists.items()]
+    frames += [frame("B1", 0, d, t=t) for t, d in blocker_dists.items()]
+    return engage(frames, snap=snap, window=window, **options)
 
 
 class TestWinRule:
@@ -81,59 +128,55 @@ class TestWinRule:
     def test_strictly_closer_wins(self):
         ts = range(0, 11)
         rd = dists((t, 4.9 if t == 6 else 5.5) for t in ts)
-        assert rusher_win_25(rd, self.far(ts), 0, (0, 10)) is True
+        assert wins(rd, self.far(ts), 0, (0, 10)) is True
 
     def test_tie_is_not_a_win(self):
         ts = range(0, 11)
         rd = dists((t, 5.0) for t in ts)
-        assert rusher_win_25(rd, self.far(ts), 0, (0, 10)) is False
+        assert wins(rd, self.far(ts), 0, (0, 10)) is False
 
     def test_horizon_endpoint_included(self):
         # closer only at frame snap+25: still a win
         ts = range(0, 40)
         rd = dists((t, 1.0 if t == WIN_HORIZON_FRAMES else 9.0) for t in ts)
-        assert rusher_win_25(rd, self.far(ts), 0, (0, 39)) is True
+        assert wins(rd, self.far(ts), 0, (0, 39)) is True
 
     def test_frame_after_horizon_ignored(self):
         # closer only at frame snap+26: one frame too late
         ts = range(0, 40)
         rd = dists((t, 1.0 if t == WIN_HORIZON_FRAMES + 1 else 9.0) for t in ts)
-        assert rusher_win_25(rd, self.far(ts), 0, (0, 39)) is False
+        assert wins(rd, self.far(ts), 0, (0, 39)) is False
 
     def test_horizon_counts_from_snap_not_window(self):
         ts = range(0, 60)
         rd = dists((t, 1.0 if t == 30 else 9.0) for t in ts)
         # snap at 10: frame 30 is within 10+25; snap at 0: it is not
-        assert rusher_win_25(rd, self.far(ts), 10, (0, 59)) is True
-        assert rusher_win_25(rd, self.far(ts), 0, (0, 59)) is False
+        assert wins(rd, self.far(ts), 10, (0, 59)) is True
+        assert wins(rd, self.far(ts), 0, (0, 59)) is False
 
     def test_window_clipped_to_snap(self):
         # frames before the snap never count even if the window covers them
         ts = range(0, 20)
         rd = dists((t, 1.0 if t < 5 else 9.0) for t in ts)
-        assert rusher_win_25(rd, self.far(ts), 5, (0, 19)) is False
+        assert wins(rd, self.far(ts), 5, (0, 19)) is False
 
     def test_tolerance_widens_required_gap(self):
         ts = range(0, 5)
         rd = dists((t, 4.6) for t in ts)
-        assert rusher_win_25(rd, self.far(ts), 0, (0, 4), tolerance=0.0) is True
-        assert rusher_win_25(rd, self.far(ts), 0, (0, 4), tolerance=0.3) is True
-        assert rusher_win_25(rd, self.far(ts), 0, (0, 4), tolerance=0.4) is False
-        assert rusher_win_25(rd, self.far(ts), 0, (0, 4), tolerance=0.5) is False
+        assert wins(rd, self.far(ts), 0, (0, 4), tolerance=0.0) is True
+        assert wins(rd, self.far(ts), 0, (0, 4), tolerance=0.3) is True
+        assert wins(rd, self.far(ts), 0, (0, 4), tolerance=0.4) is False
+        assert wins(rd, self.far(ts), 0, (0, 4), tolerance=0.5) is False
 
-    def test_disjoint_window_rejected(self):
-        with pytest.raises(DataError, match="does not intersect"):
-            rusher_win_25({}, {}, 0, (30, 40))
+    def test_disjoint_window_is_a_loss(self):
+        # a window that misses snap .. snap + horizon needs no tracks at all
+        assert wins({}, {}, 0, (30, 40)) is False
 
     def test_missing_frame_rejected(self):
         rd = dists([(0, 5.0), (2, 5.0)])
         bd = dists([(0, 5.0), (1, 5.0), (2, 5.0)])
-        with pytest.raises(DataError, match="missing frame 1"):
-            rusher_win_25(rd, bd, 0, (0, 2))
-
-
-def eng(rusher, blocker, start, end, *, game="g1", play="p1"):
-    return Engagement(game, play, rusher, blocker, start, end)
+        with pytest.raises(DataError, match="missing track for player 'R1' at g1/p1 frame 1"):
+            wins(rd, bd, 0, (0, 2))
 
 
 class TestDoubleTeam:
@@ -207,7 +250,7 @@ def hand_play():
 class TestBuildInteractions:
     def test_hand_built_play(self):
         frames, events, engagements, schedule = hand_play()
-        table = build_interactions(frames, events, engagements, schedule)
+        table = build_interactions(tracking_frames(frames), events, engagements, schedule)
         assert len(table) == 3  # run play filtered out
         assert [r.play_id for r in table] == ["p1", "p1", "p1"]
         assert [r.week for r in table] == [4, 4, 4]
@@ -225,14 +268,14 @@ class TestBuildInteractions:
 
     def test_event_index_orders_by_start_frame_then_ids(self):
         frames, events, engagements, schedule = hand_play()
-        table = build_interactions(frames, events, engagements, schedule)
+        table = build_interactions(tracking_frames(frames), events, engagements, schedule)
         ordered = [(r.rusher_id, r.blocker_id) for r in table]
         assert ordered == [("R1", "B1"), ("R2", "B1"), ("R2", "B2")]
 
     def test_window_past_horizon_is_a_loss_not_an_error(self):
         frames, events, engagements, schedule = hand_play()
         engagements = engagements + [eng("R3", "B3", 40, 50)]
-        table = build_interactions(frames, events, engagements, schedule)
+        table = build_interactions(tracking_frames(frames), events, engagements, schedule)
         row = next(r for r in table if r.rusher_id == "R3")
         assert row.win_target is False
         assert row.severity is OutcomeClass.HIT  # qb_hit still applies
@@ -241,19 +284,20 @@ class TestBuildInteractions:
         frames, events, engagements, schedule = hand_play()
         with pytest.raises(DataError, match="dangling"):
             build_interactions(
-                frames, events, engagements + [eng("R1", "B1", 0, 1, play="p9")], schedule
+                tracking_frames(frames), events,
+                engagements + [eng("R1", "B1", 0, 1, play="p9")], schedule,
             )
 
     def test_missing_schedule_entry_rejected(self):
         frames, events, engagements, _ = hand_play()
         with pytest.raises(DataError, match="schedule"):
-            build_interactions(frames, events, engagements, {})
+            build_interactions(tracking_frames(frames), events, engagements, {})
 
     def test_missing_track_rejected(self):
         frames, events, engagements, schedule = hand_play()
         frames = [f for f in frames if f.player_id != "B2"]
         with pytest.raises(DataError, match="missing track"):
-            build_interactions(frames, events, engagements, schedule)
+            build_interactions(tracking_frames(frames), events, engagements, schedule)
 
     def test_sack_outranks_everything(self):
         frames, events, engagements, schedule = hand_play()
@@ -261,17 +305,42 @@ class TestBuildInteractions:
             PlayEvents("g1", "p1", 2, True, True, True),
             events[1],
         ]
-        table = build_interactions(frames, events, engagements, schedule)
+        table = build_interactions(tracking_frames(frames), events, engagements, schedule)
         assert all(r.severity is OutcomeClass.SACK for r in table)
 
     def test_output_is_canonically_sorted(self):
         frames, events, engagements, schedule = hand_play()
-        table = build_interactions(frames, events, engagements, schedule)
+        table = build_interactions(tracking_frames(frames), events, engagements, schedule)
         assert table.is_canonically_sorted()
+
+    def test_week_below_one_rejected_for_a_game_with_rows(self):
+        frames, events, engagements, _ = hand_play()
+        with pytest.raises(DataError, match=r"game 'g1' has week 0"):
+            build_interactions(tracking_frames(frames), events, engagements, {"g1": 0})
+
+    def test_week_below_one_ignored_for_a_game_without_dropbacks(self):
+        frames, events, engagements, _ = hand_play()
+        events = events + [PlayEvents("g2", "p1", 0, False, False, False)]
+        engagements = engagements + [eng("R1", "B1", 0, 0, game="g2")]
+        table = build_interactions(
+            tracking_frames(frames), events, engagements, {"g1": 4, "g2": 0}
+        )
+        assert table.games == ("g1",) and len(table) == 3
+
+    def test_no_dropback_engagement_gives_an_empty_table(self):
+        frames, events, engagements, schedule = hand_play()
+        table = build_interactions(tracking_frames(frames), events, engagements[3:], schedule)
+        assert table == InteractionTable() and table.games == ()
+        assert table.win.dtype == float and table.severity.dtype == np.intp
+
+    def test_frame_list_rejected(self):
+        frames, events, engagements, schedule = hand_play()
+        with pytest.raises(TypeError, match="TrackingFrames"):
+            build_interactions(frames, events, engagements, schedule)
 
     def test_tolerance_flips_marginal_win(self):
         frames, events, engagements, schedule = hand_play()
-        table = build_interactions(frames, events, engagements, schedule, tolerance=2.0)
+        table = build_interactions(tracking_frames(frames), events, engagements, schedule, tolerance=2.0)
         r1 = next(r for r in table if r.rusher_id == "R1")
         # R1's best margin is 1.0 yard (4.0 vs 5.0): below the 2.0 gap
         assert r1.win_target is False
@@ -302,8 +371,9 @@ class TestCsvReaders:
         )
         frames = read_tracking_csv(path)
         assert len(frames) == 2
-        assert frames[0].is_qb is True
-        assert frames[1] == Frame("g1", "p1", 0, "R1", 4.5, 6.5, False)
+        rows = decoded_frames(frames)
+        assert rows[0].is_qb is True
+        assert rows[1] == Frame("g1", "p1", 0, "R1", 4.5, 6.5, False)
 
     def test_tracking_bad_header(self, tmp_path):
         path = tmp_path / "tracking.csv"
@@ -696,7 +766,7 @@ class TestEquivalenceOracle:
     def test_frame_lists_match_reference(self, seed, options):
         frames, events, engagements, schedule, _ = random_world(seed)
         want = reference_build_interactions(frames, events, engagements, schedule, **options)
-        got = build_interactions(frames, events, engagements, schedule, **options)
+        got = build_interactions(tracking_frames(frames), events, engagements, schedule, **options)
         assert got == want
         assert any(r.win_target for r in got) and not all(r.win_target for r in got)
 
@@ -712,7 +782,7 @@ class TestEquivalenceOracle:
                             int(f.is_qb)])
         ref_frames = reference_read_tracking_csv(path)
         columns = read_tracking_csv(path)
-        assert list(columns) == ref_frames == frames
+        assert decoded_frames(columns) == ref_frames == frames
         for options in WORLD_OPTIONS:
             assert build_interactions(columns, events, engagements, schedule, **options) == \
                 reference_build_interactions(ref_frames, events, engagements, schedule, **options)
@@ -792,10 +862,11 @@ def _outcome(read, build, path):
         frames = read(path)
     except DataError as exc:
         return str(exc)
+    rows = frames if isinstance(frames, list) else decoded_frames(frames)
     try:
-        return list(frames), build(frames, PARITY_EVENTS, PARITY_ENGAGEMENTS, {"g1": 1})
+        return rows, build(frames, PARITY_EVENTS, PARITY_ENGAGEMENTS, {"g1": 1})
     except DataError as exc:
-        return list(frames), str(exc)
+        return rows, str(exc)
 
 
 @pytest.mark.parametrize("case", READER_CASES)
@@ -870,15 +941,12 @@ class TestColumnarReader:
         frames = frames + [frame("R2", 1.0, 1.0, t=7)]
         want = r"^duplicate tracking row for player 'R2' at g1/p1 frame 7$"
         with pytest.raises(DataError, match=want):
-            build_interactions(frames, events, engagements, schedule)
-        with pytest.raises(DataError, match="duplicate tracking row"):
-            TrackingFrames.from_frames(frames)
+            tracking_frames(frames)
 
     def test_columns_are_read_only_and_index_to_frames(self):
         frames, *_ = hand_play()
-        columns = TrackingFrames.from_frames(frames)
-        assert len(columns) == len(frames) and list(columns) == frames
-        assert columns[-1] == frames[-1]
+        columns = tracking_frames(frames)
+        assert len(columns) == len(frames) and decoded_frames(columns) == frames
         assert columns.plays == (("g1", "p1"), ("g1", "p2"))
         assert columns.players == ("B1", "B2", "QB", "R1", "R2")
         assert columns.line is None
@@ -890,8 +958,9 @@ class TestColumnarReader:
         events = [PlayEvents("g1", "p1", 2**64, True, False, False), events[1]]
         engagements = engagements + [Engagement("g1", "p1", "R1", "B2", 0, 2**64 + 5)]
         errors = []
-        for build in (reference_build_interactions, build_interactions):
+        for build, tracks in ((reference_build_interactions, frames),
+                              (build_interactions, tracking_frames(frames))):
             with pytest.raises(DataError) as info:
-                build(frames, events, engagements, schedule)
+                build(tracks, events, engagements, schedule)
             errors.append(str(info.value))
         assert errors[0] == errors[1] == f"missing QB track at g1/p1 frame {2**64}"

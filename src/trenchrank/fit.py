@@ -39,12 +39,20 @@ is one K x K block per rusher plus their coupling to the K (2 + B)
 intercept, double-team and blocker parameters.  The Newton step
 eliminates the rusher blocks with a batched Cholesky and factors only
 the K (2 + B) Schur complement, then back-substitutes; rushers are the
-larger role in the paper's data (620 against 348 blockers).  A step
-whose factor is not positive definite (e.g. lam = 0 with a player of
-zero weight) is solved by least squares on the dense Hessian instead,
-and a fit that does not converge says how many steps did so and which
-factor failed.  The step backtracks to the Armijo condition, and the
-Hessian reuses the class probabilities computed for the accepted step.
+larger role in the paper's data (620 against 348 blockers).  Its dense
+products and factorizations all run in numpy's BLAS and LAPACK: scipy
+links a second OpenBLAS, and alternating work between the two
+libraries' thread pools cost more than the arithmetic.  The step keeps
+few dense buffers: the coupling block is overwritten by its triangular
+solve G, the Schur complement is formed in the buffer of G^T G, and the
+back-substitution recomputes its coupling product from the cells, so G
+is released before the Schur complement is factored.  A step whose
+factor is not positive definite (e.g. lam = 0 with a player of zero
+weight) is solved instead by least squares on the dense Hessian,
+rebuilt for that step, and a fit that does not converge says how many
+steps did so and which factor failed.  The step backtracks to the
+Armijo condition, and the Hessian reuses the class probabilities
+computed for the accepted step.
 Convergence means gradient sup-norm <= ``tol`` (default 1e-8).  The
 public ``fit_*_ridge`` and ``*_objective_grad`` decode their CSR design
 once (``codes_from_csr``), so a row of any other form is a
@@ -70,7 +78,7 @@ from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse as sp
 from scipy.special import expit
 
@@ -305,12 +313,18 @@ class _HessianParts(NamedTuple):
     ``rusher`` holds one K x K block per rusher (rusher effects are
     uncoupled across rushers); ``coupling`` (R, K, M) couples them to the
     M = K * (2 + B) other parameters, ordered by class, then intercept,
-    double team, blockers; ``rest`` is the M x M block of those.
+    double team, blockers.  The M x M block of those is sparse: a blocker
+    row touches only the intercept, the double team and that blocker, so
+    each (a, b) class block is fixed by ``rest_sums[a, b]`` (2, B + 1),
+    the weight ``W_ab`` (row 0) and ``W_ab * double_team`` (row 1) summed
+    per blocker, the last entry over the cells without one.
+    ``rest_ridge`` is its diagonal penalty.  ``_add_rest`` writes it out.
     """
 
     rusher: np.ndarray
     coupling: np.ndarray
-    rest: np.ndarray
+    rest_sums: np.ndarray
+    rest_ridge: np.ndarray
 
 
 def _hessian_parts(design: _Design, probs, lam, pen_mask, weights) -> _HessianParts:
@@ -327,32 +341,41 @@ def _hessian_parts(design: _Design, probs, lam, pen_mask, weights) -> _HessianPa
     pair = design.rusher * (nb + 1) + design.blocker
     rusher = np.empty((r, k, k))
     coupling = np.empty((r, k, k, m))
-    rest = np.zeros((k, m, k, m))
-    diag = np.arange(2, m)
+    sums = np.empty((k, k, 2, nb + 1))
     for a in range(k):
         for b in range(a, k):
             w = weights * probs[a + 1] * ((1.0 if a == b else 0.0) - probs[b + 1])
             wd = w * dt
             per_rusher = design.per_rusher(w)
-            per_blocker = design.per_blocker(w)
             met = np.bincount(pair, weights=w, minlength=(r + 1) * (nb + 1))
-            block = rest[a, :, b, :]
-            block[0, 0] = w.sum()
-            block[0, 1] = block[1, 0] = block[1, 1] = wd.sum()
-            block[0, 2:] = block[2:, 0] = -per_blocker
-            block[1, 2:] = block[2:, 1] = -design.per_blocker(wd)
-            block[diag, diag] = per_blocker
-            rest[b, :, a, :] = block
+            sums[a, b, 0] = np.bincount(design.blocker, weights=w, minlength=nb + 1)
+            sums[a, b, 1] = np.bincount(design.blocker, weights=wd, minlength=nb + 1)
+            sums[b, a] = sums[a, b]
             rusher[:, a, b] = rusher[:, b, a] = per_rusher
             coupling[:, a, b, 0] = per_rusher
             coupling[:, a, b, 1] = design.per_rusher(wd)
-            coupling[:, a, b, 2:] = -met.reshape(r + 1, nb + 1)[:r, :nb]
+            np.negative(met.reshape(r + 1, nb + 1)[:r, :nb], out=coupling[:, a, b, 2:])
             coupling[:, b, a] = coupling[:, a, b]
     ridge = 2.0 * lam * pen_mask
-    rusher[:, np.arange(k), np.arange(k)] += ridge[design.rusher_columns, None]
-    rest = rest.reshape(k * m, k * m)
-    rest[np.diag_indices_from(rest)] += np.tile(ridge[design.rest_columns], k)
-    return _HessianParts(rusher, coupling.reshape(r, k, k * m), rest)
+    np.einsum("jaa->ja", rusher)[...] += ridge[design.rusher_columns, None]
+    return _HessianParts(
+        rusher, coupling.reshape(r, k, k * m), sums, np.tile(ridge[design.rest_columns], k)
+    )
+
+
+def _add_rest(out: np.ndarray, sums: np.ndarray, ridge: np.ndarray) -> None:
+    """Add the M x M block of the non-rusher parameters (``_HessianParts``)
+    to ``out``."""
+    k, nb = sums.shape[0], sums.shape[-1] - 1
+    total, per_blocker = sums.sum(axis=-1), sums[..., :-1]
+    block = out.reshape(k, 2 + nb, k, 2 + nb)  # [class a, row, class b, column]
+    # the intercept / double-team head: [[sum W, sum W dt], [sum W dt, sum W dt]]
+    block[:, :2, :, :2] += total[..., [[0, 1], [1, 1]]].transpose(0, 2, 1, 3)
+    block[:, :2, :, 2:] -= per_blocker.transpose(0, 2, 1, 3)
+    block[:, 2:, :, :2] -= per_blocker.transpose(0, 3, 1, 2)
+    # einsum views of the diagonals: each blocker's own entry, then all of them
+    np.einsum("aibi->abi", block[:, 2:, :, 2:])[...] += per_blocker[:, :, 0]
+    np.einsum("ii->i", out)[...] += ridge
 
 
 def _dense_hessian(parts: _HessianParts, design: _Design) -> np.ndarray:
@@ -364,7 +387,7 @@ def _dense_hessian(parts: _HessianParts, design: _Design) -> np.ndarray:
     H[block[:, :, None], block[:, None, :]] = parts.rusher
     H[: r * k, r * k :] = parts.coupling.reshape(r * k, m)
     H[r * k :, : r * k] = H[: r * k, r * k :].T
-    H[r * k :, r * k :] = parts.rest
+    _add_rest(H[r * k :, r * k :], parts.rest_sums, parts.rest_ridge)
     # class-major position of each rusher-first parameter
     position = np.arange(k * design.n_columns).reshape(k, -1)
     order = np.concatenate([
@@ -376,61 +399,94 @@ def _dense_hessian(parts: _HessianParts, design: _Design) -> np.ndarray:
 
 
 def _forward(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Solve ``L[j] X[j] = Y[j]`` for lower-triangular K x K blocks ``L[j]``."""
-    X = np.empty_like(Y)
+    """Solve ``L[j] X[j] = Y[j]`` for lower-triangular K x K blocks ``L[j]``,
+    overwriting ``Y`` with ``X``."""
     for a in range(L.shape[1]):
-        acc = Y[:, a].copy()
         for c in range(a):
-            acc -= L[:, a, c, None] * X[:, c]
-        X[:, a] = acc / L[:, a, a, None]
-    return X
+            Y[:, a] -= L[:, a, c, None] * Y[:, c]
+        Y[:, a] /= L[:, a, a, None]
+    return Y
 
 
-def _backward(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Solve ``L[j]^T X[j] = Y[j]`` for lower-triangular K x K blocks ``L[j]``."""
-    X = np.empty_like(Y)
-    for a in reversed(range(L.shape[1])):
-        acc = Y[:, a].copy()
-        for c in range(a + 1, L.shape[1]):
-            acc -= L[:, c, a, None] * X[:, c]
-        X[:, a] = acc / L[:, a, a, None]
-    return X
+def _coupling_product(design: _Design, probs, weights, x_rest: np.ndarray) -> np.ndarray:
+    """The (R, K) rusher rows ``C x`` of the Hessian-vector product for a
+    vector ``x`` that is zero on the rusher columns.
+
+    ``x_rest`` (K, 2 + B) holds x's intercept, double-team and blocker
+    entries.  Row i's class-a term of ``X^T W X x`` is
+    ``w p_a (eta_a - sum_b p_b eta_b)`` for the linear predictors eta of
+    x, summed per rusher; the ridge adds nothing off the rusher columns.
+    """
+    k = x_rest.shape[0]
+    blocker = np.concatenate([x_rest[:, 2:], np.zeros((k, 1))], axis=1)
+    eta = x_rest[:, 1:2] * design.double_team
+    eta += x_rest[:, :1]
+    eta -= np.take(blocker, design.blocker, axis=1)
+    p = probs[1:]
+    eta *= p
+    eta -= p * eta.sum(axis=0)
+    eta *= weights
+    out = np.empty((design.n_rushers, k))
+    for a, row in enumerate(eta):
+        out[:, a] = design.per_rusher(row)
+    return out
 
 
-def _newton_direction(parts: _HessianParts, grad: np.ndarray, design: _Design):
-    """Solve ``H x = -grad`` by a Schur complement over the rusher blocks.
+def _newton_direction(design: _Design, probs, lam, pen_mask, weights, grad: np.ndarray):
+    """Solve ``H x = -grad`` by a Schur complement over the rusher blocks,
+    for the penalized Hessian H at the class probabilities ``probs``.
 
     With ``H = [[A, C], [C^T, D]]``, ``A = L L^T`` block by block and
     ``G = L^-1 C``, only ``S = D - G^T G`` (M x M) is factored densely.
+    G^T G and the factor of S come from numpy's BLAS and LAPACK, and the
+    one solve with that factor (LAPACK ``dpotrs``, a single right-hand
+    side) reads it in place: scipy links its own OpenBLAS, and a step
+    that alternates the two libraries' thread pools spends more time
+    waiting on them than computing.  G overwrites C, S overwrites the
+    buffer of G^T G (D is added from its sparse sums), and G is released
+    before S is factored.  The rusher rows then solve
+    ``A x_rusher = -grad_rusher - C x_rest`` block by block, with
+    ``C x_rest`` a Hessian-vector product over the cells
+    (``_coupling_product``) rather than a product with G.
+
     Returns the class-major direction and None, or None and the factor
     that is not positive definite: ``("rusher", position)`` or
     ``("schur", None)``.
     """
-    r, k, m = parts.coupling.shape
+    rusher, coupling, rest_sums, rest_ridge = _hessian_parts(design, probs, lam, pen_mask, weights)
+    r, k, m = coupling.shape
     try:
-        L = np.linalg.cholesky(parts.rusher)
+        L = np.linalg.cholesky(rusher)
     except np.linalg.LinAlgError:
-        for j, block in enumerate(parts.rusher):
+        for j, block in enumerate(rusher):
             try:
                 np.linalg.cholesky(block)
             except np.linalg.LinAlgError:
                 return None, ("rusher", j)
         raise
     g = grad.reshape(k, design.n_columns)
-    rushers, rest = design.rusher_columns, design.rest_columns
-    G = _forward(L, parts.coupling).reshape(r * k, m)
+    rushers, rest_columns = design.rusher_columns, design.rest_columns
+    G = _forward(L, coupling).reshape(r * k, m)
     u = _forward(L, -g[:, rushers].T[:, :, None]).ravel()
+    rhs = -g[:, rest_columns].ravel() - G.T @ u
+    # np.dot computes G^T G as a symmetric rank-k update
+    schur = np.dot(G.T, G)
+    del G, coupling
+    np.negative(schur, out=schur)
+    _add_rest(schur, rest_sums, rest_ridge)
     try:
-        # np.dot computes G^T G as a symmetric rank-k update
-        schur = parts.rest - np.dot(G.T, G)
-        factor = scipy.linalg.cho_factor(schur, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        factor = np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
         return None, ("schur", None)
-    x_rest = scipy.linalg.cho_solve(factor, -g[:, rest].ravel() - G.T @ u, check_finite=False)
-    x_rusher = _backward(L, (u - G @ x_rest).reshape(r, k, 1))
+    del schur
+    # factor.T is the upper factor U = L^T in column-major order, so LAPACK reads it in place
+    x_rest = scipy.linalg.lapack.dpotrs(factor.T, rhs, lower=0)[0].reshape(k, -1)
+    # the rusher rows of H x = -grad: A x_rusher = -grad_rusher - C x_rest
+    b = -g[:, rushers].T - _coupling_product(design, probs, weights, x_rest)
+    x_rusher = np.linalg.solve(rusher, b[:, :, None])
     direction = np.empty_like(g)
     direction[:, rushers] = x_rusher[:, :, 0].T
-    direction[:, rest] = x_rest.reshape(k, -1)
+    direction[:, rest_columns] = x_rest
     return direction.ravel(), None
 
 
@@ -519,11 +575,10 @@ def _solve(design, class_idx, n_classes, lam, pen_mask, theta0, tol, max_iter, w
     fallbacks = []
     while np.abs(state[1]).max() > tol and iterations < max_iter:
         iterations += 1
-        parts = _hessian_parts(design, state[2], lam, pen_mask, weights)
-        direction, failed = _newton_direction(parts, state[1], design)
+        direction, failed = _newton_direction(design, state[2], lam, pen_mask, weights, state[1])
         if failed is not None:
             fallbacks.append(failed)
-            H = _dense_hessian(parts, design)
+            H = _dense_hessian(_hessian_parts(design, state[2], lam, pen_mask, weights), design)
             direction = np.linalg.lstsq(H, -state[1], rcond=None)[0]
         theta, state, moved = _take_step(value_grad, theta, state, direction)
         if not moved:

@@ -556,6 +556,65 @@ def reference_solve(X, class_idx, n_classes, lam, pen, weights, tol=1e-8, max_it
     return theta, iterations, fallbacks
 
 
+def _reference_forward(L, Y):
+    """Solve ``L[j] X[j] = Y[j]`` for lower-triangular K x K blocks ``L[j]``."""
+    X = np.empty_like(Y)
+    for a in range(L.shape[1]):
+        acc = Y[:, a].copy()
+        for c in range(a):
+            acc -= L[:, a, c, None] * X[:, c]
+        X[:, a] = acc / L[:, a, a, None]
+    return X
+
+
+def _reference_backward(L, Y):
+    """Solve ``L[j]^T X[j] = Y[j]`` for lower-triangular K x K blocks ``L[j]``."""
+    X = np.empty_like(Y)
+    for a in reversed(range(L.shape[1])):
+        acc = Y[:, a].copy()
+        for c in range(a + 1, L.shape[1]):
+            acc -= L[:, c, a, None] * X[:, c]
+        X[:, a] = acc / L[:, a, a, None]
+    return X
+
+
+def reference_newton_direction(parts, grad, design):
+    """The Schur-complement step as ``fit._newton_direction`` took it
+    before the step moved to numpy's LAPACK: scipy's Cholesky of a dense
+    ``D - G^T G``, and ``G = L^-1 C`` kept for the back-substitution.
+    ``parts`` (``fit._hessian_parts``) is left unchanged.
+
+    Returns the class-major direction and None, or None and the factor
+    that is not positive definite.
+    """
+    r, k, m = parts.coupling.shape
+    rest = np.zeros((m, m))
+    fit_module._add_rest(rest, parts.rest_sums, parts.rest_ridge)
+    try:
+        L = np.linalg.cholesky(parts.rusher)
+    except np.linalg.LinAlgError:
+        for j, block in enumerate(parts.rusher):
+            try:
+                np.linalg.cholesky(block)
+            except np.linalg.LinAlgError:
+                return None, ("rusher", j)
+        raise
+    g = grad.reshape(k, design.n_columns)
+    rushers, rest_columns = design.rusher_columns, design.rest_columns
+    G = _reference_forward(L, parts.coupling).reshape(r * k, m)
+    u = _reference_forward(L, -g[:, rushers].T[:, :, None]).ravel()
+    try:
+        factor = scipy.linalg.cho_factor(rest - G.T @ G, lower=True)
+    except scipy.linalg.LinAlgError:
+        return None, ("schur", None)
+    x_rest = scipy.linalg.cho_solve(factor, -g[:, rest_columns].ravel() - G.T @ u)
+    x_rusher = _reference_backward(L, (u - G @ x_rest).reshape(r, k, 1))
+    direction = np.empty_like(g)
+    direction[:, rushers] = x_rusher[:, :, 0].T
+    direction[:, rest_columns] = x_rest.reshape(k, -1)
+    return direction.ravel(), None
+
+
 def hessian_cases(rng):
     """(name, X, index, class_idx, n_classes, weights) for the structured-Hessian oracles."""
     t = random_table(rng, n_rows=120, n_rushers=7, n_blockers=5)
@@ -568,11 +627,17 @@ def hessian_cases(rng):
     _, _, dropped_idx = fit_module._class_coding("severity", sev, no_hit)
     zero_cells = np.where(rng.random(len(t)) < 0.3, 0.0, rng.integers(1, 4, len(t)))
     part = build_index(InteractionTable(t.rows[:25]))
+    # a fifth of the rows lose their blocker entry and another fifth their rusher entry
+    coo = X.tocoo()
+    drop = rng.integers(0, 5, len(t))[coo.row]
+    keep = ~((drop == 0) & (coo.data == -1.0)) & ~((drop == 1) & (coo.data == 1.0) & (coo.col >= 2))
+    no_player = sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=X.shape)
     yield "K=1", X, idx, t.win.astype(np.intp), 2, ones
     yield "K=3", X, idx, sev, 4, ones
     yield "dropped class", X, idx, dropped_idx, 3, no_hit
     yield "zero-weight cells", X, idx, sev, 4, zero_cells
     yield "partial index", build_matrix(t, part), part, sev, 4, ones
+    yield "rows without a player", no_player, idx, sev, 4, ones
 
 
 class TestStructuredNewtonStep:
@@ -597,10 +662,71 @@ class TestStructuredNewtonStep:
             probs = reference_probs(X, theta)
             H = reference_hessian(X, probs, 0.3, pen, w)
             want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), -grad)
-            parts = fit_module._hessian_parts(design, probs.T, 0.3, pen, w)
-            got, failed = fit_module._newton_direction(parts, grad, design)
+            got, failed = fit_module._newton_direction(design, probs.T, 0.3, pen, w, grad)
             assert failed is None, name
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
+
+    def test_direction_equals_reference_step(self, rng):
+        for name, X, idx, class_idx, n_classes, w in hessian_cases(rng):
+            design = fit_module._design_from_csr(X, idx)
+            pen = penalty_mask(idx)
+            theta = rng.normal(scale=0.5, size=(n_classes - 1) * idx.n_columns)
+            _, grad, probs = fit_module._objective(theta, design, class_idx, n_classes, 0.3, pen, w)
+            parts = fit_module._hessian_parts(design, probs, 0.3, pen, w)
+            want, want_failed = reference_newton_direction(parts, grad, design)
+            got, failed = fit_module._newton_direction(design, probs, 0.3, pen, w, grad)
+            assert failed is want_failed is None, name
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("role, tag", [("rusher", ("rusher", 0)), ("blocker", ("schur", None))])
+    def test_failed_factor_equals_reference_step(self, rng, role, tag):
+        t, idx, X, y, w = self._zero_exposure_problem(rng, role)
+        design = fit_module._design_from_csr(X, idx)
+        pen = penalty_mask(idx)
+        theta = rng.normal(scale=0.5, size=idx.n_columns)
+        _, grad, probs = fit_module._objective(theta, design, y, 2, 0.0, pen, w)
+        parts = fit_module._hessian_parts(design, probs, 0.0, pen, w)
+        assert reference_newton_direction(parts, grad, design) == (None, tag)
+        assert fit_module._newton_direction(design, probs, 0.0, pen, w, grad) == (None, tag)
+
+    def test_coupling_product_equals_hessian_rows(self, rng):
+        for name, X, idx, class_idx, n_classes, w in hessian_cases(rng):
+            design = fit_module._design_from_csr(X, idx)
+            pen = penalty_mask(idx)
+            k = n_classes - 1
+            probs = reference_probs(X, rng.normal(scale=0.5, size=k * idx.n_columns))
+            v = rng.normal(size=(k, idx.n_columns))
+            v[:, design.rusher_columns] = 0.0
+            Hv = (reference_hessian(X, probs, 0.3, pen, w) @ v.ravel()).reshape(k, -1)
+            want = Hv[:, design.rusher_columns].T
+            got = fit_module._coupling_product(design, probs.T, w, v[:, design.rest_columns])
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    def test_schur_failure_falls_back_on_rebuilt_hessian(self, rng):
+        t, idx, X, y, w = self._zero_exposure_problem(rng, "blocker")
+        pen = penalty_mask(idx)
+        design = fit_module._design_from_csr(X, idx)
+        solution = fit_module._solve(design, y, 2, 0.0, pen, None, 1e-8, 500, w)
+        assert solution.grad_sup <= 1e-8
+        assert solution.iterations > 0
+        assert solution.fallbacks == [("schur", None)] * solution.iterations
+        want, iterations, fallbacks = reference_solve(X, y, 2, 0.0, pen, w)
+        assert fallbacks == iterations == solution.iterations
+        np.testing.assert_allclose(solution.theta.ravel(), want, rtol=0, atol=1e-8)
+
+    def test_fits_make_no_scipy_factorization(self, rng, monkeypatch):
+        def banned(*args, **kwargs):
+            raise AssertionError("the Newton step called scipy's BLAS or LAPACK")
+
+        for name in ("cho_factor", "cho_solve", "cholesky", "solve_triangular"):
+            monkeypatch.setattr(scipy.linalg, name, banned)
+        monkeypatch.setattr(scipy.linalg.blas, "dsyrk", banned)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", banned)
+        t = random_table(rng, n_rows=200, n_rushers=8, n_blockers=6)
+        win = fit_win_model(t, 0.2)
+        severity = fit_severity_model(t, 0.2)
+        assert win.iterations > 0 and len(severity.classes) == 3 and severity.iterations > 0
 
     def test_objective_equals_sparse_design(self, rng):
         for name, X, idx, class_idx, n_classes, w in hessian_cases(rng):

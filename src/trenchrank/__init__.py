@@ -19,7 +19,6 @@ from .bootstrap import (
     end_to_end_bootstrap,
     weekly_path_bootstrap,
 )
-from .design import PlayerIndex, build_index, build_matrix, penalty_mask
 from .errors import DataError, FitError, TrenchRankError
 from .evaluate import (
     ValidationReport,
@@ -36,8 +35,6 @@ from .fit import (
     MultinomialFit,
     cv_select_lambda,
     expected_severity,
-    fit_binary_ridge,
-    fit_multinomial_ridge,
     fit_severity_model,
     fit_win_model,
     predict_class_probs,
@@ -73,7 +70,6 @@ __all__ = [
     "InteractionTable",
     "MultinomialFit",
     "OutcomeClass",
-    "PlayerIndex",
     "SeverityBaseline",
     "SeverityWeights",
     "SynthConfig",
@@ -81,9 +77,7 @@ __all__ = [
     "ValidationReport",
     "WinBaseline",
     "binary_log_loss",
-    "build_index",
     "build_interactions",
-    "build_matrix",
     "cv_select_lambda",
     "default_severity_weights",
     "derive_weight_from_epa",
@@ -91,8 +85,6 @@ __all__ = [
     "end_to_end_bootstrap",
     "enrichment_at_k",
     "expected_severity",
-    "fit_binary_ridge",
-    "fit_multinomial_ridge",
     "fit_severity_baseline",
     "fit_severity_model",
     "fit_win_baseline",
@@ -100,7 +92,6 @@ __all__ = [
     "label_outcome",
     "multiclass_log_loss",
     "ordered_split",
-    "penalty_mask",
     "predict_class_probs",
     "predict_severity_global",
     "predict_severity_matchup",

@@ -15,19 +15,21 @@ intercepts are not.  The penalty uses the raw sum-of-squares (no 1/2
 factor) and the likelihood is the sum over rows, so ``lam`` is
 interpreted in those units.
 
-Every objective and fit takes optional row ``weights`` (nonnegative,
-default all ones): row i then contributes ``weights[i]`` times its
-log-likelihood term.  An integer weight k fits exactly like k copies of
-the row and a zero weight like its removal.
+Every fit takes a table and row ``weights`` (nonnegative; all ones
+for ``fit_win_model`` and ``fit_severity_model``): row i then
+contributes ``weights[i]`` times its log-likelihood term.  An integer
+weight k fits exactly like k copies of the row and a zero weight like
+its removal.
 
-Fits of a table run on weighted cells: rows with equal (rusher,
+Fits run on weighted cells (``_cells``): rows with equal (rusher,
 blocker, double_team, outcome) are merged into one design row carrying
-their summed weight (``fit_coded``; ``fit_win_model`` and
-``fit_severity_model`` are its all-ones case).  Cross-validation uses
-the same cells: a fold is a 0/1 row-weight vector over the table's
-columns, fitted along the lambda path with warm starts, and its
-held-out rows are scored by the same vectorized predictor as
-``predict_win_probs`` and ``predict_class_prob_matrix``.
+their summed weight, so each design row has exactly one rusher and one
+blocker (``fit_coded``; ``fit_win_model`` and ``fit_severity_model``
+are its all-ones case).  Cross-validation uses the same cells: a fold
+is a 0/1 row-weight vector over the table's columns, fitted along the
+lambda path with warm starts, and its held-out rows are scored by the
+same vectorized predictor as ``predict_win_probs`` and
+``predict_class_prob_matrix``.
 
 The solver never forms a design matrix.  Every design row is an
 intercept, a double-team flag, +1 on one rusher and -1 on one blocker,
@@ -47,16 +49,14 @@ few dense buffers: the coupling block is overwritten by its triangular
 solve G, the Schur complement is formed in the buffer of G^T G, and the
 back-substitution recomputes its coupling product from the cells, so G
 is released before the Schur complement is factored.  A step whose
-factor is not positive definite (e.g. lam = 0 with a player of zero
-weight) is solved instead by least squares on the dense Hessian,
+factor is not positive definite (e.g. at lam = 0, where shifting every
+rusher and blocker effect of a class alike leaves the likelihood
+unchanged) is solved instead by least squares on the dense Hessian,
 rebuilt for that step, and a fit that does not converge says how many
 steps did so and which factor failed.  The step backtracks to the
 Armijo condition, and the Hessian reuses the class probabilities
 computed for the accepted step.
-Convergence means gradient sup-norm <= ``tol`` (default 1e-8).  The
-public ``fit_*_ridge`` and ``*_objective_grad`` decode their CSR design
-once (``codes_from_csr``), so a row of any other form is a
-``DataError``.
+Convergence means gradient sup-norm <= ``tol`` (default 1e-8).
 
 Start points only change how many Newton steps a fit takes; the optimum
 is the same to within ``tol``.  A fit without ``theta0`` starts at the
@@ -79,16 +79,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg.lapack
-import scipy.sparse as sp
 from scipy.special import expit
 
-from .design import (
-    PlayerIndex,
-    aggregate_cells,
-    codes_from_csr,
-    index_from_ids,
-    penalty_mask,
-)
+from .design import PlayerIndex, aggregate_cells, index_from_ids, penalty_mask
 from .errors import DataError, FitError
 from .interactions import (
     CLASSES,
@@ -159,13 +152,11 @@ class CvResult:
 
 @dataclass(frozen=True)
 class _Design:
-    """Design rows held as codes instead of a sparse matrix.
+    """Design rows held as codes instead of a matrix.
 
     Row i is ``[1, double_team[i], +1 on rusher[i], -1 on blocker[i]]``
-    over the columns ``[intercept | double_team | rushers | blockers]``.
-    A row without a rusher (blocker) entry holds ``n_rushers``
-    (``n_blockers``), one past the last position, so that per-player sums
-    are ``np.bincount``s whose last bin is dropped.
+    over the columns ``[intercept | double_team | rushers | blockers]``,
+    so per-player sums are ``np.bincount``s over the positions.
     """
 
     rusher: np.ndarray
@@ -188,35 +179,10 @@ class _Design:
         return np.r_[0, 1, 2 + self.n_rushers : self.n_columns]
 
     def per_rusher(self, values: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rusher, weights=values, minlength=self.n_rushers + 1)[:-1]
+        return np.bincount(self.rusher, weights=values, minlength=self.n_rushers)
 
     def per_blocker(self, values: np.ndarray) -> np.ndarray:
-        return np.bincount(self.blocker, weights=values, minlength=self.n_blockers + 1)[:-1]
-
-
-def _design_from_csr(X, index: PlayerIndex | None = None) -> _Design:
-    """Decode a ``build_matrix`` design over ``index``.
-
-    Without an index (the objective functions), the rusher columns are
-    found as ``codes_from_csr`` finds them.
-    """
-    if not sp.issparse(X):
-        raise TypeError(f"the design must be a scipy sparse matrix, got {type(X).__name__}")
-    d = X.shape[1]
-    if index is not None and d != index.n_columns:
-        raise DataError(f"design has {d} columns, the index {index.n_columns}")
-    r = None if index is None else index.n_rushers
-    rusher_cols, blocker_cols, double_team = codes_from_csr(X, r)
-    if r is None:
-        r = int(blocker_cols[blocker_cols >= 0].min(initial=d)) - 2
-    b = d - 2 - r
-    return _Design(
-        rusher=np.where(rusher_cols >= 0, rusher_cols - 2, r),
-        blocker=np.where(blocker_cols >= 0, blocker_cols - 2 - r, b),
-        double_team=double_team.astype(float),
-        n_rushers=r,
-        n_blockers=b,
-    )
+        return np.bincount(self.blocker, weights=values, minlength=self.n_blockers)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +191,8 @@ def _design_from_csr(X, index: PlayerIndex | None = None) -> _Design:
 
 def _linear_predictors(theta: np.ndarray, design: _Design) -> np.ndarray:
     """(K, n) linear predictors of the (K, d) parameters ``theta``."""
-    k = theta.shape[0]
-    rusher = np.hstack([theta[:, design.rusher_columns], np.zeros((k, 1))])
-    blocker = np.hstack([theta[:, 2 + design.n_rushers :], np.zeros((k, 1))])
-    eta = np.take(rusher, design.rusher, axis=1) - np.take(blocker, design.blocker, axis=1)
+    eta = np.take(theta[:, design.rusher_columns], design.rusher, axis=1)
+    eta -= np.take(theta[:, 2 + design.n_rushers :], design.blocker, axis=1)
     eta += theta[:, :1]
     eta += theta[:, 1:2] * design.double_team
     return eta
@@ -265,44 +229,6 @@ def _objective(theta_flat, design, class_idx, n_classes, lam, pen_mask, weights)
     return obj, grad.ravel(), probs
 
 
-def multinomial_objective_grad(
-    theta_flat: np.ndarray,
-    X: sp.csr_matrix,
-    class_idx: np.ndarray,
-    n_model_classes: int,
-    lam: float,
-    pen_mask: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Penalized multinomial negative log-likelihood and gradient.
-
-    ``class_idx`` holds 0 for the reference class and 1..K for the
-    modeled classes; parameters are the K rows of ``theta`` (flattened).
-    ``X`` must have the paired-comparison form of ``build_matrix``
-    (``DataError`` names the first row that does not).
-    """
-    design = _design_from_csr(X)
-    w = np.ones(X.shape[0]) if weights is None else weights
-    obj, grad, _ = _objective(theta_flat, design, class_idx, n_model_classes, lam, pen_mask, w)
-    return obj, grad
-
-
-def binary_objective_grad(
-    theta: np.ndarray,
-    X: sp.csr_matrix,
-    y: np.ndarray,
-    lam: float,
-    pen_mask: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Penalized binary negative log-likelihood and its gradient.
-
-    The K = 1 case of ``multinomial_objective_grad``: class 1 is a win.
-    """
-    y_idx = np.asarray(y, dtype=np.intp)
-    return multinomial_objective_grad(theta, X, y_idx, 2, lam, pen_mask, weights)
-
-
 # ---------------------------------------------------------------------------
 # Solver
 
@@ -315,10 +241,10 @@ class _HessianParts(NamedTuple):
     M = K * (2 + B) other parameters, ordered by class, then intercept,
     double team, blockers.  The M x M block of those is sparse: a blocker
     row touches only the intercept, the double team and that blocker, so
-    each (a, b) class block is fixed by ``rest_sums[a, b]`` (2, B + 1),
-    the weight ``W_ab`` (row 0) and ``W_ab * double_team`` (row 1) summed
-    per blocker, the last entry over the cells without one.
-    ``rest_ridge`` is its diagonal penalty.  ``_add_rest`` writes it out.
+    each (a, b) class block is fixed by ``rest_sums[a, b]`` (2, B), the
+    weight ``W_ab`` (row 0) and ``W_ab * double_team`` (row 1) summed per
+    blocker.  ``rest_ridge`` is its diagonal penalty.  ``_add_rest``
+    writes it out.
     """
 
     rusher: np.ndarray
@@ -338,23 +264,23 @@ def _hessian_parts(design: _Design, probs, lam, pen_mask, weights) -> _HessianPa
     k = probs.shape[0] - 1
     m = 2 + nb
     dt = design.double_team
-    pair = design.rusher * (nb + 1) + design.blocker
+    pair = design.rusher * nb + design.blocker
     rusher = np.empty((r, k, k))
     coupling = np.empty((r, k, k, m))
-    sums = np.empty((k, k, 2, nb + 1))
+    sums = np.empty((k, k, 2, nb))
     for a in range(k):
         for b in range(a, k):
             w = weights * probs[a + 1] * ((1.0 if a == b else 0.0) - probs[b + 1])
             wd = w * dt
             per_rusher = design.per_rusher(w)
-            met = np.bincount(pair, weights=w, minlength=(r + 1) * (nb + 1))
-            sums[a, b, 0] = np.bincount(design.blocker, weights=w, minlength=nb + 1)
-            sums[a, b, 1] = np.bincount(design.blocker, weights=wd, minlength=nb + 1)
+            met = np.bincount(pair, weights=w, minlength=r * nb)
+            sums[a, b, 0] = design.per_blocker(w)
+            sums[a, b, 1] = design.per_blocker(wd)
             sums[b, a] = sums[a, b]
             rusher[:, a, b] = rusher[:, b, a] = per_rusher
             coupling[:, a, b, 0] = per_rusher
             coupling[:, a, b, 1] = design.per_rusher(wd)
-            np.negative(met.reshape(r + 1, nb + 1)[:r, :nb], out=coupling[:, a, b, 2:])
+            np.negative(met.reshape(r, nb), out=coupling[:, a, b, 2:])
             coupling[:, b, a] = coupling[:, a, b]
     ridge = 2.0 * lam * pen_mask
     np.einsum("jaa->ja", rusher)[...] += ridge[design.rusher_columns, None]
@@ -366,15 +292,15 @@ def _hessian_parts(design: _Design, probs, lam, pen_mask, weights) -> _HessianPa
 def _add_rest(out: np.ndarray, sums: np.ndarray, ridge: np.ndarray) -> None:
     """Add the M x M block of the non-rusher parameters (``_HessianParts``)
     to ``out``."""
-    k, nb = sums.shape[0], sums.shape[-1] - 1
-    total, per_blocker = sums.sum(axis=-1), sums[..., :-1]
+    k, nb = sums.shape[0], sums.shape[-1]
+    total = sums.sum(axis=-1)
     block = out.reshape(k, 2 + nb, k, 2 + nb)  # [class a, row, class b, column]
     # the intercept / double-team head: [[sum W, sum W dt], [sum W dt, sum W dt]]
     block[:, :2, :, :2] += total[..., [[0, 1], [1, 1]]].transpose(0, 2, 1, 3)
-    block[:, :2, :, 2:] -= per_blocker.transpose(0, 2, 1, 3)
-    block[:, 2:, :, :2] -= per_blocker.transpose(0, 3, 1, 2)
+    block[:, :2, :, 2:] -= sums.transpose(0, 2, 1, 3)
+    block[:, 2:, :, :2] -= sums.transpose(0, 3, 1, 2)
     # einsum views of the diagonals: each blocker's own entry, then all of them
-    np.einsum("aibi->abi", block[:, 2:, :, 2:])[...] += per_blocker[:, :, 0]
+    np.einsum("aibi->abi", block[:, 2:, :, 2:])[...] += sums[:, :, 0]
     np.einsum("ii->i", out)[...] += ridge
 
 
@@ -418,10 +344,9 @@ def _coupling_product(design: _Design, probs, weights, x_rest: np.ndarray) -> np
     x, summed per rusher; the ridge adds nothing off the rusher columns.
     """
     k = x_rest.shape[0]
-    blocker = np.concatenate([x_rest[:, 2:], np.zeros((k, 1))], axis=1)
     eta = x_rest[:, 1:2] * design.double_team
     eta += x_rest[:, :1]
-    eta -= np.take(blocker, design.blocker, axis=1)
+    eta -= np.take(x_rest[:, 2:], design.blocker, axis=1)
     p = probs[1:]
     eta *= p
     eta -= p * eta.sum(axis=0)
@@ -562,6 +487,10 @@ def _solve(design, class_idx, n_classes, lam, pen_mask, theta0, tol, max_iter, w
     k, d = n_classes - 1, design.n_columns
     if theta0 is not None:
         theta = np.array(theta0, dtype=float).ravel()
+        if theta.size != k * d:
+            raise ValueError(
+                f"theta0 has {theta.size} entries, not {k} x {d} for the index's columns"
+            )
     elif lam > 0:
         theta = _intercept_start(class_idx, n_classes, weights, d).ravel()
     else:
@@ -685,118 +614,6 @@ def _theta_on_index(fit: BinaryFit | MultinomialFit, index: PlayerIndex) -> np.n
     return theta
 
 
-def _fit_ridge(
-    design, outcome, lam, index, model, *, weights=None, tol=DEFAULT_TOL,
-    max_iter=DEFAULT_MAX_ITER, theta0=None, stacklevel,
-) -> BinaryFit | MultinomialFit:
-    """The one fit behind every public fit function.
-
-    ``design`` holds the rows' codes over ``index``'s columns and
-    ``outcome`` the win target (``model == "win"``) or the outcome class
-    of each row.  Warnings are reported ``stacklevel`` frames up, at the
-    caller of the public function.
-    """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    n = design.rusher.shape[0]
-    if n == 0:
-        raise DataError(f"{model} fit requires at least one row")
-    values = np.asarray(outcome)
-    if values.shape != (n,):
-        raise DataError(f"row/target length mismatch: {n} vs {values.shape[0]}")
-    if model == "win" and not np.all((values == 0) | (values == 1)):
-        raise DataError("win targets must be 0 or 1")
-    w = _row_weights(weights, n)
-
-    modeled, dropped, class_idx = _class_coding(model, values.astype(np.intp), w)
-    if dropped:
-        warnings.warn(
-            f"{DROPPED_CLASSES_WARNING}: " + ", ".join(c.label for c in dropped),
-            RuntimeWarning,
-            stacklevel=stacklevel,
-        )
-    if not modeled:
-        raise DataError("severity fit needs at least one non-loss class in training")
-
-    solution = _solve(
-        design, class_idx, len(modeled) + 1, lam, penalty_mask(index), theta0, tol, max_iter, w
-    )
-    theta, grad_sup, iterations = solution.theta, solution.grad_sup, solution.iterations
-    converged = grad_sup <= tol
-    # a separated cell only reaches the gradient tolerance once its linear
-    # predictor is around ln(n / tol), far beyond any finite-MLE value
-    if model == "win" and lam == 0 and (
-        not converged or np.abs(_linear_predictors(theta, design)).max() > 15.0
-    ):
-        warnings.warn(
-            "possible separation: unpenalized fit produced extreme linear predictors",
-            RuntimeWarning,
-            stacklevel=stacklevel,
-        )
-    if not converged:
-        raise FitError(
-            f"{'binary' if model == 'win' else 'multinomial'} fit did not converge: "
-            f"gradient sup-norm {grad_sup:.3e} after {iterations} iterations (tol {tol:.1e}); "
-            + _fallback_note(solution, index)
-        )
-    return _as_fit(
-        model, theta, index, modeled, dropped,
-        lam=lam, neg_loglik=solution.nll, grad_norm=grad_sup, iterations=iterations,
-    )
-
-
-
-def fit_binary_ridge(
-    X: sp.spmatrix,
-    y: Sequence[bool] | np.ndarray,
-    lam: float,
-    index: PlayerIndex,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    theta0: np.ndarray | None = None,
-    weights: Sequence[float] | np.ndarray | None = None,
-) -> BinaryFit:
-    """Fit the binary win/loss model at a fixed penalty weight.
-
-    ``X`` is a sparse design over ``index`` (``build_matrix``) and ``y``
-    the 0/1 win targets.  ``weights`` multiplies each row's likelihood
-    term (default 1).  An unpenalized fit whose linear predictors run
-    off warns of possible separation.  A design row that is not a paired
-    comparison (``codes_from_csr``) is a ``DataError``.
-    """
-    return _fit_ridge(
-        _design_from_csr(X, index), y, lam, index, "win",
-        weights=weights, tol=tol, max_iter=max_iter, theta0=theta0, stacklevel=3,
-    )
-
-
-def fit_multinomial_ridge(
-    X: sp.spmatrix,
-    classes: Sequence[OutcomeClass] | np.ndarray,
-    lam: float,
-    index: PlayerIndex,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    theta0: np.ndarray | None = None,
-    weights: Sequence[float] | np.ndarray | None = None,
-) -> MultinomialFit:
-    """Fit the severity model with loss as the reference class.
-
-    Classes never observed in training (no row of positive weight) are
-    dropped from the softmax and reported on the result rather than
-    being given fabricated parameters; the loss reference is always
-    retained.  ``weights`` multiplies each row's likelihood term
-    (default 1).  A design row that is not a paired comparison
-    (``codes_from_csr``) is a ``DataError``.
-    """
-    return _fit_ridge(
-        _design_from_csr(X, index), classes, lam, index, "severity",
-        weights=weights, tol=tol, max_iter=max_iter, theta0=theta0, stacklevel=3,
-    )
-
-
 def _cells(table: InteractionTable, weights: np.ndarray, model: str):
     """Merge rows into (rusher, blocker, double_team, outcome) cells.
 
@@ -822,12 +639,49 @@ def _cells(table: InteractionTable, weights: np.ndarray, model: str):
     return design, outcome[rows], cell_w, idx
 
 
-def _fit_cells(table, weights, model, lam, *, stacklevel, **kwargs):
+def _fit_cells(
+    table, weights, model, lam, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, theta0=None
+) -> BinaryFit | MultinomialFit:
+    """The one fit behind ``fit_coded``, ``fit_win_model`` and
+    ``fit_severity_model``; its warnings point at their caller."""
     if model not in _MODELS:
         raise ValueError(f"model must be 'win' or 'severity', got {model!r}")
-    design, outcome, cell_w, idx = _cells(table, _row_weights(weights, len(table)), model)
-    return _fit_ridge(
-        design, outcome, lam, idx, model, weights=cell_w, stacklevel=stacklevel + 1, **kwargs
+    if lam < 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    design, outcome, cell_w, index = _cells(table, _row_weights(weights, len(table)), model)
+    modeled, dropped, class_idx = _class_coding(model, outcome, cell_w)
+    if dropped:
+        warnings.warn(
+            f"{DROPPED_CLASSES_WARNING}: " + ", ".join(c.label for c in dropped),
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    if not modeled:
+        raise DataError("severity fit needs at least one non-loss class in training")
+
+    solution = _solve(
+        design, class_idx, len(modeled) + 1, lam, penalty_mask(index), theta0, tol, max_iter,
+        cell_w,
+    )
+    theta, grad_sup, iterations = solution.theta, solution.grad_sup, solution.iterations
+    converged = grad_sup <= tol
+    # a separated cell only reaches the gradient tolerance once its linear
+    # predictor is around ln(n / tol), far beyond any finite-MLE value
+    if lam == 0 and (not converged or np.abs(_linear_predictors(theta, design)).max() > 15.0):
+        warnings.warn(
+            "possible separation: unpenalized fit produced extreme linear predictors",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    if not converged:
+        raise FitError(
+            f"{'binary' if model == 'win' else 'multinomial'} fit did not converge: "
+            f"gradient sup-norm {grad_sup:.3e} after {iterations} iterations (tol {tol:.1e}); "
+            + _fallback_note(solution, index)
+        )
+    return _as_fit(
+        model, theta, index, modeled, dropped,
+        lam=lam, neg_loglik=solution.nll, grad_norm=grad_sup, iterations=iterations,
     )
 
 
@@ -839,19 +693,22 @@ def fit_coded(
     Rows are first merged into (rusher, blocker, double_team, outcome)
     cells, so the solver sees one design row per distinct cell.  Players
     whose rows all have zero weight are left out of the index, so they
-    get no effect (rather than the prior mean) in the result.
+    get no effect (rather than the prior mean) in the result.  Classes
+    without a row of positive weight are dropped from the softmax with a
+    warning, and an unpenalized fit whose linear predictors run off warns
+    of possible separation.
     """
-    return _fit_cells(table, weights, model, lam, stacklevel=3, **kwargs)
+    return _fit_cells(table, weights, model, lam, **kwargs)
 
 
 def fit_win_model(table: InteractionTable, lam: float, **kwargs) -> BinaryFit:
     """Binary fit of every row of a table: ``fit_coded`` with unit weights."""
-    return _fit_cells(table, np.ones(len(table)), "win", lam, stacklevel=3, **kwargs)
+    return _fit_cells(table, np.ones(len(table)), "win", lam, **kwargs)
 
 
 def fit_severity_model(table: InteractionTable, lam: float, **kwargs) -> MultinomialFit:
     """Severity fit of every row of a table: ``fit_coded`` with unit weights."""
-    return _fit_cells(table, np.ones(len(table)), "severity", lam, stacklevel=3, **kwargs)
+    return _fit_cells(table, np.ones(len(table)), "severity", lam, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -455,9 +455,11 @@ def _check_unique_keys(table: InteractionTable, lines: np.ndarray, path) -> None
     if repeats.size:
         i = repeats.min()
         j = np.argmax((keys == keys[:, i:i + 1]).all(axis=0))
+        key = (table.games[table.game[i]], table.play_ids[table.play[i]],
+               int(table.event_game_index[i]))
         raise DataError(
             f"{path}:{lines[i]}: duplicate key (game_id, play_id, event_game_index) "
-            f"= {table[i].sort_key()}, first seen on line {lines[j]}"
+            f"= {key}, first seen on line {lines[j]}"
         )
 
 

@@ -4,7 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from trenchrank.design import index_from_ids
 from trenchrank.interactions import Interaction, InteractionTable, OutcomeClass
 
 
@@ -64,6 +66,37 @@ def random_table(
                 )
             )
     return InteractionTable(rows)
+
+
+def table_index(table):
+    """The column index of a fit of every row of ``table``: its sorted
+    rusher ids, then its sorted blocker ids."""
+    return index_from_ids(table.rushers, table.blockers)
+
+
+def design_matrix(table, idx):
+    """Reference design, encoded one interaction at a time: one CSR row per
+    table row over ``idx``'s columns, holding 1 on the intercept (column
+    0), 1 on the double team (column 1) for a double-teamed row, +1 on the
+    rusher's column and -1 on the blocker's.  A player ``idx`` lacks gets
+    no entry."""
+    data, indices, indptr = [], [], [0]
+    for x in table:
+        row = [(0, 1.0)]
+        if x.double_team:
+            row.append((1, 1.0))
+        if x.rusher_id in idx.rusher_cols:
+            row.append((idx.rusher_cols[x.rusher_id], 1.0))
+        if x.blocker_id in idx.blocker_cols:
+            row.append((idx.blocker_cols[x.blocker_id], -1.0))
+        for col, val in row:
+            indices.append(col)
+            data.append(val)
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (np.asarray(data), np.asarray(indices, dtype=np.intp), np.asarray(indptr)),
+        shape=(len(indptr) - 1, idx.n_columns),
+    )
 
 
 def rows_by_game(table):

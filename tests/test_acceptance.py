@@ -38,7 +38,7 @@ from trenchrank.bootstrap import (
     percentile_interval,
     weekly_path_bootstrap,
 )
-from trenchrank.design import build_index, build_matrix, penalty_mask
+from trenchrank.design import penalty_mask
 from trenchrank.evaluate import (
     binary_log_loss,
     multiclass_log_loss,
@@ -48,12 +48,8 @@ from trenchrank.evaluate import (
 )
 from trenchrank.external import enrichment_at_k, model_scores, rank_auc
 from trenchrank.fit import (
-    binary_objective_grad,
-    fit_binary_ridge,
-    fit_multinomial_ridge,
     fit_severity_model,
     fit_win_model,
-    multinomial_objective_grad,
     predict_class_prob_matrix,
     predict_class_probs,
     predict_win_prob,
@@ -68,10 +64,11 @@ from trenchrank.interactions import (
 from trenchrank.report import summary_to_json_dict
 from trenchrank.synth import SynthConfig, synth_generate
 
-from conftest import make_row, random_table
+from conftest import design_matrix, make_row, random_table, table_index
 from test_fit import (
     _theta_from_binary,
     _theta_from_multinomial,
+    cell_objective,
     dense_binary_grad,
     dense_binary_obj,
     dense_multinomial_grad,
@@ -140,14 +137,13 @@ def test_criterion_03_solver_oracles():
                 n_blockers=int(rng.integers(2, 6)),
                 n_games=2,
             )
-            idx = build_index(t)
-            X = build_matrix(t, idx)
-            Xd = X.toarray()
+            idx = table_index(t)
+            Xd = design_matrix(t, idx).toarray()
             pen = penalty_mask(idx)
             y = np.array([float(r.win_target) for r in t])
             lam = float(rng.uniform(0.05, 0.5))
 
-            fit = fit_binary_ridge(X, y, lam, idx)
+            fit = fit_win_model(t, lam)
             _, f_oracle = slow_descent(
                 lambda v: dense_binary_obj(v, Xd, y, lam, pen),
                 lambda v: dense_binary_grad(v, Xd, y, lam, pen),
@@ -156,23 +152,28 @@ def test_criterion_03_solver_oracles():
             f_fit = dense_binary_obj(_theta_from_binary(fit, idx), Xd, y, lam, pen)
             assert f_fit == pytest.approx(f_oracle, rel=1e-6, abs=1e-9)
 
+            # the analytic gradients of the objectives the table fits minimize
+            win_grad, win_idx, _ = cell_objective(t, "win")
+            sev_grad, sev_idx, n_sev = cell_objective(t, "severity")
+            assert win_idx == sev_idx == idx
             theta = rng.normal(scale=0.4, size=idx.n_columns)
-            _, g = binary_objective_grad(theta, X, y, lam, pen)
+            _, g = win_grad(theta, lam, pen)
             h = 1e-6
             for j in range(idx.n_columns):
                 e = np.zeros_like(theta)
                 e[j] = h
-                fp, _ = binary_objective_grad(theta + e, X, y, lam, pen)
-                fm, _ = binary_objective_grad(theta - e, X, y, lam, pen)
+                fp, _ = win_grad(theta + e, lam, pen)
+                fm, _ = win_grad(theta - e, lam, pen)
                 assert g[j] == pytest.approx((fp - fm) / (2 * h), rel=1e-6, abs=1e-6)
 
             classes = [r.severity for r in t]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                mfit = fit_multinomial_ridge(X, classes, lam, idx)
+                mfit = fit_severity_model(t, lam)
             order = {c: i for i, c in enumerate((OutcomeClass.LOSS,) + mfit.classes)}
             cls = np.array([order[c] for c in classes])
             km = len(mfit.classes)
+            assert n_sev == km + 1
             _, f_oracle_m = slow_descent(
                 lambda v: dense_multinomial_obj(v.reshape(km, -1).T, Xd, cls, lam, pen),
                 lambda v: dense_multinomial_grad(
@@ -185,12 +186,12 @@ def test_criterion_03_solver_oracles():
             assert f_fit_m == pytest.approx(f_oracle_m, rel=1e-6, abs=1e-9)
 
             theta_flat = rng.normal(scale=0.3, size=idx.n_columns * km)
-            _, gm = multinomial_objective_grad(theta_flat, X, cls, km + 1, lam, pen)
+            _, gm = sev_grad(theta_flat, lam, pen)
             for j in range(theta_flat.size):
                 e = np.zeros_like(theta_flat)
                 e[j] = h
-                fp, _ = multinomial_objective_grad(theta_flat + e, X, cls, km + 1, lam, pen)
-                fm, _ = multinomial_objective_grad(theta_flat - e, X, cls, km + 1, lam, pen)
+                fp, _ = sev_grad(theta_flat + e, lam, pen)
+                fm, _ = sev_grad(theta_flat - e, lam, pen)
                 assert gm[j] == pytest.approx((fp - fm) / (2 * h), rel=1e-6, abs=1e-6)
 
             # a two-class severity problem is the win problem in disguise

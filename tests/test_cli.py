@@ -211,7 +211,7 @@ class TestSensitivity:
             raise AssertionError("ran before the grid was checked")
 
         monkeypatch.setattr(cli.evaluate, "cv_select_lambda", forbidden)
-        monkeypatch.setattr(fit_module, "_fit_ridge", forbidden)
+        monkeypatch.setattr(fit_module, "_fit_cells", forbidden)
         code = run(["sensitivity", "--interactions", str(synth_csv[0]),
                     "--out-dir", str(tmp_path)] + flags)
         assert code == 1
@@ -575,15 +575,15 @@ class TestPipeline:
             return real(table, target, *args, **kwargs)
 
         fits = []
-        real_fit = fit_module._fit_ridge
+        real_fit = fit_module._fit_cells
 
         def fit_spy(*args, **kwargs):
-            fits.append(args[4])
+            fits.append(args[2])
             return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(cli, "cv_select_lambda", spy)
         monkeypatch.setattr(cli.evaluate, "cv_select_lambda", spy)
-        monkeypatch.setattr(fit_module, "_fit_ridge", fit_spy)
+        monkeypatch.setattr(fit_module, "_fit_cells", fit_spy)
         grid = {"grid_min": 0.1, "grid_max": 10, "grid_size": 3, "folds": 3}
         cfg = self.config(
             tmp_path, stages="validate,sensitivity", interactions=str(synth_csv[0]),

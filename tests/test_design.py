@@ -1,66 +1,33 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from trenchrank.design import (
-    DOUBLE_TEAM_COL,
-    INTERCEPT_COL,
-    PlayerIndex,
-    aggregate_cells,
-    build_index,
-    build_matrix,
-    codes_from_csr,
-    penalty_mask,
-)
+from trenchrank import fit as fit_module
+from trenchrank.design import INTERCEPT_COL, aggregate_cells, index_from_ids, penalty_mask
 from trenchrank.errors import DataError
-from trenchrank.interactions import Interaction, InteractionTable
+from trenchrank.fit import (
+    BinaryFit,
+    fit_from_json_dict,
+    fit_severity_model,
+    fit_to_json_dict,
+    fit_win_model,
+    predict_win_probs,
+)
+from trenchrank.interactions import InteractionTable
 
-from conftest import make_row, random_table
-
-# ---------------------------------------------------------------------------
-# Reference row encoder: one interaction at a time, as (column, value)
-# pairs.  build_matrix is checked against it.
-
-#: One encoded row: (column ordinal, value) pairs for the nonzero entries.
-SparseRow = list[tuple[int, float]]
-
-
-def encode_row(x: Interaction, idx: PlayerIndex) -> SparseRow:
-    """Encode one interaction; players absent from the index get no column."""
-    row: SparseRow = [(INTERCEPT_COL, 1.0)]
-    if x.double_team:
-        row.append((DOUBLE_TEAM_COL, 1.0))
-    rc = idx.rusher_cols.get(x.rusher_id)
-    if rc is not None:
-        row.append((rc, 1.0))
-    bc = idx.blocker_cols.get(x.blocker_id)
-    if bc is not None:
-        row.append((bc, -1.0))
-    return row
+from conftest import design_matrix, make_row, random_table, table_index
 
 
-def rows_to_csr(rows, n_columns: int) -> sp.csr_matrix:
-    """Assemble encoded rows into a CSR matrix."""
-    data: list[float] = []
-    indices: list[int] = []
-    indptr: list[int] = [0]
-    for row in rows:
-        for col, val in row:
-            indices.append(col)
-            data.append(val)
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.asarray(data), np.asarray(indices), np.asarray(indptr)),
-        shape=(len(indptr) - 1, n_columns),
-    )
-
-
-def linear_predictor(theta, row: SparseRow) -> float:
-    """Dot product of a parameter vector with one encoded row."""
-    return sum(theta[col] * val for col, val in row)
+def cells_index(table):
+    """The index a fit of every row of ``table`` builds from its cells."""
+    return fit_module._cells(table, np.ones(len(table)), "win")[3]
 
 
 class TestBuildIndex:
+    """The player index a table fit builds over its cells."""
+
     def test_columns_follow_sorted_ids(self):
         t = InteractionTable(
             [
@@ -68,101 +35,131 @@ class TestBuildIndex:
                 make_row(rusher="R1", blocker="B3", idx=1),
             ]
         )
-        idx = build_index(t)
+        idx = cells_index(t)
         assert idx.rusher_cols == {"R1": 2, "R2": 3}
         assert idx.blocker_cols == {"B1": 4, "B3": 5}
         assert idx.n_columns == 6
+        assert idx == table_index(t)
 
     def test_same_player_set_gives_same_index(self, rng):
         t = random_table(rng)
         reversed_t = InteractionTable(tuple(reversed(t.rows)))
-        assert build_index(t) == build_index(reversed_t)
+        assert cells_index(t) == cells_index(reversed_t)
 
     def test_empty_table_rejected(self):
         with pytest.raises(DataError):
-            build_index(InteractionTable([]))
+            fit_win_model(InteractionTable([]), 0.1)
 
     def test_json_round_trip(self, rng):
-        idx = build_index(random_table(rng))
-        assert PlayerIndex.from_json(idx.to_json()) == idx
+        # a fit's JSON keeps the index it was fit on and each column's parameters
+        t = random_table(rng)
+        idx = cells_index(t)
+        for fit in (fit_win_model(t, 0.3), fit_severity_model(t, 0.3)):
+            back = fit_from_json_dict(json.loads(json.dumps(fit_to_json_dict(fit))))
+            rushers, blockers = back.rusher_effects, back.blocker_effects
+            if not isinstance(back, BinaryFit):
+                rushers, blockers = rushers[back.classes[0]], blockers[back.classes[0]]
+            assert index_from_ids(sorted(rushers), sorted(blockers)) == idx
+            assert np.array_equal(
+                fit_module._theta_on_index(back, idx), fit_module._theta_on_index(fit, idx)
+            )
 
 
 class TestEncodeRow:
+    """The reference design of ``conftest.design_matrix``."""
+
     def test_single_team_row(self):
         t = InteractionTable([make_row()])
-        idx = build_index(t)
-        row = encode_row(t[0], idx)
-        assert row == [(INTERCEPT_COL, 1.0), (2, 1.0), (3, -1.0)]
+        row = design_matrix(t, table_index(t)).toarray()[0]
+        assert row.tolist() == [1.0, 0.0, 1.0, -1.0]
 
     def test_double_team_adds_indicator(self):
         t = InteractionTable([make_row(double=True)])
-        row = encode_row(t[0], build_index(t))
-        assert (DOUBLE_TEAM_COL, 1.0) in row
+        row = design_matrix(t, table_index(t)).toarray()[0]
+        assert row.tolist() == [1.0, 1.0, 1.0, -1.0]
 
     def test_unseen_players_contribute_no_columns(self):
-        idx = build_index(InteractionTable([make_row()]))
-        row = encode_row(make_row(rusher="RX", blocker="BX"), idx)
-        assert row == [(INTERCEPT_COL, 1.0)]
+        idx = table_index(InteractionTable([make_row()]))
+        X = design_matrix(InteractionTable([make_row(rusher="RX", blocker="BX")]), idx)
+        assert X.toarray()[0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_linear_predictor_matches_dense_dot(self, rng):
+        # the reference design and the vectorized predictor encode rows alike
         t = random_table(rng)
-        idx = build_index(t)
-        theta = rng.normal(size=idx.n_columns)
-        X = build_matrix(t, idx)
-        dense = X @ theta
-        for i, x in enumerate(t):
-            assert linear_predictor(theta, encode_row(x, idx)) == pytest.approx(dense[i])
+        idx = table_index(t)
+        fit = fit_win_model(t, 0.3)
+        theta = np.zeros(idx.n_columns)
+        theta[:2] = fit.alpha, fit.delta
+        for cols, effects in ((idx.rusher_cols, fit.rusher_effects),
+                              (idx.blocker_cols, fit.blocker_effects)):
+            for pid, col in cols.items():
+                theta[col] = effects[pid]
+        eta = design_matrix(t, idx) @ theta
+        np.testing.assert_allclose(1.0 / (1.0 + np.exp(-eta)), predict_win_probs(fit, t),
+                                   rtol=1e-13, atol=0)
+
+
+def solver_rows(design):
+    """The cell design as the solver reads it: column j holds the linear
+    predictors (``fit._linear_predictors``) of the j-th unit parameter."""
+    return np.stack(
+        [fit_module._linear_predictors(e[None, :], design)[0] for e in np.eye(design.n_columns)],
+        axis=1,
+    )
 
 
 class TestBuildMatrix:
+    """The cell design a table fit builds (``fit._cells``)."""
+
     def test_shape_and_pattern(self, rng):
         t = random_table(rng)
-        idx = build_index(t)
-        X = build_matrix(t, idx)
-        assert X.shape == (len(t), idx.n_columns)
-        dense = X.toarray()
-        assert np.all(dense[:, INTERCEPT_COL] == 1.0)
-        for i, x in enumerate(t):
-            assert dense[i, DOUBLE_TEAM_COL] == float(x.double_team)
-            assert dense[i, idx.rusher_cols[x.rusher_id]] == 1.0
-            assert dense[i, idx.blocker_cols[x.blocker_id]] == -1.0
-            # exactly the expected nonzeros
-            assert np.count_nonzero(dense[i]) == 3 + int(x.double_team)
+        design, outcome, cell_w, idx = fit_module._cells(t, np.ones(len(t)), "win")
+        X = solver_rows(design)
+        assert X.shape == (outcome.size, idx.n_columns) == (cell_w.size, design.n_columns)
+        assert np.all(X[:, INTERCEPT_COL] == 1.0)
+        assert set(X[:, 1].tolist()) <= {0.0, 1.0}
+        # exactly one rusher entry of +1 and one blocker entry of -1 per cell
+        for block, sign in ((X[:, design.rusher_columns], 1.0),
+                            (X[:, 2 + design.n_rushers :], -1.0)):
+            assert np.all(np.count_nonzero(block, axis=1) == 1)
+            assert np.all(block.sum(axis=1) == sign)
+        assert cell_w.sum() == len(t)
 
     def test_equals_row_encoder(self, rng):
+        # each cell is a distinct reference row and outcome, weighted by its rows
         t = random_table(rng, n_rows=80, n_rushers=6, n_blockers=5)
-        own = build_index(t)
-        # an index from part of the table leaves some players unseen
-        partial = build_index(InteractionTable(t.rows[:10]))
-        for idx in (own, partial):
-            got = build_matrix(t, idx)
-            want = rows_to_csr([encode_row(x, idx) for x in t], idx.n_columns)
-            assert got.shape == want.shape
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.array_equal(got.data, want.data)
+        w = rng.integers(0, 3, len(t)).astype(float)
+        for model, target in (("win", t.win), ("severity", t.severity)):
+            design, outcome, cell_w, idx = fit_module._cells(t, w, model)
+            want = Counter()
+            for row, y, k in zip(design_matrix(t, idx).toarray(), target, w):
+                if k:
+                    want[(*row.tolist(), int(y))] += k
+            got = [(*row.tolist(), int(y)) for row, y in zip(solver_rows(design), outcome)]
+            assert len(set(got)) == len(got)
+            assert dict(zip(got, cell_w.tolist())) == dict(want)
 
     def test_codes_round_trip(self, rng):
+        # the cells' codes decode, through the index, to the ids of their rows
         t = random_table(rng, n_rows=80, n_rushers=6, n_blockers=5)
-        partial = build_index(InteractionTable(t.rows[:10]))
-        for idx in (build_index(t), partial):
-            X = build_matrix(t, idx)
-            for n_rushers in (idx.n_rushers, None):
-                rusher, blocker, double_team = codes_from_csr(X, n_rushers)
-                want = [
-                    (idx.rusher_cols.get(x.rusher_id, -1), idx.blocker_cols.get(x.blocker_id, -1),
-                     x.double_team)
-                    for x in t
-                ]
-                assert list(zip(rusher.tolist(), blocker.tolist(), double_team.tolist())) == want
+        w = rng.integers(0, 3, len(t)).astype(float)
+        design, outcome, _, idx = fit_module._cells(t, w, "severity")
+        assert design.n_rushers == len(idx.rusher_cols)
+        assert design.n_blockers == len(idx.blocker_cols)
+        rushers = sorted(idx.rusher_cols, key=idx.rusher_cols.get)
+        blockers = sorted(idx.blocker_cols, key=idx.blocker_cols.get)
+        got = set(zip((rushers[r] for r in design.rusher), (blockers[b] for b in design.blocker),
+                      design.double_team.astype(bool).tolist(), outcome.tolist()))
+        want = {(x.rusher_id, x.blocker_id, x.double_team, int(x.severity))
+                for x, k in zip(t, w) if k}
+        assert got == want
 
     def test_rusher_blocker_blocks_are_disjoint(self, rng):
-        t = random_table(rng)
-        idx = build_index(t)
+        idx = cells_index(random_table(rng))
         rcols = set(idx.rusher_cols.values())
         bcols = set(idx.blocker_cols.values())
         assert not rcols & bcols
-        assert {INTERCEPT_COL, DOUBLE_TEAM_COL} | rcols | bcols == set(range(idx.n_columns))
+        assert {INTERCEPT_COL, 1} | rcols | bcols == set(range(idx.n_columns))
 
 
 class TestAggregateCells:
@@ -177,8 +174,8 @@ class TestAggregateCells:
 
 class TestPenaltyMask:
     def test_only_intercept_unpenalized(self, rng):
-        idx = build_index(random_table(rng))
+        idx = table_index(random_table(rng))
         mask = penalty_mask(idx)
         assert mask[INTERCEPT_COL] == 0.0
-        assert mask[DOUBLE_TEAM_COL] == 1.0
+        assert mask[1] == 1.0
         assert mask.sum() == idx.n_columns - 1

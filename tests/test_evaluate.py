@@ -354,7 +354,7 @@ class TestPriorStrengthChecks:
             raise AssertionError("ran before the grid was checked")
 
         monkeypatch.setattr(ev, "cv_select_lambda", forbidden)
-        monkeypatch.setattr(fit_module, "_fit_ridge", forbidden)
+        monkeypatch.setattr(fit_module, "_fit_cells", forbidden)
         t = random_table(rng, n_rows=120, n_games=6)
         with pytest.raises(ValueError, match="prior-strength grid|prior strength"):
             prior_sensitivity(t, m_grid)
@@ -366,7 +366,7 @@ class TestPriorStrengthChecks:
             raise AssertionError("ran before the prior strength was checked")
 
         monkeypatch.setattr(ev, "cv_select_lambda", forbidden)
-        monkeypatch.setattr(fit_module, "_fit_ridge", forbidden)
+        monkeypatch.setattr(fit_module, "_fit_cells", forbidden)
         t = random_table(rng, n_rows=120, n_games=6)
         with pytest.raises(ValueError, match="prior strength must be finite and >= 0"):
             run_validation(t, **{key: m})

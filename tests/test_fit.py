@@ -5,25 +5,20 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 from trenchrank import fit as fit_module
-from trenchrank.design import build_index, build_matrix, penalty_mask
+from trenchrank.design import penalty_mask
 from trenchrank.errors import DataError, FitError
 from trenchrank.evaluate import binary_log_loss, multiclass_log_loss
 from trenchrank.fit import (
     BinaryFit,
     DEFAULT_LAMBDA_GRID,
     MultinomialFit,
-    binary_objective_grad,
     cv_fold_labels,
     fit_coded,
-    multinomial_objective_grad,
     cv_select_lambda,
     expected_severity,
-    fit_binary_ridge,
     fit_from_json_dict,
-    fit_multinomial_ridge,
     fit_severity_model,
     fit_to_json_dict,
     fit_win_model,
@@ -41,7 +36,7 @@ from trenchrank.interactions import (
 )
 from trenchrank.synth import SynthConfig, synth_generate
 
-from conftest import make_row, random_table
+from conftest import design_matrix, make_row, random_table, table_index
 
 # ---------------------------------------------------------------------------
 # Independent oracles: dense objective formulas recoded from the math and a
@@ -110,35 +105,98 @@ def binary_problem(rng, n_rows=None):
         n_blockers=int(rng.integers(2, 6)),
         n_games=2,
     )
-    idx = build_index(t)
-    X = build_matrix(t, idx)
+    idx = table_index(t)
+    X = design_matrix(t, idx)
     y = np.array([float(r.win_target) for r in t])
     return t, idx, X, y
+
+
+def cell_objective(table, model, weights=None):
+    """The objective a table fit minimizes, over its cells (``fit._cells``):
+    a function of the flat parameters, lam and the penalty mask that
+    returns the objective and its gradient; with the cells' index and the
+    number of classes, the reference class included."""
+    w = np.ones(len(table)) if weights is None else weights
+    design, outcome, cell_w, idx = fit_module._cells(table, w, model)
+    modeled, _, class_idx = fit_module._class_coding(model, outcome, cell_w)
+    n_classes = len(modeled) + 1
+
+    def value_grad(theta, lam, pen):
+        obj, grad, _ = fit_module._objective(theta, design, class_idx, n_classes, lam, pen, cell_w)
+        return obj, grad
+
+    return value_grad, idx, n_classes
+
+
+def row_design(table):
+    """Solver codes with one design row per table row (no cells), over
+    ``table_index(table)``; rows line up with ``design_matrix``'s."""
+    return fit_module._Design(
+        rusher=table.rusher,
+        blocker=table.blocker,
+        double_team=table.double_team.astype(float),
+        n_rushers=len(table.rushers),
+        n_blockers=len(table.blockers),
+    )
+
+
+def separated_table(model):
+    """A table whose unpenalized ``model`` fit has no finite optimum."""
+    if model == "win":
+        # R1 beats B1 in every row: the MLE pushes effects to infinity
+        rows = [
+            make_row(idx=i, rusher="R1", blocker="B1", win=True) for i in range(10)
+        ] + [make_row(idx=10 + i, rusher="R2", blocker="B1", win=False) for i in range(10)]
+        return InteractionTable(rows)
+    # every row of R1 is a sack: the MLE pushes its sack effect to infinity
+    rows = [
+        make_row(idx=i, rusher="R1", blocker="B1", win=True, severity=OutcomeClass.SACK)
+        for i in range(10)
+    ] + [
+        make_row(idx=10 + i, rusher="R2", blocker="B1", win=i % 4 > 0,
+                 severity=OutcomeClass(i % 4))
+        for i in range(12)
+    ]
+    return InteractionTable(rows)
+
+
+class TestSeparationWarning:
+    @pytest.mark.parametrize("model", ["win", "severity"])
+    def test_penalized_fit_does_not_warn(self, model):
+        # the ridge gives a separated table a finite optimum, so only lam = 0 warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            t = separated_table(model)
+            fit = fit_coded(t, np.ones(len(t)), model, 0.1)
+        assert fit.grad_norm <= fit_module.DEFAULT_TOL
 
 
 class TestBinaryGradient:
     def test_matches_central_differences(self, rng):
         for _ in range(5):
-            t, idx, X, y = binary_problem(rng)
-            pen = penalty_mask(idx)
-            theta = rng.normal(scale=0.4, size=idx.n_columns)
+            t = binary_problem(rng)[0]
             lam = float(rng.uniform(0.01, 1.0))
-            for w in (None, rng.uniform(0.0, 3.0, size=len(y))):
-                _, g = binary_objective_grad(theta, X, y, lam, pen, w)
+            for w in (None, rng.uniform(0.0, 3.0, size=len(t))):
+                value_grad, idx, _ = cell_objective(t, "win", w)
+                pen = penalty_mask(idx)
+                theta = rng.normal(scale=0.4, size=idx.n_columns)
+                _, g = value_grad(theta, lam, pen)
                 h = 1e-6
                 for j in range(idx.n_columns):
                     e = np.zeros_like(theta)
                     e[j] = h
-                    fp, _ = binary_objective_grad(theta + e, X, y, lam, pen, w)
-                    fm, _ = binary_objective_grad(theta - e, X, y, lam, pen, w)
+                    fp, _ = value_grad(theta + e, lam, pen)
+                    fm, _ = value_grad(theta - e, lam, pen)
                     fd = (fp - fm) / (2 * h)
                     assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     def test_objective_equals_dense_formula(self, rng):
         t, idx, X, y = binary_problem(rng)
+        value_grad, cell_idx, _ = cell_objective(t, "win")
+        assert cell_idx == idx
         pen = penalty_mask(idx)
         theta = rng.normal(scale=0.5, size=idx.n_columns)
-        f, _ = binary_objective_grad(theta, X, y, 0.3, pen)
+        f, _ = value_grad(theta, 0.3, pen)
         assert f == pytest.approx(dense_binary_obj(theta, X.toarray(), y, 0.3, pen), rel=1e-12)
 
 
@@ -146,20 +204,18 @@ class TestMultinomialGradient:
     def test_matches_central_differences(self, rng):
         for _ in range(3):
             t = random_table(rng, n_rows=int(rng.integers(20, 41)))
-            idx = build_index(t)
-            X = build_matrix(t, idx)
-            pen = penalty_mask(idx)
-            cls = np.array([int(r.severity) for r in t])
-            theta = rng.normal(scale=0.4, size=3 * idx.n_columns)
             lam = float(rng.uniform(0.01, 1.0))
             for w in (None, rng.uniform(0.0, 3.0, size=len(t))):
-                _, g = multinomial_objective_grad(theta, X, cls, 4, lam, pen, w)
+                value_grad, idx, n_classes = cell_objective(t, "severity", w)
+                pen = penalty_mask(idx)
+                theta = rng.normal(scale=0.4, size=(n_classes - 1) * idx.n_columns)
+                _, g = value_grad(theta, lam, pen)
                 h = 1e-6
                 for j in range(theta.size):
                     e = np.zeros_like(theta)
                     e[j] = h
-                    fp, _ = multinomial_objective_grad(theta + e, X, cls, 4, lam, pen, w)
-                    fm, _ = multinomial_objective_grad(theta - e, X, cls, 4, lam, pen, w)
+                    fp, _ = value_grad(theta + e, lam, pen)
+                    fm, _ = value_grad(theta - e, lam, pen)
                     fd = (fp - fm) / (2 * h)
                     assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
@@ -170,7 +226,7 @@ class TestBinarySolver:
             t, idx, X, y = binary_problem(rng)
             pen = penalty_mask(idx)
             lam = float(rng.uniform(0.05, 0.5))
-            fit = fit_binary_ridge(X, y, lam, idx)
+            fit = fit_win_model(t, lam)
             Xd = X.toarray()
             _, f_oracle = slow_descent(
                 lambda v: dense_binary_obj(v, Xd, y, lam, pen),
@@ -185,13 +241,13 @@ class TestBinarySolver:
 
     def test_gradient_norm_meets_tolerance(self, rng):
         t, idx, X, y = binary_problem(rng)
-        fit = fit_binary_ridge(X, y, 0.2, idx, tol=1e-10)
+        fit = fit_win_model(t, 0.2, tol=1e-10)
         assert fit.grad_norm <= 1e-10
         assert fit.iterations >= 1
 
     def test_reported_nll_is_unpenalized(self, rng):
         t, idx, X, y = binary_problem(rng)
-        fit = fit_binary_ridge(X, y, 0.7, idx)
+        fit = fit_win_model(t, 0.7)
         theta = _theta_from_binary(fit, idx)
         assert fit.neg_loglik == pytest.approx(
             dense_binary_obj(theta, X.toarray(), y, 0.0, penalty_mask(idx)), rel=1e-10
@@ -199,15 +255,15 @@ class TestBinarySolver:
 
     def test_deterministic(self, rng):
         t, idx, X, y = binary_problem(rng)
-        a = fit_binary_ridge(X, y, 0.1, idx)
-        b = fit_binary_ridge(X, y, 0.1, idx)
+        a = fit_win_model(t, 0.1)
+        b = fit_win_model(t, 0.1)
         assert a == b
 
     def test_warm_start_reaches_same_optimum(self, rng):
         t, idx, X, y = binary_problem(rng)
-        cold = fit_binary_ridge(X, y, 0.2, idx)
+        cold = fit_win_model(t, 0.2)
         theta0 = rng.normal(scale=0.3, size=idx.n_columns)
-        warm = fit_binary_ridge(X, y, 0.2, idx, theta0=theta0)
+        warm = fit_win_model(t, 0.2, theta0=theta0)
         assert warm.alpha == pytest.approx(cold.alpha, abs=1e-6)
         for pid, v in cold.rusher_effects.items():
             assert warm.rusher_effects[pid] == pytest.approx(v, abs=1e-6)
@@ -215,31 +271,23 @@ class TestBinarySolver:
     def test_negative_lambda_rejected(self, rng):
         t, idx, X, y = binary_problem(rng)
         with pytest.raises(ValueError):
-            fit_binary_ridge(X, y, -1.0, idx)
+            fit_win_model(t, -1.0)
 
     def test_length_mismatch_rejected(self, rng):
         t, idx, X, y = binary_problem(rng)
-        with pytest.raises(DataError):
-            fit_binary_ridge(X, y[:-1], 0.1, idx)
+        with pytest.raises(DataError, match="length mismatch"):
+            fit_coded(t, np.ones(len(t) - 1), "win", 0.1)
 
     def test_separation_warns_when_unpenalized(self):
-        # R1 beats B1 in every row: the MLE pushes effects to infinity
-        rows = [
-            make_row(idx=i, rusher="R1", blocker="B1", win=True) for i in range(10)
-        ] + [make_row(idx=10 + i, rusher="R2", blocker="B1", win=False) for i in range(10)]
-        t = InteractionTable(rows)
-        idx = build_index(t)
-        X = build_matrix(t, idx)
-        y = np.array([float(r.win_target) for r in t])
         with pytest.warns(RuntimeWarning, match="separation"):
             try:
-                fit_binary_ridge(X, y, 0.0, idx)
+                fit_win_model(separated_table("win"), 0.0)
             except FitError:
                 pass  # a diverging unpenalized fit may also fail to converge
 
     def test_shrinkage_limit_recovers_base_rate(self, rng):
         t, idx, X, y = binary_problem(rng, n_rows=50)
-        fit = fit_binary_ridge(X, y, 1e6, idx)
+        fit = fit_win_model(t, 1e6)
         probs = predict_win_probs(fit, t)
         assert np.allclose(probs, y.mean(), atol=1e-3)
 
@@ -273,15 +321,14 @@ class TestMultinomialSolver:
     def test_matches_slow_descent_oracle(self, rng):
         for _ in range(4):
             t = random_table(rng, n_rows=int(rng.integers(30, 51)))
-            idx = build_index(t)
-            X = build_matrix(t, idx)
+            idx = table_index(t)
             classes = [r.severity for r in t]
             lam = float(rng.uniform(0.05, 0.5))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                fit = fit_multinomial_ridge(X, classes, lam, idx)
+                fit = fit_severity_model(t, lam)
             pen = penalty_mask(idx)
-            Xd = X.toarray()
+            Xd = design_matrix(t, idx).toarray()
             model_classes = (OutcomeClass.LOSS,) + fit.classes
             order = {c: k for k, c in enumerate(model_classes)}
             cls = np.array([order[c] for c in classes])
@@ -347,24 +394,27 @@ class TestMultinomialSolver:
         assert probs[OutcomeClass.HIT] == 0.0
         assert probs[OutcomeClass.SACK] == 0.0
 
-    @pytest.mark.parametrize("entry", ["fit_severity_model", "fit_multinomial_ridge", "fit_coded"])
+    @pytest.mark.parametrize("entry", ["fit_severity_model", "fit_coded"])
     def test_dropped_class_warning_points_at_caller(self, entry):
         rows = [
             make_row(idx=i, rusher=f"R{i % 3}", severity=OutcomeClass(i % 2)) for i in range(20)
         ]
         t = InteractionTable(rows)
-        idx = build_index(t)
         fits = {
             "fit_severity_model": lambda: fit_severity_model(t, 0.1),
-            "fit_multinomial_ridge": lambda: fit_multinomial_ridge(
-                build_matrix(t, idx), [r.severity for r in t], 0.1, idx
-            ),
             "fit_coded": lambda: fit_coded(t, np.ones(len(t)), "severity", 0.1),
         }
         with pytest.warns(RuntimeWarning, match="dropped") as record:
             fits[entry]()
         assert len(record) == 1
         assert record[0].filename == __file__
+
+    def test_separation_warns_when_unpenalized(self):
+        with pytest.warns(RuntimeWarning, match="separation"):
+            try:
+                fit_severity_model(separated_table("severity"), 0.0)
+            except FitError:
+                pass  # a diverging unpenalized fit may also fail to converge
 
     def test_all_loss_table_rejected(self):
         rows = [make_row(idx=i, severity=OutcomeClass.LOSS) for i in range(8)]
@@ -422,10 +472,22 @@ def _assert_fits_close(a, b, tol):
             assert x[pid] == pytest.approx(y[pid], abs=tol)
 
 
-def _fit_rows(model, X, rows, lam, idx, weights=None):
-    if model == "win":
-        return fit_binary_ridge(X, [r.win_target for r in rows], lam, idx, weights=weights)
-    return fit_multinomial_ridge(X, [r.severity for r in rows], lam, idx, weights=weights)
+def fit_rows(model, table, lam):
+    """Reference fit of every row of a table with one solver design row per
+    table row (``row_design``), where a table fit merges rows into cells."""
+    outcome = table.win.astype(np.intp) if model == "win" else table.severity
+    w = np.ones(len(table))
+    idx = table_index(table)
+    modeled, dropped, class_idx = fit_module._class_coding(model, outcome, w)
+    solution = fit_module._solve(
+        row_design(table), class_idx, len(modeled) + 1, lam, penalty_mask(idx), None,
+        fit_module.DEFAULT_TOL, fit_module.DEFAULT_MAX_ITER, w,
+    )
+    assert solution.grad_sup <= fit_module.DEFAULT_TOL
+    return fit_module._as_fit(
+        model, solution.theta, idx, modeled, dropped, lam=lam, neg_loglik=solution.nll,
+        grad_norm=solution.grad_sup, iterations=solution.iterations,
+    )
 
 
 class TestWeightedFits:
@@ -433,34 +495,32 @@ class TestWeightedFits:
     def test_integer_weights_equal_repeated_rows(self, rng, model):
         for _ in range(3):
             t = random_table(rng, n_rows=40)
-            idx = build_index(t)
             w = rng.integers(1, 4, size=len(t))
             repeated = InteractionTable([r for r, k in zip(t, w) for _ in range(k)])
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                weighted = _fit_rows(model, build_matrix(t, idx), t, 0.3, idx, w)
-                copies = _fit_rows(model, build_matrix(repeated, idx), repeated, 0.3, idx)
+                weighted = fit_coded(t, w, model, 0.3)
+                copies = fit_rows(model, repeated, 0.3)
             _assert_fits_close(weighted, copies, 1e-10)
             assert weighted.neg_loglik == pytest.approx(copies.neg_loglik, rel=1e-10)
 
     @pytest.mark.parametrize("model", ["win", "severity"])
     def test_zero_weight_equals_removed_row(self, rng, model):
         t = random_table(rng, n_rows=40)
-        idx = build_index(t)
         w = np.ones(len(t))
         w[[3, 17]] = 0.0
         kept = InteractionTable([r for r, k in zip(t, w) if k])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            weighted = _fit_rows(model, build_matrix(t, idx), t, 0.3, idx, w)
-            removed = _fit_rows(model, build_matrix(kept, idx), kept, 0.3, idx)
+            weighted = fit_coded(t, w, model, 0.3)
+            removed = fit_rows(model, kept, 0.3)
         _assert_fits_close(weighted, removed, 1e-10)
 
     def test_bad_weights_rejected(self, rng):
         t, idx, X, y = binary_problem(rng)
         for bad in (np.ones(len(y) - 1), -np.ones(len(y)), np.zeros(len(y))):
             with pytest.raises(DataError):
-                fit_binary_ridge(X, y, 0.1, idx, weights=bad)
+                fit_coded(t, bad, "win", 0.1)
 
     def test_zero_weight_class_is_dropped(self):
         rows = [
@@ -469,10 +529,7 @@ class TestWeightedFits:
         t = InteractionTable(rows)
         w = np.array([0.0 if r.severity is OutcomeClass.HIT else 1.0 for r in t])
         with pytest.warns(RuntimeWarning, match="dropped"):
-            fit = fit_multinomial_ridge(
-                build_matrix(t, build_index(t)), [r.severity for r in t], 0.1,
-                build_index(t), weights=w,
-            )
+            fit = fit_coded(t, w, "severity", 0.1)
         assert fit.dropped == (OutcomeClass.HIT, OutcomeClass.SACK)
 
     @pytest.mark.parametrize("model", ["win", "severity"])
@@ -490,12 +547,11 @@ class TestWeightedFits:
         # design row per table row
         for _ in range(3):
             t = random_table(rng, n_rows=120, n_rushers=6, n_blockers=5)
-            idx = build_index(t)
             lam = float(rng.uniform(0.05, 0.5))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 cells = (fit_win_model if model == "win" else fit_severity_model)(t, lam)
-                rows = _fit_rows(model, build_matrix(t, idx), t, lam, idx)
+                rows = fit_rows(model, t, lam)
             _assert_fits_close(cells, rows, 1e-10)
             assert cells.neg_loglik == pytest.approx(rows.neg_loglik, rel=1e-10)
 
@@ -532,11 +588,12 @@ def reference_probs(X, theta):
     return p / p.sum(axis=1, keepdims=True)
 
 
-def reference_solve(X, class_idx, n_classes, lam, pen, weights, tol=1e-8, max_iter=500):
-    """Damped Newton on the reference Hessian: dense Cholesky, least squares if it fails."""
+def reference_solve(design, X, class_idx, n_classes, lam, pen, weights, tol=1e-8, max_iter=500):
+    """Damped Newton on the reference Hessian of ``X`` (whose rows are
+    ``design``'s): dense Cholesky, least squares if it fails."""
 
     def value_grad(th):
-        obj, grad = multinomial_objective_grad(th, X, class_idx, n_classes, lam, pen, weights)
+        obj, grad, _ = fit_module._objective(th, design, class_idx, n_classes, lam, pen, weights)
         return obj, grad, reference_probs(X, th)
 
     theta = np.zeros((n_classes - 1) * X.shape[1])
@@ -616,34 +673,27 @@ def reference_newton_direction(parts, grad, design):
 
 
 def hessian_cases(rng):
-    """(name, X, index, class_idx, n_classes, weights) for the structured-Hessian oracles."""
+    """(name, X, design, index, class_idx, n_classes, weights) for the
+    structured-Hessian oracles: ``X`` is a table's reference design and
+    ``design`` its solver codes, one row per table row."""
     t = random_table(rng, n_rows=120, n_rushers=7, n_blockers=5)
-    idx = build_index(t)
-    X = build_matrix(t, idx)
+    idx = table_index(t)
+    X, design = design_matrix(t, idx), row_design(t)
     sev = t.severity
     ones = np.ones(len(t))
     # every hit row has zero weight, so hit is dropped and K = 2
     no_hit = np.where(sev == int(OutcomeClass.HIT), 0.0, rng.uniform(0.5, 2.0, len(t)))
     _, _, dropped_idx = fit_module._class_coding("severity", sev, no_hit)
     zero_cells = np.where(rng.random(len(t)) < 0.3, 0.0, rng.integers(1, 4, len(t)))
-    part = build_index(InteractionTable(t.rows[:25]))
-    # a fifth of the rows lose their blocker entry and another fifth their rusher entry
-    coo = X.tocoo()
-    drop = rng.integers(0, 5, len(t))[coo.row]
-    keep = ~((drop == 0) & (coo.data == -1.0)) & ~((drop == 1) & (coo.data == 1.0) & (coo.col >= 2))
-    no_player = sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=X.shape)
-    yield "K=1", X, idx, t.win.astype(np.intp), 2, ones
-    yield "K=3", X, idx, sev, 4, ones
-    yield "dropped class", X, idx, dropped_idx, 3, no_hit
-    yield "zero-weight cells", X, idx, sev, 4, zero_cells
-    yield "partial index", build_matrix(t, part), part, sev, 4, ones
-    yield "rows without a player", no_player, idx, sev, 4, ones
+    yield "K=1", X, design, idx, t.win.astype(np.intp), 2, ones
+    yield "K=3", X, design, idx, sev, 4, ones
+    yield "dropped class", X, design, idx, dropped_idx, 3, no_hit
+    yield "zero-weight cells", X, design, idx, sev, 4, zero_cells
 
 
 class TestStructuredNewtonStep:
     def test_hessian_equals_sparse_products(self, rng):
-        for name, X, idx, class_idx, n_classes, w in hessian_cases(rng):
-            design = fit_module._design_from_csr(X, idx)
+        for name, X, design, idx, class_idx, n_classes, w in hessian_cases(rng):
             pen = penalty_mask(idx)
             theta = rng.normal(scale=0.5, size=(n_classes - 1) * idx.n_columns)
             probs = reference_probs(X, theta)
@@ -654,11 +704,10 @@ class TestStructuredNewtonStep:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
 
     def test_schur_direction_equals_dense_cholesky(self, rng):
-        for name, X, idx, class_idx, n_classes, w in hessian_cases(rng):
-            design = fit_module._design_from_csr(X, idx)
+        for name, X, design, idx, class_idx, n_classes, w in hessian_cases(rng):
             pen = penalty_mask(idx)
             theta = rng.normal(scale=0.5, size=(n_classes - 1) * idx.n_columns)
-            _, grad = multinomial_objective_grad(theta, X, class_idx, n_classes, 0.3, pen, w)
+            _, grad, _ = fit_module._objective(theta, design, class_idx, n_classes, 0.3, pen, w)
             probs = reference_probs(X, theta)
             H = reference_hessian(X, probs, 0.3, pen, w)
             want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), -grad)
@@ -667,8 +716,7 @@ class TestStructuredNewtonStep:
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
 
     def test_direction_equals_reference_step(self, rng):
-        for name, X, idx, class_idx, n_classes, w in hessian_cases(rng):
-            design = fit_module._design_from_csr(X, idx)
+        for name, X, design, idx, class_idx, n_classes, w in hessian_cases(rng):
             pen = penalty_mask(idx)
             theta = rng.normal(scale=0.5, size=(n_classes - 1) * idx.n_columns)
             _, grad, probs = fit_module._objective(theta, design, class_idx, n_classes, 0.3, pen, w)
@@ -680,8 +728,7 @@ class TestStructuredNewtonStep:
 
     @pytest.mark.parametrize("role, tag", [("rusher", ("rusher", 0)), ("blocker", ("schur", None))])
     def test_failed_factor_equals_reference_step(self, rng, role, tag):
-        t, idx, X, y, w = self._zero_exposure_problem(rng, role)
-        design = fit_module._design_from_csr(X, idx)
+        t, idx, X, design, y, w = self._zero_exposure_problem(rng, role)
         pen = penalty_mask(idx)
         theta = rng.normal(scale=0.5, size=idx.n_columns)
         _, grad, probs = fit_module._objective(theta, design, y, 2, 0.0, pen, w)
@@ -690,8 +737,7 @@ class TestStructuredNewtonStep:
         assert fit_module._newton_direction(design, probs, 0.0, pen, w, grad) == (None, tag)
 
     def test_coupling_product_equals_hessian_rows(self, rng):
-        for name, X, idx, class_idx, n_classes, w in hessian_cases(rng):
-            design = fit_module._design_from_csr(X, idx)
+        for name, X, design, idx, class_idx, n_classes, w in hessian_cases(rng):
             pen = penalty_mask(idx)
             k = n_classes - 1
             probs = reference_probs(X, rng.normal(scale=0.5, size=k * idx.n_columns))
@@ -704,14 +750,13 @@ class TestStructuredNewtonStep:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
     def test_schur_failure_falls_back_on_rebuilt_hessian(self, rng):
-        t, idx, X, y, w = self._zero_exposure_problem(rng, "blocker")
+        t, idx, X, design, y, w = self._zero_exposure_problem(rng, "blocker")
         pen = penalty_mask(idx)
-        design = fit_module._design_from_csr(X, idx)
         solution = fit_module._solve(design, y, 2, 0.0, pen, None, 1e-8, 500, w)
         assert solution.grad_sup <= 1e-8
         assert solution.iterations > 0
         assert solution.fallbacks == [("schur", None)] * solution.iterations
-        want, iterations, fallbacks = reference_solve(X, y, 2, 0.0, pen, w)
+        want, iterations, fallbacks = reference_solve(design, X, y, 2, 0.0, pen, w)
         assert fallbacks == iterations == solution.iterations
         np.testing.assert_allclose(solution.theta.ravel(), want, rtol=0, atol=1e-8)
 
@@ -729,8 +774,7 @@ class TestStructuredNewtonStep:
         assert win.iterations > 0 and len(severity.classes) == 3 and severity.iterations > 0
 
     def test_objective_equals_sparse_design(self, rng):
-        for name, X, idx, class_idx, n_classes, w in hessian_cases(rng):
-            design = fit_module._design_from_csr(X, idx)
+        for name, X, design, idx, class_idx, n_classes, w in hessian_cases(rng):
             pen = penalty_mask(idx)
             theta = rng.normal(scale=0.5, size=(n_classes - 1) * idx.n_columns)
             _, grad, probs = fit_module._objective(
@@ -745,34 +789,35 @@ class TestStructuredNewtonStep:
             )
 
     def _zero_exposure_problem(self, rng, role):
-        """A binary problem where one player of ``role`` has only zero-weight rows."""
+        """A binary problem over one design row per table row, where one
+        player of ``role`` has only zero-weight rows."""
         t = random_table(rng, n_rows=240, n_rushers=4, n_blockers=3)
-        idx = build_index(t)
+        idx = table_index(t)
         codes = t.rusher if role == "rusher" else t.blocker
         w = np.where(codes == 0, 0.0, 1.0)
-        return t, idx, build_matrix(t, idx), t.win.astype(np.intp), w
+        return t, idx, design_matrix(t, idx), row_design(t), t.win.astype(np.intp), w
 
     def test_unpenalized_fit_falls_back_to_least_squares(self, rng):
-        t, idx, X, y, w = self._zero_exposure_problem(rng, "rusher")
+        t, idx, X, design, y, w = self._zero_exposure_problem(rng, "rusher")
         pen = penalty_mask(idx)
-        design = fit_module._design_from_csr(X, idx)
         solution = fit_module._solve(design, y, 2, 0.0, pen, None, 1e-8, 500, w)
         assert solution.grad_sup <= 1e-8
         assert solution.fallbacks == [("rusher", 0)] * solution.iterations
-        want, iterations, fallbacks = reference_solve(X, y, 2, 0.0, pen, w)
+        want, iterations, fallbacks = reference_solve(design, X, y, 2, 0.0, pen, w)
         assert fallbacks == iterations == solution.iterations
         np.testing.assert_allclose(solution.theta.ravel(), want, rtol=0, atol=1e-8)
-        fit = fit_binary_ridge(X, y, 0.0, idx, weights=w)
+        # a table fit leaves the rusher without weight out of its index
+        fit = fit_coded(t, w, "win", 0.0)
         assert fit.alpha == pytest.approx(want[0], abs=1e-8)
-        for pid, col in idx.rusher_cols.items():
-            assert fit.rusher_effects[pid] == pytest.approx(want[col], abs=1e-8)
+        assert set(fit.rusher_effects) == set(t.rushers[1:])
+        for pid in fit.rusher_effects:
+            assert fit.rusher_effects[pid] == pytest.approx(want[idx.rusher_cols[pid]], abs=1e-8)
 
     @pytest.mark.parametrize("role", ["rusher", "blocker"])
     def test_fit_error_names_failed_factor(self, rng, role):
-        t, idx, X, y, w = self._zero_exposure_problem(rng, role)
-        with pytest.raises(FitError) as info, pytest.warns(RuntimeWarning, match="separation"):
-            fit_binary_ridge(X, y, 0.0, idx, weights=w, max_iter=1)
-        message = str(info.value)
+        t, idx, X, design, y, w = self._zero_exposure_problem(rng, role)
+        solution = fit_module._solve(design, y, 2, 0.0, penalty_mask(idx), None, 1e-8, 1, w)
+        message = fit_module._fallback_note(solution, idx)
         assert "1 of 1 Newton steps fell back to least squares" in message
         if role == "rusher":
             assert f"the block of rusher {t.rushers[0]!r}" in message
@@ -782,78 +827,43 @@ class TestStructuredNewtonStep:
     def test_fit_error_without_fallback_says_so(self, rng):
         t, idx, X, y = binary_problem(rng)
         with pytest.raises(FitError, match="0 of 1 Newton steps fell back"):
-            fit_binary_ridge(X, y, 0.1, idx, max_iter=1, tol=1e-300)
+            fit_win_model(t, 0.1, max_iter=1, tol=1e-300)
 
 
-def malformed_designs(rng):
-    """(shape, row, design) with one row that is not a paired comparison."""
-    t = random_table(rng, n_rows=40, n_rushers=3, n_blockers=3)
-    idx = build_index(t)
-    base = build_matrix(t, idx).toarray()
-    r0, b0 = idx.rusher_cols[t.rushers[0]], idx.blocker_cols[t.blockers[0]]
-    row = 7
-    cases = {}
-    X = base.copy()
-    X[row, 0] = 2.0
-    cases["intercept not 1"] = X
-    X = base.copy()
-    X[row, 2 : 2 + idx.n_rushers] = 0.0
-    X[row, [r0, r0 + 1]] = 1.0
-    cases["two rusher entries"] = X
-    X = base.copy()
-    X[row, 2 : 2 + idx.n_rushers] = 0.0
-    X[row, 2 + idx.n_rushers :] = 0.0
-    X[row, b0 + 1] = 1.0
-    cases["+1 in a blocker column"] = X
-    X = base.copy()
-    X[row, 1] = 0.5
-    cases["double team not 0/1"] = X
-    for shape, dense in cases.items():
-        yield shape, row, t, idx, sp.csr_matrix(dense)
+def assert_same_cells(a, b):
+    """Two ``fit._cells`` results hold the same cells, index and weights."""
+    (da, ya, wa, ia), (db, yb, wb, ib) = a, b
+    assert ia == ib
+    assert (da.n_rushers, da.n_blockers) == (db.n_rushers, db.n_blockers)
+    for x, y in ((da.rusher, db.rusher), (da.blocker, db.blocker),
+                 (da.double_team, db.double_team), (ya, yb), (wa, wb)):
+        assert np.array_equal(x, y)
 
 
 class TestMalformedDesignRows:
-    def test_fits_name_the_row(self, rng):
-        for shape, row, t, idx, X in malformed_designs(rng):
-            y = t.win.astype(float)
-            with pytest.raises(DataError, match=f"design row {row} "):
-                fit_binary_ridge(X, y, 0.1, idx)
-            with pytest.raises(DataError, match=f"design row {row} "):
-                fit_multinomial_ridge(X, [r.severity for r in t], 0.1, idx)
-
-    def test_objectives_name_the_row(self, rng):
-        for shape, row, t, idx, X in malformed_designs(rng):
-            pen = penalty_mask(idx)
-            with pytest.raises(DataError, match=f"design row {row} "):
-                binary_objective_grad(np.zeros(idx.n_columns), X, t.win, 0.1, pen)
-            with pytest.raises(DataError, match=f"design row {row} "):
-                multinomial_objective_grad(
-                    np.zeros(3 * idx.n_columns), X, t.severity, 4, 0.1, pen
-                )
+    """A table encodes each row as one rusher code, one blocker code and a
+    boolean double team, so no design row can take a malformed form; what
+    the fits still check is input from outside the table."""
 
     def test_well_formed_rows_pass(self, rng):
-        # stored zeros, a partial index and unsorted entries are all well formed
-        t = random_table(rng, n_rows=40, n_rushers=3, n_blockers=3)
-        idx = build_index(InteractionTable(t.rows[:10]))
-        X = build_matrix(t, idx)
-        coo = X.tocoo()
-        order = rng.permutation(coo.nnz)
-        shuffled = sp.coo_matrix(
-            (np.append(coo.data[order], 0.0),
-             (np.append(coo.row[order], 3), np.append(coo.col[order], 1))),
-            shape=X.shape,
-        )
-        pen = penalty_mask(idx)
-        theta = rng.normal(size=idx.n_columns)
-        want = binary_objective_grad(theta, X, t.win, 0.1, pen)
-        got = binary_objective_grad(theta, shuffled, t.win, 0.1, pen)
-        assert got[0] == want[0]
-        assert np.array_equal(got[1], want[1])
+        # zero weights, unsorted rows and vocabularies cut by ``take`` give
+        # the same cells as the rows of positive weight, in order
+        big = random_table(rng, n_rows=60, n_rushers=4, n_blockers=4)
+        t = big.take(np.arange(40))
+        w = rng.integers(0, 3, len(t)).astype(float)
+        kept = InteractionTable([r for r, k in zip(t, w) if k])
+        want = fit_module._cells(kept, w[w > 0], "severity")
+        order = rng.permutation(len(t))
+        for table, weights in ((t, w), (t.take(order), w[order])):
+            assert_same_cells(fit_module._cells(table, weights, "severity"), want)
 
     def test_column_count_must_match_index(self, rng):
         t, idx, X, y = binary_problem(rng)
-        with pytest.raises(DataError, match="columns"):
-            fit_binary_ridge(X[:, :-1], y, 0.1, idx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for fit in (fit_win_model, fit_severity_model):
+                with pytest.raises(ValueError, match="index's columns"):
+                    fit(t, 0.1, theta0=np.zeros(idx.n_columns - 1))
 
 
 class TestVectorizedPrediction:
@@ -942,7 +952,8 @@ class TestLambdaSelection:
 
 
 def reference_cv(table, target, grid, n_folds):
-    """Grouped CV with one InteractionTable, index and row design per fold."""
+    """Grouped CV with one InteractionTable and table fit per fold, held-out
+    rows scored through the reference design."""
     games = table.games
     fold_of = {}
     for fold, block in enumerate(np.array_split(np.arange(len(games)), n_folds)):
@@ -953,21 +964,19 @@ def reference_cv(table, target, grid, n_folds):
     for fold in range(n_folds):
         train = InteractionTable([r for r in table if fold_of[r.game_id] != fold])
         held = InteractionTable([r for r in table if fold_of[r.game_id] == fold])
-        idx = build_index(train)
-        X, Xh = build_matrix(train, idx), build_matrix(held, idx)
+        idx = table_index(train)
+        Xh = design_matrix(held, idx)
         theta = None
         for j, lam in enumerate(desc):
             if target == "win":
-                fit = fit_binary_ridge(X, [r.win_target for r in train], lam, idx, theta0=theta)
+                fit = fit_win_model(train, lam, theta0=theta)
                 theta = _theta_from_binary(fit, idx)
                 probs = 1.0 / (1.0 + np.exp(-(Xh @ theta)))
                 losses[fold, j] = binary_log_loss(probs, [r.win_target for r in held])
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                fit = fit_multinomial_ridge(
-                    X, [r.severity for r in train], lam, idx, theta0=theta
-                )
+                fit = fit_severity_model(train, lam, theta0=theta)
             Theta = _theta_from_multinomial(fit, idx)
             theta = Theta.T
             eta = np.hstack([np.zeros((len(held), 1)), Xh @ Theta])
@@ -1090,12 +1099,12 @@ def cv_worlds(rng):
 
 class TestStartPoints:
     def test_intercept_start_is_the_intercept_only_optimum(self, rng):
-        for name, X, idx, class_idx, n_classes, w in hessian_cases(rng):
+        for name, X, design, idx, class_idx, n_classes, w in hessian_cases(rng):
             d = idx.n_columns
             theta = fit_module._intercept_start(class_idx, n_classes, w, d)
             assert not theta[:, 1:].any(), name
-            _, grad = multinomial_objective_grad(
-                theta.ravel(), X, class_idx, n_classes, 0.3, penalty_mask(idx), w
+            _, grad, _ = fit_module._objective(
+                theta.ravel(), design, class_idx, n_classes, 0.3, penalty_mask(idx), w
             )
             assert np.abs(grad.reshape(-1, d)[:, 0]).max() <= 1e-9 * w.sum(), name
 
@@ -1128,15 +1137,15 @@ class TestStartPoints:
     def test_theta_on_index_maps_by_player_id(self, rng):
         t = random_table(rng, n_rows=80, n_rushers=7, n_blockers=6)
         part = InteractionTable([r for r in t if "0" not in r.rusher_id + r.blocker_id])
-        idx = build_index(t)
+        idx = table_index(t)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             fits = [fit_win_model(part, 0.3), fit_severity_model(part, 0.3)]
         for fit in fits:
             if isinstance(fit, BinaryFit):
-                want = _theta_from_binary(fit, build_index(part))[None, :]
+                want = _theta_from_binary(fit, table_index(part))[None, :]
             else:
-                want = _theta_from_multinomial(fit, build_index(part)).T
+                want = _theta_from_multinomial(fit, table_index(part)).T
             got = fit_module._theta_on_index(fit, idx)
             kept = [0, 1] + [idx.rusher_cols[p] for p in part.rushers] + [
                 idx.blocker_cols[p] for p in part.blockers

@@ -1,6 +1,20 @@
+import os
+import subprocess
+import sys
+
 import trenchrank
 
 
 def test_every_exported_name_resolves():
     assert [name for name in trenchrank.__all__ if not hasattr(trenchrank, name)] == []
     assert len(set(trenchrank.__all__)) == len(trenchrank.__all__)
+
+
+def test_import_loads_no_sparse_matrices():
+    # the solver works on player codes, so no package module needs scipy.sparse
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, trenchrank; print('scipy.sparse' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"

@@ -37,12 +37,9 @@ from .fit import (
     expected_severity,
     fit_severity_model,
     fit_win_model,
-    predict_class_probs,
-    predict_win_prob,
 )
 from .interactions import (
     CLASSES,
-    Interaction,
     InteractionTable,
     OutcomeClass,
     SeverityWeights,
@@ -66,7 +63,6 @@ __all__ = [
     "DataError",
     "FitError",
     "GroundTruth",
-    "Interaction",
     "InteractionTable",
     "MultinomialFit",
     "OutcomeClass",
@@ -92,12 +88,10 @@ __all__ = [
     "label_outcome",
     "multiclass_log_loss",
     "ordered_split",
-    "predict_class_probs",
     "predict_severity_global",
     "predict_severity_matchup",
     "predict_win_global",
     "predict_win_matchup",
-    "predict_win_prob",
     "prior_sensitivity",
     "rank_auc",
     "read_interactions_csv",

@@ -119,8 +119,11 @@ def _cv_options(src: Mapping) -> dict:
 
 def _load_fits(path) -> tuple[BinaryFit | None, MultinomialFit | None]:
     raw = _read_json(path)
-    win = fit_from_json_dict(raw["win"]) if "win" in raw else None
-    sev = fit_from_json_dict(raw["severity"]) if "severity" in raw else None
+    try:
+        win = fit_from_json_dict(raw["win"]) if "win" in raw else None
+        sev = fit_from_json_dict(raw["severity"]) if "severity" in raw else None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if win is None and sev is None:
         raise DataError(f"{path}: no 'win' or 'severity' fit found")
     return win, sev

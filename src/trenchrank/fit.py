@@ -85,7 +85,6 @@ from .design import PlayerIndex, aggregate_cells, index_from_ids, penalty_mask
 from .errors import DataError, FitError
 from .interactions import (
     CLASSES,
-    Interaction,
     InteractionTable,
     OutcomeClass,
     SeverityWeights,
@@ -715,23 +714,12 @@ def fit_severity_model(table: InteractionTable, lam: float, **kwargs) -> Multino
 # Prediction
 
 
-def predict_win_prob(fit: BinaryFit, x: Interaction) -> float:
-    """Win probability for one interaction; unseen players get effect 0."""
-    eta = (
-        fit.alpha
-        + fit.rusher_effects.get(x.rusher_id, 0.0)
-        - fit.blocker_effects.get(x.blocker_id, 0.0)
-        + fit.delta * float(x.double_team)
-    )
-    return float(expit(eta))
-
-
 def _effects_by_code(effects: Mapping[str, float], vocab: Sequence[str]) -> np.ndarray:
     return np.array([effects.get(pid, 0.0) for pid in vocab])
 
 
 def predict_win_probs(fit: BinaryFit, table: InteractionTable) -> np.ndarray:
-    """``predict_win_prob`` for every row of a table."""
+    """Win probability of every row of a table; unseen players get effect 0."""
     eta = (
         fit.alpha
         + _effects_by_code(fit.rusher_effects, table.rushers)[table.rusher]
@@ -741,32 +729,9 @@ def predict_win_probs(fit: BinaryFit, table: InteractionTable) -> np.ndarray:
     return expit(eta)
 
 
-def predict_class_probs(fit: MultinomialFit, x: Interaction) -> dict[OutcomeClass, float]:
-    """Class probabilities for one interaction (dropped classes get 0)."""
-    etas = [0.0]
-    for c in fit.classes:
-        etas.append(
-            fit.alpha[c]
-            + fit.rusher_effects[c].get(x.rusher_id, 0.0)
-            - fit.blocker_effects[c].get(x.blocker_id, 0.0)
-            + fit.delta[c] * float(x.double_team)
-        )
-    arr = np.asarray(etas)
-    arr -= arr.max()
-    weights = np.exp(arr)
-    probs = weights / weights.sum()
-    out = {c: 0.0 for c in CLASSES}
-    out[OutcomeClass.LOSS] = float(probs[0])
-    for i, c in enumerate(fit.classes):
-        out[c] = float(probs[i + 1])
-    return out
-
-
 def predict_class_prob_matrix(fit: MultinomialFit, table: InteractionTable) -> np.ndarray:
-    """(n, 4) probability matrix with columns in severity order.
-
-    Row i equals ``predict_class_probs`` for row i of the table.
-    """
+    """(n, 4) class probabilities of a table's rows, columns in severity
+    order; unseen players get effect 0 and dropped classes probability 0."""
     dt = table.double_team.astype(float)
     eta = np.zeros((len(table), len(fit.classes) + 1))
     for k, cls in enumerate(fit.classes, start=1):
@@ -946,6 +911,14 @@ def fit_to_json_dict(fit: BinaryFit | MultinomialFit) -> dict:
 
 
 def fit_from_json_dict(raw: dict) -> BinaryFit | MultinomialFit:
+    """The fit ``fit_to_json_dict`` wrote; a missing key is a DataError naming it."""
+    try:
+        return _fit_from_json(raw)
+    except KeyError as exc:
+        raise DataError(f"fit JSON has no key {exc.args[0]!r}") from None
+
+
+def _fit_from_json(raw: dict) -> BinaryFit | MultinomialFit:
     if raw["model"] == "win":
         return BinaryFit(
             alpha=raw["alpha"],
@@ -959,17 +932,19 @@ def fit_from_json_dict(raw: dict) -> BinaryFit | MultinomialFit:
         )
     if raw["model"] == "severity":
         classes = tuple(OutcomeClass.from_label(s) for s in raw["classes"])
+        per_class = {}
+        for key in ("alpha", "delta", "rusher_effects", "blocker_effects"):
+            per_class[key] = {OutcomeClass.from_label(s): v for s, v in raw[key].items()}
+            missing = [c.label for c in classes if c not in per_class[key]]
+            if missing:
+                raise DataError(f"fit JSON {key!r} has no key {missing[0]!r}")
         return MultinomialFit(
             classes=classes,
             dropped=tuple(OutcomeClass.from_label(s) for s in raw["dropped"]),
-            alpha={OutcomeClass.from_label(s): v for s, v in raw["alpha"].items()},
-            delta={OutcomeClass.from_label(s): v for s, v in raw["delta"].items()},
-            rusher_effects={
-                OutcomeClass.from_label(s): dict(d) for s, d in raw["rusher_effects"].items()
-            },
-            blocker_effects={
-                OutcomeClass.from_label(s): dict(d) for s, d in raw["blocker_effects"].items()
-            },
+            alpha=per_class["alpha"],
+            delta=per_class["delta"],
+            rusher_effects={c: dict(d) for c, d in per_class["rusher_effects"].items()},
+            blocker_effects={c: dict(d) for c, d in per_class["blocker_effects"].items()},
             lam=raw["lambda"],
             neg_loglik=raw["neg_loglik"],
             grad_norm=raw["grad_norm"],

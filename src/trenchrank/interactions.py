@@ -8,10 +8,9 @@ scalar weight calibrated from expected-points benchmarks.
 
 An ``InteractionTable`` is one set of read-only columns: integer codes
 into sorted game, play, rusher and blocker id vocabularies, and the
-numeric fields.  Fits, baselines, splits and the bootstrap read the
-columns; an ``Interaction`` is decoded only for a caller that asks for
-a row.  The CSV reader, ``tracking.build_interactions`` and the
-synthetic generator build the columns directly.
+numeric fields.  There is no row object: fits, baselines, splits and the
+bootstrap read the columns, and the CSV reader,
+``tracking.build_interactions`` and the synthetic generator build them.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ import csv
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from itertools import compress, islice, repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import compress, islice
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -91,43 +90,14 @@ class SeverityWeights:
         return (self.loss, self.win, self.hit, self.sack)
 
 
-@dataclass(frozen=True, slots=True)
-class Interaction:
-    """One blocker-rusher engagement: the atomic modeling row.
-
-    ``win_target`` (the 2.5-second distance rule) and ``severity`` (the
-    event-priority class) are independent labels; neither is derived
-    from the other.
-    """
-
-    game_id: str
-    play_id: str
-    event_game_index: int
-    week: int
-    rusher_id: str
-    blocker_id: str
-    double_team: bool
-    win_target: bool
-    severity: OutcomeClass
-
-    def __post_init__(self) -> None:
-        if self.event_game_index < 0:
-            raise ValueError(f"event_game_index must be >= 0, got {self.event_game_index}")
-        if self.week < 1:
-            raise ValueError(f"week must be >= 1, got {self.week}")
-
-    def sort_key(self) -> tuple[str, str, int]:
-        return (self.game_id, self.play_id, self.event_game_index)
-
-
-#: Code columns of a table, each with its vocabulary and ``Interaction`` field.
+#: Code columns of a table, each with its vocabulary and CSV field.
 _ID_COLUMNS = {
     "game": ("games", "game_id"),
     "play": ("play_ids", "play_id"),
     "rusher": ("rushers", "rusher_id"),
     "blocker": ("blockers", "blocker_id"),
 }
-#: The other columns, each with its dtype and ``Interaction`` field.
+#: The other columns, each with its dtype and CSV field.
 _VALUE_COLUMNS = {
     "event_game_index": (np.intp, "event_game_index"),
     "week": (np.intp, "week"),
@@ -163,8 +133,8 @@ def _decoded(vocab: Sequence, codes: np.ndarray) -> list:
 
 
 def _fields(table: "InteractionTable", flag_type, classes: Sequence) -> list[list]:
-    """The rows' fields as lists, in ``Interaction`` order, the two flags
-    converted to ``flag_type`` and the class codes looked up in ``classes``."""
+    """The rows' fields as lists, in CSV order, the two flags converted to
+    ``flag_type`` and the class codes looked up in ``classes``."""
     game, play, rusher, blocker = (
         _decoded(getattr(table, v), getattr(table, c)) for c, (v, _) in _ID_COLUMNS.items()
     )
@@ -181,35 +151,21 @@ class InteractionTable:
     ``game``, ``play``, ``rusher`` and ``blocker`` hold each row's code
     into the sorted vocabularies ``games``, ``play_ids``, ``rushers`` and
     ``blockers``, which list exactly the ids present in the rows, so
-    codes order rows as their ids do.  ``event_game_index``, ``week`` and
-    ``double_team`` are the fields of those names, ``win`` is the win
-    target as 0.0/1.0 and ``severity`` the outcome class as an integer.
+    codes order rows as their ids do.  ``event_game_index`` (>= 0),
+    ``week`` (>= 1) and ``double_team`` are the fields of those names,
+    ``win`` is the win target as 0.0/1.0 and ``severity`` the outcome
+    class as an integer.  The win target (the 2.5-second distance rule)
+    and the outcome class (the event-priority class) are independent
+    labels; neither is derived from the other.
 
-    ``InteractionTable(rows)`` encodes ``Interaction`` values; indexing,
-    iteration and ``rows`` decode them, and ``==`` compares decoded
-    rows.  The table is safe to share across concurrent readers.
+    The constructor takes the columns by name: each code column as a pair
+    of a sorted tuple of distinct ids and each row's index into it (ids
+    no row uses are dropped), each other column as an array.  ``==``
+    compares vocabularies and columns.  The table is safe to share across
+    concurrent readers.
     """
 
-    def __init__(self, rows: Iterable[Interaction] = ()):
-        rows = tuple(rows)
-        self._set({
-            **{c: _factorize([getattr(r, f) for r in rows]) for c, (_, f) in _ID_COLUMNS.items()},
-            **{c: [getattr(r, f) for r in rows] for c, (_, f) in _VALUE_COLUMNS.items()},
-        })
-
-    @classmethod
-    def from_columns(cls, **columns) -> "InteractionTable":
-        """A table from its columns, by name: each code column as a pair of
-        a sorted tuple of distinct ids and each row's index into it (ids
-        no row uses are dropped), each other column as an array.
-
-        The values must be valid ``Interaction`` fields.
-        """
-        table = cls.__new__(cls)
-        table._set(columns)
-        return table
-
-    def _set(self, columns: Mapping[str, Sequence]) -> None:
+    def __init__(self, **columns) -> None:
         for column, (vocab_name, _) in _ID_COLUMNS.items():
             vocab, codes = _compact(*columns[column])
             setattr(self, vocab_name, vocab)
@@ -220,7 +176,7 @@ class InteractionTable:
     def take(self, rows) -> "InteractionTable":
         """The selected rows (an index or boolean array, or a slice), with
         each vocabulary cut to the ids they hold."""
-        return InteractionTable.from_columns(
+        return InteractionTable(
             **{c: (getattr(self, v), getattr(self, c)[rows]) for c, (v, _) in _ID_COLUMNS.items()},
             **{c: getattr(self, c)[rows] for c in _VALUE_COLUMNS},
         )
@@ -228,19 +184,15 @@ class InteractionTable:
     def __len__(self) -> int:
         return len(self.game)
 
-    @property
-    def rows(self) -> tuple[Interaction, ...]:
-        """Every row, decoded."""
-        return tuple(map(Interaction, *_fields(self, bool, CLASSES)))
-
-    def __iter__(self) -> Iterator[Interaction]:
-        return iter(self.rows)
-
-    def __getitem__(self, i: int) -> Interaction:
-        return self.take([i]).rows[0]
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, InteractionTable) and self.rows == other.rows
+        # vocabularies hold exactly the ids in use, so equal vocabularies
+        # and equal codes mean equal ids row by row
+        return (
+            isinstance(other, InteractionTable)
+            and all(getattr(self, v) == getattr(other, v) for v, _ in _ID_COLUMNS.values())
+            and all(np.array_equal(getattr(self, c), getattr(other, c))
+                    for c in (*_ID_COLUMNS, *_VALUE_COLUMNS))
+        )
 
     def __repr__(self) -> str:
         return f"InteractionTable({len(self)} rows)"
@@ -350,10 +302,10 @@ INTERACTION_CSV_HEADER = [
     "severity",
 ]
 
-_LABEL_CODES = {c.label: int(c) for c in CLASSES}
 # records per block of the CSV reader: large enough to convert columns in
 # bulk, small enough that a block's field strings stay near 1 MB
 _READ_BLOCK = 1 << 11
+_INT64 = np.iinfo(np.int64)
 
 
 def _parse_bool01(value: str, field: str) -> bool:
@@ -375,61 +327,102 @@ def _decimal(kind, text: str, field: str):
     return value
 
 
-def _parse_record(path, lineno: int, rec: list[str]) -> Interaction:
-    if len(rec) != len(INTERACTION_CSV_HEADER):
-        raise DataError(f"{path}:{lineno}: expected {len(INTERACTION_CSV_HEADER)} fields")
-    try:
-        return Interaction(
-            game_id=rec[0],
-            play_id=rec[1],
-            event_game_index=_decimal(int, rec[2], "event_game_index"),
-            week=_decimal(int, rec[3], "week"),
-            rusher_id=rec[4],
-            blocker_id=rec[5],
-            double_team=_parse_bool01(rec[6], "double_team"),
-            win_target=_parse_bool01(rec[7], "win_target"),
-            severity=OutcomeClass.from_label(rec[8]),
-        )
-    except (ValueError, DataError) as exc:
-        raise DataError(f"{path}:{lineno}: {exc}") from exc
+def _int64(text: str, field: str) -> int:
+    """``_decimal(int, text, field)``, refusing a value beyond int64."""
+    value = _decimal(int, text, field)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{field} does not fit in a 64-bit integer, got {text!r}")
+    return value
 
 
-def _plain_counts(texts: Sequence[str]) -> bool:
-    """Every text is 1-18 ASCII digits, so ``int`` reads each into an int64."""
+def _raise_first(parse, texts: Sequence[str], field: str) -> NoReturn:
+    """The error ``parse(text, field)`` raises on the first text it rejects."""
+    for text in texts:
+        parse(text, field)
+    raise AssertionError(f"no bad {field} text")
+
+
+# Column converters: each converts every text of one CSV field at once, or
+# raises the error of the first text the schema rejects.
+
+
+def _int_column(texts: Sequence[str], field: str) -> np.ndarray:
+    """Each text as an int64, read as ``_int64`` reads it."""
     joined = "".join(texts)
-    return (joined.isascii() and joined.isdigit() and "" not in texts
-            and max(map(len, texts)) <= 18)
+    if "_" not in joined and joined.isascii():
+        try:
+            return np.fromiter(map(int, texts), np.int64, len(texts))
+        except (ValueError, OverflowError):
+            pass
+    _raise_first(_int64, texts, field)
 
 
-# how a block in the written form converts each value field's text
-_FROM_TEXT = {"event_game_index": int, "week": int, "double_team": "1".__eq__,
-              "win_target": "1".__eq__, "severity": _LABEL_CODES.__getitem__}
+def _flag_column(texts: Sequence[str], field: str) -> np.ndarray:
+    """Each text, "0" or "1", as a bool."""
+    if not {"0", "1"}.issuperset(texts):
+        _raise_first(_parse_bool01, texts, field)
+    return np.fromiter(map("1".__eq__, texts), bool, len(texts))
+
+
+def _class_column(texts: Sequence[str], field: str) -> np.ndarray:
+    """Each outcome class label (in any case or padding) as its class
+    code; each distinct label is read once."""
+    codes = {label: int(OutcomeClass.from_label(label)) for label in dict.fromkeys(texts)}
+    return np.fromiter(map(codes.__getitem__, texts), np.intp, len(texts))
+
+
+# the converter of each value column's CSV field
+_FROM_TEXT = {"event_game_index": _int_column, "week": _int_column,
+              "double_team": _flag_column, "win": _flag_column, "severity": _class_column}
+
+
+def _value_columns(fields: dict[str, Sequence[str]]) -> dict[str, np.ndarray]:
+    """The value columns read from ``fields`` (each CSV field's texts).
+
+    A bad value raises the error of the first field, in CSV order, that
+    holds one, and only then a value below its column's least; on one
+    record's fields, that is the error a record-by-record read meets first.
+    """
+    columns = {c: _FROM_TEXT[c](fields[f], f) for c, (_, f) in _VALUE_COLUMNS.items()}
+    for column, least in (("event_game_index", 0), ("week", 1)):
+        low = columns[column] < least
+        if low.any():
+            raise ValueError(f"{column} must be >= {least}, got {columns[column][low.argmax()]}")
+    return columns
+
+
+def _raise_record_error(path, lines: np.ndarray, recs: list[list[str]]) -> NoReturn:
+    """The first bad record's first error, naming its line."""
+    width = len(INTERACTION_CSV_HEADER)
+    for line, rec in zip(lines.tolist(), recs):
+        if len(rec) != width:
+            raise DataError(f"{path}:{line}: expected {width} fields")
+        try:
+            _value_columns({f: (text,) for f, text in zip(INTERACTION_CSV_HEADER, rec)})
+        except (ValueError, DataError) as exc:
+            raise DataError(f"{path}:{line}: {exc}") from exc
+    raise AssertionError("no bad record in the block")
 
 
 def _parse_block(path, lines: np.ndarray, recs: list[list[str]]) -> InteractionTable:
     """One block of records, read from ``lines``, as a table.
 
-    A block in the form ``write_interactions_csv`` writes is converted
-    column by column.  Any other block is parsed record by record, which
-    accepts every spelling the schema allows and raises the first bad
-    record's error.
+    Each column is converted in bulk, accepting every spelling the schema
+    allows.  A block that fails a check is walked record by record to
+    raise the first bad record's error.
     """
-    cols = dict(zip(INTERACTION_CSV_HEADER, zip(*recs)))
-    if (
-        set(map(len, recs)) == {len(INTERACTION_CSV_HEADER)}
-        and _plain_counts(cols["event_game_index"])
-        and _plain_counts(cols["week"])
-        and {"0", "1"}.issuperset(cols["double_team"] + cols["win_target"])
-        and _LABEL_CODES.keys() >= set(cols["severity"])
-    ):
-        table = InteractionTable.from_columns(
-            **{c: _factorize(cols[f]) for c, (_, f) in _ID_COLUMNS.items()},
-            **{c: np.fromiter(map(_FROM_TEXT[f], cols[f]), dtype, len(recs))
-               for c, (dtype, f) in _VALUE_COLUMNS.items()},
-        )
-        if table.week.min() >= 1:
-            return table
-    return InteractionTable(map(_parse_record, repeat(path), lines.tolist(), recs))
+    width = len(INTERACTION_CSV_HEADER)
+    if set(map(len, recs)) <= {width}:
+        fields = dict(zip(INTERACTION_CSV_HEADER, list(zip(*recs)) or [()] * width))
+        try:
+            values = _value_columns(fields)
+        except (ValueError, DataError):
+            pass
+        else:
+            return InteractionTable(
+                **{c: _factorize(fields[f]) for c, (_, f) in _ID_COLUMNS.items()}, **values
+            )
+    _raise_record_error(path, lines, recs)
 
 
 def _concat(tables: Sequence[InteractionTable]) -> InteractionTable:
@@ -443,7 +436,7 @@ def _concat(tables: Sequence[InteractionTable]) -> InteractionTable:
         columns[column] = vocab, np.concatenate(
             [codes[start:][getattr(t, column)] for t, start in zip(tables, starts)]
         )
-    return InteractionTable.from_columns(**columns)
+    return InteractionTable(**columns)
 
 
 def _check_unique_keys(table: InteractionTable, lines: np.ndarray, path) -> None:
@@ -466,13 +459,13 @@ def _check_unique_keys(table: InteractionTable, lines: np.ndarray, path) -> None
 def read_interactions_csv(path) -> InteractionTable:
     """Load an interaction table from its CSV schema (header required).
 
-    Records are read in blocks and converted to columns without a
-    per-row object.  An error names the first bad record's line.  Keys
+    Records are read in blocks, and each block's fields are converted
+    column by column.  An error names the first bad record's line.  Keys
     ``(game_id, play_id, event_game_index)`` must be unique: the
     ordered split and the bootstrap's copy order rely on it.
     """
-    blocks: list[InteractionTable] = [InteractionTable()]
     lines: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
+    blocks = [_parse_block(path, lines[0], [])]  # a file of no records is an empty table
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

@@ -143,7 +143,7 @@ def synth_generate(cfg: SynthConfig) -> tuple[InteractionTable, GroundTruth]:
     per_game = cfg.plays_per_game * cfg.interactions_per_play
     game = np.repeat(np.arange(cfg.n_games), per_game)
     event = np.tile(np.arange(per_game), cfg.n_games)
-    table = InteractionTable.from_columns(
+    table = InteractionTable(
         game=(tuple(game_ids), game),
         play=(tuple(play_ids), event // cfg.interactions_per_play),
         rusher=(tuple(rusher_ids), ri),

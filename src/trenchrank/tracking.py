@@ -46,6 +46,7 @@ from .interactions import (
     _decimal,
     _factorize,
     _frozen,
+    _int64,
     _parse_bool01,
     canonical_sort,
     label_outcome,
@@ -60,23 +61,6 @@ SCHEDULE_CSV_HEADER = ["game_id", "week"]
 
 # ids and the 0/1 flag stay strings, so their checks read what the file says
 _TRACKING_CSV_TYPES = [object, object, np.int64, object, np.float64, np.float64, object]
-
-
-@dataclass(frozen=True, slots=True)
-class Frame:
-    """One player's position at one 10 Hz instant."""
-
-    game_id: str
-    play_id: str
-    frame_index: int
-    player_id: str
-    x: float
-    y: float
-    is_qb: bool
-
-    def __post_init__(self) -> None:
-        if self.frame_index < 0:
-            raise DataError(f"frame_index must be >= 0, got {self.frame_index}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -425,7 +409,7 @@ def build_interactions(
     won = frames.window_wins(keys, windows, tolerance)
     sack = [ev.has_sack for ev in play_events]
     hit = [ev.qb_hit for ev in play_events]
-    table = InteractionTable.from_columns(
+    table = InteractionTable(
         game=_factorize([k[0] for k in keys]),
         play=_factorize([k[1] for k in keys]),
         rusher=_factorize([k[2] for k in keys]),
@@ -482,16 +466,14 @@ def _line_count(path) -> int:
     return n + (last != b"\n")
 
 
-def _tracking_record(rec) -> Frame:
-    return Frame(
-        game_id=rec[0],
-        play_id=rec[1],
-        frame_index=_decimal(int, rec[2], "frame_index"),
-        player_id=rec[3],
-        x=_decimal(float, rec[4], "x"),
-        y=_decimal(float, rec[5], "y"),
-        is_qb=_parse_bool01(rec[6], "is_qb"),
-    )
+def _tracking_record(rec) -> None:
+    """Check one tracking record's fields as the columns read them."""
+    frame_index = _int64(rec[2], "frame_index")
+    _decimal(float, rec[4], "x")
+    _decimal(float, rec[5], "y")
+    _parse_bool01(rec[6], "is_qb")
+    if frame_index < 0:
+        raise DataError(f"frame_index must be >= 0, got {frame_index}")
 
 
 def _tracking_valid(rows) -> bool:
@@ -584,7 +566,7 @@ def read_schedule_csv(path) -> dict[str, int]:
         if game_id in out:
             raise DataError(f"{path}:{lineno}: duplicate game_id {game_id!r}")
         try:
-            week = _decimal(int, week_text, "week")
+            week = _int64(week_text, "week")
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad week {week_text!r}") from exc
         if week < 1:

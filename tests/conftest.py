@@ -1,13 +1,14 @@
 """Shared fixtures and small-table builders for the test suite."""
 
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from trenchrank.design import index_from_ids
-from trenchrank.interactions import Interaction, InteractionTable, OutcomeClass
+from trenchrank.interactions import InteractionTable, OutcomeClass
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -18,6 +19,68 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@dataclass(frozen=True, slots=True)
+class Interaction:
+    """One table row as values: the tests' reference row model."""
+
+    game_id: str
+    play_id: str
+    event_game_index: int
+    week: int
+    rusher_id: str
+    blocker_id: str
+    double_team: bool
+    win_target: bool
+    severity: OutcomeClass
+
+    def __post_init__(self) -> None:
+        if self.event_game_index < 0:
+            raise ValueError(f"event_game_index must be >= 0, got {self.event_game_index}")
+        if self.week < 1:
+            raise ValueError(f"week must be >= 1, got {self.week}")
+
+    def sort_key(self) -> tuple[str, str, int]:
+        return (self.game_id, self.play_id, self.event_game_index)
+
+
+def _coded(ids):
+    """Sorted distinct ids, and each id's index into them."""
+    vocab = tuple(sorted(set(ids)))
+    index = {v: i for i, v in enumerate(vocab)}
+    return vocab, np.array([index[v] for v in ids], dtype=np.intp)
+
+
+def table_of(rows):
+    """The table of ``Interaction`` rows, in their order."""
+    rows = tuple(rows)
+    return InteractionTable(
+        game=_coded([r.game_id for r in rows]),
+        play=_coded([r.play_id for r in rows]),
+        rusher=_coded([r.rusher_id for r in rows]),
+        blocker=_coded([r.blocker_id for r in rows]),
+        event_game_index=[r.event_game_index for r in rows],
+        week=[r.week for r in rows],
+        double_team=[r.double_team for r in rows],
+        win=[float(r.win_target) for r in rows],
+        severity=[int(r.severity) for r in rows],
+    )
+
+
+def rows_of(table):
+    """Every row of a table, decoded to an ``Interaction``."""
+    def ids(vocab, codes):
+        return [vocab[i] for i in codes.tolist()]
+
+    return tuple(map(
+        Interaction,
+        ids(table.games, table.game), ids(table.play_ids, table.play),
+        table.event_game_index.tolist(), table.week.tolist(),
+        ids(table.rushers, table.rusher), ids(table.blockers, table.blocker),
+        table.double_team.tolist(), table.win.astype(bool).tolist(),
+        map(OutcomeClass, table.severity.tolist()),
+    ))
 
 
 def make_row(
@@ -65,7 +128,7 @@ def random_table(
                     sev,
                 )
             )
-    return InteractionTable(rows)
+    return table_of(rows)
 
 
 def table_index(table):
@@ -81,7 +144,7 @@ def design_matrix(table, idx):
     rusher's column and -1 on the blocker's.  A player ``idx`` lacks gets
     no entry."""
     data, indices, indptr = [], [], [0]
-    for x in table:
+    for x in rows_of(table):
         row = [(0, 1.0)]
         if x.double_team:
             row.append((1, 1.0))
@@ -101,7 +164,7 @@ def design_matrix(table, idx):
 
 def rows_by_game(table):
     """Each game's rows, in row order; games in order of their first row."""
-    return {table.games[g]: table.take(table.game == g).rows
+    return {table.games[g]: rows_of(table.take(table.game == g))
             for g in dict.fromkeys(table.game.tolist())}
 
 

@@ -51,12 +51,9 @@ from trenchrank.fit import (
     fit_severity_model,
     fit_win_model,
     predict_class_prob_matrix,
-    predict_class_probs,
-    predict_win_prob,
     predict_win_probs,
 )
 from trenchrank.interactions import (
-    InteractionTable,
     OutcomeClass,
     default_severity_weights,
     derive_weight_from_epa,
@@ -64,7 +61,7 @@ from trenchrank.interactions import (
 from trenchrank.report import summary_to_json_dict
 from trenchrank.synth import SynthConfig, synth_generate
 
-from conftest import design_matrix, make_row, random_table, table_index
+from conftest import design_matrix, make_row, random_table, rows_of, table_index, table_of
 from test_fit import (
     _theta_from_binary,
     _theta_from_multinomial,
@@ -114,7 +111,7 @@ def test_criterion_01_epa_weights():
 def test_criterion_02_ordered_split_counts():
     with criterion(2, "ordered split arithmetic"):
         n = 153_138
-        table = InteractionTable(
+        table = table_of(
             make_row(game="g0", play=f"p{e:06d}", idx=e) for e in range(n)
         )
         t0 = time.perf_counter()
@@ -140,7 +137,7 @@ def test_criterion_03_solver_oracles():
             idx = table_index(t)
             Xd = design_matrix(t, idx).toarray()
             pen = penalty_mask(idx)
-            y = np.array([float(r.win_target) for r in t])
+            y = np.array([float(r.win_target) for r in rows_of(t)])
             lam = float(rng.uniform(0.05, 0.5))
 
             fit = fit_win_model(t, lam)
@@ -166,7 +163,7 @@ def test_criterion_03_solver_oracles():
                 fm, _ = win_grad(theta - e, lam, pen)
                 assert g[j] == pytest.approx((fp - fm) / (2 * h), rel=1e-6, abs=1e-6)
 
-            classes = [r.severity for r in t]
+            classes = [r.severity for r in rows_of(t)]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 mfit = fit_severity_model(t, lam)
@@ -209,17 +206,16 @@ def test_criterion_03_solver_oracles():
                     if r.severity >= OutcomeClass.WIN
                     else OutcomeClass.LOSS,
                 )
-                for r in t
+                for r in rows_of(t)
             ]
-            two = InteractionTable(rows)
+            two = table_of(rows)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 sev_fit = fit_severity_model(two, lam)
             win_fit = fit_win_model(two, lam)
-            for r in two:
-                p_bin = predict_win_prob(win_fit, r)
-                p_mult = predict_class_probs(sev_fit, r)[OutcomeClass.WIN]
-                assert p_mult == pytest.approx(p_bin, abs=1e-6)
+            p_bin = predict_win_probs(win_fit, two)
+            p_mult = predict_class_prob_matrix(sev_fit, two)[:, OutcomeClass.WIN]
+            assert p_mult == pytest.approx(p_bin, abs=1e-6)
         assert time.perf_counter() - t0 < 30.0
 
 
@@ -229,14 +225,14 @@ def test_criterion_04_shrinkage_limits():
         rng = np.random.default_rng(77)
         for n_rows, n_games in ((80, 2), (300, 5)):
             t = random_table(rng, n_rows=n_rows, n_rushers=6, n_blockers=5, n_games=n_games)
-            y = np.array([float(r.win_target) for r in t])
+            y = np.array([float(r.win_target) for r in rows_of(t)])
             fit = fit_win_model(t, 1e6)
             assert np.allclose(predict_win_probs(fit, t), y.mean(), atol=1e-3)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 sev = fit_severity_model(t, 1e6)
             M = predict_class_prob_matrix(sev, t)
-            freqs = np.bincount([int(r.severity) for r in t], minlength=4) / len(t)
+            freqs = np.bincount([int(r.severity) for r in rows_of(t)], minlength=4) / len(t)
             assert np.allclose(M, freqs[None, :], atol=1e-3)
         assert time.perf_counter() - t0 < 10.0
 
@@ -281,12 +277,12 @@ def test_criterion_05_baseline_oracles():
                 if r.severity >= OutcomeClass.WIN
                 else OutcomeClass.LOSS,
             )
-            for r in base
+            for r in rows_of(base)
         ]
-        two = InteractionTable(rows)
+        two = table_of(rows)
         wbl = fit_win_baseline(two, 25.0)
         sbl2 = fit_severity_baseline(two, 25.0)
-        for r in two:
+        for r in rows_of(two):
             pw = predict_win_matchup(wbl, r.rusher_id, r.blocker_id)
             ps = predict_severity_matchup(sbl2, r.rusher_id, r.blocker_id)
             assert ps[int(OutcomeClass.WIN)] == pytest.approx(pw, abs=1e-12)
@@ -368,7 +364,7 @@ def test_criterion_07_synthetic_recovery():
     with criterion(7, "full-scale synthetic recovery"):
         table, truth = synth_generate(FULL_SCALE)
         assert len(table) == 152_950
-        double_rate = np.mean([r.double_team for r in table])
+        double_rate = np.mean([r.double_team for r in rows_of(table)])
         assert 0.40 <= double_rate <= 0.46
 
         t0 = time.perf_counter()
@@ -483,7 +479,7 @@ def test_criterion_10_weekly_path_checkpoints():
             seed=10,
         )
         table, _ = synth_generate(cfg)
-        assert sorted({r.week for r in table}) == list(range(1, 19))
+        assert sorted({r.week for r in rows_of(table)}) == list(range(1, 19))
         pid = sorted(table.rushers)[0]
         bcfg = BootstrapConfig(
             b=1,

@@ -26,18 +26,18 @@ from trenchrank.baselines import (
     win_baseline_to_json_dict,
 )
 from trenchrank.errors import DataError
-from trenchrank.interactions import CLASSES, InteractionTable, OutcomeClass
+from trenchrank.interactions import CLASSES, OutcomeClass
 
-from conftest import make_row, random_table
+from conftest import make_row, random_table, rows_of, table_of
 
 
-def table_of(*spec):
+def spec_table(*spec):
     """spec items: (rusher, blocker, win, severity) tuples."""
     rows = [
         make_row(idx=i, rusher=r, blocker=b, win=w, severity=s)
         for i, (r, b, w, s) in enumerate(spec)
     ]
-    return InteractionTable(rows)
+    return table_of(rows)
 
 
 class TestSmoothing:
@@ -92,7 +92,7 @@ def weighted_and_repeated(rng):
     """A table, integer row weights (some zero) and the rows repeated that often."""
     t = random_table(rng, n_rows=80)
     w = rng.integers(0, 4, size=len(t))
-    return t, w, InteractionTable([r for r, k in zip(t, w) for _ in range(k)])
+    return t, w, table_of([r for r, k in zip(rows_of(t), w) for _ in range(k)])
 
 
 class TestWinBaseline:
@@ -103,13 +103,13 @@ class TestWinBaseline:
     def test_vectorized_matchups_equal_scalar(self, rng):
         t = random_table(rng, n_rows=80, n_rushers=7, n_blockers=6)
         # fit on the first half so some players fall back to the global rate
-        bl = fit_win_baseline(InteractionTable(t.rows[:40]), 25.0)
+        bl = fit_win_baseline(t.take(slice(40)), 25.0)
         got = predict_win_matchups(bl, t)
-        want = [predict_win_matchup(bl, r.rusher_id, r.blocker_id) for r in t]
+        want = [predict_win_matchup(bl, r.rusher_id, r.blocker_id) for r in rows_of(t)]
         assert got.tolist() == want
 
     def test_global_rate(self):
-        t = table_of(
+        t = spec_table(
             ("R1", "B1", True, OutcomeClass.WIN),
             ("R1", "B1", True, OutcomeClass.WIN),
             ("R2", "B1", True, OutcomeClass.WIN),
@@ -124,7 +124,7 @@ class TestWinBaseline:
 
     def test_empty_train_rejected(self):
         with pytest.raises(DataError):
-            fit_win_baseline(InteractionTable([]), 25.0)
+            fit_win_baseline(table_of([]), 25.0)
 
     def test_negative_prior_rejected(self, small_table):
         with pytest.raises(ValueError):
@@ -137,7 +137,7 @@ class TestWinBaseline:
             fit(small_table, m)
 
     def test_rates_store_counts_and_smoothed_values(self):
-        t = table_of(
+        t = spec_table(
             ("R1", "B1", True, OutcomeClass.WIN),
             ("R1", "B2", False, OutcomeClass.LOSS),
             ("R2", "B1", False, OutcomeClass.LOSS),
@@ -181,7 +181,7 @@ class TestWinBaseline:
 
     def test_double_team_flag_is_ignored(self, rng):
         t = random_table(rng)
-        flipped = InteractionTable(
+        flipped = table_of(
             [
                 make_row(
                     game=r.game_id,
@@ -194,7 +194,7 @@ class TestWinBaseline:
                     win=r.win_target,
                     severity=r.severity,
                 )
-                for r in t
+                for r in rows_of(t)
             ]
         )
         a = fit_win_baseline(t, 25.0)
@@ -217,15 +217,15 @@ class TestSeverityBaseline:
 
     def test_vectorized_matchups_equal_scalar(self, rng):
         t = random_table(rng, n_rows=80, n_rushers=7, n_blockers=6)
-        bl = fit_severity_baseline(InteractionTable(t.rows[:40]), 50.0)
+        bl = fit_severity_baseline(t.take(slice(40)), 50.0)
         got = predict_severity_matchups(bl, t)
-        want = np.vstack([predict_severity_matchup(bl, r.rusher_id, r.blocker_id) for r in t])
+        want = np.vstack([predict_severity_matchup(bl, r.rusher_id, r.blocker_id) for r in rows_of(t)])
         assert np.array_equal(got, want)
 
     def test_global_profile_is_class_frequencies(self, small_table):
         bl = fit_severity_baseline(small_table, 50.0)
         probs = predict_severity_global(bl)
-        counts = np.bincount([int(r.severity) for r in small_table], minlength=4)
+        counts = np.bincount([int(r.severity) for r in rows_of(small_table)], minlength=4)
         for c in CLASSES:
             assert probs[c] == pytest.approx(counts[int(c)] / len(small_table))
 
@@ -234,7 +234,7 @@ class TestSeverityBaseline:
             ("R1", "B1", True, OutcomeClass.WIN) if i % 2 else ("R1", "B1", False, OutcomeClass.LOSS)
             for i in range(50)
         ] + [("R2", "B2", False, OutcomeClass.LOSS) for _ in range(50)]
-        t = table_of(*rows)
+        t = spec_table(*rows)
         bl = fit_severity_baseline(t, 50.0)
         n, profile = bl.rusher_profiles["R1"]
         assert n == 50
@@ -251,7 +251,7 @@ class TestSeverityBaseline:
                 assert vals.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_sack_player_at_zero_prior(self):
-        t = table_of(
+        t = spec_table(
             ("R1", "B1", False, OutcomeClass.SACK),
             ("R1", "B2", False, OutcomeClass.SACK),
             ("R2", "B1", False, OutcomeClass.LOSS),
@@ -276,7 +276,7 @@ class TestSeverityBaseline:
                 assert probs[OutcomeClass.LOSS] > 0
 
     def test_zero_loss_component_is_an_error(self):
-        t = table_of(
+        t = spec_table(
             ("R1", "B1", True, OutcomeClass.SACK),
             ("R2", "B1", False, OutcomeClass.LOSS),
         )
@@ -310,7 +310,7 @@ class TestSeverityBaseline:
                     severity=OutcomeClass.WIN if win else OutcomeClass.LOSS,
                 )
             )
-        t = InteractionTable(rows)
+        t = table_of(rows)
         for m in (0.0, 10.0, 50.0):
             wb = fit_win_baseline(t, m)
             sb = fit_severity_baseline(t, m)

@@ -20,10 +20,10 @@ from trenchrank.errors import DataError, FitError
 from trenchrank.evaluate import run_validation, validate_weighted
 from trenchrank.external import model_scores
 from trenchrank.fit import DROPPED_CLASSES_WARNING, fit_severity_model, fit_win_model
-from trenchrank.interactions import Interaction, InteractionTable, OutcomeClass, canonical_sort
+from trenchrank.interactions import InteractionTable, OutcomeClass, canonical_sort
 from trenchrank.report import summary_to_json_dict
 
-from conftest import make_row, random_table, rows_by_game
+from conftest import Interaction, make_row, random_table, rows_by_game, rows_of, table_of
 
 # ---------------------------------------------------------------------------
 # Reference: each replicate materialized as a resampled table (repeated
@@ -52,7 +52,7 @@ def resampled_table(table: InteractionTable, drawn) -> InteractionTable:
         else:
             tagged = f"{gid}#{copy + 1}"
             rows.extend(replace(r, game_id=tagged) for r in block)
-    return canonical_sort(InteractionTable(rows))
+    return canonical_sort(table_of(rows))
 
 
 def reference_ratings(tbl, cfg):
@@ -176,7 +176,7 @@ class TestResampledTable:
     def test_duplicates_get_copy_ordinals(self, rng):
         t = random_table(rng, n_games=2)
         out = resampled_table(t, ["g0", "g0", "g1", "g0"])
-        games = set(r.game_id for r in out)
+        games = set(r.game_id for r in rows_of(out))
         assert games == {"g0", "g0#2", "g0#3", "g1"}
         per_game = len(rows_by_game(t)["g0"])
         assert len(out) == 3 * per_game + len(rows_by_game(t)["g1"])
@@ -205,10 +205,10 @@ class TestMultiplicityWeights:
         key = lambda r: (r.game_id.split("#")[0], r.play_id, r.event_game_index)
         want_train = {}
         want_test = {}
-        for pos, r in enumerate(tbl):
+        for pos, r in enumerate(rows_of(tbl)):
             side = want_train if pos < n_train else want_test
             side[key(r)] = side.get(key(r), 0) + 1
-        for r, a, b in zip(t, train_w, test_w):
+        for r, a, b in zip(rows_of(t), train_w, test_w):
             assert (a, b) == (want_train.get(key(r), 0), want_test.get(key(r), 0))
         assert train_w.sum() == n_train and test_w.sum() == len(tbl) - n_train
 
@@ -226,8 +226,8 @@ class TestMultiplicityWeights:
         base = random_table(rng, n_rows=120, n_games=5)
         # a rusher seen only at the end of the last game: absent from some
         # replicates (NaN rating) and mostly held out (baseline fallback)
-        t = InteractionTable(
-            replace(r, rusher_id="RZ") if i >= len(base) - 6 else r for i, r in enumerate(base)
+        t = table_of(
+            replace(r, rusher_id="RZ") if i >= len(base) - 6 else r for i, r in enumerate(rows_of(base))
         )
         cfg = config(b=4, seed=seed)
         with warnings.catch_warnings():
@@ -249,7 +249,7 @@ class TestMultiplicityWeights:
             warnings.simplefilter("ignore", RuntimeWarning)
             summary = weekly_path_bootstrap(t, cfg)
             for week in summary.checkpoints:
-                sub = InteractionTable([r for r in t if r.week <= week])
+                sub = table_of([r for r in rows_of(t) if r.week <= week])
                 for rep in range(cfg.b):
                     rng_rep = np.random.default_rng([cfg.seed, week, rep])
                     tbl = resampled_table(sub, resample_games(list(sub.games), rng_rep))
@@ -284,7 +284,7 @@ class TestMultiplicityWeights:
 
         def relabel(ids):
             mapping = dict(zip(sorted(base.games), ids))
-            return InteractionTable(replace(r, game_id=mapping[r.game_id]) for r in base)
+            return table_of(replace(r, game_id=mapping[r.game_id]) for r in rows_of(base))
 
         tagged, plain = relabel(names), relabel(renamed)
         assert sorted(tagged.games) == names
@@ -421,10 +421,10 @@ class TestEndToEnd:
 
 def one_hit_game_table(rng):
     """Six games over four weeks with ``hit`` rows only in g0 (week 1)."""
-    return InteractionTable([
+    return table_of([
         replace(r, severity=OutcomeClass.SACK)
         if r.severity is OutcomeClass.HIT and r.game_id != "g0" else r
-        for r in random_table(rng, n_rows=180, n_games=6)
+        for r in rows_of(random_table(rng, n_rows=180, n_games=6))
     ])
 
 
@@ -465,7 +465,7 @@ class TestDroppedClassWarning:
             summary = weekly_path_bootstrap(t, cfg)
         affected = 0
         for week in summary.checkpoints:
-            n_games = len({r.game_id for r in t if r.week <= week})
+            n_games = len({r.game_id for r in rows_of(t) if r.week <= week})
             for rep in range(cfg.b):
                 draws = resample_games(range(n_games), np.random.default_rng([cfg.seed, week, rep]))
                 affected += bool(0 not in draws)  # g0 is the first game of every checkpoint
@@ -485,7 +485,7 @@ class TestDroppedClassWarning:
 
     def test_direct_fits_still_warn(self, rng):
         t = one_hit_game_table(rng)
-        without_g0 = np.array([r.game_id != "g0" for r in t], dtype=float)
+        without_g0 = np.array([r.game_id != "g0" for r in rows_of(t)], dtype=float)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             validate_weighted(t, without_g0, 1.0 - without_g0, lambda_win=0.5, lambda_sev=0.5)
@@ -516,7 +516,7 @@ class TestWeeklyPath:
                         )
                     )
                 g += 1
-        return InteractionTable(rows)
+        return table_of(rows)
 
     def test_one_checkpoint_per_week(self, rng):
         t = self.weekly_table(rng, n_weeks=4)
@@ -579,7 +579,7 @@ class TestWeeklyPath:
                     severity=OutcomeClass(int(e % 4 == 1)),
                 )
             )
-        t = InteractionTable(rows)
+        t = table_of(rows)
         cfg = config(
             mode="weekly_path",
             b=1,

@@ -10,8 +10,9 @@ import pytest
 from trenchrank import cli
 from trenchrank import fit as fit_module
 from trenchrank.cli import main
+from trenchrank.errors import DataError
 from trenchrank.fit import DEFAULT_LAMBDA_GRID
-from trenchrank.interactions import InteractionTable, read_interactions_csv, write_interactions_csv
+from trenchrank.interactions import OutcomeClass, read_interactions_csv, write_interactions_csv
 from trenchrank.report import (
     LEADERBOARD_CSV_HEADER,
     RANK_EVAL_CSV_HEADER,
@@ -315,6 +316,44 @@ class TestLeaderboard:
         assert all(r[5] != "" and r[6] != "" for r in rows[1:])
 
 
+class TestMalformedFitJson:
+    CASES = ["win fit without alpha", "severity delta without a class"]
+
+    @staticmethod
+    def broken_fits(fits_json, tmp_path, case):
+        """The fit file with one key removed, and the error text naming it."""
+        raw = json.loads(fits_json.read_text())
+        if case == "win fit without alpha":
+            del raw["win"]["alpha"]
+            key = "fit JSON has no key 'alpha'"
+        else:
+            label = raw["severity"]["classes"][-1]
+            del raw["severity"]["delta"][label]
+            key = f"fit JSON 'delta' has no key {label!r}"
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(raw))
+        return path, key
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_load_fits_names_file_and_key(self, fits_json, tmp_path, case):
+        path, key = self.broken_fits(fits_json, tmp_path, case)
+        with pytest.raises(DataError) as got:
+            cli._load_fits(path)
+        assert str(got.value) == f"{path}: {key}"
+
+    @pytest.mark.parametrize("command", ["leaderboard", "external"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_commands_exit_2(self, synth_csv, fits_json, tmp_path, capsys, case, command):
+        path, key = self.broken_fits(fits_json, tmp_path, case)
+        extra = {"leaderboard": ["--out", str(tmp_path / "lb.csv")],
+                 "external": ["--accolades", str(tmp_path / "acc.csv"),
+                              "--out-dir", str(tmp_path)]}[command]
+        argv = [command, "--interactions", str(synth_csv[0]), "--fit", str(path), *extra]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err
+
+
 class TestIngest:
     def write_inputs(self, d):
         frames, events, engagements, schedule = hand_play()
@@ -357,7 +396,7 @@ class TestIngest:
         assert code == 0
         table = read_interactions_csv(out)
         assert len(table) == 3
-        assert {r.severity.label for r in table} == {"hit"}
+        assert table.severity.tolist() == [OutcomeClass.HIT] * 3
 
     @pytest.mark.parametrize("option", [
         ["--horizon", "-1"],
@@ -614,8 +653,7 @@ class TestPipeline:
     @pytest.mark.parametrize("stage", ["validate", "sensitivity"])
     def test_one_row_table_fails_like_the_subcommand(self, synth_csv, tmp_path, capsys, stage):
         one_row = tmp_path / "one.csv"
-        write_interactions_csv(InteractionTable(read_interactions_csv(synth_csv[0]).rows[:1]),
-                               one_row)
+        write_interactions_csv(read_interactions_csv(synth_csv[0]).take(slice(1)), one_row)
         assert run([stage, "--interactions", str(one_row), "--out-dir", str(tmp_path)]) == 2
         message = capsys.readouterr().err.removeprefix("data error: ").strip()
         assert message == "validation needs nonempty train and test portions"

@@ -15,9 +15,8 @@ from trenchrank.fit import (
     fit_win_model,
     predict_win_probs,
 )
-from trenchrank.interactions import InteractionTable
 
-from conftest import design_matrix, make_row, random_table, table_index
+from conftest import design_matrix, make_row, random_table, rows_of, table_index, table_of
 
 
 def cells_index(table):
@@ -29,7 +28,7 @@ class TestBuildIndex:
     """The player index a table fit builds over its cells."""
 
     def test_columns_follow_sorted_ids(self):
-        t = InteractionTable(
+        t = table_of(
             [
                 make_row(rusher="R2", blocker="B1", idx=0),
                 make_row(rusher="R1", blocker="B3", idx=1),
@@ -43,12 +42,12 @@ class TestBuildIndex:
 
     def test_same_player_set_gives_same_index(self, rng):
         t = random_table(rng)
-        reversed_t = InteractionTable(tuple(reversed(t.rows)))
+        reversed_t = table_of(tuple(reversed(rows_of(t))))
         assert cells_index(t) == cells_index(reversed_t)
 
     def test_empty_table_rejected(self):
         with pytest.raises(DataError):
-            fit_win_model(InteractionTable([]), 0.1)
+            fit_win_model(table_of([]), 0.1)
 
     def test_json_round_trip(self, rng):
         # a fit's JSON keeps the index it was fit on and each column's parameters
@@ -69,18 +68,18 @@ class TestEncodeRow:
     """The reference design of ``conftest.design_matrix``."""
 
     def test_single_team_row(self):
-        t = InteractionTable([make_row()])
+        t = table_of([make_row()])
         row = design_matrix(t, table_index(t)).toarray()[0]
         assert row.tolist() == [1.0, 0.0, 1.0, -1.0]
 
     def test_double_team_adds_indicator(self):
-        t = InteractionTable([make_row(double=True)])
+        t = table_of([make_row(double=True)])
         row = design_matrix(t, table_index(t)).toarray()[0]
         assert row.tolist() == [1.0, 1.0, 1.0, -1.0]
 
     def test_unseen_players_contribute_no_columns(self):
-        idx = table_index(InteractionTable([make_row()]))
-        X = design_matrix(InteractionTable([make_row(rusher="RX", blocker="BX")]), idx)
+        idx = table_index(table_of([make_row()]))
+        X = design_matrix(table_of([make_row(rusher="RX", blocker="BX")]), idx)
         assert X.toarray()[0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_linear_predictor_matches_dense_dot(self, rng):
@@ -151,7 +150,7 @@ class TestBuildMatrix:
         got = set(zip((rushers[r] for r in design.rusher), (blockers[b] for b in design.blocker),
                       design.double_team.astype(bool).tolist(), outcome.tolist()))
         want = {(x.rusher_id, x.blocker_id, x.double_team, int(x.severity))
-                for x, k in zip(t, w) if k}
+                for x, k in zip(rows_of(t), w) if k}
         assert got == want
 
     def test_rusher_blocker_blocks_are_disjoint(self, rng):

@@ -34,10 +34,10 @@ from trenchrank.fit import (
     predict_class_prob_matrix,
     predict_win_probs,
 )
-from trenchrank.interactions import CLASSES, InteractionTable, OutcomeClass, canonical_sort
+from trenchrank.interactions import CLASSES, OutcomeClass, canonical_sort
 from trenchrank.synth import SynthConfig, synth_generate
 
-from conftest import make_row, random_table
+from conftest import make_row, random_table, rows_of, table_of
 
 
 class TestOrderedSplit:
@@ -50,7 +50,7 @@ class TestOrderedSplit:
     def test_order_and_partition_preserved(self, rng):
         t = random_table(rng, n_rows=40)
         res = ordered_split(t, 0.8)
-        assert res.train.rows + res.test.rows == t.rows
+        assert rows_of(res.train) + rows_of(res.test) == rows_of(t)
 
     def test_train_size_is_floor(self, rng):
         t = random_table(rng, n_rows=39, n_games=3)
@@ -58,12 +58,12 @@ class TestOrderedSplit:
         assert len(res.train) == math.floor(0.8 * 39) == 31
 
     def test_unsorted_input_rejected(self):
-        t = InteractionTable([make_row(game="g2"), make_row(game="g1")])
+        t = table_of([make_row(game="g2"), make_row(game="g1")])
         with pytest.raises(DataError):
             ordered_split(t, 0.8)
 
     def test_degenerate_split_warns(self):
-        t = InteractionTable([make_row()])
+        t = table_of([make_row()])
         with pytest.warns(RuntimeWarning):
             res = ordered_split(t, 0.8)
         assert (len(res.train), len(res.test)) == (0, 1)
@@ -182,14 +182,14 @@ class TestRunValidation:
 
         bl = fit_win_baseline(t, 25.0)
         p = predict_win_global(bl)
-        loss = binary_log_loss([p] * len(t), [r.win_target for r in t])
+        loss = binary_log_loss([p] * len(t), [r.win_target for r in rows_of(t)])
         entropy = -(p * math.log(p) + (1 - p) * math.log(1 - p))
         assert loss == pytest.approx(entropy, abs=1e-12)
 
     def test_test_rows_cannot_influence_training(self, rng):
         t = random_table(rng, n_rows=150, n_games=6)
         n_train = math.floor(0.8 * len(t))
-        mutated_rows = list(t.rows)
+        mutated_rows = list(rows_of(t))
         for i in range(n_train, len(t)):
             r = mutated_rows[i]
             mutated_rows[i] = make_row(
@@ -203,7 +203,7 @@ class TestRunValidation:
                 win=not r.win_target,
                 severity=OutcomeClass.LOSS if r.severity else OutcomeClass.SACK,
             )
-        mutated = InteractionTable(mutated_rows)
+        mutated = table_of(mutated_rows)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             a = run_validation(t, lambda_win=0.3, lambda_sev=0.3)
@@ -331,10 +331,10 @@ class TestPriorSensitivityOracle:
         rows = [
             dataclasses.replace(r, severity=OutcomeClass.HIT)
             if i < n_train and r.severity is OutcomeClass.SACK else r
-            for i, r in enumerate(table)
+            for i, r in enumerate(rows_of(table))
         ]
         rows[-1] = dataclasses.replace(rows[-1], severity=OutcomeClass.SACK)
-        table = InteractionTable(rows)
+        table = table_of(rows)
         for options in ({"lambda_win": 0.5, "lambda_sev": 0.5}, CV_OPTIONS):
             with pytest.warns(RuntimeWarning, match=DROPPED_CLASSES_WARNING):
                 got = prior_sensitivity(table, **options)
@@ -372,7 +372,7 @@ class TestPriorStrengthChecks:
             run_validation(t, **{key: m})
 
     def test_empty_side_error_comes_from_run_validation(self):
-        t = InteractionTable([make_row()])
+        t = table_of([make_row()])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(DataError, match="validation needs nonempty train and test"):

@@ -18,13 +18,12 @@ from trenchrank.external import (
 )
 from trenchrank.fit import fit_severity_model, fit_win_model
 from trenchrank.interactions import (
-    InteractionTable,
     OutcomeClass,
     SeverityWeights,
     default_severity_weights,
 )
 
-from conftest import make_row, random_table
+from conftest import make_row, random_table, rows_of, table_of
 
 
 def brute_force_auc(scores, labels):
@@ -184,7 +183,7 @@ class TestScores:
         assert scores[pid] == pytest.approx(expected)
 
     def test_raw_win_scores_orientation(self):
-        t = InteractionTable(
+        t = table_of(
             [
                 make_row(idx=0, rusher="R1", blocker="B1", win=True),
                 make_row(idx=1, rusher="R1", blocker="B1", win=True),
@@ -201,7 +200,7 @@ class TestScores:
         assert blocker["B2"] == pytest.approx(1.0)
 
     def test_raw_severity_scores_use_weights(self):
-        t = InteractionTable(
+        t = table_of(
             [
                 make_row(idx=0, rusher="R1", severity=OutcomeClass.SACK),
                 make_row(idx=1, rusher="R1", severity=OutcomeClass.LOSS),
@@ -219,7 +218,7 @@ class TestScores:
             t = random_table(rng, n_rows=300, n_rushers=9, n_blockers=7, n_games=6)
             for role in ("rusher", "blocker"):
                 counts, sums = {}, {"win": {}, "severity": {}}
-                for row in t:
+                for row in rows_of(t):
                     pid = row.rusher_id if role == "rusher" else row.blocker_id
                     counts[pid] = counts.get(pid, 0) + 1
                     for task, value in (("win", float(row.win_target)),
@@ -262,7 +261,7 @@ class TestRunExternalEval:
     def test_min_n_drops_thin_players(self, rng):
         t, win_fit, sev_fit, accolades = self.build(rng)
         counts = {}
-        for r in t:
+        for r in rows_of(t):
             counts[r.rusher_id] = counts.get(r.rusher_id, 0) + 1
         thin = min(counts, key=counts.get)
         rows_all = run_external_eval(win_fit, sev_fit, t, accolades, min_n=0)

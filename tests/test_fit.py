@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import expit
 
 from trenchrank import fit as fit_module
 from trenchrank.design import penalty_mask
@@ -22,21 +23,18 @@ from trenchrank.fit import (
     fit_severity_model,
     fit_to_json_dict,
     fit_win_model,
-    predict_class_probs,
     predict_class_prob_matrix,
-    predict_win_prob,
     predict_win_probs,
     select_lambda_min,
 )
 from trenchrank.interactions import (
     CLASSES,
-    InteractionTable,
     OutcomeClass,
     SeverityWeights,
 )
 from trenchrank.synth import SynthConfig, synth_generate
 
-from conftest import design_matrix, make_row, random_table, table_index
+from conftest import design_matrix, make_row, random_table, rows_of, table_index, table_of
 
 # ---------------------------------------------------------------------------
 # Independent oracles: dense objective formulas recoded from the math and a
@@ -107,7 +105,7 @@ def binary_problem(rng, n_rows=None):
     )
     idx = table_index(t)
     X = design_matrix(t, idx)
-    y = np.array([float(r.win_target) for r in t])
+    y = np.array([float(r.win_target) for r in rows_of(t)])
     return t, idx, X, y
 
 
@@ -147,7 +145,7 @@ def separated_table(model):
         rows = [
             make_row(idx=i, rusher="R1", blocker="B1", win=True) for i in range(10)
         ] + [make_row(idx=10 + i, rusher="R2", blocker="B1", win=False) for i in range(10)]
-        return InteractionTable(rows)
+        return table_of(rows)
     # every row of R1 is a sack: the MLE pushes its sack effect to infinity
     rows = [
         make_row(idx=i, rusher="R1", blocker="B1", win=True, severity=OutcomeClass.SACK)
@@ -157,7 +155,7 @@ def separated_table(model):
                  severity=OutcomeClass(i % 4))
         for i in range(12)
     ]
-    return InteractionTable(rows)
+    return table_of(rows)
 
 
 class TestSeparationWarning:
@@ -322,7 +320,7 @@ class TestMultinomialSolver:
         for _ in range(4):
             t = random_table(rng, n_rows=int(rng.integers(30, 51)))
             idx = table_index(t)
-            classes = [r.severity for r in t]
+            classes = [r.severity for r in rows_of(t)]
             lam = float(rng.uniform(0.05, 0.5))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -354,7 +352,7 @@ class TestMultinomialSolver:
         for _ in range(4):
             rows = []
             base = random_table(rng, n_rows=int(rng.integers(25, 45)))
-            for r in base:
+            for r in rows_of(base):
                 sev = OutcomeClass.WIN if r.severity >= OutcomeClass.WIN else OutcomeClass.LOSS
                 rows.append(
                     make_row(
@@ -369,28 +367,27 @@ class TestMultinomialSolver:
                         severity=sev,
                     )
                 )
-            t = InteractionTable(rows)
+            t = table_of(rows)
             lam = float(rng.uniform(0.05, 0.4))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 sev_fit = fit_severity_model(t, lam)
             win_fit = fit_win_model(t, lam)
-            for r in t:
-                p_bin = predict_win_prob(win_fit, r)
-                p_mult = predict_class_probs(sev_fit, r)[OutcomeClass.WIN]
-                assert p_mult == pytest.approx(p_bin, abs=1e-6)
+            p_bin = predict_win_probs(win_fit, t)
+            p_mult = predict_class_prob_matrix(sev_fit, t)[:, OutcomeClass.WIN]
+            assert p_mult == pytest.approx(p_bin, abs=1e-6)
 
     def test_unobserved_classes_dropped_with_warning(self, rng):
         rows = [
             make_row(idx=i, rusher=f"R{i % 3}", severity=OutcomeClass.WIN if i % 2 else OutcomeClass.LOSS)
             for i in range(20)
         ]
-        t = InteractionTable(rows)
+        t = table_of(rows)
         with pytest.warns(RuntimeWarning, match="dropped"):
             fit = fit_severity_model(t, 0.1)
         assert fit.dropped == (OutcomeClass.HIT, OutcomeClass.SACK)
         assert fit.classes == (OutcomeClass.WIN,)
-        probs = predict_class_probs(fit, t[0])
+        probs = predict_class_prob_matrix(fit, t)[0]
         assert probs[OutcomeClass.HIT] == 0.0
         assert probs[OutcomeClass.SACK] == 0.0
 
@@ -399,7 +396,7 @@ class TestMultinomialSolver:
         rows = [
             make_row(idx=i, rusher=f"R{i % 3}", severity=OutcomeClass(i % 2)) for i in range(20)
         ]
-        t = InteractionTable(rows)
+        t = table_of(rows)
         fits = {
             "fit_severity_model": lambda: fit_severity_model(t, 0.1),
             "fit_coded": lambda: fit_coded(t, np.ones(len(t)), "severity", 0.1),
@@ -421,7 +418,7 @@ class TestMultinomialSolver:
         with pytest.raises(DataError):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                fit_severity_model(InteractionTable(rows), 0.1)
+                fit_severity_model(table_of(rows), 0.1)
 
     def test_probabilities_sum_to_one(self, rng, small_table):
         fit = fit_severity_model(small_table, 0.3)
@@ -433,7 +430,7 @@ class TestMultinomialSolver:
     def test_shrinkage_limit_recovers_class_frequencies(self, rng, small_table):
         fit = fit_severity_model(small_table, 1e6)
         M = predict_class_prob_matrix(fit, small_table)
-        counts = np.bincount([int(r.severity) for r in small_table], minlength=4)
+        counts = np.bincount([int(r.severity) for r in rows_of(small_table)], minlength=4)
         freqs = counts / len(small_table)
         assert np.allclose(M, freqs[None, :], atol=1e-3)
 
@@ -445,13 +442,13 @@ class TestMultinomialSolver:
             for i in range(16)
         ]
         with pytest.warns(RuntimeWarning, match="dropped"):
-            fit = fit_severity_model(InteractionTable(rows), 0.2)
+            fit = fit_severity_model(table_of(rows), 0.2)
         assert fit.dropped == (OutcomeClass.HIT,)
         assert OutcomeClass.LOSS not in fit.dropped
-        probs = predict_class_probs(fit, rows[0])
+        probs = predict_class_prob_matrix(fit, table_of(rows))[0]
         assert probs[OutcomeClass.HIT] == 0.0
         assert probs[OutcomeClass.LOSS] >= 0.0
-        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def _assert_fits_close(a, b, tol):
@@ -496,7 +493,7 @@ class TestWeightedFits:
         for _ in range(3):
             t = random_table(rng, n_rows=40)
             w = rng.integers(1, 4, size=len(t))
-            repeated = InteractionTable([r for r, k in zip(t, w) for _ in range(k)])
+            repeated = table_of([r for r, k in zip(rows_of(t), w) for _ in range(k)])
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 weighted = fit_coded(t, w, model, 0.3)
@@ -509,7 +506,7 @@ class TestWeightedFits:
         t = random_table(rng, n_rows=40)
         w = np.ones(len(t))
         w[[3, 17]] = 0.0
-        kept = InteractionTable([r for r, k in zip(t, w) if k])
+        kept = table_of([r for r, k in zip(rows_of(t), w) if k])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             weighted = fit_coded(t, w, model, 0.3)
@@ -526,8 +523,8 @@ class TestWeightedFits:
         rows = [
             make_row(idx=i, rusher=f"R{i % 3}", severity=OutcomeClass(i % 3)) for i in range(21)
         ]
-        t = InteractionTable(rows)
-        w = np.array([0.0 if r.severity is OutcomeClass.HIT else 1.0 for r in t])
+        t = table_of(rows)
+        w = np.array([0.0 if r.severity is OutcomeClass.HIT else 1.0 for r in rows_of(t)])
         with pytest.warns(RuntimeWarning, match="dropped"):
             fit = fit_coded(t, w, "severity", 0.1)
         assert fit.dropped == (OutcomeClass.HIT, OutcomeClass.SACK)
@@ -558,7 +555,7 @@ class TestWeightedFits:
     def test_fit_coded_leaves_zero_weight_players_out(self, rng):
         t = random_table(rng, n_rows=120)
         absent = t.rushers[0]
-        w = np.array([0.0 if r.rusher_id == absent else 2.0 for r in t])
+        w = np.array([0.0 if r.rusher_id == absent else 2.0 for r in rows_of(t)])
         fit = fit_coded(t, w, "win", 0.4)
         assert absent not in fit.rusher_effects
         assert set(fit.rusher_effects) == set(t.rushers) - {absent}
@@ -851,7 +848,7 @@ class TestMalformedDesignRows:
         big = random_table(rng, n_rows=60, n_rushers=4, n_blockers=4)
         t = big.take(np.arange(40))
         w = rng.integers(0, 3, len(t)).astype(float)
-        kept = InteractionTable([r for r, k in zip(t, w) if k])
+        kept = table_of([r for r, k in zip(rows_of(t), w) if k])
         want = fit_module._cells(kept, w[w > 0], "severity")
         order = rng.permutation(len(t))
         for table, weights in ((t, w), (t.take(order), w[order])):
@@ -866,17 +863,50 @@ class TestMalformedDesignRows:
                     fit(t, 0.1, theta0=np.zeros(idx.n_columns - 1))
 
 
+def reference_win_prob(fit, x):
+    """Win probability of one ``Interaction``; unseen players get effect 0."""
+    eta = (
+        fit.alpha
+        + fit.rusher_effects.get(x.rusher_id, 0.0)
+        - fit.blocker_effects.get(x.blocker_id, 0.0)
+        + fit.delta * float(x.double_team)
+    )
+    return float(expit(eta))
+
+
+def reference_class_probs(fit, x):
+    """Class probabilities of one ``Interaction`` (dropped classes get 0)."""
+    etas = [0.0]
+    for c in fit.classes:
+        etas.append(
+            fit.alpha[c]
+            + fit.rusher_effects[c].get(x.rusher_id, 0.0)
+            - fit.blocker_effects[c].get(x.blocker_id, 0.0)
+            + fit.delta[c] * float(x.double_team)
+        )
+    arr = np.asarray(etas)
+    arr -= arr.max()
+    weights = np.exp(arr)
+    probs = weights / weights.sum()
+    out = {c: 0.0 for c in CLASSES}
+    out[OutcomeClass.LOSS] = float(probs[0])
+    for i, c in enumerate(fit.classes):
+        out[c] = float(probs[i + 1])
+    return out
+
+
 class TestVectorizedPrediction:
     def test_equals_per_row_predictors(self, rng):
         t = random_table(rng, n_rows=80, n_rushers=7, n_blockers=6)
         # fits on part of the table leave some players unseen
-        part = InteractionTable(t.rows[:30])
+        part = t.take(slice(30))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             win = fit_win_model(part, 0.3)
             sev = fit_severity_model(part, 0.3)
-        assert predict_win_probs(win, t).tolist() == [predict_win_prob(win, x) for x in t]
-        want = np.array([[predict_class_probs(sev, x)[c] for c in CLASSES] for x in t])
+        rows = rows_of(t)
+        assert predict_win_probs(win, t).tolist() == [reference_win_prob(win, x) for x in rows]
+        want = np.array([[reference_class_probs(sev, x)[c] for c in CLASSES] for x in rows])
         assert np.array_equal(predict_class_prob_matrix(sev, t), want)
         sub = np.array([5, 1, 40])
         assert np.array_equal(predict_class_prob_matrix(sev, t.take(sub)), want[sub])
@@ -917,7 +947,7 @@ class TestLambdaSelection:
         labels = cv_fold_labels(t, 3)
         assert len(labels) == len(t)
         by_game = {}
-        for row, lab in zip(t, labels):
+        for row, lab in zip(rows_of(t), labels):
             by_game.setdefault(row.game_id, set()).add(lab)
         assert all(len(s) == 1 for s in by_game.values())
         assert set().union(*by_game.values()) == {0, 1, 2}
@@ -962,8 +992,8 @@ def reference_cv(table, target, grid, n_folds):
     desc = sorted(grid, reverse=True)
     losses = np.zeros((n_folds, len(desc)))
     for fold in range(n_folds):
-        train = InteractionTable([r for r in table if fold_of[r.game_id] != fold])
-        held = InteractionTable([r for r in table if fold_of[r.game_id] == fold])
+        train = table_of([r for r in rows_of(table) if fold_of[r.game_id] != fold])
+        held = table_of([r for r in rows_of(table) if fold_of[r.game_id] == fold])
         idx = table_index(train)
         Xh = design_matrix(held, idx)
         theta = None
@@ -972,7 +1002,7 @@ def reference_cv(table, target, grid, n_folds):
                 fit = fit_win_model(train, lam, theta0=theta)
                 theta = _theta_from_binary(fit, idx)
                 probs = 1.0 / (1.0 + np.exp(-(Xh @ theta)))
-                losses[fold, j] = binary_log_loss(probs, [r.win_target for r in held])
+                losses[fold, j] = binary_log_loss(probs, [r.win_target for r in rows_of(held)])
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -986,7 +1016,7 @@ def reference_cv(table, target, grid, n_folds):
             probs[:, 0] = p[:, 0]
             for k, c in enumerate(fit.classes, start=1):
                 probs[:, int(c)] = p[:, k]
-            losses[fold, j] = multiclass_log_loss(probs, [r.severity for r in held])
+            losses[fold, j] = multiclass_log_loss(probs, [r.severity for r in rows_of(held)])
     mean = losses.mean(axis=0)
     return desc[::-1], list(mean[::-1]), select_lambda_min(desc, mean)
 
@@ -996,7 +1026,7 @@ def cv_fixture(rng):
     training part misses that class; fold 2 holds a rusher and a blocker
     that appear nowhere else."""
     rows = []
-    for r in random_table(rng, n_rows=150, n_rushers=6, n_blockers=5, n_games=6):
+    for r in rows_of(random_table(rng, n_rows=150, n_rushers=6, n_blockers=5, n_games=6)):
         severity = r.severity
         if severity is OutcomeClass.HIT and r.game_id not in ("g0", "g1"):
             severity = OutcomeClass.SACK
@@ -1008,7 +1038,7 @@ def cv_fixture(rng):
                 double=r.double_team, win=r.win_target, severity=severity,
             )
         )
-    return InteractionTable(rows)
+    return table_of(rows)
 
 
 class TestCvMatchesPerFoldTables:
@@ -1018,11 +1048,11 @@ class TestCvMatchesPerFoldTables:
         for _ in range(3):
             t = cv_fixture(rng)
             labels = cv_fold_labels(t, 3)
-            held_hit = [r.severity is OutcomeClass.HIT for r, f in zip(t, labels) if f == 0]
+            held_hit = [r.severity is OutcomeClass.HIT for r, f in zip(rows_of(t), labels) if f == 0]
             assert any(held_hit)
-            assert not any(r.severity is OutcomeClass.HIT for r, f in zip(t, labels) if f != 0)
-            assert {r.rusher_id for r, f in zip(t, labels) if f == 2} - {
-                r.rusher_id for r, f in zip(t, labels) if f != 2
+            assert not any(r.severity is OutcomeClass.HIT for r, f in zip(rows_of(t), labels) if f != 0)
+            assert {r.rusher_id for r, f in zip(rows_of(t), labels) if f == 2} - {
+                r.rusher_id for r, f in zip(rows_of(t), labels) if f != 2
             } == {"RZ"}
             want_lambdas, want_losses, want_min = reference_cv(t, target, grid, 3)
             with warnings.catch_warnings():
@@ -1136,7 +1166,7 @@ class TestStartPoints:
 
     def test_theta_on_index_maps_by_player_id(self, rng):
         t = random_table(rng, n_rows=80, n_rushers=7, n_blockers=6)
-        part = InteractionTable([r for r in t if "0" not in r.rusher_id + r.blocker_id])
+        part = table_of([r for r in rows_of(t) if "0" not in r.rusher_id + r.blocker_id])
         idx = table_index(t)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

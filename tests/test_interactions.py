@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import warnings
 from array import array
@@ -8,14 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trenchrank import interactions
+from trenchrank import cli, interactions
 from trenchrank.errors import DataError
 from trenchrank.evaluate import ordered_split
 from trenchrank.interactions import (
     CLASSES,
     INTERACTION_CSV_HEADER,
-    Interaction,
-    InteractionTable,
     OutcomeClass,
     SeverityWeights,
     canonical_sort,
@@ -29,7 +28,7 @@ from trenchrank.interactions import (
 )
 from trenchrank.synth import SynthConfig, synth_generate
 
-from conftest import make_row, random_table, rows_by_game
+from conftest import Interaction, make_row, random_table, rows_by_game, rows_of, table_of
 
 
 class TestOutcomeClass:
@@ -120,21 +119,9 @@ class TestEpaDerivation:
             derive_weight_from_epa(0.5, 0.1, 0.5)
 
 
-class TestInteraction:
-    def test_field_validation(self):
-        with pytest.raises(ValueError):
-            make_row(idx=-1)
-        with pytest.raises(ValueError):
-            make_row(week=0)
-
-    def test_sort_key_is_game_play_event(self):
-        r = make_row(game="g2", play="p9", idx=4)
-        assert r.sort_key() == ("g2", "p9", 4)
-
-
 class TestInteractionTable:
     def test_derived_id_sets_are_sorted_and_deduplicated(self):
-        t = InteractionTable(
+        t = table_of(
             [
                 make_row(rusher="R2", blocker="B9", idx=0),
                 make_row(rusher="R1", blocker="B9", idx=1),
@@ -147,8 +134,8 @@ class TestInteractionTable:
         assert t.plays == (("g1", "p1"),)
 
     def test_coded_view_indexes_sorted_vocabularies(self, rng):
-        rows = tuple(reversed(random_table(rng).rows))
-        t = InteractionTable(rows)
+        rows = tuple(reversed(rows_of(random_table(rng))))
+        t = table_of(rows)
         assert t.rushers == tuple(sorted({r.rusher_id for r in rows}))
         assert t.play_ids == tuple(sorted({r.play_id for r in rows}))
         assert [t.rushers[i] for i in t.rusher] == [r.rusher_id for r in rows]
@@ -161,20 +148,20 @@ class TestInteractionTable:
         assert t.win.tolist() == [float(r.win_target) for r in rows]
         assert t.severity.tolist() == [int(r.severity) for r in rows]
         assert not t.rusher.flags.writeable
-        assert t.rows == rows
+        assert rows_of(t) == rows
         sub = t.take(np.array([4, 0]))
-        assert sub.rows == (rows[4], rows[0])
+        assert rows_of(sub) == (rows[4], rows[0])
         # take cuts each vocabulary to the ids of the rows it keeps
         assert sub.rushers == tuple(sorted({rows[4].rusher_id, rows[0].rusher_id}))
         assert [sub.rushers[i] for i in sub.rusher] == [rows[4].rusher_id, rows[0].rusher_id]
 
     def test_rows_by_game_preserves_row_order(self):
         rows = [make_row(game=g, idx=i) for g in ("g1", "g2") for i in range(3)]
-        t = InteractionTable(rows)
+        t = table_of(rows)
         assert [r.event_game_index for r in rows_by_game(t)["g2"]] == [0, 1, 2]
 
     def test_canonical_sort_orders_and_is_idempotent(self):
-        shuffled = InteractionTable(
+        shuffled = table_of(
             [
                 make_row(game="g2", idx=0),
                 make_row(game="g1", play="p2", idx=1),
@@ -185,7 +172,7 @@ class TestInteractionTable:
         assert not shuffled.is_canonically_sorted()
         ordered = canonical_sort(shuffled)
         assert ordered.is_canonically_sorted()
-        assert [r.sort_key() for r in ordered] == [
+        assert [r.sort_key() for r in rows_of(ordered)] == [
             ("g1", "p1", 5),
             ("g1", "p2", 0),
             ("g1", "p2", 1),
@@ -199,17 +186,17 @@ class TestClassFrequencies:
         freqs = class_frequencies(small_table)
         assert set(freqs) == set(CLASSES)
         assert math.isclose(sum(freqs.values()), 1.0)
-        n_sack = sum(r.severity is OutcomeClass.SACK for r in small_table)
+        n_sack = sum(r.severity is OutcomeClass.SACK for r in rows_of(small_table))
         assert freqs[OutcomeClass.SACK] == n_sack / len(small_table)
 
     def test_empty_table_rejected(self):
         with pytest.raises(DataError):
-            class_frequencies(InteractionTable([]))
+            class_frequencies(table_of([]))
 
 
 class TestSummarize:
     def test_counts_and_double_team_rate(self):
-        t = InteractionTable(
+        t = table_of(
             [
                 make_row(idx=0, double=True),
                 make_row(idx=1, double=False),
@@ -222,7 +209,7 @@ class TestSummarize:
         assert s.double_team_rate == pytest.approx(2 / 3)
 
     def test_empty_table_has_undefined_rate(self):
-        assert summarize(InteractionTable([])).double_team_rate is None
+        assert summarize(table_of([])).double_team_rate is None
 
 
 class TestCsvRoundTrip:
@@ -291,6 +278,77 @@ class TestCsvRoundTrip:
         )
         with pytest.raises(DataError, match=rf"bad.csv:3: {field} must be written in ASCII digits"):
             read_interactions_csv(p)
+
+    @pytest.mark.parametrize("field", ["event_game_index", "week"])
+    @pytest.mark.parametrize("text", ["99999999999999999999", "9223372036854775808",
+                                      "-9223372036854775809"])
+    def test_integer_beyond_int64_is_a_data_error_with_line(self, tmp_path, field, text):
+        values = {"event_game_index": "1", "week": "1", field: text}
+        p = tmp_path / "big.csv"
+        p.write_text(
+            ",".join(INTERACTION_CSV_HEADER) + "\n"
+            "g1,p1,0,1,R1,B1,0,0,loss\n"
+            f"g1,p1,{values['event_game_index']},{values['week']},R1,B1,0,0,loss\n"
+        )
+        with pytest.raises(DataError) as got:
+            read_interactions_csv(p)
+        assert str(got.value) == f"{p}:3: {field} does not fit in a 64-bit integer, got {text!r}"
+        assert cli.main(["fit", "--interactions", str(p), "--lam", "0.5",
+                         "--out", str(tmp_path / "fit.json")]) == 2
+
+    def test_largest_int64_is_read(self, tmp_path):
+        p = tmp_path / "max.csv"
+        p.write_text(
+            ",".join(INTERACTION_CSV_HEADER) + "\n"
+            "g1,p1,9223372036854775807,9223372036854775807,R1,B1,0,0,loss\n"
+        )
+        t = read_interactions_csv(p)
+        assert t.event_game_index.tolist() == t.week.tolist() == [2**63 - 1]
+
+
+class TestTableEquality:
+    """``==`` compares columns; the oracle compares the decoded rows."""
+
+    @staticmethod
+    def assert_eq_matches_rows(a, b):
+        assert (a == b) == (b == a) == (rows_of(a) == rows_of(b))
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(7)
+        tables = [random_table(rng, n_rows=int(rng.integers(0, 40)), n_games=2)
+                  for _ in range(12)]
+        for a in tables:
+            assert a == table_of(rows_of(a))
+            for b in tables:
+                self.assert_eq_matches_rows(a, b)
+
+    @pytest.mark.parametrize("field", ["game_id", "play_id", "event_game_index", "week",
+                                       "rusher_id", "blocker_id", "double_team",
+                                       "win_target", "severity"])
+    def test_one_field_of_one_row_differs(self, rng, field):
+        rows = list(rows_of(random_table(rng, n_rows=30)))
+        other = {"game_id": "gX", "play_id": "pX", "event_game_index": 999, "week": 9,
+                 "rusher_id": "RX", "blocker_id": "BX", "double_team": not rows[7].double_team,
+                 "win_target": not rows[7].win_target,
+                 "severity": OutcomeClass((int(rows[7].severity) + 1) % 4)}[field]
+        changed = rows.copy()
+        changed[7] = dataclasses.replace(rows[7], **{field: other})
+        assert changed != rows
+        self.assert_eq_matches_rows(table_of(rows), table_of(changed))
+        assert table_of(rows) != table_of(changed)
+
+    def test_reordered_rows(self, rng):
+        rows = rows_of(random_table(rng, n_rows=30))
+        self.assert_eq_matches_rows(table_of(rows), table_of(rows[::-1]))
+        assert table_of(rows) != table_of(rows[::-1])
+        assert canonical_sort(table_of(rows[::-1])) == canonical_sort(table_of(rows))
+
+    def test_empty_tables(self, small_table):
+        empty = table_of([])
+        assert empty == table_of([]) == small_table.take(slice(0))
+        self.assert_eq_matches_rows(empty, small_table)
+        self.assert_eq_matches_rows(empty, small_table.take(slice(1)))
+        assert empty != "not a table"
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +441,19 @@ def reference_read_interactions_csv(path):
 def oracle_tables():
     rng = np.random.default_rng(99)
     for k in range(6):
-        yield f"random{k}", random_table(
+        yield f"random{k}", rows_of(random_table(
             rng, n_rows=int(rng.integers(0, 90)), n_rushers=int(rng.integers(1, 9)),
             n_blockers=int(rng.integers(1, 7)), n_games=int(rng.integers(1, 6)),
-        ).rows
+        ))
     for seed in range(3):
         table, _ = synth_generate(SynthConfig(
             n_rushers=30, n_blockers=20, n_games=7, plays_per_game=6, seed=seed,
         ))
-        yield f"synth{seed}", table.rows
+        yield f"synth{seed}", rows_of(table)
 
 
 def assert_matches_reference(t, ref):
-    assert t.rows == ref.rows
+    assert rows_of(t) == ref.rows
     assert (t.games, t.play_ids, t.rushers, t.blockers, t.plays) == (
         ref.games, ref.play_ids, ref.rushers, ref.blockers, ref.plays
     )
@@ -410,15 +468,15 @@ class TestReferenceEquivalence:
     def test_columns_and_table_operations(self, name, rows):
         rng = np.random.default_rng(len(rows))
         shuffled = [rows[i] for i in rng.permutation(len(rows))]
-        t, ref = InteractionTable(shuffled), ReferenceTable(shuffled)
+        t, ref = table_of(shuffled), ReferenceTable(shuffled)
         assert_matches_reference(t, ref)
-        assert t == InteractionTable(shuffled)
-        assert (t == InteractionTable(rows)) == (shuffled == list(rows))
+        assert t == table_of(shuffled)
+        assert (t == table_of(rows)) == (shuffled == list(rows))
 
         ordered = canonical_sort(t)
         assert_matches_reference(ordered, ReferenceTable(reference_canonical_sort(shuffled)))
         assert ordered.is_canonically_sorted()
-        assert t.is_canonically_sorted() == (list(t.rows) == reference_canonical_sort(shuffled))
+        assert t.is_canonically_sorted() == (list(rows_of(t)) == reference_canonical_sort(shuffled))
 
         assert tuple(summarize(t).__dict__.values()) == reference_summarize(ref)
         if rows:
@@ -444,14 +502,14 @@ class TestReferenceEquivalence:
         rows = [make_row(game=g, play=p, idx=i, rusher=f"R{k}")
                 for k, (g, p, i) in enumerate([("g2", "p1", 0), ("g1", "p2", 3), ("g1", "p2", 3),
                                                ("g2", "p1", 0), ("g1", "p10", 1), ("g1", "p2", 3)])]
-        got = canonical_sort(InteractionTable(rows)).rows
+        got = rows_of(canonical_sort(table_of(rows)))
         assert list(got) == reference_canonical_sort(rows)
         assert [r.rusher_id for r in got if r.sort_key() == ("g1", "p2", 3)] == ["R1", "R2", "R5"]
 
     @pytest.mark.parametrize("name, rows", list(oracle_tables()))
     def test_csv_reader_matches_reference(self, name, rows, tmp_path):
         path = tmp_path / "t.csv"
-        write_interactions_csv(InteractionTable(rows), path)
+        write_interactions_csv(table_of(rows), path)
         assert_matches_reference(read_interactions_csv(path), reference_read_interactions_csv(path))
 
 

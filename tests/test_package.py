@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -18,3 +20,12 @@ def test_import_loads_no_sparse_matrices():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_no_module_defines_a_row_class():
+    # the interaction table and the tracking frames are columns, with no row object
+    found = {}
+    for info in pkgutil.iter_modules(trenchrank.__path__):
+        module = importlib.import_module(f"trenchrank.{info.name}")
+        found[info.name] = sorted({"Interaction", "Frame"} & vars(module).keys())
+    assert {name: rows for name, rows in found.items() if rows} == {}

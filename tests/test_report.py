@@ -35,7 +35,7 @@ from trenchrank.report import (
     write_weekly_csv,
 )
 
-from conftest import random_table
+from conftest import random_table, rows_of
 
 
 def read_rows(path):
@@ -74,7 +74,7 @@ class TestLeaderboard:
         fit = fit_win_model(t, 0.5)
         rows = leaderboard(fit, t, min_n=1, top=100)
         counts = {}
-        for r in t:
+        for r in rows_of(t):
             counts[("rusher", r.rusher_id)] = counts.get(("rusher", r.rusher_id), 0) + 1
             counts[("blocker", r.blocker_id)] = counts.get(("blocker", r.blocker_id), 0) + 1
         for row in rows:
@@ -84,7 +84,7 @@ class TestLeaderboard:
         t = random_table(rng, n_rows=120)
         fit = fit_win_model(t, 0.5)
         threshold = max(
-            sum(1 for r in t if r.rusher_id == pid) for pid in t.rushers
+            sum(1 for r in rows_of(t) if r.rusher_id == pid) for pid in t.rushers
         )
         rows = leaderboard(fit, t, min_n=threshold + 1, top=10)
         assert [r for r in rows if r.role == "rusher"] == []

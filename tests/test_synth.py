@@ -6,7 +6,7 @@ import pytest
 from trenchrank.interactions import CLASSES, OutcomeClass, SeverityWeights
 from trenchrank.synth import GroundTruth, SynthConfig, synth_generate
 
-from conftest import rows_by_game
+from conftest import rows_by_game, rows_of
 
 
 def inv_logit(z):
@@ -39,8 +39,8 @@ class TestShape:
                           interactions_per_play=3, seed=5)
         table, truth = synth_generate(cfg)
         assert len(table) == 4 * 6 * 3
-        assert set(r.rusher_id for r in table) <= set(truth.rusher_win_effects)
-        assert set(r.blocker_id for r in table) <= set(truth.blocker_win_effects)
+        assert set(r.rusher_id for r in rows_of(table)) <= set(truth.rusher_win_effects)
+        assert set(r.blocker_id for r in rows_of(table)) <= set(truth.blocker_win_effects)
         assert len(truth.rusher_win_effects) == 12
         assert len(truth.blocker_win_effects) == 8
 
@@ -58,7 +58,7 @@ class TestShape:
         cfg = SynthConfig(n_games=30, n_weeks=18, seed=0)
         table, _ = synth_generate(cfg)
         weeks = {}
-        for r in table:
+        for r in rows_of(table):
             weeks.setdefault(r.game_id, set()).add(r.week)
         per_game = [weeks[g] for g in sorted(weeks)]
         assert all(len(w) == 1 for w in per_game)
@@ -106,14 +106,14 @@ class TestRates:
         table, _ = synth_generate(cfg)
         n = len(table)
         p = inv_logit(cfg.alpha)
-        rate = sum(r.win_target for r in table) / n
+        rate = sum(r.win_target for r in rows_of(table)) / n
         assert abs(rate - p) < 3 * math.sqrt(p * (1 - p) / n)
 
     def test_double_team_rate(self):
         cfg = self.flat_cfg(p_double=0.427)
         table, _ = synth_generate(cfg)
         n = len(table)
-        rate = sum(r.double_team for r in table) / n
+        rate = sum(r.double_team for r in rows_of(table)) / n
         assert abs(rate - 0.427) < 3 * math.sqrt(0.427 * 0.573 / n)
 
     def test_class_mix_matches_intercepts(self):
@@ -122,7 +122,7 @@ class TestRates:
         n = len(table)
         raw = np.array([1.0] + [math.exp(cfg.sev_alpha[c]) for c in CLASSES[1:]])
         probs = raw / raw.sum()
-        counts = np.bincount([int(r.severity) for r in table], minlength=4)
+        counts = np.bincount([int(r.severity) for r in rows_of(table)], minlength=4)
         for c, p in zip(CLASSES, probs):
             sd = math.sqrt(p * (1 - p) / n)
             assert abs(counts[int(c)] / n - p) < 3 * sd + 1e-12
@@ -130,8 +130,8 @@ class TestRates:
     def test_negative_delta_suppresses_double_team_wins(self):
         cfg = self.flat_cfg(delta=-2.0, p_double=0.5)
         table, _ = synth_generate(cfg)
-        dbl = [r.win_target for r in table if r.double_team]
-        single = [r.win_target for r in table if not r.double_team]
+        dbl = [r.win_target for r in rows_of(table) if r.double_team]
+        single = [r.win_target for r in rows_of(table) if not r.double_team]
         rate_d = sum(dbl) / len(dbl)
         rate_s = sum(single) / len(single)
         assert rate_d < rate_s
@@ -140,18 +140,18 @@ class TestRates:
 
     def test_zero_double_rate_possible(self):
         table, _ = synth_generate(self.flat_cfg(p_double=0.0))
-        assert not any(r.double_team for r in table)
+        assert not any(r.double_team for r in rows_of(table))
 
 
 class TestCoupling:
     def test_independent_targets_by_default(self):
         table, _ = synth_generate(SynthConfig(seed=23))
-        assert any(r.win_target and r.severity is OutcomeClass.LOSS for r in table)
-        assert any(not r.win_target and r.severity is not OutcomeClass.LOSS for r in table)
+        assert any(r.win_target and r.severity is OutcomeClass.LOSS for r in rows_of(table))
+        assert any(not r.win_target and r.severity is not OutcomeClass.LOSS for r in rows_of(table))
 
     def test_coupled_mode_ties_win_to_class(self):
         table, _ = synth_generate(SynthConfig(seed=23, coupled=True))
-        for r in table:
+        for r in rows_of(table):
             assert r.win_target == (r.severity >= OutcomeClass.WIN)
 
 

@@ -3,6 +3,7 @@ import csv
 import math
 import sys
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,6 @@ import pytest
 from trenchrank import cli
 from trenchrank.errors import DataError
 from trenchrank.interactions import (
-    Interaction,
-    InteractionTable,
     OutcomeClass,
     _parse_bool01,
     canonical_sort,
@@ -22,7 +21,6 @@ from trenchrank.interactions import (
 from trenchrank.tracking import (
     TRACKING_CSV_HEADER,
     Engagement,
-    Frame,
     PlayEvents,
     TrackingFrames,
     WIN_HORIZON_FRAMES,
@@ -39,6 +37,25 @@ PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 if PERFBENCH not in sys.path:
     sys.path.insert(0, PERFBENCH)
 import rawgen  # noqa: E402  (raw tracking CSVs whose table is known by construction)
+
+from conftest import Interaction, rows_of, table_of  # noqa: E402
+
+
+@dataclass(frozen=True, slots=True)
+class Frame:
+    """One tracking row as values: one player's position at one 10 Hz instant."""
+
+    game_id: str
+    play_id: str
+    frame_index: int
+    player_id: str
+    x: float
+    y: float
+    is_qb: bool
+
+    def __post_init__(self) -> None:
+        if self.frame_index < 0:
+            raise DataError(f"frame_index must be >= 0, got {self.frame_index}")
 
 
 def frame(pid, x, y, *, qb=False, game="g1", play="p1", t=0):
@@ -71,10 +88,10 @@ def eng(rusher, blocker, start, end, *, game="g1", play="p1"):
 
 def engage(frames, rusher="R1", blocker="B1", *, snap=0, window=(0, 0), **options):
     """The win label of one engagement on the one-play world ``frames``."""
-    (row,) = build_interactions(
+    (row,) = rows_of(build_interactions(
         tracking_frames(frames), [PlayEvents("g1", "p1", snap, True, False, False)],
         [eng(rusher, blocker, *window)], {"g1": 1}, **options,
-    )
+    ))
     return row.win_target
 
 
@@ -252,10 +269,10 @@ class TestBuildInteractions:
         frames, events, engagements, schedule = hand_play()
         table = build_interactions(tracking_frames(frames), events, engagements, schedule)
         assert len(table) == 3  # run play filtered out
-        assert [r.play_id for r in table] == ["p1", "p1", "p1"]
-        assert [r.week for r in table] == [4, 4, 4]
-        assert [r.event_game_index for r in table] == [0, 1, 2]
-        by_pair = {(r.rusher_id, r.blocker_id): r for r in table}
+        assert [r.play_id for r in rows_of(table)] == ["p1", "p1", "p1"]
+        assert [r.week for r in rows_of(table)] == [4, 4, 4]
+        assert [r.event_game_index for r in rows_of(table)] == [0, 1, 2]
+        by_pair = {(r.rusher_id, r.blocker_id): r for r in rows_of(table)}
         r1 = by_pair[("R1", "B1")]
         assert r1.win_target is True
         assert r1.severity is OutcomeClass.HIT  # hit outranks the 2.5 s win
@@ -269,14 +286,14 @@ class TestBuildInteractions:
     def test_event_index_orders_by_start_frame_then_ids(self):
         frames, events, engagements, schedule = hand_play()
         table = build_interactions(tracking_frames(frames), events, engagements, schedule)
-        ordered = [(r.rusher_id, r.blocker_id) for r in table]
+        ordered = [(r.rusher_id, r.blocker_id) for r in rows_of(table)]
         assert ordered == [("R1", "B1"), ("R2", "B1"), ("R2", "B2")]
 
     def test_window_past_horizon_is_a_loss_not_an_error(self):
         frames, events, engagements, schedule = hand_play()
         engagements = engagements + [eng("R3", "B3", 40, 50)]
         table = build_interactions(tracking_frames(frames), events, engagements, schedule)
-        row = next(r for r in table if r.rusher_id == "R3")
+        row = next(r for r in rows_of(table) if r.rusher_id == "R3")
         assert row.win_target is False
         assert row.severity is OutcomeClass.HIT  # qb_hit still applies
 
@@ -306,7 +323,7 @@ class TestBuildInteractions:
             events[1],
         ]
         table = build_interactions(tracking_frames(frames), events, engagements, schedule)
-        assert all(r.severity is OutcomeClass.SACK for r in table)
+        assert all(r.severity is OutcomeClass.SACK for r in rows_of(table))
 
     def test_output_is_canonically_sorted(self):
         frames, events, engagements, schedule = hand_play()
@@ -330,7 +347,7 @@ class TestBuildInteractions:
     def test_no_dropback_engagement_gives_an_empty_table(self):
         frames, events, engagements, schedule = hand_play()
         table = build_interactions(tracking_frames(frames), events, engagements[3:], schedule)
-        assert table == InteractionTable() and table.games == ()
+        assert table == table_of([]) and table.games == ()
         assert table.win.dtype == float and table.severity.dtype == np.intp
 
     def test_frame_list_rejected(self):
@@ -341,16 +358,22 @@ class TestBuildInteractions:
     def test_tolerance_flips_marginal_win(self):
         frames, events, engagements, schedule = hand_play()
         table = build_interactions(tracking_frames(frames), events, engagements, schedule, tolerance=2.0)
-        r1 = next(r for r in table if r.rusher_id == "R1")
+        r1 = next(r for r in rows_of(table) if r.rusher_id == "R1")
         # R1's best margin is 1.0 yard (4.0 vs 5.0): below the 2.0 gap
         assert r1.win_target is False
         assert r1.severity is OutcomeClass.HIT
 
 
 class TestValidation:
-    def test_negative_frame_index_rejected(self):
-        with pytest.raises(DataError):
-            Frame("g", "p", -1, "R1", 0.0, 0.0, False)
+    def test_negative_frame_index_rejected(self, tmp_path):
+        path = tmp_path / "tracking.csv"
+        path.write_text(
+            "game_id,play_id,frame_index,player_id,x,y,is_qb\n"
+            "g1,p1,0,QB,1.0,2.0,1\n"
+            "g1,p1,-1,R1,1.0,2.0,0\n"
+        )
+        with pytest.raises(DataError, match=r"tracking.csv:3: frame_index must be >= 0, got -1$"):
+            read_tracking_csv(path)
 
     def test_negative_snap_rejected(self):
         with pytest.raises(DataError):
@@ -443,6 +466,37 @@ class TestCsvReaders:
         path.write_text("game_id,week\ng1,0\n")
         with pytest.raises(DataError, match="week"):
             read_schedule_csv(path)
+
+    def test_schedule_week_beyond_int64_rejected_with_line(self, tmp_path):
+        path = tmp_path / "schedule.csv"
+        path.write_text("game_id,week\ng1,1\ng2,99999999999999999999\n")
+        with pytest.raises(DataError) as got:
+            read_schedule_csv(path)
+        assert str(got.value) == f"{path}:3: bad week '99999999999999999999'"
+
+    def test_ingest_with_week_beyond_int64_exits_2(self, tmp_path, capsys):
+        paths = rawgen.generate(tmp_path, seed=0, n_games=1, plays_per_game=2)["paths"]
+        schedule = paths["schedule"]
+        game = rawgen.read_rows(schedule)[0][0]
+        Path(schedule).write_text(f"game_id,week\n{game},99999999999999999999\n")
+        argv = ["ingest", "--tracking", paths["tracking"], "--events", paths["events"],
+                "--engagements", paths["engagements"], "--schedule", schedule,
+                "--out", str(tmp_path / "out.csv")]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert f"{schedule}:2: bad week" in capsys.readouterr().err
+
+    def test_tracking_frame_index_beyond_int64_names_line(self, tmp_path):
+        path = tmp_path / "tracking.csv"
+        path.write_text(
+            "game_id,play_id,frame_index,player_id,x,y,is_qb\n"
+            "g1,p1,0,QB,1.0,2.0,1\n"
+            "g1,p1,99999999999999999999,R1,1.0,2.0,0\n"
+        )
+        with pytest.raises(DataError) as got:
+            read_tracking_csv(path)
+        assert str(got.value) == (
+            f"{path}:3: frame_index does not fit in a 64-bit integer, got '99999999999999999999'"
+        )
 
     def test_field_count_checked(self, tmp_path):
         path = tmp_path / "engagements.csv"
@@ -603,7 +657,7 @@ def reference_build_interactions(
                     severity=label_outcome(has_sack=ev.has_sack, has_hit=ev.qb_hit, has_win=won),
                 )
             )
-    return canonical_sort(InteractionTable(rows))
+    return canonical_sort(table_of(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +822,7 @@ class TestEquivalenceOracle:
         want = reference_build_interactions(frames, events, engagements, schedule, **options)
         got = build_interactions(tracking_frames(frames), events, engagements, schedule, **options)
         assert got == want
-        assert any(r.win_target for r in got) and not all(r.win_target for r in got)
+        assert 0 < got.win.sum() < len(got)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_csv_path_matches_reference(self, seed, tmp_path):

@@ -50,7 +50,7 @@ from .interactions import (
     write_interactions_csv,
 )
 from .synth import GroundTruth, SynthConfig, synth_generate
-from .tracking import build_interactions, detect_double_team
+from .tracking import build_interactions
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "cv_select_lambda",
     "default_severity_weights",
     "derive_weight_from_epa",
-    "detect_double_team",
     "end_to_end_bootstrap",
     "enrichment_at_k",
     "expected_severity",

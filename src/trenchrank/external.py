@@ -59,7 +59,8 @@ def read_accolades_csv(path) -> dict[str, str]:
                 f"bad accolade header in {path}: expected {ACCOLADE_CSV_HEADER}, got {header}"
             )
         labels: dict[str, str] = {}
-        for lineno, rec in enumerate(reader, start=2):
+        for rec in reader:
+            lineno = reader.line_num  # the line the record ends on
             if len(rec) != 2:
                 raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(rec)}")
             pid, level = rec

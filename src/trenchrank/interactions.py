@@ -319,7 +319,13 @@ def _parse_bool01(value: str, field: str) -> bool:
 def _decimal(kind, text: str, field: str):
     """``kind(text)``, refusing the underscores and non-ASCII digits
     that Python accepts and ``np.loadtxt`` does not."""
-    value = kind(text)
+    try:
+        value = kind(text)
+    except ValueError:
+        if kind is not int:
+            raise
+        # int's own text names neither the field nor the rule
+        raise ValueError(f"{field} must be an integer, got {text!r}") from None
     if "_" in text or not text.isascii():
         raise ValueError(
             f"{field} must be written in ASCII digits without underscores, got {text!r}"
@@ -391,21 +397,30 @@ def _value_columns(fields: dict[str, Sequence[str]]) -> dict[str, np.ndarray]:
     return columns
 
 
-def _raise_record_error(path, lines: np.ndarray, recs: list[list[str]]) -> NoReturn:
+def _line(path, record: int) -> int:
+    """The line on which record ``record`` of ``path`` ends (the header is
+    record 1): records and lines differ past a quoted field's line break."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(islice(reader, record - 1, None))
+        return reader.line_num
+
+
+def _raise_record_error(path, records: np.ndarray, recs: list[list[str]]) -> NoReturn:
     """The first bad record's first error, naming its line."""
     width = len(INTERACTION_CSV_HEADER)
-    for line, rec in zip(lines.tolist(), recs):
+    for record, rec in zip(records.tolist(), recs):
         if len(rec) != width:
-            raise DataError(f"{path}:{line}: expected {width} fields")
+            raise DataError(f"{path}:{_line(path, record)}: expected {width} fields")
         try:
             _value_columns({f: (text,) for f, text in zip(INTERACTION_CSV_HEADER, rec)})
         except (ValueError, DataError) as exc:
-            raise DataError(f"{path}:{line}: {exc}") from exc
+            raise DataError(f"{path}:{_line(path, record)}: {exc}") from exc
     raise AssertionError("no bad record in the block")
 
 
-def _parse_block(path, lines: np.ndarray, recs: list[list[str]]) -> InteractionTable:
-    """One block of records, read from ``lines``, as a table.
+def _parse_block(path, records: np.ndarray, recs: list[list[str]]) -> InteractionTable:
+    """One block of records, numbered ``records``, as a table.
 
     Each column is converted in bulk, accepting every spelling the schema
     allows.  A block that fails a check is walked record by record to
@@ -422,7 +437,7 @@ def _parse_block(path, lines: np.ndarray, recs: list[list[str]]) -> InteractionT
             return InteractionTable(
                 **{c: _factorize(fields[f]) for c, (_, f) in _ID_COLUMNS.items()}, **values
             )
-    _raise_record_error(path, lines, recs)
+    _raise_record_error(path, records, recs)
 
 
 def _concat(tables: Sequence[InteractionTable]) -> InteractionTable:
@@ -439,7 +454,7 @@ def _concat(tables: Sequence[InteractionTable]) -> InteractionTable:
     return InteractionTable(**columns)
 
 
-def _check_unique_keys(table: InteractionTable, lines: np.ndarray, path) -> None:
+def _check_unique_keys(table: InteractionTable, records: np.ndarray, path) -> None:
     """A repeated (game_id, play_id, event_game_index) is a DataError naming
     the first repeating row's line and the line of its key's first row."""
     order = _canonical_order(table)
@@ -451,8 +466,8 @@ def _check_unique_keys(table: InteractionTable, lines: np.ndarray, path) -> None
         key = (table.games[table.game[i]], table.play_ids[table.play[i]],
                int(table.event_game_index[i]))
         raise DataError(
-            f"{path}:{lines[i]}: duplicate key (game_id, play_id, event_game_index) "
-            f"= {key}, first seen on line {lines[j]}"
+            f"{path}:{_line(path, records[i])}: duplicate key (game_id, play_id, "
+            f"event_game_index) = {key}, first seen on line {_line(path, records[j])}"
         )
 
 
@@ -464,8 +479,8 @@ def read_interactions_csv(path) -> InteractionTable:
     ``(game_id, play_id, event_game_index)`` must be unique: the
     ordered split and the bootstrap's copy order rely on it.
     """
-    lines: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
-    blocks = [_parse_block(path, lines[0], [])]  # a file of no records is an empty table
+    records: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
+    blocks = [_parse_block(path, records[0], [])]  # a file of no records is an empty table
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -473,17 +488,17 @@ def read_interactions_csv(path) -> InteractionTable:
             raise DataError(
                 f"{path}: expected header {INTERACTION_CSV_HEADER}, got {header}"
             )
-        start = 2  # the line of the next record
+        start = 2  # the number of the next record
         while recs := list(islice(reader, _READ_BLOCK)):
-            block_lines = np.arange(start, start + len(recs))
+            numbers = np.arange(start, start + len(recs))
             start += len(recs)
             if not all(recs):  # skip blank lines
                 kept = list(map(bool, recs))
-                recs, block_lines = list(compress(recs, kept)), block_lines[kept]
-            blocks.append(_parse_block(path, block_lines, recs))
-            lines.append(block_lines)
+                recs, numbers = list(compress(recs, kept)), numbers[kept]
+            blocks.append(_parse_block(path, numbers, recs))
+            records.append(numbers)
     table = _concat(blocks)
-    _check_unique_keys(table, np.concatenate(lines), path)
+    _check_unique_keys(table, np.concatenate(records), path)
     return table
 
 

@@ -12,21 +12,23 @@ Each engagement on a kept play becomes one interaction:
 - double_team: two engagements of the same rusher by distinct blockers
   share at least one frame.
 
-The tracking path is columnar.  ``read_tracking_csv`` parses the file
-with one ``np.loadtxt`` call into a read-only ``TrackingFrames``: play
-and player codes over sorted vocabularies, frame, x, y, is_qb and source
-line columns, and one sort of the rows by (play, player, frame).
-``build_interactions`` finds each engagement's clipped window in the QB,
-rusher and blocker tracks with one ``searchsorted`` each, decides the
-win as an any over the gathered window and builds the table's columns
-directly.  Distances use ``math.hypot``: ``np.hypot`` differs from it in
-the last bit, and the rule is a strict comparison.
+The ingest path is columnar.  ``read_tracking_csv`` parses the file
+with one ``np.loadtxt`` call into a read-only ``TrackingFrames`` (play
+and player codes, frame, x, y, is_qb and source line columns), sorted
+once by (play, player, frame).  ``read_events_csv`` and
+``read_engagements_csv`` return read-only structured arrays with the
+CSV header's fields.  ``build_interactions`` joins engagements to events
+through play codes, orders each game's engagements with one
+``np.lexsort``, decides double teams over the pairs of each (game, play,
+rusher), finds each clipped window in the QB, rusher and blocker tracks
+with one ``searchsorted`` each, and decides the win as an any over the
+gathered window.  Distances use ``math.hypot``: ``np.hypot`` differs
+from it in the last bit, and the rule is a strict comparison.
 
-All inputs are flat CSVs with required headers and 0/1 booleans.  The
-events, engagements and schedule files are read record by record with
-``csv``; an error names the bad line.  A tracking file that
-``np.loadtxt`` rejects, or that fails a check, is rescanned the same way,
-so its error names the first bad line too.
+All inputs are flat CSVs with required headers and 0/1 booleans; every
+integer field is an int64.  An error names the line the bad record ends
+on: a file whose columns fail a check is walked record by record with
+``csv`` to find it (the schedule is read that way throughout).
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -45,8 +45,10 @@ from .interactions import (
     InteractionTable,
     _decimal,
     _factorize,
+    _flag_column,
     _frozen,
     _int64,
+    _int_column,
     _parse_bool01,
     canonical_sort,
     label_outcome,
@@ -62,39 +64,13 @@ SCHEDULE_CSV_HEADER = ["game_id", "week"]
 # ids and the 0/1 flag stay strings, so their checks read what the file says
 _TRACKING_CSV_TYPES = [object, object, np.int64, object, np.float64, np.float64, object]
 
-
-@dataclass(frozen=True, slots=True)
-class PlayEvents:
-    """Play-level annotations: snap frame, pass/sack/hit flags."""
-
-    game_id: str
-    play_id: str
-    snap_frame: int
-    has_forward_pass: bool
-    has_sack: bool
-    qb_hit: bool
-
-    def __post_init__(self) -> None:
-        if self.snap_frame < 0:
-            raise DataError(f"snap_frame must be >= 0, got {self.snap_frame}")
-
-
-@dataclass(frozen=True, slots=True)
-class Engagement:
-    """A labeled rusher-blocker matchup over a frame interval."""
-
-    game_id: str
-    play_id: str
-    rusher_id: str
-    blocker_id: str
-    start_frame: int
-    end_frame: int
-
-    def __post_init__(self) -> None:
-        if self.start_frame > self.end_frame:
-            raise DataError(
-                f"engagement has start_frame {self.start_frame} > end_frame {self.end_frame}"
-            )
+#: The events and engagements arrays: the CSV header's fields, ids as
+#: objects, frames as int64 and flags as bool.
+EVENTS_DTYPE = np.dtype(list(zip(EVENTS_CSV_HEADER, [object, object, np.int64, bool, bool, bool])))
+ENGAGEMENTS_DTYPE = np.dtype(
+    list(zip(ENGAGEMENTS_CSV_HEADER, [object, object, object, object, np.int64, np.int64]))
+)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _play_codes(game_id: np.ndarray, play_id: np.ndarray) -> tuple[tuple, np.ndarray]:
@@ -190,39 +166,28 @@ class TrackingFrames:
             self._qb = rows, key
         return self._qb
 
-    def window_wins(self, keys, windows, tolerance: float) -> np.ndarray:
-        """Win flag of each engagement ``(game_id, play_id, rusher_id,
-        blocker_id)`` over its clipped window (a ``range``); empty windows
-        are losses.  Every frame of a non-empty window needs a QB, rusher
-        and blocker row."""
-        won = np.zeros(len(windows), dtype=bool)
-        n = np.fromiter(map(len, windows), np.int64, len(windows))
-        live = np.flatnonzero(n > 0)
-        if not live.size:
-            return won
-        n = n[live]
-        # a window that starts after every tracked frame cannot be whole; the
-        # cap also keeps frame numbers too large for int64 out of the arrays
-        top = int(self._frame_values[-1]) + 1 if len(self) else 0
-        lo = np.array([min(windows[i].start, top) for i in live], dtype=np.int64)
-        hi = lo + n - 1
-        play_code = {key: i for i, key in enumerate(self.plays)}
-        player_code = {p: i for i, p in enumerate(self.players)}
-        play = np.array([play_code.get(keys[i][:2], -1) for i in live], dtype=np.int64)
+    def window_wins(self, play, rusher, blocker, lo, hi, tolerance: float, names) -> np.ndarray:
+        """Win flag of each engagement over its window ``lo[i]..hi[i]``
+        (a loss where ``hi[i] < lo[i]``), given codes into ``plays`` and
+        ``players`` (-1 for ids without rows).  Every frame of a non-empty
+        window needs a QB, rusher and blocker row; the first engagement that
+        lacks one is a DataError, ``names(i)`` giving its four ids."""
+        won = np.zeros(len(lo), dtype=bool)
+        live = np.flatnonzero(lo <= hi)
+        play, lo, hi = play[live], lo[live], hi[live]
         qb_rows, qb_key = self.qb_track()
         q_start, whole = self._runs(qb_key, play, lo, hi)
         starts = [q_start]
-        for role in (2, 3):  # the rusher's track, then the blocker's
-            player = np.array([player_code.get(keys[i][role], -1) for i in live], dtype=np.int64)
-            series = self._series_code(play, player)
-            start, role_whole = self._runs(self._sorted_key, series, lo, hi)
+        for player in (rusher[live], blocker[live]):
+            start, ok = self._runs(self._sorted_key, self._series_code(play, player), lo, hi)
             starts.append(start)
-            whole &= role_whole
+            whole &= ok
         if not whole.all():
-            i = live[np.argmin(whole)]
-            raise self._missing_track(keys[i], windows[i])
+            k = np.argmin(whole)
+            raise self._missing_track(*names(live[k]), int(lo[k]), int(hi[k]))
 
         # gather every window frame: segment offsets, then rows of each track
+        n = hi - lo + 1  # whole windows are no longer than the tracks
         seg = np.cumsum(n) - n
         step = np.arange(int(n.sum())) - np.repeat(seg, n)
         qb = qb_rows[np.repeat(starts[0], n) + step]
@@ -237,11 +202,10 @@ class TrackingFrames:
         won[live] = np.logical_or.reduceat(beats, seg)
         return won
 
-    def _missing_track(self, key, window) -> DataError:
-        """The error a frame-by-frame walk of one engagement's window meets
-        first: the rusher's frames before the blocker's, and at each frame
-        the QB before the player."""
-        game_id, play_id, rusher_id, blocker_id = key
+    def _missing_track(self, game_id, play_id, rusher_id, blocker_id, lo, hi) -> DataError:
+        """The error a frame-by-frame walk of one engagement's window
+        ``lo..hi`` meets first: the rusher's frames before the blocker's,
+        and at each frame the QB before the player."""
         code = self.plays.index((game_id, play_id)) if (game_id, play_id) in self.plays else -1
         rows = np.flatnonzero(self.play == code)
         qb_frames = set(self.frame[rows[self.is_qb[rows]]].tolist())
@@ -249,7 +213,7 @@ class TrackingFrames:
             (self.players[p], t) for p, t in zip(self.player[rows], self.frame[rows].tolist())
         }
         for player_id in (rusher_id, blocker_id):
-            for t in window:
+            for t in range(lo, hi + 1):
                 if t not in qb_frames:
                     return DataError(f"missing QB track at {game_id}/{play_id} frame {t}")
                 if (player_id, t) not in tracked:
@@ -270,7 +234,8 @@ class TrackingFrames:
         first = np.searchsorted(self._frame_values, lo)
         last = np.searchsorted(self._frame_values, hi, "right") - 1
         start = np.searchsorted(sorted_key, group * width + first)
-        end = start + (hi - lo)
+        # a window longer than the keys cannot be whole; the cap keeps it in int64
+        end = start + np.minimum(hi - lo, len(sorted_key))
         inside = (group >= 0) & (end < len(sorted_key))
         if not inside.any():
             return start, inside
@@ -280,56 +245,60 @@ class TrackingFrames:
 
     def _series_code(self, play, player) -> np.ndarray:
         """Code of each (play, player) track in the sorted keys; -1 where absent."""
-        want = play * len(self.players) + player
-        at = np.searchsorted(self._series, want)
-        ok = (play >= 0) & (player >= 0) & (at < len(self._series))
-        ok[ok] = self._series[at[ok]] == want[ok]
-        return np.where(ok, at, -1)
+        known = (play >= 0) & (player >= 0)
+        return _lookup(self._series, np.where(known, play * len(self.players) + player, -1))
 
 
-def is_dropback(events: PlayEvents) -> bool:
-    """A play is a dropback when it has a forward pass or a sack."""
-    return events.has_forward_pass or events.has_sack
+def _lookup(vocab, values) -> np.ndarray:
+    """Index of each of ``values`` in the sorted ``vocab``; -1 where absent.
+    A tuple or list (of ids or of id pairs) is read as a 1-d object array."""
+    vocab, values = (v if isinstance(v, np.ndarray) else np.fromiter(v, object, len(v))
+                     for v in (vocab, values))
+    at = np.searchsorted(vocab, values)
+    found = at < len(vocab)
+    found[found] = vocab[at[found]] == values[found]
+    return np.where(found, at, -1)
 
 
-def _win_window(
-    snap_frame: int, window: tuple[int, int], horizon: int
-) -> range:
-    """The frames of ``window`` inside snap .. snap + horizon (endpoint
-    included); empty when the window misses the horizon."""
-    start, end = window
-    lo = max(snap_frame, start)
-    hi = min(snap_frame + horizon, end)
-    return range(lo, hi + 1)
+def _check_events(events: np.ndarray) -> None:
+    """A negative snap frame is a DataError naming the first."""
+    snap = events["snap_frame"]
+    if (snap < 0).any():
+        raise DataError(f"snap_frame must be >= 0, got {snap[snap < 0][0]}")
 
 
-def detect_double_team(engagements: Sequence[Engagement], *, min_overlap: int = 1) -> bool:
-    """True iff two distinct blockers engage this rusher in overlapping
-    windows (overlap measured in shared frames)."""
-    if not engagements:
-        return False
-    first = engagements[0]
-    for e in engagements[1:]:
-        if (e.game_id, e.play_id, e.rusher_id) != (
-            first.game_id,
-            first.play_id,
-            first.rusher_id,
-        ):
-            raise DataError("detect_double_team expects engagements of one rusher in one play")
-    for i, a in enumerate(engagements):
-        for b in engagements[i + 1 :]:
-            if a.blocker_id == b.blocker_id:
-                continue
-            shared = min(a.end_frame, b.end_frame) - max(a.start_frame, b.start_frame) + 1
-            if shared >= min_overlap:
-                return True
-    return False
+def _check_engagements(engagements: np.ndarray) -> None:
+    """An engagement that ends before it starts is a DataError naming the first."""
+    start, end = engagements["start_frame"], engagements["end_frame"]
+    if (start > end).any():
+        i = np.argmax(start > end)
+        raise DataError(f"engagement has start_frame {start[i]} > end_frame {end[i]}")
+
+
+def _double_teams(group, blocker, start, end, min_overlap: int) -> np.ndarray:
+    """Whether each engagement's ``group`` (its game, play and rusher)
+    holds two engagements by distinct blockers that share at least
+    ``min_overlap`` frames."""
+    order = np.argsort(group, kind="stable")
+    n, sorted_group = len(order), group[order]
+    # every pair of a group: each sorted row with each row after it in the group
+    after = np.searchsorted(sorted_group, sorted_group, "right") - np.arange(n) - 1
+    first = np.repeat(np.arange(n), after)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(after) - after, after)
+    a, b = order[first], order[second]
+    lo, hi = np.maximum(start[a], start[b]), np.minimum(end[a], end[b])
+    # the pair shares hi - lo + 1 frames; the difference is taken in uint64,
+    # where it is exact for any int64 bounds with lo <= hi
+    need = min_overlap - 1
+    shared = (lo <= hi) & (hi.astype(np.uint64) - lo.astype(np.uint64) >= min(need, 2**64 - 1))
+    pairs = (blocker[a] != blocker[b]) & shared & (need < 2**64)
+    return np.isin(group, group[a[pairs]])
 
 
 def build_interactions(
     frames: TrackingFrames,
-    events: Sequence[PlayEvents],
-    engagements: Sequence[Engagement],
+    events: np.ndarray,
+    engagements: np.ndarray,
     schedule: Mapping[str, int],
     *,
     horizon: int = WIN_HORIZON_FRAMES,
@@ -338,12 +307,14 @@ def build_interactions(
 ) -> InteractionTable:
     """Assemble the modeling table from raw tracking inputs.
 
-    ``frames`` is a ``TrackingFrames``.  Engagements whose window misses
-    the snap horizon entirely produce win_target=False (no win is
-    demonstrable inside 2.5 s) rather than an error.  event_game_index
-    numbers each game's engagements by (play order, start_frame,
-    rusher_id, blocker_id).  ``horizon`` must be >= 0, ``tolerance``
-    finite and >= 0, and ``min_overlap`` >= 1.
+    ``frames`` is a ``TrackingFrames``; ``events`` and ``engagements``
+    are structured arrays of ``EVENTS_DTYPE`` and ``ENGAGEMENTS_DTYPE``
+    (what ``read_events_csv`` and ``read_engagements_csv`` return).
+    Engagements whose window misses the snap horizon entirely produce
+    win_target=False (no win is demonstrable inside 2.5 s) rather than an
+    error.  event_game_index numbers each game's engagements by (play_id,
+    start_frame, rusher_id, blocker_id).  ``horizon`` must be >= 0,
+    ``tolerance`` finite and >= 0, and ``min_overlap`` >= 1.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0 frames, got {horizon}")
@@ -353,74 +324,79 @@ def build_interactions(
         raise ValueError(f"min_overlap must be >= 1 frame, got {min_overlap}")
     if not isinstance(frames, TrackingFrames):
         raise TypeError(f"frames must be a TrackingFrames, got {type(frames).__name__}")
+    _check_events(events)
+    _check_engagements(engagements)
 
-    events_by_play: dict[tuple[str, str], PlayEvents] = {}
-    for ev in events:
-        key = (ev.game_id, ev.play_id)
-        if key in events_by_play:
-            raise DataError(f"duplicate events row for {key}")
-        events_by_play[key] = ev
+    # events rows then engagements, coded into shared game and play vocabularies
+    n_events = len(events)
+    games, game = _factorize(np.concatenate([events["game_id"], engagements["game_id"]]))
+    play_ids, play = _factorize(np.concatenate([events["play_id"], engagements["play_id"]]))
+    key = game * len(play_ids) + play
+    event_order = np.argsort(key[:n_events], kind="stable")
+    event_key = key[:n_events][event_order]
+    repeat = event_order[1:][event_key[1:] == event_key[:-1]]
+    if repeat.size:
+        e = events[repeat.min()]
+        raise DataError(f"duplicate events row for {(e['game_id'], e['play_id'])}")
 
     frames.qb_track()  # two QBs at one instant fail before any engagement check
 
-    by_play: dict[tuple[str, str], list[Engagement]] = {}
-    for e in engagements:
-        key = (e.game_id, e.play_id)
-        if key not in events_by_play:
-            raise DataError(
-                f"dangling engagement: no events row for {e.game_id}/{e.play_id} "
-                f"({e.rusher_id} vs {e.blocker_id})"
-            )
-        by_play.setdefault(key, []).append(e)
+    found = _lookup(event_key, key[n_events:])
+    if (found < 0).any():
+        e = engagements[np.argmax(found < 0)]
+        raise DataError(
+            f"dangling engagement: no events row for {e['game_id']}/{e['play_id']} "
+            f"({e['rusher_id']} vs {e['blocker_id']})"
+        )
+    ev = event_order[found]  # each engagement's events row
+    keep = np.flatnonzero(events["has_forward_pass"][ev] | events["has_sack"][ev])
+    game, play, ev = game[n_events:][keep], play[n_events:][keep], ev[keep]
 
-    by_game: dict[str, list[tuple[str, Engagement]]] = {}
-    for (game_id, play_id), plays_engagements in by_play.items():
-        if not is_dropback(events_by_play[(game_id, play_id)]):
-            continue
+    # each game's week, checked at its first dropback engagement, in input order
+    _, first, game_seq = np.unique(game, return_index=True, return_inverse=True)
+    week = np.ones(len(games), dtype=np.int64)
+    for i in np.sort(first).tolist():
+        game_id = games[game[i]]
         if game_id not in schedule:
             raise DataError(f"game {game_id!r} missing from the schedule (unknown week)")
         if schedule[game_id] < 1:
             raise DataError(f"game {game_id!r} has week {schedule[game_id]}; weeks start at 1")
-        for e in plays_engagements:
-            by_game.setdefault(game_id, []).append((play_id, e))
+        week[game[i]] = schedule[game_id]
 
-    # each game's engagements in event order, with their double-team flags
-    ordered: list[tuple[str, str, int, Engagement, bool]] = []
-    for game_id, tagged in by_game.items():
-        tagged.sort(key=lambda pe: (pe[0], pe[1].start_frame, pe[1].rusher_id, pe[1].blocker_id))
-        partners: dict[tuple[str, str], list[Engagement]] = {}
-        for play_id, e in tagged:
-            partners.setdefault((play_id, e.rusher_id), []).append(e)
-        double = {
-            key: detect_double_team(group, min_overlap=min_overlap)
-            for key, group in partners.items()
-        }
-        ordered += [
-            (game_id, play_id, event_index, e, double[(play_id, e.rusher_id)])
-            for event_index, (play_id, e) in enumerate(tagged)
-        ]
-
-    play_events = [events_by_play[(g, p)] for g, p, *_ in ordered]
-    windows = [
-        _win_window(ev.snap_frame, (e.start_frame, e.end_frame), horizon)
-        for ev, (*_, e, _) in zip(play_events, ordered)
-    ]
-    keys = [(g, p, e.rusher_id, e.blocker_id) for g, p, _, e, _ in ordered]
-    won = frames.window_wins(keys, windows, tolerance)
-    sack = [ev.has_sack for ev in play_events]
-    hit = [ev.qb_hit for ev in play_events]
-    table = InteractionTable(
-        game=_factorize([k[0] for k in keys]),
-        play=_factorize([k[1] for k in keys]),
-        rusher=_factorize([k[2] for k in keys]),
-        blocker=_factorize([k[3] for k in keys]),
-        event_game_index=[i for _, _, i, _, _ in ordered],
-        week=[schedule[g] for g, *_ in ordered],
-        double_team=[d for *_, d in ordered],
-        win=won,
-        severity=np.fromiter(map(label_outcome, sack, hit, won), np.intp, len(ordered)),
+    # games in order of their first dropback engagement (the one whose
+    # missing track is reported first), each game's rows in event order
+    players, player = _factorize(
+        np.concatenate([engagements["rusher_id"][keep], engagements["blocker_id"][keep]])
     )
-    return canonical_sort(table)
+    rusher, blocker = player[:len(keep)], player[len(keep):]
+    start, end = engagements["start_frame"][keep], engagements["end_frame"][keep]
+    order = np.lexsort((blocker, rusher, start, play, first[game_seq]))
+    game, play, ev, rusher, blocker, start, end = (
+        c[order] for c in (game, play, ev, rusher, blocker, start, end)
+    )
+    game_first = first[game_seq][order]  # sorted: each game's rows are one run
+    event_index = np.arange(len(order)) - np.searchsorted(game_first, game_first)
+
+    pair_keys, pair = np.unique(game * len(play_ids) + play, return_inverse=True)
+    plays = [(games[k // len(play_ids)], play_ids[k % len(play_ids)]) for k in pair_keys.tolist()]
+    double = _double_teams(pair * len(players) + rusher, blocker, start, end, min_overlap)
+
+    # the window clipped to snap .. snap + horizon, which is past every end where it passes int64
+    snap = events["snap_frame"][ev]
+    lo = np.maximum(snap, start)
+    hi = np.minimum(snap + np.minimum(_INT64_MAX - snap, min(horizon, _INT64_MAX)), end)
+    tracked = _lookup(frames.players, players)
+    won = frames.window_wins(
+        _lookup(frames.plays, plays)[pair], tracked[rusher], tracked[blocker],
+        lo, hi, tolerance, lambda i: (*plays[pair[i]], players[rusher[i]], players[blocker[i]]),
+    )
+    sack, hit = events["has_sack"][ev].tolist(), events["qb_hit"][ev].tolist()
+    return canonical_sort(InteractionTable(
+        game=(games, game), play=(play_ids, play), rusher=(players, rusher),
+        blocker=(players, blocker), event_game_index=event_index, week=week[game],
+        double_team=double, win=won,
+        severity=np.fromiter(map(label_outcome, sack, hit, won.tolist()), np.intp, len(won)),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -434,26 +410,26 @@ def _check_header(path, got, want) -> None:
 
 def _csv_records(path, header):
     """``(line, record)`` for each data record of ``path`` as ``csv``
-    reads it (the header is line 1), after the header and field-count
-    checks."""
+    reads it, ``line`` being the file line the record ends on (a quoted
+    field may hold a line break), after the header and field-count checks."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         _check_header(path, next(reader, None), header)
-        for lineno, rec in enumerate(reader, start=2):
+        for rec in reader:
             if len(rec) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-            yield lineno, rec
+                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields")
+            yield reader.line_num, rec
 
 
-def _parsed(path, header, record):
-    """``record`` of each data record, in file order; an error names the
-    record's line."""
+def _checked_lines(path, header, check):
+    """The line of each data record of ``path``; the first record that
+    ``check`` rejects is an error naming its line."""
     for lineno, rec in _csv_records(path, header):
         try:
-            value = record(rec)
+            check(rec)
         except (ValueError, DataError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        yield value
+        yield lineno
 
 
 def _line_count(path) -> int:
@@ -481,9 +457,9 @@ def _tracking_valid(rows) -> bool:
     return bool(((flag == "1") | (flag == "0")).all() and (rows["frame_index"] >= 0).all())
 
 
-def _load_tracking(path) -> np.ndarray:
+def _load_tracking(path) -> tuple[np.ndarray, np.ndarray]:
     """The tracking file's data records as a structured array, parsed by a
-    single ``np.loadtxt`` call.
+    single ``np.loadtxt`` call, and the line each record ends on.
 
     When that call fails, skips blank lines (errors here) or reads a value
     the checks reject, a rescan with ``csv`` raises the first bad record's
@@ -497,7 +473,7 @@ def _load_tracking(path) -> np.ndarray:
         start = fh.tell()
         first = fh.readline()
         if not first:
-            return np.empty(0, dtype=dtype)
+            return np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64)
         # after a blank first line np.loadtxt may find no data and warn;
         # the rescan raises the blank line's error instead
         if first.rstrip("\r\n"):
@@ -513,51 +489,58 @@ def _load_tracking(path) -> np.ndarray:
             except (ValueError, DeprecationWarning) as exc:
                 failure = exc
     if rows is not None and len(rows) == _line_count(path) - 1 and _tracking_valid(rows):
-        return rows
-    n = sum(1 for _ in _parsed(path, TRACKING_CSV_HEADER, _tracking_record))
+        return rows, np.arange(2, len(rows) + 2)
+    lines = np.fromiter(_checked_lines(path, TRACKING_CSV_HEADER, _tracking_record), np.int64)
+    n = len(lines)
     if rows is not None and n == len(rows) and _tracking_valid(rows):
-        return rows  # quoted line breaks made the line count differ
+        return rows, lines  # quoted line breaks made the line count differ
     raise DataError(f"{path}: np.loadtxt and csv disagree ({failure or f'{n} csv records'})")
 
 
 def read_tracking_csv(path) -> TrackingFrames:
     """Tracking frames as columns; see ``TrackingFrames``."""
-    rows = _load_tracking(path)
+    rows, lines = _load_tracking(path)
     return TrackingFrames(
         rows["game_id"], rows["play_id"], rows["player_id"], rows["frame_index"],
-        rows["x"], rows["y"], rows["is_qb"] == "1",
-        line=np.arange(2, len(rows) + 2), source=path,
+        rows["x"], rows["y"], rows["is_qb"] == "1", line=lines, source=path,
     )
 
 
-def _events_record(rec) -> PlayEvents:
-    return PlayEvents(
-        game_id=rec[0],
-        play_id=rec[1],
-        snap_frame=_decimal(int, rec[2], "snap_frame"),
-        has_forward_pass=_parse_bool01(rec[3], "has_forward_pass"),
-        has_sack=_parse_bool01(rec[4], "has_sack"),
-        qb_hit=_parse_bool01(rec[5], "qb_hit"),
-    )
+# the column converter of each field kind; ids stay the file's strings
+_CONVERTERS = {"O": lambda texts, field: texts, "i": _int_column, "b": _flag_column}
 
 
-def read_events_csv(path) -> list[PlayEvents]:
-    return list(_parsed(path, EVENTS_CSV_HEADER, _events_record))
+def _structured(recs, dtype: np.dtype, check) -> np.ndarray:
+    """``recs`` as a read-only structured array of ``dtype``, each field
+    converted column by column.  Raises the error of the first field, in
+    header order, that holds a bad value, then ``check``'s."""
+    rows = np.empty(len(recs), dtype=dtype)
+    for field, texts in zip(dtype.names, zip(*recs)):
+        rows[field] = _CONVERTERS[dtype[field].kind](texts, field)
+    check(rows)
+    return _frozen(rows)
 
 
-def _engagement_record(rec) -> Engagement:
-    return Engagement(
-        game_id=rec[0],
-        play_id=rec[1],
-        rusher_id=rec[2],
-        blocker_id=rec[3],
-        start_frame=_decimal(int, rec[4], "start_frame"),
-        end_frame=_decimal(int, rec[5], "end_frame"),
-    )
+def _read_structured(path, header, dtype, check) -> np.ndarray:
+    """The data records of ``path`` as ``_structured`` reads them.  On an
+    error, the file is walked record by record to name the first bad
+    record's line."""
+    try:
+        return _structured([rec for _, rec in _csv_records(path, header)], dtype, check)
+    except (ValueError, DataError):
+        for _ in _checked_lines(path, header, lambda rec: _structured([rec], dtype, check)):
+            pass
+        raise
 
 
-def read_engagements_csv(path) -> list[Engagement]:
-    return list(_parsed(path, ENGAGEMENTS_CSV_HEADER, _engagement_record))
+def read_events_csv(path) -> np.ndarray:
+    """Play events as a read-only structured array of ``EVENTS_DTYPE``."""
+    return _read_structured(path, EVENTS_CSV_HEADER, EVENTS_DTYPE, _check_events)
+
+
+def read_engagements_csv(path) -> np.ndarray:
+    """Engagements as a read-only structured array of ``ENGAGEMENTS_DTYPE``."""
+    return _read_structured(path, ENGAGEMENTS_CSV_HEADER, ENGAGEMENTS_DTYPE, _check_engagements)
 
 
 def read_schedule_csv(path) -> dict[str, int]:

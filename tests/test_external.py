@@ -163,6 +163,12 @@ class TestAccoladeCsv:
         with pytest.raises(DataError, match=":2"):
             read_accolades_csv(p)
 
+    def test_error_after_quoted_line_break_names_the_file_line(self, tmp_path):
+        p = self.write(tmp_path, ["player_id,team_level", '"R', '1",first', "B2,third"])
+        with pytest.raises(DataError) as got:
+            read_accolades_csv(p)
+        assert str(got.value).startswith(f"{p}:4: team_level must be one of")
+
 
 class TestScores:
     def test_model_scores_binary_are_effects(self, rng, small_table):

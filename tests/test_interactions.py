@@ -405,6 +405,13 @@ def reference_class_frequencies(rows):
     return {c: counts[int(c)] / len(rows) for c in CLASSES}
 
 
+def reference_int(text, field):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{field} must be an integer, got {text!r}") from None
+
+
 def reference_read_interactions_csv(path):
     rows, linenos = [], array("l")
     with open(path, newline="", encoding="utf-8") as fh:
@@ -412,21 +419,23 @@ def reference_read_interactions_csv(path):
         header = next(reader, None)
         if header != INTERACTION_CSV_HEADER:
             raise DataError(f"{path}: expected header {INTERACTION_CSV_HEADER}, got {header}")
-        for lineno, rec in enumerate(reader, start=2):
+        for rec in reader:
+            line = reader.line_num  # the line the record ends on
             if not rec:
                 continue
             if len(rec) != len(INTERACTION_CSV_HEADER):
-                raise DataError(f"{path}:{lineno}: expected {len(INTERACTION_CSV_HEADER)} fields")
+                raise DataError(f"{path}:{line}: expected {len(INTERACTION_CSV_HEADER)} fields")
             try:
                 rows.append(Interaction(
-                    rec[0], rec[1], int(rec[2]), int(rec[3]), rec[4], rec[5],
+                    rec[0], rec[1], reference_int(rec[2], "event_game_index"),
+                    reference_int(rec[3], "week"), rec[4], rec[5],
                     interactions._parse_bool01(rec[6], "double_team"),
                     interactions._parse_bool01(rec[7], "win_target"),
                     OutcomeClass.from_label(rec[8]),
                 ))
             except (ValueError, DataError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            linenos.append(lineno)
+                raise DataError(f"{path}:{line}: {exc}") from exc
+            linenos.append(line)
     first_row = {}
     for i, row in enumerate(rows):
         j = first_row.setdefault(row.sort_key(), i)
@@ -557,6 +566,39 @@ def test_csv_cases_match_reference_reader(case, block, tmp_path, monkeypatch):
         assert str(got.value) == str(exc)
     else:
         assert_matches_reference(read_interactions_csv(path), want)
+
+
+@pytest.mark.parametrize("body, want", [
+    # a quoted line break on lines 2-3; the bad record is on line 4
+    (['g1,"p', '1",0,1,R1,B1,0,0,loss', "g1,p2,0,1,R1,B1,2,0,loss"],
+     "ql.csv:4: double_team must be 0 or 1, got '2'"),
+    # and in a block of its own, after a duplicate key's first row
+    (["g1,p1,0,1,R1,B1,0,0,loss", 'g2,"p', '1",0,1,R1,B1,0,0,loss', "g1,p1,0,1,R1,B1,0,0,win"],
+     "ql.csv:5: duplicate key (game_id, play_id, event_game_index) = ('g1', 'p1', 0), "
+     "first seen on line 2"),
+])
+@pytest.mark.parametrize("block", [2, interactions._READ_BLOCK])
+def test_error_after_quoted_line_break_names_the_file_line(body, want, block, tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setattr(interactions, "_READ_BLOCK", block)
+    path = tmp_path / "ql.csv"
+    path.write_text("\n".join([_HEADER, *body]) + "\n", encoding="utf-8", newline="")
+    with pytest.raises(DataError) as got:
+        read_interactions_csv(path)
+    assert str(got.value) == f"{tmp_path}/{want}"
+
+
+@pytest.mark.parametrize("record, want", [
+    ("g1,p1,0,x,R2,B1,1,1,win", "week must be an integer, got 'x'"),
+    ("g1,p1,1.5,1,R2,B1,1,1,win", "event_game_index must be an integer, got '1.5'"),
+    ("g1,p1,0,,R2,B1,1,1,win", "week must be an integer, got ''"),
+])
+def test_non_numeric_integer_names_its_field(record, want, tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text(f"{_HEADER}\n{record}\n", encoding="utf-8")
+    with pytest.raises(DataError) as got:
+        read_interactions_csv(path)
+    assert str(got.value) == f"{path}:2: {want}"
 
 
 def test_bad_header_matches_reference_reader(tmp_path):

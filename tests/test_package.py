@@ -23,9 +23,12 @@ def test_import_loads_no_sparse_matrices():
 
 
 def test_no_module_defines_a_row_class():
-    # the interaction table and the tracking frames are columns, with no row object
+    # the interaction table, the tracking frames, the events and the
+    # engagements are columns, with no row object or per-row helper
+    row_names = {"Interaction", "Frame", "PlayEvents", "Engagement", "detect_double_team",
+                 "is_dropback"}
     found = {}
     for info in pkgutil.iter_modules(trenchrank.__path__):
         module = importlib.import_module(f"trenchrank.{info.name}")
-        found[info.name] = sorted({"Interaction", "Frame"} & vars(module).keys())
+        found[info.name] = sorted(row_names & vars(module).keys())
     assert {name: rows for name, rows in found.items() if rows} == {}

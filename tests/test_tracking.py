@@ -1,5 +1,6 @@
 import collections
 import csv
+import dataclasses
 import math
 import sys
 import warnings
@@ -19,14 +20,15 @@ from trenchrank.interactions import (
     write_interactions_csv,
 )
 from trenchrank.tracking import (
+    ENGAGEMENTS_CSV_HEADER,
+    ENGAGEMENTS_DTYPE,
+    EVENTS_CSV_HEADER,
+    EVENTS_DTYPE,
+    SCHEDULE_CSV_HEADER,
     TRACKING_CSV_HEADER,
-    Engagement,
-    PlayEvents,
     TrackingFrames,
     WIN_HORIZON_FRAMES,
     build_interactions,
-    detect_double_team,
-    is_dropback,
     read_engagements_csv,
     read_events_csv,
     read_schedule_csv,
@@ -39,6 +41,13 @@ if PERFBENCH not in sys.path:
 import rawgen  # noqa: E402  (raw tracking CSVs whose table is known by construction)
 
 from conftest import Interaction, rows_of, table_of  # noqa: E402
+
+INT64 = np.iinfo(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Reference records: the row model the columnar ingest replaced, kept as
+# the oracle's input and as the source of the columnar inputs.
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +65,58 @@ class Frame:
     def __post_init__(self) -> None:
         if self.frame_index < 0:
             raise DataError(f"frame_index must be >= 0, got {self.frame_index}")
+
+
+@dataclass(frozen=True, slots=True)
+class PlayEvents:
+    """Play-level annotations: snap frame, pass/sack/hit flags."""
+
+    game_id: str
+    play_id: str
+    snap_frame: int
+    has_forward_pass: bool
+    has_sack: bool
+    qb_hit: bool
+
+    def __post_init__(self) -> None:
+        if self.snap_frame < 0:
+            raise DataError(f"snap_frame must be >= 0, got {self.snap_frame}")
+
+
+@dataclass(frozen=True, slots=True)
+class Engagement:
+    """A labeled rusher-blocker matchup over a frame interval."""
+
+    game_id: str
+    play_id: str
+    rusher_id: str
+    blocker_id: str
+    start_frame: int
+    end_frame: int
+
+    def __post_init__(self) -> None:
+        if self.start_frame > self.end_frame:
+            raise DataError(
+                f"engagement has start_frame {self.start_frame} > end_frame {self.end_frame}"
+            )
+
+
+def is_dropback(events):
+    """A play is a dropback when it has a forward pass or a sack."""
+    return events.has_forward_pass or events.has_sack
+
+
+def detect_double_team(engagements, *, min_overlap=1):
+    """True iff two distinct blockers engage this rusher (one rusher on
+    one play) in windows that share at least ``min_overlap`` frames."""
+    for i, a in enumerate(engagements):
+        for b in engagements[i + 1 :]:
+            if a.blocker_id == b.blocker_id:
+                continue
+            shared = min(a.end_frame, b.end_frame) - max(a.start_frame, b.start_frame) + 1
+            if shared >= min_overlap:
+                return True
+    return False
 
 
 def frame(pid, x, y, *, qb=False, game="g1", play="p1", t=0):
@@ -82,14 +143,39 @@ def decoded_frames(columns):
     ]
 
 
+def structured(records, dtype):
+    """Records (``PlayEvents`` or ``Engagement``) as the structured array
+    the readers return, in list order."""
+    rows = np.empty(len(records), dtype=dtype)
+    for field in dtype.names:
+        rows[field] = [getattr(r, field) for r in records]
+    return rows
+
+
+def records_of(rows, record):
+    """The rows of a structured array as ``record``s."""
+    return [record(*row) for row in rows.tolist()]
+
+
+def build(frames, events, engagements, schedule, **options):
+    """``build_interactions`` on reference inputs: ``Frame``s (or frame
+    columns), and events and engagement records."""
+    if not isinstance(frames, TrackingFrames):
+        frames = tracking_frames(frames)
+    return build_interactions(
+        frames, structured(events, EVENTS_DTYPE), structured(engagements, ENGAGEMENTS_DTYPE),
+        schedule, **options,
+    )
+
+
 def eng(rusher, blocker, start, end, *, game="g1", play="p1"):
     return Engagement(game, play, rusher, blocker, start, end)
 
 
 def engage(frames, rusher="R1", blocker="B1", *, snap=0, window=(0, 0), **options):
     """The win label of one engagement on the one-play world ``frames``."""
-    (row,) = rows_of(build_interactions(
-        tracking_frames(frames), [PlayEvents("g1", "p1", snap, True, False, False)],
+    (row,) = rows_of(build(
+        frames, [PlayEvents("g1", "p1", snap, True, False, False)],
         [eng(rusher, blocker, *window)], {"g1": 1}, **options,
     ))
     return row.win_target
@@ -196,41 +282,67 @@ class TestWinRule:
             wins(rd, bd, 0, (0, 2))
 
 
+def doubles(engagements, **options):
+    """The double-team flag of each engagement on one dropback play, in
+    event order.  The snap is at frame 100, so no window reaches the
+    horizon and no tracks are needed."""
+    table = build([], [PlayEvents("g1", "p1", 100, True, False, False)], engagements,
+                  {"g1": 1}, **options)
+    return table.double_team.tolist()
+
+
 class TestDoubleTeam:
     def test_two_blockers_overlapping(self):
-        assert detect_double_team([eng("R1", "B1", 0, 10), eng("R1", "B2", 5, 15)]) is True
+        assert doubles([eng("R1", "B1", 0, 10), eng("R1", "B2", 5, 15)]) == [True, True]
 
     def test_single_shared_frame_counts(self):
-        assert detect_double_team([eng("R1", "B1", 0, 10), eng("R1", "B2", 10, 20)]) is True
+        assert doubles([eng("R1", "B1", 0, 10), eng("R1", "B2", 10, 20)]) == [True, True]
 
     def test_adjacent_windows_do_not_overlap(self):
-        assert detect_double_team([eng("R1", "B1", 0, 10), eng("R1", "B2", 11, 20)]) is False
+        assert doubles([eng("R1", "B1", 0, 10), eng("R1", "B2", 11, 20)]) == [False, False]
 
     def test_same_blocker_twice_is_not_a_double(self):
-        assert detect_double_team([eng("R1", "B1", 0, 10), eng("R1", "B1", 12, 20)]) is False
+        assert doubles([eng("R1", "B1", 0, 10), eng("R1", "B1", 12, 20)]) == [False, False]
+        assert doubles([eng("R1", "B1", 0, 10), eng("R1", "B1", 5, 20)]) == [False, False]
 
     def test_min_overlap_threshold(self):
         pair = [eng("R1", "B1", 0, 10), eng("R1", "B2", 9, 20)]  # 2 shared frames
-        assert detect_double_team(pair, min_overlap=2) is True
-        assert detect_double_team(pair, min_overlap=3) is False
+        assert doubles(pair, min_overlap=2) == [True, True]
+        assert doubles(pair, min_overlap=3) == [False, False]
 
-    def test_empty_is_false(self):
-        assert detect_double_team([]) is False
+    def test_empty_play_has_no_rows(self):
+        assert doubles([]) == []
 
-    def test_mixed_rushers_rejected(self):
-        with pytest.raises(DataError, match="one rusher"):
-            detect_double_team([eng("R1", "B1", 0, 10), eng("R2", "B2", 0, 10)])
+    def test_overlap_across_rushers_is_not_a_double(self):
+        assert doubles([eng("R1", "B1", 0, 10), eng("R2", "B2", 0, 10)]) == [False, False]
+
+    def test_flag_covers_every_engagement_of_the_rusher(self):
+        # B1 and B2 overlap; B3 comes later, but it is still R1's double-teamed play
+        group = [eng("R1", "B1", 0, 10), eng("R1", "B2", 5, 15), eng("R1", "B3", 30, 40)]
+        # event order: R1-B1 and R2-B4 start at 0, then R1-B2, then R1-B3
+        assert doubles(group + [eng("R2", "B4", 0, 40)]) == [True, False, True, True]
+
+    def test_other_plays_and_games_are_apart(self):
+        plays = [("g1", "p1"), ("g1", "p2"), ("g2", "p1")]
+        events = [PlayEvents(g, p, 100, True, False, False) for g, p in plays]
+        engagements = [eng("R1", f"B{k}", 0, 10, game=g, play=p) for k, (g, p) in enumerate(plays)]
+        table = build([], events, engagements, {"g1": 1, "g2": 1})
+        assert not table.double_team.any()
 
 
 class TestDropbackFilter:
+    def kept(self, has_forward_pass, has_sack):
+        events = [PlayEvents("g1", "p1", 100, has_forward_pass, has_sack, False)]
+        return len(build([], events, [eng("R1", "B1", 0, 10)], {"g1": 1})) == 1
+
     def test_pass_counts(self):
-        assert is_dropback(PlayEvents("g", "p", 0, True, False, False)) is True
+        assert self.kept(True, False) is True
 
     def test_sack_counts(self):
-        assert is_dropback(PlayEvents("g", "p", 0, False, True, False)) is True
+        assert self.kept(False, True) is True
 
     def test_run_play_does_not(self):
-        assert is_dropback(PlayEvents("g", "p", 0, False, False, False)) is False
+        assert self.kept(False, False) is False
 
 
 def hand_play():
@@ -267,7 +379,7 @@ def hand_play():
 class TestBuildInteractions:
     def test_hand_built_play(self):
         frames, events, engagements, schedule = hand_play()
-        table = build_interactions(tracking_frames(frames), events, engagements, schedule)
+        table = build(frames, events, engagements, schedule)
         assert len(table) == 3  # run play filtered out
         assert [r.play_id for r in rows_of(table)] == ["p1", "p1", "p1"]
         assert [r.week for r in rows_of(table)] == [4, 4, 4]
@@ -285,14 +397,14 @@ class TestBuildInteractions:
 
     def test_event_index_orders_by_start_frame_then_ids(self):
         frames, events, engagements, schedule = hand_play()
-        table = build_interactions(tracking_frames(frames), events, engagements, schedule)
+        table = build(frames, events, engagements, schedule)
         ordered = [(r.rusher_id, r.blocker_id) for r in rows_of(table)]
         assert ordered == [("R1", "B1"), ("R2", "B1"), ("R2", "B2")]
 
     def test_window_past_horizon_is_a_loss_not_an_error(self):
         frames, events, engagements, schedule = hand_play()
         engagements = engagements + [eng("R3", "B3", 40, 50)]
-        table = build_interactions(tracking_frames(frames), events, engagements, schedule)
+        table = build(frames, events, engagements, schedule)
         row = next(r for r in rows_of(table) if r.rusher_id == "R3")
         assert row.win_target is False
         assert row.severity is OutcomeClass.HIT  # qb_hit still applies
@@ -300,21 +412,18 @@ class TestBuildInteractions:
     def test_dangling_engagement_rejected(self):
         frames, events, engagements, schedule = hand_play()
         with pytest.raises(DataError, match="dangling"):
-            build_interactions(
-                tracking_frames(frames), events,
-                engagements + [eng("R1", "B1", 0, 1, play="p9")], schedule,
-            )
+            build(frames, events, engagements + [eng("R1", "B1", 0, 1, play="p9")], schedule)
 
     def test_missing_schedule_entry_rejected(self):
         frames, events, engagements, _ = hand_play()
         with pytest.raises(DataError, match="schedule"):
-            build_interactions(tracking_frames(frames), events, engagements, {})
+            build(frames, events, engagements, {})
 
     def test_missing_track_rejected(self):
         frames, events, engagements, schedule = hand_play()
         frames = [f for f in frames if f.player_id != "B2"]
         with pytest.raises(DataError, match="missing track"):
-            build_interactions(tracking_frames(frames), events, engagements, schedule)
+            build(frames, events, engagements, schedule)
 
     def test_sack_outranks_everything(self):
         frames, events, engagements, schedule = hand_play()
@@ -322,42 +431,43 @@ class TestBuildInteractions:
             PlayEvents("g1", "p1", 2, True, True, True),
             events[1],
         ]
-        table = build_interactions(tracking_frames(frames), events, engagements, schedule)
+        table = build(frames, events, engagements, schedule)
         assert all(r.severity is OutcomeClass.SACK for r in rows_of(table))
 
     def test_output_is_canonically_sorted(self):
         frames, events, engagements, schedule = hand_play()
-        table = build_interactions(tracking_frames(frames), events, engagements, schedule)
+        table = build(frames, events, engagements, schedule)
         assert table.is_canonically_sorted()
 
     def test_week_below_one_rejected_for_a_game_with_rows(self):
         frames, events, engagements, _ = hand_play()
         with pytest.raises(DataError, match=r"game 'g1' has week 0"):
-            build_interactions(tracking_frames(frames), events, engagements, {"g1": 0})
+            build(frames, events, engagements, {"g1": 0})
 
     def test_week_below_one_ignored_for_a_game_without_dropbacks(self):
         frames, events, engagements, _ = hand_play()
         events = events + [PlayEvents("g2", "p1", 0, False, False, False)]
         engagements = engagements + [eng("R1", "B1", 0, 0, game="g2")]
-        table = build_interactions(
-            tracking_frames(frames), events, engagements, {"g1": 4, "g2": 0}
-        )
+        table = build(frames, events, engagements, {"g1": 4, "g2": 0})
         assert table.games == ("g1",) and len(table) == 3
 
     def test_no_dropback_engagement_gives_an_empty_table(self):
         frames, events, engagements, schedule = hand_play()
-        table = build_interactions(tracking_frames(frames), events, engagements[3:], schedule)
+        table = build(frames, events, engagements[3:], schedule)
         assert table == table_of([]) and table.games == ()
         assert table.win.dtype == float and table.severity.dtype == np.intp
 
     def test_frame_list_rejected(self):
         frames, events, engagements, schedule = hand_play()
         with pytest.raises(TypeError, match="TrackingFrames"):
-            build_interactions(frames, events, engagements, schedule)
+            build_interactions(
+                frames, structured(events, EVENTS_DTYPE),
+                structured(engagements, ENGAGEMENTS_DTYPE), schedule,
+            )
 
     def test_tolerance_flips_marginal_win(self):
         frames, events, engagements, schedule = hand_play()
-        table = build_interactions(tracking_frames(frames), events, engagements, schedule, tolerance=2.0)
+        table = build(frames, events, engagements, schedule, tolerance=2.0)
         r1 = next(r for r in rows_of(table) if r.rusher_id == "R1")
         # R1's best margin is 1.0 yard (4.0 vs 5.0): below the 2.0 gap
         assert r1.win_target is False
@@ -376,12 +486,20 @@ class TestValidation:
             read_tracking_csv(path)
 
     def test_negative_snap_rejected(self):
-        with pytest.raises(DataError):
-            PlayEvents("g", "p", -3, True, False, False)
+        frames, events, engagements, schedule = hand_play()
+        events = structured(events, EVENTS_DTYPE)
+        events["snap_frame"][1] = -3
+        with pytest.raises(DataError, match=r"^snap_frame must be >= 0, got -3$"):
+            build_interactions(tracking_frames(frames), events,
+                               structured(engagements, ENGAGEMENTS_DTYPE), schedule)
 
     def test_reversed_engagement_rejected(self):
-        with pytest.raises(DataError):
-            Engagement("g", "p", "R1", "B1", 10, 4)
+        frames, events, engagements, schedule = hand_play()
+        engagements = structured(engagements, ENGAGEMENTS_DTYPE)
+        engagements["start_frame"][2] = 13
+        with pytest.raises(DataError, match=r"^engagement has start_frame 13 > end_frame 12$"):
+            build_interactions(tracking_frames(frames), structured(events, EVENTS_DTYPE),
+                               engagements, schedule)
 
 
 class TestCsvReaders:
@@ -420,8 +538,10 @@ class TestCsvReaders:
             "game_id,play_id,snap_frame,has_forward_pass,has_sack,qb_hit\n"
             "g1,p1,3,1,0,1\n"
         )
-        (ev,) = read_events_csv(path)
-        assert ev == PlayEvents("g1", "p1", 3, True, False, True)
+        events = read_events_csv(path)
+        assert events.dtype == EVENTS_DTYPE and events.dtype.names == tuple(EVENTS_CSV_HEADER)
+        assert not events.flags.writeable and len(events) == 1
+        assert records_of(events, PlayEvents) == [PlayEvents("g1", "p1", 3, True, False, True)]
 
     def test_events_negative_snap_has_line_number(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -437,9 +557,24 @@ class TestCsvReaders:
         path.write_text(
             "game_id,play_id,rusher_id,blocker_id,start_frame,end_frame\n"
             "g1,p1,R1,B1,2,9\n"
+            "g1,p1,R2,B1,-5,-1\n"
         )
-        (e,) = read_engagements_csv(path)
-        assert e == Engagement("g1", "p1", "R1", "B1", 2, 9)
+        engagements = read_engagements_csv(path)
+        assert engagements.dtype == ENGAGEMENTS_DTYPE
+        assert engagements.dtype.names == tuple(ENGAGEMENTS_CSV_HEADER)
+        assert not engagements.flags.writeable and len(engagements) == 2
+        assert records_of(engagements, Engagement) == [
+            Engagement("g1", "p1", "R1", "B1", 2, 9), Engagement("g1", "p1", "R2", "B1", -5, -1)
+        ]
+
+    def test_empty_files_are_empty_arrays(self, tmp_path):
+        for reader, header, dtype in ((read_events_csv, EVENTS_CSV_HEADER, EVENTS_DTYPE),
+                                      (read_engagements_csv, ENGAGEMENTS_CSV_HEADER,
+                                       ENGAGEMENTS_DTYPE)):
+            path = tmp_path / "in.csv"
+            path.write_text(",".join(header) + "\n")
+            rows = reader(path)
+            assert rows.dtype == dtype and len(rows) == 0
 
     def test_engagements_reversed_window_has_line_number(self, tmp_path):
         path = tmp_path / "engagements.csv"
@@ -498,6 +633,77 @@ class TestCsvReaders:
             f"{path}:3: frame_index does not fit in a 64-bit integer, got '99999999999999999999'"
         )
 
+    @pytest.mark.parametrize("reader, header, first, bad, want", [
+        (read_events_csv, EVENTS_CSV_HEADER, 'g1,"p\n1",3,1,0,1', "g1,p2,x,1,0,0",
+         "snap_frame must be an integer, got 'x'"),
+        (read_engagements_csv, ENGAGEMENTS_CSV_HEADER, 'g1,p1,"R\n1",B1,2,9', "g1,p1,R2,B1,5,z",
+         "end_frame must be an integer, got 'z'"),
+        (read_schedule_csv, SCHEDULE_CSV_HEADER, '"g\n1",1', "g2,0", "week must be >= 1, got 0"),
+        (read_tracking_csv, TRACKING_CSV_HEADER, 'g1,p1,0,"R\n1",3.0,4.0,0',
+         "g1,p1,0,QB,0.0,0.0,yes", "is_qb must be 0 or 1, got 'yes'"),
+        (read_tracking_csv, TRACKING_CSV_HEADER, 'g1,p1,0,"R\n1",3.0,4.0,0',
+         "g1,p1,0,QB,0.0,0.0,1\ng1,p1,0,QB,1.0,0.0,1",
+         "duplicate tracking row for player 'QB' at g1/p1 frame 0 (first at line 4)"),
+    ], ids=["events", "engagements", "schedule", "tracking rescan", "tracking duplicate"])
+    def test_error_after_quoted_line_break_names_the_file_line(
+        self, tmp_path, reader, header, first, bad, want
+    ):
+        # the first record spans lines 2-3, so the next bad record is on line 4 or 5
+        path = tmp_path / "ql.csv"
+        path.write_text(",".join(header) + f"\n{first}\n{bad}\n")
+        line = 3 + bad.count("\n") + 1
+        with pytest.raises(DataError) as got:
+            reader(path)
+        assert str(got.value) == f"{path}:{line}: {want}"
+
+    def test_quoted_line_breaks_keep_tracking_lines(self, tmp_path):
+        path = tmp_path / "tracking.csv"
+        path.write_text(",".join(TRACKING_CSV_HEADER) + '\ng1,p1,0,"R\n1",3.0,4.0,0\n'
+                        'g1,p1,0,QB,0.0,0.0,1\n"g\n\n2",p1,0,QB,0.0,0.0,1\ng2,p1,1,QB,0,0,1\n')
+        frames = read_tracking_csv(path)
+        assert frames.line.tolist() == [3, 4, 7, 8]
+        assert frames.plays == (("g\n\n2", "p1"), ("g1", "p1"), ("g2", "p1"))
+
+    @pytest.mark.parametrize("reader, header, record, want", [
+        (read_events_csv, EVENTS_CSV_HEADER, "g1,p1,1.5,1,0,0",
+         "snap_frame must be an integer, got '1.5'"),
+        (read_events_csv, EVENTS_CSV_HEADER, "g1,p1,,1,0,0",
+         "snap_frame must be an integer, got ''"),
+        (read_engagements_csv, ENGAGEMENTS_CSV_HEADER, "g1,p1,R1,B1,x,2",
+         "start_frame must be an integer, got 'x'"),
+        (read_tracking_csv, TRACKING_CSV_HEADER, "g1,p1,1.5,QB,0.0,0.0,1",
+         "frame_index must be an integer, got '1.5'"),
+    ], ids=["events 1.5", "events empty", "engagements x", "tracking 1.5"])
+    def test_non_numeric_integer_names_its_field(self, tmp_path, reader, header, record, want):
+        path = tmp_path / "in.csv"
+        path.write_text(",".join(header) + f"\n{record}\n")
+        with pytest.raises(DataError) as got:
+            reader(path)
+        assert str(got.value) == f"{path}:2: {want}"
+
+    @pytest.mark.parametrize("reader, header, record, field, text", [
+        (read_events_csv, EVENTS_CSV_HEADER, "g1,p2,{},1,0,0", "snap_frame", str(2**63)),
+        (read_engagements_csv, ENGAGEMENTS_CSV_HEADER, "g1,p1,R1,B1,{},9", "start_frame",
+         str(-2**63 - 1)),
+        (read_engagements_csv, ENGAGEMENTS_CSV_HEADER, "g1,p1,R1,B1,0,{}", "end_frame",
+         str(2**64)),
+    ], ids=["snap_frame", "start_frame", "end_frame"])
+    def test_frame_beyond_int64_names_line(self, tmp_path, reader, header, record, field, text):
+        path = tmp_path / "in.csv"
+        good = record.format(0)
+        path.write_text(",".join(header) + f"\n{good}\n{record.format(text)}\n")
+        with pytest.raises(DataError) as got:
+            reader(path)
+        want = f"{field} does not fit in a 64-bit integer, got '{text}'"
+        assert str(got.value) == f"{path}:3: {want}"
+
+    def test_frames_at_int64_bounds_are_read(self, tmp_path):
+        path = tmp_path / "engagements.csv"
+        path.write_text(",".join(ENGAGEMENTS_CSV_HEADER)
+                        + f"\ng1,p1,R1,B1,{INT64.min},{INT64.max}\n")
+        (row,) = records_of(read_engagements_csv(path), Engagement)
+        assert (row.start_frame, row.end_frame) == (INT64.min, INT64.max)
+
     def test_field_count_checked(self, tmp_path):
         path = tmp_path / "engagements.csv"
         path.write_text(
@@ -536,31 +742,73 @@ class TestCsvReaders:
 # columnar path replaced, kept as the oracle it must match.
 
 
-def reference_read_tracking_csv(path):
+def reference_read_records(path, header, record):
+    """``record(*fields)`` of each data record of ``path``, read one at a
+    time; an error names the line the bad record ends on."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACKING_CSV_HEADER:
-            raise DataError(f"bad header in {path}: expected {TRACKING_CSV_HEADER}, got {header}")
+        got = next(reader, None)
+        if got != header:
+            raise DataError(f"bad header in {path}: expected {header}, got {got}")
         out = []
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != len(TRACKING_CSV_HEADER):
-                raise DataError(f"{path}:{lineno}: expected {len(TRACKING_CSV_HEADER)} fields")
+        for rec in reader:
+            lineno = reader.line_num
+            if len(rec) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
-                out.append(
-                    Frame(
-                        game_id=rec[0],
-                        play_id=rec[1],
-                        frame_index=int(rec[2]),
-                        player_id=rec[3],
-                        x=float(rec[4]),
-                        y=float(rec[5]),
-                        is_qb=_parse_bool01(rec[6], "is_qb"),
-                    )
-                )
+                out.append(record(*rec))
             except (ValueError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
     return out
+
+
+def reference_int(text, field):
+    """Python's int of ``text``, in ASCII digits without underscores and
+    within int64."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{field} must be an integer, got {text!r}") from None
+    if "_" in text or not text.isascii():
+        raise ValueError(
+            f"{field} must be written in ASCII digits without underscores, got {text!r}"
+        )
+    if not INT64.min <= value <= INT64.max:
+        raise ValueError(f"{field} does not fit in a 64-bit integer, got {text!r}")
+    return value
+
+
+def _frame_record(game_id, play_id, frame_index, player_id, x, y, is_qb):
+    try:
+        frame_index = int(frame_index)
+    except ValueError:
+        raise ValueError(f"frame_index must be an integer, got {frame_index!r}") from None
+    return Frame(game_id, play_id, frame_index, player_id, float(x), float(y),
+                 _parse_bool01(is_qb, "is_qb"))
+
+
+def _events_record(game_id, play_id, snap_frame, *flags):
+    return PlayEvents(game_id, play_id, reference_int(snap_frame, "snap_frame"), *(
+        _parse_bool01(text, field) for text, field in zip(flags, EVENTS_CSV_HEADER[3:])
+    ))
+
+
+def _engagement_record(game_id, play_id, rusher_id, blocker_id, start_frame, end_frame):
+    return Engagement(game_id, play_id, rusher_id, blocker_id,
+                      reference_int(start_frame, "start_frame"),
+                      reference_int(end_frame, "end_frame"))
+
+
+def reference_read_tracking_csv(path):
+    return reference_read_records(path, TRACKING_CSV_HEADER, _frame_record)
+
+
+def reference_read_events_csv(path):
+    return reference_read_records(path, EVENTS_CSV_HEADER, _events_record)
+
+
+def reference_read_engagements_csv(path):
+    return reference_read_records(path, ENGAGEMENTS_CSV_HEADER, _engagement_record)
 
 
 def _reference_distances(positions, qb_track, player_id, frames, game_id, play_id, hypot):
@@ -618,6 +866,8 @@ def reference_build_interactions(
             continue
         if game_id not in schedule:
             raise DataError(f"game {game_id!r} missing from the schedule (unknown week)")
+        if schedule[game_id] < 1:
+            raise DataError(f"game {game_id!r} has week {schedule[game_id]}; weeks start at 1")
         for e in plays_engagements:
             by_game.setdefault(game_id, []).append((play_id, e))
 
@@ -634,7 +884,7 @@ def reference_build_interactions(
                 max(ev.snap_frame, e.start_frame), min(ev.snap_frame + horizon, e.end_frame) + 1
             )
             won = False
-            if len(window):
+            if window:
                 qb_track = qb_tracks.get(key, {})
                 pos = positions.get(key, {})
                 rd, bd = (
@@ -820,7 +1070,7 @@ class TestEquivalenceOracle:
     def test_frame_lists_match_reference(self, seed, options):
         frames, events, engagements, schedule, _ = random_world(seed)
         want = reference_build_interactions(frames, events, engagements, schedule, **options)
-        got = build_interactions(tracking_frames(frames), events, engagements, schedule, **options)
+        got = build(frames, events, engagements, schedule, **options)
         assert got == want
         assert 0 < got.win.sum() < len(got)
 
@@ -838,7 +1088,7 @@ class TestEquivalenceOracle:
         columns = read_tracking_csv(path)
         assert decoded_frames(columns) == ref_frames == frames
         for options in WORLD_OPTIONS:
-            assert build_interactions(columns, events, engagements, schedule, **options) == \
+            assert build(columns, events, engagements, schedule, **options) == \
                 reference_build_interactions(ref_frames, events, engagements, schedule, **options)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -854,13 +1104,24 @@ class TestEquivalenceOracle:
         ref = tmp_path / "reference.csv"
         write_interactions_csv(
             reference_build_interactions(
-                reference_read_tracking_csv(paths["tracking"]), read_events_csv(paths["events"]),
-                read_engagements_csv(paths["engagements"]), read_schedule_csv(paths["schedule"]),
+                reference_read_tracking_csv(paths["tracking"]),
+                reference_read_events_csv(paths["events"]),
+                reference_read_engagements_csv(paths["engagements"]),
+                read_schedule_csv(paths["schedule"]),
             ),
             ref,
         )
         assert out.read_bytes() == ref.read_bytes()
         assert rawgen.read_rows(out) == rawgen.read_rows(paths["expected"])
+
+
+@pytest.mark.parametrize("options", WORLD_OPTIONS + [{"min_overlap": 3}],
+                         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "defaults")
+@pytest.mark.parametrize("seed", range(12))
+def test_more_worlds_match_reference(seed, options):
+    frames, events, engagements, schedule, _ = random_world(seed)
+    want = reference_build_interactions(frames, events, engagements, schedule, **options)
+    assert build(frames, events, engagements, schedule, **options) == want
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +1194,7 @@ def test_reader_parity(case, tmp_path):
     # takes under the default filters; it must warn about nothing
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = _outcome(read_tracking_csv, build_interactions, path)
+        got = _outcome(read_tracking_csv, build, path)
     assert [str(w.message) for w in caught] == []
     assert got == want
     if case == "header only":
@@ -1007,14 +1268,213 @@ class TestColumnarReader:
         with pytest.raises(ValueError):
             columns.x[0] = 1.0
 
-    def test_window_past_int64_gives_reference_error(self):
-        frames, events, engagements, schedule = hand_play()
-        events = [PlayEvents("g1", "p1", 2**64, True, False, False), events[1]]
-        engagements = engagements + [Engagement("g1", "p1", "R1", "B2", 0, 2**64 + 5)]
-        errors = []
-        for build, tracks in ((reference_build_interactions, frames),
-                              (build_interactions, tracking_frames(frames))):
-            with pytest.raises(DataError) as info:
-                build(tracks, events, engagements, schedule)
-            errors.append(str(info.value))
-        assert errors[0] == errors[1] == f"missing QB track at g1/p1 frame {2**64}"
+    def test_window_past_int64_gives_reference_error(self, tmp_path):
+        # a snap past int64 is the events reader's error, as the reference reads it
+        path = tmp_path / "events.csv"
+        path.write_text(",".join(EVENTS_CSV_HEADER) + f"\ng1,p1,2,1,0,1\ng1,p2,{2**64},1,0,0\n")
+        with pytest.raises(DataError) as want:
+            reference_read_events_csv(path)
+        with pytest.raises(DataError) as got:
+            read_events_csv(path)
+        assert str(got.value) == str(want.value) == (
+            f"{path}:3: snap_frame does not fit in a 64-bit integer, got '{2**64}'"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Ingest reader parity: the events and engagements readers give the
+# reference record reader's records or error text
+
+
+EVENTS_GOOD = ["g1,p1,3,1,0,1", "g1,p2,0,0,1,0"]
+ENGAGEMENTS_GOOD = ["g1,p1,R1,B1,2,9", "g1,p1,R2,B1,-4,-4"]
+
+INGEST_READER_CASES = {
+    "events good": EVENTS_GOOD,
+    "events loose integers": ["g1,p1, 3 ,1,0,1", "g1,p2,+4,1,0,0", "g1,p3,007,0,1,0"],
+    "events quoted ids": ['"g,1","p""1",3,1,0,1', 'g1,"p\n2",4,1,0,0'],
+    "events header only": [],
+    "events negative snap": EVENTS_GOOD + ["g1,p3,-1,1,0,0"],
+    "events bad flag and negative snap in one record": EVENTS_GOOD + ["g1,p3,-1,yes,0,0"],
+    "events negative snap before bad flag": ["g1,p3,-1,1,0,0", "g1,p4,2,2,0,0"],
+    "events bad flag before negative snap": ["g1,p3,1,0,0,2", "g1,p4,-2,1,0,0"],
+    "events bad value before short line": ["g1,p3,x,1,0,0", "g1,p4"],
+    "events short line before bad value": ["g1,p4", "g1,p3,x,1,0,0"],
+    "events long line": EVENTS_GOOD + ["g1,p3,1,1,0,0,1"],
+    "events blank line": EVENTS_GOOD[:1] + [""] + EVENTS_GOOD[1:],
+    "events blank last line": EVENTS_GOOD + [""],
+    "events snap beyond int64": EVENTS_GOOD + [f"g1,p3,{2**63},1,0,0"],
+    "events snap 1.5": EVENTS_GOOD + ["g1,p3,1.5,1,0,0"],
+    "events snap 1e1": EVENTS_GOOD + ["g1,p3,1e1,1,0,0"],
+    "events underscored snap": EVENTS_GOOD + ["g1,p3,1_0,1,0,0"],
+    "events non-ASCII snap": EVENTS_GOOD + ["g1,p3,٣,1,0,0"],
+    "events bad flag after quoted line break": ['g1,"p\n2",4,1,0,0', "g1,p3,4,1,0,x"],
+    "engagements good": ENGAGEMENTS_GOOD,
+    "engagements int64 bounds": [f"g1,p1,R1,B1,{-2**63},{2**63 - 1}"],
+    "engagements header only": [],
+    "engagements reversed": ENGAGEMENTS_GOOD + ["g1,p1,R3,B2,9,2"],
+    "engagements bad end and reversed in one record": ["g1,p1,R3,B2,9,-"],
+    "engagements reversed before bad start": ["g1,p1,R3,B2,9,2", "g1,p1,R3,B2,x,2"],
+    "engagements bad start before reversed": ["g1,p1,R3,B2,x,2", "g1,p1,R3,B2,9,2"],
+    "engagements start beyond int64": [f"g1,p1,R3,B2,{-2**63 - 1},2"],
+    "engagements end beyond int64": ENGAGEMENTS_GOOD + [f"g1,p1,R3,B2,0,{2**64}"],
+    "engagements short line": ENGAGEMENTS_GOOD + ["g1,p1,R3,B2,0"],
+    "engagements reversed after quoted line break": ['g1,p1,"R\n3",B2,0,2', "g1,p1,R3,B2,3,2"],
+}
+
+
+@pytest.mark.parametrize("case", INGEST_READER_CASES)
+def test_ingest_reader_parity(case, tmp_path):
+    kind = case.split()[0]
+    reader, reference, header, record = {
+        "events": (read_events_csv, reference_read_events_csv, EVENTS_CSV_HEADER, PlayEvents),
+        "engagements": (read_engagements_csv, reference_read_engagements_csv,
+                        ENGAGEMENTS_CSV_HEADER, Engagement),
+    }[kind]
+    path = tmp_path / f"{kind}.csv"
+    lines = INGEST_READER_CASES[case]
+    path.write_text(",".join(header) + "\n" + "".join(line + "\n" for line in lines),
+                    encoding="utf-8")
+
+    def outcome(read, decode):
+        try:
+            return decode(read(path))
+        except DataError as exc:
+            return str(exc)
+
+    want = outcome(reference, list)
+    assert outcome(reader, lambda rows: records_of(rows, record)) == want
+    # the good cases read every record; every other case is an error
+    assert isinstance(want, list) == ("good" in case or "loose" in case or "quoted ids" in case
+                                      or "header only" in case or "bounds" in case)
+
+
+# ---------------------------------------------------------------------------
+# Extreme frames: int64 bounds, huge horizons and overlaps past int64
+
+
+def extreme_world(snap, windows, tracked):
+    """One dropback play snapped at ``snap``, an engagement per
+    ``(rusher, blocker, start, end)`` of ``windows``, and the QB and every
+    player tracked at the ``tracked`` frames."""
+    players = sorted({p for r, b, *_ in windows for p in (r, b)})
+    frames = [frame("QB", 0, 0, qb=True, t=t) for t in tracked]
+    frames += [frame(p, 3 + k % 4, 4, t=t) for k, p in enumerate(players) for t in tracked]
+    return (frames, [PlayEvents("g1", "p1", snap, True, False, False)],
+            [eng(*w) for w in windows], {"g1": 1})
+
+
+MAX, MIN = int(INT64.max), int(INT64.min)
+FULL = [("R1", "B1", MIN, MAX), ("R1", "B2", MIN, MAX)]  # share 2**64 frames
+HALF = [("R1", "B1", MIN, -1), ("R1", "B2", MIN, MAX)]  # share 2**63 frames
+PAIR = {"horizon": 0}  # the pairs' windows clip to the snap frame, 5
+
+# (snap, windows, tracked frames, options, what the reference gives: a
+# missing-track error, each row's double-team flag, or a table)
+EXTREME_CASES = {
+    "window at int64's top": (MAX, [("R1", "B1", MIN, MAX)], [MAX - 1, MAX], {}, "table"),
+    "window at int64's top, untracked": (MAX, [("R1", "B1", MIN, MAX)], [0], {}, "missing"),
+    "start at int64's bottom": (0, [("R1", "B1", MIN, 3)], [0, 1, 2, 3], {}, "table"),
+    "end at int64's bottom": (0, [("R1", "B1", MIN, MIN)], [], {}, "table"),
+    "snap near the top, horizon 2**62": (MAX - 5, [("R1", "B1", 0, MAX)],
+                                         range(MAX - 5, MAX + 1), {"horizon": 2**62}, "table"),
+    "horizon past int64": (MAX - 1, [("R1", "B1", 0, MAX)], [MAX - 1, MAX], {"horizon": 2**66},
+                           "table"),
+    "window of 2**62 frames, untracked": (0, [("R1", "B1", MIN, MAX)], [0, 1, 2],
+                                          {"horizon": 2**62}, "missing"),
+    "window of 2**62 frames, blocker untracked": (0, [("R1", "B1", MIN, MAX)], [0, 1, 2],
+                                                  {"horizon": 2**62}, "missing"),
+    "window of 2**63 frames, untracked": (0, [("R1", "B1", 0, MAX)], [0, 1], {"horizon": 2**66},
+                                          "missing"),
+    "full range, min_overlap 1": (5, FULL, [5], PAIR, True),
+    "full range, min_overlap 2**63 + 1": (5, FULL, [5], {**PAIR, "min_overlap": 2**63 + 1}, True),
+    "full range, min_overlap 2**64": (5, FULL, [5], {**PAIR, "min_overlap": 2**64}, True),
+    "full range, min_overlap 2**64 + 1": (5, FULL, [5], {**PAIR, "min_overlap": 2**64 + 1}, False),
+    "half range, min_overlap 2**63": (5, HALF, [5], {**PAIR, "min_overlap": 2**63}, True),
+    "half range, min_overlap 2**63 + 1": (5, HALF, [5], {**PAIR, "min_overlap": 2**63 + 1}, False),
+    "touching at 0 from both ends": (5, [("R1", "B1", 0, MAX), ("R1", "B2", MIN, 0)], [5], PAIR,
+                                     True),
+    "apart at 0 from both ends": (5, [("R1", "B1", 1, MAX), ("R1", "B2", MIN, 0)], [5], PAIR,
+                                  False),
+}
+
+
+@pytest.mark.parametrize("case", EXTREME_CASES)
+def test_extreme_frames_match_reference(case):
+    snap, windows, tracked, options, expect = EXTREME_CASES[case]
+    frames, events, engagements, schedule = extreme_world(snap, windows, tracked)
+    if case.endswith("blocker untracked"):
+        frames = [f for f in frames if f.player_id != "B1" or f.frame_index == 0]
+
+    def outcome(build_fn, tracks):
+        try:
+            return build_fn(tracks, events, engagements, schedule, **options)
+        except DataError as exc:
+            return str(exc)
+
+    want = outcome(reference_build_interactions, frames)
+    assert outcome(build, tracking_frames(frames)) == want
+    if expect == "missing":
+        assert want.startswith("missing")
+    elif expect != "table":
+        assert want.double_team.tolist() == [expect] * len(windows)
+    else:
+        assert len(want) == len(windows)
+
+
+# ---------------------------------------------------------------------------
+# Error order: one injected build error of each kind (two of a kind where
+# there can be two), and chains of them, raise the reference's message
+
+
+def _inject(world, kind, rng):
+    frames, events, engagements, schedule = world
+    if kind == "duplicate events row":
+        for _ in range(2):
+            ev = events[int(rng.integers(len(events)))]
+            events.insert(int(rng.integers(len(events) + 1)),
+                          dataclasses.replace(ev, qb_hit=not ev.qb_hit))
+    elif kind == "dangling engagement":
+        for k in range(2):
+            engagements.insert(int(rng.integers(len(engagements) + 1)),
+                               eng("R1", "B1", 0, 3, game=f"g{k}", play=f"p9{k}"))
+    elif kind == "game missing from the schedule":
+        for g in rng.choice(3, 2, replace=False).tolist():
+            del schedule[f"g{g}"]
+    elif kind == "week 0":
+        for game, week in zip(rng.permutation(sorted(schedule)).tolist(), (0, -1)):
+            schedule[game] = week
+    else:  # a missing track: about one tracking row in fifty dropped
+        drop = set(rng.choice(len(frames), len(frames) // 50, replace=False).tolist())
+        frames[:] = [f for i, f in enumerate(frames) if i not in drop]
+
+
+BUILD_ERRORS = ["duplicate events row", "dangling engagement", "game missing from the schedule",
+                "week 0", "missing track"]
+ERROR_TEXT = {"duplicate events row": "duplicate events row", "dangling engagement": "dangling",
+              "game missing from the schedule": "missing from the schedule",
+              "week 0": "weeks start at 1", "missing track": "missing"}
+
+
+@pytest.mark.parametrize("errors", [[kind] for kind in BUILD_ERRORS]
+                         + [BUILD_ERRORS[k:] for k in range(len(BUILD_ERRORS) - 1)],
+                         ids=lambda errors: " + ".join(errors))
+@pytest.mark.parametrize("seed", range(4))
+def test_build_error_order_matches_reference(seed, errors):
+    frames, events, engagements, schedule, _ = random_world(seed)
+    rng = np.random.default_rng(seed)
+    # engagements in random order, so games do not come in id order
+    engagements = [engagements[i] for i in rng.permutation(len(engagements))]
+    world = frames, events, engagements, schedule
+    for kind in errors:
+        _inject(world, kind, rng)
+    messages = []
+    for build_fn, tracks in ((reference_build_interactions, frames),
+                             (build, tracking_frames(frames))):
+        with pytest.raises(DataError) as got:
+            build_fn(tracks, events, engagements, schedule)
+        messages.append(str(got.value))
+    assert messages[0] == messages[1]
+    # the schedule is checked game by game: a missing game and a week 0 come in game order
+    first = errors[:2] if errors[0] == "game missing from the schedule" else errors[:1]
+    assert any(ERROR_TEXT[kind] in messages[0] for kind in first)

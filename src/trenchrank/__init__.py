@@ -30,9 +30,8 @@ from .evaluate import (
 )
 from .external import enrichment_at_k, rank_auc, run_external_eval
 from .fit import (
-    BinaryFit,
     CvResult,
-    MultinomialFit,
+    Fit,
     cv_select_lambda,
     expected_severity,
     fit_severity_model,
@@ -55,16 +54,15 @@ from .tracking import build_interactions
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryFit",
     "BootstrapConfig",
     "BootstrapSummary",
     "CLASSES",
     "CvResult",
     "DataError",
+    "Fit",
     "FitError",
     "GroundTruth",
     "InteractionTable",
-    "MultinomialFit",
     "OutcomeClass",
     "SeverityBaseline",
     "SeverityWeights",

@@ -52,8 +52,8 @@ import numpy as np
 from .errors import DataError, FitError
 from .baselines import DEFAULT_SEVERITY_PRIOR, DEFAULT_WIN_PRIOR, check_prior_strength
 from .evaluate import DEFAULT_SPLIT_RATIO, split_point, validate_weighted
-from .external import model_scores
-from .fit import DEFAULT_MAX_ITER, DEFAULT_TOL, DROPPED_CLASSES_WARNING, fit_coded
+from .external import role_ratings
+from .fit import DEFAULT_MAX_ITER, DEFAULT_TOL, DROPPED_CLASSES_WARNING, fit_coded, gather
 from .interactions import InteractionTable, OutcomeClass, canonical_sort
 
 MODES = ("end_to_end", "weekly_path")
@@ -199,23 +199,31 @@ def _series(values: list[float], kind: str) -> TrackedSeries:
 
 def _rating_players(
     table: InteractionTable, config: BootstrapConfig
-) -> dict[tuple[str, str], list[str]]:
-    """The tracked players of each (model, role), in id order."""
+) -> dict[tuple[str, str], np.ndarray]:
+    """The tracked players of each (model, role), in id order, as object
+    arrays of the ids ``gather`` looks up."""
     keep = set(table.rushers + table.blockers if config.track_players is None
                else config.track_players)
     return {
-        (model, role): [p for p in (table.rushers if role == "rusher" else table.blockers)
-                        if p in keep]
+        (model, role): np.array(
+            [p for p in (table.rushers if role == "rusher" else table.blockers) if p in keep],
+            dtype=object,
+        )
         for model in config.models
         for role in ("rusher", "blocker")
     }
 
 
 def _fit_ratings(
-    table: InteractionTable, weights: np.ndarray, config: BootstrapConfig
-) -> tuple[dict[tuple[str, str], dict[str, float]], tuple[OutcomeClass, ...]]:
-    """Each model's ratings by (model, role), and the severity fit's dropped classes."""
-    out: dict[tuple[str, str], dict[str, float]] = {}
+    table: InteractionTable,
+    weights: np.ndarray,
+    config: BootstrapConfig,
+    players: dict[tuple[str, str], np.ndarray],
+) -> tuple[dict[tuple[str, str], list[float]], tuple[OutcomeClass, ...]]:
+    """Each model's ratings of the tracked ``players`` by (model, role),
+    NaN for a player outside the fit, and the severity fit's dropped
+    classes."""
+    out: dict[tuple[str, str], list[float]] = {}
     dropped: tuple[OutcomeClass, ...] = ()
     for model in config.models:
         lam = config.lambda_win if model == "win" else config.lambda_sev
@@ -223,7 +231,9 @@ def _fit_ratings(
         if model == "severity":
             dropped = fit.dropped
         for role in ("rusher", "blocker"):
-            out[(model, role)] = model_scores(fit, role)
+            ids, ratings = role_ratings(fit, role)
+            keys = np.array(ids, dtype=object)
+            out[(model, role)] = gather(keys, ratings, players[(model, role)], math.nan).tolist()
     return out, dropped
 
 
@@ -315,7 +325,9 @@ def end_to_end_bootstrap(table: InteractionTable, config: BootstrapConfig) -> Bo
                     )
                     rep_dropped = report.severity_fit.dropped
                 if config.track_ratings:
-                    scores, rating_dropped = _fit_ratings(table, m[table.game].astype(float), config)
+                    scores, rating_dropped = _fit_ratings(
+                        table, m[table.game].astype(float), config, rating_players
+                    )
                     rep_dropped += rating_dropped
         except FitError:
             n_failed += 1
@@ -327,9 +339,8 @@ def end_to_end_bootstrap(table: InteractionTable, config: BootstrapConfig) -> Bo
                 imp_values.setdefault((row.task, row.baseline), []).append(row.improvement)
         if scores is not None:
             for (model, role), players in rating_players.items():
-                got = scores[(model, role)]
-                for pid in players:
-                    rating_values[(model, role, pid)].append(got.get(pid, math.nan))
+                for pid, rating in zip(players, scores[(model, role)]):
+                    rating_values[(model, role, pid)].append(rating)
 
     dropped.warn(config.b)
     return BootstrapSummary(
@@ -382,7 +393,7 @@ def weekly_path_bootstrap(table: InteractionTable, config: BootstrapConfig) -> B
             try:
                 with dropped.held_back():
                     scores, rep_dropped = _fit_ratings(
-                        table, (m[table.game] * in_week).astype(float), config
+                        table, (m[table.game] * in_week).astype(float), config, rating_players
                     )
             except FitError:
                 n_failed += 1
@@ -390,11 +401,8 @@ def weekly_path_bootstrap(table: InteractionTable, config: BootstrapConfig) -> B
                 continue
             dropped.add(rep_dropped)
             for (model, role), players in rating_players.items():
-                got = scores[(model, role)]
-                for pid in players:
-                    weekly_values.setdefault((model, role, pid, week), []).append(
-                        got.get(pid, math.nan)
-                    )
+                for pid, rating in zip(players, scores[(model, role)]):
+                    weekly_values.setdefault((model, role, pid, week), []).append(rating)
 
     dropped.warn(planned_fits)
     return BootstrapSummary(

@@ -23,9 +23,8 @@ from . import evaluate, report
 from .errors import DataError, FitError
 from .external import ACCOLADE_SLICES, read_accolades_csv, run_external_eval
 from .fit import (
-    BinaryFit,
     DEFAULT_LAMBDA_GRID,
-    MultinomialFit,
+    Fit,
     cv_select_lambda,
     fit_from_json_dict,
     fit_severity_model,
@@ -117,16 +116,20 @@ def _cv_options(src: Mapping) -> dict:
     return {"grid": grid, **_pick(src, "tol", "max_iter", n_folds="folds")}
 
 
-def _load_fits(path) -> tuple[BinaryFit | None, MultinomialFit | None]:
+def _load_fits(path) -> tuple[Fit | None, Fit | None]:
+    """The win and the severity fit of a fits file, None where it has none;
+    a fit stored under the other model's key is a DataError."""
     raw = _read_json(path)
     try:
-        win = fit_from_json_dict(raw["win"]) if "win" in raw else None
-        sev = fit_from_json_dict(raw["severity"]) if "severity" in raw else None
+        fits = {model: fit_from_json_dict(raw[model]) for model in _FITTERS if model in raw}
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    if win is None and sev is None:
+    for model, fit in fits.items():
+        if fit.model != model:
+            raise DataError(f"{path}: the {model!r} entry holds a {fit.model!r} fit")
+    if not fits:
         raise DataError(f"{path}: no 'win' or 'severity' fit found")
-    return win, sev
+    return fits.get("win"), fits.get("severity")
 
 
 def _out_dir(path) -> Path:

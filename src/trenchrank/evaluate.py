@@ -38,8 +38,7 @@ from .errors import DataError
 from .fit import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    BinaryFit,
-    MultinomialFit,
+    Fit,
     cv_select_lambda,
     fit_coded,
     predict_class_prob_matrix,
@@ -95,8 +94,8 @@ class ValidationReport:
     lambda_sev: float
     n_train: int
     n_test: int
-    win_fit: BinaryFit
-    severity_fit: MultinomialFit
+    win_fit: Fit
+    severity_fit: Fit
     win_baseline: WinBaseline
     severity_baseline: SeverityBaseline
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .fit import BinaryFit, MultinomialFit
+from .fit import Fit
 from .interactions import (
     CLASSES,
     InteractionTable,
@@ -162,26 +162,36 @@ def raw_baseline_scores(
     return {pid: sums[pid] / counts[pid] for pid in counts}
 
 
+def role_ratings(
+    fit: Fit, role: str, weights: SeverityWeights | None = None
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids of ``role``'s players in a fit and their ratings: the
+    class effects weighted by ``(1.0,)`` for the win model and by the
+    severity weights of ``fit.classes`` otherwise, summed class by class
+    in that order."""
+    if role not in ROLES:
+        raise ValueError(f"role must be one of {ROLES}, got {role!r}")
+    if fit.model == "win":
+        class_weights = (1.0,)
+    else:
+        w = default_severity_weights() if weights is None else weights
+        class_weights = tuple(map(w.weight, fit.classes))
+    ids, effects = fit.effects(role)
+    ratings = np.zeros(len(ids))
+    for wc, row in zip(class_weights, effects):
+        ratings += wc * row
+    return ids, ratings
+
+
 def model_scores(
-    fit: BinaryFit | MultinomialFit,
+    fit: Fit,
     role: str,
     weights: SeverityWeights | None = None,
 ) -> dict[str, float]:
-    """Per-player ratings from a fit: raw effects for the win model,
-    severity-weighted effect sums for the multinomial model."""
-    if role not in ROLES:
-        raise ValueError(f"role must be one of {ROLES}, got {role!r}")
-    if isinstance(fit, BinaryFit):
-        effects = fit.rusher_effects if role == "rusher" else fit.blocker_effects
-        return dict(effects)
-    w = default_severity_weights() if weights is None else weights
-    per_class = fit.rusher_effects if role == "rusher" else fit.blocker_effects
-    out: dict[str, float] = {}
-    for c in fit.classes:
-        wc = w.weight(c)
-        for pid, eff in per_class[c].items():
-            out[pid] = out.get(pid, 0.0) + wc * eff
-    return out
+    """Per-player ratings from a fit by player id: raw effects for the win
+    model, severity-weighted effect sums for the severity model."""
+    ids, ratings = role_ratings(fit, role, weights)
+    return dict(zip(ids, ratings.tolist()))
 
 
 def _slice_positive(level: str | None, accolade: str) -> bool:
@@ -193,8 +203,8 @@ def _slice_positive(level: str | None, accolade: str) -> bool:
 
 
 def run_external_eval(
-    win_fit: BinaryFit,
-    severity_fit: MultinomialFit,
+    win_fit: Fit,
+    severity_fit: Fit,
     table: InteractionTable,
     accolades: Mapping[str, str],
     slices: Sequence[str] = ACCOLADE_SLICES,

@@ -11,9 +11,10 @@ both.  Each minimizes
     sum-scale negative log-likelihood  +  lam * ||theta_penalized||^2
 
 where player effects and the double-team coefficient are penalized and
-intercepts are not.  The penalty uses the raw sum-of-squares (no 1/2
-factor) and the likelihood is the sum over rows, so ``lam`` is
-interpreted in those units.
+intercepts are not (``_Design.penalty``), which keeps the shrinkage
+limit calibrated to the training base rate.  The penalty uses the raw
+sum-of-squares (no 1/2 factor) and the likelihood is the sum over rows,
+so ``lam`` is interpreted in those units.
 
 Every fit takes a table and row ``weights`` (nonnegative; all ones
 for ``fit_win_model`` and ``fit_severity_model``): row i then
@@ -66,8 +67,17 @@ w_c with every other parameter 0, when ``lam > 0``, and at zero when
 start must not move the point the least-squares steps return.
 Cross-validation warm-starts each fold's lambda path from large to
 small, and starts a fold's largest lambda from the previous fold's
-solution there, mapped onto the fold's players by id (a player the
-previous fold did not see starts at 0).
+solution there, remapped onto the fold's players through their codes
+into the table's vocabularies (a player the previous fold did not see
+starts at 0).
+
+A fit is one ``Fit`` for both models: its parameters theta, one row per
+modeled class, over the columns ``[intercept | double team | rushers |
+blockers]``, with the sorted ids of its rushers and blockers.  Rusher
+and blocker columns are separate blocks even for a player seen in both
+roles.  Prediction gathers theta onto a table's vocabularies by id,
+with 0 for a player the fit lacks; only the JSON form
+(``fit_to_json_dict``) keys effects by player id.
 """
 
 from __future__ import annotations
@@ -81,7 +91,6 @@ import numpy as np
 import scipy.linalg.lapack
 from scipy.special import expit
 
-from .design import PlayerIndex, aggregate_cells, index_from_ids, penalty_mask
 from .errors import DataError, FitError
 from .interactions import (
     CLASSES,
@@ -100,40 +109,50 @@ _ARMIJO_C = 1e-4
 _MODELS = ("win", "severity")
 
 
-@dataclass(frozen=True)
-class BinaryFit:
-    """Fitted binary win/loss model with effects keyed by player id."""
+@dataclass(frozen=True, eq=False)
+class Fit:
+    """A fitted win or severity model.
 
-    alpha: float
-    delta: float
-    rusher_effects: dict[str, float]
-    blocker_effects: dict[str, float]
-    lam: float
-    neg_loglik: float
-    grad_norm: float
-    iterations: int
-
-
-@dataclass(frozen=True)
-class MultinomialFit:
-    """Fitted severity model, parameterized relative to the loss class.
-
-    ``classes`` are the modeled non-reference classes in severity order;
-    reference-class parameters are identically zero and not stored.
-    ``dropped`` lists classes never observed in training, which are
-    excluded from the softmax entirely.
+    ``classes`` are the modeled non-reference classes in severity order,
+    ``(WIN,)`` for the win model; reference-class parameters are
+    identically zero and not stored.  ``dropped`` lists classes never
+    observed in training, which are excluded from the softmax entirely.
+    ``theta`` (read-only, one row per class) holds each class's
+    parameters over the columns ``[intercept | double team | rushers |
+    blockers]``, the player columns in the order of the sorted ids
+    ``rushers`` and ``blockers``.  ``==`` compares every field, theta
+    exactly.
     """
 
+    model: str
     classes: tuple[OutcomeClass, ...]
     dropped: tuple[OutcomeClass, ...]
-    alpha: dict[OutcomeClass, float]
-    delta: dict[OutcomeClass, float]
-    rusher_effects: dict[OutcomeClass, dict[str, float]]
-    blocker_effects: dict[OutcomeClass, dict[str, float]]
+    theta: np.ndarray
+    rushers: tuple[str, ...]
+    blockers: tuple[str, ...]
     lam: float
     neg_loglik: float
     grad_norm: float
     iterations: int
+
+    def __post_init__(self) -> None:
+        theta = np.array(self.theta, dtype=float)
+        theta.setflags(write=False)
+        object.__setattr__(self, "theta", theta)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Fit:
+            return NotImplemented
+        mine, theirs = dict(vars(self)), dict(vars(other))
+        return np.array_equal(mine.pop("theta"), theirs.pop("theta")) and mine == theirs
+
+    def effects(self, role: str) -> tuple[tuple[str, ...], np.ndarray]:
+        """The ids of ``role``'s players ("rusher" or "blocker") and their
+        (K, n) effects."""
+        split = 2 + len(self.rushers)
+        if role == "rusher":
+            return self.rushers, self.theta[:, 2:split]
+        return self.blockers, self.theta[:, split:]
 
 
 @dataclass(frozen=True)
@@ -143,6 +162,23 @@ class CvResult:
     lambdas: tuple[float, ...]
     mean_losses: tuple[float, ...]
     lambda_min: float
+
+
+def gather(keys: np.ndarray, values: np.ndarray, wanted: np.ndarray, fill: float) -> np.ndarray:
+    """The columns of ``values`` (..., len(keys)) for the ``wanted`` keys,
+    where column j belongs to ``keys[j]`` and ``keys`` is sorted; ``fill``
+    for a wanted key that ``keys`` lacks.
+
+    Keys are player codes, or player ids as object arrays, which compare
+    as the strings they are (a fixed-width string array drops trailing
+    NULs).
+    """
+    out = np.full((*values.shape[:-1], len(wanted)), fill)
+    pos = np.searchsorted(keys, wanted)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == wanted[found]
+    out[..., found] = values[..., pos[found]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +213,57 @@ class _Design:
         """Intercept, double team and blocker columns."""
         return np.r_[0, 1, 2 + self.n_rushers : self.n_columns]
 
+    @cached_property
+    def penalty(self) -> np.ndarray:
+        """1.0 on the ridge-penalized columns, every one but the intercept."""
+        mask = np.ones(self.n_columns)
+        mask[0] = 0.0
+        return mask
+
     def per_rusher(self, values: np.ndarray) -> np.ndarray:
         return np.bincount(self.rusher, weights=values, minlength=self.n_rushers)
 
     def per_blocker(self, values: np.ndarray) -> np.ndarray:
         return np.bincount(self.blocker, weights=values, minlength=self.n_blockers)
+
+
+def aggregate_cells(weights: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge rows with equal key tuples; drop cells of zero total weight.
+
+    ``keys`` are nonnegative integer columns.  Returns one representative
+    row per cell and the cell's summed weight, cells in key order.
+    """
+    combined = np.zeros(weights.shape[0], dtype=np.int64)
+    for key in keys:
+        combined = combined * (int(key.max(initial=0)) + 1) + key
+    _, first, inverse = np.unique(combined, return_index=True, return_inverse=True)
+    totals = np.bincount(inverse, weights=weights, minlength=first.shape[0])
+    keep = totals > 0
+    return first[keep], totals[keep]
+
+
+def _cells(table: InteractionTable, weights: np.ndarray, model: str):
+    """Merge rows into (rusher, blocker, double_team, outcome) cells.
+
+    Returns the cells' design codes, outcomes and summed weights, and the
+    sorted codes into the table's vocabularies of the rushers and the
+    blockers the design numbers 0, 1, ...: only players with a row of
+    positive weight enter the design.
+    """
+    outcome = table.win.astype(np.intp) if model == "win" else table.severity
+    rows, cell_w = aggregate_cells(
+        weights, table.rusher, table.blocker, table.double_team.astype(np.intp), outcome
+    )
+    rushers, rusher_pos = np.unique(table.rusher[rows], return_inverse=True)
+    blockers, blocker_pos = np.unique(table.blocker[rows], return_inverse=True)
+    design = _Design(
+        rusher=rusher_pos,
+        blocker=blocker_pos,
+        double_team=table.double_team[rows].astype(float),
+        n_rushers=rushers.size,
+        n_blockers=blockers.size,
+    )
+    return design, outcome[rows], cell_w, rushers, blockers
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +290,7 @@ def _transpose_product(design: _Design, resid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _objective(theta_flat, design, class_idx, n_classes, lam, pen_mask, weights):
+def _objective(theta_flat, design, class_idx, n_classes, lam, weights):
     """Penalized objective, its gradient and the (n_classes, n) class probabilities."""
     n, d = design.rusher.shape[0], design.n_columns
     theta = theta_flat.reshape(n_classes - 1, d)
@@ -223,8 +305,9 @@ def _objective(theta_flat, design, class_idx, n_classes, lam, pen_mask, weights)
     probs = exp_eta / denom
     resid = probs[1:] - np.equal.outer(np.arange(1, n_classes), class_idx)
     resid *= weights
-    grad = _transpose_product(design, resid) + 2.0 * lam * (pen_mask[None, :] * theta)
-    obj = nll + lam * float(np.sum(pen_mask[None, :] * theta * theta))
+    pen = design.penalty[None, :]
+    grad = _transpose_product(design, resid) + 2.0 * lam * (pen * theta)
+    obj = nll + lam * float(np.sum(pen * theta * theta))
     return obj, grad.ravel(), probs
 
 
@@ -252,7 +335,7 @@ class _HessianParts(NamedTuple):
     rest_ridge: np.ndarray
 
 
-def _hessian_parts(design: _Design, probs, lam, pen_mask, weights) -> _HessianParts:
+def _hessian_parts(design: _Design, probs, lam, weights) -> _HessianParts:
     """Penalized Hessian at the point whose (n_classes, n) class
     probabilities are ``probs``.
 
@@ -281,7 +364,7 @@ def _hessian_parts(design: _Design, probs, lam, pen_mask, weights) -> _HessianPa
             coupling[:, a, b, 1] = design.per_rusher(wd)
             np.negative(met.reshape(r, nb), out=coupling[:, a, b, 2:])
             coupling[:, b, a] = coupling[:, a, b]
-    ridge = 2.0 * lam * pen_mask
+    ridge = 2.0 * lam * design.penalty
     np.einsum("jaa->ja", rusher)[...] += ridge[design.rusher_columns, None]
     return _HessianParts(
         rusher, coupling.reshape(r, k, k * m), sums, np.tile(ridge[design.rest_columns], k)
@@ -356,7 +439,7 @@ def _coupling_product(design: _Design, probs, weights, x_rest: np.ndarray) -> np
     return out
 
 
-def _newton_direction(design: _Design, probs, lam, pen_mask, weights, grad: np.ndarray):
+def _newton_direction(design: _Design, probs, lam, weights, grad: np.ndarray):
     """Solve ``H x = -grad`` by a Schur complement over the rusher blocks,
     for the penalized Hessian H at the class probabilities ``probs``.
 
@@ -377,7 +460,7 @@ def _newton_direction(design: _Design, probs, lam, pen_mask, weights, grad: np.n
     that is not positive definite: ``("rusher", position)`` or
     ``("schur", None)``.
     """
-    rusher, coupling, rest_sums, rest_ridge = _hessian_parts(design, probs, lam, pen_mask, weights)
+    rusher, coupling, rest_sums, rest_ridge = _hessian_parts(design, probs, lam, weights)
     r, k, m = coupling.shape
     try:
         L = np.linalg.cholesky(rusher)
@@ -472,7 +555,7 @@ def _intercept_start(class_idx, n_classes, weights, d) -> np.ndarray:
     return theta
 
 
-def _solve(design, class_idx, n_classes, lam, pen_mask, theta0, tol, max_iter, weights):
+def _solve(design, class_idx, n_classes, lam, theta0, tol, max_iter, weights):
     """Damped Newton over the K = n_classes - 1 non-reference classes.
 
     Without ``theta0`` a penalized fit starts at the intercept-only
@@ -496,28 +579,29 @@ def _solve(design, class_idx, n_classes, lam, pen_mask, theta0, tol, max_iter, w
         theta = np.zeros(k * d)
 
     def value_grad(th):
-        return _objective(th, design, class_idx, n_classes, lam, pen_mask, weights)
+        return _objective(th, design, class_idx, n_classes, lam, weights)
 
     state = value_grad(theta)
     iterations = 0
     fallbacks = []
     while np.abs(state[1]).max() > tol and iterations < max_iter:
         iterations += 1
-        direction, failed = _newton_direction(design, state[2], lam, pen_mask, weights, state[1])
+        direction, failed = _newton_direction(design, state[2], lam, weights, state[1])
         if failed is not None:
             fallbacks.append(failed)
-            H = _dense_hessian(_hessian_parts(design, state[2], lam, pen_mask, weights), design)
+            H = _dense_hessian(_hessian_parts(design, state[2], lam, weights), design)
             direction = np.linalg.lstsq(H, -state[1], rcond=None)[0]
         theta, state, moved = _take_step(value_grad, theta, state, direction)
         if not moved:
             break
     theta = theta.reshape(k, d)
-    nll = state[0] - lam * float(np.sum(pen_mask[None, :] * theta * theta))
+    nll = state[0] - lam * float(np.sum(design.penalty[None, :] * theta * theta))
     return _Solution(theta, nll, float(np.abs(state[1]).max()), iterations, fallbacks)
 
 
-def _fallback_note(solution: _Solution, index: PlayerIndex) -> str:
-    """How many Newton steps fell back to least squares, and the last failed factor."""
+def _fallback_note(solution: _Solution, rushers: Sequence[str]) -> str:
+    """How many Newton steps fell back to least squares, and the last
+    failed factor; ``rushers`` are the ids of the design's rushers."""
     note = (
         f"{len(solution.fallbacks)} of {solution.iterations} Newton steps"
         " fell back to least squares"
@@ -527,8 +611,7 @@ def _fallback_note(solution: _Solution, index: PlayerIndex) -> str:
     kind, position = solution.fallbacks[-1]
     if kind == "schur":
         return note + " (last failure: the Schur complement factor)"
-    player = next(p for p, c in index.rusher_cols.items() if c == 2 + position)
-    return note + f" (last failure: the block of rusher {player!r})"
+    return note + f" (last failure: the block of rusher {rushers[position]!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -566,88 +649,22 @@ def _class_coding(model: str, outcome: np.ndarray, weights: np.ndarray):
     return modeled, dropped, position[outcome]
 
 
-def _effect_dicts(theta: np.ndarray, idx: PlayerIndex) -> tuple[dict[str, float], dict[str, float]]:
-    rushers = {pid: float(theta[col]) for pid, col in idx.rusher_cols.items()}
-    blockers = {pid: float(theta[col]) for pid, col in idx.blocker_cols.items()}
-    return rushers, blockers
-
-
-def _as_fit(model, theta, index, modeled, dropped, **stats) -> BinaryFit | MultinomialFit:
-    """Package a (K, d) solution; ``stats`` are the remaining fit fields."""
-    effects = [_effect_dicts(row, index) for row in theta]
-    if model == "win":
-        return BinaryFit(
-            alpha=float(theta[0, 0]),
-            delta=float(theta[0, 1]),
-            rusher_effects=effects[0][0],
-            blocker_effects=effects[0][1],
-            **stats,
-        )
-    return MultinomialFit(
-        classes=modeled,
-        dropped=dropped,
-        alpha={c: float(theta[i, 0]) for i, c in enumerate(modeled)},
-        delta={c: float(theta[i, 1]) for i, c in enumerate(modeled)},
-        rusher_effects={c: effects[i][0] for i, c in enumerate(modeled)},
-        blocker_effects={c: effects[i][1] for i, c in enumerate(modeled)},
-        **stats,
-    )
-
-
-def _theta_on_index(fit: BinaryFit | MultinomialFit, index: PlayerIndex) -> np.ndarray:
-    """The (K, d) parameters of ``fit`` over ``index``'s columns; a player
-    the fit has no effect for gets 0."""
-    if isinstance(fit, BinaryFit):
-        rows = [(fit.alpha, fit.delta, fit.rusher_effects, fit.blocker_effects)]
-    else:
-        rows = [
-            (fit.alpha[c], fit.delta[c], fit.rusher_effects[c], fit.blocker_effects[c])
-            for c in fit.classes
-        ]
-    theta = np.zeros((len(rows), index.n_columns))
-    for a, (alpha, delta, rushers, blockers) in enumerate(rows):
-        theta[a, :2] = alpha, delta
-        for cols, effects in ((index.rusher_cols, rushers), (index.blocker_cols, blockers)):
-            for pid, col in cols.items():
-                theta[a, col] = effects.get(pid, 0.0)
-    return theta
-
-
-def _cells(table: InteractionTable, weights: np.ndarray, model: str):
-    """Merge rows into (rusher, blocker, double_team, outcome) cells.
-
-    Returns the cells' design codes, outcomes, summed weights and index;
-    only players with a row of positive weight enter the index.
-    """
-    outcome = table.win.astype(np.intp) if model == "win" else table.severity
-    rows, cell_w = aggregate_cells(
-        weights, table.rusher, table.blocker, table.double_team.astype(np.intp), outcome
-    )
-    rushers, rusher_pos = np.unique(table.rusher[rows], return_inverse=True)
-    blockers, blocker_pos = np.unique(table.blocker[rows], return_inverse=True)
-    idx = index_from_ids(
-        [table.rushers[i] for i in rushers], [table.blockers[i] for i in blockers]
-    )
-    design = _Design(
-        rusher=rusher_pos,
-        blocker=blocker_pos,
-        double_team=table.double_team[rows].astype(float),
-        n_rushers=rushers.size,
-        n_blockers=blockers.size,
-    )
-    return design, outcome[rows], cell_w, idx
+def _ids(vocab: Sequence[str], codes: np.ndarray) -> tuple[str, ...]:
+    return tuple(map(vocab.__getitem__, codes.tolist()))
 
 
 def _fit_cells(
     table, weights, model, lam, *, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, theta0=None
-) -> BinaryFit | MultinomialFit:
+) -> Fit:
     """The one fit behind ``fit_coded``, ``fit_win_model`` and
     ``fit_severity_model``; its warnings point at their caller."""
     if model not in _MODELS:
         raise ValueError(f"model must be 'win' or 'severity', got {model!r}")
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    design, outcome, cell_w, index = _cells(table, _row_weights(weights, len(table)), model)
+    design, outcome, cell_w, rushers, blockers = _cells(
+        table, _row_weights(weights, len(table)), model
+    )
     modeled, dropped, class_idx = _class_coding(model, outcome, cell_w)
     if dropped:
         warnings.warn(
@@ -658,10 +675,7 @@ def _fit_cells(
     if not modeled:
         raise DataError("severity fit needs at least one non-loss class in training")
 
-    solution = _solve(
-        design, class_idx, len(modeled) + 1, lam, penalty_mask(index), theta0, tol, max_iter,
-        cell_w,
-    )
+    solution = _solve(design, class_idx, len(modeled) + 1, lam, theta0, tol, max_iter, cell_w)
     theta, grad_sup, iterations = solution.theta, solution.grad_sup, solution.iterations
     converged = grad_sup <= tol
     # a separated cell only reaches the gradient tolerance once its linear
@@ -672,26 +686,28 @@ def _fit_cells(
             RuntimeWarning,
             stacklevel=3,
         )
+    rusher_ids = _ids(table.rushers, rushers)
     if not converged:
         raise FitError(
             f"{'binary' if model == 'win' else 'multinomial'} fit did not converge: "
             f"gradient sup-norm {grad_sup:.3e} after {iterations} iterations (tol {tol:.1e}); "
-            + _fallback_note(solution, index)
+            + _fallback_note(solution, rusher_ids)
         )
-    return _as_fit(
-        model, theta, index, modeled, dropped,
-        lam=lam, neg_loglik=solution.nll, grad_norm=grad_sup, iterations=iterations,
+    return Fit(
+        model=model, classes=modeled, dropped=dropped, theta=theta, rushers=rusher_ids,
+        blockers=_ids(table.blockers, blockers), lam=lam, neg_loglik=solution.nll,
+        grad_norm=grad_sup, iterations=iterations,
     )
 
 
 def fit_coded(
     table: InteractionTable, weights: np.ndarray, model: str, lam: float, **kwargs
-) -> BinaryFit | MultinomialFit:
+) -> Fit:
     """Fit ``model`` ("win" or "severity") with row i counted weights[i] times.
 
     Rows are first merged into (rusher, blocker, double_team, outcome)
     cells, so the solver sees one design row per distinct cell.  Players
-    whose rows all have zero weight are left out of the index, so they
+    whose rows all have zero weight are left out of the fit, so they
     get no effect (rather than the prior mean) in the result.  Classes
     without a row of positive weight are dropped from the softmax with a
     warning, and an unpenalized fit whose linear predictors run off warns
@@ -700,12 +716,12 @@ def fit_coded(
     return _fit_cells(table, weights, model, lam, **kwargs)
 
 
-def fit_win_model(table: InteractionTable, lam: float, **kwargs) -> BinaryFit:
+def fit_win_model(table: InteractionTable, lam: float, **kwargs) -> Fit:
     """Binary fit of every row of a table: ``fit_coded`` with unit weights."""
     return _fit_cells(table, np.ones(len(table)), "win", lam, **kwargs)
 
 
-def fit_severity_model(table: InteractionTable, lam: float, **kwargs) -> MultinomialFit:
+def fit_severity_model(table: InteractionTable, lam: float, **kwargs) -> Fit:
     """Severity fit of every row of a table: ``fit_coded`` with unit weights."""
     return _fit_cells(table, np.ones(len(table)), "severity", lam, **kwargs)
 
@@ -714,41 +730,56 @@ def fit_severity_model(table: InteractionTable, lam: float, **kwargs) -> Multino
 # Prediction
 
 
-def _effects_by_code(effects: Mapping[str, float], vocab: Sequence[str]) -> np.ndarray:
-    return np.array([effects.get(pid, 0.0) for pid in vocab])
+def _effects_on(theta: np.ndarray, keys, wanted) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, n) rusher and blocker effects of ``theta``, whose player
+    columns belong to the sorted rusher and blocker ``keys``, for the
+    ``wanted`` rusher and blocker keys; 0 for a player ``keys`` lacks."""
+    split = 2 + len(keys[0])
+    return (gather(keys[0], theta[:, 2:split], wanted[0], 0.0),
+            gather(keys[1], theta[:, split:], wanted[1], 0.0))
 
 
-def predict_win_probs(fit: BinaryFit, table: InteractionTable) -> np.ndarray:
+def _row_etas(theta, rusher_rows, blocker_rows, double_team) -> np.ndarray:
+    """(K, n) linear predictors of rows whose rusher and blocker effects
+    are ``rusher_rows`` and ``blocker_rows`` (K, n)."""
+    return theta[:, :1] + rusher_rows - blocker_rows + theta[:, 1:2] * double_team
+
+
+def _class_prob_matrix(eta: np.ndarray, classes: Sequence[OutcomeClass]) -> np.ndarray:
+    """(n, 4) class probabilities of (K, n) linear predictors, columns in
+    severity order, dropped classes at 0."""
+    full = np.zeros((eta.shape[1], len(classes) + 1))
+    full[:, 1:] = eta.T
+    full -= full.max(axis=1, keepdims=True)
+    weights = np.exp(full)
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    out = np.zeros((eta.shape[1], len(CLASSES)))
+    out[:, int(OutcomeClass.LOSS)] = probs[:, 0]
+    out[:, list(classes)] = probs[:, 1:]
+    return out
+
+
+def _table_etas(fit: Fit, table: InteractionTable, model: str) -> np.ndarray:
+    """(K, n) linear predictors of a table's rows by a ``model`` fit;
+    unseen players get effect 0."""
+    if fit.model != model:
+        raise ValueError(f"expected a {model!r} fit, got a {fit.model!r} fit")
+    ids = [np.array(v, dtype=object)
+           for v in (fit.rushers, fit.blockers, table.rushers, table.blockers)]
+    rusher, blocker = _effects_on(fit.theta, ids[:2], ids[2:])
+    return _row_etas(fit.theta, rusher[:, table.rusher], blocker[:, table.blocker],
+                     table.double_team.astype(float))
+
+
+def predict_win_probs(fit: Fit, table: InteractionTable) -> np.ndarray:
     """Win probability of every row of a table; unseen players get effect 0."""
-    eta = (
-        fit.alpha
-        + _effects_by_code(fit.rusher_effects, table.rushers)[table.rusher]
-        - _effects_by_code(fit.blocker_effects, table.blockers)[table.blocker]
-        + fit.delta * table.double_team.astype(float)
-    )
-    return expit(eta)
+    return expit(_table_etas(fit, table, "win")[0])
 
 
-def predict_class_prob_matrix(fit: MultinomialFit, table: InteractionTable) -> np.ndarray:
+def predict_class_prob_matrix(fit: Fit, table: InteractionTable) -> np.ndarray:
     """(n, 4) class probabilities of a table's rows, columns in severity
     order; unseen players get effect 0 and dropped classes probability 0."""
-    dt = table.double_team.astype(float)
-    eta = np.zeros((len(table), len(fit.classes) + 1))
-    for k, cls in enumerate(fit.classes, start=1):
-        eta[:, k] = (
-            fit.alpha[cls]
-            + _effects_by_code(fit.rusher_effects[cls], table.rushers)[table.rusher]
-            - _effects_by_code(fit.blocker_effects[cls], table.blockers)[table.blocker]
-            + fit.delta[cls] * dt
-        )
-    eta -= eta.max(axis=1, keepdims=True)
-    weights = np.exp(eta)
-    probs = weights / weights.sum(axis=1, keepdims=True)
-    out = np.zeros((len(table), len(CLASSES)))
-    out[:, int(OutcomeClass.LOSS)] = probs[:, 0]
-    for k, cls in enumerate(fit.classes, start=1):
-        out[:, int(cls)] = probs[:, k]
-    return out
+    return _class_prob_matrix(_table_etas(fit, table, "severity"), fit.classes)
 
 
 def expected_severity(
@@ -810,10 +841,10 @@ def cv_select_lambda(
     Each fold walks the grid from large to small lambda, every fit
     warm-started from the one before.  The first fit of fold f > 0
     starts from fold f - 1's solution at the same (largest) lambda,
-    mapped onto fold f's players by id, players new to fold f at 0.  It
-    starts cold, as fold 0 does, when the two folds model different
-    classes or when that lambda is 0: from the intercept-only optimum
-    at lambda > 0 and from zero at lambda = 0.  The starts change
+    remapped onto fold f's players by their codes, players new to fold f
+    at 0.  It starts cold, as fold 0 does, when the two folds model
+    different classes or when that lambda is 0: from the intercept-only
+    optimum at lambda > 0 and from zero at lambda = 0.  The starts change
     iteration counts, not the optimum beyond ``tol``.
     """
     from .evaluate import binary_log_loss, multiclass_log_loss
@@ -829,42 +860,40 @@ def cv_select_lambda(
     labels = cv_fold_labels(table, n_folds)
     desc = np.sort(lambdas)[::-1]
     fold_losses = np.zeros((n_folds, desc.size))
-    chained = None  # the previous fold's classes and its fit at the largest lambda
+    chained = None  # the previous fold's classes, its solution at the largest lambda and codes
 
     for fold in range(n_folds):
         in_fold = labels == fold
         if in_fold.all() or not in_fold.any():
             raise DataError(f"fold {fold} is empty")
-        design, outcome, cell_w, idx = _cells(table, (~in_fold).astype(float), target)
-        held = table.take(in_fold)
-        modeled, dropped, class_idx = _class_coding(target, outcome, cell_w)
+        design, outcome, cell_w, *codes = _cells(table, (~in_fold).astype(float), target)
+        modeled, _, class_idx = _class_coding(target, outcome, cell_w)
         if not modeled:
             raise DataError(f"fold {fold}: training split has no non-loss class")
-        mask = penalty_mask(idx)
+        held = table.rusher[in_fold], table.blocker[in_fold]
+        held_dt = table.double_team[in_fold].astype(float)
         theta = None
         if desc[0] > 0 and chained is not None and chained[0] == modeled:
-            theta = _theta_on_index(chained[1], idx)
+            prev = chained[1]
+            theta = np.hstack([prev[:, :2], *_effects_on(prev, chained[2], codes)])
         for j, lam in enumerate(desc):
             solution = _solve(
-                design, class_idx, len(modeled) + 1, lam, mask, theta, tol, max_iter, cell_w
+                design, class_idx, len(modeled) + 1, lam, theta, tol, max_iter, cell_w
             )
             if solution.grad_sup > tol:
                 raise FitError(
                     f"cv fold {fold} failed to converge at lam={lam:g}; "
-                    + _fallback_note(solution, idx)
+                    + _fallback_note(solution, _ids(table.rushers, codes[0]))
                 )
             theta = solution.theta
-            fit = _as_fit(
-                target, theta, idx, modeled, dropped, lam=lam, neg_loglik=solution.nll,
-                grad_norm=solution.grad_sup, iterations=solution.iterations,
-            )
             if j == 0:
-                chained = modeled, fit
+                chained = modeled, theta, codes
+            eta = _row_etas(theta, *_effects_on(theta, codes, held), held_dt)
             if target == "win":
-                fold_losses[fold, j] = binary_log_loss(predict_win_probs(fit, held), held.win)
+                fold_losses[fold, j] = binary_log_loss(expit(eta[0]), table.win[in_fold])
             else:
                 fold_losses[fold, j] = multiclass_log_loss(
-                    predict_class_prob_matrix(fit, held), held.severity
+                    _class_prob_matrix(eta, modeled), table.severity[in_fold]
                 )
 
     mean_desc = fold_losses.mean(axis=0)
@@ -880,74 +909,104 @@ def cv_select_lambda(
 # ---------------------------------------------------------------------------
 # JSON export
 
+_PARAMETERS = ("alpha", "delta", "rusher_effects", "blocker_effects")
 
-def fit_to_json_dict(fit: BinaryFit | MultinomialFit) -> dict:
+
+def fit_to_json_dict(fit: Fit) -> dict:
     """Serializable form of a fit, keyed by player id and class label."""
-    if isinstance(fit, BinaryFit):
-        return {
-            "model": "win",
-            "lambda": fit.lam,
-            "alpha": fit.alpha,
-            "delta": fit.delta,
-            "rusher_effects": fit.rusher_effects,
-            "blocker_effects": fit.blocker_effects,
-            "neg_loglik": fit.neg_loglik,
-            "grad_norm": fit.grad_norm,
-            "iterations": fit.iterations,
-        }
+    # each parameter's values, one per class
+    by_class = [fit.theta[:, 0].tolist(), fit.theta[:, 1].tolist()] + [
+        [dict(zip(ids, row)) for row in effects.tolist()]
+        for ids, effects in map(fit.effects, ("rusher", "blocker"))
+    ]
+    if fit.model == "win":
+        params = {key: values[0] for key, values in zip(_PARAMETERS, by_class)}
+    else:
+        labels = [c.label for c in fit.classes]
+        params = {"classes": labels, "dropped": [c.label for c in fit.dropped]}
+        for key, values in zip(_PARAMETERS, by_class):
+            params[key] = dict(zip(labels, values))
     return {
-        "model": "severity",
+        "model": fit.model,
         "lambda": fit.lam,
-        "classes": [c.label for c in fit.classes],
-        "dropped": [c.label for c in fit.dropped],
-        "alpha": {c.label: v for c, v in fit.alpha.items()},
-        "delta": {c.label: v for c, v in fit.delta.items()},
-        "rusher_effects": {c.label: d for c, d in fit.rusher_effects.items()},
-        "blocker_effects": {c.label: d for c, d in fit.blocker_effects.items()},
+        **params,
         "neg_loglik": fit.neg_loglik,
         "grad_norm": fit.grad_norm,
         "iterations": fit.iterations,
     }
 
 
-def fit_from_json_dict(raw: dict) -> BinaryFit | MultinomialFit:
-    """The fit ``fit_to_json_dict`` wrote; a missing key is a DataError naming it."""
+def fit_from_json_dict(raw: dict) -> Fit:
+    """The fit ``fit_to_json_dict`` wrote.
+
+    Its theta runs over the sorted union of the player ids the effects
+    name, so a player missing from one severity class's effects reads as
+    0 in that class: the effect prediction and ``model_scores`` give any
+    player a fit lacks.  A missing key or a parameter that is not a
+    number is a DataError naming it.
+    """
     try:
         return _fit_from_json(raw)
     except KeyError as exc:
         raise DataError(f"fit JSON has no key {exc.args[0]!r}") from None
 
 
-def _fit_from_json(raw: dict) -> BinaryFit | MultinomialFit:
-    if raw["model"] == "win":
-        return BinaryFit(
-            alpha=raw["alpha"],
-            delta=raw["delta"],
-            rusher_effects=dict(raw["rusher_effects"]),
-            blocker_effects=dict(raw["blocker_effects"]),
-            lam=raw["lambda"],
-            neg_loglik=raw["neg_loglik"],
-            grad_norm=raw["grad_norm"],
-            iterations=raw["iterations"],
-        )
-    if raw["model"] == "severity":
+def _number(value, key: str, player: str | None = None) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    where = f"fit JSON {key!r}" + ("" if player is None else f" of player {player!r}")
+    raise DataError(f"{where} is not a number: {value!r}")
+
+
+def _mapping(value, key: str) -> dict:
+    if isinstance(value, dict):
+        return value
+    raise DataError(f"fit JSON {key!r} is not an object: {value!r}")
+
+
+def _fit_from_json(raw: dict) -> Fit:
+    model = raw["model"]
+    if model == "win":
+        classes, dropped = (OutcomeClass.WIN,), ()
+        per_class = {key: {OutcomeClass.WIN: raw[key]} for key in _PARAMETERS}
+    elif model == "severity":
         classes = tuple(OutcomeClass.from_label(s) for s in raw["classes"])
+        dropped = tuple(OutcomeClass.from_label(s) for s in raw["dropped"])
         per_class = {}
-        for key in ("alpha", "delta", "rusher_effects", "blocker_effects"):
-            per_class[key] = {OutcomeClass.from_label(s): v for s, v in raw[key].items()}
+        for key in _PARAMETERS:
+            per_class[key] = {
+                OutcomeClass.from_label(s): v for s, v in _mapping(raw[key], key).items()
+            }
             missing = [c.label for c in classes if c not in per_class[key]]
             if missing:
                 raise DataError(f"fit JSON {key!r} has no key {missing[0]!r}")
-        return MultinomialFit(
-            classes=classes,
-            dropped=tuple(OutcomeClass.from_label(s) for s in raw["dropped"]),
-            alpha=per_class["alpha"],
-            delta=per_class["delta"],
-            rusher_effects={c: dict(d) for c, d in per_class["rusher_effects"].items()},
-            blocker_effects={c: dict(d) for c, d in per_class["blocker_effects"].items()},
-            lam=raw["lambda"],
-            neg_loglik=raw["neg_loglik"],
-            grad_norm=raw["grad_norm"],
-            iterations=raw["iterations"],
-        )
-    raise DataError(f"unknown model type in fit JSON: {raw.get('model')!r}")
+    else:
+        raise DataError(f"unknown model type in fit JSON: {raw.get('model')!r}")
+    ids = {}
+    for key in ("rusher_effects", "blocker_effects"):
+        effects = per_class[key] = {c: _mapping(per_class[key][c], key) for c in classes}
+        ids[key] = sorted(set().union(*effects.values()))
+    column = {
+        key: {pid: offset + j for j, pid in enumerate(ids[key])}
+        for key, offset in (("rusher_effects", 2),
+                            ("blocker_effects", 2 + len(ids["rusher_effects"])))
+    }
+    theta = np.zeros((len(classes), 2 + sum(map(len, ids.values()))))
+    for row, cls in zip(theta, classes):
+        row[0] = _number(per_class["alpha"][cls], "alpha")
+        row[1] = _number(per_class["delta"][cls], "delta")
+        for key, columns in column.items():
+            for pid, value in per_class[key][cls].items():
+                row[columns[pid]] = _number(value, key, pid)
+    return Fit(
+        model=model,
+        classes=classes,
+        dropped=dropped,
+        theta=theta,
+        rushers=tuple(ids["rusher_effects"]),
+        blockers=tuple(ids["blocker_effects"]),
+        lam=raw["lambda"],
+        neg_loglik=raw["neg_loglik"],
+        grad_norm=raw["grad_norm"],
+        iterations=raw["iterations"],
+    )

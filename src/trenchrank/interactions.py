@@ -322,10 +322,9 @@ def _decimal(kind, text: str, field: str):
     try:
         value = kind(text)
     except ValueError:
-        if kind is not int:
-            raise
-        # int's own text names neither the field nor the rule
-        raise ValueError(f"{field} must be an integer, got {text!r}") from None
+        # int's and float's own text names neither the field nor the rule
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{field} must be {what}, got {text!r}") from None
     if "_" in text or not text.isascii():
         raise ValueError(
             f"{field} must be written in ASCII digits without underscores, got {text!r}"

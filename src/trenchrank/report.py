@@ -23,7 +23,7 @@ from .bootstrap import (
 from .errors import DataError
 from .evaluate import SensitivityRow, ValidationReport, ValidationRow
 from .external import RankEvalRow, model_scores, role_sums
-from .fit import BinaryFit, MultinomialFit, fit_to_json_dict
+from .fit import Fit, fit_to_json_dict
 from .interactions import InteractionTable, SeverityWeights
 
 VALIDATION_CSV_HEADER = [
@@ -68,7 +68,7 @@ def bands_from_summary(
 
 
 def leaderboard(
-    fit: BinaryFit | MultinomialFit,
+    fit: Fit,
     table: InteractionTable,
     min_n: int = DEFAULT_MIN_INTERACTIONS,
     top: int = DEFAULT_TOP,
@@ -80,7 +80,7 @@ def leaderboard(
     Players need at least ``min_n`` interactions in the role; ties are
     broken by player id.
     """
-    model = "win" if isinstance(fit, BinaryFit) else "severity"
+    model = fit.model
     bands = {} if bands is None else bands
     rows: list[LeaderboardRow] = []
     for role in ("rusher", "blocker"):

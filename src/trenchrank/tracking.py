@@ -551,7 +551,7 @@ def read_schedule_csv(path) -> dict[str, int]:
         try:
             week = _int64(week_text, "week")
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad week {week_text!r}") from exc
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
         if week < 1:
             raise DataError(f"{path}:{lineno}: week must be >= 1, got {week}")
         out[game_id] = week

@@ -2,12 +2,13 @@
 
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from trenchrank.design import index_from_ids
+from trenchrank import fit as fit_module
 from trenchrank.interactions import InteractionTable, OutcomeClass
 
 
@@ -131,10 +132,96 @@ def random_table(
     return table_of(rows)
 
 
+@dataclass(frozen=True)
+class PlayerIndex:
+    """Id-to-column mapping of the design's player columns: the column
+    layout ``[intercept | double_team | rushers... | blockers...]`` the
+    dense oracles use."""
+
+    rusher_cols: dict[str, int]
+    blocker_cols: dict[str, int]
+
+    @property
+    def n_columns(self) -> int:
+        return 2 + len(self.rusher_cols) + len(self.blocker_cols)
+
+
+def index_from_ids(rushers, blockers):
+    """Index the given sorted rusher and blocker ids, in that order."""
+    rusher_cols = {pid: 2 + i for i, pid in enumerate(rushers)}
+    blocker_cols = {pid: 2 + len(rushers) + j for j, pid in enumerate(blockers)}
+    return PlayerIndex(rusher_cols=rusher_cols, blocker_cols=blocker_cols)
+
+
+def penalty_mask(idx):
+    """1.0 on ridge-penalized columns, 0.0 on the intercept (column 0)."""
+    mask = np.ones(idx.n_columns)
+    mask[0] = 0.0
+    return mask
+
+
 def table_index(table):
     """The column index of a fit of every row of ``table``: its sorted
     rusher ids, then its sorted blocker ids."""
     return index_from_ids(table.rushers, table.blockers)
+
+
+def fit_index(fit):
+    """The column index of a fit's theta."""
+    return index_from_ids(fit.rushers, fit.blockers)
+
+
+def fit_cells(table, weights, model):
+    """``fit._cells`` with the cells' player codes turned into the column
+    index of their ids."""
+    design, outcome, cell_w, rushers, blockers = fit_module._cells(table, weights, model)
+    idx = index_from_ids([table.rushers[i] for i in rushers],
+                         [table.blockers[i] for i in blockers])
+    return design, outcome, cell_w, idx
+
+
+class ClassEffects(NamedTuple):
+    """One class's parameters keyed by player id."""
+
+    alpha: float
+    delta: float
+    rusher_effects: dict
+    blocker_effects: dict
+
+
+def dict_fit(fit):
+    """Each modeled class's parameters keyed by player id: the reference
+    dict form of a fit, built from its theta over ``fit_index(fit)`` the
+    way the package once stored its fits."""
+    idx = fit_index(fit)
+    return {
+        cls: ClassEffects(
+            float(row[0]),
+            float(row[1]),
+            {pid: float(row[col]) for pid, col in idx.rusher_cols.items()},
+            {pid: float(row[col]) for pid, col in idx.blocker_cols.items()},
+        )
+        for cls, row in zip(fit.classes, fit.theta)
+    }
+
+
+def win_effects(fit):
+    """The parameters of a win fit's one class, keyed by player id."""
+    (effects,) = dict_fit(fit).values()
+    return effects
+
+
+def theta_on_index(fit, idx):
+    """The (K, d) parameters of ``fit`` over ``idx``'s columns, mapped by
+    player id from the dict form; a player the fit lacks gets 0."""
+    per_class = list(dict_fit(fit).values())
+    theta = np.zeros((len(per_class), idx.n_columns))
+    for a, (alpha, delta, rushers, blockers) in enumerate(per_class):
+        theta[a, :2] = alpha, delta
+        for cols, effects in ((idx.rusher_cols, rushers), (idx.blocker_cols, blockers)):
+            for pid, col in cols.items():
+                theta[a, col] = effects.get(pid, 0.0)
+    return theta
 
 
 def design_matrix(table, idx):

@@ -38,7 +38,6 @@ from trenchrank.bootstrap import (
     percentile_interval,
     weekly_path_bootstrap,
 )
-from trenchrank.design import penalty_mask
 from trenchrank.evaluate import (
     binary_log_loss,
     multiclass_log_loss,
@@ -61,10 +60,18 @@ from trenchrank.interactions import (
 from trenchrank.report import summary_to_json_dict
 from trenchrank.synth import SynthConfig, synth_generate
 
-from conftest import design_matrix, make_row, random_table, rows_of, table_index, table_of
+from conftest import (
+    design_matrix,
+    make_row,
+    penalty_mask,
+    random_table,
+    rows_of,
+    table_index,
+    table_of,
+    theta_on_index,
+    win_effects,
+)
 from test_fit import (
-    _theta_from_binary,
-    _theta_from_multinomial,
     cell_objective,
     dense_binary_grad,
     dense_binary_obj,
@@ -146,7 +153,7 @@ def test_criterion_03_solver_oracles():
                 lambda v: dense_binary_grad(v, Xd, y, lam, pen),
                 np.zeros(idx.n_columns),
             )
-            f_fit = dense_binary_obj(_theta_from_binary(fit, idx), Xd, y, lam, pen)
+            f_fit = dense_binary_obj(theta_on_index(fit, idx)[0], Xd, y, lam, pen)
             assert f_fit == pytest.approx(f_oracle, rel=1e-6, abs=1e-9)
 
             # the analytic gradients of the objectives the table fits minimize
@@ -154,13 +161,13 @@ def test_criterion_03_solver_oracles():
             sev_grad, sev_idx, n_sev = cell_objective(t, "severity")
             assert win_idx == sev_idx == idx
             theta = rng.normal(scale=0.4, size=idx.n_columns)
-            _, g = win_grad(theta, lam, pen)
+            _, g = win_grad(theta, lam)
             h = 1e-6
             for j in range(idx.n_columns):
                 e = np.zeros_like(theta)
                 e[j] = h
-                fp, _ = win_grad(theta + e, lam, pen)
-                fm, _ = win_grad(theta - e, lam, pen)
+                fp, _ = win_grad(theta + e, lam)
+                fm, _ = win_grad(theta - e, lam)
                 assert g[j] == pytest.approx((fp - fm) / (2 * h), rel=1e-6, abs=1e-6)
 
             classes = [r.severity for r in rows_of(t)]
@@ -178,17 +185,17 @@ def test_criterion_03_solver_oracles():
                 ).T.ravel(),
                 np.zeros(idx.n_columns * km),
             )
-            Theta = _theta_from_multinomial(mfit, idx)
+            Theta = theta_on_index(mfit, idx).T
             f_fit_m = dense_multinomial_obj(Theta, Xd, cls, lam, pen)
             assert f_fit_m == pytest.approx(f_oracle_m, rel=1e-6, abs=1e-9)
 
             theta_flat = rng.normal(scale=0.3, size=idx.n_columns * km)
-            _, gm = sev_grad(theta_flat, lam, pen)
+            _, gm = sev_grad(theta_flat, lam)
             for j in range(theta_flat.size):
                 e = np.zeros_like(theta_flat)
                 e[j] = h
-                fp, _ = sev_grad(theta_flat + e, lam, pen)
-                fm, _ = sev_grad(theta_flat - e, lam, pen)
+                fp, _ = sev_grad(theta_flat + e, lam)
+                fm, _ = sev_grad(theta_flat - e, lam)
                 assert gm[j] == pytest.approx((fp - fm) / (2 * h), rel=1e-6, abs=1e-6)
 
             # a two-class severity problem is the win problem in disguise
@@ -374,8 +381,9 @@ def test_criterion_07_synthetic_recovery():
         assert elapsed < 600.0
 
         assert all(row.improvement > 0 for row in report.rows)
-        players = sorted(fit.rusher_effects)
-        fitted = [fit.rusher_effects[p] for p in players]
+        effects = win_effects(fit).rusher_effects
+        players = sorted(effects)
+        fitted = [effects[p] for p in players]
         true = [truth.rusher_win_effects[p] for p in players]
         assert spearmanr(fitted, true).statistic >= 0.9
 
@@ -503,7 +511,7 @@ def test_criterion_10_weekly_path_checkpoints():
 
         final = summary.weekly[("win", "rusher", pid, 18)].values[0]
         full = fit_win_model(table, 0.4, tol=bcfg.tol, max_iter=bcfg.max_iter)
-        assert final == pytest.approx(full.rusher_effects[pid], abs=1e-10)
+        assert final == pytest.approx(win_effects(full).rusher_effects[pid], abs=1e-10)
 
         sev_final = summary.weekly[("severity", "rusher", pid, 18)].values[0]
         sev_full = model_scores(

@@ -23,7 +23,15 @@ from trenchrank.fit import DROPPED_CLASSES_WARNING, fit_severity_model, fit_win_
 from trenchrank.interactions import InteractionTable, OutcomeClass, canonical_sort
 from trenchrank.report import summary_to_json_dict
 
-from conftest import Interaction, make_row, random_table, rows_by_game, rows_of, table_of
+from conftest import (
+    Interaction,
+    make_row,
+    random_table,
+    rows_by_game,
+    rows_of,
+    table_of,
+    win_effects,
+)
 
 # ---------------------------------------------------------------------------
 # Reference: each replicate materialized as a resampled table (repeated
@@ -341,7 +349,7 @@ class TestEndToEnd:
             assert series.mean == row.improvement
         # identity full-table refit reproduces the full-data ratings
         full = fit_win_model(t, 0.5)
-        for pid, eff in full.rusher_effects.items():
+        for pid, eff in win_effects(full).rusher_effects.items():
             assert summary.ratings[("win", "rusher", pid)].values[0] == pytest.approx(
                 eff, abs=1e-12
             )
@@ -537,7 +545,7 @@ class TestWeeklyPath:
             warnings.simplefilter("ignore", RuntimeWarning)
             summary = weekly_path_bootstrap(t, cfg)
         full = fit_win_model(t, 0.5)
-        for pid, eff in full.rusher_effects.items():
+        for pid, eff in win_effects(full).rusher_effects.items():
             series = summary.weekly[("win", "rusher", pid, 3)]
             assert series.values[0] == pytest.approx(eff, abs=1e-10)
 

@@ -354,6 +354,51 @@ class TestMalformedFitJson:
         assert str(path) in err and key in err
 
 
+class TestFitFileChecks:
+    def test_fit_under_the_other_models_key_is_a_data_error(self, fits_json, tmp_path):
+        raw = json.loads(fits_json.read_text())
+        raw["win"], raw["severity"] = raw["severity"], raw["win"]
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DataError) as got:
+            cli._load_fits(path)
+        assert str(got.value) == f"{path}: the 'win' entry holds a 'severity' fit"
+        del raw["win"]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DataError) as got:
+            cli._load_fits(path)
+        assert str(got.value) == f"{path}: the 'severity' entry holds a 'win' fit"
+
+    @pytest.mark.parametrize("command", ["leaderboard", "external"])
+    def test_swapped_fits_exit_2(self, synth_csv, fits_json, tmp_path, capsys, command):
+        raw = json.loads(fits_json.read_text())
+        raw["win"], raw["severity"] = raw["severity"], raw["win"]
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(raw))
+        extra = {"leaderboard": ["--out", str(tmp_path / "lb.csv")],
+                 "external": ["--accolades", str(tmp_path / "acc.csv"),
+                              "--out-dir", str(tmp_path)]}[command]
+        argv = [command, "--interactions", str(synth_csv[0]), "--fit", str(path), *extra]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: the 'win' entry holds a 'severity' fit\n"
+        )
+
+    def test_non_numeric_effect_exits_2(self, synth_csv, fits_json, tmp_path, capsys):
+        raw = json.loads(fits_json.read_text())
+        player = sorted(raw["win"]["rusher_effects"])[0]
+        raw["win"]["rusher_effects"][player] = "abc"
+        path = tmp_path / "abc.json"
+        path.write_text(json.dumps(raw))
+        argv = ["leaderboard", "--interactions", str(synth_csv[0]), "--fit", str(path),
+                "--out", str(tmp_path / "lb.csv")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: fit JSON 'rusher_effects' of player {player!r}"
+            " is not a number: 'abc'\n"
+        )
+
+
 class TestIngest:
     def write_inputs(self, d):
         frames, events, engagements, schedule = hand_play()

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from trenchrank import fit as fit_module
-from trenchrank.design import INTERCEPT_COL, aggregate_cells, index_from_ids, penalty_mask
 from trenchrank.errors import DataError
 from trenchrank.fit import (
-    BinaryFit,
+    aggregate_cells,
     fit_from_json_dict,
     fit_severity_model,
     fit_to_json_dict,
@@ -16,12 +15,23 @@ from trenchrank.fit import (
     predict_win_probs,
 )
 
-from conftest import design_matrix, make_row, random_table, rows_of, table_index, table_of
+from conftest import (
+    design_matrix,
+    fit_cells,
+    fit_index,
+    make_row,
+    penalty_mask,
+    random_table,
+    rows_of,
+    table_index,
+    table_of,
+    theta_on_index,
+)
 
 
 def cells_index(table):
     """The index a fit of every row of ``table`` builds from its cells."""
-    return fit_module._cells(table, np.ones(len(table)), "win")[3]
+    return fit_cells(table, np.ones(len(table)), "win")[3]
 
 
 class TestBuildIndex:
@@ -55,13 +65,9 @@ class TestBuildIndex:
         idx = cells_index(t)
         for fit in (fit_win_model(t, 0.3), fit_severity_model(t, 0.3)):
             back = fit_from_json_dict(json.loads(json.dumps(fit_to_json_dict(fit))))
-            rushers, blockers = back.rusher_effects, back.blocker_effects
-            if not isinstance(back, BinaryFit):
-                rushers, blockers = rushers[back.classes[0]], blockers[back.classes[0]]
-            assert index_from_ids(sorted(rushers), sorted(blockers)) == idx
-            assert np.array_equal(
-                fit_module._theta_on_index(back, idx), fit_module._theta_on_index(fit, idx)
-            )
+            assert fit_index(back) == fit_index(fit) == idx
+            assert np.array_equal(back.theta, fit.theta)
+            assert np.array_equal(theta_on_index(back, idx), theta_on_index(fit, idx))
 
 
 class TestEncodeRow:
@@ -87,13 +93,7 @@ class TestEncodeRow:
         t = random_table(rng)
         idx = table_index(t)
         fit = fit_win_model(t, 0.3)
-        theta = np.zeros(idx.n_columns)
-        theta[:2] = fit.alpha, fit.delta
-        for cols, effects in ((idx.rusher_cols, fit.rusher_effects),
-                              (idx.blocker_cols, fit.blocker_effects)):
-            for pid, col in cols.items():
-                theta[col] = effects[pid]
-        eta = design_matrix(t, idx) @ theta
+        eta = design_matrix(t, idx) @ theta_on_index(fit, idx)[0]
         np.testing.assert_allclose(1.0 / (1.0 + np.exp(-eta)), predict_win_probs(fit, t),
                                    rtol=1e-13, atol=0)
 
@@ -112,10 +112,10 @@ class TestBuildMatrix:
 
     def test_shape_and_pattern(self, rng):
         t = random_table(rng)
-        design, outcome, cell_w, idx = fit_module._cells(t, np.ones(len(t)), "win")
+        design, outcome, cell_w, idx = fit_cells(t, np.ones(len(t)), "win")
         X = solver_rows(design)
         assert X.shape == (outcome.size, idx.n_columns) == (cell_w.size, design.n_columns)
-        assert np.all(X[:, INTERCEPT_COL] == 1.0)
+        assert np.all(X[:, 0] == 1.0)
         assert set(X[:, 1].tolist()) <= {0.0, 1.0}
         # exactly one rusher entry of +1 and one blocker entry of -1 per cell
         for block, sign in ((X[:, design.rusher_columns], 1.0),
@@ -129,7 +129,7 @@ class TestBuildMatrix:
         t = random_table(rng, n_rows=80, n_rushers=6, n_blockers=5)
         w = rng.integers(0, 3, len(t)).astype(float)
         for model, target in (("win", t.win), ("severity", t.severity)):
-            design, outcome, cell_w, idx = fit_module._cells(t, w, model)
+            design, outcome, cell_w, idx = fit_cells(t, w, model)
             want = Counter()
             for row, y, k in zip(design_matrix(t, idx).toarray(), target, w):
                 if k:
@@ -142,7 +142,7 @@ class TestBuildMatrix:
         # the cells' codes decode, through the index, to the ids of their rows
         t = random_table(rng, n_rows=80, n_rushers=6, n_blockers=5)
         w = rng.integers(0, 3, len(t)).astype(float)
-        design, outcome, _, idx = fit_module._cells(t, w, "severity")
+        design, outcome, _, idx = fit_cells(t, w, "severity")
         assert design.n_rushers == len(idx.rusher_cols)
         assert design.n_blockers == len(idx.blocker_cols)
         rushers = sorted(idx.rusher_cols, key=idx.rusher_cols.get)
@@ -158,7 +158,7 @@ class TestBuildMatrix:
         rcols = set(idx.rusher_cols.values())
         bcols = set(idx.blocker_cols.values())
         assert not rcols & bcols
-        assert {INTERCEPT_COL, 1} | rcols | bcols == set(range(idx.n_columns))
+        assert {0, 1} | rcols | bcols == set(range(idx.n_columns))
 
 
 class TestAggregateCells:
@@ -173,8 +173,11 @@ class TestAggregateCells:
 
 class TestPenaltyMask:
     def test_only_intercept_unpenalized(self, rng):
-        idx = table_index(random_table(rng))
-        mask = penalty_mask(idx)
-        assert mask[INTERCEPT_COL] == 0.0
+        # the cell design carries the penalty layout of the oracles' mask
+        t = random_table(rng)
+        design, _, _, idx = fit_cells(t, np.ones(len(t)), "severity")
+        mask = design.penalty
+        assert mask[0] == 0.0
         assert mask[1] == 1.0
         assert mask.sum() == idx.n_columns - 1
+        assert np.array_equal(mask, penalty_mask(idx))

@@ -16,14 +16,28 @@ from trenchrank.external import (
     role_sums,
     run_external_eval,
 )
-from trenchrank.fit import fit_severity_model, fit_win_model
+from trenchrank.fit import (
+    fit_coded,
+    fit_from_json_dict,
+    fit_severity_model,
+    fit_to_json_dict,
+    fit_win_model,
+)
 from trenchrank.interactions import (
     OutcomeClass,
     SeverityWeights,
     default_severity_weights,
 )
 
-from conftest import make_row, random_table, rows_of, table_of
+from conftest import (
+    ClassEffects,
+    dict_fit,
+    make_row,
+    random_table,
+    rows_of,
+    table_of,
+    win_effects,
+)
 
 
 def brute_force_auc(scores, labels):
@@ -170,11 +184,25 @@ class TestAccoladeCsv:
         assert str(got.value).startswith(f"{p}:4: team_level must be one of")
 
 
+def reference_model_scores(model, per_class, role, weights=None):
+    """``model_scores`` as it summed the effects keyed by player id of each
+    class of ``per_class``: the win model's effects as they are, the
+    severity model's class by class."""
+    if model == "win":
+        return dict(getattr(per_class[OutcomeClass.WIN], f"{role}_effects"))
+    w = default_severity_weights() if weights is None else weights
+    out = {}
+    for c, e in per_class.items():
+        for pid, eff in getattr(e, f"{role}_effects").items():
+            out[pid] = out.get(pid, 0.0) + w.weight(c) * eff
+    return out
+
+
 class TestScores:
     def test_model_scores_binary_are_effects(self, rng, small_table):
         fit = fit_win_model(small_table, 0.3)
         scores = model_scores(fit, "rusher", default_severity_weights())
-        assert scores == fit.rusher_effects
+        assert scores == win_effects(fit).rusher_effects
 
     def test_model_scores_severity_weighted_sum(self, rng, small_table):
         fit = fit_severity_model(small_table, 0.3)
@@ -182,11 +210,38 @@ class TestScores:
         scores = model_scores(fit, "blocker", w)
         pid = small_table.blockers[0]
         expected = sum(
-            w.weight(c) * fit.blocker_effects[c][pid]
-            for c in fit.classes
+            w.weight(c) * e.blocker_effects[pid]
+            for c, e in dict_fit(fit).items()
             if c is not OutcomeClass.LOSS
         )
         assert scores[pid] == pytest.approx(expected)
+
+    def test_model_scores_equal_dict_accumulation(self, rng):
+        # one path over theta gives the bits of the per-class accumulation
+        # over effects keyed by player id, the win model's raw effects
+        # included, for fits read back from JSON too
+        t = random_table(rng, n_rows=150, n_rushers=8, n_blockers=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fits = [fit_win_model(t, 0.3), fit_severity_model(t, 0.3),
+                    fit_coded(t, np.where(t.severity == 2, 0.0, 1.0), "severity", 0.3)]
+        cases = [(fit, dict_fit(fit)) for fit in fits]
+        # a fit file whose sack effects miss a player, summed over the dicts read
+        raw = fit_to_json_dict(fits[1])
+        del raw["rusher_effects"]["sack"][t.rushers[0]]
+        cases.append((fit_from_json_dict(raw), {
+            OutcomeClass.from_label(c): ClassEffects(
+                *(raw[key][c] for key in ("alpha", "delta", "rusher_effects", "blocker_effects"))
+            )
+            for c in raw["classes"]
+        }))
+        for fit, per_class in cases:
+            for role in ("rusher", "blocker"):
+                for w in (None, SeverityWeights(0.0, 0.15, 0.35, 1.0)):
+                    got = model_scores(fit, role, w)
+                    want = reference_model_scores(fit.model, per_class, role, w)
+                    assert sorted(got) == sorted(want)
+                    assert np.array_equal([got[p] for p in want], list(want.values()))
 
     def test_raw_win_scores_orientation(self):
         t = table_of(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import warnings
@@ -8,13 +9,11 @@ import scipy.linalg
 from scipy.special import expit
 
 from trenchrank import fit as fit_module
-from trenchrank.design import penalty_mask
 from trenchrank.errors import DataError, FitError
 from trenchrank.evaluate import binary_log_loss, multiclass_log_loss
 from trenchrank.fit import (
-    BinaryFit,
     DEFAULT_LAMBDA_GRID,
-    MultinomialFit,
+    Fit,
     cv_fold_labels,
     fit_coded,
     cv_select_lambda,
@@ -34,7 +33,20 @@ from trenchrank.interactions import (
 )
 from trenchrank.synth import SynthConfig, synth_generate
 
-from conftest import design_matrix, make_row, random_table, rows_of, table_index, table_of
+from conftest import (
+    design_matrix,
+    dict_fit,
+    fit_cells,
+    fit_index,
+    make_row,
+    penalty_mask,
+    random_table,
+    rows_of,
+    table_index,
+    table_of,
+    theta_on_index,
+    win_effects,
+)
 
 # ---------------------------------------------------------------------------
 # Independent oracles: dense objective formulas recoded from the math and a
@@ -111,16 +123,16 @@ def binary_problem(rng, n_rows=None):
 
 def cell_objective(table, model, weights=None):
     """The objective a table fit minimizes, over its cells (``fit._cells``):
-    a function of the flat parameters, lam and the penalty mask that
-    returns the objective and its gradient; with the cells' index and the
-    number of classes, the reference class included."""
+    a function of the flat parameters and lam that returns the objective
+    and its gradient; with the cells' index and the number of classes,
+    the reference class included."""
     w = np.ones(len(table)) if weights is None else weights
-    design, outcome, cell_w, idx = fit_module._cells(table, w, model)
+    design, outcome, cell_w, idx = fit_cells(table, w, model)
     modeled, _, class_idx = fit_module._class_coding(model, outcome, cell_w)
     n_classes = len(modeled) + 1
 
-    def value_grad(theta, lam, pen):
-        obj, grad, _ = fit_module._objective(theta, design, class_idx, n_classes, lam, pen, cell_w)
+    def value_grad(theta, lam):
+        obj, grad, _ = fit_module._objective(theta, design, class_idx, n_classes, lam, cell_w)
         return obj, grad
 
     return value_grad, idx, n_classes
@@ -176,15 +188,14 @@ class TestBinaryGradient:
             lam = float(rng.uniform(0.01, 1.0))
             for w in (None, rng.uniform(0.0, 3.0, size=len(t))):
                 value_grad, idx, _ = cell_objective(t, "win", w)
-                pen = penalty_mask(idx)
                 theta = rng.normal(scale=0.4, size=idx.n_columns)
-                _, g = value_grad(theta, lam, pen)
+                _, g = value_grad(theta, lam)
                 h = 1e-6
                 for j in range(idx.n_columns):
                     e = np.zeros_like(theta)
                     e[j] = h
-                    fp, _ = value_grad(theta + e, lam, pen)
-                    fm, _ = value_grad(theta - e, lam, pen)
+                    fp, _ = value_grad(theta + e, lam)
+                    fm, _ = value_grad(theta - e, lam)
                     fd = (fp - fm) / (2 * h)
                     assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
@@ -194,7 +205,7 @@ class TestBinaryGradient:
         assert cell_idx == idx
         pen = penalty_mask(idx)
         theta = rng.normal(scale=0.5, size=idx.n_columns)
-        f, _ = value_grad(theta, 0.3, pen)
+        f, _ = value_grad(theta, 0.3)
         assert f == pytest.approx(dense_binary_obj(theta, X.toarray(), y, 0.3, pen), rel=1e-12)
 
 
@@ -205,15 +216,14 @@ class TestMultinomialGradient:
             lam = float(rng.uniform(0.01, 1.0))
             for w in (None, rng.uniform(0.0, 3.0, size=len(t))):
                 value_grad, idx, n_classes = cell_objective(t, "severity", w)
-                pen = penalty_mask(idx)
                 theta = rng.normal(scale=0.4, size=(n_classes - 1) * idx.n_columns)
-                _, g = value_grad(theta, lam, pen)
+                _, g = value_grad(theta, lam)
                 h = 1e-6
                 for j in range(theta.size):
                     e = np.zeros_like(theta)
                     e[j] = h
-                    fp, _ = value_grad(theta + e, lam, pen)
-                    fm, _ = value_grad(theta - e, lam, pen)
+                    fp, _ = value_grad(theta + e, lam)
+                    fm, _ = value_grad(theta - e, lam)
                     fd = (fp - fm) / (2 * h)
                     assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
@@ -231,7 +241,8 @@ class TestBinarySolver:
                 lambda v: dense_binary_grad(v, Xd, y, lam, pen),
                 np.zeros(idx.n_columns),
             )
-            theta = _theta_from_binary(fit, idx)
+            assert fit_index(fit) == idx
+            theta = theta_on_index(fit, idx)[0]
             f_fit = dense_binary_obj(theta, Xd, y, lam, pen)
             assert f_fit == pytest.approx(f_oracle, rel=1e-6, abs=1e-9)
             # the solver should never be worse than the oracle's optimum
@@ -246,7 +257,7 @@ class TestBinarySolver:
     def test_reported_nll_is_unpenalized(self, rng):
         t, idx, X, y = binary_problem(rng)
         fit = fit_win_model(t, 0.7)
-        theta = _theta_from_binary(fit, idx)
+        theta = theta_on_index(fit, idx)[0]
         assert fit.neg_loglik == pytest.approx(
             dense_binary_obj(theta, X.toarray(), y, 0.0, penalty_mask(idx)), rel=1e-10
         )
@@ -262,9 +273,8 @@ class TestBinarySolver:
         cold = fit_win_model(t, 0.2)
         theta0 = rng.normal(scale=0.3, size=idx.n_columns)
         warm = fit_win_model(t, 0.2, theta0=theta0)
-        assert warm.alpha == pytest.approx(cold.alpha, abs=1e-6)
-        for pid, v in cold.rusher_effects.items():
-            assert warm.rusher_effects[pid] == pytest.approx(v, abs=1e-6)
+        assert warm.rushers == cold.rushers
+        np.testing.assert_allclose(warm.theta, cold.theta, rtol=0, atol=1e-6)
 
     def test_negative_lambda_rejected(self, rng):
         t, idx, X, y = binary_problem(rng)
@@ -288,31 +298,6 @@ class TestBinarySolver:
         fit = fit_win_model(t, 1e6)
         probs = predict_win_probs(fit, t)
         assert np.allclose(probs, y.mean(), atol=1e-3)
-
-
-def _theta_from_binary(fit: BinaryFit, idx) -> np.ndarray:
-    theta = np.zeros(idx.n_columns)
-    theta[0] = fit.alpha
-    theta[1] = fit.delta
-    for pid, c in idx.rusher_cols.items():
-        theta[c] = fit.rusher_effects[pid]
-    for pid, c in idx.blocker_cols.items():
-        theta[c] = fit.blocker_effects[pid]
-    return theta
-
-
-def _theta_from_multinomial(fit: MultinomialFit, idx) -> np.ndarray:
-    cols = []
-    for c in fit.classes:
-        theta = np.zeros(idx.n_columns)
-        theta[0] = fit.alpha[c]
-        theta[1] = fit.delta[c]
-        for pid, col in idx.rusher_cols.items():
-            theta[col] = fit.rusher_effects[c][pid]
-        for pid, col in idx.blocker_cols.items():
-            theta[col] = fit.blocker_effects[c][pid]
-        cols.append(theta)
-    return np.column_stack(cols)
 
 
 class TestMultinomialSolver:
@@ -344,7 +329,8 @@ class TestMultinomialSolver:
                 ).T.ravel()
 
             _, f_oracle = slow_descent(obj, grad, flat0)
-            Theta = _theta_from_multinomial(fit, idx)
+            assert fit_index(fit) == idx
+            Theta = theta_on_index(fit, idx).T
             f_fit = dense_multinomial_obj(Theta, Xd, cls, lam, pen)
             assert f_fit == pytest.approx(f_oracle, rel=1e-6, abs=1e-9)
 
@@ -452,21 +438,9 @@ class TestMultinomialSolver:
 
 
 def _assert_fits_close(a, b, tol):
-    if isinstance(a, BinaryFit):
-        pairs = [(a.alpha, b.alpha), (a.delta, b.delta)]
-        effects = [(a.rusher_effects, b.rusher_effects), (a.blocker_effects, b.blocker_effects)]
-    else:
-        assert (a.classes, a.dropped) == (b.classes, b.dropped)
-        pairs = [(a.alpha[c], b.alpha[c]) for c in a.classes]
-        pairs += [(a.delta[c], b.delta[c]) for c in a.classes]
-        effects = [(a.rusher_effects[c], b.rusher_effects[c]) for c in a.classes]
-        effects += [(a.blocker_effects[c], b.blocker_effects[c]) for c in a.classes]
-    for x, y in pairs:
-        assert x == pytest.approx(y, abs=tol)
-    for x, y in effects:
-        assert x.keys() == y.keys()
-        for pid in x:
-            assert x[pid] == pytest.approx(y[pid], abs=tol)
+    assert (a.model, a.classes, a.dropped) == (b.model, b.classes, b.dropped)
+    assert (a.rushers, a.blockers) == (b.rushers, b.blockers)
+    np.testing.assert_allclose(a.theta, b.theta, rtol=0, atol=tol)
 
 
 def fit_rows(model, table, lam):
@@ -474,15 +448,15 @@ def fit_rows(model, table, lam):
     table row (``row_design``), where a table fit merges rows into cells."""
     outcome = table.win.astype(np.intp) if model == "win" else table.severity
     w = np.ones(len(table))
-    idx = table_index(table)
     modeled, dropped, class_idx = fit_module._class_coding(model, outcome, w)
     solution = fit_module._solve(
-        row_design(table), class_idx, len(modeled) + 1, lam, penalty_mask(idx), None,
+        row_design(table), class_idx, len(modeled) + 1, lam, None,
         fit_module.DEFAULT_TOL, fit_module.DEFAULT_MAX_ITER, w,
     )
     assert solution.grad_sup <= fit_module.DEFAULT_TOL
-    return fit_module._as_fit(
-        model, solution.theta, idx, modeled, dropped, lam=lam, neg_loglik=solution.nll,
+    return Fit(
+        model=model, classes=modeled, dropped=dropped, theta=solution.theta,
+        rushers=table.rushers, blockers=table.blockers, lam=lam, neg_loglik=solution.nll,
         grad_norm=solution.grad_sup, iterations=solution.iterations,
     )
 
@@ -557,8 +531,8 @@ class TestWeightedFits:
         absent = t.rushers[0]
         w = np.array([0.0 if r.rusher_id == absent else 2.0 for r in rows_of(t)])
         fit = fit_coded(t, w, "win", 0.4)
-        assert absent not in fit.rusher_effects
-        assert set(fit.rusher_effects) == set(t.rushers) - {absent}
+        assert absent not in fit.rushers
+        assert set(fit.rushers) == set(t.rushers) - {absent}
 
 
 def reference_hessian(X, probs, lam, pen_mask, weights):
@@ -590,7 +564,7 @@ def reference_solve(design, X, class_idx, n_classes, lam, pen, weights, tol=1e-8
     ``design``'s): dense Cholesky, least squares if it fails."""
 
     def value_grad(th):
-        obj, grad, _ = fit_module._objective(th, design, class_idx, n_classes, lam, pen, weights)
+        obj, grad, _ = fit_module._objective(th, design, class_idx, n_classes, lam, weights)
         return obj, grad, reference_probs(X, th)
 
     theta = np.zeros((n_classes - 1) * X.shape[1])
@@ -695,7 +669,7 @@ class TestStructuredNewtonStep:
             theta = rng.normal(scale=0.5, size=(n_classes - 1) * idx.n_columns)
             probs = reference_probs(X, theta)
             want = reference_hessian(X, probs, 0.3, pen, w)
-            parts = fit_module._hessian_parts(design, probs.T, 0.3, pen, w)
+            parts = fit_module._hessian_parts(design, probs.T, 0.3, w)
             got = fit_module._dense_hessian(parts, design)
             # the terms of one entry share a sign, so each entry agrees to 1e-12 relative
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
@@ -704,34 +678,32 @@ class TestStructuredNewtonStep:
         for name, X, design, idx, class_idx, n_classes, w in hessian_cases(rng):
             pen = penalty_mask(idx)
             theta = rng.normal(scale=0.5, size=(n_classes - 1) * idx.n_columns)
-            _, grad, _ = fit_module._objective(theta, design, class_idx, n_classes, 0.3, pen, w)
+            _, grad, _ = fit_module._objective(theta, design, class_idx, n_classes, 0.3, w)
             probs = reference_probs(X, theta)
             H = reference_hessian(X, probs, 0.3, pen, w)
             want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), -grad)
-            got, failed = fit_module._newton_direction(design, probs.T, 0.3, pen, w, grad)
+            got, failed = fit_module._newton_direction(design, probs.T, 0.3, w, grad)
             assert failed is None, name
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
 
     def test_direction_equals_reference_step(self, rng):
         for name, X, design, idx, class_idx, n_classes, w in hessian_cases(rng):
-            pen = penalty_mask(idx)
             theta = rng.normal(scale=0.5, size=(n_classes - 1) * idx.n_columns)
-            _, grad, probs = fit_module._objective(theta, design, class_idx, n_classes, 0.3, pen, w)
-            parts = fit_module._hessian_parts(design, probs, 0.3, pen, w)
+            _, grad, probs = fit_module._objective(theta, design, class_idx, n_classes, 0.3, w)
+            parts = fit_module._hessian_parts(design, probs, 0.3, w)
             want, want_failed = reference_newton_direction(parts, grad, design)
-            got, failed = fit_module._newton_direction(design, probs, 0.3, pen, w, grad)
+            got, failed = fit_module._newton_direction(design, probs, 0.3, w, grad)
             assert failed is want_failed is None, name
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
     @pytest.mark.parametrize("role, tag", [("rusher", ("rusher", 0)), ("blocker", ("schur", None))])
     def test_failed_factor_equals_reference_step(self, rng, role, tag):
         t, idx, X, design, y, w = self._zero_exposure_problem(rng, role)
-        pen = penalty_mask(idx)
         theta = rng.normal(scale=0.5, size=idx.n_columns)
-        _, grad, probs = fit_module._objective(theta, design, y, 2, 0.0, pen, w)
-        parts = fit_module._hessian_parts(design, probs, 0.0, pen, w)
+        _, grad, probs = fit_module._objective(theta, design, y, 2, 0.0, w)
+        parts = fit_module._hessian_parts(design, probs, 0.0, w)
         assert reference_newton_direction(parts, grad, design) == (None, tag)
-        assert fit_module._newton_direction(design, probs, 0.0, pen, w, grad) == (None, tag)
+        assert fit_module._newton_direction(design, probs, 0.0, w, grad) == (None, tag)
 
     def test_coupling_product_equals_hessian_rows(self, rng):
         for name, X, design, idx, class_idx, n_classes, w in hessian_cases(rng):
@@ -749,7 +721,7 @@ class TestStructuredNewtonStep:
     def test_schur_failure_falls_back_on_rebuilt_hessian(self, rng):
         t, idx, X, design, y, w = self._zero_exposure_problem(rng, "blocker")
         pen = penalty_mask(idx)
-        solution = fit_module._solve(design, y, 2, 0.0, pen, None, 1e-8, 500, w)
+        solution = fit_module._solve(design, y, 2, 0.0, None, 1e-8, 500, w)
         assert solution.grad_sup <= 1e-8
         assert solution.iterations > 0
         assert solution.fallbacks == [("schur", None)] * solution.iterations
@@ -774,9 +746,7 @@ class TestStructuredNewtonStep:
         for name, X, design, idx, class_idx, n_classes, w in hessian_cases(rng):
             pen = penalty_mask(idx)
             theta = rng.normal(scale=0.5, size=(n_classes - 1) * idx.n_columns)
-            _, grad, probs = fit_module._objective(
-                theta, design, class_idx, n_classes, 0.3, pen, w
-            )
+            _, grad, probs = fit_module._objective(theta, design, class_idx, n_classes, 0.3, w)
             want_probs = reference_probs(X, theta)
             np.testing.assert_allclose(probs.T, want_probs, rtol=1e-13, atol=1e-15, err_msg=name)
             resid = want_probs[:, 1:] - np.equal.outer(class_idx, np.arange(1, n_classes))
@@ -797,7 +767,7 @@ class TestStructuredNewtonStep:
     def test_unpenalized_fit_falls_back_to_least_squares(self, rng):
         t, idx, X, design, y, w = self._zero_exposure_problem(rng, "rusher")
         pen = penalty_mask(idx)
-        solution = fit_module._solve(design, y, 2, 0.0, pen, None, 1e-8, 500, w)
+        solution = fit_module._solve(design, y, 2, 0.0, None, 1e-8, 500, w)
         assert solution.grad_sup <= 1e-8
         assert solution.fallbacks == [("rusher", 0)] * solution.iterations
         want, iterations, fallbacks = reference_solve(design, X, y, 2, 0.0, pen, w)
@@ -805,16 +775,17 @@ class TestStructuredNewtonStep:
         np.testing.assert_allclose(solution.theta.ravel(), want, rtol=0, atol=1e-8)
         # a table fit leaves the rusher without weight out of its index
         fit = fit_coded(t, w, "win", 0.0)
-        assert fit.alpha == pytest.approx(want[0], abs=1e-8)
-        assert set(fit.rusher_effects) == set(t.rushers[1:])
-        for pid in fit.rusher_effects:
-            assert fit.rusher_effects[pid] == pytest.approx(want[idx.rusher_cols[pid]], abs=1e-8)
+        effects = win_effects(fit)
+        assert effects.alpha == pytest.approx(want[0], abs=1e-8)
+        assert set(effects.rusher_effects) == set(t.rushers[1:])
+        for pid, effect in effects.rusher_effects.items():
+            assert effect == pytest.approx(want[idx.rusher_cols[pid]], abs=1e-8)
 
     @pytest.mark.parametrize("role", ["rusher", "blocker"])
     def test_fit_error_names_failed_factor(self, rng, role):
         t, idx, X, design, y, w = self._zero_exposure_problem(rng, role)
-        solution = fit_module._solve(design, y, 2, 0.0, penalty_mask(idx), None, 1e-8, 1, w)
-        message = fit_module._fallback_note(solution, idx)
+        solution = fit_module._solve(design, y, 2, 0.0, None, 1e-8, 1, w)
+        message = fit_module._fallback_note(solution, t.rushers)
         assert "1 of 1 Newton steps fell back to least squares" in message
         if role == "rusher":
             assert f"the block of rusher {t.rushers[0]!r}" in message
@@ -849,10 +820,10 @@ class TestMalformedDesignRows:
         t = big.take(np.arange(40))
         w = rng.integers(0, 3, len(t)).astype(float)
         kept = table_of([r for r, k in zip(rows_of(t), w) if k])
-        want = fit_module._cells(kept, w[w > 0], "severity")
+        want = fit_cells(kept, w[w > 0], "severity")
         order = rng.permutation(len(t))
         for table, weights in ((t, w), (t.take(order), w[order])):
-            assert_same_cells(fit_module._cells(table, weights, "severity"), want)
+            assert_same_cells(fit_cells(table, weights, "severity"), want)
 
     def test_column_count_must_match_index(self, rng):
         t, idx, X, y = binary_problem(rng)
@@ -865,11 +836,12 @@ class TestMalformedDesignRows:
 
 def reference_win_prob(fit, x):
     """Win probability of one ``Interaction``; unseen players get effect 0."""
+    e = win_effects(fit)
     eta = (
-        fit.alpha
-        + fit.rusher_effects.get(x.rusher_id, 0.0)
-        - fit.blocker_effects.get(x.blocker_id, 0.0)
-        + fit.delta * float(x.double_team)
+        e.alpha
+        + e.rusher_effects.get(x.rusher_id, 0.0)
+        - e.blocker_effects.get(x.blocker_id, 0.0)
+        + e.delta * float(x.double_team)
     )
     return float(expit(eta))
 
@@ -877,12 +849,12 @@ def reference_win_prob(fit, x):
 def reference_class_probs(fit, x):
     """Class probabilities of one ``Interaction`` (dropped classes get 0)."""
     etas = [0.0]
-    for c in fit.classes:
+    for e in dict_fit(fit).values():
         etas.append(
-            fit.alpha[c]
-            + fit.rusher_effects[c].get(x.rusher_id, 0.0)
-            - fit.blocker_effects[c].get(x.blocker_id, 0.0)
-            + fit.delta[c] * float(x.double_team)
+            e.alpha
+            + e.rusher_effects.get(x.rusher_id, 0.0)
+            - e.blocker_effects.get(x.blocker_id, 0.0)
+            + e.delta * float(x.double_team)
         )
     arr = np.asarray(etas)
     arr -= arr.max()
@@ -895,7 +867,66 @@ def reference_class_probs(fit, x):
     return out
 
 
+def dict_gather_win_probs(fit, table):
+    """``predict_win_probs`` as it gathered from effects keyed by player id."""
+    e = win_effects(fit)
+    eta = (
+        e.alpha
+        + np.array([e.rusher_effects.get(p, 0.0) for p in table.rushers])[table.rusher]
+        - np.array([e.blocker_effects.get(p, 0.0) for p in table.blockers])[table.blocker]
+        + e.delta * table.double_team.astype(float)
+    )
+    return expit(eta)
+
+
+def dict_gather_class_probs(fit, table):
+    """``predict_class_prob_matrix`` as it gathered from effects keyed by
+    player id, one class at a time."""
+    dt = table.double_team.astype(float)
+    eta = np.zeros((len(table), len(fit.classes) + 1))
+    for k, e in enumerate(dict_fit(fit).values(), start=1):
+        eta[:, k] = (
+            e.alpha
+            + np.array([e.rusher_effects.get(p, 0.0) for p in table.rushers])[table.rusher]
+            - np.array([e.blocker_effects.get(p, 0.0) for p in table.blockers])[table.blocker]
+            + e.delta * dt
+        )
+    eta -= eta.max(axis=1, keepdims=True)
+    weights = np.exp(eta)
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    out = np.zeros((len(table), len(CLASSES)))
+    out[:, int(OutcomeClass.LOSS)] = probs[:, 0]
+    for k, cls in enumerate(fit.classes, start=1):
+        out[:, int(cls)] = probs[:, k]
+    return out
+
+
 class TestVectorizedPrediction:
+    def test_equals_dict_gather(self, rng):
+        # the gather of theta onto a table's vocabularies gives the bits of
+        # the gather from effects keyed by player id
+        t = random_table(rng, n_rows=200, n_rushers=9, n_blockers=7)
+        for part in (t.take(slice(70)), t.take(slice(120, None)), t):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                win = fit_win_model(part, 0.3)
+                sev = fit_severity_model(part, 0.3)
+            for table in (t, part, t.take(np.array([5, 150, 1]))):
+                assert np.array_equal(predict_win_probs(win, table),
+                                      dict_gather_win_probs(win, table))
+                assert np.array_equal(predict_class_prob_matrix(sev, table),
+                                      dict_gather_class_probs(sev, table))
+
+    def test_wrong_model_rejected(self, small_table):
+        # one fit type serves both models, so each predictor checks which it has
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sev = fit_severity_model(small_table, 0.3)
+        with pytest.raises(ValueError, match="expected a 'win' fit, got a 'severity' fit"):
+            predict_win_probs(sev, small_table)
+        with pytest.raises(ValueError, match="expected a 'severity' fit, got a 'win' fit"):
+            predict_class_prob_matrix(fit_win_model(small_table, 0.3), small_table)
+
     def test_equals_per_row_predictors(self, rng):
         t = random_table(rng, n_rows=80, n_rushers=7, n_blockers=6)
         # fits on part of the table leave some players unseen
@@ -1000,14 +1031,14 @@ def reference_cv(table, target, grid, n_folds):
         for j, lam in enumerate(desc):
             if target == "win":
                 fit = fit_win_model(train, lam, theta0=theta)
-                theta = _theta_from_binary(fit, idx)
+                theta = theta_on_index(fit, idx)[0]
                 probs = 1.0 / (1.0 + np.exp(-(Xh @ theta)))
                 losses[fold, j] = binary_log_loss(probs, [r.win_target for r in rows_of(held)])
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 fit = fit_severity_model(train, lam, theta0=theta)
-            Theta = _theta_from_multinomial(fit, idx)
+            Theta = theta_on_index(fit, idx).T
             theta = Theta.T
             eta = np.hstack([np.zeros((len(held), 1)), Xh @ Theta])
             p = np.exp(eta - eta.max(axis=1, keepdims=True))
@@ -1070,20 +1101,21 @@ def reference_cv_select_lambda(table, target, grid, n_folds, tol=1e-8, max_iter=
     losses = np.zeros((n_folds, desc.size))
     for fold in range(n_folds):
         in_fold = labels == fold
-        design, outcome, cell_w, idx = fit_module._cells(table, (~in_fold).astype(float), target)
+        design, outcome, cell_w, idx = fit_cells(table, (~in_fold).astype(float), target)
         held = table.take(in_fold)
         modeled, dropped, class_idx = fit_module._class_coding(target, outcome, cell_w)
         theta = np.zeros((len(modeled), idx.n_columns))
         for j, lam in enumerate(desc):
             solution = fit_module._solve(
-                design, class_idx, len(modeled) + 1, lam, penalty_mask(idx), theta, tol,
-                max_iter, cell_w,
+                design, class_idx, len(modeled) + 1, lam, theta, tol, max_iter, cell_w
             )
             assert solution.grad_sup <= tol
             theta = solution.theta
-            fit = fit_module._as_fit(
-                target, theta, idx, modeled, dropped, lam=lam, neg_loglik=solution.nll,
-                grad_norm=solution.grad_sup, iterations=solution.iterations,
+            fit = Fit(
+                model=target, classes=modeled, dropped=dropped, theta=theta,
+                rushers=tuple(idx.rusher_cols), blockers=tuple(idx.blocker_cols), lam=lam,
+                neg_loglik=solution.nll, grad_norm=solution.grad_sup,
+                iterations=solution.iterations,
             )
             if target == "win":
                 losses[fold, j] = binary_log_loss(predict_win_probs(fit, held), held.win)
@@ -1101,8 +1133,8 @@ def solves(monkeypatch):
     calls = []
     real = fit_module._solve
 
-    def spy(design, class_idx, n_classes, lam, pen_mask, theta0, *rest):
-        solution = real(design, class_idx, n_classes, lam, pen_mask, theta0, *rest)
+    def spy(design, class_idx, n_classes, lam, theta0, *rest):
+        solution = real(design, class_idx, n_classes, lam, theta0, *rest)
         calls.append((theta0, solution.iterations))
         return solution
 
@@ -1133,9 +1165,7 @@ class TestStartPoints:
             d = idx.n_columns
             theta = fit_module._intercept_start(class_idx, n_classes, w, d)
             assert not theta[:, 1:].any(), name
-            _, grad, _ = fit_module._objective(
-                theta.ravel(), design, class_idx, n_classes, 0.3, penalty_mask(idx), w
-            )
+            _, grad, _ = fit_module._objective(theta.ravel(), design, class_idx, n_classes, 0.3, w)
             assert np.abs(grad.reshape(-1, d)[:, 0]).max() <= 1e-9 * w.sum(), name
 
     def test_class_without_weight_starts_at_zero(self):
@@ -1152,9 +1182,9 @@ class TestStartPoints:
             t = synth_world(seed)
             zero_cells = np.random.default_rng(seed).integers(0, 4, len(t)).astype(float)
             for w, model in itertools.product((np.ones(len(t)), zero_cells), ("win", "severity")):
-                design, outcome, cell_w, idx = fit_module._cells(t, w, model)
+                design, outcome, cell_w, idx = fit_cells(t, w, model)
                 modeled, _, class_idx = fit_module._class_coding(model, outcome, cell_w)
-                args = design, class_idx, len(modeled) + 1, lam, penalty_mask(idx)
+                args = design, class_idx, len(modeled) + 1, lam
                 zero = np.zeros(len(modeled) * idx.n_columns)
                 want = fit_module._solve(*args, zero, tol, 500, cell_w)
                 got = fit_module._solve(*args, None, tol, 500, cell_w)
@@ -1165,22 +1195,22 @@ class TestStartPoints:
         assert warm < cold
 
     def test_theta_on_index_maps_by_player_id(self, rng):
+        # the CV warm start's remap by codes equals the reference remap by id
         t = random_table(rng, n_rows=80, n_rushers=7, n_blockers=6)
-        part = table_of([r for r in rows_of(t) if "0" not in r.rusher_id + r.blocker_id])
+        w = np.array([0.0 if "0" in r.rusher_id + r.blocker_id else 1.0 for r in rows_of(t)])
         idx = table_index(t)
+        every = np.arange(len(t.rushers)), np.arange(len(t.blockers))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            fits = [fit_win_model(part, 0.3), fit_severity_model(part, 0.3)]
+            fits = [fit_coded(t, w, "win", 0.3), fit_coded(t, w, "severity", 0.3)]
         for fit in fits:
-            if isinstance(fit, BinaryFit):
-                want = _theta_from_binary(fit, table_index(part))[None, :]
-            else:
-                want = _theta_from_multinomial(fit, table_index(part)).T
-            got = fit_module._theta_on_index(fit, idx)
-            kept = [0, 1] + [idx.rusher_cols[p] for p in part.rushers] + [
-                idx.blocker_cols[p] for p in part.blockers
+            codes = fit_module._cells(t, w, fit.model)[3:]
+            got = np.hstack([fit.theta[:, :2], *fit_module._effects_on(fit.theta, codes, every)])
+            assert np.array_equal(got, theta_on_index(fit, idx))
+            kept = [0, 1] + [idx.rusher_cols[p] for p in fit.rushers] + [
+                idx.blocker_cols[p] for p in fit.blockers
             ]
-            assert np.array_equal(got[:, kept], want)
+            assert np.array_equal(got[:, kept], fit.theta)
             assert not got[:, [idx.rusher_cols["R0"], idx.blocker_cols["B0"]]].any()
 
 
@@ -1206,6 +1236,42 @@ class TestChainedCv:
         else:
             assert chained < cold
 
+    @pytest.mark.parametrize("target", ["win", "severity"])
+    def test_warm_start_equals_id_remap(self, rng, monkeypatch, target):
+        # each chained fold starts from the previous fold's solution at the
+        # largest lambda, mapped by player id as the reference remap does
+        calls = []
+        real = fit_module._solve
+
+        def spy(design, class_idx, n_classes, lam, theta0, *rest):
+            solution = real(design, class_idx, n_classes, lam, theta0, *rest)
+            calls.append((theta0, solution.theta))
+            return solution
+
+        monkeypatch.setattr(fit_module, "_solve", spy)
+        grid = [0.1, 1.0]
+        compared = 0
+        for t in cv_worlds(rng):
+            labels = cv_fold_labels(t, 3)
+            cv_select_lambda(t, target, grid, 3)
+            firsts = calls[:: len(grid)]
+            assert len(firsts) == 3
+            for fold in (1, 2):
+                theta0 = firsts[fold][0]
+                if theta0 is None:
+                    continue  # the two folds model different classes
+                idx = [fit_cells(t, (labels != f).astype(float), target)[3]
+                       for f in (fold - 1, fold)]
+                prev = firsts[fold - 1][1]
+                fit = Fit(model=target, classes=CLASSES[1 : 1 + len(prev)], dropped=(),
+                          theta=prev, rushers=tuple(idx[0].rusher_cols),
+                          blockers=tuple(idx[0].blocker_cols), lam=1.0, neg_loglik=0.0,
+                          grad_norm=0.0, iterations=0)
+                assert np.array_equal(theta0, theta_on_index(fit, idx[1]))
+                compared += 1
+            calls.clear()
+        assert compared >= 4
+
     def test_fold_start_points(self, rng, solves):
         t = cv_fixture(rng)
         grid = [0.1, 1.0]
@@ -1219,7 +1285,80 @@ class TestChainedCv:
         assert [theta0 is None for theta0, _ in solves] == [True, False] * 3
 
 
+def dict_built_json(fit):
+    """``fit_to_json_dict`` as it was built from effects keyed by player id."""
+    per_class = dict_fit(fit)
+    stats = {"neg_loglik": fit.neg_loglik, "grad_norm": fit.grad_norm,
+             "iterations": fit.iterations}
+    if fit.model == "win":
+        e = per_class[OutcomeClass.WIN]
+        return {"model": "win", "lambda": fit.lam, "alpha": e.alpha, "delta": e.delta,
+                "rusher_effects": e.rusher_effects, "blocker_effects": e.blocker_effects,
+                **stats}
+    return {
+        "model": "severity",
+        "lambda": fit.lam,
+        "classes": [c.label for c in fit.classes],
+        "dropped": [c.label for c in fit.dropped],
+        **{key: {c.label: getattr(e, key) for c, e in per_class.items()}
+           for key in ("alpha", "delta", "rusher_effects", "blocker_effects")},
+        **stats,
+    }
+
+
 class TestSerialization:
+    def test_equals_dict_built_json(self, rng):
+        # same keys in the same order and the same floats, so the written
+        # JSON is byte-identical
+        t = random_table(rng, n_rows=120, n_rushers=7, n_blockers=6)
+        w = np.where(t.severity == int(OutcomeClass.HIT), 0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fits = [fit_win_model(t, 0.25), fit_severity_model(t, 0.25),
+                    fit_coded(t, w, "severity", 0.25)]
+        assert fits[-1].dropped == (OutcomeClass.HIT,)
+        for fit in fits:
+            got, want = fit_to_json_dict(fit), dict_built_json(fit)
+            assert json.dumps(got) == json.dumps(want)
+            assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(
+                want, indent=2, sort_keys=True
+            )
+
+    def test_player_missing_from_a_class_reads_zero(self, rng, small_table):
+        fit = fit_severity_model(small_table, 0.25)
+        raw = fit_to_json_dict(fit)
+        label = fit.classes[1].label
+        gone = fit.rushers[0]
+        del raw["rusher_effects"][label][gone]
+        back = fit_from_json_dict(json.loads(json.dumps(raw)))
+        theta = np.array(fit.theta)
+        theta[1, 2] = 0.0  # the first rusher's effect in the second class
+        assert back == dataclasses.replace(fit, theta=theta)
+
+    @pytest.mark.parametrize("model", ["win", "severity"])
+    @pytest.mark.parametrize("key", ["alpha", "rusher_effects", "blocker_effects"])
+    def test_non_numeric_parameter_is_a_data_error(self, small_table, model, key):
+        fit = (fit_win_model if model == "win" else fit_severity_model)(small_table, 0.25)
+        raw = fit_to_json_dict(fit)
+        # the win fit's parameter, or the severity fit's for its last class
+        holder, name = (raw, key) if model == "win" else (raw[key], fit.classes[-1].label)
+        if key == "alpha":
+            holder[name] = "abc"
+            want = "fit JSON 'alpha' is not a number: 'abc'"
+        else:
+            player = max(holder[name])
+            holder[name][player] = "abc"
+            want = f"fit JSON {key!r} of player {player!r} is not a number: 'abc'"
+        with pytest.raises(DataError) as got:
+            fit_from_json_dict(raw)
+        assert str(got.value) == want
+
+    def test_non_object_effects_are_a_data_error(self, small_table):
+        raw = fit_to_json_dict(fit_win_model(small_table, 0.25))
+        raw["blocker_effects"] = [1.0, 2.0]
+        with pytest.raises(DataError, match="'blocker_effects' is not an object"):
+            fit_from_json_dict(raw)
+
     def test_binary_round_trip(self, rng, small_table):
         fit = fit_win_model(small_table, 0.25)
         back = fit_from_json_dict(json.loads(json.dumps(fit_to_json_dict(fit))))

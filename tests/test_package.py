@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -32,3 +33,16 @@ def test_no_module_defines_a_row_class():
         module = importlib.import_module(f"trenchrank.{info.name}")
         found[info.name] = sorted(row_names & vars(module).keys())
     assert {name: rows for name, rows in found.items() if rows} == {}
+
+
+def test_fits_are_one_type_over_theta():
+    # one ``Fit`` holds both models' parameters as arrays over sorted ids;
+    # no package module keeps a per-model fit type or an id-to-column index
+    gone = {"BinaryFit", "MultinomialFit", "PlayerIndex", "index_from_ids", "penalty_mask"}
+    found = {}
+    for info in pkgutil.iter_modules(trenchrank.__path__):
+        module = importlib.import_module(f"trenchrank.{info.name}")
+        found[info.name] = sorted(gone & vars(module).keys())
+    assert {name: names for name, names in found.items() if names} == {}
+    assert "design" not in {info.name for info in pkgutil.iter_modules(trenchrank.__path__)}
+    assert importlib.util.find_spec("trenchrank.design") is None

@@ -607,7 +607,16 @@ class TestCsvReaders:
         path.write_text("game_id,week\ng1,1\ng2,99999999999999999999\n")
         with pytest.raises(DataError) as got:
             read_schedule_csv(path)
-        assert str(got.value) == f"{path}:3: bad week '99999999999999999999'"
+        assert str(got.value) == (
+            f"{path}:3: week does not fit in a 64-bit integer, got '99999999999999999999'"
+        )
+
+    def test_schedule_week_not_an_integer_names_field(self, tmp_path):
+        path = tmp_path / "schedule.csv"
+        path.write_text("game_id,week\ng1,w2\n")
+        with pytest.raises(DataError) as got:
+            read_schedule_csv(path)
+        assert str(got.value) == f"{path}:2: week must be an integer, got 'w2'"
 
     def test_ingest_with_week_beyond_int64_exits_2(self, tmp_path, capsys):
         paths = rawgen.generate(tmp_path, seed=0, n_games=1, plays_per_game=2)["paths"]
@@ -618,7 +627,7 @@ class TestCsvReaders:
                 "--engagements", paths["engagements"], "--schedule", schedule,
                 "--out", str(tmp_path / "out.csv")]
         assert cli.main([str(a) for a in argv]) == 2
-        assert f"{schedule}:2: bad week" in capsys.readouterr().err
+        assert f"{schedule}:2: week does not fit in a 64-bit integer" in capsys.readouterr().err
 
     def test_tracking_frame_index_beyond_int64_names_line(self, tmp_path):
         path = tmp_path / "tracking.csv"
@@ -778,13 +787,21 @@ def reference_int(text, field):
     return value
 
 
+def reference_float(text, field):
+    """Python's float of ``text``, an error naming the field."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{field} must be a number, got {text!r}") from None
+
+
 def _frame_record(game_id, play_id, frame_index, player_id, x, y, is_qb):
     try:
         frame_index = int(frame_index)
     except ValueError:
         raise ValueError(f"frame_index must be an integer, got {frame_index!r}") from None
-    return Frame(game_id, play_id, frame_index, player_id, float(x), float(y),
-                 _parse_bool01(is_qb, "is_qb"))
+    return Frame(game_id, play_id, frame_index, player_id, reference_float(x, "x"),
+                 reference_float(y, "y"), _parse_bool01(is_qb, "is_qb"))
 
 
 def _events_record(game_id, play_id, snap_frame, *flags):
@@ -1206,6 +1223,15 @@ def test_reader_parity(case, tmp_path):
 
 
 class TestColumnarReader:
+    @pytest.mark.parametrize("field, row", [("x", "g1,p1,1,QB,abc,0.0,1"),
+                                            ("y", "g1,p1,1,QB,0.0,abc,1")])
+    def test_non_numeric_coordinate_names_field(self, tmp_path, field, row):
+        path = tmp_path / "tracking.csv"
+        path.write_text(",".join(TRACKING_CSV_HEADER) + "\ng1,p1,0,QB,0.0,0.0,1\n" + row + "\n")
+        with pytest.raises(DataError) as got:
+            read_tracking_csv(path)
+        assert str(got.value) == f"{path}:3: {field} must be a number, got 'abc'"
+
     def test_underscored_numerals_rejected_with_line(self, tmp_path):
         for row in ("g1,p1,5_0,QB,0.0,0.0,1", "g1,p1,5,QB,1_5,0.0,1"):
             path = tmp_path / "tracking.csv"

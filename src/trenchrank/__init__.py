@@ -4,14 +4,11 @@ validation, game bootstrap uncertainty, and rank-based external checks.
 """
 
 from .baselines import (
-    SeverityBaseline,
-    WinBaseline,
+    Baseline,
     fit_severity_baseline,
     fit_win_baseline,
-    predict_severity_global,
-    predict_severity_matchup,
-    predict_win_global,
-    predict_win_matchup,
+    predict_severity_matchups,
+    predict_win_matchups,
 )
 from .bootstrap import (
     BootstrapConfig,
@@ -54,6 +51,7 @@ from .tracking import build_interactions
 __version__ = "0.1.0"
 
 __all__ = [
+    "Baseline",
     "BootstrapConfig",
     "BootstrapSummary",
     "CLASSES",
@@ -64,12 +62,10 @@ __all__ = [
     "GroundTruth",
     "InteractionTable",
     "OutcomeClass",
-    "SeverityBaseline",
     "SeverityWeights",
     "SynthConfig",
     "TrenchRankError",
     "ValidationReport",
-    "WinBaseline",
     "binary_log_loss",
     "build_interactions",
     "cv_select_lambda",
@@ -85,10 +81,8 @@ __all__ = [
     "label_outcome",
     "multiclass_log_loss",
     "ordered_split",
-    "predict_severity_global",
-    "predict_severity_matchup",
-    "predict_win_global",
-    "predict_win_matchup",
+    "predict_severity_matchups",
+    "predict_win_matchups",
     "prior_sensitivity",
     "rank_auc",
     "read_interactions_csv",

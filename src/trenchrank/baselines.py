@@ -22,85 +22,66 @@ belongs to the evaluator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DataError
+from .fit import _row_weights, gather
 from .interactions import CLASSES, InteractionTable, OutcomeClass
 
 DEFAULT_WIN_PRIOR = 25.0
 DEFAULT_SEVERITY_PRIOR = 50.0
 
 
-@dataclass(frozen=True)
-class WinBaseline:
-    """Global win rate plus smoothed per-player win rates.
+@dataclass(frozen=True, eq=False)
+class Baseline:
+    """A fitted win or severity matchup baseline.
 
-    Rates on both sides are rates of rusher wins: a blocker's rate is
-    the win rate of the rushers facing that blocker.
+    ``global_value`` (read-only) is the global win rate, shape (1,), for
+    the win task and the global class frequencies in severity order,
+    shape (4,), for the severity task.  ``rushers`` and ``blockers`` are
+    the sorted ids of the players with positive train weight; ``counts``
+    holds their weighted row counts and ``values`` (one row per entry of
+    ``global_value``) their smoothed rates or class profiles, rushers
+    first, both read-only.  Rates on both sides are rates of rusher wins:
+    a blocker's rate is the win rate of the rushers facing that blocker.
+    ``==`` compares every field, the arrays exactly.
     """
 
-    p_global: float
+    task: str
     m: float
-    rusher_rates: dict[str, tuple[int, float]]
-    blocker_rates: dict[str, tuple[int, float]]
+    global_value: np.ndarray
+    rushers: tuple[str, ...]
+    blockers: tuple[str, ...]
+    counts: np.ndarray
+    values: np.ndarray
 
+    def __post_init__(self) -> None:
+        for name in ("global_value", "counts", "values"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
-@dataclass(frozen=True)
-class SeverityBaseline:
-    """Global class frequencies plus smoothed per-player class profiles.
+    def __eq__(self, other) -> bool:
+        if type(other) is not Baseline:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
-    Profiles are probability vectors over the four outcome classes in
-    severity order.
-    """
-
-    pi_global: tuple[float, float, float, float]
-    m: float
-    rusher_profiles: dict[str, tuple[int, tuple[float, float, float, float]]]
-    blocker_profiles: dict[str, tuple[int, tuple[float, float, float, float]]]
-
-
-def logit(p: float) -> float:
-    with np.errstate(divide="ignore"):
-        return float(np.log(p) - np.log1p(-p))
-
-
-def inv_logit(x: float) -> float:
-    if x >= 0:
-        return float(1.0 / (1.0 + np.exp(-x)))
-    z = np.exp(x)
-    return float(z / (1.0 + z))
-
-
-def smooth_rate(n: int, rate: float, m: float, global_rate: float) -> float:
-    """Shrink an observed rate toward the global rate with prior strength m.
-
-    With no observations (n = 0) the result is ``global_rate`` exactly.
-    """
-    if n == 0:
-        return global_rate
-    return (n * rate + m * global_rate) / (n + m)
+    def side(self, role: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """The ids of ``role``'s players ("rusher" or "blocker"), their
+        counts and their (C, n) smoothed values."""
+        split = len(self.rushers)
+        if role == "rusher":
+            return self.rushers, self.counts[:split], self.values[:, :split]
+        return self.blockers, self.counts[split:], self.values[:, split:]
 
 
 def _smoothed(n: np.ndarray, sums: np.ndarray, m: float, global_value) -> np.ndarray:
-    """``smooth_rate`` over players with n > 0, for rates or class profiles.
-
-    Players with n = 0 get no entry in a fitted baseline, so predictions
-    use the global value for them exactly.
-    """
+    """Observed rates or class profiles shrunk toward the global value,
+    for players with n > 0."""
     return (n * (sums / n) + m * global_value) / (n + m)
-
-
-def _first_seen_codes(codes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Codes of positive weight, in order of their first such row.
-
-    Baseline dicts follow this order, so their JSON lists players in
-    table order.
-    """
-    active = codes[weights > 0]
-    uniq, first = np.unique(active, return_index=True)
-    return uniq[np.argsort(first, kind="stable")]
 
 
 def check_prior_strength(m: float) -> None:
@@ -110,139 +91,114 @@ def check_prior_strength(m: float) -> None:
 
 
 def _fit_weights(table: InteractionTable, weights, m: float, what: str) -> np.ndarray:
-    """Row weights as floats (all ones if None), checked with the prior strength."""
-    weights = np.ones(len(table)) if weights is None else np.asarray(weights, dtype=float)
-    if len(table) == 0 or not weights.sum() > 0:
+    """Row weights checked as a fit's are (all ones if None), and the
+    prior strength."""
+    if len(table) == 0:
         raise DataError(f"cannot fit a {what} baseline on an empty table")
+    weights = _row_weights(weights, len(table))
     check_prior_strength(m)
     return weights
 
 
+def _fit(table: InteractionTable, weights, m: float, task: str) -> Baseline:
+    """The one baseline fit: the win task counts wins per player, the
+    severity task counts each class per player."""
+    weights = _fit_weights(table, weights, m, task)
+    k = len(CLASSES)
+    if task == "win":
+        global_value = np.array([np.sum(weights * table.win) / np.sum(weights)])
+    else:
+        global_value = np.bincount(table.severity, weights=weights, minlength=k) / np.sum(weights)
+
+    ids, counts, values = [], [], []
+    for codes, vocab in ((table.rusher, table.rushers), (table.blocker, table.blockers)):
+        # per-player outcome sums, one column per entry of global_value
+        if task == "win":
+            n = np.bincount(codes, weights=weights, minlength=len(vocab))
+            sums = np.bincount(codes, weights=weights * table.win, minlength=len(vocab))[:, None]
+        else:
+            sums = np.bincount(
+                codes * k + table.severity, weights=weights, minlength=len(vocab) * k
+            ).reshape(len(vocab), k)
+            n = sums.sum(axis=1)
+        seen = np.flatnonzero(n > 0)
+        ids.append(tuple(vocab[i] for i in seen.tolist()))
+        counts.append(n[seen])
+        values.append(_smoothed(n[seen, None], sums[seen], m, global_value).T)
+    return Baseline(task, float(m), global_value, *ids, np.concatenate(counts),
+                    np.concatenate(values, axis=1))
+
+
 def fit_win_baseline(
     table: InteractionTable, m: float = DEFAULT_WIN_PRIOR, weights=None
-) -> WinBaseline:
+) -> Baseline:
     """Win baseline with row i counted ``weights[i]`` times (default once).
 
     Players whose rows all have zero weight get no entry, so predictions
     fall back to the global rate for them.
     """
-    weights = _fit_weights(table, weights, m, "win")
-    p_global = float(np.sum(weights * table.win) / np.sum(weights))
-
-    def side_rates(codes, vocab) -> dict[str, tuple[int, float]]:
-        seen = _first_seen_codes(codes, weights)
-        n = np.bincount(codes, weights=weights, minlength=len(vocab))[seen]
-        sums = np.bincount(codes, weights=weights * table.win, minlength=len(vocab))[seen]
-        rates = _smoothed(n, sums, m, p_global)
-        return {vocab[i]: (int(n_i), float(r)) for i, n_i, r in zip(seen, n, rates)}
-
-    return WinBaseline(
-        p_global=p_global,
-        m=float(m),
-        rusher_rates=side_rates(table.rusher, table.rushers),
-        blocker_rates=side_rates(table.blocker, table.blockers),
-    )
-
-
-def predict_win_global(bl: WinBaseline) -> float:
-    return bl.p_global
-
-
-def predict_win_matchup(bl: WinBaseline, rusher_id: str, blocker_id: str) -> float:
-    """Inverse-logit of the mean logit of the two smoothed components.
-
-    A player unseen in the relevant role contributes the global rate.
-    """
-    p_r = bl.rusher_rates.get(rusher_id, (0, bl.p_global))[1]
-    p_b = bl.blocker_rates.get(blocker_id, (0, bl.p_global))[1]
-    return inv_logit(0.5 * (logit(p_r) + logit(p_b)))
+    return _fit(table, weights, m, "win")
 
 
 def fit_severity_baseline(
     table: InteractionTable, m: float = DEFAULT_SEVERITY_PRIOR, weights=None
-) -> SeverityBaseline:
+) -> Baseline:
     """Severity baseline with row i counted ``weights[i]`` times (default once).
 
     Players whose rows all have zero weight get no entry, so predictions
     fall back to the global profile for them.
     """
-    weights = _fit_weights(table, weights, m, "severity")
-    k = len(CLASSES)
-    pi_global = np.bincount(table.severity, weights=weights, minlength=k) / np.sum(weights)
-
-    def side_profiles(codes, vocab) -> dict[str, tuple[int, tuple[float, float, float, float]]]:
-        seen = _first_seen_codes(codes, weights)
-        counts = np.bincount(
-            codes * k + table.severity, weights=weights, minlength=len(vocab) * k
-        ).reshape(len(vocab), k)[seen]
-        n = counts.sum(axis=1)
-        profiles = _smoothed(n[:, None], counts, m, pi_global)
-        return {
-            vocab[i]: (int(n_i), tuple(float(v) for v in prof))
-            for i, n_i, prof in zip(seen, n, profiles)
-        }
-
-    return SeverityBaseline(
-        pi_global=tuple(float(v) for v in pi_global),
-        m=float(m),
-        rusher_profiles=side_profiles(table.rusher, table.rushers),
-        blocker_profiles=side_profiles(table.blocker, table.blockers),
-    )
+    return _fit(table, weights, m, "severity")
 
 
-def predict_severity_global(bl: SeverityBaseline) -> np.ndarray:
-    return np.asarray(bl.pi_global, dtype=float)
+def _check_task(bl: Baseline, task: str) -> None:
+    if bl.task != task:
+        raise ValueError(f"expected a {task!r} baseline, got a {bl.task!r} baseline")
 
 
-def predict_severity_matchup(bl: SeverityBaseline, rusher_id: str, blocker_id: str) -> np.ndarray:
-    """Softmax of per-class log-odds averaged across the two sides.
-
-    Each side contributes eta_c = log(profile_c / profile_loss); the
-    loss entry is pinned at 0 and an unseen side falls back to the
-    global profile.
-    """
-    prof_r = np.asarray(bl.rusher_profiles.get(rusher_id, (0, bl.pi_global))[1], dtype=float)
-    prof_b = np.asarray(bl.blocker_profiles.get(blocker_id, (0, bl.pi_global))[1], dtype=float)
-    loss_i = int(OutcomeClass.LOSS)
-    if prof_r[loss_i] == 0.0 or prof_b[loss_i] == 0.0:
-        raise DataError(
-            "severity matchup log-odds undefined: a smoothed profile has a zero "
-            "loss component (possible only at m=0 or a degenerate global profile)"
-        )
-    with np.errstate(divide="ignore"):
-        eta = 0.5 * (
-            np.log(prof_r / prof_r[loss_i]) + np.log(prof_b / prof_b[loss_i])
-        )
-    eta[loss_i] = 0.0
-    eta -= eta.max()
-    weights = np.exp(eta)
-    return weights / weights.sum()
+def _on_vocab(bl: Baseline, table: InteractionTable, role: str) -> np.ndarray:
+    """The (C, n) smoothed values of ``role``'s players in ``table``, in
+    vocabulary order; the global value for a player the baseline lacks."""
+    ids, _, values = bl.side(role)
+    wanted = table.rushers if role == "rusher" else table.blockers
+    return gather(np.array(ids, dtype=object), values, np.array(wanted, dtype=object),
+                  bl.global_value[:, None])
 
 
-def _inv_logit_array(x: np.ndarray) -> np.ndarray:
+def _inv_logit(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.exp(x)
         return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), z / (1.0 + z))
 
 
-def predict_win_matchups(bl: WinBaseline, table: InteractionTable) -> np.ndarray:
-    """``predict_win_matchup`` for every row of a table."""
-    p_r = np.array([bl.rusher_rates.get(p, (0, bl.p_global))[1] for p in table.rushers])
-    p_b = np.array([bl.blocker_rates.get(p, (0, bl.p_global))[1] for p in table.blockers])
+def predict_win_matchups(bl: Baseline, table: InteractionTable) -> np.ndarray:
+    """Win probability of every row of a table: the inverse logit of the
+    mean logit of the two smoothed rates.
+
+    A player unseen in the relevant role contributes the global rate.
+    """
+    _check_task(bl, "win")
+    p_r, p_b = (_on_vocab(bl, table, role)[0] for role in ("rusher", "blocker"))
     with np.errstate(divide="ignore"):
         logit_r = np.log(p_r) - np.log1p(-p_r)
         logit_b = np.log(p_b) - np.log1p(-p_b)
-    return _inv_logit_array(0.5 * (logit_r[table.rusher] + logit_b[table.blocker]))
+    return _inv_logit(0.5 * (logit_r[table.rusher] + logit_b[table.blocker]))
 
 
-def predict_severity_matchups(bl: SeverityBaseline, table: InteractionTable) -> np.ndarray:
-    """``predict_severity_matchup`` for every row: an (n, 4) matrix."""
+def predict_severity_matchups(bl: Baseline, table: InteractionTable) -> np.ndarray:
+    """(n, 4) class probabilities of every row of a table: the softmax of
+    the per-class log-odds averaged across the two sides.
+
+    Each side contributes eta_c = log(profile_c / profile_loss); the loss
+    entry is pinned at 0 and an unseen side falls back to the global
+    profile.
+    """
+    _check_task(bl, "severity")
     loss_i = int(OutcomeClass.LOSS)
 
-    def log_odds(profiles, vocab, codes):
-        prof = np.array([profiles.get(p, (0, bl.pi_global))[1] for p in vocab])
-        prof = prof.reshape(-1, len(CLASSES))
-        if np.any(prof[np.unique(codes), loss_i] == 0.0):
+    def log_odds(role):
+        prof = _on_vocab(bl, table, role).T
+        if np.any(prof[:, loss_i] == 0.0):
             raise DataError(
                 "severity matchup log-odds undefined: a smoothed profile has a zero "
                 "loss component (possible only at m=0 or a degenerate global profile)"
@@ -250,10 +206,7 @@ def predict_severity_matchups(bl: SeverityBaseline, table: InteractionTable) -> 
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(prof / prof[:, loss_i : loss_i + 1])
 
-    eta = 0.5 * (
-        log_odds(bl.rusher_profiles, table.rushers, table.rusher)[table.rusher]
-        + log_odds(bl.blocker_profiles, table.blockers, table.blocker)[table.blocker]
-    )
+    eta = 0.5 * (log_odds("rusher")[table.rusher] + log_odds("blocker")[table.blocker])
     eta[:, loss_i] = 0.0
     eta -= eta.max(axis=1, keepdims=True)
     weights = np.exp(eta)
@@ -264,49 +217,23 @@ def predict_severity_matchups(bl: SeverityBaseline, table: InteractionTable) -> 
 # JSON export
 
 
-def win_baseline_to_json_dict(bl: WinBaseline) -> dict:
-    return {
-        "kind": "win",
-        "p_global": bl.p_global,
-        "m": bl.m,
-        "rusher_rates": {pid: [n, rate] for pid, (n, rate) in bl.rusher_rates.items()},
-        "blocker_rates": {pid: [n, rate] for pid, (n, rate) in bl.blocker_rates.items()},
-    }
+def _to_json_dict(bl: Baseline, task: str, keys: tuple[str, str, str]) -> dict:
+    """A baseline keyed by player id: its global value under ``keys[0]``
+    and each side's ``[n, value]`` pairs under ``keys[1:]``."""
+    _check_task(bl, task)
+    # the win task's values are one rate, the severity task's a profile
+    value = (lambda v: v[0]) if task == "win" else (lambda v: v)
+    out = {"kind": task, keys[0]: value(bl.global_value.tolist()), "m": bl.m}
+    for role, key in zip(("rusher", "blocker"), keys[1:]):
+        ids, counts, values = bl.side(role)
+        out[key] = {pid: [int(n), value(v)]
+                    for pid, n, v in zip(ids, counts.tolist(), values.T.tolist())}
+    return out
 
 
-def severity_baseline_to_json_dict(bl: SeverityBaseline) -> dict:
-    return {
-        "kind": "severity",
-        "pi_global": list(bl.pi_global),
-        "m": bl.m,
-        "rusher_profiles": {
-            pid: [n, list(prof)] for pid, (n, prof) in bl.rusher_profiles.items()
-        },
-        "blocker_profiles": {
-            pid: [n, list(prof)] for pid, (n, prof) in bl.blocker_profiles.items()
-        },
-    }
+def win_baseline_to_json_dict(bl: Baseline) -> dict:
+    return _to_json_dict(bl, "win", ("p_global", "rusher_rates", "blocker_rates"))
 
 
-def win_baseline_from_json_dict(raw: dict) -> WinBaseline:
-    return WinBaseline(
-        p_global=raw["p_global"],
-        m=raw["m"],
-        rusher_rates={pid: (int(n), float(r)) for pid, (n, r) in raw["rusher_rates"].items()},
-        blocker_rates={pid: (int(n), float(r)) for pid, (n, r) in raw["blocker_rates"].items()},
-    )
-
-
-def severity_baseline_from_json_dict(raw: dict) -> SeverityBaseline:
-    return SeverityBaseline(
-        pi_global=tuple(float(v) for v in raw["pi_global"]),
-        m=raw["m"],
-        rusher_profiles={
-            pid: (int(n), tuple(float(v) for v in prof))
-            for pid, (n, prof) in raw["rusher_profiles"].items()
-        },
-        blocker_profiles={
-            pid: (int(n), tuple(float(v) for v in prof))
-            for pid, (n, prof) in raw["blocker_profiles"].items()
-        },
-    )
+def severity_baseline_to_json_dict(bl: Baseline) -> dict:
+    return _to_json_dict(bl, "severity", ("pi_global", "rusher_profiles", "blocker_profiles"))

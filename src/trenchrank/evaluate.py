@@ -26,8 +26,7 @@ import numpy as np
 from .baselines import (
     DEFAULT_SEVERITY_PRIOR,
     DEFAULT_WIN_PRIOR,
-    SeverityBaseline,
-    WinBaseline,
+    Baseline,
     check_prior_strength,
     fit_severity_baseline,
     fit_win_baseline,
@@ -96,8 +95,8 @@ class ValidationReport:
     n_test: int
     win_fit: Fit
     severity_fit: Fit
-    win_baseline: WinBaseline
-    severity_baseline: SeverityBaseline
+    win_baseline: Baseline
+    severity_baseline: Baseline
 
 
 def split_point(n: int, ratio: float = DEFAULT_SPLIT_RATIO) -> int:
@@ -231,9 +230,9 @@ def validate_weighted(
 
     model_win = binary_log_loss(predict_win_probs(win_fit, test), test.win, w)
     model_sev = multiclass_log_loss(predict_class_prob_matrix(sev_fit, test), test.severity, w)
-    global_win = binary_log_loss(np.full(len(test), win_bl.p_global), test.win, w)
+    global_win = binary_log_loss(np.full(len(test), win_bl.global_value[0]), test.win, w)
     global_sev = multiclass_log_loss(
-        np.tile(np.asarray(sev_bl.pi_global, dtype=float), (len(test), 1)), test.severity, w
+        np.tile(sev_bl.global_value, (len(test), 1)), test.severity, w
     )
 
     rows = (

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .fit import Fit
+from .fit import Fit, gather
 from .interactions import (
     CLASSES,
     InteractionTable,
@@ -120,21 +120,27 @@ def enrichment_at_k(
     return (hits * n) / (k * n_pos)
 
 
+def role_vocab(table: InteractionTable, role: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted ids of ``role``'s players in a table and each row's code
+    into them."""
+    if role not in ROLES:
+        raise ValueError(f"role must be one of {ROLES}, got {role!r}")
+    if role == "rusher":
+        return table.rushers, table.rusher
+    return table.blockers, table.blocker
+
+
 def role_sums(
     table: InteractionTable, role: str, values: np.ndarray | None = None
-) -> dict[str, int] | dict[str, float]:
+) -> np.ndarray:
     """Each player's row count in ``role``, or with ``values`` (one per
-    row) their per-player sum, keyed by player id.
+    row) their per-player sum, over ``role_vocab``'s ids.
 
     ``np.bincount`` adds the values in row order, so a sum has the bits
     of a sequential loop over the rows.
     """
-    if role not in ROLES:
-        raise ValueError(f"role must be one of {ROLES}, got {role!r}")
-    ids, codes = (
-        (table.rushers, table.rusher) if role == "rusher" else (table.blockers, table.blocker)
-    )
-    return dict(zip(ids, np.bincount(codes, weights=values, minlength=len(ids)).tolist()))
+    ids, codes = role_vocab(table, role)
+    return np.bincount(codes, weights=values, minlength=len(ids))
 
 
 def raw_baseline_scores(
@@ -142,8 +148,9 @@ def raw_baseline_scores(
     task: str,
     role: str,
     weights: SeverityWeights | None = None,
-) -> dict[str, float]:
-    """Per-player empirical scores, oriented so higher is better.
+) -> np.ndarray:
+    """Per-player empirical scores over ``role_vocab``'s ids, oriented so
+    higher is better.
 
     Win task: rushers score by win rate, blockers by the rate at which
     they stop the rusher.  Severity task: the severity weight of each
@@ -158,8 +165,7 @@ def raw_baseline_scores(
         values = np.array([w.weight(c) for c in CLASSES])[table.severity]
     if role == "blocker":
         values = 1.0 - values
-    sums, counts = role_sums(table, role, values), role_sums(table, role)
-    return {pid: sums[pid] / counts[pid] for pid in counts}
+    return role_sums(table, role, values) / role_sums(table, role)
 
 
 def role_ratings(
@@ -215,10 +221,16 @@ def run_external_eval(
 
     Role membership requires at least one interaction in that role
     (``min_n`` raises the bar); accolade players with no qualifying
-    interactions are excluded with a warning.
+    interactions are excluded with a warning.  Each fit must be its
+    task's model (a ValueError otherwise).
     """
+    fits = {"win": win_fit, "severity": severity_fit}
+    for task, fit in fits.items():
+        if fit.model != task:
+            raise ValueError(f"{task}_fit must be a {task!r} fit, got a {fit.model!r} fit")
+    qualifies = {role: role_sums(table, role) >= max(1, min_n) for role in ROLES}
     role_players = {
-        role: [p for p, n in role_sums(table, role).items() if n >= max(1, min_n)]
+        role: np.array(role_vocab(table, role)[0], dtype=object)[qualifies[role]]
         for role in ROLES
     }
     rated = set(role_players["rusher"]) | set(role_players["blocker"])
@@ -232,19 +244,22 @@ def run_external_eval(
             stacklevel=2,
         )
 
-    # per-player scores do not depend on the accolade slice
-    scores = {
-        (task, role): (model_scores(fit, role, weights),
-                       raw_baseline_scores(table, task, role, weights))
-        for task, fit in (("win", win_fit), ("severity", severity_fit))
-        for role in ROLES
-    }
+    # per-player scores do not depend on the accolade slice; a player
+    # the fit lacks rates 0
+    scores = {}
+    for task, fit in fits.items():
+        for role in ROLES:
+            ids, ratings = role_ratings(fit, role, weights)
+            scores[(task, role)] = (
+                gather(np.array(ids, dtype=object), ratings, role_players[role], 0.0),
+                raw_baseline_scores(table, task, role, weights)[qualifies[role]],
+            )
     rows: list[RankEvalRow] = []
     for accolade in slices:
         for task in ("win", "severity"):
             for role in ROLES:
                 players = role_players[role]
-                model, base = scores[(task, role)]
+                m_scores, b_scores = scores[(task, role)]
                 labels = [_slice_positive(accolades.get(p), accolade) for p in players]
                 k = sum(labels)
                 if k == 0:
@@ -252,8 +267,6 @@ def run_external_eval(
                         f"no {accolade!r} accolade positives among {role}s; "
                         "cannot evaluate this slice"
                     )
-                m_scores = [model.get(p, 0.0) for p in players]
-                b_scores = [base[p] for p in players]
                 auc = rank_auc(m_scores, labels)
                 base_auc = rank_auc(b_scores, labels)
                 enr = enrichment_at_k(m_scores, labels, k, ids=players)

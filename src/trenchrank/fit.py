@@ -164,10 +164,11 @@ class CvResult:
     lambda_min: float
 
 
-def gather(keys: np.ndarray, values: np.ndarray, wanted: np.ndarray, fill: float) -> np.ndarray:
+def gather(keys: np.ndarray, values: np.ndarray, wanted: np.ndarray, fill) -> np.ndarray:
     """The columns of ``values`` (..., len(keys)) for the ``wanted`` keys,
     where column j belongs to ``keys[j]`` and ``keys`` is sorted; ``fill``
-    for a wanted key that ``keys`` lacks.
+    (a number, or an array that broadcasts against the output) for a
+    wanted key that ``keys`` lacks.
 
     Keys are player codes, or player ids as object arrays, which compare
     as the strings they are (a fixed-width string array drops trailing

@@ -13,6 +13,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .baselines import severity_baseline_to_json_dict, win_baseline_to_json_dict
 from .bootstrap import (
     IMPROVEMENT_LEVELS,
@@ -22,8 +24,8 @@ from .bootstrap import (
 )
 from .errors import DataError
 from .evaluate import SensitivityRow, ValidationReport, ValidationRow
-from .external import RankEvalRow, model_scores, role_sums
-from .fit import Fit, fit_to_json_dict
+from .external import ROLES, RankEvalRow, role_ratings, role_sums, role_vocab
+from .fit import Fit, fit_to_json_dict, gather
 from .interactions import InteractionTable, SeverityWeights
 
 VALIDATION_CSV_HEADER = [
@@ -83,19 +85,17 @@ def leaderboard(
     model = fit.model
     bands = {} if bands is None else bands
     rows: list[LeaderboardRow] = []
-    for role in ("rusher", "blocker"):
-        counts = role_sums(table, role)
-        scores = model_scores(fit, role, weights)
-        eligible = [
-            (pid, rating)
-            for pid, rating in scores.items()
-            if counts.get(pid, 0) >= min_n
-        ]
-        eligible.sort(key=lambda pr: (-pr[1], pr[0]))
+    for role in ROLES:
+        ids, ratings = role_ratings(fit, role, weights)
+        counts = gather(np.array(role_vocab(table, role)[0], dtype=object), role_sums(table, role),
+                        np.array(ids, dtype=object), 0).tolist()
+        ratings = ratings.tolist()
+        eligible = sorted((i for i, n in enumerate(counts) if n >= min_n),
+                          key=lambda i: (-ratings[i], ids[i]))
         rows += [
-            LeaderboardRow(model, role, pid, rating, counts[pid],
-                           *bands.get((model, role, pid), (None, None)))
-            for pid, rating in eligible[:top]
+            LeaderboardRow(model, role, ids[i], ratings[i], counts[i],
+                           *bands.get((model, role, ids[i]), (None, None)))
+            for i in eligible[:top]
         ]
     return rows
 

@@ -255,6 +255,136 @@ def rows_by_game(table):
             for g in dict.fromkeys(table.game.tolist())}
 
 
+# ---------------------------------------------------------------------------
+# Reference matchup baselines: per-player dicts keyed by player id, fitted
+# and evaluated one matchup at a time the way the package once did
+
+
+@dataclass(frozen=True)
+class WinBaseline:
+    """Global win rate plus ``(n, smoothed rate)`` per player id."""
+
+    p_global: float
+    m: float
+    rusher_rates: dict
+    blocker_rates: dict
+
+
+@dataclass(frozen=True)
+class SeverityBaseline:
+    """Global class frequencies plus ``(n, smoothed profile)`` per player id."""
+
+    pi_global: tuple
+    m: float
+    rusher_profiles: dict
+    blocker_profiles: dict
+
+
+def logit(p):
+    with np.errstate(divide="ignore"):
+        return float(np.log(p) - np.log1p(-p))
+
+
+def inv_logit(x):
+    if x >= 0:
+        return float(1.0 / (1.0 + np.exp(-x)))
+    z = np.exp(x)
+    return float(z / (1.0 + z))
+
+
+def _smoothed(n, sums, m, global_value):
+    return (n * (sums / n) + m * global_value) / (n + m)
+
+
+def _first_seen_codes(codes, weights):
+    """Codes of positive weight, in order of their first such row."""
+    active = codes[weights > 0]
+    uniq, first = np.unique(active, return_index=True)
+    return uniq[np.argsort(first, kind="stable")]
+
+
+def _reference_weights(table, weights):
+    return np.ones(len(table)) if weights is None else np.asarray(weights, dtype=float)
+
+
+def reference_win_baseline(table, m, weights=None):
+    """The dict-built win baseline: row i counted ``weights[i]`` times."""
+    weights = _reference_weights(table, weights)
+    p_global = float(np.sum(weights * table.win) / np.sum(weights))
+
+    def side_rates(codes, vocab):
+        seen = _first_seen_codes(codes, weights)
+        n = np.bincount(codes, weights=weights, minlength=len(vocab))[seen]
+        sums = np.bincount(codes, weights=weights * table.win, minlength=len(vocab))[seen]
+        rates = _smoothed(n, sums, m, p_global)
+        return {vocab[i]: (float(n_i), float(r)) for i, n_i, r in zip(seen, n, rates)}
+
+    return WinBaseline(p_global, float(m), side_rates(table.rusher, table.rushers),
+                       side_rates(table.blocker, table.blockers))
+
+
+def reference_severity_baseline(table, m, weights=None):
+    """The dict-built severity baseline: row i counted ``weights[i]`` times."""
+    weights = _reference_weights(table, weights)
+    k = 4
+    pi_global = np.bincount(table.severity, weights=weights, minlength=k) / np.sum(weights)
+
+    def side_profiles(codes, vocab):
+        seen = _first_seen_codes(codes, weights)
+        counts = np.bincount(
+            codes * k + table.severity, weights=weights, minlength=len(vocab) * k
+        ).reshape(len(vocab), k)[seen]
+        n = counts.sum(axis=1)
+        profiles = _smoothed(n[:, None], counts, m, pi_global)
+        return {vocab[i]: (float(n_i), tuple(float(v) for v in prof))
+                for i, n_i, prof in zip(seen, n, profiles)}
+
+    return SeverityBaseline(tuple(float(v) for v in pi_global), float(m),
+                            side_profiles(table.rusher, table.rushers),
+                            side_profiles(table.blocker, table.blockers))
+
+
+def reference_win_matchup(bl, rusher_id, blocker_id):
+    """Inverse-logit of the mean logit of the two smoothed rates; an unseen
+    player contributes the global rate."""
+    p_r = bl.rusher_rates.get(rusher_id, (0, bl.p_global))[1]
+    p_b = bl.blocker_rates.get(blocker_id, (0, bl.p_global))[1]
+    return inv_logit(0.5 * (logit(p_r) + logit(p_b)))
+
+
+def reference_severity_matchup(bl, rusher_id, blocker_id):
+    """Softmax of the per-class log-odds against loss averaged across the
+    two sides; an unseen side falls back to the global profile."""
+    prof_r = np.asarray(bl.rusher_profiles.get(rusher_id, (0, bl.pi_global))[1], dtype=float)
+    prof_b = np.asarray(bl.blocker_profiles.get(blocker_id, (0, bl.pi_global))[1], dtype=float)
+    loss_i = int(OutcomeClass.LOSS)
+    with np.errstate(divide="ignore"):
+        eta = 0.5 * (np.log(prof_r / prof_r[loss_i]) + np.log(prof_b / prof_b[loss_i]))
+    eta[loss_i] = 0.0
+    eta -= eta.max()
+    weights = np.exp(eta)
+    return weights / weights.sum()
+
+
+def reference_baseline_json(bl):
+    """The baseline JSON built from the reference dicts, counts as integers."""
+    if isinstance(bl, WinBaseline):
+        return {
+            "kind": "win",
+            "p_global": bl.p_global,
+            "m": bl.m,
+            "rusher_rates": {pid: [int(n), r] for pid, (n, r) in bl.rusher_rates.items()},
+            "blocker_rates": {pid: [int(n), r] for pid, (n, r) in bl.blocker_rates.items()},
+        }
+    return {
+        "kind": "severity",
+        "pi_global": list(bl.pi_global),
+        "m": bl.m,
+        "rusher_profiles": {pid: [int(n), list(p)] for pid, (n, p) in bl.rusher_profiles.items()},
+        "blocker_profiles": {pid: [int(n), list(p)] for pid, (n, p) in bl.blocker_profiles.items()},
+    }
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -23,14 +23,11 @@ import pytest
 from scipy.stats import spearmanr
 
 from trenchrank.baselines import (
-    SeverityBaseline,
-    WinBaseline,
+    Baseline,
     fit_severity_baseline,
     fit_win_baseline,
-    predict_severity_global,
-    predict_severity_matchup,
-    predict_win_matchup,
-    smooth_rate,
+    predict_severity_matchups,
+    predict_win_matchups,
 )
 from trenchrank.bootstrap import (
     BootstrapConfig,
@@ -246,25 +243,25 @@ def test_criterion_04_shrinkage_limits():
 
 def test_criterion_05_baseline_oracles():
     with criterion(5, "baseline smoothing and matchup identities"):
-        assert smooth_rate(25, 0.5, 25.0, 0.25) == 0.375
+        # n=25 at rate 0.5 blended with m=25 toward global 0.25
+        worked = table_of([
+            make_row(idx=0, rusher="R1", win=True, severity=OutcomeClass.WIN),
+            make_row(idx=1, rusher="R1"),
+            make_row(idx=2, rusher="R2"),
+        ])
+        bl = fit_win_baseline(worked, 25.0, [12.5, 12.5, 25.0])
+        assert bl.global_value.tolist() == [0.25]
+        ids, counts, values = bl.side("rusher")
+        assert (ids[0], counts[0], values[0, 0]) == ("R1", 25.0, 0.375)
 
-        bl = WinBaseline(
-            p_global=0.5,
-            m=25.0,
-            rusher_rates={"R": (10, 0.8)},
-            blocker_rates={"B": (10, 0.2)},
-        )
-        assert predict_win_matchup(bl, "R", "B") == pytest.approx(0.5, abs=1e-12)
+        one_pair = table_of([make_row(rusher="R", blocker="B")])
+        bl = Baseline("win", 25.0, [0.5], ("R",), ("B",), [10, 10], [[0.8, 0.2]])
+        assert predict_win_matchups(bl, one_pair)[0] == pytest.approx(0.5, abs=1e-12)
 
-        pi = (0.4, 0.3, 0.2, 0.1)
-        sbl = SeverityBaseline(
-            pi_global=pi,
-            m=5.0,
-            rusher_profiles={"R": (8, pi)},
-            blocker_profiles={"B": (8, pi)},
-        )
-        got = predict_severity_matchup(sbl, "R", "B")
-        assert np.allclose(got, predict_severity_global(sbl), atol=1e-12)
+        pi = np.array([0.4, 0.3, 0.2, 0.1])
+        sbl = Baseline("severity", 5.0, pi, ("R",), ("B",), [8, 8], np.c_[pi, pi])
+        got = predict_severity_matchups(sbl, one_pair)[0]
+        assert np.allclose(got, sbl.global_value, atol=1e-12)
 
         # with only loss/win observed, the severity matchup collapses to
         # the win matchup built from the same counts
@@ -289,12 +286,11 @@ def test_criterion_05_baseline_oracles():
         two = table_of(rows)
         wbl = fit_win_baseline(two, 25.0)
         sbl2 = fit_severity_baseline(two, 25.0)
-        for r in rows_of(two):
-            pw = predict_win_matchup(wbl, r.rusher_id, r.blocker_id)
-            ps = predict_severity_matchup(sbl2, r.rusher_id, r.blocker_id)
-            assert ps[int(OutcomeClass.WIN)] == pytest.approx(pw, abs=1e-12)
-            assert ps[int(OutcomeClass.HIT)] == 0.0
-            assert ps[int(OutcomeClass.SACK)] == 0.0
+        pw = predict_win_matchups(wbl, two)
+        ps = predict_severity_matchups(sbl2, two)
+        assert np.allclose(ps[:, int(OutcomeClass.WIN)], pw, rtol=0.0, atol=1e-12)
+        assert np.all(ps[:, int(OutcomeClass.HIT)] == 0.0)
+        assert np.all(ps[:, int(OutcomeClass.SACK)] == 0.0)
 
 
 def test_criterion_06_metric_oracles():

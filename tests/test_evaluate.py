@@ -178,10 +178,9 @@ class TestRunValidation:
 
     def test_global_baseline_on_train_equals_bernoulli_entropy(self, rng):
         t = random_table(rng, n_rows=100, n_games=4)
-        from trenchrank.baselines import fit_win_baseline, predict_win_global
+        from trenchrank.baselines import fit_win_baseline
 
-        bl = fit_win_baseline(t, 25.0)
-        p = predict_win_global(bl)
+        p = float(fit_win_baseline(t, 25.0).global_value[0])
         loss = binary_log_loss([p] * len(t), [r.win_target for r in rows_of(t)])
         entropy = -(p * math.log(p) + (1 - p) * math.log(1 - p))
         assert loss == pytest.approx(entropy, abs=1e-12)

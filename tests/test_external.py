@@ -14,6 +14,7 @@ from trenchrank.external import (
     raw_baseline_scores,
     read_accolades_csv,
     role_sums,
+    role_vocab,
     run_external_eval,
 )
 from trenchrank.fit import (
@@ -253,8 +254,8 @@ class TestScores:
             ]
         )
         w = default_severity_weights()
-        rusher = raw_baseline_scores(t, "win", "rusher", w)
-        blocker = raw_baseline_scores(t, "win", "blocker", w)
+        rusher = dict(zip(t.rushers, raw_baseline_scores(t, "win", "rusher", w)))
+        blocker = dict(zip(t.blockers, raw_baseline_scores(t, "win", "blocker", w)))
         assert rusher["R1"] == pytest.approx(2 / 3)
         # blockers are scored by the rate at which they deny wins
         assert blocker["B1"] == pytest.approx(1 / 3)
@@ -268,7 +269,7 @@ class TestScores:
             ]
         )
         w = default_severity_weights()
-        scores = raw_baseline_scores(t, "severity", "rusher", w)
+        scores = dict(zip(t.rushers, raw_baseline_scores(t, "severity", "rusher", w)))
         assert scores["R1"] == pytest.approx(0.5)  # mean of (1.0, 0.0)
 
     @pytest.mark.parametrize("weights", [None, SeverityWeights(0.0, 0.137, 0.333, 1.0)])
@@ -286,11 +287,13 @@ class TestScores:
                                         ("severity", w.weight(row.severity))):
                         value = 1.0 - value if role == "blocker" else value
                         sums[task][pid] = sums[task].get(pid, 0.0) + value
-                assert role_sums(t, role) == counts
-                assert all(type(n) is int for n in role_sums(t, role).values())
+                ids = role_vocab(t, role)[0]
+                assert ids == tuple(sorted(counts))
+                assert role_sums(t, role).tolist() == [counts[pid] for pid in ids]
+                assert role_sums(t, role).dtype.kind == "i"
                 for task in ("win", "severity"):
-                    want = {pid: sums[task][pid] / counts[pid] for pid in counts}
-                    assert raw_baseline_scores(t, task, role, weights) == want
+                    want = [sums[task][pid] / counts[pid] for pid in ids]
+                    assert raw_baseline_scores(t, task, role, weights).tolist() == want
 
 
 class TestRunExternalEval:
@@ -344,3 +347,48 @@ class TestRunExternalEval:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 run_external_eval(win_fit, sev_fit, t, {"nobody": "first"})
+
+    def test_swapped_fits_rejected(self, rng):
+        t, win_fit, sev_fit, accolades = self.build(rng)
+        with pytest.raises(ValueError, match="win_fit must be a 'win' fit, got a 'severity' fit"):
+            run_external_eval(sev_fit, win_fit, t, accolades)
+        with pytest.raises(ValueError, match="severity_fit must be a 'severity' fit"):
+            run_external_eval(win_fit, win_fit, t, accolades)
+
+    @pytest.mark.parametrize("min_n", [0, 40])
+    def test_equals_dict_path(self, rng, min_n):
+        # the rows equal those of scores looked up by player id: model
+        # scores from ``model_scores`` (0 for a player the fit lacks), raw
+        # scores and counts from a loop over the rows
+        t, win_fit, sev_fit, accolades = self.build(rng)
+        # a fit that lacks a rusher the table has
+        sev_fit = fit_severity_model(t.take(t.rusher != 1), 0.5)
+        counts, sums = {}, {}
+        w = default_severity_weights()
+        for row in rows_of(t):
+            for role, pid in (("rusher", row.rusher_id), ("blocker", row.blocker_id)):
+                counts[(role, pid)] = counts.get((role, pid), 0) + 1
+                for task, value in (("win", float(row.win_target)),
+                                    ("severity", w.weight(row.severity))):
+                    value = 1.0 - value if role == "blocker" else value
+                    sums[(task, role, pid)] = sums.get((task, role, pid), 0.0) + value
+        want = []
+        for accolade in ACCOLADE_SLICES:
+            for task, fit in (("win", win_fit), ("severity", sev_fit)):
+                for role in ("rusher", "blocker"):
+                    players = sorted(p for (r, p), n in counts.items()
+                                     if r == role and n >= max(1, min_n))
+                    model = model_scores(fit, role)
+                    m_scores = [model.get(p, 0.0) for p in players]
+                    b_scores = [sums[(task, role, p)] / counts[(role, p)] for p in players]
+                    levels = ("first",) if accolade == "first" else ("first", "second")
+                    labels = [accolades.get(p) in levels for p in players]
+                    k = sum(labels)
+                    auc, base_auc = rank_auc(m_scores, labels), rank_auc(b_scores, labels)
+                    enr = enrichment_at_k(m_scores, labels, k, ids=players)
+                    base_enr = enrichment_at_k(b_scores, labels, k, ids=players)
+                    want.append((task, role, accolade, k, auc, base_auc, auc - base_auc,
+                                 enr, base_enr, enr - base_enr))
+        got = run_external_eval(win_fit, sev_fit, t, accolades, min_n=min_n)
+        assert [tuple(vars(row).values()) for row in got] == want
+        assert all(type(row.k) is int for row in got)

@@ -23,26 +23,36 @@ def test_import_loads_no_sparse_matrices():
     assert out.stdout.strip() == "False"
 
 
+def _defined_in_package(names):
+    found = {}
+    for info in pkgutil.iter_modules(trenchrank.__path__):
+        module = importlib.import_module(f"trenchrank.{info.name}")
+        found[info.name] = sorted(names & vars(module).keys())
+    return {name: defined for name, defined in found.items() if defined}
+
+
 def test_no_module_defines_a_row_class():
     # the interaction table, the tracking frames, the events and the
     # engagements are columns, with no row object or per-row helper
     row_names = {"Interaction", "Frame", "PlayEvents", "Engagement", "detect_double_team",
                  "is_dropback"}
-    found = {}
-    for info in pkgutil.iter_modules(trenchrank.__path__):
-        module = importlib.import_module(f"trenchrank.{info.name}")
-        found[info.name] = sorted(row_names & vars(module).keys())
-    assert {name: rows for name, rows in found.items() if rows} == {}
+    assert _defined_in_package(row_names) == {}
 
 
 def test_fits_are_one_type_over_theta():
     # one ``Fit`` holds both models' parameters as arrays over sorted ids;
     # no package module keeps a per-model fit type or an id-to-column index
     gone = {"BinaryFit", "MultinomialFit", "PlayerIndex", "index_from_ids", "penalty_mask"}
-    found = {}
-    for info in pkgutil.iter_modules(trenchrank.__path__):
-        module = importlib.import_module(f"trenchrank.{info.name}")
-        found[info.name] = sorted(gone & vars(module).keys())
-    assert {name: names for name, names in found.items() if names} == {}
+    assert _defined_in_package(gone) == {}
     assert "design" not in {info.name for info in pkgutil.iter_modules(trenchrank.__path__)}
     assert importlib.util.find_spec("trenchrank.design") is None
+
+
+def test_baselines_are_one_type_over_arrays():
+    # one ``Baseline`` holds both tasks' smoothed values as arrays over
+    # sorted ids, predicted a table at a time
+    gone = {"WinBaseline", "SeverityBaseline", "predict_win_matchup",
+            "predict_severity_matchup", "predict_win_global", "predict_severity_global",
+            "logit", "inv_logit", "smooth_rate", "_first_seen_codes",
+            "win_baseline_from_json_dict", "severity_baseline_from_json_dict"}
+    assert _defined_in_package(gone) == {}

@@ -111,6 +111,33 @@ class TestLeaderboard:
         others = [r for r in rows if r.player_id != pid or r.role != "rusher"]
         assert all(r.lo is None and r.hi is None for r in others)
 
+    @pytest.mark.parametrize("min_n", [1, 30])
+    @pytest.mark.parametrize("model", ["win", "severity"])
+    def test_equals_dict_path(self, rng, model, min_n):
+        # the rows equal a ranking of ``model_scores`` by player id, with
+        # counts from a loop over the rows; the fit lacks a rusher of the
+        # table and the table a rusher of the fit
+        t = random_table(rng, n_rows=150)
+        fitted = t.take(t.rusher != 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fit = (fit_win_model if model == "win" else fit_severity_model)(fitted, 0.5)
+        t = t.take(t.rusher != 2)
+        counts = {}
+        for r in rows_of(t):
+            for key in (("rusher", r.rusher_id), ("blocker", r.blocker_id)):
+                counts[key] = counts.get(key, 0) + 1
+        want = []
+        for role in ("rusher", "blocker"):
+            eligible = [(pid, rating) for pid, rating in model_scores(fit, role).items()
+                        if counts.get((role, pid), 0) >= min_n]
+            eligible.sort(key=lambda pr: (-pr[1], pr[0]))
+            want += [LeaderboardRow(model, role, pid, rating, counts[(role, pid)])
+                     for pid, rating in eligible[:4]]
+        got = leaderboard(fit, t, min_n=min_n, top=4)
+        assert got == want
+        assert all(type(row.rating) is float and type(row.n) is int for row in got)
+
 
 SAMPLE_VALIDATION = [
     ValidationRow("win", "global", 0.52, 0.60, 0.08),

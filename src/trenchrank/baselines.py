@@ -226,7 +226,8 @@ def _to_json_dict(bl: Baseline, task: str, keys: tuple[str, str, str]) -> dict:
     out = {"kind": task, keys[0]: value(bl.global_value.tolist()), "m": bl.m}
     for role, key in zip(("rusher", "blocker"), keys[1:]):
         ids, counts, values = bl.side(role)
-        out[key] = {pid: [int(n), value(v)]
+        # a weighted count need not be integral
+        out[key] = {pid: [int(n) if n.is_integer() else n, value(v)]
                     for pid, n, v in zip(ids, counts.tolist(), values.T.tolist())}
     return out
 

@@ -53,7 +53,15 @@ from .errors import DataError, FitError
 from .baselines import DEFAULT_SEVERITY_PRIOR, DEFAULT_WIN_PRIOR, check_prior_strength
 from .evaluate import DEFAULT_SPLIT_RATIO, split_point, validate_weighted
 from .external import role_ratings
-from .fit import DEFAULT_MAX_ITER, DEFAULT_TOL, DROPPED_CLASSES_WARNING, fit_coded, gather
+from .fit import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    DROPPED_CLASSES_WARNING,
+    check_penalty,
+    check_solver_options,
+    fit_coded,
+    gather,
+)
 from .interactions import InteractionTable, OutcomeClass, canonical_sort
 
 MODES = ("end_to_end", "weekly_path")
@@ -93,8 +101,9 @@ class BootstrapConfig:
     def __post_init__(self) -> None:
         if self.b < 1:
             raise ValueError(f"replicate count must be >= 1, got {self.b}")
-        if self.lambda_win <= 0 or self.lambda_sev <= 0:
-            raise ValueError("bootstrap penalties must be positive (fixed from a prior CV run)")
+        for lam in (self.lambda_win, self.lambda_sev):
+            check_penalty(lam)
+        check_solver_options(self.tol, self.max_iter)
         for m in (self.m_win, self.m_sev):
             check_prior_strength(m)
         if self.mode not in MODES:

@@ -25,6 +25,7 @@ from .external import ACCOLADE_SLICES, read_accolades_csv, run_external_eval
 from .fit import (
     DEFAULT_LAMBDA_GRID,
     Fit,
+    check_penalty,
     cv_select_lambda,
     fit_from_json_dict,
     fit_severity_model,
@@ -89,7 +90,9 @@ def _lambda_grid(lo: float | None, hi: float | None, size: int | None) -> list[f
     lo = DEFAULT_LAMBDA_GRID[0] if lo is None else lo
     hi = DEFAULT_LAMBDA_GRID[-1] if hi is None else hi
     size = len(DEFAULT_LAMBDA_GRID) if size is None else size
-    if lo <= 0 or hi <= 0 or hi < lo or size < 1:
+    check_penalty(lo)
+    check_penalty(hi)
+    if hi < lo or size < 1:
         raise ValueError(f"bad lambda grid: min={lo} max={hi} size={size}")
     return list(np.logspace(math.log10(lo), math.log10(hi), size))
 
@@ -102,8 +105,15 @@ def _add_grid_flags(p) -> None:
 
 
 def _add_solver_flags(p) -> None:
-    p.add_argument("--tol", type=float, help="gradient sup-norm tolerance")
-    p.add_argument("--max-iter", type=int, help="solver iteration cap")
+    p.add_argument("--tol", type=float, help="gradient sup-norm tolerance (> 0)")
+    p.add_argument("--max-iter", type=int, help="solver iteration cap (>= 1)")
+
+
+def _add_penalty_flags(p, required: bool) -> None:
+    selected = "" if required else "; omit to select by cross-validation"
+    for flag, model in (("--lambda-win", "win"), ("--lambda-sev", "severity")):
+        p.add_argument(flag, type=float, required=required,
+                       help=f"{model}-model penalty (> 0){selected}")
 
 
 def _solver_options(src: Mapping) -> dict:
@@ -698,7 +708,7 @@ def build_parser() -> _Parser:
     p.add_argument("--interactions", required=True)
     p.add_argument("--model", choices=("win", "severity", "both"), default="both")
     p.add_argument("--lam", type=float, default=None,
-                   help="fixed penalty; omit to select by cross-validation")
+                   help="fixed penalty (> 0); omit to select by cross-validation")
     _add_grid_flags(p)
     _add_solver_flags(p)
     p.add_argument("--out", required=True)
@@ -706,8 +716,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="ordered 80/20 holdout validation")
     p.add_argument("--interactions", required=True)
-    p.add_argument("--lambda-win", type=float, default=None)
-    p.add_argument("--lambda-sev", type=float, default=None)
+    _add_penalty_flags(p, required=False)
     p.add_argument("--m-win", type=float)
     p.add_argument("--m-sev", type=float)
     p.add_argument("--ratio", type=float)
@@ -719,8 +728,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sensitivity", help="matchup-baseline prior-strength sweep")
     p.add_argument("--interactions", required=True)
     p.add_argument("--m-grid")
-    p.add_argument("--lambda-win", type=float, default=None)
-    p.add_argument("--lambda-sev", type=float, default=None)
+    _add_penalty_flags(p, required=False)
     p.add_argument("--ratio", type=float)
     _add_grid_flags(p)
     _add_solver_flags(p)
@@ -731,8 +739,7 @@ def build_parser() -> _Parser:
     p.add_argument("--interactions", required=True)
     p.add_argument("--b", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda-win", type=float, required=True)
-    p.add_argument("--lambda-sev", type=float, required=True)
+    _add_penalty_flags(p, required=True)
     p.add_argument("--ratio", type=float)
     p.add_argument("--m-win", type=float)
     p.add_argument("--m-sev", type=float)
@@ -754,8 +761,7 @@ def build_parser() -> _Parser:
     p.add_argument("--interactions", required=True)
     p.add_argument("--b", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda-win", type=float, required=True)
-    p.add_argument("--lambda-sev", type=float, required=True)
+    _add_penalty_flags(p, required=True)
     p.add_argument("--models", choices=("both", "win", "severity"))
     p.add_argument("--players", default=None, help="comma-separated players to track")
     p.add_argument("--identity-resample", action="store_true")

@@ -38,6 +38,8 @@ from .fit import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     Fit,
+    check_penalty,
+    check_solver_options,
     cv_select_lambda,
     fit_coded,
     predict_class_prob_matrix,
@@ -272,9 +274,14 @@ def run_validation(
     Pass ``lambda_win`` / ``lambda_sev`` to pin the penalties (as the
     bootstrap does); leave them None to select each by cross-validation
     on the train portion.  Test rows never touch selection or fitting.
+    Pinned penalties and the solver options are checked before any CV.
     """
     for m in (m_win, m_sev):
         check_prior_strength(m)
+    for lam in (lambda_win, lambda_sev):
+        if lam is not None:
+            check_penalty(lam)
+    check_solver_options(tol, max_iter)
     split = ordered_split(table, ratio)
     train, test = split.train, split.test
     if len(train) == 0 or len(test) == 0:

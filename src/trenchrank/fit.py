@@ -49,27 +49,29 @@ libraries' thread pools cost more than the arithmetic.  The step keeps
 few dense buffers: the coupling block is overwritten by its triangular
 solve G, the Schur complement is formed in the buffer of G^T G, and the
 back-substitution recomputes its coupling product from the cells, so G
-is released before the Schur complement is factored.  A step whose
-factor is not positive definite (e.g. at lam = 0, where shifting every
-rusher and blocker effect of a class alike leaves the likelihood
-unchanged) is solved instead by least squares on the dense Hessian,
-rebuilt for that step, and a fit that does not converge says how many
-steps did so and which factor failed.  The step backtracks to the
-Armijo condition, and the Hessian reuses the class probabilities
-computed for the accepted step.
-Convergence means gradient sup-norm <= ``tol`` (default 1e-8).
+is released before the Schur complement is factored.  The step
+backtracks to the Armijo condition, and the Hessian reuses the class
+probabilities computed for the accepted step; a step that cannot
+descend ends the loop, and the fit then reports that it did not
+converge.  Convergence means gradient sup-norm <= ``tol`` (default 1e-8).
+
+Every fit and CV grid point needs ``lam`` finite and > 0
+(``check_penalty``), as in the paper's model, and ``tol`` finite and
+> 0 and ``max_iter`` an integer >= 1 (``check_solver_options``), all
+checked before any solve.  At lam = 0 shifting every rusher and blocker
+effect of a class alike leaves the likelihood unchanged, so the optimum
+is not unique.  With lam > 0 the Hessian is positive definite, so a
+factor that is not (the Schur complement, or one rusher's block) is a
+numerical fault: the fit raises a ``FitError`` naming it.
 
 Start points only change how many Newton steps a fit takes; the optimum
 is the same to within ``tol``.  A fit without ``theta0`` starts at the
 intercept-only optimum, log(w_a / w_0) for the weighted class totals
-w_c with every other parameter 0, when ``lam > 0``, and at zero when
-``lam == 0``: without a penalty the optimum need not be unique, so the
-start must not move the point the least-squares steps return.
-Cross-validation warm-starts each fold's lambda path from large to
-small, and starts a fold's largest lambda from the previous fold's
-solution there, remapped onto the fold's players through their codes
-into the table's vocabularies (a player the previous fold did not see
-starts at 0).
+w_c with every other parameter 0.  Cross-validation warm-starts each
+fold's lambda path from large to small, and starts a fold's largest
+lambda from the previous fold's solution there, remapped onto the
+fold's players through their codes into the table's vocabularies (a
+player the previous fold did not see starts at 0).
 
 A fit is one ``Fit`` for both models: its parameters theta, one row per
 modeled class, over the columns ``[intercept | double team | rushers |
@@ -82,6 +84,7 @@ with 0 for a player the fit lacks; only the JSON form
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -387,26 +390,6 @@ def _add_rest(out: np.ndarray, sums: np.ndarray, ridge: np.ndarray) -> None:
     np.einsum("ii->i", out)[...] += ridge
 
 
-def _dense_hessian(parts: _HessianParts, design: _Design) -> np.ndarray:
-    """The full (K d) x (K d) Hessian in class-major order."""
-    r, k, m = parts.coupling.shape
-    n = r * k + m
-    H = np.zeros((n, n))
-    block = np.arange(r * k).reshape(r, k)
-    H[block[:, :, None], block[:, None, :]] = parts.rusher
-    H[: r * k, r * k :] = parts.coupling.reshape(r * k, m)
-    H[r * k :, : r * k] = H[: r * k, r * k :].T
-    _add_rest(H[r * k :, r * k :], parts.rest_sums, parts.rest_ridge)
-    # class-major position of each rusher-first parameter
-    position = np.arange(k * design.n_columns).reshape(k, -1)
-    order = np.concatenate([
-        position[:, design.rusher_columns].T.ravel(), position[:, design.rest_columns].ravel()
-    ])
-    out = np.empty_like(H)
-    out[np.ix_(order, order)] = H
-    return out
-
-
 def _forward(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Solve ``L[j] X[j] = Y[j]`` for lower-triangular K x K blocks ``L[j]``,
     overwriting ``Y`` with ``X``."""
@@ -457,9 +440,8 @@ def _newton_direction(design: _Design, probs, lam, weights, grad: np.ndarray):
     ``C x_rest`` a Hessian-vector product over the cells
     (``_coupling_product``) rather than a product with G.
 
-    Returns the class-major direction and None, or None and the factor
-    that is not positive definite: ``("rusher", position)`` or
-    ``("schur", None)``.
+    Returns the class-major direction.  A factor that is not positive
+    definite raises ``_FactorError``.
     """
     rusher, coupling, rest_sums, rest_ridge = _hessian_parts(design, probs, lam, weights)
     r, k, m = coupling.shape
@@ -470,7 +452,7 @@ def _newton_direction(design: _Design, probs, lam, weights, grad: np.ndarray):
             try:
                 np.linalg.cholesky(block)
             except np.linalg.LinAlgError:
-                return None, ("rusher", j)
+                raise _FactorError(j) from None
         raise
     g = grad.reshape(k, design.n_columns)
     rushers, rest_columns = design.rusher_columns, design.rest_columns
@@ -485,7 +467,7 @@ def _newton_direction(design: _Design, probs, lam, weights, grad: np.ndarray):
     try:
         factor = np.linalg.cholesky(schur)
     except np.linalg.LinAlgError:
-        return None, ("schur", None)
+        raise _FactorError(None) from None
     del schur
     # factor.T is the upper factor U = L^T in column-major order, so LAPACK reads it in place
     x_rest = scipy.linalg.lapack.dpotrs(factor.T, rhs, lower=0)[0].reshape(k, -1)
@@ -495,7 +477,7 @@ def _newton_direction(design: _Design, probs, lam, weights, grad: np.ndarray):
     direction = np.empty_like(g)
     direction[:, rushers] = x_rusher[:, :, 0].T
     direction[:, rest_columns] = x_rest
-    return direction.ravel(), None
+    return direction.ravel()
 
 
 def _take_step(value_grad_fn, theta, state, direction):
@@ -503,7 +485,8 @@ def _take_step(value_grad_fn, theta, state, direction):
 
     ``state`` is ``value_grad_fn(theta)``: (objective, gradient, class
     probabilities).  Returns the new point, its state and whether it
-    moved.
+    moved; it does not move along a direction whose slope is not
+    negative.
 
     Near the optimum the per-step objective decrease falls below the
     floating-point resolution of the objective, so the Armijo test
@@ -515,10 +498,7 @@ def _take_step(value_grad_fn, theta, state, direction):
     obj, grad, _ = state
     slope = float(grad @ direction)
     if slope >= 0.0:
-        direction = -grad
-        slope = float(grad @ direction)
-        if slope >= 0.0:
-            return theta, state, False
+        return theta, state, False
     grad_sup = float(np.abs(grad).max())
     noise = 1e-8 * max(1.0, abs(obj))
     t = 1.0
@@ -539,7 +519,6 @@ class _Solution(NamedTuple):
     nll: float  # unpenalized
     grad_sup: float
     iterations: int
-    fallbacks: list  # the failed factor of each least-squares step
 
 
 def _intercept_start(class_idx, n_classes, weights, d) -> np.ndarray:
@@ -557,15 +536,11 @@ def _intercept_start(class_idx, n_classes, weights, d) -> np.ndarray:
 
 
 def _solve(design, class_idx, n_classes, lam, theta0, tol, max_iter, weights):
-    """Damped Newton over the K = n_classes - 1 non-reference classes.
+    """Damped Newton over the K = n_classes - 1 non-reference classes,
+    from ``theta0`` or else the intercept-only optimum.
 
-    Without ``theta0`` a penalized fit starts at the intercept-only
-    optimum and an unpenalized one at zero: at lam = 0 the optimum need
-    not be unique, and the least-squares steps then return a point that
-    depends on the start.  A step whose Schur factorization fails (a
-    factor that is not positive definite, e.g. at lam = 0) is solved by
-    least squares on the dense Hessian instead, and the failed factor is
-    recorded.
+    ``lam`` > 0 makes the Hessian positive definite; a factor that is not
+    raises ``_FactorError``.
     """
     k, d = n_classes - 1, design.n_columns
     if theta0 is not None:
@@ -574,49 +549,68 @@ def _solve(design, class_idx, n_classes, lam, theta0, tol, max_iter, weights):
             raise ValueError(
                 f"theta0 has {theta.size} entries, not {k} x {d} for the index's columns"
             )
-    elif lam > 0:
-        theta = _intercept_start(class_idx, n_classes, weights, d).ravel()
     else:
-        theta = np.zeros(k * d)
+        theta = _intercept_start(class_idx, n_classes, weights, d).ravel()
 
     def value_grad(th):
         return _objective(th, design, class_idx, n_classes, lam, weights)
 
     state = value_grad(theta)
     iterations = 0
-    fallbacks = []
     while np.abs(state[1]).max() > tol and iterations < max_iter:
         iterations += 1
-        direction, failed = _newton_direction(design, state[2], lam, weights, state[1])
-        if failed is not None:
-            fallbacks.append(failed)
-            H = _dense_hessian(_hessian_parts(design, state[2], lam, weights), design)
-            direction = np.linalg.lstsq(H, -state[1], rcond=None)[0]
+        direction = _newton_direction(design, state[2], lam, weights, state[1])
         theta, state, moved = _take_step(value_grad, theta, state, direction)
         if not moved:
             break
     theta = theta.reshape(k, d)
     nll = state[0] - lam * float(np.sum(design.penalty[None, :] * theta * theta))
-    return _Solution(theta, nll, float(np.abs(state[1]).max()), iterations, fallbacks)
+    return _Solution(theta, nll, float(np.abs(state[1]).max()), iterations)
 
 
-def _fallback_note(solution: _Solution, rushers: Sequence[str]) -> str:
-    """How many Newton steps fell back to least squares, and the last
-    failed factor; ``rushers`` are the ids of the design's rushers."""
-    note = (
-        f"{len(solution.fallbacks)} of {solution.iterations} Newton steps"
-        " fell back to least squares"
-    )
-    if not solution.fallbacks:
-        return note
-    kind, position = solution.fallbacks[-1]
-    if kind == "schur":
-        return note + " (last failure: the Schur complement factor)"
-    return note + f" (last failure: the block of rusher {rushers[position]!r})"
+class _FactorError(FitError):
+    """A Newton step's factor is not positive definite: ``args[0]`` is the
+    design position of the rusher whose block failed, None for the Schur
+    complement."""
+
+
+def _converged(what: str, rushers: Sequence[str], design, class_idx, n_classes, lam, theta0,
+               tol, max_iter, weights) -> _Solution:
+    """``_solve``'s solution; a factor that is not positive definite or a
+    fit that does not converge is a FitError naming ``what`` failed, and
+    a rusher by its id in ``rushers``."""
+    try:
+        solution = _solve(design, class_idx, n_classes, lam, theta0, tol, max_iter, weights)
+    except _FactorError as exc:
+        (position,) = exc.args
+        factor = ("the Schur complement" if position is None
+                  else f"the block of rusher {rushers[position]!r}")
+        raise FitError(f"{what} at lam={lam:g}: {factor} is not positive definite") from None
+    if not solution.grad_sup <= tol:
+        raise FitError(
+            f"{what} did not converge at lam={lam:g}: gradient sup-norm "
+            f"{solution.grad_sup:.3e} after {solution.iterations} iterations (tol {tol:.1e})"
+        )
+    return solution
 
 
 # ---------------------------------------------------------------------------
 # Fits
+
+
+def check_penalty(lam: float) -> None:
+    """A ridge penalty must be finite and > 0 (NaN is neither)."""
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and > 0, got {lam}")
+
+
+def check_solver_options(tol: float, max_iter: int) -> None:
+    """The gradient tolerance must be finite and > 0 and the iteration cap
+    an integer >= 1."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
 def _row_weights(weights, n_rows: int) -> np.ndarray:
@@ -661,8 +655,8 @@ def _fit_cells(
     ``fit_severity_model``; its warnings point at their caller."""
     if model not in _MODELS:
         raise ValueError(f"model must be 'win' or 'severity', got {model!r}")
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    check_penalty(lam)
+    check_solver_options(tol, max_iter)
     design, outcome, cell_w, rushers, blockers = _cells(
         table, _row_weights(weights, len(table)), model
     )
@@ -676,28 +670,13 @@ def _fit_cells(
     if not modeled:
         raise DataError("severity fit needs at least one non-loss class in training")
 
-    solution = _solve(design, class_idx, len(modeled) + 1, lam, theta0, tol, max_iter, cell_w)
-    theta, grad_sup, iterations = solution.theta, solution.grad_sup, solution.iterations
-    converged = grad_sup <= tol
-    # a separated cell only reaches the gradient tolerance once its linear
-    # predictor is around ln(n / tol), far beyond any finite-MLE value
-    if lam == 0 and (not converged or np.abs(_linear_predictors(theta, design)).max() > 15.0):
-        warnings.warn(
-            "possible separation: unpenalized fit produced extreme linear predictors",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     rusher_ids = _ids(table.rushers, rushers)
-    if not converged:
-        raise FitError(
-            f"{'binary' if model == 'win' else 'multinomial'} fit did not converge: "
-            f"gradient sup-norm {grad_sup:.3e} after {iterations} iterations (tol {tol:.1e}); "
-            + _fallback_note(solution, rusher_ids)
-        )
+    solution = _converged(f"{model} fit", rusher_ids, design, class_idx,
+                          len(modeled) + 1, lam, theta0, tol, max_iter, cell_w)
     return Fit(
-        model=model, classes=modeled, dropped=dropped, theta=theta, rushers=rusher_ids,
+        model=model, classes=modeled, dropped=dropped, theta=solution.theta, rushers=rusher_ids,
         blockers=_ids(table.blockers, blockers), lam=lam, neg_loglik=solution.nll,
-        grad_norm=grad_sup, iterations=iterations,
+        grad_norm=solution.grad_sup, iterations=solution.iterations,
     )
 
 
@@ -711,8 +690,8 @@ def fit_coded(
     whose rows all have zero weight are left out of the fit, so they
     get no effect (rather than the prior mean) in the result.  Classes
     without a row of positive weight are dropped from the softmax with a
-    warning, and an unpenalized fit whose linear predictors run off warns
-    of possible separation.
+    warning.  ``lam`` must be finite and > 0 (``check_penalty``); a
+    separated table then still has a finite optimum.
     """
     return _fit_cells(table, weights, model, lam, **kwargs)
 
@@ -844,9 +823,11 @@ def cv_select_lambda(
     starts from fold f - 1's solution at the same (largest) lambda,
     remapped onto fold f's players by their codes, players new to fold f
     at 0.  It starts cold, as fold 0 does, when the two folds model
-    different classes or when that lambda is 0: from the intercept-only
-    optimum at lambda > 0 and from zero at lambda = 0.  The starts change
-    iteration counts, not the optimum beyond ``tol``.
+    different classes: from the intercept-only optimum.  The starts
+    change iteration counts, not the optimum beyond ``tol``.
+
+    Every grid value must be finite and > 0 (``check_penalty``), and the
+    whole grid and the solver options are checked before the first fold.
     """
     from .evaluate import binary_log_loss, multiclass_log_loss
 
@@ -855,6 +836,9 @@ def cv_select_lambda(
     lambdas = np.asarray(DEFAULT_LAMBDA_GRID if grid is None else list(grid), dtype=float)
     if lambdas.size == 0:
         raise ValueError("lambda grid must be nonempty")
+    for lam in lambdas:
+        check_penalty(lam)
+    check_solver_options(tol, max_iter)
     if n_folds < 2:
         raise ValueError(f"need at least 2 folds, got {n_folds}")
 
@@ -874,19 +858,14 @@ def cv_select_lambda(
         held = table.rusher[in_fold], table.blocker[in_fold]
         held_dt = table.double_team[in_fold].astype(float)
         theta = None
-        if desc[0] > 0 and chained is not None and chained[0] == modeled:
+        if chained is not None and chained[0] == modeled:
             prev = chained[1]
             theta = np.hstack([prev[:, :2], *_effects_on(prev, chained[2], codes)])
+        rushers = _ids(table.rushers, codes[0])
         for j, lam in enumerate(desc):
-            solution = _solve(
-                design, class_idx, len(modeled) + 1, lam, theta, tol, max_iter, cell_w
-            )
-            if solution.grad_sup > tol:
-                raise FitError(
-                    f"cv fold {fold} failed to converge at lam={lam:g}; "
-                    + _fallback_note(solution, _ids(table.rushers, codes[0]))
-                )
-            theta = solution.theta
+            theta = _converged(f"cv fold {fold} {target} fit", rushers, design,
+                               class_idx, len(modeled) + 1, lam, theta, tol, max_iter,
+                               cell_w).theta
             if j == 0:
                 chained = modeled, theta, codes
             eta = _row_etas(theta, *_effects_on(theta, codes, held), held_dt)

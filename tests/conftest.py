@@ -1,5 +1,6 @@
 """Shared fixtures and small-table builders for the test suite."""
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -10,6 +11,20 @@ import scipy.sparse as sp
 
 from trenchrank import fit as fit_module
 from trenchrank.interactions import InteractionTable, OutcomeClass
+
+
+#: Penalties every fit entry refuses: lam must be finite and > 0.
+BAD_PENALTIES = (0.0, -1.0, math.nan, math.inf)
+#: Solver options every fit entry refuses, with the start of the message.
+BAD_SOLVER_OPTIONS = {
+    "tol=-1": ({"tol": -1.0}, "tol must be finite and > 0"),
+    "tol=0": ({"tol": 0.0}, "tol must be finite and > 0"),
+    "tol=nan": ({"tol": math.nan}, "tol must be finite and > 0"),
+    "tol=inf": ({"tol": math.inf}, "tol must be finite and > 0"),
+    "max_iter=0": ({"max_iter": 0}, "max_iter must be an integer >= 1"),
+    "max_iter=-5": ({"max_iter": -5}, "max_iter must be an integer >= 1"),
+    "max_iter=2.5": ({"max_iter": 2.5}, "max_iter must be an integer >= 1"),
+}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -249,6 +264,27 @@ def design_matrix(table, idx):
     )
 
 
+def dense_hessian(parts, design):
+    """The full (K d) x (K d) Hessian in class-major order, written out from
+    ``fit._hessian_parts``."""
+    r, k, m = parts.coupling.shape
+    n = r * k + m
+    H = np.zeros((n, n))
+    block = np.arange(r * k).reshape(r, k)
+    H[block[:, :, None], block[:, None, :]] = parts.rusher
+    H[: r * k, r * k :] = parts.coupling.reshape(r * k, m)
+    H[r * k :, : r * k] = H[: r * k, r * k :].T
+    fit_module._add_rest(H[r * k :, r * k :], parts.rest_sums, parts.rest_ridge)
+    # class-major position of each rusher-first parameter
+    position = np.arange(k * design.n_columns).reshape(k, -1)
+    order = np.concatenate([
+        position[:, design.rusher_columns].T.ravel(), position[:, design.rest_columns].ravel()
+    ])
+    out = np.empty_like(H)
+    out[np.ix_(order, order)] = H
+    return out
+
+
 def rows_by_game(table):
     """Each game's rows, in row order; games in order of their first row."""
     return {table.games[g]: rows_of(table.take(table.game == g))
@@ -366,22 +402,30 @@ def reference_severity_matchup(bl, rusher_id, blocker_id):
     return weights / weights.sum()
 
 
+def _json_count(n):
+    """A weighted count as JSON writes it: an integral count as an integer."""
+    return int(n) if float(n).is_integer() else float(n)
+
+
 def reference_baseline_json(bl):
-    """The baseline JSON built from the reference dicts, counts as integers."""
+    """The baseline JSON built from the reference dicts."""
     if isinstance(bl, WinBaseline):
         return {
             "kind": "win",
             "p_global": bl.p_global,
             "m": bl.m,
-            "rusher_rates": {pid: [int(n), r] for pid, (n, r) in bl.rusher_rates.items()},
-            "blocker_rates": {pid: [int(n), r] for pid, (n, r) in bl.blocker_rates.items()},
+            "rusher_rates": {pid: [_json_count(n), r] for pid, (n, r) in bl.rusher_rates.items()},
+            "blocker_rates": {pid: [_json_count(n), r]
+                              for pid, (n, r) in bl.blocker_rates.items()},
         }
     return {
         "kind": "severity",
         "pi_global": list(bl.pi_global),
         "m": bl.m,
-        "rusher_profiles": {pid: [int(n), list(p)] for pid, (n, p) in bl.rusher_profiles.items()},
-        "blocker_profiles": {pid: [int(n), list(p)] for pid, (n, p) in bl.blocker_profiles.items()},
+        "rusher_profiles": {pid: [_json_count(n), list(p)]
+                            for pid, (n, p) in bl.rusher_profiles.items()},
+        "blocker_profiles": {pid: [_json_count(n), list(p)]
+                             for pid, (n, p) in bl.blocker_profiles.items()},
     }
 
 

@@ -174,6 +174,24 @@ class TestWeights:
         with pytest.raises(DataError, match=message):
             fit(small_table, 25.0, make(len(small_table)))
 
+    @pytest.mark.parametrize("task", ["win", "severity"])
+    def test_json_writes_fractional_counts(self, task):
+        # an integral count is written as an integer, any other as its float
+        t = spec_table(
+            ("R1", "B1", True, OutcomeClass.WIN), ("R1", "B1", False, OutcomeClass.LOSS),
+            ("R1", "B2", True, OutcomeClass.SACK), ("R2", "B2", False, OutcomeClass.LOSS),
+            ("R2", "B2", True, OutcomeClass.HIT),
+        )
+        weights = [0.5, 1.0, 0.25, 1.0, 1.0]
+        if task == "win":
+            out = win_baseline_to_json_dict(fit_win_baseline(t, 25.0, weights))
+            keys = ("rusher_rates", "blocker_rates")
+        else:
+            out = severity_baseline_to_json_dict(fit_severity_baseline(t, 50.0, weights))
+            keys = ("rusher_profiles", "blocker_profiles")
+        counts = [json.dumps({pid: n for pid, (n, _) in out[key].items()}) for key in keys]
+        assert counts == ['{"R1": 1.75, "R2": 2}', '{"B1": 1.5, "B2": 2.25}']
+
 
 class TestWinBaseline:
     def test_integer_weights_equal_repeated_rows(self, rng):

@@ -24,6 +24,8 @@ from trenchrank.interactions import InteractionTable, OutcomeClass, canonical_so
 from trenchrank.report import summary_to_json_dict
 
 from conftest import (
+    BAD_PENALTIES,
+    BAD_SOLVER_OPTIONS,
     Interaction,
     make_row,
     random_table,
@@ -118,10 +120,16 @@ class TestConfigValidation:
             config(b=0)
 
     def test_penalties_must_be_positive(self):
-        with pytest.raises(ValueError):
-            config(lambda_win=0.0)
-        with pytest.raises(ValueError):
-            config(lambda_sev=-1.0)
+        for lam in BAD_PENALTIES:
+            for key in ("lambda_win", "lambda_sev"):
+                with pytest.raises(ValueError, match="lam must be finite and > 0"):
+                    config(**{key: lam})
+
+    @pytest.mark.parametrize("bad", BAD_SOLVER_OPTIONS)
+    def test_solver_options_checked(self, bad):
+        options, message = BAD_SOLVER_OPTIONS[bad]
+        with pytest.raises(ValueError, match=message):
+            config(**options)
 
     @pytest.mark.parametrize("key", ["m_win", "m_sev"])
     @pytest.mark.parametrize("m", [math.nan, math.inf, -1.0])

@@ -125,9 +125,13 @@ class TestFit:
             code = run(["fit", "--interactions", str(synth_csv[0]),
                         "--out", str(tmp_path / "bad.json")] + flags)
             assert code == 1
-        for bad in ({"grid_min": 10, "grid_max": 0.1}, {"grid_min": 0}):
+        # before the run directory is made (JSON's NaN and Infinity read as floats)
+        runs = sorted((tmp_path / "runs").iterdir())
+        for bad in ({"grid_min": 10, "grid_max": 0.1}, {"grid_min": 0}, {"grid_min": math.nan},
+                    {"grid_max": math.inf}):
             (tmp_path / "bad.json").write_text(json.dumps({**cfg, **bad}))
             assert run(["pipeline", "--config", str(tmp_path / "bad.json")]) == 1
+        assert sorted((tmp_path / "runs").iterdir()) == runs
 
     @pytest.mark.parametrize(
         "flags",
@@ -728,6 +732,47 @@ class TestExitCodes:
         code = run(["fit", "--interactions", str(synth_csv[0]),
                     "--lam", "-3", "--out", str(tmp_path / "f.json")])
         assert code == 1
+
+    FIT_CASES = [
+        (["--lam", "0"], "lam must be finite and > 0, got 0.0"),
+        (["--lam", "nan"], "lam must be finite and > 0, got nan"),
+        (["--lam", "inf"], "lam must be finite and > 0, got inf"),
+        (["--grid-min", "nan", "--grid-size", "2", "--folds", "3"],
+         "lam must be finite and > 0, got nan"),
+        (["--grid-max", "inf"], "lam must be finite and > 0, got inf"),
+        (["--lam", "0.5", "--tol", "-1"], "tol must be finite and > 0"),
+        (["--lam", "0.5", "--tol", "0"], "tol must be finite and > 0"),
+        (["--lam", "0.5", "--tol", "nan"], "tol must be finite and > 0"),
+        (["--lam", "0.5", "--max-iter", "0"], "max_iter must be an integer >= 1"),
+        (["--lam", "0.5", "--max-iter", "-5"], "max_iter must be an integer >= 1"),
+    ]
+    BOOTSTRAP_CASES = [
+        (["--lambda-win", "nan"], "lam must be finite and > 0, got nan"),
+        (["--lambda-sev", "0"], "lam must be finite and > 0, got 0.0"),
+        (["--tol", "inf"], "tol must be finite and > 0"),
+        (["--max-iter", "0"], "max_iter must be an integer >= 1"),
+    ]
+
+    @pytest.mark.parametrize("flags, message", FIT_CASES,
+                             ids=[" ".join(flags) for flags, _ in FIT_CASES])
+    def test_bad_penalty_or_solver_option_is_usage_error(self, synth_csv, tmp_path, capsys,
+                                                        flags, message):
+        out = tmp_path / "f.json"
+        assert run(["fit", "--interactions", str(synth_csv[0]), "--out", str(out)] + flags) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bootstrap", "path"])
+    @pytest.mark.parametrize("flags, message", BOOTSTRAP_CASES,
+                             ids=[" ".join(flags) for flags, _ in BOOTSTRAP_CASES])
+    def test_bad_bootstrap_option_is_usage_error(self, synth_csv, tmp_path, capsys, command,
+                                                 flags, message):
+        out = tmp_path / "out"
+        code = run([command, "--interactions", str(synth_csv[0]), "--b", "10",
+                    "--lambda-win", "0.5", "--lambda-sev", "0.5", "--out-dir", str(out)] + flags)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonconvergence_is_fit_error(self, synth_csv, tmp_path):
         code = run(["fit", "--interactions", str(synth_csv[0]), "--lam", "0.5",

@@ -37,7 +37,14 @@ from trenchrank.fit import (
 from trenchrank.interactions import CLASSES, OutcomeClass, canonical_sort
 from trenchrank.synth import SynthConfig, synth_generate
 
-from conftest import make_row, random_table, rows_of, table_of
+from conftest import (
+    BAD_PENALTIES,
+    BAD_SOLVER_OPTIONS,
+    make_row,
+    random_table,
+    rows_of,
+    table_of,
+)
 
 
 class TestOrderedSplit:
@@ -369,6 +376,36 @@ class TestPriorStrengthChecks:
         t = random_table(rng, n_rows=120, n_games=6)
         with pytest.raises(ValueError, match="prior strength must be finite and >= 0"):
             run_validation(t, **{key: m})
+
+    @pytest.mark.parametrize("entry", [run_validation, prior_sensitivity],
+                             ids=["run_validation", "prior_sensitivity"])
+    @pytest.mark.parametrize("key", ["lambda_win", "lambda_sev"])
+    @pytest.mark.parametrize("lam", BAD_PENALTIES, ids=str)
+    def test_bad_pinned_penalty_fails_before_any_cv_or_fit(self, rng, monkeypatch, entry, key,
+                                                          lam):
+        # the other penalty is left to CV, which must not run first
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the penalty was checked")
+
+        monkeypatch.setattr(ev, "cv_select_lambda", forbidden)
+        monkeypatch.setattr(fit_module, "_fit_cells", forbidden)
+        t = random_table(rng, n_rows=120, n_games=6)
+        with pytest.raises(ValueError, match="lam must be finite and > 0"):
+            entry(t, **{key: lam})
+
+    @pytest.mark.parametrize("entry", [run_validation, prior_sensitivity],
+                             ids=["run_validation", "prior_sensitivity"])
+    @pytest.mark.parametrize("bad", BAD_SOLVER_OPTIONS)
+    def test_bad_solver_options_fail_before_any_cv_or_fit(self, rng, monkeypatch, entry, bad):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the solver options were checked")
+
+        monkeypatch.setattr(ev, "cv_select_lambda", forbidden)
+        monkeypatch.setattr(fit_module, "_fit_cells", forbidden)
+        options, message = BAD_SOLVER_OPTIONS[bad]
+        t = random_table(rng, n_rows=120, n_games=6)
+        with pytest.raises(ValueError, match=message):
+            entry(t, **options)
 
     def test_empty_side_error_comes_from_run_validation(self):
         t = table_of([make_row()])

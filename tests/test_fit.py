@@ -34,6 +34,9 @@ from trenchrank.interactions import (
 from trenchrank.synth import SynthConfig, synth_generate
 
 from conftest import (
+    BAD_PENALTIES,
+    BAD_SOLVER_OPTIONS,
+    dense_hessian,
     design_matrix,
     dict_fit,
     fit_cells,
@@ -173,7 +176,7 @@ def separated_table(model):
 class TestSeparationWarning:
     @pytest.mark.parametrize("model", ["win", "severity"])
     def test_penalized_fit_does_not_warn(self, model):
-        # the ridge gives a separated table a finite optimum, so only lam = 0 warns
+        # the ridge gives a separated table a finite optimum, so no fit warns
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             t = separated_table(model)
@@ -286,13 +289,6 @@ class TestBinarySolver:
         with pytest.raises(DataError, match="length mismatch"):
             fit_coded(t, np.ones(len(t) - 1), "win", 0.1)
 
-    def test_separation_warns_when_unpenalized(self):
-        with pytest.warns(RuntimeWarning, match="separation"):
-            try:
-                fit_win_model(separated_table("win"), 0.0)
-            except FitError:
-                pass  # a diverging unpenalized fit may also fail to converge
-
     def test_shrinkage_limit_recovers_base_rate(self, rng):
         t, idx, X, y = binary_problem(rng, n_rows=50)
         fit = fit_win_model(t, 1e6)
@@ -391,13 +387,6 @@ class TestMultinomialSolver:
             fits[entry]()
         assert len(record) == 1
         assert record[0].filename == __file__
-
-    def test_separation_warns_when_unpenalized(self):
-        with pytest.warns(RuntimeWarning, match="separation"):
-            try:
-                fit_severity_model(separated_table("severity"), 0.0)
-            except FitError:
-                pass  # a diverging unpenalized fit may also fail to converge
 
     def test_all_loss_table_rejected(self):
         rows = [make_row(idx=i, severity=OutcomeClass.LOSS) for i in range(8)]
@@ -559,31 +548,6 @@ def reference_probs(X, theta):
     return p / p.sum(axis=1, keepdims=True)
 
 
-def reference_solve(design, X, class_idx, n_classes, lam, pen, weights, tol=1e-8, max_iter=500):
-    """Damped Newton on the reference Hessian of ``X`` (whose rows are
-    ``design``'s): dense Cholesky, least squares if it fails."""
-
-    def value_grad(th):
-        obj, grad, _ = fit_module._objective(th, design, class_idx, n_classes, lam, weights)
-        return obj, grad, reference_probs(X, th)
-
-    theta = np.zeros((n_classes - 1) * X.shape[1])
-    state = value_grad(theta)
-    iterations = fallbacks = 0
-    while np.abs(state[1]).max() > tol and iterations < max_iter:
-        iterations += 1
-        H = reference_hessian(X, state[2], lam, pen, weights)
-        try:
-            direction = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), -state[1])
-        except scipy.linalg.LinAlgError:
-            fallbacks += 1
-            direction = np.linalg.lstsq(H, -state[1], rcond=None)[0]
-        theta, state, moved = fit_module._take_step(value_grad, theta, state, direction)
-        if not moved:
-            break
-    return theta, iterations, fallbacks
-
-
 def _reference_forward(L, Y):
     """Solve ``L[j] X[j] = Y[j]`` for lower-triangular K x K blocks ``L[j]``."""
     X = np.empty_like(Y)
@@ -606,14 +570,19 @@ def _reference_backward(L, Y):
     return X
 
 
+class ReferenceFactorError(Exception):
+    """The factor ``reference_newton_direction`` found not positive
+    definite: ``("rusher", position)`` or ``("schur", None)``."""
+
+
 def reference_newton_direction(parts, grad, design):
     """The Schur-complement step as ``fit._newton_direction`` took it
     before the step moved to numpy's LAPACK: scipy's Cholesky of a dense
     ``D - G^T G``, and ``G = L^-1 C`` kept for the back-substitution.
     ``parts`` (``fit._hessian_parts``) is left unchanged.
 
-    Returns the class-major direction and None, or None and the factor
-    that is not positive definite.
+    Returns the class-major direction; a factor that is not positive
+    definite raises ``ReferenceFactorError`` with its tag.
     """
     r, k, m = parts.coupling.shape
     rest = np.zeros((m, m))
@@ -625,7 +594,7 @@ def reference_newton_direction(parts, grad, design):
             try:
                 np.linalg.cholesky(block)
             except np.linalg.LinAlgError:
-                return None, ("rusher", j)
+                raise ReferenceFactorError("rusher", j) from None
         raise
     g = grad.reshape(k, design.n_columns)
     rushers, rest_columns = design.rusher_columns, design.rest_columns
@@ -634,13 +603,13 @@ def reference_newton_direction(parts, grad, design):
     try:
         factor = scipy.linalg.cho_factor(rest - G.T @ G, lower=True)
     except scipy.linalg.LinAlgError:
-        return None, ("schur", None)
+        raise ReferenceFactorError("schur", None) from None
     x_rest = scipy.linalg.cho_solve(factor, -g[:, rest_columns].ravel() - G.T @ u)
     x_rusher = _reference_backward(L, (u - G @ x_rest).reshape(r, k, 1))
     direction = np.empty_like(g)
     direction[:, rushers] = x_rusher[:, :, 0].T
     direction[:, rest_columns] = x_rest.reshape(k, -1)
-    return direction.ravel(), None
+    return direction.ravel()
 
 
 def hessian_cases(rng):
@@ -670,7 +639,7 @@ class TestStructuredNewtonStep:
             probs = reference_probs(X, theta)
             want = reference_hessian(X, probs, 0.3, pen, w)
             parts = fit_module._hessian_parts(design, probs.T, 0.3, w)
-            got = fit_module._dense_hessian(parts, design)
+            got = dense_hessian(parts, design)
             # the terms of one entry share a sign, so each entry agrees to 1e-12 relative
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
 
@@ -682,8 +651,7 @@ class TestStructuredNewtonStep:
             probs = reference_probs(X, theta)
             H = reference_hessian(X, probs, 0.3, pen, w)
             want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), -grad)
-            got, failed = fit_module._newton_direction(design, probs.T, 0.3, w, grad)
-            assert failed is None, name
+            got = fit_module._newton_direction(design, probs.T, 0.3, w, grad)
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
 
     def test_direction_equals_reference_step(self, rng):
@@ -691,19 +659,22 @@ class TestStructuredNewtonStep:
             theta = rng.normal(scale=0.5, size=(n_classes - 1) * idx.n_columns)
             _, grad, probs = fit_module._objective(theta, design, class_idx, n_classes, 0.3, w)
             parts = fit_module._hessian_parts(design, probs, 0.3, w)
-            want, want_failed = reference_newton_direction(parts, grad, design)
-            got, failed = fit_module._newton_direction(design, probs, 0.3, w, grad)
-            assert failed is want_failed is None, name
+            want = reference_newton_direction(parts, grad, design)
+            got = fit_module._newton_direction(design, probs, 0.3, w, grad)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
     @pytest.mark.parametrize("role, tag", [("rusher", ("rusher", 0)), ("blocker", ("schur", None))])
     def test_failed_factor_equals_reference_step(self, rng, role, tag):
-        t, idx, X, design, y, w = self._zero_exposure_problem(rng, role)
+        t, idx, X, design, y, w = self._negative_weight_problem(rng, role)
         theta = rng.normal(scale=0.5, size=idx.n_columns)
-        _, grad, probs = fit_module._objective(theta, design, y, 2, 0.0, w)
-        parts = fit_module._hessian_parts(design, probs, 0.0, w)
-        assert reference_newton_direction(parts, grad, design) == (None, tag)
-        assert fit_module._newton_direction(design, probs, 0.0, w, grad) == (None, tag)
+        _, grad, probs = fit_module._objective(theta, design, y, 2, 0.3, w)
+        parts = fit_module._hessian_parts(design, probs, 0.3, w)
+        with pytest.raises(ReferenceFactorError) as want:
+            reference_newton_direction(parts, grad, design)
+        assert want.value.args == tag
+        with pytest.raises(FitError) as got:
+            fit_module._newton_direction(design, probs, 0.3, w, grad)
+        assert got.value.args == (tag[1],)
 
     def test_coupling_product_equals_hessian_rows(self, rng):
         for name, X, design, idx, class_idx, n_classes, w in hessian_cases(rng):
@@ -717,17 +688,6 @@ class TestStructuredNewtonStep:
             got = fit_module._coupling_product(design, probs.T, w, v[:, design.rest_columns])
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
-
-    def test_schur_failure_falls_back_on_rebuilt_hessian(self, rng):
-        t, idx, X, design, y, w = self._zero_exposure_problem(rng, "blocker")
-        pen = penalty_mask(idx)
-        solution = fit_module._solve(design, y, 2, 0.0, None, 1e-8, 500, w)
-        assert solution.grad_sup <= 1e-8
-        assert solution.iterations > 0
-        assert solution.fallbacks == [("schur", None)] * solution.iterations
-        want, iterations, fallbacks = reference_solve(design, X, y, 2, 0.0, pen, w)
-        assert fallbacks == iterations == solution.iterations
-        np.testing.assert_allclose(solution.theta.ravel(), want, rtol=0, atol=1e-8)
 
     def test_fits_make_no_scipy_factorization(self, rng, monkeypatch):
         def banned(*args, **kwargs):
@@ -755,46 +715,43 @@ class TestStructuredNewtonStep:
                 grad, want_grad.ravel(), rtol=1e-10, atol=1e-12, err_msg=name
             )
 
-    def _zero_exposure_problem(self, rng, role):
-        """A binary problem over one design row per table row, where one
-        player of ``role`` has only zero-weight rows."""
+    def _negative_weight_problem(self, rng, role):
+        """A binary problem over one design row per table row, where the
+        rows of one player of ``role`` weigh -1: that rusher's block, or
+        with a blocker the Schur complement, is not positive definite at
+        lam = 0.3."""
         t = random_table(rng, n_rows=240, n_rushers=4, n_blockers=3)
         idx = table_index(t)
         codes = t.rusher if role == "rusher" else t.blocker
-        w = np.where(codes == 0, 0.0, 1.0)
+        w = np.where(codes == 0, -1.0, 1.0)
         return t, idx, design_matrix(t, idx), row_design(t), t.win.astype(np.intp), w
 
-    def test_unpenalized_fit_falls_back_to_least_squares(self, rng):
-        t, idx, X, design, y, w = self._zero_exposure_problem(rng, "rusher")
-        pen = penalty_mask(idx)
-        solution = fit_module._solve(design, y, 2, 0.0, None, 1e-8, 500, w)
-        assert solution.grad_sup <= 1e-8
-        assert solution.fallbacks == [("rusher", 0)] * solution.iterations
-        want, iterations, fallbacks = reference_solve(design, X, y, 2, 0.0, pen, w)
-        assert fallbacks == iterations == solution.iterations
-        np.testing.assert_allclose(solution.theta.ravel(), want, rtol=0, atol=1e-8)
-        # a table fit leaves the rusher without weight out of its index
-        fit = fit_coded(t, w, "win", 0.0)
-        effects = win_effects(fit)
-        assert effects.alpha == pytest.approx(want[0], abs=1e-8)
-        assert set(effects.rusher_effects) == set(t.rushers[1:])
-        for pid, effect in effects.rusher_effects.items():
-            assert effect == pytest.approx(want[idx.rusher_cols[pid]], abs=1e-8)
-
     @pytest.mark.parametrize("role", ["rusher", "blocker"])
-    def test_fit_error_names_failed_factor(self, rng, role):
-        t, idx, X, design, y, w = self._zero_exposure_problem(rng, role)
-        solution = fit_module._solve(design, y, 2, 0.0, None, 1e-8, 1, w)
-        message = fit_module._fallback_note(solution, t.rushers)
-        assert "1 of 1 Newton steps fell back to least squares" in message
-        if role == "rusher":
-            assert f"the block of rusher {t.rushers[0]!r}" in message
-        else:
-            assert "the Schur complement factor" in message
+    def test_fit_error_names_failed_factor(self, rng, role, monkeypatch):
+        # the cells of one player weigh minus their rows, as no table fit allows
+        real = fit_module._cells
 
-    def test_fit_error_without_fallback_says_so(self, rng):
+        def negated(table, weights, model):
+            design, outcome, cell_w, *codes = real(table, weights, model)
+            player = design.rusher if role == "rusher" else design.blocker
+            return design, outcome, np.where(player == 0, -cell_w, cell_w), *codes
+
+        monkeypatch.setattr(fit_module, "_cells", negated)
+        t = random_table(rng, n_rows=240, n_rushers=4, n_blockers=3)
+        factor = (f"the block of rusher {t.rushers[0]!r}" if role == "rusher"
+                  else "the Schur complement")
+        with pytest.raises(FitError) as got:
+            fit_coded(t, np.ones(len(t)), "win", 0.3)
+        assert str(got.value) == f"win fit at lam=0.3: {factor} is not positive definite"
+        with pytest.raises(FitError) as got:
+            cv_select_lambda(t, "win", [0.3], 2)
+        assert str(got.value) == (
+            f"cv fold 0 win fit at lam=0.3: {factor} is not positive definite"
+        )
+
+    def test_nonconvergence_is_a_fit_error(self, rng):
         t, idx, X, y = binary_problem(rng)
-        with pytest.raises(FitError, match="0 of 1 Newton steps fell back"):
+        with pytest.raises(FitError, match="win fit did not converge at lam=0.1: .* after 1 "):
             fit_win_model(t, 0.1, max_iter=1, tol=1e-300)
 
 
@@ -957,6 +914,38 @@ class TestExpectedSeverity:
         )
         vec = [probs[c] for c in CLASSES]
         assert expected_severity(vec, weights) == expected_severity(probs, weights)
+
+
+ENTRIES = {
+    "fit_coded": lambda t, lam, **kw: fit_coded(t, np.ones(len(t)), "win", lam, **kw),
+    "fit_win_model": fit_win_model,
+    "fit_severity_model": fit_severity_model,
+    # a bad value after a good one: the whole grid is checked before any fold
+    "cv_select_lambda": lambda t, lam, **kw: cv_select_lambda(t, "win", [1.0, lam], 3, **kw),
+}
+
+
+class TestSolverArguments:
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the arguments were checked")
+
+        monkeypatch.setattr(fit_module, "_cells", forbidden)
+        monkeypatch.setattr(fit_module, "_solve", forbidden)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("lam", BAD_PENALTIES, ids=str)
+    def test_penalty_must_be_finite_and_positive(self, small_table, entry, lam):
+        with pytest.raises(ValueError, match=f"^lam must be finite and > 0, got {lam}$"):
+            ENTRIES[entry](small_table, lam)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("bad", BAD_SOLVER_OPTIONS)
+    def test_solver_options_checked(self, small_table, entry, bad):
+        options, message = BAD_SOLVER_OPTIONS[bad]
+        with pytest.raises(ValueError, match=message):
+            ENTRIES[entry](small_table, 0.5, **options)
 
 
 class TestLambdaSelection:
@@ -1216,7 +1205,7 @@ class TestStartPoints:
 
 class TestChainedCv:
     @pytest.mark.parametrize("target", ["win", "severity"])
-    @pytest.mark.parametrize("grid", [[0.01, 0.1, 1.0, 5.0], [1.0], [0.0]], ids=str)
+    @pytest.mark.parametrize("grid", [[0.01, 0.1, 1.0, 5.0], [1.0]], ids=str)
     def test_equals_cold_folds(self, rng, solves, target, grid):
         cold = chained = 0
         for t in cv_worlds(rng):
@@ -1231,10 +1220,7 @@ class TestChainedCv:
             assert list(got.lambdas) == want_lambdas
             assert got.mean_losses == pytest.approx(want_losses, rel=0, abs=1e-9)
             assert got.lambda_min == want_min
-        if grid == [0.0]:
-            assert chained == cold  # both start every fold at zero
-        else:
-            assert chained < cold
+        assert chained < cold
 
     @pytest.mark.parametrize("target", ["win", "severity"])
     def test_warm_start_equals_id_remap(self, rng, monkeypatch, target):
@@ -1281,8 +1267,6 @@ class TestChainedCv:
             # fold 1 models hit and fold 0 does not, so fold 1 starts cold
             assert [f for f, theta0 in enumerate(firsts) if theta0 is not None] == chained_folds
             solves.clear()
-        cv_select_lambda(t, "win", [0.0, 0.0], 3)
-        assert [theta0 is None for theta0, _ in solves] == [True, False] * 3
 
 
 def dict_built_json(fit):

@@ -5,7 +5,10 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import trenchrank
+from trenchrank import fit
 
 
 def test_every_exported_name_resolves():
@@ -31,28 +34,34 @@ def _defined_in_package(names):
     return {name: defined for name, defined in found.items() if defined}
 
 
-def test_no_module_defines_a_row_class():
+DELETED_NAMES = {
     # the interaction table, the tracking frames, the events and the
     # engagements are columns, with no row object or per-row helper
-    row_names = {"Interaction", "Frame", "PlayEvents", "Engagement", "detect_double_team",
-                 "is_dropback"}
-    assert _defined_in_package(row_names) == {}
-
-
-def test_fits_are_one_type_over_theta():
+    "rows": {"Interaction", "Frame", "PlayEvents", "Engagement", "detect_double_team",
+             "is_dropback"},
     # one ``Fit`` holds both models' parameters as arrays over sorted ids;
     # no package module keeps a per-model fit type or an id-to-column index
-    gone = {"BinaryFit", "MultinomialFit", "PlayerIndex", "index_from_ids", "penalty_mask"}
-    assert _defined_in_package(gone) == {}
-    assert "design" not in {info.name for info in pkgutil.iter_modules(trenchrank.__path__)}
-    assert importlib.util.find_spec("trenchrank.design") is None
-
-
-def test_baselines_are_one_type_over_arrays():
+    "fits": {"BinaryFit", "MultinomialFit", "PlayerIndex", "index_from_ids", "penalty_mask"},
     # one ``Baseline`` holds both tasks' smoothed values as arrays over
     # sorted ids, predicted a table at a time
-    gone = {"WinBaseline", "SeverityBaseline", "predict_win_matchup",
-            "predict_severity_matchup", "predict_win_global", "predict_severity_global",
-            "logit", "inv_logit", "smooth_rate", "_first_seen_codes",
-            "win_baseline_from_json_dict", "severity_baseline_from_json_dict"}
-    assert _defined_in_package(gone) == {}
+    "baselines": {"WinBaseline", "SeverityBaseline", "predict_win_matchup",
+                  "predict_severity_matchup", "predict_win_global", "predict_severity_global",
+                  "logit", "inv_logit", "smooth_rate", "_first_seen_codes",
+                  "win_baseline_from_json_dict", "severity_baseline_from_json_dict"},
+    # lam must be positive, so every Newton step factors: no dense Hessian
+    # and no least-squares fallback
+    "solver": {"_dense_hessian", "_fallback_note"},
+}
+
+
+@pytest.mark.parametrize("reason", DELETED_NAMES)
+def test_deleted_names_stay_gone(reason):
+    assert _defined_in_package(DELETED_NAMES[reason]) == {}
+
+
+def test_deleted_module_and_field_stay_gone():
+    # ``design.py`` held the per-fit index and matrix; a solution no longer
+    # records least-squares steps
+    assert "design" not in {info.name for info in pkgutil.iter_modules(trenchrank.__path__)}
+    assert importlib.util.find_spec("trenchrank.design") is None
+    assert "fallbacks" not in fit._Solution._fields

@@ -9,15 +9,19 @@ weighted by its game's multiplicity (the weighted-likelihood view of the
 bootstrap), so every replicate refits the table's one set of columns
 under row weights; no resampled table is ever built.
 
-Two modes:
+Both bootstraps plan their replicates and hand them to one loop.  A
+replicate is an RNG key, the games it resamples and the rows in play;
+the loop draws its multiplicities, runs its fits, counts its failures
+and gathers the tracked ratings.
 
-- ``end_to_end``: each replicate re-splits and refits models and
-  baselines, records the four holdout improvements (95% percentile
-  intervals), and records per-player ratings from a refit on all of the
-  replicate's rows (25th-75th percentile bands).
-- ``weekly_path``: for each cumulative week checkpoint, games with rows
-  in weeks <= w are resampled and refit on those rows, producing
-  per-week rating bands of mean +/- 1.96 SD.
+- ``end_to_end_bootstrap``: each replicate resamples every game, re-splits
+  and refits models and baselines, records the four holdout improvements
+  (95% percentile intervals), and records per-player ratings from a
+  refit on all of the replicate's rows (25th-75th percentile bands).
+- ``weekly_path_bootstrap``: for each cumulative week checkpoint, games
+  with rows in weeks <= w are resampled and refit on those rows,
+  producing per-week rating bands of mean +/- 1.96 SD.  It reads none
+  of ``ratio``, ``m_win``, ``m_sev`` or ``track_improvements``.
 
 The replicate's row order, which fixes its 80/20 split, is: games in
 sorted id order, a game's m_g copies contiguous, and the rows inside
@@ -33,9 +37,10 @@ any player unseen in training.  A severity class without training
 weight in a replicate is dropped from its fits, as in any fit; a
 bootstrap call then issues one warning that names the dropped classes
 and counts the replicates that dropped any, in place of one per fit.
-Each replicate derives its own RNG stream from (seed, replicate index)
-or (seed, week, replicate index), so results do not depend on execution
-order.  Percentiles use linearly interpolated order statistics.
+Each replicate derives its own RNG stream from its key, (seed,
+replicate index) or (seed, week, replicate index), so results do not
+depend on execution order.  Percentiles use linearly interpolated
+order statistics.
 """
 
 from __future__ import annotations
@@ -43,15 +48,14 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DataError, FitError
 from .baselines import DEFAULT_SEVERITY_PRIOR, DEFAULT_WIN_PRIOR, check_prior_strength
-from .evaluate import DEFAULT_SPLIT_RATIO, split_point, validate_weighted
+from .evaluate import DEFAULT_SPLIT_RATIO, ValidationReport, split_point, validate_weighted
 from .external import role_ratings
 from .fit import (
     DEFAULT_MAX_ITER,
@@ -64,7 +68,6 @@ from .fit import (
 )
 from .interactions import InteractionTable, OutcomeClass, canonical_sort
 
-MODES = ("end_to_end", "weekly_path")
 MODEL_NAMES = ("win", "severity")
 IMPROVEMENT_LEVELS = (2.5, 97.5)
 RATING_LEVELS = (25.0, 75.0)
@@ -86,7 +89,6 @@ class BootstrapConfig:
     seed: int
     lambda_win: float
     lambda_sev: float
-    mode: str
     ratio: float = DEFAULT_SPLIT_RATIO
     m_win: float = DEFAULT_WIN_PRIOR
     m_sev: float = DEFAULT_SEVERITY_PRIOR
@@ -106,13 +108,11 @@ class BootstrapConfig:
         check_solver_options(self.tol, self.max_iter)
         for m in (self.m_win, self.m_sev):
             check_prior_strength(m)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         bad = [m for m in self.models if m not in MODEL_NAMES]
-        if bad:
-            raise ValueError(f"unknown model names: {bad}")
-        if self.track_improvements and tuple(self.models) != MODEL_NAMES:
-            raise ValueError("improvement tracking refits both models; restrict via track_improvements=False")
+        if bad or not self.models:
+            raise ValueError(f"models must name one or both of {MODEL_NAMES}, got {self.models}")
+        if self.track_players is not None and len(self.track_players) == 0:
+            raise ValueError("track_players names no player; None tracks every player")
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,6 @@ def resample_games(game_ids: Sequence[str], rng: np.random.Generator) -> list[st
     return [game_ids[i] for i in draws]
 
 
-def _multiplicities(n_games: int, rng: np.random.Generator, identity: bool) -> np.ndarray:
-    """Copies of each game in one replicate; the identity replicate keeps one each."""
-    if identity:
-        return np.ones(n_games, dtype=np.intp)
-    return np.bincount(resample_games(range(n_games), rng), minlength=n_games)
-
-
 def split_weights(
     table: InteractionTable, m: np.ndarray, ratio: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -210,9 +203,18 @@ def _rating_players(
     table: InteractionTable, config: BootstrapConfig
 ) -> dict[tuple[str, str], np.ndarray]:
     """The tracked players of each (model, role), in id order, as object
-    arrays of the ids ``gather`` looks up."""
-    keep = set(table.rushers + table.blockers if config.track_players is None
-               else config.track_players)
+    arrays of the ids ``gather`` looks up.
+
+    Checks, before any fit, that the table has a game and that every
+    tracked id is a rusher or a blocker of it.
+    """
+    if len(table) == 0:
+        raise DataError("bootstrap requires at least one game")
+    vocab = set(table.rushers + table.blockers)
+    keep = vocab if config.track_players is None else set(config.track_players)
+    unknown = sorted(keep - vocab)
+    if unknown:
+        raise DataError(f"tracked players not in the table: {', '.join(map(repr, unknown))}")
     return {
         (model, role): np.array(
             [p for p in (table.rushers if role == "rusher" else table.blockers) if p in keep],
@@ -246,44 +248,75 @@ def _fit_ratings(
     return out, dropped
 
 
-class _DroppedClasses:
-    """The classes a bootstrap call's replicates dropped, warned about once."""
+def _run_replicates(
+    table: InteractionTable,
+    config: BootstrapConfig,
+    plans: Sequence[tuple[tuple[int, ...], np.ndarray, np.ndarray]],
+    players: dict[tuple[str, str], np.ndarray],
+    holdout: Callable[[np.ndarray], ValidationReport] | None = None,
+) -> tuple[int, dict[tuple[str, str], list[float]], dict[tuple, list[float]]]:
+    """Resample, fit and record each planned replicate: an RNG key, the
+    codes of the games it resamples and a mask of the rows in play.
 
-    def __init__(self) -> None:
-        self.classes: set[OutcomeClass] = set()
-        self.replicates = 0
-
-    @contextmanager
-    def held_back(self):
-        """Silence the per-fit dropped-class warnings."""
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", re.escape(DROPPED_CLASSES_WARNING), RuntimeWarning
-            )
-            yield
-
-    def add(self, dropped: Sequence[OutcomeClass]) -> None:
-        """Record one successful replicate's dropped classes."""
-        if dropped:
-            self.replicates += 1
-            self.classes.update(dropped)
-
-    def warn(self, n_replicates: int) -> None:
-        if self.replicates:
-            warnings.warn(
-                f"{DROPPED_CLASSES_WARNING} in {self.replicates} of {n_replicates} "
-                "bootstrap replicates: " + ", ".join(c.label for c in sorted(self.classes)),
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-
-def _check_failures(n_failed: int, b: int) -> None:
-    if n_failed > MAX_FAILURE_RATE * b:
-        raise FitError(
-            f"{n_failed} of {b} bootstrap replicates failed to fit "
-            f"(limit {MAX_FAILURE_RATE:.0%}); aborting"
+    ``holdout`` maps a replicate's game multiplicities to its holdout
+    report; ratings come from a refit on the rows in play, keyed by
+    (model, role, player) and the key less seed and replicate index (the
+    week, if any).  Returns the failure count and the improvement and
+    rating values of the replicates that fit.
+    """
+    improvements: dict[tuple[str, str], list[float]] = {}
+    ratings: dict[tuple, list[float]] = {}
+    n_failed = 0
+    dropped: set[OutcomeClass] = set()
+    n_dropping = 0  # replicates that dropped a class
+    for key, games, rows in plans:
+        rng = np.random.default_rng(key)
+        m = np.zeros(len(table.games), dtype=np.intp)
+        # the identity replicate keeps one copy of each game
+        m[games] = 1 if config.identity_resample else np.bincount(
+            resample_games(range(games.size), rng), minlength=games.size
         )
+        try:
+            with warnings.catch_warnings():
+                # one warning per call replaces the per-fit ones
+                warnings.filterwarnings(
+                    "ignore", re.escape(DROPPED_CLASSES_WARNING), RuntimeWarning
+                )
+                report = scores = None
+                rep_dropped: tuple[OutcomeClass, ...] = ()
+                if holdout is not None:
+                    report = holdout(m)
+                    rep_dropped = report.severity_fit.dropped
+                if config.track_ratings:
+                    weights = (m[table.game] * rows).astype(float)
+                    scores, rating_dropped = _fit_ratings(table, weights, config, players)
+                    rep_dropped += rating_dropped
+        except FitError:
+            n_failed += 1
+            if n_failed > MAX_FAILURE_RATE * len(plans):
+                raise FitError(
+                    f"{n_failed} of {len(plans)} bootstrap replicates failed to fit "
+                    f"(limit {MAX_FAILURE_RATE:.0%}); aborting"
+                )
+            continue
+        if rep_dropped:
+            n_dropping += 1
+            dropped.update(rep_dropped)
+        if report is not None:
+            for row in report.rows:
+                improvements.setdefault((row.task, row.baseline), []).append(row.improvement)
+        if scores is not None:
+            for (model, role), ids in players.items():
+                for pid, rating in zip(ids, scores[(model, role)]):
+                    ratings.setdefault((model, role, pid, *key[1:-1]), []).append(rating)
+    if n_dropping:
+        warnings.warn(
+            f"{DROPPED_CLASSES_WARNING} in {n_dropping} of {len(plans)} bootstrap replicates: "
+            + ", ".join(c.label for c in sorted(dropped)),
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return n_failed, improvements, ratings
 
 
 def end_to_end_bootstrap(table: InteractionTable, config: BootstrapConfig) -> BootstrapSummary:
@@ -294,70 +327,37 @@ def end_to_end_bootstrap(table: InteractionTable, config: BootstrapConfig) -> Bo
     ratings are full-data quantities.  Failed replicates are dropped
     and counted; more than ``MAX_FAILURE_RATE`` of them aborts.
     """
-    if config.mode != "end_to_end":
-        raise ValueError(f"config mode is {config.mode!r}, expected 'end_to_end'")
-    if not table.games:
-        raise DataError("bootstrap requires at least one game")
+    if config.track_improvements and tuple(config.models) != MODEL_NAMES:
+        raise ValueError("improvement tracking refits both models; restrict via track_improvements=False")
+    if not (config.track_improvements or config.track_ratings):
+        raise ValueError("an end-to-end bootstrap needs track_improvements or track_ratings")
+    players = _rating_players(table, config)
     if not table.is_canonically_sorted():
         table = canonical_sort(table)
 
-    imp_values: dict[tuple[str, str], list[float]] = {}
-    rating_players = _rating_players(table, config)
-    rating_values: dict[tuple[str, str, str], list[float]] = {
-        (model, role, pid): []
-        for (model, role), players in rating_players.items()
-        for pid in players
-        if config.track_ratings
-    }
+    def holdout(m: np.ndarray) -> ValidationReport:
+        return validate_weighted(
+            table,
+            *split_weights(table, m, config.ratio),
+            lambda_win=config.lambda_win,
+            lambda_sev=config.lambda_sev,
+            m_win=config.m_win,
+            m_sev=config.m_sev,
+            tol=config.tol,
+            max_iter=config.max_iter,
+        )
 
-    n_failed = 0
-    dropped = _DroppedClasses()
-    for rep in range(config.b):
-        rng = np.random.default_rng([config.seed, rep])
-        m = _multiplicities(len(table.games), rng, config.identity_resample)
-        try:
-            with dropped.held_back():
-                report = scores = None
-                rep_dropped: tuple[OutcomeClass, ...] = ()
-                if config.track_improvements:
-                    train_w, test_w = split_weights(table, m, config.ratio)
-                    report = validate_weighted(
-                        table,
-                        train_w,
-                        test_w,
-                        lambda_win=config.lambda_win,
-                        lambda_sev=config.lambda_sev,
-                        m_win=config.m_win,
-                        m_sev=config.m_sev,
-                        tol=config.tol,
-                        max_iter=config.max_iter,
-                    )
-                    rep_dropped = report.severity_fit.dropped
-                if config.track_ratings:
-                    scores, rating_dropped = _fit_ratings(
-                        table, m[table.game].astype(float), config, rating_players
-                    )
-                    rep_dropped += rating_dropped
-        except FitError:
-            n_failed += 1
-            _check_failures(n_failed, config.b)
-            continue
-        dropped.add(rep_dropped)
-        if report is not None:
-            for row in report.rows:
-                imp_values.setdefault((row.task, row.baseline), []).append(row.improvement)
-        if scores is not None:
-            for (model, role), players in rating_players.items():
-                for pid, rating in zip(players, scores[(model, role)]):
-                    rating_values[(model, role, pid)].append(rating)
-
-    dropped.warn(config.b)
+    games, rows = np.arange(len(table.games)), np.ones(len(table), dtype=bool)
+    plans = [((config.seed, rep), games, rows) for rep in range(config.b)]
+    n_failed, improvements, ratings = _run_replicates(
+        table, config, plans, players, holdout if config.track_improvements else None
+    )
     return BootstrapSummary(
-        mode=config.mode,
+        mode="end_to_end",
         b=config.b,
         n_failed=n_failed,
-        improvements={k: _series(v, "improvement") for k, v in imp_values.items()},
-        ratings={k: _series(v, "rating") for k, v in rating_values.items()},
+        improvements={k: _series(v, "improvement") for k, v in improvements.items()},
+        ratings={k: _series(v, "rating") for k, v in ratings.items()},
     )
 
 
@@ -370,54 +370,28 @@ def weekly_path_bootstrap(table: InteractionTable, config: BootstrapConfig) -> B
     where the player appears.  Checkpoints with no games yet are skipped
     with a warning.
     """
-    if config.mode != "weekly_path":
-        raise ValueError(f"config mode is {config.mode!r}, expected 'weekly_path'")
-    if len(table) == 0:
-        raise DataError("weekly path bootstrap requires a nonempty table")
-    max_week = int(table.week.max())
-
-    weekly_values: dict[tuple[str, str, str, int], list[float]] = {}
-    rating_players = _rating_players(table, config)
+    if not config.track_ratings:
+        raise ValueError("the weekly path tracks only ratings; track_ratings=False leaves nothing")
+    players = _rating_players(table, config)
     checkpoints: list[int] = []
-    for week in range(1, max_week + 1):
-        if np.any(table.week <= week):
-            checkpoints.append(week)
-        else:
+    plans = []
+    for week in range(1, int(table.week.max()) + 1):
+        in_week = table.week <= week
+        if not in_week.any():
             warnings.warn(
                 f"checkpoint week {week} has no games yet; skipped",
                 RuntimeWarning,
                 stacklevel=2,
             )
-    planned_fits = config.b * len(checkpoints)
-
-    n_failed = 0
-    dropped = _DroppedClasses()
-    for week in checkpoints:
-        in_week = table.week <= week
+            continue
+        checkpoints.append(week)
         games = np.unique(table.game[in_week])
-        for rep in range(config.b):
-            rng = np.random.default_rng([config.seed, week, rep])
-            m = np.zeros(len(table.games), dtype=np.intp)
-            m[games] = _multiplicities(games.size, rng, config.identity_resample)
-            try:
-                with dropped.held_back():
-                    scores, rep_dropped = _fit_ratings(
-                        table, (m[table.game] * in_week).astype(float), config, rating_players
-                    )
-            except FitError:
-                n_failed += 1
-                _check_failures(n_failed, planned_fits)
-                continue
-            dropped.add(rep_dropped)
-            for (model, role), players in rating_players.items():
-                for pid, rating in zip(players, scores[(model, role)]):
-                    weekly_values.setdefault((model, role, pid, week), []).append(rating)
-
-    dropped.warn(planned_fits)
+        plans += [((config.seed, week, rep), games, in_week) for rep in range(config.b)]
+    n_failed, _, weekly = _run_replicates(table, config, plans, players)
     return BootstrapSummary(
-        mode=config.mode,
+        mode="weekly_path",
         b=config.b,
         n_failed=n_failed,
-        weekly={k: _series(v, "weekly") for k, v in weekly_values.items()},
+        weekly={k: _series(v, "weekly") for k, v in weekly.items()},
         checkpoints=tuple(checkpoints),
     )

@@ -275,14 +275,13 @@ def _run_sensitivity(table, rep, out_dir, m_grid) -> list[evaluate.SensitivityRo
     return rows
 
 
-def _bootstrap_config(mode: str, b: int, models: str = "both", players: str | None = None,
+def _bootstrap_config(b: int, models: str = "both", players: str | None = None,
                       improvements: bool = True, no_ratings: bool = False,
                       **settings) -> boot.BootstrapConfig:
     """A config from flag-style settings; the other settings pass through."""
     chosen = boot.MODEL_NAMES if models == "both" else (models,)
     return boot.BootstrapConfig(
         b=b,
-        mode=mode,
         models=chosen,
         # holdout improvements compare both models, so a single model skips them
         track_improvements=improvements and chosen == boot.MODEL_NAMES,
@@ -295,7 +294,7 @@ def _bootstrap_config(mode: str, b: int, models: str = "both", players: str | No
 def _run_bootstrap(table, out_dir, replicates: bool = False, b: int = 1000,
                    **settings) -> boot.BootstrapSummary:
     """The end-to-end game bootstrap, with the replicate-level CSV if asked."""
-    summary = boot.end_to_end_bootstrap(table, _bootstrap_config("end_to_end", b, **settings))
+    summary = boot.end_to_end_bootstrap(table, _bootstrap_config(b, **settings))
     out_dir = _out_dir(out_dir)
     _write_json(report.summary_to_json_dict(summary), out_dir / "bootstrap.json")
     if replicates:
@@ -306,8 +305,7 @@ def _run_bootstrap(table, out_dir, replicates: bool = False, b: int = 1000,
 
 def _run_path(table, out_dir, b: int = 100, **settings) -> boot.BootstrapSummary:
     """The weekly cumulative-checkpoint bootstrap (no holdout refits)."""
-    config = _bootstrap_config("weekly_path", b, improvements=False, **settings)
-    summary = boot.weekly_path_bootstrap(table, config)
+    summary = boot.weekly_path_bootstrap(table, _bootstrap_config(b, **settings))
     out_dir = _out_dir(out_dir)
     report.write_weekly_csv(summary, out_dir / "weekly.csv")
     report.validate_csv_header(out_dir / "weekly.csv", report.WEEKLY_CSV_HEADER)

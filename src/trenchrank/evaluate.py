@@ -38,6 +38,7 @@ from .fit import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     Fit,
+    _row_weights,
     check_penalty,
     check_solver_options,
     cv_select_lambda,
@@ -216,10 +217,20 @@ def validate_weighted(
     Row i counts ``train_weights[i]`` times in every fit and
     ``test_weights[i]`` times in every holdout log loss.  Players without
     train weight are left out of the fits: their model effects are zero
-    and their baseline rates the global ones.
+    and their baseline rates the global ones.  The penalties, the prior
+    strengths, the solver options and both weight vectors are checked
+    before any fit.
     """
-    train_weights = np.asarray(train_weights, dtype=float)
-    test_weights = np.asarray(test_weights, dtype=float)
+    for m in (m_win, m_sev):
+        check_prior_strength(m)
+    for lam in (lambda_win, lambda_sev):
+        check_penalty(lam)
+    check_solver_options(tol, max_iter)
+    # both vectors are required: unlike a fit's, None is no weights, not all ones
+    train_weights, test_weights = (
+        _row_weights(np.asarray(w, dtype=float), len(table), fit=False)
+        for w in (train_weights, test_weights)
+    )
     if not (train_weights.sum() > 0 and test_weights.sum() > 0):
         raise DataError("validation needs nonempty train and test portions")
 

@@ -613,7 +613,9 @@ def check_solver_options(tol: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
-def _row_weights(weights, n_rows: int) -> np.ndarray:
+def _row_weights(weights, n_rows: int, *, fit: bool = True) -> np.ndarray:
+    """One float weight per row, finite and nonnegative, and for a ``fit``
+    at least one positive."""
     if weights is None:
         return np.ones(n_rows)
     w = np.asarray(weights, dtype=float)
@@ -621,7 +623,7 @@ def _row_weights(weights, n_rows: int) -> np.ndarray:
         raise DataError(f"row/weight length mismatch: {n_rows} vs {w.shape}")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise DataError("row weights must be finite and nonnegative")
-    if not w.sum() > 0:
+    if fit and not w.sum() > 0:
         raise DataError("a fit needs at least one row of positive weight")
     return w
 

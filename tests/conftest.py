@@ -1,7 +1,10 @@
 """Shared fixtures and small-table builders for the test suite."""
 
 import math
+import re
 import sys
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -9,8 +12,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from trenchrank import bootstrap as boot
 from trenchrank import fit as fit_module
-from trenchrank.interactions import InteractionTable, OutcomeClass
+from trenchrank.errors import FitError
+from trenchrank.evaluate import validate_weighted
+from trenchrank.interactions import InteractionTable, OutcomeClass, canonical_sort
 
 
 #: Penalties every fit entry refuses: lam must be finite and > 0.
@@ -428,6 +434,153 @@ def reference_baseline_json(bl):
                              for pid, (n, p) in bl.blocker_profiles.items()},
     }
 
+
+
+# ---------------------------------------------------------------------------
+# Reference bootstraps: the two resample-fit-record loops the package ran
+# before both bootstraps shared one, kept as the oracle for that loop.
+
+
+class _ReferenceDropped:
+    """The classes a reference call's replicates dropped, warned about once."""
+
+    def __init__(self):
+        self.classes = set()
+        self.replicates = 0
+
+    @contextmanager
+    def held_back(self):
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", re.escape(fit_module.DROPPED_CLASSES_WARNING), RuntimeWarning
+            )
+            yield
+
+    def add(self, dropped):
+        if dropped:
+            self.replicates += 1
+            self.classes.update(dropped)
+
+    def warn(self, n_replicates):
+        if self.replicates:
+            warnings.warn(
+                f"{fit_module.DROPPED_CLASSES_WARNING} in {self.replicates} of {n_replicates} "
+                "bootstrap replicates: " + ", ".join(c.label for c in sorted(self.classes)),
+                RuntimeWarning,
+                stacklevel=3,
+            )
+
+
+def _reference_multiplicities(n_games, rng, identity):
+    if identity:
+        return np.ones(n_games, dtype=np.intp)
+    return np.bincount(boot.resample_games(range(n_games), rng), minlength=n_games)
+
+
+def _reference_check_failures(n_failed, b):
+    if n_failed > boot.MAX_FAILURE_RATE * b:
+        raise FitError(f"{n_failed} of {b} bootstrap replicates failed to fit; aborting")
+
+
+def reference_end_to_end_bootstrap(table, config):
+    """The end-to-end loop: rating series up front, improvements on success."""
+    if not table.is_canonically_sorted():
+        table = canonical_sort(table)
+    imp_values = {}
+    rating_players = boot._rating_players(table, config)
+    rating_values = {
+        (model, role, pid): []
+        for (model, role), players in rating_players.items()
+        for pid in players
+        if config.track_ratings
+    }
+    n_failed = 0
+    dropped = _ReferenceDropped()
+    for rep in range(config.b):
+        rng = np.random.default_rng([config.seed, rep])
+        m = _reference_multiplicities(len(table.games), rng, config.identity_resample)
+        try:
+            with dropped.held_back():
+                report = scores = None
+                rep_dropped = ()
+                if config.track_improvements:
+                    train_w, test_w = boot.split_weights(table, m, config.ratio)
+                    report = validate_weighted(
+                        table, train_w, test_w,
+                        lambda_win=config.lambda_win, lambda_sev=config.lambda_sev,
+                        m_win=config.m_win, m_sev=config.m_sev,
+                        tol=config.tol, max_iter=config.max_iter,
+                    )
+                    rep_dropped = report.severity_fit.dropped
+                if config.track_ratings:
+                    scores, rating_dropped = boot._fit_ratings(
+                        table, m[table.game].astype(float), config, rating_players
+                    )
+                    rep_dropped += rating_dropped
+        except FitError:
+            n_failed += 1
+            _reference_check_failures(n_failed, config.b)
+            continue
+        dropped.add(rep_dropped)
+        if report is not None:
+            for row in report.rows:
+                imp_values.setdefault((row.task, row.baseline), []).append(row.improvement)
+        if scores is not None:
+            for (model, role), players in rating_players.items():
+                for pid, rating in zip(players, scores[(model, role)]):
+                    rating_values[(model, role, pid)].append(rating)
+    dropped.warn(config.b)
+    return boot.BootstrapSummary(
+        mode="end_to_end",
+        b=config.b,
+        n_failed=n_failed,
+        improvements={k: boot._series(v, "improvement") for k, v in imp_values.items()},
+        ratings={k: boot._series(v, "rating") for k, v in rating_values.items()},
+    )
+
+
+def reference_weekly_path_bootstrap(table, config):
+    """The weekly loop: per checkpoint, resample its games; series on success."""
+    weekly_values = {}
+    rating_players = boot._rating_players(table, config)
+    checkpoints = []
+    for week in range(1, int(table.week.max()) + 1):
+        if np.any(table.week <= week):
+            checkpoints.append(week)
+        else:
+            warnings.warn(f"checkpoint week {week} has no games yet; skipped",
+                          RuntimeWarning, stacklevel=2)
+    planned_fits = config.b * len(checkpoints)
+    n_failed = 0
+    dropped = _ReferenceDropped()
+    for week in checkpoints:
+        in_week = table.week <= week
+        games = np.unique(table.game[in_week])
+        for rep in range(config.b):
+            rng = np.random.default_rng([config.seed, week, rep])
+            m = np.zeros(len(table.games), dtype=np.intp)
+            m[games] = _reference_multiplicities(games.size, rng, config.identity_resample)
+            try:
+                with dropped.held_back():
+                    scores, rep_dropped = boot._fit_ratings(
+                        table, (m[table.game] * in_week).astype(float), config, rating_players
+                    )
+            except FitError:
+                n_failed += 1
+                _reference_check_failures(n_failed, planned_fits)
+                continue
+            dropped.add(rep_dropped)
+            for (model, role), players in rating_players.items():
+                for pid, rating in zip(players, scores[(model, role)]):
+                    weekly_values.setdefault((model, role, pid, week), []).append(rating)
+    dropped.warn(planned_fits)
+    return boot.BootstrapSummary(
+        mode="weekly_path",
+        b=config.b,
+        n_failed=n_failed,
+        weekly={k: boot._series(v, "weekly") for k, v in weekly_values.items()},
+        checkpoints=tuple(checkpoints),
+    )
 
 @pytest.fixture
 def rng():

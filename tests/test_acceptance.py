@@ -406,7 +406,7 @@ def test_criterion_08_bootstrap_determinism_and_coverage():
             seed=42,
         )
         table, _ = synth_generate(cfg)
-        bcfg = BootstrapConfig(b=16, seed=7, lambda_win=0.5, lambda_sev=0.5, mode="end_to_end")
+        bcfg = BootstrapConfig(b=16, seed=7, lambda_win=0.5, lambda_sev=0.5)
         blob_a = json.dumps(
             summary_to_json_dict(end_to_end_bootstrap(table, bcfg)), sort_keys=True
         ).encode()
@@ -440,7 +440,6 @@ def test_criterion_08_bootstrap_determinism_and_coverage():
                 seed=trial,
                 lambda_win=0.2,
                 lambda_sev=0.2,
-                mode="end_to_end",
                 models=("win",),
                 track_improvements=False,
                 track_players=(pid,),
@@ -490,7 +489,6 @@ def test_criterion_10_weekly_path_checkpoints():
             seed=0,
             lambda_win=0.4,
             lambda_sev=0.4,
-            mode="weekly_path",
             identity_resample=True,
             track_players=(pid,),
         )

@@ -16,6 +16,8 @@ from trenchrank.bootstrap import (
     split_weights,
     weekly_path_bootstrap,
 )
+from trenchrank import bootstrap as boot
+from trenchrank import fit as fit_module
 from trenchrank.errors import DataError, FitError
 from trenchrank.evaluate import run_validation, validate_weighted
 from trenchrank.external import model_scores
@@ -29,6 +31,8 @@ from conftest import (
     Interaction,
     make_row,
     random_table,
+    reference_end_to_end_bootstrap,
+    reference_weekly_path_bootstrap,
     rows_by_game,
     rows_of,
     table_of,
@@ -102,13 +106,19 @@ def assert_same_value(got, want, tol=1e-10):
         assert got == pytest.approx(want, abs=tol)
 
 
+def forbid_solves(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fit ran before the call was checked")
+
+    monkeypatch.setattr(fit_module, "_solve", forbidden)
+
+
 def config(**kw):
     base = dict(
         b=4,
         seed=0,
         lambda_win=0.5,
         lambda_sev=0.5,
-        mode="end_to_end",
     )
     base.update(kw)
     return BootstrapConfig(**base)
@@ -137,14 +147,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="prior strength must be finite and >= 0"):
             config(**{key: m})
 
-    def test_mode_checked(self):
-        with pytest.raises(ValueError):
-            config(mode="jackknife")
+    def test_empty_player_list_rejected(self):
+        # an empty list would track no rating; track_ratings=False says that
+        with pytest.raises(ValueError, match="track_players names no player"):
+            config(track_players=())
 
-    def test_improvements_need_both_models(self):
-        with pytest.raises(ValueError):
-            config(models=("win",))
-        config(models=("win",), track_improvements=False)  # fine
+    @pytest.mark.parametrize("models", [(), ("win", "probit")], ids=["none", "unknown"])
+    def test_models_must_be_known_and_nonempty(self, models):
+        with pytest.raises(ValueError, match="models must name one or both of"):
+            config(models=models)
+
+    def test_improvements_need_both_models(self, rng, monkeypatch):
+        # only the end-to-end bootstrap tracks improvements, so it alone
+        # checks, before any fit, that both models are refit
+        t = random_table(rng, n_rows=120, n_games=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            end_to_end_bootstrap(t, config(b=1, models=("win",), track_improvements=False))
+            weekly_path_bootstrap(t, config(b=1, models=("win",)))  # reads no such field
+        forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match="improvement tracking refits both models"):
+            end_to_end_bootstrap(t, config(models=("win",)))
 
 
 class TestResampleGames:
@@ -260,7 +283,7 @@ class TestMultiplicityWeights:
     @pytest.mark.parametrize("seed", [1, 4])
     def test_weekly_path_matches_materialized_replicates(self, rng, seed):
         t = TestWeeklyPath().weekly_table(rng, n_weeks=3)
-        cfg = config(mode="weekly_path", b=3, seed=seed, track_improvements=False)
+        cfg = config(b=3, seed=seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             summary = weekly_path_bootstrap(t, cfg)
@@ -429,11 +452,6 @@ class TestEndToEnd:
             )
         assert set(summary.ratings) == {("win", "rusher", pid), ("severity", "rusher", pid)}
 
-    def test_wrong_mode_rejected(self, rng):
-        t = random_table(rng)
-        with pytest.raises(ValueError):
-            end_to_end_bootstrap(t, config(mode="weekly_path", track_improvements=False))
-
 
 def one_hit_game_table(rng):
     """Six games over four weeks with ``hit`` rows only in g0 (week 1)."""
@@ -475,7 +493,7 @@ class TestDroppedClassWarning:
 
     def test_weekly_path_warns_once(self, rng):
         t = one_hit_game_table(rng)
-        cfg = config(b=4, mode="weekly_path", track_improvements=False)
+        cfg = config(b=4)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             summary = weekly_path_bootstrap(t, cfg)
@@ -536,7 +554,7 @@ class TestWeeklyPath:
 
     def test_one_checkpoint_per_week(self, rng):
         t = self.weekly_table(rng, n_weeks=4)
-        cfg = config(mode="weekly_path", b=2, track_improvements=False)
+        cfg = config(b=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             summary = weekly_path_bootstrap(t, cfg)
@@ -546,9 +564,7 @@ class TestWeeklyPath:
 
     def test_identity_final_checkpoint_equals_full_fit(self, rng):
         t = self.weekly_table(rng, n_weeks=3)
-        cfg = config(
-            mode="weekly_path", b=1, identity_resample=True, track_improvements=False
-        )
+        cfg = config(b=1, identity_resample=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             summary = weekly_path_bootstrap(t, cfg)
@@ -559,7 +575,7 @@ class TestWeeklyPath:
 
     def test_band_is_mean_plus_minus_z_sd(self, rng):
         t = self.weekly_table(rng, n_weeks=2)
-        cfg = config(mode="weekly_path", b=4, track_improvements=False)
+        cfg = config(b=4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             summary = weekly_path_bootstrap(t, cfg)
@@ -596,13 +612,7 @@ class TestWeeklyPath:
                 )
             )
         t = table_of(rows)
-        cfg = config(
-            mode="weekly_path",
-            b=1,
-            identity_resample=True,
-            track_improvements=False,
-            models=("win",),
-        )
+        cfg = config(b=1, identity_resample=True, models=("win",))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             summary = weekly_path_bootstrap(t, cfg)
@@ -615,7 +625,7 @@ class TestWeeklyPath:
         # stationary abilities: the first checkpoint's band should be at
         # least as wide as the last one's for a median player
         t = self.weekly_table(rng, n_weeks=4, games_per_week=2, rows_per_game=40)
-        cfg = config(mode="weekly_path", b=8, track_improvements=False, models=("win",))
+        cfg = config(b=8, models=("win",))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             summary = weekly_path_bootstrap(t, cfg)
@@ -628,3 +638,174 @@ class TestWeeklyPath:
                 widths_first.append(a.hi - a.lo)
                 widths_last.append(b.hi - b.lo)
         assert np.median(widths_first) >= np.median(widths_last)
+
+
+class TestNothingUnknownTracked:
+    """A call that would track nothing, or an unknown player, fails before any fit."""
+
+    @pytest.mark.parametrize("entry, settings", [
+        (end_to_end_bootstrap, dict(track_improvements=False, track_ratings=False)),
+        (weekly_path_bootstrap, dict(track_ratings=False)),
+    ], ids=["end_to_end", "weekly_path"])
+    def test_tracking_nothing_is_a_value_error(self, rng, monkeypatch, entry, settings):
+        forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match="track"):
+            entry(random_table(rng, n_rows=120), config(**settings))
+
+    @pytest.mark.parametrize("entry", [end_to_end_bootstrap, weekly_path_bootstrap],
+                             ids=["end_to_end", "weekly_path"])
+    @pytest.mark.parametrize("players", [("NOPE",), ("R0", "NOPE", "B1", "ALSO"), ("R0", "")])
+    def test_unknown_tracked_player_is_named(self, rng, monkeypatch, entry, players):
+        forbid_solves(monkeypatch)
+        unknown = ", ".join(map(repr, sorted(set(players) - {"R0", "B1"})))
+        with pytest.raises(DataError, match=f"^tracked players not in the table: {unknown}$"):
+            entry(random_table(rng, n_rows=120), config(track_players=players))
+
+    @pytest.mark.parametrize("entry", [end_to_end_bootstrap, weekly_path_bootstrap],
+                             ids=["end_to_end", "weekly_path"])
+    def test_empty_table_is_a_data_error(self, rng, entry):
+        empty = random_table(rng).take(slice(0))
+        with pytest.raises(DataError, match="bootstrap requires at least one game"):
+            entry(empty, config())
+
+
+def failing_fit_on(monkeypatch, weights):
+    """Make the rating fit on exactly ``weights`` raise a FitError."""
+    real = boot.fit_coded
+
+    def fit_coded(table, w, *args, **kwargs):
+        if np.array_equal(w, weights):
+            raise FitError("forced failure")
+        return real(table, w, *args, **kwargs)
+
+    monkeypatch.setattr(boot, "fit_coded", fit_coded)
+
+
+def replicate_weights(table, key, in_play=None):
+    """The rating-fit row weights of the replicate drawn from RNG ``key``."""
+    in_play = np.ones(len(table), dtype=bool) if in_play is None else in_play
+    games = np.unique(table.game[in_play])
+    m = np.zeros(len(table.games), dtype=np.intp)
+    m[games] = np.bincount(
+        resample_games(range(games.size), np.random.default_rng(key)), minlength=games.size
+    )
+    return (m[table.game] * in_play).astype(float)
+
+
+def run_both(entry, reference, table, cfg):
+    """The summary JSON and the warnings of a call and of its reference."""
+    out = []
+    for call in (entry, reference):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            summary = call(table, cfg)
+        messages = [(str(w.message), w.category) for w in caught]
+        out.append((json.dumps(summary_to_json_dict(summary), sort_keys=True), messages,
+                    summary))
+    return out
+
+
+def game_across_weeks_table(rng):
+    """Five games over five weeks, the second half of g1 a week later."""
+    return table_of(
+        replace(r, week=r.week + 1) if r.game_id == "g1" and r.event_game_index >= 12 else r
+        for r in rows_of(random_table(rng, n_rows=120, n_games=5, n_weeks=5))
+    )
+
+
+class TestOneReplicateLoop:
+    """Both bootstraps equal the two loops they replaced (in conftest)."""
+
+    CASES = {
+        "plain": (lambda rng: random_table(rng, n_rows=120, n_games=5), {}),
+        "dropped_class": (one_hit_game_table, {"b": 8}),
+        "track_players": (lambda rng: random_table(rng, n_rows=120, n_games=5),
+                          {"track_players": ("R0", "B2", "R3")}),
+        "identity": (lambda rng: random_table(rng, n_rows=120, n_games=5),
+                     {"b": 2, "identity_resample": True}),
+        "win_only": (lambda rng: random_table(rng, n_rows=120, n_games=5),
+                     {"models": ("win",), "track_improvements": False}),
+        # a checkpoint then holds part of a game: its rows in play are a
+        # subset of its resampled games' rows
+        "game_across_weeks": (game_across_weeks_table, {}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_end_to_end_equals_reference(self, rng, case):
+        make, settings = self.CASES[case]
+        (got, got_warned, _), (want, want_warned, _) = run_both(
+            end_to_end_bootstrap, reference_end_to_end_bootstrap, make(rng),
+            config(**{"b": 4, **settings}),
+        )
+        assert got == want
+        assert got_warned == want_warned
+        if case == "dropped_class":
+            assert [m for m, _ in got_warned if m.startswith(DROPPED_CLASSES_WARNING)]
+
+    def test_end_to_end_without_ratings_equals_reference(self, rng):
+        (got, _, _), (want, _, _) = run_both(
+            end_to_end_bootstrap, reference_end_to_end_bootstrap,
+            random_table(rng, n_rows=120, n_games=5), config(b=3, track_ratings=False),
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_weekly_path_equals_reference(self, rng, case):
+        make, settings = self.CASES[case]
+        settings = {k: v for k, v in settings.items() if k != "track_improvements"}
+        (got, got_warned, _), (want, want_warned, _) = run_both(
+            weekly_path_bootstrap, reference_weekly_path_bootstrap, make(rng),
+            config(**{"b": 3, **settings}),
+        )
+        assert got == want
+        assert got_warned == want_warned
+        if case == "dropped_class":
+            assert [m for m, _ in got_warned if m.startswith(DROPPED_CLASSES_WARNING)]
+
+    def test_weekly_path_skipped_week_equals_reference(self, rng):
+        # no game before week 3: two checkpoints are skipped with a warning
+        t = table_of(replace(r, week=r.week + 2) for r in rows_of(random_table(rng, n_rows=80)))
+        (got, got_warned, summary), (want, want_warned, _) = run_both(
+            weekly_path_bootstrap, reference_weekly_path_bootstrap, t, config(b=2),
+        )
+        assert summary.checkpoints == (3, 4, 5, 6)
+        assert got == want
+        assert got_warned == want_warned
+
+    def test_end_to_end_failed_replicate_equals_reference(self, rng, monkeypatch):
+        # one of 40 replicates fails: under the 5% limit, so it is counted
+        t = random_table(rng, n_rows=120, n_games=10)
+        cfg = config(b=40, seed=2)
+        failing_fit_on(monkeypatch, replicate_weights(t, [cfg.seed, 17]))
+        (got, _, summary), (want, _, _) = run_both(
+            end_to_end_bootstrap, reference_end_to_end_bootstrap, t, cfg,
+        )
+        assert summary.n_failed == 1
+        assert all(len(s.values) == 39 for s in summary.ratings.values())
+        assert got == want
+
+    def test_weekly_failed_checkpoint_equals_reference(self, rng, monkeypatch):
+        # B=1 over 20 weekly checkpoints: the one failure removes week 7's
+        # series, which exist only where a replicate fit
+        t = TestWeeklyPath().weekly_table(rng, n_weeks=20, games_per_week=1, rows_per_game=12)
+        cfg = config(b=1, seed=4, models=("win",))
+        failing_fit_on(monkeypatch, replicate_weights(t, [cfg.seed, 7, 0], t.week <= 7))
+        (got, _, summary), (want, _, _) = run_both(
+            weekly_path_bootstrap, reference_weekly_path_bootstrap, t, cfg,
+        )
+        assert summary.n_failed == 1
+        assert {k[3] for k in summary.weekly} == set(range(1, 21)) - {7}
+        assert got == want
+
+    @pytest.mark.parametrize("entry, reference", [
+        (end_to_end_bootstrap, reference_end_to_end_bootstrap),
+        (weekly_path_bootstrap, reference_weekly_path_bootstrap),
+    ], ids=["end_to_end", "weekly_path"])
+    def test_excess_failures_abort_like_reference(self, rng, entry, reference):
+        # an impossible iteration budget fails every replicate
+        t = random_table(rng, n_rows=120, n_games=4)
+        for call in (entry, reference):
+            with pytest.raises(FitError, match="aborting"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    call(t, config(b=4, max_iter=1))

@@ -260,6 +260,44 @@ class TestBootstrap:
         assert json.loads((tmp_path / "bootstrap.json").read_text())["improvements"] == {}
 
 
+class TestTrackingErrors:
+    """A bootstrap tracking nothing, or a player not in the table, fails before any fit."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a fit ran before the tracking was checked")
+
+        monkeypatch.setattr(fit_module, "_solve", forbidden)
+
+    def test_nothing_tracked_is_a_usage_error(self, synth_csv, tmp_path, capsys):
+        code = run(
+            ["bootstrap", "--interactions", str(synth_csv[0]), "--b", "2",
+             "--lambda-win", "0.5", "--lambda-sev", "0.5", "--models", "win", "--no-ratings",
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == 1
+        assert "track_improvements or track_ratings" in capsys.readouterr().err
+        assert not (tmp_path / "bootstrap.json").exists()
+
+    @pytest.mark.parametrize("command", ["bootstrap", "path"])
+    @pytest.mark.parametrize("with_known", [False, True], ids=["alone", "after_a_known_id"])
+    def test_unknown_player_is_a_data_error(self, synth_csv, tmp_path, capsys, command,
+                                            with_known):
+        known = read_interactions_csv(synth_csv[0]).rushers[0]
+        players = f"{known},NOPE" if with_known else "NOPE"
+        code = run(
+            [command, "--interactions", str(synth_csv[0]), "--b", "2",
+             "--lambda-win", "0.5", "--lambda-sev", "0.5", "--players", players,
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "data error: tracked players not in the table: 'NOPE'"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestPath:
     def test_outputs(self, synth_csv, tmp_path):
         code = run(

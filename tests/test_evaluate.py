@@ -25,6 +25,7 @@ from trenchrank.evaluate import (
     ordered_split,
     prior_sensitivity,
     run_validation,
+    validate_weighted,
 )
 from trenchrank.fit import (
     DROPPED_CLASSES_WARNING,
@@ -413,3 +414,68 @@ class TestPriorStrengthChecks:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(DataError, match="validation needs nonempty train and test"):
                 prior_sensitivity(t, lambda_win=0.5, lambda_sev=0.5)
+
+
+# a bad weight vector, as a function of a good one, and the error it gives
+BAD_WEIGHTS = [
+    ("short", lambda w: w[:-10], "row/weight length mismatch"),
+    ("long", lambda w: np.r_[w, 1.0], "row/weight length mismatch"),
+    ("nan", lambda w: np.r_[np.nan, w[1:]], "finite and nonnegative"),
+    ("negative", lambda w: np.r_[w[:-1], -1.0], "finite and nonnegative"),
+    ("none", lambda w: None, "row/weight length mismatch"),
+]
+
+
+class TestValidateWeightedChecks:
+    """``validate_weighted`` checks its arguments as the fits do, before any fit."""
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a solve ran before the arguments were checked")
+
+        monkeypatch.setattr(fit_module, "_solve", forbidden)
+
+    @staticmethod
+    def weights(t):
+        return ev._ordered_weights(len(t), ev.split_point(len(t)))
+
+    @pytest.mark.parametrize("key", ["lambda_win", "lambda_sev"])
+    @pytest.mark.parametrize("lam", BAD_PENALTIES, ids=str)
+    def test_bad_penalty_fails_before_any_solve(self, rng, no_solve, key, lam):
+        t = random_table(rng, n_rows=120, n_games=6)
+        penalties = {"lambda_win": 0.5, "lambda_sev": 0.5, key: lam}
+        with pytest.raises(ValueError, match="lam must be finite and > 0"):
+            validate_weighted(t, *self.weights(t), **penalties)
+
+    @pytest.mark.parametrize("bad", BAD_SOLVER_OPTIONS)
+    def test_bad_solver_options_fail_before_any_solve(self, rng, no_solve, bad):
+        options, message = BAD_SOLVER_OPTIONS[bad]
+        t = random_table(rng, n_rows=120, n_games=6)
+        with pytest.raises(ValueError, match=message):
+            validate_weighted(t, *self.weights(t), lambda_win=0.5, lambda_sev=0.5, **options)
+
+    @pytest.mark.parametrize("key", ["m_win", "m_sev"])
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -1.0])
+    def test_bad_prior_fails_before_any_solve(self, rng, no_solve, key, m):
+        t = random_table(rng, n_rows=120, n_games=6)
+        with pytest.raises(ValueError, match="prior strength must be finite and >= 0"):
+            validate_weighted(t, *self.weights(t), lambda_win=0.5, lambda_sev=0.5, **{key: m})
+
+    @pytest.mark.parametrize("side", ["train", "test"])
+    @pytest.mark.parametrize("case, bad, message", BAD_WEIGHTS, ids=[c[0] for c in BAD_WEIGHTS])
+    def test_bad_weights_fail_before_any_solve(self, rng, no_solve, side, case, bad, message):
+        t = random_table(rng, n_rows=120, n_games=6)
+        train_w, test_w = self.weights(t)
+        if side == "train":
+            train_w = bad(train_w)
+        else:
+            test_w = bad(test_w)
+        with pytest.raises(DataError, match=message):
+            validate_weighted(t, train_w, test_w, lambda_win=0.5, lambda_sev=0.5)
+
+    def test_empty_side_keeps_its_message(self, rng, no_solve):
+        t = random_table(rng, n_rows=120, n_games=6)
+        train_w, _ = self.weights(t)
+        with pytest.raises(DataError, match="validation needs nonempty train and test"):
+            validate_weighted(t, train_w, np.zeros(len(t)), lambda_win=0.5, lambda_sev=0.5)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import trenchrank
-from trenchrank import fit
+from trenchrank import bootstrap, fit
 
 
 def test_every_exported_name_resolves():
@@ -51,6 +52,9 @@ DELETED_NAMES = {
     # lam must be positive, so every Newton step factors: no dense Hessian
     # and no least-squares fallback
     "solver": {"_dense_hessian", "_fallback_note"},
+    # both bootstraps run one replicate loop, so no mode names which
+    # loop a config is for
+    "bootstrap": {"MODES", "_DroppedClasses", "_multiplicities", "_check_failures"},
 }
 
 
@@ -61,7 +65,8 @@ def test_deleted_names_stay_gone(reason):
 
 def test_deleted_module_and_field_stay_gone():
     # ``design.py`` held the per-fit index and matrix; a solution no longer
-    # records least-squares steps
+    # records least-squares steps; a bootstrap config names no mode
     assert "design" not in {info.name for info in pkgutil.iter_modules(trenchrank.__path__)}
     assert importlib.util.find_spec("trenchrank.design") is None
     assert "fallbacks" not in fit._Solution._fields
+    assert "mode" not in {f.name for f in dataclasses.fields(bootstrap.BootstrapConfig)}

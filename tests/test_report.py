@@ -209,9 +209,7 @@ class TestCsvWriters:
 @pytest.fixture(scope="module")
 def small_summary():
     rng_table = random_table(np.random.default_rng(7), n_rows=120, n_games=4)
-    cfg = BootstrapConfig(
-        b=3, seed=1, lambda_win=0.5, lambda_sev=0.5, mode="end_to_end"
-    )
+    cfg = BootstrapConfig(b=3, seed=1, lambda_win=0.5, lambda_sev=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return end_to_end_bootstrap(rng_table, cfg)
@@ -225,8 +223,6 @@ def weekly_summary():
         seed=1,
         lambda_win=0.5,
         lambda_sev=0.5,
-        mode="weekly_path",
-        track_improvements=False,
         models=("win",),
     )
     with warnings.catch_warnings():

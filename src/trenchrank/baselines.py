@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DataError
-from .fit import _row_weights, gather
+from .fit import _inv_logit, _row_weights, gather
 from .interactions import CLASSES, InteractionTable, OutcomeClass
 
 DEFAULT_WIN_PRIOR = 25.0
@@ -163,12 +163,6 @@ def _on_vocab(bl: Baseline, table: InteractionTable, role: str) -> np.ndarray:
     wanted = table.rushers if role == "rusher" else table.blockers
     return gather(np.array(ids, dtype=object), values, np.array(wanted, dtype=object),
                   bl.global_value[:, None])
-
-
-def _inv_logit(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = np.exp(x)
-        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), z / (1.0 + z))
 
 
 def predict_win_matchups(bl: Baseline, table: InteractionTable) -> np.ndarray:

@@ -429,12 +429,29 @@ def _cmd_external(args) -> int:
 
 
 def _bands_from_summary_json(path) -> dict[tuple[str, str, str], tuple[float, float]]:
+    """The rating bands of a ``bootstrap.json``, keyed by (model, role,
+    player_id); a player whose band has a null bound has none.  A
+    malformed ``ratings`` entry is a DataError naming the file and the key.
+    """
     raw = _read_json(path)
+    ratings = raw.get("ratings", {}) if isinstance(raw, dict) else None
+    if not isinstance(ratings, dict):
+        raise DataError(f"{path}: bootstrap JSON has no 'ratings' object")
     bands = {}
-    for key, series in raw.get("ratings", {}).items():
-        model, role, pid = key.split(":", 2)
+    for key, series in ratings.items():
+        where = f"{path}: bootstrap JSON 'ratings' entry {key!r}"
+        parts = tuple(key.split(":", 2))
+        if len(parts) != 3:
+            raise DataError(f"{where}: the key is not model:role:player")
+        if not isinstance(series, dict):
+            raise DataError(f"{where} is not an object: {series!r}")
+        for bound in ("lo", "hi"):
+            if bound not in series:
+                raise DataError(f"{where} has no key {bound!r}")
+            if series[bound] is not None and not _is_number(series[bound]):
+                raise DataError(f"{where} {bound!r} is not a number: {series[bound]!r}")
         if series["lo"] is not None and series["hi"] is not None:
-            bands[(model, role, pid)] = (series["lo"], series["hi"])
+            bands[parts] = (series["lo"], series["hi"])
     return bands
 
 
@@ -505,7 +522,7 @@ class _PipelineRun:
                 raise ValueError(
                     f"config key {key!r} must be {kind}, got {type(value).__name__} {value!r}"
                 )
-        if "seed" not in cfg:
+        if cfg.get("seed") is None:
             raise ValueError("config must set an explicit 'seed'")
         stages = cfg.get("stages")
         stages = ("validate" if stages is None else stages).split(",")
@@ -641,7 +658,7 @@ def _cmd_pipeline(args) -> int:
     cfg = _read_json(args.config)
     run = _PipelineRun(cfg)
 
-    base = Path(cfg.get("out_dir", "runs"))
+    base = Path("runs" if cfg.get("out_dir") is None else cfg["out_dir"])
     stamp = time.strftime("%Y%m%d_%H%M%S")
     run.dir = base / f"run_{stamp}"
     n = 2

@@ -43,9 +43,8 @@ intercept, double-team and blocker parameters.  The Newton step
 eliminates the rusher blocks with a batched Cholesky and factors only
 the K (2 + B) Schur complement, then back-substitutes; rushers are the
 larger role in the paper's data (620 against 348 blockers).  Its dense
-products and factorizations all run in numpy's BLAS and LAPACK: scipy
-links a second OpenBLAS, and alternating work between the two
-libraries' thread pools cost more than the arithmetic.  The step keeps
+products, factorizations and solves all run in numpy's BLAS and LAPACK,
+and the package imports no other numeric library.  The step keeps
 few dense buffers: the coupling block is overwritten by its triangular
 solve G, the Schur complement is formed in the buffer of G^T G, and the
 back-substitution recomputes its coupling product from the cells, so G
@@ -91,8 +90,6 @@ from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg.lapack
-from scipy.special import expit
 
 from .errors import DataError, FitError
 from .interactions import (
@@ -109,6 +106,7 @@ DEFAULT_LAMBDA_GRID = tuple(np.logspace(-6.0, 2.0, 25))
 DROPPED_CLASSES_WARNING = "classes never observed in training were dropped from the softmax"
 
 _ARMIJO_C = 1e-4
+_SOLVE_BLOCK = 32  # rows per diagonal block of ``_cho_solve``
 _MODELS = ("win", "severity")
 
 
@@ -165,6 +163,15 @@ class CvResult:
     lambdas: tuple[float, ...]
     mean_losses: tuple[float, ...]
     lambda_min: float
+
+
+def _inv_logit(x: np.ndarray) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-x)), as exp(x) / (1 + exp(x)) for x < 0:
+    exactly 0 and 1 far out, NaN for NaN, and no overflow warning (the
+    branch ``np.where`` discards may overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.exp(x)
+        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), z / (1.0 + z))
 
 
 def gather(keys: np.ndarray, values: np.ndarray, wanted: np.ndarray, fill) -> np.ndarray:
@@ -355,19 +362,22 @@ def _hessian_parts(design: _Design, probs, lam, weights) -> _HessianParts:
     coupling = np.empty((r, k, k, m))
     sums = np.empty((k, k, 2, nb))
     for a in range(k):
+        wp = weights * probs[a + 1]
         for b in range(a, k):
-            w = weights * probs[a + 1] * ((1.0 if a == b else 0.0) - probs[b + 1])
+            w = wp * ((1.0 if a == b else 0.0) - probs[b + 1])
             wd = w * dt
             per_rusher = design.per_rusher(w)
             met = np.bincount(pair, weights=w, minlength=r * nb)
             sums[a, b, 0] = design.per_blocker(w)
             sums[a, b, 1] = design.per_blocker(wd)
-            sums[b, a] = sums[a, b]
-            rusher[:, a, b] = rusher[:, b, a] = per_rusher
+            rusher[:, a, b] = per_rusher
             coupling[:, a, b, 0] = per_rusher
             coupling[:, a, b, 1] = design.per_rusher(wd)
             np.negative(met.reshape(r, nb), out=coupling[:, a, b, 2:])
-            coupling[:, b, a] = coupling[:, a, b]
+            if b > a:  # the (b, a) block mirrors the (a, b) block
+                sums[b, a] = sums[a, b]
+                rusher[:, b, a] = per_rusher
+                coupling[:, b, a] = coupling[:, a, b]
     ridge = 2.0 * lam * design.penalty
     np.einsum("jaa->ja", rusher)[...] += ridge[design.rusher_columns, None]
     return _HessianParts(
@@ -423,19 +433,43 @@ def _coupling_product(design: _Design, probs, weights, x_rest: np.ndarray) -> np
     return out
 
 
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``L L^T x = b`` for a lower-triangular factor ``L`` and a
+    vector ``b``.
+
+    numpy has no triangular solve, so this substitutes forward, then
+    back, over diagonal blocks of ``_SOLVE_BLOCK`` rows: each block is one
+    matvec with the rows already solved and one ``np.linalg.solve`` with
+    its diagonal block of ``L``.  The last block's forward and back steps
+    are one solve with ``L_ll L_ll^T``, so a system of at most
+    ``_SOLVE_BLOCK`` rows costs one ``np.linalg.solve``.
+    """
+    x = np.array(b, dtype=float)
+    *starts, last = range(0, x.shape[0], _SOLVE_BLOCK)
+    for s in starts:
+        e = s + _SOLVE_BLOCK
+        x[s:e] -= L[s:e, :s] @ x[:s]
+        x[s:e] = np.linalg.solve(L[s:e, s:e], x[s:e])
+    x[last:] -= L[last:, :last] @ x[:last]
+    x[last:] = np.linalg.solve(L[last:, last:] @ L[last:, last:].T, x[last:])
+    for s in reversed(starts):
+        e = s + _SOLVE_BLOCK
+        x[s:e] -= L[e:, s:e].T @ x[e:]
+        x[s:e] = np.linalg.solve(L[s:e, s:e].T, x[s:e])
+    return x
+
+
 def _newton_direction(design: _Design, probs, lam, weights, grad: np.ndarray):
     """Solve ``H x = -grad`` by a Schur complement over the rusher blocks,
     for the penalized Hessian H at the class probabilities ``probs``.
 
     With ``H = [[A, C], [C^T, D]]``, ``A = L L^T`` block by block and
-    ``G = L^-1 C``, only ``S = D - G^T G`` (M x M) is factored densely.
-    G^T G and the factor of S come from numpy's BLAS and LAPACK, and the
-    one solve with that factor (LAPACK ``dpotrs``, a single right-hand
-    side) reads it in place: scipy links its own OpenBLAS, and a step
-    that alternates the two libraries' thread pools spends more time
-    waiting on them than computing.  G overwrites C, S overwrites the
-    buffer of G^T G (D is added from its sparse sums), and G is released
-    before S is factored.  The rusher rows then solve
+    ``G = L^-1 C``, only ``S = D - G^T G`` (M x M) is factored densely,
+    by ``np.linalg.cholesky``, and the one solve with that factor is a
+    blocked substitution (``_cho_solve``), since numpy has no triangular
+    solve.  G overwrites C, S overwrites the buffer of G^T G (D is added
+    from its sparse sums), and G is released before S is factored.  The
+    rusher rows then solve
     ``A x_rusher = -grad_rusher - C x_rest`` block by block, with
     ``C x_rest`` a Hessian-vector product over the cells
     (``_coupling_product``) rather than a product with G.
@@ -469,8 +503,7 @@ def _newton_direction(design: _Design, probs, lam, weights, grad: np.ndarray):
     except np.linalg.LinAlgError:
         raise _FactorError(None) from None
     del schur
-    # factor.T is the upper factor U = L^T in column-major order, so LAPACK reads it in place
-    x_rest = scipy.linalg.lapack.dpotrs(factor.T, rhs, lower=0)[0].reshape(k, -1)
+    x_rest = _cho_solve(factor, rhs).reshape(k, -1)
     # the rusher rows of H x = -grad: A x_rusher = -grad_rusher - C x_rest
     b = -g[:, rushers].T - _coupling_product(design, probs, weights, x_rest)
     x_rusher = np.linalg.solve(rusher, b[:, :, None])
@@ -755,7 +788,7 @@ def _table_etas(fit: Fit, table: InteractionTable, model: str) -> np.ndarray:
 
 def predict_win_probs(fit: Fit, table: InteractionTable) -> np.ndarray:
     """Win probability of every row of a table; unseen players get effect 0."""
-    return expit(_table_etas(fit, table, "win")[0])
+    return _inv_logit(_table_etas(fit, table, "win")[0])
 
 
 def predict_class_prob_matrix(fit: Fit, table: InteractionTable) -> np.ndarray:
@@ -872,7 +905,7 @@ def cv_select_lambda(
                 chained = modeled, theta, codes
             eta = _row_etas(theta, *_effects_on(theta, codes, held), held_dt)
             if target == "win":
-                fold_losses[fold, j] = binary_log_loss(expit(eta[0]), table.win[in_fold])
+                fold_losses[fold, j] = binary_log_loss(_inv_logit(eta[0]), table.win[in_fold])
             else:
                 fold_losses[fold, j] = multiclass_log_loss(
                     _class_prob_matrix(eta, modeled), table.severity[in_fold]

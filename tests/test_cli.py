@@ -357,6 +357,28 @@ class TestLeaderboard:
         assert len(rows) == 1 + 3 * 2 * 2  # both models, both roles
         assert all(r[5] != "" and r[6] != "" for r in rows[1:])
 
+    @pytest.mark.parametrize(
+        "ratings, named",
+        [
+            ({"win:rusher:R00": {"hi": 0.5}}, "'win:rusher:R00' has no key 'lo'"),
+            ({"win-R00": {"lo": 0.1, "hi": 0.5}}, "'win-R00': the key is not model:role:player"),
+            ([{"lo": 0.1, "hi": 0.5}], "has no 'ratings' object"),
+            ({"win:rusher:R00": [0.1, 0.5]}, "'win:rusher:R00' is not an object"),
+            ({"win:rusher:R00": {"lo": "0.1", "hi": 0.5}}, "'win:rusher:R00' 'lo' is not a number"),
+        ],
+        ids=["no-lo", "bad-key", "ratings-list", "entry-list", "string-bound"],
+    )
+    def test_malformed_bands_file_is_a_data_error(
+        self, synth_csv, fits_json, tmp_path, capsys, ratings, named
+    ):
+        bands = tmp_path / "bootstrap.json"
+        bands.write_text(json.dumps({"ratings": ratings}))
+        code = run(["leaderboard", "--interactions", str(synth_csv[0]), "--fit", str(fits_json),
+                    "--bands", str(bands), "--out", str(tmp_path / "leaderboard.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bands}: ") and named in err
+
 
 class TestMalformedFitJson:
     CASES = ["win fit without alpha", "severity delta without a class"]
@@ -550,6 +572,23 @@ class TestPipeline:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"stages": "synth", "out_dir": str(tmp_path / "runs")}))
         assert run(["pipeline", "--config", str(cfg_path)]) == 1
+
+    def test_null_seed_rejected_before_run_dir(self, tmp_path, capsys):
+        # a null key takes its default, and the seed has none
+        cfg = self.config(tmp_path, seed=None)
+        assert run(["pipeline", "--config", str(cfg)]) == 1
+        assert "explicit 'seed'" in capsys.readouterr().err
+        assert self.runs(tmp_path) == []
+
+    def test_null_out_dir_writes_under_runs(self, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        cfg = self.config(tmp_path, out_dir=None)
+        assert run(["pipeline", "--config", str(cfg)]) == 0
+        (run_dir,) = (work / "runs").iterdir()
+        assert (run_dir / "fits.json").exists()
+        assert [p.name for p in work.iterdir()] == ["runs"]
 
     @pytest.mark.parametrize(
         "key, overrides",

@@ -689,18 +689,16 @@ class TestStructuredNewtonStep:
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
-    def test_fits_make_no_scipy_factorization(self, rng, monkeypatch):
-        def banned(*args, **kwargs):
-            raise AssertionError("the Newton step called scipy's BLAS or LAPACK")
-
-        for name in ("cho_factor", "cho_solve", "cholesky", "solve_triangular"):
-            monkeypatch.setattr(scipy.linalg, name, banned)
-        monkeypatch.setattr(scipy.linalg.blas, "dsyrk", banned)
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", banned)
-        t = random_table(rng, n_rows=200, n_rushers=8, n_blockers=6)
-        win = fit_win_model(t, 0.2)
-        severity = fit_severity_model(t, 0.2)
-        assert win.iterations > 0 and len(severity.classes) == 3 and severity.iterations > 0
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 350, 1050])
+    def test_cho_solve_equals_scipy(self, rng, n):
+        # block edges fall inside, on and just past the first block, and
+        # the two largest sizes are the full-scale win and severity steps
+        A = rng.normal(size=(n, n))
+        L = np.linalg.cholesky(A @ A.T + n * np.eye(n))
+        b = rng.normal(size=n)
+        want = scipy.linalg.cho_solve((L, True), b)
+        got = fit_module._cho_solve(L, b)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_objective_equals_sparse_design(self, rng):
         for name, X, design, idx, class_idx, n_classes, w in hessian_cases(rng):
@@ -800,7 +798,7 @@ def reference_win_prob(fit, x):
         - e.blocker_effects.get(x.blocker_id, 0.0)
         + e.delta * float(x.double_team)
     )
-    return float(expit(eta))
+    return float(fit_module._inv_logit(eta))
 
 
 def reference_class_probs(fit, x):
@@ -833,7 +831,7 @@ def dict_gather_win_probs(fit, table):
         - np.array([e.blocker_effects.get(p, 0.0) for p in table.blockers])[table.blocker]
         + e.delta * table.double_team.astype(float)
     )
-    return expit(eta)
+    return fit_module._inv_logit(eta)
 
 
 def dict_gather_class_probs(fit, table):
@@ -898,6 +896,22 @@ class TestVectorizedPrediction:
         assert np.array_equal(predict_class_prob_matrix(sev, t), want)
         sub = np.array([5, 1, 40])
         assert np.array_equal(predict_class_prob_matrix(sev, t.take(sub)), want[sub])
+
+
+class TestLogistic:
+    def test_within_4_ulps_of_scipy(self):
+        x = np.concatenate([np.linspace(-700.0, 700.0, 1_400_001),
+                            np.random.default_rng(0).normal(scale=10.0, size=100_000)])
+        got, want = fit_module._inv_logit(x), expit(x)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+    def test_saturates_without_warning(self):
+        x = np.array([-np.inf, -800.0, 800.0, np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit_module._inv_logit(x)
+        assert got[:4].tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert np.isnan(got[4])
 
 
 class TestExpectedSeverity:

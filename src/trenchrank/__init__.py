@@ -30,7 +30,6 @@ from .fit import (
     CvResult,
     Fit,
     cv_select_lambda,
-    expected_severity,
     fit_severity_model,
     fit_win_model,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "derive_weight_from_epa",
     "end_to_end_bootstrap",
     "enrichment_at_k",
-    "expected_severity",
     "fit_severity_baseline",
     "fit_severity_model",
     "fit_win_baseline",

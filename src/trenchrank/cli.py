@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
@@ -60,13 +61,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(payload: dict, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _read_json(path) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -809,6 +810,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    for stream in (sys.stdout, sys.stderr):  # print ids as UTF-8, as files are written
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

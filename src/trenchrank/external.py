@@ -10,7 +10,6 @@ the win task and empirical severity value for the severity task.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -22,8 +21,10 @@ from .fit import Fit, gather
 from .interactions import (
     CLASSES,
     InteractionTable,
-    OutcomeClass,
     SeverityWeights,
+    _check_new,
+    _read_blocks,
+    _text_column,
     default_severity_weights,
 )
 
@@ -49,28 +50,24 @@ class RankEvalRow:
     delta_enrichment: float
 
 
+def _level_column(texts: Sequence[str], field: str) -> Sequence[str]:
+    """The texts, each one of ``_TEAM_LEVELS``."""
+    if not set(_TEAM_LEVELS).issuperset(texts):
+        bad = next(text for text in texts if text not in _TEAM_LEVELS)
+        raise DataError(f"{field} must be one of {_TEAM_LEVELS}, got {bad!r}")
+    return texts
+
+
 def read_accolades_csv(path) -> dict[str, str]:
     """Load per-player accolade levels; players absent have no accolade."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ACCOLADE_CSV_HEADER:
-            raise DataError(
-                f"bad accolade header in {path}: expected {ACCOLADE_CSV_HEADER}, got {header}"
-            )
-        labels: dict[str, str] = {}
-        for rec in reader:
-            lineno = reader.line_num  # the line the record ends on
-            if len(rec) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(rec)}")
-            pid, level = rec
-            if level not in _TEAM_LEVELS:
-                raise DataError(
-                    f"{path}:{lineno}: team_level must be one of {_TEAM_LEVELS}, got {level!r}"
-                )
-            if pid in labels:
-                raise DataError(f"{path}:{lineno}: duplicate player_id {pid!r}")
-            labels[pid] = level
+    labels: dict[str, str] = {}
+    for fields, _ in _read_blocks(
+        path, dict(zip(ACCOLADE_CSV_HEADER, (_text_column, _level_column))),
+        lambda fields: _check_new(fields["player_id"], labels, "player_id"),
+        bad_header="bad accolade header in {path}: expected {want}, got {got}",
+        bad_width="expected {width} fields, got {got}",
+    ):
+        labels.update(zip(fields["player_id"], fields["team_level"]))
     return labels
 
 

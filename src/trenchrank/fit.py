@@ -87,17 +87,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError, FitError
-from .interactions import (
-    CLASSES,
-    InteractionTable,
-    OutcomeClass,
-    SeverityWeights,
-)
+from .interactions import CLASSES, InteractionTable, OutcomeClass
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 500
@@ -795,17 +790,6 @@ def predict_class_prob_matrix(fit: Fit, table: InteractionTable) -> np.ndarray:
     """(n, 4) class probabilities of a table's rows, columns in severity
     order; unseen players get effect 0 and dropped classes probability 0."""
     return _class_prob_matrix(_table_etas(fit, table, "severity"), fit.classes)
-
-
-def expected_severity(
-    probs: Mapping[OutcomeClass, float] | Sequence[float],
-    weights: SeverityWeights,
-) -> float:
-    """Probability-weighted severity score on [0, 1]."""
-    if isinstance(probs, Mapping):
-        return float(sum(p * weights.weight(c) for c, p in probs.items()))
-    w = weights.as_tuple()
-    return float(sum(p * w[i] for i, p in enumerate(probs)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,21 @@ into sorted game, play, rusher and blocker id vocabularies, and the
 numeric fields.  There is no row object: fits, baselines, splits and the
 bootstrap read the columns, and the CSV reader,
 ``tracking.build_interactions`` and the synthetic generator build them.
+
+Every input CSV (interactions, tracking, events, engagements, schedule
+and accolades) is read as UTF-8 by one block reader, ``_read_blocks``,
+which converts each block of records column by column with the
+converters defined here and names the line of the first bad record.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
-from itertools import compress, islice
+from functools import cached_property, partial
+from itertools import compress, count, islice
 from typing import NoReturn, Sequence
 
 import numpy as np
@@ -290,22 +296,12 @@ def summarize(table: InteractionTable) -> TableSummary:
     )
 
 
-INTERACTION_CSV_HEADER = [
-    "game_id",
-    "play_id",
-    "event_game_index",
-    "week",
-    "rusher_id",
-    "blocker_id",
-    "double_team",
-    "win_target",
-    "severity",
-]
-
 # records per block of the CSV reader: large enough to convert columns in
 # bulk, small enough that a block's field strings stay near 1 MB
 _READ_BLOCK = 1 << 11
 _INT64 = np.iinfo(np.int64)
+# what the "surrogateescape" handler decodes each byte that is not UTF-8 to
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def _parse_bool01(value: str, field: str) -> bool:
@@ -317,8 +313,8 @@ def _parse_bool01(value: str, field: str) -> bool:
 
 
 def _decimal(kind, text: str, field: str):
-    """``kind(text)``, refusing the underscores and non-ASCII digits
-    that Python accepts and ``np.loadtxt`` does not."""
+    """``kind(text)``, refusing the underscores and non-ASCII digits that
+    Python accepts and ``np.loadtxt`` does not, and an int beyond int64."""
     try:
         value = kind(text)
     except ValueError:
@@ -329,13 +325,7 @@ def _decimal(kind, text: str, field: str):
         raise ValueError(
             f"{field} must be written in ASCII digits without underscores, got {text!r}"
         )
-    return value
-
-
-def _int64(text: str, field: str) -> int:
-    """``_decimal(int, text, field)``, refusing a value beyond int64."""
-    value = _decimal(int, text, field)
-    if not _INT64.min <= value <= _INT64.max:
+    if kind is int and not _INT64.min <= value <= _INT64.max:
         raise ValueError(f"{field} does not fit in a 64-bit integer, got {text!r}")
     return value
 
@@ -347,19 +337,40 @@ def _raise_first(parse, texts: Sequence[str], field: str) -> NoReturn:
     raise AssertionError(f"no bad {field} text")
 
 
-# Column converters: each converts every text of one CSV field at once, or
-# raises the error of the first text the schema rejects.
-
-
-def _int_column(texts: Sequence[str], field: str) -> np.ndarray:
-    """Each text as an int64, read as ``_int64`` reads it."""
+def _check_decoded(texts: Sequence[str]) -> None:
+    """A text read from bytes that are not UTF-8 is an error naming the
+    first such byte."""
     joined = "".join(texts)
-    if "_" not in joined and joined.isascii():
-        try:
-            return np.fromiter(map(int, texts), np.int64, len(texts))
-        except (ValueError, OverflowError):
-            pass
-    _raise_first(_int64, texts, field)
+    if not joined.isascii() and (bad := _UNDECODED.search(joined)):
+        raise DataError(f"byte 0x{ord(bad[0]) - 0xDC00:02x} is not valid UTF-8")
+
+
+# Column converters: each converts every text of one CSV field at once, or
+# raises the error of the first text the schema rejects, which a text read
+# from bytes that are not UTF-8 always is.
+
+
+def _text_column(texts: Sequence[str], field: str) -> Sequence[str]:
+    """The texts as they are, as ids are kept."""
+    _check_decoded(texts)
+    return texts
+
+
+def _number_column(kind, dtype):
+    """The converter of each text to a ``dtype``, read as ``_decimal(kind, ...)`` reads it."""
+    def convert(texts: Sequence[str], field: str) -> np.ndarray:
+        joined = "".join(texts)
+        if "_" not in joined and joined.isascii():
+            try:
+                return np.fromiter(map(kind, texts), dtype, len(texts))
+            except (ValueError, OverflowError):
+                pass
+        _raise_first(partial(_decimal, kind), texts, field)
+    return convert
+
+
+_int_column = _number_column(int, np.int64)
+_float_column = _number_column(float, np.float64)
 
 
 def _flag_column(texts: Sequence[str], field: str) -> np.ndarray:
@@ -376,67 +387,115 @@ def _class_column(texts: Sequence[str], field: str) -> np.ndarray:
     return np.fromiter(map(codes.__getitem__, texts), np.intp, len(texts))
 
 
-# the converter of each value column's CSV field
-_FROM_TEXT = {"event_game_index": _int_column, "week": _int_column,
-              "double_team": _flag_column, "win": _flag_column, "severity": _class_column}
+def _check_new(ids: Sequence[str], seen, field: str) -> None:
+    """An id of ``ids`` that is in ``seen`` or repeats an earlier one is a
+    DataError naming the first."""
+    again = np.ones(len(ids), dtype=bool)
+    again[np.unique(_factorize(ids)[1], return_index=True)[1]] = False
+    again |= np.fromiter(map(seen.__contains__, ids), bool, len(ids))
+    if again.any():
+        raise DataError(f"duplicate {field} {ids[again.argmax()]!r}")
 
 
-def _value_columns(fields: dict[str, Sequence[str]]) -> dict[str, np.ndarray]:
-    """The value columns read from ``fields`` (each CSV field's texts).
-
-    A bad value raises the error of the first field, in CSV order, that
-    holds one, and only then a value below its column's least; on one
-    record's fields, that is the error a record-by-record read meets first.
-    """
-    columns = {c: _FROM_TEXT[c](fields[f], f) for c, (_, f) in _VALUE_COLUMNS.items()}
-    for column, least in (("event_game_index", 0), ("week", 1)):
-        low = columns[column] < least
-        if low.any():
-            raise ValueError(f"{column} must be >= {least}, got {columns[column][low.argmax()]}")
-    return columns
+# ---------------------------------------------------------------------------
+# The block reader of every input CSV
 
 
-def _line(path, record: int) -> int:
-    """The line on which record ``record`` of ``path`` ends (the header is
-    record 1): records and lines differ past a quoted field's line break."""
-    with open(path, newline="", encoding="utf-8") as fh:
+def _lines(path, last: int) -> list[int]:
+    """The line on which each record of ``path`` up to record ``last`` ends
+    (the header is record 1): records and lines differ past a quoted
+    field's line break."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        next(islice(reader, record - 1, None))
-        return reader.line_num
+        return [reader.line_num for _ in islice(reader, last)]
 
 
-def _raise_record_error(path, records: np.ndarray, recs: list[list[str]]) -> NoReturn:
-    """The first bad record's first error, naming its line."""
-    width = len(INTERACTION_CSV_HEADER)
-    for record, rec in zip(records.tolist(), recs):
-        if len(rec) != width:
-            raise DataError(f"{path}:{_line(path, record)}: expected {width} fields")
-        try:
-            _value_columns({f: (text,) for f, text in zip(INTERACTION_CSV_HEADER, rec)})
-        except (ValueError, DataError) as exc:
-            raise DataError(f"{path}:{_line(path, record)}: {exc}") from exc
-    raise AssertionError("no bad record in the block")
+def _read_blocks(path, converters: dict, check, *, skip_blank: bool = False,
+                 bad_header: str = "bad header in {path}: expected {want}, got {got}",
+                 bad_width: str = "expected {width} fields"):
+    """The data records of the CSV file ``path``, read as UTF-8, as
+    ``(columns, records)`` per block of ``_READ_BLOCK`` records: each
+    field's column, converted by its entry of ``converters`` (in header
+    order) and accepted by ``check``, and each row's record number (the
+    header is record 1).  A file of no records yields one empty block.
 
-
-def _parse_block(path, records: np.ndarray, recs: list[list[str]]) -> InteractionTable:
-    """One block of records, numbered ``records``, as a table.
-
-    Each column is converted in bulk, accepting every spelling the schema
-    allows.  A block that fails a check is walked record by record to
-    raise the first bad record's error.
+    An error names the line on which the first bad record ends, in the
+    file's own wording of header and field-count errors; ``skip_blank``
+    skips blank lines rather than reading records of no fields.
     """
-    width = len(INTERACTION_CSV_HEADER)
-    if set(map(len, recs)) <= {width}:
-        fields = dict(zip(INTERACTION_CSV_HEADER, list(zip(*recs)) or [()] * width))
+    header, width = list(converters), len(converters)
+
+    def convert(recs):
+        # a wrong field count, then the first field in header order that
+        # holds a bad value, then check's error: on one record, the error a
+        # record-by-record read meets first
+        if not set(map(len, recs)) <= {width}:
+            got = len(next(rec for rec in recs if len(rec) != width))
+            raise DataError(bad_width.format(width=width, got=got))
+        fields = list(zip(*recs)) or [()] * width
+        columns = {f: to(texts, f) for (f, to), texts in zip(converters.items(), fields)}
+        check(columns)
+        return columns
+
+    def first_error(recs) -> tuple[int, Exception]:
+        # convert rejects every run of records that holds a bad one, so the
+        # shortest rejected prefix, found by bisection, ends at the first
+        # bad record; a byte in it that is not UTF-8 stops its reading
+        good, bad = 0, len(recs)  # recs[:good] converts, recs[:bad] does not
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                convert(recs[:mid])
+                good = mid
+            except (ValueError, DataError):
+                bad = mid
         try:
-            values = _value_columns(fields)
-        except (ValueError, DataError):
-            pass
-        else:
-            return InteractionTable(
-                **{c: _factorize(fields[f]) for c, (_, f) in _ID_COLUMNS.items()}, **values
-            )
-    _raise_record_error(path, records, recs)
+            _check_decoded(recs[bad - 1])
+            convert(recs[:bad])
+        except (ValueError, DataError) as exc:
+            return bad - 1, exc
+        raise AssertionError("no bad record in the block")
+
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got != header:
+            try:
+                _check_decoded(got or ())
+            except DataError as exc:
+                raise DataError(f"{path}:{_lines(path, 1)[-1]}: {exc}") from None
+            raise DataError(bad_header.format(path=path, want=header, got=got))
+        for start in count(2, _READ_BLOCK):
+            recs = list(islice(reader, _READ_BLOCK))
+            if not recs and start > 2:
+                return
+            records = np.arange(start, start + len(recs))
+            if skip_blank and not all(recs):
+                kept = list(map(bool, recs))
+                recs, records = list(compress(recs, kept)), records[kept]
+            try:
+                columns = convert(recs)
+            except (ValueError, DataError):
+                i, exc = first_error(recs)
+                raise DataError(f"{path}:{_lines(path, records[i])[-1]}: {exc}") from exc
+            yield columns, records
+
+
+# the converter of each CSV field, in header order
+_CSV_CONVERTERS = {
+    "game_id": _text_column, "play_id": _text_column, "event_game_index": _int_column,
+    "week": _int_column, "rusher_id": _text_column, "blocker_id": _text_column,
+    "double_team": _flag_column, "win_target": _flag_column, "severity": _class_column,
+}
+INTERACTION_CSV_HEADER = list(_CSV_CONVERTERS)
+
+
+def _check_least(fields: dict) -> None:
+    """An event_game_index below 0 or a week below 1 is an error naming the value."""
+    for field, least in (("event_game_index", 0), ("week", 1)):
+        low = fields[field] < least
+        if low.any():
+            raise ValueError(f"{field} must be >= {least}, got {fields[field][low.argmax()]}")
 
 
 def _concat(tables: Sequence[InteractionTable]) -> InteractionTable:
@@ -465,38 +524,29 @@ def _check_unique_keys(table: InteractionTable, records: np.ndarray, path) -> No
         key = (table.games[table.game[i]], table.play_ids[table.play[i]],
                int(table.event_game_index[i]))
         raise DataError(
-            f"{path}:{_line(path, records[i])}: duplicate key (game_id, play_id, "
-            f"event_game_index) = {key}, first seen on line {_line(path, records[j])}"
+            f"{path}:{_lines(path, records[i])[-1]}: duplicate key (game_id, play_id, "
+            f"event_game_index) = {key}, first seen on line {_lines(path, records[j])[-1]}"
         )
 
 
 def read_interactions_csv(path) -> InteractionTable:
     """Load an interaction table from its CSV schema (header required).
 
-    Records are read in blocks, and each block's fields are converted
-    column by column.  An error names the first bad record's line.  Keys
-    ``(game_id, play_id, event_game_index)`` must be unique: the
-    ordered split and the bootstrap's copy order rely on it.
+    Each block's ids are coded into its own vocabularies before the blocks
+    are joined.  Keys ``(game_id, play_id, event_game_index)`` must be
+    unique: the ordered split and the bootstrap's copy order rely on it.
     """
-    records: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
-    blocks = [_parse_block(path, records[0], [])]  # a file of no records is an empty table
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != INTERACTION_CSV_HEADER:
-            raise DataError(
-                f"{path}: expected header {INTERACTION_CSV_HEADER}, got {header}"
-            )
-        start = 2  # the number of the next record
-        while recs := list(islice(reader, _READ_BLOCK)):
-            numbers = np.arange(start, start + len(recs))
-            start += len(recs)
-            if not all(recs):  # skip blank lines
-                kept = list(map(bool, recs))
-                recs, numbers = list(compress(recs, kept)), numbers[kept]
-            blocks.append(_parse_block(path, numbers, recs))
-            records.append(numbers)
-    table = _concat(blocks)
+    tables, records = [], []
+    for fields, numbers in _read_blocks(
+        path, _CSV_CONVERTERS, _check_least, skip_blank=True,
+        bad_header="{path}: expected header {want}, got {got}",
+    ):
+        tables.append(InteractionTable(
+            **{c: _factorize(fields[f]) for c, (_, f) in _ID_COLUMNS.items()},
+            **{c: fields[f] for c, (_, f) in _VALUE_COLUMNS.items()},
+        ))
+        records.append(numbers)
+    table = _concat(tables)
     _check_unique_keys(table, np.concatenate(records), path)
     return table
 

@@ -105,7 +105,7 @@ def leaderboard(
 
 
 def _write_csv(path, header: Sequence[str], records) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(records)
@@ -174,7 +174,7 @@ def write_replicates_csv(summary: BootstrapSummary, path) -> None:
 
 def validate_csv_header(path, expected: Sequence[str]) -> None:
     """Assert a written file starts with its declared header."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
     if header != list(expected):
         raise DataError(f"{path}: header {header} does not match declared schema {list(expected)}")
@@ -212,10 +212,6 @@ def sensitivity_to_json_dict(rows: Sequence[SensitivityRow]) -> dict:
 
 
 def rank_eval_to_json_dict(rows: Sequence[RankEvalRow]) -> dict:
-    return {"rows": [asdict(row) for row in rows]}
-
-
-def leaderboard_to_json_dict(rows: Sequence[LeaderboardRow]) -> dict:
     return {"rows": [asdict(row) for row in rows]}
 
 

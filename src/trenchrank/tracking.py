@@ -25,10 +25,12 @@ with one ``searchsorted`` each, and decides the win as an any over the
 gathered window.  Distances use ``math.hypot``: ``np.hypot`` differs
 from it in the last bit, and the rule is a strict comparison.
 
-All inputs are flat CSVs with required headers and 0/1 booleans; every
-integer field is an int64.  An error names the line the bad record ends
-on: a file whose columns fail a check is walked record by record with
-``csv`` to find it (the schedule is read that way throughout).
+All inputs are flat UTF-8 CSVs with required headers and 0/1 booleans;
+every integer field is an int64.  The events, engagements and schedule
+files, and a tracking file that ``np.loadtxt`` fails on, are read by the
+block reader of ``interactions``, which converts each block of records
+column by column.  An error names the line the first bad record ends on,
+a byte that is not UTF-8 included.
 """
 
 from __future__ import annotations
@@ -43,13 +45,15 @@ import numpy as np
 from .errors import DataError
 from .interactions import (
     InteractionTable,
-    _decimal,
+    _check_new,
     _factorize,
     _flag_column,
+    _float_column,
     _frozen,
-    _int64,
     _int_column,
-    _parse_bool01,
+    _lines,
+    _read_blocks,
+    _text_column,
     canonical_sort,
     label_outcome,
 )
@@ -403,35 +407,6 @@ def build_interactions(
 # CSV readers
 
 
-def _check_header(path, got, want) -> None:
-    if got != want:
-        raise DataError(f"bad header in {path}: expected {want}, got {got}")
-
-
-def _csv_records(path, header):
-    """``(line, record)`` for each data record of ``path`` as ``csv``
-    reads it, ``line`` being the file line the record ends on (a quoted
-    field may hold a line break), after the header and field-count checks."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(path, next(reader, None), header)
-        for rec in reader:
-            if len(rec) != len(header):
-                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields")
-            yield reader.line_num, rec
-
-
-def _checked_lines(path, header, check):
-    """The line of each data record of ``path``; the first record that
-    ``check`` rejects is an error naming its line."""
-    for lineno, rec in _csv_records(path, header):
-        try:
-            check(rec)
-        except (ValueError, DataError) as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        yield lineno
-
-
 def _line_count(path) -> int:
     """Lines in ``path``, a last line without a newline included."""
     n, last = 0, b"\n"
@@ -442,14 +417,18 @@ def _line_count(path) -> int:
     return n + (last != b"\n")
 
 
-def _tracking_record(rec) -> None:
-    """Check one tracking record's fields as the columns read them."""
-    frame_index = _int64(rec[2], "frame_index")
-    _decimal(float, rec[4], "x")
-    _decimal(float, rec[5], "y")
-    _parse_bool01(rec[6], "is_qb")
-    if frame_index < 0:
-        raise DataError(f"frame_index must be >= 0, got {frame_index}")
+# the converter of each tracking field, for the rescan
+_TRACKING_CONVERTERS = dict(zip(TRACKING_CSV_HEADER, (
+    _text_column, _text_column, _int_column, _text_column, _float_column, _float_column,
+    _flag_column,
+)))
+
+
+def _check_frames(fields) -> None:
+    """A negative frame index is a DataError naming the first."""
+    frame = fields["frame_index"]
+    if (frame < 0).any():
+        raise DataError(f"frame_index must be >= 0, got {frame[frame < 0][0]}")
 
 
 def _tracking_valid(rows) -> bool:
@@ -461,24 +440,20 @@ def _load_tracking(path) -> tuple[np.ndarray, np.ndarray]:
     """The tracking file's data records as a structured array, parsed by a
     single ``np.loadtxt`` call, and the line each record ends on.
 
-    When that call fails, skips blank lines (errors here) or reads a value
-    the checks reject, a rescan with ``csv`` raises the first bad record's
+    A file that call does not read whole and valid (a bad header, blank
+    lines, a value the checks reject, a byte that is not UTF-8) is
+    rescanned by ``_read_blocks``, which raises the first bad record's
     error as a row-by-row reader would.
     """
     dtype = np.dtype(list(zip(TRACKING_CSV_HEADER, _TRACKING_CSV_TYPES)))
     rows = failure = None
-    with open(path, newline="") as fh:
-        head = fh.readline()
-        _check_header(path, next(csv.reader([head])) if head else None, TRACKING_CSV_HEADER)
-        start = fh.tell()
-        first = fh.readline()
-        if not first:
-            return np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64)
-        # after a blank first line np.loadtxt may find no data and warn;
-        # the rescan raises the blank line's error instead
-        if first.rstrip("\r\n"):
-            fh.seek(start)
-            try:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader([fh.readline()]), None)
+            start = fh.tell()
+            # after a blank first line np.loadtxt may find no data and warn
+            if header == TRACKING_CSV_HEADER and fh.readline().rstrip("\r\n"):
+                fh.seek(start)
                 with warnings.catch_warnings():
                     # an int64 field such as "3.5" or "1e1" is otherwise
                     # truncated to an integer with only a DeprecationWarning
@@ -486,14 +461,17 @@ def _load_tracking(path) -> tuple[np.ndarray, np.ndarray]:
                     rows = np.loadtxt(
                         fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
                     )
-            except (ValueError, DeprecationWarning) as exc:
-                failure = exc
+    except (ValueError, DeprecationWarning) as exc:  # a UnicodeDecodeError is a ValueError
+        failure = exc
     if rows is not None and len(rows) == _line_count(path) - 1 and _tracking_valid(rows):
         return rows, np.arange(2, len(rows) + 2)
-    lines = np.fromiter(_checked_lines(path, TRACKING_CSV_HEADER, _tracking_record), np.int64)
-    n = len(lines)
+    n = sum(len(records) for _, records in
+            _read_blocks(path, _TRACKING_CONVERTERS, _check_frames))
+    if n == 0:
+        return np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64)
     if rows is not None and n == len(rows) and _tracking_valid(rows):
-        return rows, lines  # quoted line breaks made the line count differ
+        # quoted line breaks made the line count differ
+        return rows, np.array(_lines(path, n + 1)[1:], dtype=np.int64)
     raise DataError(f"{path}: np.loadtxt and csv disagree ({failure or f'{n} csv records'})")
 
 
@@ -507,52 +485,44 @@ def read_tracking_csv(path) -> TrackingFrames:
 
 
 # the column converter of each field kind; ids stay the file's strings
-_CONVERTERS = {"O": lambda texts, field: texts, "i": _int_column, "b": _flag_column}
+_CONVERTERS = {"O": _text_column, "i": _int_column, "b": _flag_column}
 
 
-def _structured(recs, dtype: np.dtype, check) -> np.ndarray:
-    """``recs`` as a read-only structured array of ``dtype``, each field
-    converted column by column.  Raises the error of the first field, in
-    header order, that holds a bad value, then ``check``'s."""
-    rows = np.empty(len(recs), dtype=dtype)
-    for field, texts in zip(dtype.names, zip(*recs)):
-        rows[field] = _CONVERTERS[dtype[field].kind](texts, field)
-    check(rows)
-    return _frozen(rows)
-
-
-def _read_structured(path, header, dtype, check) -> np.ndarray:
-    """The data records of ``path`` as ``_structured`` reads them.  On an
-    error, the file is walked record by record to name the first bad
-    record's line."""
-    try:
-        return _structured([rec for _, rec in _csv_records(path, header)], dtype, check)
-    except (ValueError, DataError):
-        for _ in _checked_lines(path, header, lambda rec: _structured([rec], dtype, check)):
-            pass
-        raise
+def _read_rows(path, dtype: np.dtype, check) -> np.ndarray:
+    """The data records of ``path``, whose header is ``dtype``'s field
+    names, as a read-only structured array of ``dtype``; ``check`` checks
+    each block."""
+    converters = {field: _CONVERTERS[dtype[field].kind] for field in dtype.names}
+    blocks = []
+    for fields, records in _read_blocks(path, converters, check):
+        rows = np.empty(len(records), dtype=dtype)
+        for field in dtype.names:
+            rows[field] = fields[field]
+        blocks.append(rows)
+    return _frozen(np.concatenate(blocks))
 
 
 def read_events_csv(path) -> np.ndarray:
     """Play events as a read-only structured array of ``EVENTS_DTYPE``."""
-    return _read_structured(path, EVENTS_CSV_HEADER, EVENTS_DTYPE, _check_events)
+    return _read_rows(path, EVENTS_DTYPE, _check_events)
 
 
 def read_engagements_csv(path) -> np.ndarray:
     """Engagements as a read-only structured array of ``ENGAGEMENTS_DTYPE``."""
-    return _read_structured(path, ENGAGEMENTS_CSV_HEADER, ENGAGEMENTS_DTYPE, _check_engagements)
+    return _read_rows(path, ENGAGEMENTS_DTYPE, _check_engagements)
 
 
 def read_schedule_csv(path) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for lineno, (game_id, week_text) in _csv_records(path, SCHEDULE_CSV_HEADER):
-        if game_id in out:
-            raise DataError(f"{path}:{lineno}: duplicate game_id {game_id!r}")
-        try:
-            week = _int64(week_text, "week")
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if week < 1:
-            raise DataError(f"{path}:{lineno}: week must be >= 1, got {week}")
-        out[game_id] = week
-    return out
+    """Each game's week; a game listed twice or a week below 1 is an error."""
+    schedule: dict[str, int] = {}
+
+    def check(fields) -> None:
+        _check_new(fields["game_id"], schedule, "game_id")
+        week = fields["week"]
+        if (week < 1).any():
+            raise DataError(f"week must be >= 1, got {week[week < 1][0]}")
+
+    converters = dict(zip(SCHEDULE_CSV_HEADER, (_text_column, _int_column)))
+    for fields, _ in _read_blocks(path, converters, check):
+        schedule.update(zip(fields["game_id"], fields["week"].tolist()))
+    return schedule

@@ -863,3 +863,12 @@ class TestExitCodes:
     def test_bare_invocation_prints_help(self, capsys):
         assert run([]) == 1
         assert "usage" in capsys.readouterr().err.lower()
+
+
+def test_fit_with_a_bad_byte_exits_2(tmp_path, capsys):
+    path = tmp_path / "interactions.csv"
+    path.write_bytes(b"game_id,play_id,event_game_index,week,rusher_id,blocker_id,double_team,"
+                     b"win_target,severity\ng1,p1,0,1,R\xff1,B1,0,0,loss\n")
+    argv = ["fit", "--interactions", str(path), "--lam", "0.5", "--out", str(tmp_path / "f.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"data error: {path}:2: byte 0xff is not valid UTF-8\n"

@@ -17,7 +17,6 @@ from trenchrank.fit import (
     cv_fold_labels,
     fit_coded,
     cv_select_lambda,
-    expected_severity,
     fit_from_json_dict,
     fit_severity_model,
     fit_to_json_dict,
@@ -26,11 +25,7 @@ from trenchrank.fit import (
     predict_win_probs,
     select_lambda_min,
 )
-from trenchrank.interactions import (
-    CLASSES,
-    OutcomeClass,
-    SeverityWeights,
-)
+from trenchrank.interactions import CLASSES, OutcomeClass
 from trenchrank.synth import SynthConfig, synth_generate
 
 from conftest import (
@@ -912,22 +907,6 @@ class TestLogistic:
             got = fit_module._inv_logit(x)
         assert got[:4].tolist() == [0.0, 0.0, 1.0, 1.0]
         assert np.isnan(got[4])
-
-
-class TestExpectedSeverity:
-    def test_weighted_sum(self):
-        probs = {
-            OutcomeClass.LOSS: 0.4,
-            OutcomeClass.WIN: 0.3,
-            OutcomeClass.HIT: 0.2,
-            OutcomeClass.SACK: 0.1,
-        }
-        weights = SeverityWeights(0.0, 0.1, 0.2, 1.0)
-        assert expected_severity(probs, weights) == pytest.approx(
-            0.3 * 0.1 + 0.2 * 0.2 + 0.1 * 1.0
-        )
-        vec = [probs[c] for c in CLASSES]
-        assert expected_severity(vec, weights) == expected_severity(probs, weights)
 
 
 ENTRIES = {

@@ -86,6 +86,12 @@ DELETED_NAMES = {
     # both bootstraps run one replicate loop, so no mode names which
     # loop a config is for
     "bootstrap": {"MODES", "_DroppedClasses", "_multiplicities", "_check_failures"},
+    # every input CSV goes through one block reader, so no reader keeps a
+    # record loop or a walk of its own to name the bad line
+    "readers": {"_csv_records", "_checked_lines", "_tracking_record", "_structured",
+                "_read_structured", "_raise_record_error", "_parse_block", "_value_columns"},
+    # public names that no package module called
+    "uncalled": {"expected_severity", "leaderboard_to_json_dict"},
 }
 
 
@@ -101,3 +107,58 @@ def test_deleted_module_and_field_stay_gone():
     assert importlib.util.find_spec("trenchrank.design") is None
     assert "fallbacks" not in fit._Solution._fields
     assert "mode" not in {f.name for f in dataclasses.fields(bootstrap.BootstrapConfig)}
+
+
+# a tiny world with a non-ASCII player id: one game, three dropbacks (a hit,
+# a sack, a pass), so both models see every outcome class
+LOCALE_WORLD = {
+    "tracking.csv": "game_id,play_id,frame_index,player_id,x,y,is_qb\n" + "".join(
+        f"g1,{play},{t},{pid},{x},{y},{int(pid == 'QB')}\n"
+        for play in ("p1", "p2", "p3") for t in range(3)
+        for pid, x, y in (("QB", 0.0, 0.0), ("Rü1", 3.0 - t, 1.0), ("R2", 4.0, 1.0),
+                          ("B1", 1.0, 1.0), ("B2", 2.0, 0.5))
+    ),
+    "events.csv": "game_id,play_id,snap_frame,has_forward_pass,has_sack,qb_hit\n"
+                  "g1,p1,0,1,0,1\ng1,p2,0,1,1,0\ng1,p3,0,1,0,0\n",
+    "engagements.csv": "game_id,play_id,rusher_id,blocker_id,start_frame,end_frame\n"
+                       "g1,p1,Rü1,B1,0,2\ng1,p1,R2,B2,0,2\ng1,p2,Rü1,B2,0,2\ng1,p2,R2,B1,1,2\n"
+                       "g1,p3,Rü1,B1,0,2\ng1,p3,R2,B2,0,2\n",
+    "schedule.csv": "game_id,week\ng1,1\n",
+}
+LOCALE_RUNS = [
+    ["ingest", "--tracking", "tracking.csv", "--events", "events.csv", "--engagements",
+     "engagements.csv", "--schedule", "schedule.csv", "--out", "interactions.csv"],
+    ["fit", "--interactions", "interactions.csv", "--lam", "0.5", "--out", "fits.json"],
+    ["leaderboard", "--interactions", "interactions.csv", "--fit", "fits.json", "--min-n", "1",
+     "--out", "leaderboard.csv"],
+]
+
+
+def _locale_run(tmp_path, name, flags=(), **env):
+    """The CLI's exit codes, output bytes and written files over ``LOCALE_RUNS``."""
+    d = tmp_path / name
+    d.mkdir()
+    for file, text in LOCALE_WORLD.items():
+        (d / file).write_text(text, encoding="utf-8", newline="")
+    codes, out = [], []
+    for argv in LOCALE_RUNS:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "trenchrank.cli", *argv], capture_output=True,
+            cwd=d, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env},
+        )
+        codes.append(proc.returncode)
+        out.append((proc.stdout, proc.stderr))
+    files = {f.name: f.read_bytes() for f in sorted(d.iterdir())}
+    return codes, out, files
+
+
+def test_file_io_does_not_depend_on_the_locale(tmp_path):
+    # every file, and what the CLI prints, is UTF-8: nothing is opened in
+    # the locale's encoding, and an ASCII locale changes no byte
+    want = _locale_run(tmp_path, "default")
+    assert want[0] == [0, 0, 0]
+    assert "Rü1".encode() in want[2]["leaderboard.csv"]
+    assert _locale_run(tmp_path, "warn", ["-X", "warn_default_encoding",
+                                          "-W", "error::EncodingWarning"]) == want
+    assert _locale_run(tmp_path, "ascii", PYTHONUTF8="0", LC_ALL="C",
+                       PYTHONCOERCECLOCALE="0") == want

@@ -21,7 +21,6 @@ from trenchrank.report import (
     _fmt,
     bands_from_summary,
     leaderboard,
-    leaderboard_to_json_dict,
     rank_eval_to_json_dict,
     sensitivity_to_json_dict,
     summary_to_json_dict,
@@ -295,7 +294,3 @@ class TestJsonDicts:
             [RankEvalRow("win", "rusher", "first", 8, 0.9, 0.8, 0.1, 2.5, 2.0, 0.5)]
         )
         assert rank["rows"][0]["accolade"] == "first"
-        lead = leaderboard_to_json_dict(
-            [LeaderboardRow("win", "rusher", "R1", 0.8, 300)]
-        )
-        assert lead["rows"][0]["lo"] is None

@@ -10,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trenchrank import cli
+from trenchrank import cli, interactions
 from trenchrank.errors import DataError
+from trenchrank.external import ACCOLADE_CSV_HEADER, read_accolades_csv
 from trenchrank.interactions import (
     OutcomeClass,
     _parse_bool01,
     canonical_sort,
     label_outcome,
+    read_interactions_csv,
     write_interactions_csv,
 )
 from trenchrank.tracking import (
@@ -1373,6 +1375,232 @@ def test_ingest_reader_parity(case, tmp_path):
     # the good cases read every record; every other case is an error
     assert isinstance(want, list) == ("good" in case or "loose" in case or "quoted ids" in case
                                       or "header only" in case or "bounds" in case)
+
+
+# ---------------------------------------------------------------------------
+# Keyed reader parity: the schedule and accolade readers give the error text
+# of a reference that reads one record at a time and checks each key against
+# the records before it
+
+
+def reference_read_schedule_csv(path):
+    schedule = {}
+
+    def record(game_id, week_text):
+        week = reference_int(week_text, "week")
+        if game_id in schedule:
+            raise DataError(f"duplicate game_id {game_id!r}")
+        if week < 1:
+            raise DataError(f"week must be >= 1, got {week}")
+        schedule[game_id] = week
+
+    reference_read_records(path, SCHEDULE_CSV_HEADER, record)
+    return schedule
+
+
+def reference_read_accolades_csv(path):
+    labels = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ACCOLADE_CSV_HEADER:
+            raise DataError(
+                f"bad accolade header in {path}: expected {ACCOLADE_CSV_HEADER}, got {header}"
+            )
+        for rec in reader:
+            line = reader.line_num
+            if len(rec) != 2:
+                raise DataError(f"{path}:{line}: expected 2 fields, got {len(rec)}")
+            player_id, level = rec
+            if level not in ("first", "second"):
+                raise DataError(f"{path}:{line}: team_level must be one of ('first', 'second'), "
+                                f"got {level!r}")
+            if player_id in labels:
+                raise DataError(f"{path}:{line}: duplicate player_id {player_id!r}")
+            labels[player_id] = level
+    return labels
+
+
+KEYED_READER_CASES = {
+    "schedule good": ["g1,1", "g2,14", "g3,2"],
+    "schedule loose weeks": ["g1, 3 ", "g2,+4", "g3,007"],
+    "schedule quoted ids": ['"g,1",1', '"g\n2",2', '"g""3",3'],
+    "schedule header only": [],
+    "schedule duplicate game": ["g1,1", "g2,2", "g1,3"],
+    "schedule duplicate game in a later block": ["g1,1", "g2,2", "g3,3", "g4,4", "g2,5"],
+    "schedule week 0": ["g1,1", "g2,0"],
+    "schedule week not an integer": ["g1,1", "g2,w2"],
+    "schedule week beyond int64": ["g1,1", f"g2,{2**63}"],
+    "schedule underscored week": ["g1,1", "g2,1_0"],
+    "schedule non-ASCII week": ["g1,1", "g2,٣"],
+    "schedule duplicate game before bad week": ["g1,1", "g1,2", "g2,x"],
+    "schedule bad week before duplicate game": ["g1,1", "g2,x", "g1,2"],
+    "schedule duplicate game before week 0": ["g1,1", "g2,2", "g3,3", "g1,4", "g4,0"],
+    "schedule week 0 before duplicate game": ["g1,1", "g2,2", "g3,0", "g1,4"],
+    "schedule duplicate game and week 0 in one record": ["g1,1", "g1,0"],
+    "schedule duplicate game and bad week in one record": ["g1,1", "g1,x"],
+    "schedule short line": ["g1,1", "g2"],
+    "schedule long line": ["g1,1", "g2,2,3"],
+    "schedule blank line": ["g1,1", "", "g2,2"],
+    "schedule duplicate after quoted line break": ['"g\n1",1', "g2,2", '"g\n1",3'],
+    "accolades good": ["R1,first", "B2,second", "R3,first"],
+    "accolades quoted ids": ['"R,1",first', '"B\n2",second'],
+    "accolades header only": [],
+    "accolades unknown level": ["R1,first", "B2,third"],
+    "accolades level in another case": ["R1,First"],
+    "accolades duplicate player": ["R1,first", "B2,second", "R1,second"],
+    "accolades duplicate player in a later block": ["R1,first", "R2,first", "R3,first", "R2,second"],
+    "accolades duplicate player before unknown level": ["R1,first", "R1,second", "B2,third"],
+    "accolades unknown level before duplicate player": ["R1,first", "B2,third", "R1,second"],
+    "accolades duplicate player and unknown level in one record": ["R1,first", "R1,third"],
+    "accolades short line": ["R1,first", "B2"],
+    "accolades long line": ["R1,first", "B2,second,x"],
+    "accolades blank line": ["R1,first", "", "B2,second"],
+    "accolades duplicate after quoted line break": ['"R\n1",first', "B2,second", '"R\n1",first'],
+}
+
+
+KEYED_READERS = {
+    "schedule": (read_schedule_csv, reference_read_schedule_csv, SCHEDULE_CSV_HEADER),
+    "accolades": (read_accolades_csv, reference_read_accolades_csv, ACCOLADE_CSV_HEADER),
+}
+
+
+def _keyed_file(case, tmp_path):
+    """The reader, the reference and the file of one keyed reader case."""
+    kind = case.split()[0]
+    reader, reference, header = KEYED_READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(",".join(header) + "\n"
+                    + "".join(line + "\n" for line in KEYED_READER_CASES[case]), encoding="utf-8")
+    return reader, reference, path
+
+
+@pytest.mark.parametrize("block", [2, interactions._READ_BLOCK])
+@pytest.mark.parametrize("case", KEYED_READER_CASES)
+def test_keyed_reader_parity(case, block, tmp_path, monkeypatch):
+    monkeypatch.setattr(interactions, "_READ_BLOCK", block)
+    reader, reference, path = _keyed_file(case, tmp_path)
+
+    def outcome(read):
+        try:
+            return read(path)
+        except DataError as exc:
+            return str(exc)
+
+    want = outcome(reference)
+    assert outcome(reader) == want
+    # the good cases read every record; every other case is an error
+    assert isinstance(want, dict) == any(
+        word in case for word in ("good", "loose", "quoted ids", "header only")
+    )
+
+
+@pytest.mark.parametrize("case, want", [
+    ("schedule duplicate game before bad week", "3: duplicate game_id 'g1'"),
+    ("schedule bad week before duplicate game", "3: week must be an integer, got 'x'"),
+    ("accolades duplicate player before unknown level", "3: duplicate player_id 'R1'"),
+    ("accolades unknown level before duplicate player",
+     "3: team_level must be one of ('first', 'second'), got 'third'"),
+])
+def test_keyed_reader_raises_the_first_bad_records_error(case, want, tmp_path):
+    # checking the converted columns must not put a later record's error first
+    reader, _, path = _keyed_file(case, tmp_path)
+    with pytest.raises(DataError) as got:
+        reader(path)
+    assert str(got.value) == f"{path}:{want}"
+
+
+# ---------------------------------------------------------------------------
+# Bytes that are not UTF-8: an error naming the file line, from every reader
+
+
+BAD_BYTE_CASES = {
+    "interactions": (read_interactions_csv, ",".join(interactions.INTERACTION_CSV_HEADER),
+                     [b"g1,p1,0,1,R1,B1,0,0,loss", b"g1,p1,1,1,R\xff2,B1,0,0,win"]),
+    "tracking": (read_tracking_csv, ",".join(TRACKING_CSV_HEADER),
+                 [b"g1,p1,0,QB,0.0,0.0,1", b"g1,p1,0,R\xff1,3.0,4.0,0"]),
+    "events": (read_events_csv, ",".join(EVENTS_CSV_HEADER),
+               [b"g1,p1,3,1,0,1", b"g1,p\xff2,0,0,1,0"]),
+    "engagements": (read_engagements_csv, ",".join(ENGAGEMENTS_CSV_HEADER),
+                    [b"g1,p1,R1,B1,2,9", b"g1,p1,R\xff2,B1,0,4"]),
+    "schedule": (read_schedule_csv, ",".join(SCHEDULE_CSV_HEADER), [b"g1,1", b"g\xff2,2"]),
+    "accolades": (read_accolades_csv, ",".join(ACCOLADE_CSV_HEADER),
+                  [b"R1,first", b"R\xff2,second"]),
+}
+
+
+def _write_bytes(path, header, records):
+    path.write_bytes(header.encode() + b"\n" + b"".join(rec + b"\n" for rec in records))
+
+
+@pytest.mark.parametrize("kind", BAD_BYTE_CASES)
+def test_bad_byte_names_its_line(kind, tmp_path):
+    reader, header, records = BAD_BYTE_CASES[kind]
+    path = tmp_path / f"{kind}.csv"
+    _write_bytes(path, header, records)
+    with pytest.raises(DataError) as got:
+        reader(path)
+    assert str(got.value) == f"{path}:3: byte 0xff is not valid UTF-8"
+
+
+@pytest.mark.parametrize("kind", BAD_BYTE_CASES)
+def test_bad_byte_in_a_numeric_field_or_short_record_is_a_decoding_error(kind, tmp_path):
+    # the record cannot be read, so its field count and values are not checked
+    reader, header, records = BAD_BYTE_CASES[kind]
+    path = tmp_path / f"{kind}.csv"
+    for bad in (records[0][:-1] + b"\xc3", records[0].split(b",")[0] + b",\xe9"):
+        _write_bytes(path, header, [records[0], bad])
+        with pytest.raises(DataError) as got:
+            reader(path)
+        assert str(got.value) == f"{path}:3: byte 0x{bad[-1]:02x} is not valid UTF-8"
+
+
+@pytest.mark.parametrize("kind", BAD_BYTE_CASES)
+def test_bad_byte_in_the_header_names_line_1(kind, tmp_path):
+    reader, header, records = BAD_BYTE_CASES[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(b"\xfe" + header.encode() + b"\n" + records[0] + b"\n")
+    with pytest.raises(DataError) as got:
+        reader(path)
+    assert str(got.value) == f"{path}:1: byte 0xfe is not valid UTF-8"
+
+
+@pytest.mark.parametrize("block", [2, interactions._READ_BLOCK])
+def test_bad_byte_and_bad_value_are_met_in_record_order(block, tmp_path, monkeypatch):
+    monkeypatch.setattr(interactions, "_READ_BLOCK", block)
+    path = tmp_path / "engagements.csv"
+    header = ",".join(ENGAGEMENTS_CSV_HEADER)
+    good, bad_value, bad_byte = b"g1,p1,R1,B1,2,9", b"g1,p1,R2,B1,x,9", b"g1,p1,R\xff3,B1,0,1"
+    _write_bytes(path, header, [good, bad_value, bad_byte])
+    with pytest.raises(DataError, match=r":3: start_frame must be an integer, got 'x'$"):
+        read_engagements_csv(path)
+    _write_bytes(path, header, [good, bad_byte, bad_value])
+    with pytest.raises(DataError, match=r":3: byte 0xff is not valid UTF-8$"):
+        read_engagements_csv(path)
+
+
+def test_bad_byte_after_a_quoted_line_break_names_the_file_line(tmp_path):
+    path = tmp_path / "tracking.csv"
+    _write_bytes(path, ",".join(TRACKING_CSV_HEADER),
+                 [b'g1,p1,0,"R\n1",3.0,4.0,0', b"g1,p1,0,QB,0.0,0.0,1", b"g1,p1,1,Q\xffB,0,0,1"])
+    with pytest.raises(DataError) as got:
+        read_tracking_csv(path)
+    assert str(got.value) == f"{path}:5: byte 0xff is not valid UTF-8"
+
+
+def test_ingest_with_a_bad_byte_exits_2(tmp_path, capsys):
+    paths = rawgen.generate(tmp_path, seed=0, n_games=1, plays_per_game=2)["paths"]
+    events = Path(paths["events"])
+    lines = events.read_bytes().split(b"\n")
+    events.write_bytes(b"\n".join([*lines[:2], lines[2].replace(b",", b"\xff,", 1), *lines[3:]]))
+    argv = ["ingest", "--tracking", paths["tracking"], "--events", paths["events"],
+            "--engagements", paths["engagements"], "--schedule", paths["schedule"],
+            "--out", str(tmp_path / "out.csv")]
+    assert cli.main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {events}:3: byte 0xff is not valid UTF-8\n"
+    )
 
 
 # ---------------------------------------------------------------------------
